@@ -13,9 +13,13 @@
 // A job may declare dependencies (needs: [jobID...]) to form a DAG,
 // or stages: ["infer", "inject", "eval"] to pipeline per system. Jobs
 // are journaled durably under <ns>/jobs/ (a restarted daemon lists
-// finished jobs and re-queues jobs that never started), and stream
-// progress over Server-Sent Events through the same progress pipeline
-// (shard.Hub) the CLI -progress renderers consume. Reads — outcome
+// finished jobs and re-queues jobs that never started). Every event —
+// lifecycle, scheduling, stages, coordinator moves, and campaign
+// progress throttled to at most one sample per system per 200ms plus
+// completions — goes onto one event bus that every Server-Sent Events
+// stream subscribes to, filtered: the whole daemon, one namespace, or
+// one job. Frames are versioned dash.Event JSON ("v":1) whose SSE id is
+// the bus sequence number, for Last-Event-ID resume. Reads — outcome
 // listings and the paper's evaluation tables — are served read-only
 // from the store's atomic snapshots and work even while a job is
 // writing; table text is byte-identical to a
@@ -30,7 +34,9 @@
 //	     -d '{"all": true, "workers": 4}'
 //	# => {"id": "job-000001", "state": "queued", ...}
 //
-//	# watch live progress (SSE: per-system done/total, steals, yields)
+//	# watch the job (SSE: "job" lifecycle frames, throttled per-system
+//	# "progress", "stage"/"coord" frames; the stream ends right after
+//	# the terminal "job" frame)
 //	curl -N localhost:8476/v1/jobs/job-000001/events
 //
 //	# or watch the whole daemon: the embedded dashboard at
@@ -67,7 +73,7 @@
 // Jobs in one namespace schedule as a DAG: needs waits for other jobs,
 // stages pipelines infer → inject → eval per system (a fast system
 // evaluates while a slow one still injects; every transition is a
-// "stage" SSE event):
+// "stage" event):
 //
 //	curl -s -X POST localhost:8476/v1/jobs \
 //	     -d '{"systems": ["mydb"], "needs": ["job-000001"]}'
@@ -79,9 +85,9 @@
 // same {lease}/{state}/{worker} placeholders as `spexinj -spawn`, so
 // an SSH preset fans workers out across machines sharing the state
 // directory). External workers report through heartbeat files only:
-// with -spawn, a coordinate job's SSE stream carries the coordinator
-// lifecycle events (spawn/steal/retry/merge) but not per-outcome
-// "progress" events — those need the in-process default.
+// with -spawn, a coordinate job's event stream carries the coordinator
+// lifecycle events (spawn/steal/retry/merge) but no "progress" events
+// — those need the in-process default.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: running campaigns
 // drain through the engine's cancellation path (finished outcomes are

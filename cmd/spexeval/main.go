@@ -7,10 +7,10 @@
 // or -global to interleave all seven campaigns on one cross-target pool
 // (internal/shard) so small targets draining early do not idle workers.
 // Under -global (or -shard), -progress renders the campaign itself
-// through the shared progress pipeline (shard.Hub → internal/progressui,
-// the same renderer as spexinj): per-system bars on a terminal, the
-// throttled one-line aggregate otherwise. Without -global it streams
-// the original per-system analysis stage lines.
+// through internal/progressui (the same renderer as spexinj):
+// per-system bars on a terminal, the throttled one-line aggregate
+// otherwise. Without -global it streams the original per-system
+// analysis stage lines.
 // The rendered tables are identical in every mode. With -state <dir> the
 // campaign phase is incremental across runs: each system's outcomes are
 // persisted as a snapshot (internal/campaignstore) and replayed on the

@@ -96,12 +96,11 @@
 //
 // # Progress rendering
 //
-// -progress consumes the campaign's progress stream off a fan-out hub
-// (internal/shard Hub — the same pipeline the spexd daemon serves over
-// SSE) and renders it with internal/progressui: on a terminal, one
-// live bar per system plus an aggregate header, rewritten in place;
-// in CI logs and redirects, the established throttled one-line
-// aggregate.
+// -progress feeds the campaign's progress callback straight into
+// internal/progressui (the renderer spexwatch uses for a daemon's
+// stream): on a terminal, one live bar per system plus an aggregate
+// header, rewritten in place; in CI logs and redirects, the
+// established throttled one-line aggregate.
 //
 // Usage:
 //

@@ -1,21 +1,25 @@
 // Command spexwatch attaches a terminal to a remote spexd daemon's
 // live event streams: the same per-system progress display the CLI
 // drivers render locally (internal/progressui), fed from the daemon's
-// Server-Sent Events instead of an in-process hub. No state directory,
-// no lock — just an HTTP client on the observability surface.
+// Server-Sent Events instead of a campaign callback. No state
+// directory, no lock — just an HTTP client on the observability
+// surface.
 //
 //	spexwatch -addr localhost:8476                 # every namespace (GET /v1/events)
 //	spexwatch -addr localhost:8476 -ns alpha       # one namespace's stream
 //	spexwatch -addr localhost:8476 -job job-000001 # one job (GET /v1/jobs/{id}/events)
 //	spexwatch -addr localhost:8476 -ns alpha -job job-000001 -once
 //
-// A dropped connection reconnects with exponential backoff, resuming
-// from the last SSE event id (Last-Event-ID) so the daemon replays only
-// what was missed — per-job streams replay from the job's backlog, the
-// daemon-wide stream from the bus's ring. -once disables reconnection:
-// the command exits when the stream ends, which for a job stream is the
-// job's terminal state (watching an already-finished job prints its
-// final state and exits immediately).
+// Every stream is a filtered slice of the daemon's event bus, framed as
+// dash.Event (schema "v":1): lifecycle frames of kind "job", throttled
+// "progress" samples, and scheduler, stage and coordinator frames. A
+// dropped connection reconnects with exponential backoff, resuming from
+// the last SSE event id — the bus sequence number — so the daemon
+// replays only what was missed: a job stream from the job's retained
+// events, the daemon-wide stream from the bus's ring. -once disables
+// reconnection: the command exits when the stream ends, which for a job
+// stream is the job's terminal frame (watching an already-finished job
+// prints its final state and exits immediately).
 //
 // Exit status: 0 when the watched job finished done (or the stream was
 // ended deliberately), 1 when it failed or was cancelled, 2 on usage
@@ -37,8 +41,8 @@ import (
 	"syscall"
 	"time"
 
+	"spex/internal/dash"
 	"spex/internal/progressui"
-	"spex/internal/shard"
 )
 
 func main() { os.Exit(run()) }
@@ -93,24 +97,6 @@ func (o options) streamURL() string {
 		return base + "/jobs/" + o.jobID + "/events"
 	}
 	return base + "/events"
-}
-
-// wireEvent is the decoded data: payload of one SSE frame — a superset
-// of both stream shapes: a job stream's server.Event (kind "state",
-// per-job event_id) and the daemon-wide bus's dash.Event (kind "job",
-// bus seq, namespace). Unknown fields are ignored, so the watcher
-// tolerates additive schema growth (the bus stamps Event.V for
-// incompatible changes).
-type wireEvent struct {
-	ID        uint64 `json:"event_id"` // job stream frames
-	Seq       uint64 `json:"seq"`      // bus frames
-	Namespace string `json:"namespace"`
-	Kind      string `json:"kind"`
-	Job       string `json:"job"`
-	State     string `json:"state"`
-	Error     string `json:"error"`
-
-	Progress *shard.Progress `json:"progress"`
 }
 
 // terminalState reports a finished job.
@@ -241,13 +227,15 @@ func (w *watcher) dispatch(id, data string) {
 	if id != "" {
 		w.lastID = id
 	}
-	var e wireEvent
-	if err := json.Unmarshal([]byte(data), &e); err != nil {
+	// Unknown fields are ignored, so additive schema growth is harmless;
+	// a newer schema version is not ours to interpret.
+	var e dash.Event
+	if err := json.Unmarshal([]byte(data), &e); err != nil || e.V > dash.SchemaVersion {
 		return
 	}
 	w.sawEvent = true
 	switch e.Kind {
-	case "progress":
+	case dash.KindProgress:
 		if e.Progress == nil {
 			return
 		}
@@ -262,8 +250,7 @@ func (w *watcher) dispatch(id, data string) {
 			p.System = ns + "/" + e.Job + "/" + p.System
 		}
 		w.renderer.Handle(p)
-	case "state", "job":
-		// "state" on a job stream, "job" on the daemon-wide bus.
+	case dash.KindJob:
 		label := e.Job
 		if w.opts.jobID == "" && e.Namespace != "" {
 			label = e.Namespace + "/" + e.Job

@@ -36,14 +36,14 @@ func (f *fakeJobStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 	}
 	if conn == 1 {
-		emit(1, "state", `{"event_id":1,"kind":"state","job":"job-000001","state":"running"}`)
-		emit(2, "progress", `{"event_id":2,"kind":"progress","job":"job-000001","progress":{"system":"proxyd","system_done":3,"system_total":10,"done":3,"total":10}}`)
+		emit(1, "job", `{"v":1,"seq":1,"namespace":"default","kind":"job","job":"job-000001","state":"running"}`)
+		emit(2, "progress", `{"v":1,"seq":2,"namespace":"default","kind":"progress","job":"job-000001","progress":{"system":"proxyd","system_done":3,"system_total":10,"done":3,"total":10}}`)
 		// Drop the connection mid-job: no terminal state was sent.
 		return
 	}
 	// The resumed connection carries the rest of the job.
-	emit(3, "progress", `{"event_id":3,"kind":"progress","job":"job-000001","progress":{"system":"proxyd","system_done":10,"system_total":10,"done":10,"total":10}}`)
-	emit(4, "state", `{"event_id":4,"kind":"state","job":"job-000001","state":"done"}`)
+	emit(3, "progress", `{"v":1,"seq":3,"namespace":"default","kind":"progress","job":"job-000001","progress":{"system":"proxyd","system_done":10,"system_total":10,"done":10,"total":10}}`)
+	emit(4, "job", `{"v":1,"seq":4,"namespace":"default","kind":"job","job":"job-000001","state":"done"}`)
 }
 
 func TestWatchResumesAfterDrop(t *testing.T) {
@@ -90,7 +90,7 @@ func TestWatchOnceExitsWhenStreamEnds(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		conns.Add(1)
 		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprint(w, "id: 1\nevent: progress\ndata: {\"kind\":\"progress\",\"job\":\"job-000001\",\"progress\":{\"system\":\"mydb\",\"system_done\":1,\"system_total\":4,\"done\":1,\"total\":4}}\n\n")
+		fmt.Fprint(w, "id: 1\nevent: progress\ndata: {\"v\":1,\"seq\":1,\"kind\":\"progress\",\"job\":\"job-000001\",\"progress\":{\"system\":\"mydb\",\"system_done\":1,\"system_total\":4,\"done\":1,\"total\":4}}\n\n")
 	}))
 	defer ts.Close()
 
@@ -118,7 +118,7 @@ func TestWatchOnceExitsWhenStreamEnds(t *testing.T) {
 func TestWatchFailedJobExitsNonzero(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprint(w, "id: 1\nevent: state\ndata: {\"kind\":\"state\",\"job\":\"job-000001\",\"state\":\"failed\",\"error\":\"boom\"}\n\n")
+		fmt.Fprint(w, "id: 1\nevent: job\ndata: {\"v\":1,\"seq\":1,\"kind\":\"job\",\"job\":\"job-000001\",\"state\":\"failed\",\"error\":\"boom\"}\n\n")
 	}))
 	defer ts.Close()
 

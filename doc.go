@@ -246,7 +246,7 @@
 // `coordinate: N` to embed the work-stealing coordinator), GET
 // /v1/jobs/{id} reports status, DELETE cancels through the engine's
 // context plumbing (finished outcomes persist; the store resumes), and
-// GET /v1/jobs/{id}/events streams live progress over Server-Sent
+// GET /v1/jobs/{id}/events streams the job's events over Server-Sent
 // Events.
 //
 // Jobs are scheduled as a DAG over the per-system locks: each job
@@ -259,20 +259,22 @@
 // cancelled dependency fails the dependent), and
 // `stages: ["infer", "inject", "eval"]` turns the job into a
 // per-system pipeline: every system advances through its stages
-// independently, publishing each transition as a "stage" SSE event, so
+// independently, publishing each transition as a "stage" event, so
 // a fast system evaluates while a slow one is still injecting. Jobs
 // are journaled durably under <ns>/jobs/: a restarted daemon lists
 // finished jobs, adopts interrupted running jobs as failed (the
 // snapshots hold every finished outcome — resubmit to resume), and
 // re-queues jobs that never started.
 //
-// Progress flows through one shared pipeline end to end: the global
-// scheduler emits shard.Progress events (typed like the single-system
-// inject.Progress), a fan-out hub (shard.Hub, drop-oldest per lagging
-// subscriber) broadcasts them, and every consumer — the CLI renderer
-// (internal/progressui: per-system TTY bars, throttled one-line
-// aggregate in logs), the daemon's SSE encoder, the coordinator's
-// heartbeats — is just a subscriber.
+// Progress flows through one pipeline end to end: the global scheduler
+// emits shard.Progress events (typed like the single-system
+// inject.Progress) to one OnProgress callback. The CLIs hand it to the
+// renderer (internal/progressui: per-system TTY bars, throttled
+// one-line aggregate in logs); coordinator workers fold it into their
+// heartbeats; the daemon folds it into the job's trace and, throttled,
+// onto its event bus (internal/dash, below), which is the daemon's
+// only fan-out: every event stream it serves, per-job ones included,
+// is a filtered subscription to that bus.
 //
 // Reads are served lock-free from the store's outcome indexes, even
 // while a job is writing: GET /v1/systems/{name}/outcomes pages through
@@ -353,7 +355,7 @@
 // Every layer of the stack is instrumented against one stdlib-only
 // metrics registry (internal/obs): the engine records task latency,
 // queue depth and cache hit/miss, the campaign store its save/load
-// durations and snapshot sizes, the progress hub its emitted and
+// durations and snapshot sizes, the event bus its published and
 // dropped events, the coordinator its spawns, steals and heartbeat
 // lag, the sim monitor every boot by reaction kind, and the daemon
 // its per-endpoint HTTP latency, ETag revalidation traffic, and job
@@ -369,31 +371,34 @@
 //
 // # Dashboard and event bus
 //
-// internal/dash aggregates every namespace's activity onto one
-// daemon-wide event bus: job lifecycle transitions, scheduler
-// reservations and releases (with queue depth and running counts),
-// per-system stage transitions, coordinator lifecycle events, and
-// per-system progress folded from each job's shard.Hub stream —
-// throttled to at most one event per (namespace, job, system) per
-// 200ms so a hot campaign cannot flood subscribers, with first samples
-// and completions always published. Events are typed and versioned
-// (dash.Event stamps SchemaVersion plus a monotonic bus sequence
-// number) and fan out with the same drop-oldest discipline as
-// shard.Hub: each subscriber owns a bounded buffer, a slow consumer
-// sheds its own oldest events (counted in spex_dash_dropped_total),
-// and no consumer can stall a publisher — the hubsend spexlint
-// analyzer rejects raw channel sends of dash.Event outside the
-// package, exactly as it does shard.Progress outside shard.
+// internal/dash carries every event the daemon emits on one bus: job
+// lifecycle transitions, scheduler reservations and releases (with
+// queue depth and running counts), per-system stage transitions,
+// coordinator lifecycle events, and per-system campaign progress —
+// throttled per (namespace, job, system) to the first sample, then at
+// most one event per 200ms, plus every completion, so a hot campaign
+// cannot flood subscribers. Events are typed and versioned (dash.Event
+// stamps SchemaVersion, currently "v":1, plus a monotonic bus sequence
+// number) and fan out with a drop-oldest discipline: each subscriber
+// owns a bounded buffer, a slow consumer sheds its own oldest events
+// (counted in spex_dash_dropped_total), and no consumer can stall a
+// publisher — the hubsend spexlint analyzer rejects raw channel sends
+// of dash.Event outside the package.
 //
-// The daemon serves the bus at GET /v1/events (every namespace, SSE)
-// and GET /v1/ns/{name}/events (one tenant's slice); frames carry the
-// bus sequence as their SSE id, so a reconnecting client sends
-// Last-Event-ID and replays only what it missed from the bus's ring
-// (a comment frame flags the resume as truncated when the ring has
-// moved past the requested id). Per-job streams
-// (GET /v1/jobs/{id}/events) carry per-job event ids with the same
-// resume semantics, and subscribing to an already-terminal job replays
-// its backlog through the final state event and closes cleanly. Three
+// The daemon serves the bus as SSE at GET /v1/events (every
+// namespace), GET /v1/ns/{name}/events (one tenant's slice), and
+// GET /v1/jobs/{id}/events (one job's slice). Every frame is a
+// dash.Event: its event: field is the kind — a job's lifecycle frames
+// are kind "job" — and its id: is the bus sequence, so a reconnecting
+// client sends Last-Event-ID and replays only what it missed (a
+// comment frame flags the resume as truncated when the bus no longer
+// holds everything past the requested id, or the id came from a
+// previous daemon run). The bus retains each job's own events up to
+// 4096, compacted to the non-progress ones once the job ends, so a job
+// stream replays the job from its queued frame however late a client
+// attaches, and closes right after the terminal job frame; a job
+// journaled by a previous daemon run streams one terminal frame built
+// from its journal. Three
 // consumers ship with the daemon: the embedded dashboard at GET /ui/
 // (go:embed static assets, vanilla JS, zero external dependencies —
 // live namespace and job tables, progress bars, /metrics gauges, and

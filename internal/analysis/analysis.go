@@ -51,9 +51,9 @@
 // and Stamps — and must not emit sink records from inside a map
 // range, whose order would make equal stores fingerprint unequal.
 //
-// hubsend keeps the event fan-out non-blocking. Progress may only
-// enter the pipeline through shard.Hub (a send on a chan
-// shard.Progress outside package shard is flagged); time.Tick and a
+// hubsend keeps the event fan-out non-blocking. Events may only enter
+// the daemon's fan-out through dash.Bus (a send on a chan dash.Event
+// outside package dash is flagged); time.Tick and a
 // time.NewTicker that is neither stopped nor escapes leak their
 // ticker; <-time.After inside a for loop allocates a timer per
 // iteration that only fires long after the loop moved on; and a

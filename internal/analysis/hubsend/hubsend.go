@@ -1,16 +1,13 @@
-// Package hubsend keeps the progress fan-out non-blocking and
-// goroutines cancellable. The progress pipeline's design invariant is
-// that a slow consumer can never stall a campaign: shard.Hub owns the
-// only buffers and sheds load by dropping the oldest event. Shapes
-// that reintroduce blocking or leaks:
+// Package hubsend keeps the event fan-out non-blocking and goroutines
+// cancellable. The daemon's design invariant is that a slow consumer
+// can never stall a publisher: the event bus (internal/dash) is the
+// only fan-out, owns the only subscriber buffers, and sheds load per
+// subscriber by dropping the oldest event. Shapes that reintroduce
+// blocking or leaks:
 //
-//   - a raw channel send of shard.Progress outside package shard
-//     bypasses the Hub's drop-oldest policy — one full channel then
-//     blocks the scheduler's emit path;
-//   - likewise a raw channel send of dash.Event outside package dash:
-//     the daemon-wide bus owns the only subscriber buffers and sheds
-//     load per subscriber; a hand-rolled channel of bus events stalls
-//     every publisher on its slowest consumer;
+//   - a raw channel send of dash.Event outside package dash bypasses
+//     the bus's drop-oldest policy — a hand-rolled channel of events
+//     stalls every publisher on its slowest consumer;
 //   - time.Tick leaks its ticker by construction; a time.NewTicker
 //     whose handle is neither stopped nor escapes leaks it too;
 //   - <-time.After inside a loop allocates a timer per iteration that
@@ -30,17 +27,13 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hubsend",
-	Doc:  "progress flows through shard.Hub, tickers are stopped, loops don't stack time.After, handler goroutines observe cancellation",
+	Doc:  "events flow through dash.Bus, tickers are stopped, loops don't stack time.After, handler goroutines observe cancellation",
 	Run:  run,
 }
 
-const (
-	shardPkg = "spex/internal/shard"
-	dashPkg  = "spex/internal/dash"
-)
+const dashPkg = "spex/internal/dash"
 
 func run(pass *analysis.Pass) error {
-	inShard := pass.Pkg != nil && pass.Pkg.Path() == shardPkg
 	inDash := pass.Pkg != nil && pass.Pkg.Path() == dashPkg
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file.Pos()) {
@@ -51,11 +44,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				checkTimeCall(pass, n, path)
 			case *ast.SendStmt:
-				t := pass.TypeOf(n.Value)
-				if !inShard && analysis.NamedType(t, shardPkg, "Progress") {
-					pass.Reportf(n.Pos(), "raw channel send of shard.Progress bypasses the Hub's drop-oldest policy and can block the emit path; publish via (*shard.Hub).Emit")
-				}
-				if !inDash && analysis.NamedType(t, dashPkg, "Event") {
+				if !inDash && analysis.NamedType(pass.TypeOf(n.Value), dashPkg, "Event") {
 					pass.Reportf(n.Pos(), "raw channel send of dash.Event bypasses the bus's per-subscriber drop-oldest policy and can block the publisher; publish via (*dash.Bus).Publish")
 				}
 			case *ast.GoStmt:

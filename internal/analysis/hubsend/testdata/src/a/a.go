@@ -6,12 +6,7 @@ import (
 	"time"
 
 	"spex/internal/dash"
-	"spex/internal/shard"
 )
-
-func rawSend(ch chan shard.Progress, p shard.Progress) {
-	ch <- p // want `bypasses the Hub`
-}
 
 func rawBusSend(ch chan dash.Event, e dash.Event) {
 	ch <- e // want `bypasses the bus`

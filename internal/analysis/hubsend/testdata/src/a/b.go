@@ -1,4 +1,4 @@
-// Negative cases: Hub-mediated publishing, stopped or handed-off
+// Negative cases: bus-mediated publishing, stopped or handed-off
 // tickers, one-shot timers, cancellation-aware handler goroutines.
 package a
 
@@ -7,13 +7,7 @@ import (
 	"time"
 
 	"spex/internal/dash"
-	"spex/internal/shard"
 )
-
-// Progress published through the Hub keeps the drop-oldest policy.
-func publishes(hub *shard.Hub, p shard.Progress) {
-	hub.Emit(p)
-}
 
 // Bus events published through the bus keep its per-subscriber
 // drop-oldest policy.

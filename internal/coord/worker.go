@@ -30,8 +30,8 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// OnProgress, if set, observes every scheduler progress event after
 	// the worker's own heartbeat bookkeeping — the hook an in-process
-	// spawner (the daemon's coordinate jobs) uses to feed the shared
-	// progress hub while the heartbeat files keep feeding the
+	// spawner (the daemon's coordinate jobs) uses to feed the job's
+	// trace and event stream while the heartbeat files keep feeding the
 	// coordinator. Calls are serialized by the scheduler.
 	OnProgress func(shard.Progress)
 }

@@ -1,27 +1,28 @@
 // Package dash is the daemon's live-operations surface: one
-// process-wide event bus that aggregates what previously existed only
-// per job — job lifecycle transitions across every namespace,
-// scheduler reservations and releases, queue depth, stage
-// transitions, coordinator rebalancing, and throttled per-system
-// campaign progress folded in from each job's shard.Hub — plus the
+// process-wide event bus carrying every event the daemon emits — job
+// lifecycle transitions across every namespace, scheduler reservations
+// and releases, queue depth, stage transitions, coordinator
+// rebalancing, and throttled per-system campaign progress — plus the
 // embedded web UI that renders it.
 //
-// The bus is the owned aggregation contract: internal/server publishes
-// into it from every lifecycle site, and every daemon-wide consumer
-// (the /v1/events SSE stream, the /ui/ dashboard, a remote spexwatch)
-// is just a subscriber. Like shard.Hub, delivery is best-effort by
-// design — a stalled subscriber can never stall the daemon. Each
-// subscriber has a bounded buffer; when it is full the OLDEST buffered
-// event is dropped to make room (drop accounting lands on
-// spex_dash_dropped_total, labelled by the dropped event's namespace).
-// Raw channel sends of dash.Event outside this package are a spexlint
-// `hubsend` finding: Publish is the only emit path.
+// The bus is the daemon's only event fan-out: internal/server publishes
+// into it from every lifecycle site, and every consumer (the
+// /v1/events SSE stream, each job's /v1/jobs/{id}/events stream, the
+// /ui/ dashboard, a remote spexwatch) is just a subscriber. Delivery is
+// best-effort by design — a stalled subscriber can never stall the
+// daemon. Each subscriber has a bounded buffer; when it is full the
+// OLDEST buffered event is dropped to make room (drop accounting lands
+// on spex_dash_dropped_total, labelled by the dropped event's
+// namespace). Raw channel sends of dash.Event outside this package are
+// a spexlint `hubsend` finding: Publish is the only emit path.
 //
 // Every event carries a schema version (Event.V) and a bus-assigned,
 // strictly increasing sequence number (Event.Seq). The bus retains a
 // bounded ring of recent events, so a subscriber reconnecting with the
 // last sequence number it saw (SSE Last-Event-ID) replays what it
-// missed — or learns the ring has moved past it (Sub.Truncated).
+// missed — or learns the ring has moved past it (Sub.Truncated). It
+// also retains each job's own events, so a job-filtered subscriber
+// replays the job's history however late it attaches.
 package dash
 
 import (
@@ -46,7 +47,7 @@ const (
 	// reserved, or its reservation released (Event.Sched).
 	KindSched = "sched"
 	// KindProgress is a throttled per-system campaign progress sample
-	// (Event.Progress) folded in from the owning job's shard.Hub.
+	// (Event.Progress) folded in from the owning job's campaign.
 	KindProgress = "progress"
 	// KindStage is a staged job's per-system pipeline transition
 	// (Event.Stage).
@@ -93,9 +94,9 @@ type Coord struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Event is one entry of the daemon-wide stream — the typed, versioned
-// wire form of GET /v1/events (compact JSON in each SSE data: line,
-// the Seq mirrored as the frame's id:).
+// Event is one entry of the bus — the typed, versioned wire form of
+// GET /v1/events and GET /v1/jobs/{id}/events (compact JSON in each
+// SSE data: line, the Seq mirrored as the frame's id:).
 type Event struct {
 	// V is the payload schema version (SchemaVersion; Publish stamps
 	// it).
@@ -116,8 +117,8 @@ type Event struct {
 	// State and Error carry a KindJob lifecycle transition.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Progress is a KindProgress sample — the same shard.Progress shape
-	// a job's own SSE stream carries, throttled per (job, system).
+	// Progress is a KindProgress sample — the shard.Progress the CLI
+	// renderers consume, throttled per (job, system).
 	Progress *shard.Progress `json:"progress,omitempty"`
 	Sched    *Sched          `json:"sched,omitempty"`
 	Stage    *Stage          `json:"stage,omitempty"`
@@ -138,20 +139,25 @@ type Options struct {
 const (
 	defaultRing             = 4096
 	defaultProgressInterval = 200 * time.Millisecond
+	// jobRetention bounds how many of one job's events are retained for
+	// job-filtered subscribers, oldest dropped first.
+	jobRetention = 4096
 	// AllNamespaces is the subscriber-gauge label for an unfiltered
 	// subscription.
 	AllNamespaces = "all"
 )
 
 // Bus is the daemon-wide event bus. Create with NewBus; publish with
-// Publish (and FoldProgress for the throttled progress feed); attach
-// consumers with Subscribe; Close ends every subscription.
+// Publish (and FoldProgress for the throttled progress feed); close a
+// finished job's slice with EndJob; attach consumers with Subscribe;
+// Close ends every subscription.
 type Bus struct {
 	opts Options
 
 	mu     sync.Mutex
 	seq    uint64
 	ring   []Event // oldest first, len <= opts.Ring
+	jobs   map[jobKey]*retention
 	subs   map[int]*subscriber
 	nextID int
 	closed bool
@@ -159,9 +165,24 @@ type Bus struct {
 	lastEmit map[string]time.Time
 }
 
+type jobKey struct{ ns, job string }
+
+// retention is one job's replayable history: every event published
+// with its (namespace, job), oldest first.
+type retention struct {
+	events []Event
+	// lost is the highest Seq the retention no longer holds — evicted by
+	// the cap or compacted away by EndJob.
+	lost uint64
+	// ended freezes the retention (EndJob): later events of the job,
+	// such as the scheduler's release, reach the ring but not the job's
+	// history.
+	ended bool
+}
+
 type subscriber struct {
-	ch chan Event
-	ns string // "" = all namespaces
+	ch     chan Event
+	filter SubOptions
 }
 
 // NewBus returns an empty bus.
@@ -174,15 +195,16 @@ func NewBus(opts Options) *Bus {
 	}
 	return &Bus{
 		opts:     opts,
+		jobs:     make(map[jobKey]*retention),
 		subs:     make(map[int]*subscriber),
 		lastEmit: make(map[string]time.Time),
 	}
 }
 
 // Publish stamps the event (V, Seq, Time), appends it to the resume
-// ring, and fans it out to every matching subscriber. It never blocks:
-// a subscriber whose buffer is full loses its oldest buffered event.
-// Publish after Close is a no-op.
+// ring and to its job's retention, and fans it out to every matching
+// subscriber. It never blocks: a subscriber whose buffer is full loses
+// its oldest buffered event. Publish after Close is a no-op.
 func (b *Bus) Publish(e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -201,9 +223,18 @@ func (b *Bus) Publish(e Event) {
 		b.ring = b.ring[1:]
 	}
 	b.ring = append(b.ring, e)
+	if e.Job != "" {
+		if r := b.retained(e.Namespace, e.Job); !r.ended {
+			if len(r.events) >= jobRetention {
+				r.lost = r.events[0].Seq
+				r.events = r.events[1:]
+			}
+			r.events = append(r.events, e)
+		}
+	}
 	mDashEvents.With(e.Namespace).Inc()
 	for _, sub := range b.subs {
-		if sub.ns != "" && sub.ns != e.Namespace {
+		if !sub.filter.matches(e) {
 			continue
 		}
 		select {
@@ -226,12 +257,23 @@ func (b *Bus) Publish(e Event) {
 	}
 }
 
+// retained returns the job's retention, creating it; b.mu must be held.
+func (b *Bus) retained(namespace, job string) *retention {
+	k := jobKey{namespace, job}
+	r := b.jobs[k]
+	if r == nil {
+		r = &retention{}
+		b.jobs[k] = r
+	}
+	return r
+}
+
 // FoldProgress folds one job's campaign progress stream into the bus,
 // throttled per (namespace, job, system): the first sample for a
 // system always publishes, a completed system or campaign always
 // publishes, and everything in between is sampled at most once per
-// ProgressInterval — the daemon-wide stream carries live bars without
-// carrying every one of a million outcomes.
+// ProgressInterval — the stream carries live bars without carrying
+// every one of a million outcomes.
 func (b *Bus) FoldProgress(namespace, job string, p shard.Progress) {
 	key := namespace + "\x00" + job + "\x00" + p.System
 	final := p.SystemTotal > 0 && p.SystemDone >= p.SystemTotal
@@ -257,9 +299,14 @@ func (b *Bus) FoldProgress(namespace, job string, p shard.Progress) {
 	b.Publish(Event{Namespace: namespace, Kind: KindProgress, Job: job, Progress: &pc})
 }
 
-// ForgetJob drops a finished job's progress-throttle state so a
-// resident daemon's memory does not grow with job history.
-func (b *Bus) ForgetJob(namespace, job string) {
+// EndJob closes a finished job's slice of the bus; call it right after
+// publishing the job's terminal KindJob event. It drops the job's
+// progress-throttle state, compacts its retention to the non-progress
+// events (live progress means nothing once the job is terminal, and a
+// resident daemon keeps every job's retention for its lifetime),
+// freezes the retention, and closes every job-filtered subscription
+// once it drains its buffer — the terminal event last.
+func (b *Bus) EndJob(namespace, job string) {
 	prefix := namespace + "\x00" + job + "\x00"
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -268,20 +315,39 @@ func (b *Bus) ForgetJob(namespace, job string) {
 			delete(b.lastEmit, k)
 		}
 	}
+	if r := b.retained(namespace, job); !r.ended {
+		r.ended = true
+		var kept []Event // a fresh array: the old one is not pinned
+		for _, e := range r.events {
+			if e.Kind == KindProgress {
+				r.lost = e.Seq
+				continue
+			}
+			kept = append(kept, e)
+		}
+		r.events = kept
+	}
+	for id, sub := range b.subs {
+		if sub.filter.Job == job && sub.filter.Namespace == namespace {
+			b.detach(id, sub)
+		}
+	}
 }
 
 // Sub is one attached subscription.
 type Sub struct {
-	// Backlog replays ring events the subscriber asked for (Seq >
-	// AfterSeq, namespace-filtered), oldest first. Consume it before
-	// ranging over Ch; no event is in both, and none is lost between.
+	// Backlog replays retained events the subscriber asked for (Seq >
+	// AfterSeq, filtered), oldest first. Consume it before ranging over
+	// Ch; no event is in both, and none is lost between.
 	Backlog []Event
-	// Truncated reports that AfterSeq resume could not be fully
-	// honored: the ring has already evicted events past AfterSeq, so
-	// the backlog starts mid-stream.
+	// Truncated reports that the backlog starts mid-stream: events past
+	// AfterSeq were evicted by the ring or the job's retention cap,
+	// compacted away when the job ended, or AfterSeq came from a
+	// previous daemon run, whose sequence the bus does not continue.
 	Truncated bool
-	// Ch delivers live events until Cancel or Bus.Close, whichever
-	// comes first (buffered events drain before the close).
+	// Ch delivers live events until Cancel, Bus.Close or, for a job
+	// subscription, EndJob, whichever comes first (buffered events drain
+	// before the close).
 	Ch <-chan Event
 	// Cancel detaches the subscription; safe to call more than once.
 	Cancel func()
@@ -292,70 +358,101 @@ type SubOptions struct {
 	// Namespace filters the stream to one tenant ("" = every
 	// namespace).
 	Namespace string
+	// Job filters the stream to one job of Namespace. A job
+	// subscription replays from the job's retention, not the ring, and
+	// ends with the job: its channel closes at EndJob, or at once (after
+	// the backlog) when the job has already ended.
+	Job string
 	// Buffer is the subscriber's bounded channel size (min 1, 0 =
 	// 256). When full, the oldest buffered event is dropped.
 	Buffer int
-	// AfterSeq resumes after a previously seen sequence number: ring
+	// AfterSeq resumes after a previously seen sequence number: retained
 	// events with Seq > AfterSeq replay as Backlog. Zero subscribes
-	// live-only (no replay).
+	// live-only, except that a job subscription then replays the job's
+	// whole retention.
 	AfterSeq uint64
 }
 
-// Subscribe attaches a consumer. On a closed bus the returned channel
-// is already closed (the backlog, from the final ring, still replays).
+func (o SubOptions) matches(e Event) bool {
+	return (o.Namespace == "" || o.Namespace == e.Namespace) && (o.Job == "" || o.Job == e.Job)
+}
+
+// Subscribe attaches a consumer. On a closed bus, or for a job that has
+// ended, the returned channel is already closed (the backlog still
+// replays).
 func (b *Bus) Subscribe(o SubOptions) Sub {
 	if o.Buffer < 1 {
 		o.Buffer = 256
 	}
-	gaugeNS := o.Namespace
-	if gaugeNS == "" {
-		gaugeNS = AllNamespaces
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var backlog []Event
-	truncated := false
-	if o.AfterSeq > 0 {
-		if len(b.ring) > 0 && b.ring[0].Seq > o.AfterSeq+1 {
-			truncated = true
-		}
-		if len(b.ring) == 0 && b.seq > o.AfterSeq {
-			truncated = true
-		}
-		for _, e := range b.ring {
-			if e.Seq <= o.AfterSeq {
-				continue
-			}
-			if o.Namespace != "" && e.Namespace != o.Namespace {
-				continue
-			}
-			backlog = append(backlog, e)
-		}
-	}
+	backlog, truncated, ended := b.backlog(o)
 	ch := make(chan Event, o.Buffer)
-	if b.closed {
+	if b.closed || ended {
 		close(ch)
 		return Sub{Backlog: backlog, Truncated: truncated, Ch: ch, Cancel: func() {}}
 	}
 	id := b.nextID
 	b.nextID++
-	b.subs[id] = &subscriber{ch: ch, ns: o.Namespace}
-	mDashSubscribers.With(gaugeNS).Add(1)
+	sub := &subscriber{ch: ch, filter: o}
+	b.subs[id] = sub
+	mDashSubscribers.With(gaugeLabel(o.Namespace)).Add(1)
 	cancel := func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(ch)
-			mDashSubscribers.With(gaugeNS).Add(-1)
+		if b.subs[id] == sub {
+			b.detach(id, sub)
 		}
 	}
 	return Sub{Backlog: backlog, Truncated: truncated, Ch: ch, Cancel: cancel}
 }
 
+// backlog selects a new subscription's replay and reports whether its
+// job has already ended; b.mu must be held.
+func (b *Bus) backlog(o SubOptions) (events []Event, truncated, ended bool) {
+	after := o.AfterSeq
+	if after > b.seq {
+		// An id from a previous daemon run (the sequence restarted at 1):
+		// everything retained is news to the subscriber.
+		after, truncated = 0, true
+	}
+	// The ring holds the contiguous sequence ending at b.seq.
+	src, lost := b.ring, b.seq-uint64(len(b.ring))
+	switch {
+	case o.Job != "":
+		r := b.jobs[jobKey{o.Namespace, o.Job}]
+		if r == nil {
+			return nil, truncated, false
+		}
+		src, lost, ended = r.events, r.lost, r.ended
+	case o.AfterSeq == 0:
+		return nil, false, false
+	}
+	for _, e := range src {
+		if e.Seq > after && o.matches(e) {
+			events = append(events, e)
+		}
+	}
+	return events, truncated || after < lost, ended
+}
+
+// detach removes and closes one subscription; b.mu must be held.
+func (b *Bus) detach(id int, sub *subscriber) {
+	delete(b.subs, id)
+	close(sub.ch)
+	mDashSubscribers.With(gaugeLabel(sub.filter.Namespace)).Add(-1)
+}
+
+func gaugeLabel(namespace string) string {
+	if namespace == "" {
+		return AllNamespaces
+	}
+	return namespace
+}
+
 // Close ends the stream: every subscriber channel closes after its
 // buffered events drain, and future Publish/Subscribe calls are
-// no-ops (Subscribe still replays the final ring).
+// no-ops (Subscribe still replays what the bus retains).
 func (b *Bus) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -364,12 +461,6 @@ func (b *Bus) Close() {
 	}
 	b.closed = true
 	for id, sub := range b.subs {
-		delete(b.subs, id)
-		close(sub.ch)
-		gaugeNS := sub.ns
-		if gaugeNS == "" {
-			gaugeNS = AllNamespaces
-		}
-		mDashSubscribers.With(gaugeNS).Add(-1)
+		b.detach(id, sub)
 	}
 }

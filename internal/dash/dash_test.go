@@ -161,19 +161,103 @@ func TestFoldProgressThrottles(t *testing.T) {
 func TestForgetJobClearsThrottleState(t *testing.T) {
 	b := NewBus(Options{ProgressInterval: time.Hour})
 	b.FoldProgress("default", "job-1", shard.Progress{System: "proxyd", SystemDone: 1, SystemTotal: 10})
-	b.ForgetJob("default", "job-1")
+	b.EndJob("default", "job-1")
 	b.mu.Lock()
 	n := len(b.lastEmit)
 	b.mu.Unlock()
 	if n != 0 {
-		t.Errorf("throttle state survived ForgetJob: %d keys", n)
+		t.Errorf("throttle state survived EndJob: %d keys", n)
 	}
 	b.Close()
 }
 
+// TestResumeFromPreviousDaemonRun: the sequence restarts at 1 with the
+// bus, so a Last-Event-ID from an earlier run is past b.seq. The resume
+// must replay everything retained and say it is truncated, not return
+// an empty, complete-looking backlog.
+func TestResumeFromPreviousDaemonRun(t *testing.T) {
+	b := NewBus(Options{})
+	for i := 1; i <= 3; i++ {
+		b.Publish(jobEvent("default", fmt.Sprintf("job-%d", i), "queued"))
+	}
+	sub := b.Subscribe(SubOptions{AfterSeq: 1000})
+	if !sub.Truncated {
+		t.Error("resume from a previous run's seq not reported truncated")
+	}
+	if len(sub.Backlog) != 3 || sub.Backlog[0].Seq != 1 {
+		t.Fatalf("backlog: got %d events, want the whole ring of 3", len(sub.Backlog))
+	}
+	job := b.Subscribe(SubOptions{Namespace: "default", Job: "job-2", AfterSeq: 1000})
+	if !job.Truncated || len(job.Backlog) != 1 || job.Backlog[0].Job != "job-2" {
+		t.Fatalf("job resume from a previous run: truncated=%v backlog=%+v", job.Truncated, job.Backlog)
+	}
+	sub.Cancel()
+	job.Cancel()
+	b.Close()
+}
+
+// TestJobSubscriptionFollowsOneJob: a job subscription sees only its
+// job, replays the job's retention however late it attaches, and ends
+// right after the terminal event; later events of the job (the
+// scheduler's release) stay out of its history.
+func TestJobSubscriptionFollowsOneJob(t *testing.T) {
+	b := NewBus(Options{ProgressInterval: time.Hour})
+	b.Publish(jobEvent("default", "job-1", "queued"))
+	b.Publish(jobEvent("tenant", "job-1", "queued")) // same ID, other namespace
+	b.Publish(jobEvent("default", "job-2", "queued"))
+	b.FoldProgress("default", "job-1", shard.Progress{System: "proxyd", SystemDone: 1, SystemTotal: 2})
+
+	sub := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1"})
+	if len(sub.Backlog) != 2 || sub.Truncated {
+		t.Fatalf("late job subscriber: backlog %+v (truncated=%v), want queued + progress", sub.Backlog, sub.Truncated)
+	}
+	b.Publish(jobEvent("default", "job-2", "running"))
+	b.Publish(jobEvent("default", "job-1", "done"))
+	b.EndJob("default", "job-1")
+	b.Publish(Event{Namespace: "default", Kind: KindSched, Job: "job-1", Sched: &Sched{Op: "release"}})
+
+	var live []Event
+	for e := range sub.Ch {
+		live = append(live, e)
+	}
+	if len(live) != 1 || live[0].State != "done" {
+		t.Fatalf("live events %+v, want exactly the terminal event before the close", live)
+	}
+
+	// After the end: the retention is compacted to the lifecycle, frozen
+	// before the release, and a new subscription is already closed.
+	after := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1"})
+	events := drain(after)
+	if len(events) != 2 || events[0].State != "queued" || events[1].State != "done" {
+		t.Fatalf("ended job replay %+v, want queued then done", events)
+	}
+	if !after.Truncated {
+		t.Error("replay after compaction not reported truncated")
+	}
+	resumed := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1", AfterSeq: events[1].Seq})
+	if rest := drain(resumed); len(rest) != 0 || resumed.Truncated {
+		t.Errorf("resume past the terminal event: %+v (truncated=%v), want nothing", rest, resumed.Truncated)
+	}
+	b.Close()
+}
+
+func TestJobRetentionIsBounded(t *testing.T) {
+	b := NewBus(Options{})
+	for i := 0; i < jobRetention+2; i++ {
+		b.Publish(jobEvent("default", "job-1", "running"))
+	}
+	sub := b.Subscribe(SubOptions{Namespace: "default", Job: "job-1"})
+	if len(sub.Backlog) != jobRetention || sub.Backlog[0].Seq != 3 || !sub.Truncated {
+		t.Fatalf("capped retention: %d events from seq %d (truncated=%v), want %d from 3, truncated",
+			len(sub.Backlog), sub.Backlog[0].Seq, sub.Truncated, jobRetention)
+	}
+	sub.Cancel()
+	b.Close()
+}
+
 // TestConcurrentPublishSubscribe is the -race fan-out test: many
-// publishers, subscribers joining and leaving mid-stream, progress
-// folding, all concurrent.
+// publishers, subscribers joining and leaving mid-stream, jobs ending
+// under their subscribers, progress folding, all concurrent.
 func TestConcurrentPublishSubscribe(t *testing.T) {
 	b := NewBus(Options{ProgressInterval: time.Millisecond})
 	var wg sync.WaitGroup
@@ -187,6 +271,9 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 				b.FoldProgress(ns, "job-1", shard.Progress{
 					System: "proxyd", SystemDone: i, SystemTotal: 200, Done: i, Total: 200,
 				})
+				if i == 100 {
+					b.EndJob(ns, "job-1")
+				}
 			}
 		}(p)
 	}
@@ -194,7 +281,11 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sub := b.Subscribe(SubOptions{Namespace: fmt.Sprintf("ns%d", s%2), Buffer: 4})
+			o := SubOptions{Namespace: fmt.Sprintf("ns%d", s%2), Buffer: 4}
+			if s >= 2 {
+				o.Job = "job-1"
+			}
+			sub := b.Subscribe(o)
 			for i := 0; i < 50; i++ {
 				select {
 				case _, open := <-sub.Ch:

@@ -1,8 +1,8 @@
 // Campaign tracing: a Trace records a tree of spans — job → system →
 // misconf/steal — with parent IDs, wall-clock bounds, and an outcome
 // status. The recorder rides the existing progress plumbing (spexd
-// feeds it from the shard.Hub event stream), so tracing costs nothing
-// when nobody subscribes; the finished tree is journaled next to the
+// feeds it from each job's progress callback), so tracing adds no hooks
+// to the engine; the finished tree is journaled next to the
 // job document and served at GET /v1/jobs/{id}/trace as JSON or an
 // indented text rendering.
 package obs

@@ -1,6 +1,6 @@
 // Package progressui renders the campaign progress stream
-// (shard.Progress, usually consumed off a shard.Hub subscription) for
-// a terminal or a log. It is the one renderer behind `spexinj
+// (shard.Progress, straight off a campaign's OnProgress callback or a
+// daemon's event stream) for a terminal or a log. It is the one renderer behind `spexinj
 // -progress` and `spexeval -progress -global`, so the two drivers
 // cannot drift:
 //
@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"spex/internal/shard"
@@ -38,7 +39,7 @@ const barWidth = 24
 
 // Renderer consumes Progress events and renders them to one writer.
 // It is not safe for concurrent use; feed it from a single goroutine
-// (a hub subscription loop).
+// or under a lock, as Attach does.
 type Renderer struct {
 	w      io.Writer
 	tty    bool
@@ -73,34 +74,29 @@ func NewAuto(f *os.File, prefix string) *Renderer {
 	return New(f, IsTerminal(f), prefix)
 }
 
-// Attach is the whole driver-side wiring: it creates a fan-out hub
-// (shard.Hub — the same pipeline the spexd daemon serves over SSE),
-// subscribes a renderer for f to it, and returns the hub's Emit (plug
-// it into shard.Options.OnProgress) plus a finish function that drains
-// the hub and completes the display.
+// Attach is the whole CLI-side wiring: it returns an emit function
+// that feeds a renderer for f (plug it into shard.Options.OnProgress)
+// plus a finish function that completes the display. Emit renders in
+// the caller under a mutex; the renderer's own throttle bounds how
+// often that writes to f.
 func Attach(f *os.File, prefix string) (emit func(shard.Progress), finish func()) {
-	hub := shard.NewHub()
-	ch, _ := hub.Subscribe(1024)
 	r := NewAuto(f, prefix)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range ch {
+	var mu sync.Mutex
+	return func(p shard.Progress) {
+			mu.Lock()
+			defer mu.Unlock()
 			r.Handle(p)
+		}, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			r.Finish()
 		}
-	}()
-	return hub.Emit, func() {
-		hub.Close()
-		<-done
-		r.Finish()
-	}
 }
 
 // Handle folds one progress event into the display. Yields and
 // failures still advance nothing (their SystemDone reflects the
 // scheduler's count either way); the renderer just tracks the freshest
-// numbers, so dropped hub events (the drop-oldest lag policy) are
-// harmless.
+// numbers, so events a throttled or lossy stream dropped are harmless.
 func (r *Renderer) Handle(p shard.Progress) {
 	fresh := false
 	if _, ok := r.total[p.System]; !ok {

@@ -64,8 +64,9 @@ func TestNonTTYRendererFallsBackToAggregateLines(t *testing.T) {
 func TestRendererToleratesDroppedEvents(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(&buf, false, "spexinj")
-	// The hub's lag policy can drop intermediate events: the renderer
-	// must converge on the freshest counts it sees, never regress.
+	// A throttled or lossy stream can drop intermediate events: the
+	// renderer must converge on the freshest counts it sees, never
+	// regress.
 	r.Handle(shard.Progress{System: "a", SystemDone: 5, SystemTotal: 9, Done: 5, Total: 9})
 	r.Handle(shard.Progress{System: "a", SystemDone: 3, SystemTotal: 9, Done: 3, Total: 9}) // stale straggler
 	r.Handle(shard.Progress{System: "a", SystemDone: 9, SystemTotal: 9, Done: 9, Total: 9})

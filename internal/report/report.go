@@ -69,9 +69,9 @@ type AnalyzeOptions struct {
 	// OnCampaignProgress, if set, streams every completed campaign
 	// outcome (Global and Shard modes only — the per-system mode has no
 	// global scheduler to observe). This is the hook `spexeval
-	// -progress -global` feeds into the shared progress pipeline
-	// (shard.Hub → internal/progressui), giving it the same per-system
-	// bar display as spexinj. Calls are serialized by the scheduler.
+	// -progress -global` feeds into internal/progressui, giving it the
+	// same per-system bar display as spexinj. Calls are serialized by
+	// the scheduler.
 	OnCampaignProgress func(shard.Progress)
 	// State, when set, persists each system's campaign snapshot through
 	// this held writer lock (internal/campaignstore): campaigns replay

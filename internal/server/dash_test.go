@@ -1,101 +1,19 @@
 package server_test
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"spex/internal/dash"
 	"spex/internal/server"
 )
-
-// busCollector consumes a daemon-wide (or namespace-filtered) bus SSE
-// stream until stopped, recording every decoded event.
-type busCollector struct {
-	mu     sync.Mutex
-	events []dash.Event
-	done   chan struct{}
-	cancel context.CancelFunc
-}
-
-// collectBus attaches to url (a /v1/events or /v1/ns/{ns}/events
-// endpoint). lastEventID > 0 resumes with the SSE Last-Event-ID header.
-func collectBus(t *testing.T, url string, lastEventID uint64) *busCollector {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	c := &busCollector{done: make(chan struct{}), cancel: cancel}
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lastEventID > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(lastEventID, 10))
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("GET %s: %d", url, resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("bus content-type = %q", ct)
-	}
-	go func() {
-		defer close(c.done)
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-				var e dash.Event
-				if json.Unmarshal([]byte(data), &e) == nil {
-					c.mu.Lock()
-					c.events = append(c.events, e)
-					c.mu.Unlock()
-				}
-			}
-		}
-	}()
-	return c
-}
-
-// stop tears the connection down and returns everything collected.
-func (c *busCollector) stop() []dash.Event {
-	c.cancel()
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]dash.Event(nil), c.events...)
-}
-
-// waitFor blocks until a collected event satisfies pred.
-func (c *busCollector) waitFor(t *testing.T, what string, pred func(dash.Event) bool, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		c.mu.Lock()
-		for _, e := range c.events {
-			if pred(e) {
-				c.mu.Unlock()
-				return
-			}
-		}
-		c.mu.Unlock()
-		if time.Now().After(deadline) {
-			t.Fatalf("bus stream never delivered %s", what)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
 
 // jobDone matches the terminal lifecycle event of one (ns, job).
 func jobDone(ns, id string) func(dash.Event) bool {
@@ -112,7 +30,7 @@ func TestBusAggregateTwoNamespaces(t *testing.T) {
 	t.Parallel()
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
 
-	c := collectBus(t, ts.URL+"/v1/events", 0)
+	c := collect(t, ts.URL+"/v1/events", 0)
 	doc1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
 
@@ -179,7 +97,7 @@ func TestBusNamespaceIsolation(t *testing.T) {
 	// Create tenant2 first so its filtered stream can attach (reads on
 	// an unknown namespace 404).
 	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
-	c := collectBus(t, ts.URL+"/v1/ns/tenant2/events", 0)
+	c := collect(t, ts.URL+"/v1/ns/tenant2/events", 0)
 	doc1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 
 	waitTerminal(t, ts.URL, doc1.ID, time.Minute)
@@ -206,7 +124,7 @@ func TestBusResumeLastEventID(t *testing.T) {
 	t.Parallel()
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
 
-	c1 := collectBus(t, ts.URL+"/v1/events", 0)
+	c1 := collect(t, ts.URL+"/v1/events", 0)
 	doc1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 	c1.waitFor(t, "first job done", jobDone("default", doc1.ID), time.Minute)
 	first := c1.stop()
@@ -217,7 +135,7 @@ func TestBusResumeLastEventID(t *testing.T) {
 	doc2 := postJob(t, ts.URL, `{"systems": ["ldapd"], "workers": 4}`)
 	waitTerminal(t, ts.URL, doc2.ID, time.Minute)
 
-	c2 := collectBus(t, ts.URL+"/v1/events", lastSeq)
+	c2 := collect(t, ts.URL+"/v1/events", lastSeq)
 	c2.waitFor(t, "second job done after resume", jobDone("default", doc2.ID), time.Minute)
 	for _, e := range c2.stop() {
 		if e.Seq <= lastSeq {
@@ -229,39 +147,44 @@ func TestBusResumeLastEventID(t *testing.T) {
 	}
 }
 
-// TestJobEventsTerminalResume covers the per-job stream hardening: a
-// subscription to an already-terminal job delivers the final state
-// event and closes cleanly, frames carry ids, and Last-Event-ID resume
-// skips the already-seen backlog.
+// TestJobEventsTerminalResume covers the per-job stream, a
+// job-filtered slice of the bus: a subscription to an already-terminal
+// job replays the job's lifecycle through its final job frame and
+// closes cleanly, frames carry the bus seq as their id, and
+// Last-Event-ID resume past the final frame replays nothing.
 func TestJobEventsTerminalResume(t *testing.T) {
 	t.Parallel()
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
 	doc := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 	waitTerminal(t, ts.URL, doc.ID, time.Minute)
 
-	// Already terminal: the stream replays the lifecycle, ends with the
-	// final state, and closes without a client-side timeout.
-	c := collectSSE(t, ts.URL, doc.ID)
-	events := c.wait(t)
+	events := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0).wait(t)
 	if len(events) == 0 {
 		t.Fatal("terminal job stream delivered nothing")
 	}
-	last := events[len(events)-1]
-	if last.Kind != "state" || last.State != server.StateDone {
-		t.Fatalf("terminal stream ended with %+v, want the done state event", last)
-	}
+	var states []string
 	for _, e := range events {
-		if e.ID == 0 {
-			t.Fatalf("job event without an id: %+v", e)
+		if e.Seq == 0 || e.V != dash.SchemaVersion || e.Job != doc.ID {
+			t.Fatalf("job stream frame without a bus seq, schema version, or its job: %+v", e)
+		}
+		if e.Kind == dash.KindJob {
+			states = append(states, e.State)
 		}
 	}
+	if got := strings.Join(states, " "); got != "queued running done" {
+		t.Errorf("replayed lifecycle %q, want \"queued running done\"", got)
+	}
+	last := events[len(events)-1]
+	if last.Kind != dash.KindJob || last.State != server.StateDone {
+		t.Fatalf("terminal stream ended with %+v, want the done job frame", last)
+	}
 
-	// Resuming after the final event replays nothing and still closes.
+	// Resuming after the final frame replays nothing and still closes.
 	req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/"+doc.ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Last-Event-ID", strconv.FormatUint(last.ID, 10))
+	req.Header.Set("Last-Event-ID", strconv.FormatUint(last.Seq, 10))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +196,44 @@ func TestJobEventsTerminalResume(t *testing.T) {
 	}
 	if strings.Contains(string(body), "data: ") {
 		t.Errorf("resume past the final event replayed data:\n%s", body)
+	}
+}
+
+// TestJournaledJobStreamIsOneTerminalFrame: a job journaled by a
+// previous daemon run never went through this daemon's bus, so its
+// stream is one terminal job frame built from the journal, then the
+// close.
+func TestJournaledJobStreamIsOneTerminalFrame(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	done := time.Now().UTC().Add(-time.Minute).Truncate(time.Second)
+	data, err := json.Marshal(server.Job{
+		ID:        "job-000001",
+		Spec:      server.JobSpec{Systems: []string{"ldapd"}},
+		State:     server.StateFailed,
+		Error:     "boom",
+		CreatedAt: done.Add(-time.Minute),
+		DoneAt:    &done,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "job-000001.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := daemon(t, server.Config{StateDir: dir})
+
+	events := collect(t, ts.URL+"/v1/jobs/job-000001/events", 0).wait(t)
+	if len(events) != 1 {
+		t.Fatalf("journaled job stream carried %d frames, want 1: %+v", len(events), events)
+	}
+	e := events[0]
+	if e.V != dash.SchemaVersion || e.Kind != dash.KindJob || e.Namespace != server.DefaultNamespace ||
+		e.Job != "job-000001" || e.State != server.StateFailed || e.Error != "boom" || !e.Time.Equal(done) {
+		t.Errorf("journaled terminal frame %+v, want the journal's failed state at %s", e, done)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
-	"spex/internal/shard"
+	"spex/internal/inject"
 	"spex/internal/sim"
 	"spex/internal/targets"
 )
@@ -50,7 +50,7 @@ type JobSpec struct {
 	// campaign: an ordered subsequence of infer → inject → eval. Each
 	// system advances through the stages independently — a fast system
 	// can be in eval while a slow one is still injecting — and every
-	// transition is published as a "stage" SSE event. Incompatible with
+	// transition is published as a "stage" event. Incompatible with
 	// Coordinate.
 	Stages []string `json:"stages,omitempty"`
 }
@@ -111,6 +111,21 @@ type SystemSummary struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
+// summarize builds a system's summary line from its campaign report
+// (the fingerprint is the caller's to add once the snapshot is saved).
+func summarize(system string, rep *inject.Report) SystemSummary {
+	return SystemSummary{
+		System:          system,
+		Outcomes:        len(rep.Outcomes),
+		Vulnerabilities: len(rep.Vulnerabilities()),
+		UniqueLocations: rep.UniqueLocations(),
+		Replayed:        rep.Replayed,
+		Executed:        rep.Finished() - rep.Replayed,
+		SimCost:         rep.TotalSimCost,
+		Skipped:         rep.Skipped,
+	}
+}
+
 // Job is the API document describing one submitted campaign — also the
 // journal document persisted under <state>/jobs/, so a restarted
 // daemon lists the jobs that ran before it.
@@ -124,8 +139,8 @@ type Job struct {
 	CreatedAt time.Time  `json:"created_at"`
 	StartedAt *time.Time `json:"started_at,omitempty"`
 	DoneAt    *time.Time `json:"done_at,omitempty"`
-	// CancelRequested reports that DELETE was accepted while the job
-	// ran; the state turns cancelled once the engine drains.
+	// CancelRequested reports that DELETE was accepted; a running job
+	// turns cancelled once the engine drains, a queued one at once.
 	CancelRequested bool `json:"cancel_requested,omitempty"`
 	// Error explains a failed or cancelled job.
 	Error string `json:"error,omitempty"`
@@ -137,88 +152,21 @@ type Job struct {
 	Retries int `json:"retries,omitempty"`
 }
 
-// Event is one entry of a job's SSE stream (GET /v1/jobs/{id}/events).
-type Event struct {
-	// ID is the job-local event sequence number, assigned by publish —
-	// the SSE frame's id:, which a reconnecting subscriber sends back
-	// as Last-Event-ID to resume after the last event it saw. IDs stay
-	// stable across the terminal backlog compaction, so a resume point
-	// remains meaningful after the job finishes.
-	ID uint64 `json:"event_id,omitempty"`
-	// Kind is "state", "progress", "coord", or "stage".
-	Kind string `json:"kind"`
-	Job  string `json:"job"`
-	// State carries the new job state ("state" events); Error the
-	// failure, if any.
-	State string `json:"state,omitempty"`
-	Error string `json:"error,omitempty"`
-	// Progress is one campaign progress event ("progress") — the same
-	// shard.Progress the CLI renderers consume, straight off the job's
-	// progress hub. Under a coordinate job the counts are per worker.
-	Progress *shard.Progress `json:"progress,omitempty"`
-	// Coord is one coordinator lifecycle event ("coord"): plan,
-	// resume, spawn, exit, retry, steal, merge.
-	Coord *CoordEvent `json:"coord,omitempty"`
-	// Stage is one pipeline stage transition ("stage" events, staged
-	// jobs only): a system entering or leaving infer/inject/eval.
-	Stage *StageEvent `json:"stage,omitempty"`
-}
-
-// StageEvent is one per-system stage transition of a staged pipeline
-// job.
-type StageEvent struct {
-	System string `json:"system"`
-	Stage  string `json:"stage"`
-	// State is "running", "done", or "failed".
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-}
-
-// CoordEvent mirrors coord.Event in JSON-friendly form.
-type CoordEvent struct {
-	Kind    string `json:"kind"`
-	Worker  int    `json:"worker,omitempty"`
-	From    int    `json:"from,omitempty"`
-	Keys    int    `json:"keys,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
-}
-
-// eventBacklog bounds a job's replayable event history. Progress
-// events dominate (one per outcome); a late SSE subscriber mostly
-// needs the tail plus the state events, so old entries drop first.
-const eventBacklog = 4096
-
-// job pairs the API document with the live machinery: the progress
-// hub feeding the campaign's OnProgress into SSE, the subscriber set,
-// and the cancel hook.
+// job pairs the API document with the live machinery: the cancel hook
+// and the trace recorder. Its events live on the daemon's bus.
 type job struct {
 	mu  sync.Mutex
 	doc Job
+	// journaled marks a terminal document loaded from a previous daemon
+	// run's journal: the bus never carried its events.
+	journaled bool
 	// cancel stops the running campaign (set while running; a queued
 	// job cancels by state flip).
 	cancel context.CancelFunc
-	// hub is the campaign progress pipeline (shard.Hub) — the same
-	// events a CLI renderer would consume.
-	hub *shard.Hub
-	// events is the bounded backlog replayed to late subscribers;
-	// dropped counts entries the cap evicted; eventSeq numbers every
-	// published event (Event.ID) for SSE id/Last-Event-ID resume.
-	events   []Event
-	dropped  int
-	eventSeq uint64
-	subs     map[int]chan Event
-	nextSub  int
-	// closed marks the stream ended (terminal state published).
-	closed bool
 	// trace is the job's span recorder, set when the job starts
 	// running; nil for journaled history from previous daemon runs
 	// (their trace, if any, is read back from disk).
 	trace *traceRecorder
-}
-
-func newJob(doc Job) *job {
-	return &job{doc: doc, hub: shard.NewHub(), subs: make(map[int]chan Event)}
 }
 
 // snapshot returns a copy of the API document.
@@ -232,105 +180,6 @@ func (j *job) docLocked() Job {
 	doc := j.doc
 	doc.Systems = append([]SystemSummary(nil), j.doc.Systems...)
 	return doc
-}
-
-// publish appends an event to the backlog and fans it out to live
-// subscribers (non-blocking; a full subscriber loses its oldest).
-func (j *job) publish(e Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.eventSeq++
-	e.ID = j.eventSeq
-	if len(j.events) >= eventBacklog {
-		j.events = j.events[1:]
-		j.dropped++
-	}
-	j.events = append(j.events, e)
-	for _, ch := range j.subs {
-		select {
-		case ch <- e:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- e:
-			default:
-			}
-		}
-	}
-}
-
-// closeStream publishes nothing further and closes every subscriber
-// channel — called once the terminal state event is in the backlog.
-// The backlog is compacted to its state and coordinator events:
-// per-outcome progress dominates it (thousands of entries for a large
-// job) and is dead weight once the job is terminal, and a resident
-// daemon holds every terminal job for its lifetime — without the
-// compaction, memory would grow without bound across jobs. A late
-// subscriber still replays the lifecycle; live progress was only ever
-// meaningful while the campaign ran.
-func (j *job) closeStream() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
-	j.hub.Close()
-	kept := j.events[:0]
-	for _, e := range j.events {
-		if e.Kind != "progress" {
-			kept = append(kept, e)
-		} else {
-			j.dropped++
-		}
-	}
-	// Reallocate so the retained slice does not pin the original
-	// backlog array.
-	j.events = append([]Event(nil), kept...)
-}
-
-// subscribe returns the backlog so far (plus how many early events the
-// backlog cap has evicted — a late subscriber can tell its history is
-// truncated) and a live channel; cancel detaches. Backlog and channel
-// are consistent: no event is both in the backlog and delivered on the
-// channel, and none is lost in between. afterID resumes a reconnecting
-// subscriber (SSE Last-Event-ID): only events with ID > afterID replay
-// — on a terminal job that can be nothing but the final state event,
-// and the closed channel then ends the stream cleanly.
-func (j *job) subscribe(afterID uint64) (backlog []Event, dropped int, ch <-chan Event, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, e := range j.events {
-		if e.ID > afterID {
-			backlog = append(backlog, e)
-		}
-	}
-	live := make(chan Event, 256)
-	if j.closed {
-		close(live)
-		return backlog, j.dropped, live, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = live
-	return backlog, j.dropped, live, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(live)
-		}
-	}
 }
 
 // resolveSystems validates a spec's target list.

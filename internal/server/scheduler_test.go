@@ -11,15 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"spex/internal/dash"
 	"spex/internal/server"
 )
 
-// statusDoc is the subset of GET /v1/status the scheduler tests poll.
+// statusDoc is the subset of GET /v1/status the scheduler tests read.
 type statusDoc struct {
-	Namespace   string   `json:"namespace"`
-	Running     string   `json:"running"`
-	RunningJobs []string `json:"running_jobs"`
-	Systems     []string `json:"systems"`
+	Namespace string   `json:"namespace"`
+	Systems   []string `json:"systems"`
 }
 
 func getStatus(t *testing.T, base, path string) statusDoc {
@@ -66,22 +65,15 @@ func TestDisjointJobsRunConcurrently(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := daemon(t, server.Config{StateDir: dir})
 
-	// The delay holds both campaigns open long enough to observe the
-	// overlap on /v1/status.
+	// The delay holds the first campaign open long enough for the
+	// second to start beside it.
+	bus := collect(t, ts.URL+"/v1/events", 0)
 	j1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 1, "sim_delay": "5ms"}`)
 	j2 := postJob(t, ts.URL, `{"systems": ["ldapd"], "workers": 1, "sim_delay": "5ms"}`)
-
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := getStatus(t, ts.URL, "/v1/status")
-		if len(st.RunningJobs) >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("jobs never overlapped: running_jobs=%v", st.RunningJobs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	bus.waitFor(t, "a reservation with two jobs running", func(e dash.Event) bool {
+		return e.Kind == dash.KindSched && e.Sched.Op == "reserve" && e.Sched.Running >= 2
+	}, time.Minute)
+	bus.stop()
 
 	for _, id := range []string{j1.ID, j2.ID} {
 		if final := waitTerminal(t, ts.URL, id, time.Minute); final.State != server.StateDone {
@@ -99,25 +91,28 @@ func TestSharedSystemJobsSerialize(t *testing.T) {
 	_, tsA := daemon(t, server.Config{StateDir: dirA})
 
 	// Concurrent submission: both land in the queue in one breath; the
-	// scheduler may only dispatch one at a time.
+	// scheduler may only dispatch one at a time, so no scheduler
+	// transition may ever count two running jobs.
+	bus := collect(t, tsA.URL+"/v1/events", 0)
 	a1 := postJob(t, tsA.URL, `{"systems": ["ldapd"], "workers": 2, "sim_delay": "2ms"}`)
 	a2 := postJob(t, tsA.URL, `{"systems": ["ldapd"], "workers": 2, "sim_delay": "2ms"}`)
-	bothDone := func() bool {
-		s1, s2 := getJob(t, tsA.URL, a1.ID).State, getJob(t, tsA.URL, a2.ID).State
-		return s1 == server.StateDone && s2 == server.StateDone
-	}
-	deadline := time.Now().Add(time.Minute)
-	for !bothDone() {
-		if st := getStatus(t, tsA.URL, "/v1/status"); len(st.RunningJobs) > 1 {
-			t.Fatalf("shared-system jobs ran concurrently: %v", st.RunningJobs)
+	finalA1 := waitTerminal(t, tsA.URL, a1.ID, time.Minute)
+	finalA2 := waitTerminal(t, tsA.URL, a2.ID, time.Minute)
+	// The release follows the job's terminal event: it ends the run's
+	// scheduler history.
+	bus.waitFor(t, "the second job's release", func(e dash.Event) bool {
+		return e.Job == a2.ID && e.Kind == dash.KindSched && e.Sched.Op == "release"
+	}, time.Minute)
+	for _, e := range bus.stop() {
+		if e.Kind == dash.KindSched && e.Sched.Running > 1 {
+			t.Fatalf("shared-system jobs ran concurrently: %s %s with %d running", e.Sched.Op, e.Job, e.Sched.Running)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("jobs never finished")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	finalA1 := getJob(t, tsA.URL, a1.ID)
-	finalA2 := getJob(t, tsA.URL, a2.ID)
+	for _, doc := range []server.Job{finalA1, finalA2} {
+		if doc.State != server.StateDone {
+			t.Fatalf("job %s ended %s: %s", doc.ID, doc.State, doc.Error)
+		}
+	}
 
 	// Reference run: the same two jobs strictly one after the other in
 	// a fresh directory.
@@ -154,7 +149,7 @@ func TestStagedJobPipelinesPerSystem(t *testing.T) {
 
 	doc := postJob(t, ts.URL,
 		`{"systems": ["ldapd", "proxyd"], "workers": 1, "sim_delay": "5ms", "stages": ["infer", "inject", "eval"]}`)
-	sse := collectSSE(t, ts.URL, doc.ID)
+	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
 	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
 	if final.State != server.StateDone {
 		t.Fatalf("staged job ended %s: %s", final.State, final.Error)
@@ -164,7 +159,7 @@ func TestStagedJobPipelinesPerSystem(t *testing.T) {
 	// Index stage transitions in stream order.
 	pos := map[string]int{}
 	for i, e := range events {
-		if e.Kind != "stage" || e.Stage == nil {
+		if e.Kind != dash.KindStage || e.Stage == nil {
 			continue
 		}
 		key := e.Stage.System + "/" + e.Stage.Stage + "/" + e.Stage.State
@@ -246,7 +241,17 @@ func TestJobDAGNeeds(t *testing.T) {
 		t.Fatalf("child of cancelled dependency: %s %q", childFinal.State, childFinal.Error)
 	}
 
-	if final := waitTerminal(t, ts.URL, blocker.ID, time.Minute); final.State != server.StateDone {
+	// The blocker has served its purpose: cancel it to free the slot.
+	breq, err := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+blocker.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bresp, err := http.DefaultClient.Do(breq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bresp.Body.Close()
+	if final := waitTerminal(t, ts.URL, blocker.ID, time.Minute); final.State != server.StateCancelled {
 		t.Fatalf("blocker ended %s: %s", final.State, final.Error)
 	}
 
@@ -277,28 +282,8 @@ func TestNamespaceIsolation(t *testing.T) {
 	if doc.Namespace != "alpha" {
 		t.Fatalf("job namespace %q, want alpha", doc.Namespace)
 	}
-	deadline := time.Now().Add(time.Minute)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/ns/alpha/jobs/" + doc.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got server.Job
-		err = json.NewDecoder(resp.Body).Decode(&got)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.State == server.StateDone {
-			break
-		}
-		if got.State == server.StateFailed || got.State == server.StateCancelled {
-			t.Fatalf("namespaced job ended %s: %s", got.State, got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("namespaced job still %s", got.State)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if got := waitTerminalAt(t, ts.URL+"/v1/ns/alpha/jobs/"+doc.ID, time.Minute); got.State != server.StateDone {
+		t.Fatalf("namespaced job ended %s: %s", got.State, got.Error)
 	}
 
 	// The snapshot landed under the namespace directory, not the root.

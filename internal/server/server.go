@@ -12,7 +12,9 @@
 //	GET    /v1/jobs/{id}             job status
 //	DELETE /v1/jobs/{id}             cancel (context plumbing: finished
 //	                                 outcomes persist, the store resumes)
-//	GET    /v1/jobs/{id}/events      live progress (Server-Sent Events)
+//	GET    /v1/jobs/{id}/events      the job's slice of the event bus
+//	                                 (Server-Sent Events; ends with the
+//	                                 job's terminal frame)
 //	GET    /v1/systems               systems with snapshots in the store
 //	GET    /v1/systems/{name}/outcomes   one system's recorded outcomes
 //	                                 (?limit/?offset paging, 1000 per
@@ -52,13 +54,24 @@
 // job). stages: [infer, inject, eval] turns a job into a per-system
 // pipeline: each system advances through its stages independently, so
 // a fast system evaluates while a slow one still injects, and every
-// transition streams as a "stage" SSE event. Per-namespace quotas
-// bound concurrency (Config.MaxConcurrentJobs) and queue depth
-// (Config.MaxQueuedJobs). Each job's progress flows through the shared
-// pipeline (shard.Hub) onto the SSE stream, the same events a CLI
-// -progress renderer consumes. Every job is journaled durably under
+// transition streams as a "stage" event. Per-namespace quotas bound
+// concurrency (Config.MaxConcurrentJobs) and queue depth
+// (Config.MaxQueuedJobs). Every job is journaled durably under
 // <ns>/jobs/, so a restarted daemon still lists finished jobs — and
 // re-queues jobs that never started.
+//
+// Every event the daemon emits goes onto one bus (internal/dash), and
+// every stream is a filtered subscription to it: GET /v1/events takes
+// all of it, /v1/ns/{ns}/events one namespace, /v1/jobs/{id}/events
+// one job. Frames are dash.Event (schema "v":1) with the bus sequence
+// as their SSE id:, so Last-Event-ID resumes any of them. A job's
+// lifecycle frames have kind "job"; its campaign progress is throttled
+// like everywhere else on the bus: the first sample per system, then
+// at most one per 200ms per system, plus every completion. The bus
+// retains each job's events, so a late subscriber replays the job from
+// its queued frame; a job stream closes right after the terminal job
+// frame, and one for a job journaled by a previous daemon run sends
+// just that frame, built from the journal.
 //
 // The daemon holds each namespace's whole-directory lock for its
 // lifetime (foreign writers stay excluded); job claims nest under it
@@ -126,10 +139,10 @@ type Config struct {
 	// plan → lease → steal → merge protocol.
 	//
 	// External workers report progress through their heartbeat files
-	// only: a coordinate job's SSE stream then carries the coordinator
-	// lifecycle (spawn, steal, retry, merge) but no per-outcome
-	// "progress" events — those require the in-process default, whose
-	// workers feed the job's hub directly. The template must also set
+	// only: a coordinate job's event stream then carries the coordinator
+	// lifecycle (spawn, steal, retry, merge) but no "progress" events —
+	// those require the in-process default, whose workers report to the
+	// job's progress callback directly. The template must also set
 	// any outcome-affecting worker flags itself (e.g.
 	// -no-optimizations); a worker whose options differ from the
 	// daemon's is rejected at merge time.
@@ -353,21 +366,16 @@ func (s *Server) openNamespace(name string) (*namespace, error) {
 		seq:      seq,
 	}
 	for _, doc := range docs {
-		j := newJob(doc)
+		// A queued job never started under the dead daemon: re-queue it
+		// live instead of burying it as failed history. Anything else is
+		// history the bus never carried.
+		j := &job{doc: doc, journaled: doc.State != StateQueued}
 		ns.jobs[doc.ID] = j
 		ns.order = append(ns.order, doc.ID)
-		if doc.State == StateQueued {
-			// The job never started under the dead daemon: re-queue it
-			// live instead of burying it as failed history.
-			j.publish(Event{Kind: "state", Job: doc.ID, State: StateQueued})
+		if !j.journaled {
 			s.bus.Publish(dash.Event{Namespace: name, Kind: dash.KindJob, Job: doc.ID, State: StateQueued})
 			ns.pending = append(ns.pending, j)
-			continue
 		}
-		// Journaled jobs are history: publish their terminal state so a
-		// late SSE subscriber sees it, then end the stream.
-		j.publish(Event{Kind: "state", Job: doc.ID, State: doc.State, Error: doc.Error})
-		j.closeStream()
 	}
 	s.namespaces[name] = ns
 	s.nsOrder = append(s.nsOrder, name)
@@ -553,7 +561,7 @@ func (s *Server) submit(ns *namespace, spec JobSpec) (Job, error) {
 		State:     StateQueued,
 		CreatedAt: time.Now().UTC(),
 	}
-	j := newJob(doc)
+	j := &job{doc: doc}
 	ns.jobs[doc.ID] = j
 	ns.order = append(ns.order, doc.ID)
 	ns.pending = append(ns.pending, j)
@@ -561,7 +569,6 @@ func (s *Server) submit(ns *namespace, spec JobSpec) (Job, error) {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	j.publish(Event{Kind: "state", Job: doc.ID, State: StateQueued})
 	mJobsByState.With(StateQueued, ns.name).Inc()
 	depth, running := len(ns.pending), ns.running
 	s.mu.Unlock()
@@ -753,7 +760,7 @@ func (s *Server) releaseReservation(ns *namespace, j *job, systems []string) {
 // locks.
 func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.mu.Lock()
-	if j.doc.State != StateQueued { // cancelled between dispatch and start
+	if j.doc.State != StateQueued || j.doc.CancelRequested { // cancelled between dispatch and start
 		j.mu.Unlock()
 		return
 	}
@@ -787,31 +794,11 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	j.publish(Event{Kind: "state", Job: doc.ID, State: StateRunning})
 	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: StateRunning})
 	mJobsByState.With(StateRunning, ns.name).Inc()
 	s.logger.Info("job running", "job", doc.ID, "namespace", ns.name, "spec", describeSpec(doc.Spec))
 
-	// The job's campaign feeds the shared progress pipeline; one
-	// forwarder moves hub events onto the SSE stream and into the
-	// job's trace recorder.
-	events, cancelSub := j.hub.Subscribe(1024)
-	forwarderDone := make(chan struct{})
-	go func() {
-		defer close(forwarderDone)
-		for p := range events {
-			p := p
-			rec.observeProgress(p, time.Now().UTC())
-			j.publish(Event{Kind: "progress", Job: doc.ID, Progress: &p})
-			// The daemon-wide stream gets the same samples, throttled per
-			// (namespace, job, system) by the bus.
-			s.bus.FoldProgress(ns.name, doc.ID, p)
-		}
-	}()
-
-	summaries, stats, err := s.execute(jctx, ns, j, doc.Spec, locks, rec)
-	cancelSub()
-	<-forwarderDone
+	summaries, stats, err := s.execute(jctx, ns, doc.ID, doc.Spec, locks, rec)
 
 	state := StateDone
 	msg := ""
@@ -834,16 +821,18 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.doc.Systems = summaries
 	j.doc.Steals, j.doc.Spawns, j.doc.Retries = stats.steals, stats.spawns, stats.retries
 	j.mu.Unlock()
-	s.finishJob(ns, j, state, msg)
+	// The trace is final and persisted before the terminal event, so a
+	// client that saw the job end can read it.
 	tdoc := rec.finish(state, time.Now().UTC())
 	if err := campaignstore.WriteJSON(tracePath(ns.dir, doc.ID), tdoc); err != nil {
 		s.logger.Error("trace write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
+	s.finishJob(ns, j, state, msg)
 	s.logger.Info("job finished", "job", doc.ID, "namespace", ns.name, "state", state)
 }
 
 // finishJob moves a job to a terminal state, journals it, publishes
-// the state event, and ends the SSE stream.
+// the terminal event, and ends the job's slice of the bus.
 func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	j.mu.Lock()
 	if terminal(j.doc.State) {
@@ -868,10 +857,8 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	ns.tablesMu.Lock()
 	ns.tablesCache = nil
 	ns.tablesMu.Unlock()
-	j.publish(Event{Kind: "state", Job: doc.ID, State: state, Error: msg})
-	j.closeStream()
 	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: state, Error: msg})
-	s.bus.ForgetJob(ns.name, doc.ID)
+	s.bus.EndJob(ns.name, doc.ID)
 }
 
 // coordStats carries a coordinate job's rebalance counters.
@@ -879,8 +866,9 @@ type coordStats struct{ steals, spawns, retries int }
 
 // execute runs the campaign itself: the plain global scheduler, the
 // per-system staged pipeline, or the embedded coordinator for
-// coordinate jobs.
-func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
+// coordinate jobs. Every progress event feeds the job's trace and,
+// throttled, the bus.
+func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {
 		return nil, coordStats{}, err
@@ -897,11 +885,15 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 		}
 		opts.SimCostDelay = d
 	}
+	onProgress := func(p shard.Progress) {
+		rec.observeProgress(p, time.Now().UTC())
+		s.bus.FoldProgress(ns.name, jobID, p)
+	}
 	if spec.Coordinate >= 2 {
-		return s.executeCoordinate(ctx, ns, j, spec, systems, opts, workers, locks, rec)
+		return s.executeCoordinate(ctx, ns, jobID, spec, systems, opts, workers, locks, rec, onProgress)
 	}
 	if len(spec.Stages) > 0 {
-		summaries, err := s.executeStaged(ctx, ns, j, spec, systems, opts, workers, locks)
+		summaries, err := s.executeStaged(ctx, ns, jobID, spec, systems, opts, workers, locks, onProgress)
 		return summaries, coordStats{}, err
 	}
 
@@ -913,23 +905,13 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 	if err != nil {
 		return nil, coordStats{}, err
 	}
-	gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+	gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: onProgress}
 	runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
 
 	var summaries []SystemSummary
 	var saveErr error
 	for _, run := range runs {
-		rep := run.Report
-		sum := SystemSummary{
-			System:          run.Sys.Name(),
-			Outcomes:        len(rep.Outcomes),
-			Vulnerabilities: len(rep.Vulnerabilities()),
-			UniqueLocations: rep.UniqueLocations(),
-			Replayed:        rep.Replayed,
-			Executed:        rep.Finished() - rep.Replayed,
-			SimCost:         rep.TotalSimCost,
-			Skipped:         rep.Skipped,
-		}
+		sum := summarize(run.Sys.Name(), run.Report)
 		if run.Err != nil && saveErr == nil {
 			saveErr = fmt.Errorf("%s: snapshot not saved: %w", run.Sys.Name(), run.Err)
 		}
@@ -952,11 +934,10 @@ func (s *Server) execute(ctx context.Context, ns *namespace, j *job, spec JobSpe
 // each system advances infer → inject → eval on its own goroutine, so
 // a fast system reaches eval while a slow one is still injecting —
 // stage pipelining, not stage barriers. Each transition is published
-// as a "stage" SSE event. The per-system campaigns still write through
-// the job's per-system locks; systems outside the job's claim cannot
-// be reached by construction.
-func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet) ([]SystemSummary, error) {
-	jobID := j.snapshot().ID
+// as a "stage" event. The per-system campaigns still write through the
+// job's per-system locks; systems outside the job's claim cannot be
+// reached by construction.
+func (s *Server) executeStaged(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, onProgress func(shard.Progress)) ([]SystemSummary, error) {
 	has := make(map[string]bool, len(spec.Stages))
 	for _, st := range spec.Stages {
 		has[st] = true
@@ -983,8 +964,6 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 			defer wg.Done()
 			name := sys.Name()
 			emit := func(stage, state, errMsg string) {
-				j.publish(Event{Kind: "stage", Job: jobID,
-					Stage: &StageEvent{System: name, Stage: stage, State: state, Error: errMsg}})
 				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindStage, Job: jobID,
 					Stage: &dash.Stage{System: name, Stage: stage, State: state, Error: errMsg}})
 			}
@@ -1017,7 +996,7 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 					record(nil, err)
 					return
 				}
-				gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+				gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: onProgress}
 				runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
 				if runErr != nil {
 					emit(StageInject, "failed", runErr.Error())
@@ -1030,14 +1009,7 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 					record(nil, fmt.Errorf("%s: snapshot not saved: %w", name, run.Err))
 					return
 				}
-				rep := run.Report
-				sum.Outcomes = len(rep.Outcomes)
-				sum.Vulnerabilities = len(rep.Vulnerabilities())
-				sum.UniqueLocations = rep.UniqueLocations()
-				sum.Replayed = rep.Replayed
-				sum.Executed = rep.Finished() - rep.Replayed
-				sum.SimCost = rep.TotalSimCost
-				sum.Skipped = rep.Skipped
+				sum = summarize(name, run.Report)
 				emit(StageInject, "done", "")
 			}
 			if has[StageEval] {
@@ -1070,13 +1042,12 @@ func (s *Server) executeStaged(ctx context.Context, ns *namespace, j *job, spec 
 // canonical store. The daemon hands coord.Run the job's per-system
 // lock set, so the final merge writes under the claims the scheduler
 // already holds for this job.
-func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
-	jobID := j.snapshot().ID
+func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, rec *traceRecorder, onProgress func(shard.Progress)) ([]SystemSummary, coordStats, error) {
 	stealMin := coord.DefaultStealMin
 	if spec.StealMin != nil {
 		stealMin = *spec.StealMin
 	}
-	wopts := coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: j.hub.Emit}
+	wopts := coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: onProgress}
 	spawn := s.inprocSpawner(systems, wopts)
 	if len(s.cfg.SpawnArgv) > 0 {
 		spawn = coord.ExecSpawner(s.cfg.SpawnArgv)
@@ -1093,14 +1064,11 @@ func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, s
 		Spawn:         spawn,
 		OnEvent: func(e coord.Event) {
 			rec.observeCoord(e, time.Now().UTC())
-			ce := &CoordEvent{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
+			ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
 			if e.Err != nil {
 				ce.Error = e.Err.Error()
 			}
-			j.publish(Event{Kind: "coord", Job: jobID, Coord: ce})
-			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID,
-				Coord: &dash.Coord{Kind: ce.Kind, Worker: ce.Worker, From: ce.From,
-					Keys: ce.Keys, Attempt: ce.Attempt, Error: ce.Error}})
+			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: ce})
 		},
 	}
 	res, err := coord.Run(ctx, cfg)
@@ -1120,8 +1088,8 @@ func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, j *job, s
 
 // inprocSpawner runs coordinate-job workers as goroutines over
 // coord.RunWorker — the default when no spawn template is configured.
-// Each worker locks its own shard directory and feeds the job's
-// progress hub.
+// Each worker locks its own shard directory and reports to the job's
+// progress callback.
 func (s *Server) inprocSpawner(systems []sim.System, wopts coord.WorkerOptions) coord.SpawnFunc {
 	return func(ctx context.Context, spec coord.WorkerSpec) (coord.Handle, error) {
 		wctx, cancel := context.WithCancel(ctx)
@@ -1319,7 +1287,28 @@ func (s *Server) Handler() http.Handler {
 	scoped("POST /jobs", "jobs_create", true, s.handleJobsCreate)
 	scoped("GET /jobs/{id}", "job_get", false, s.handleJobGet)
 	scoped("DELETE /jobs/{id}", "job_delete", false, s.handleJobDelete)
-	scoped("GET /jobs/{id}/events", "job_events", false, s.handleJobEvents)
+	scoped("GET /jobs/{id}/events", "job_events", false, func(ns *namespace, w http.ResponseWriter, r *http.Request) {
+		j := s.lookup(ns, r.PathValue("id"))
+		if j == nil {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			return
+		}
+		doc := j.snapshot()
+		if !j.journaled {
+			s.serveBus(w, r, dash.SubOptions{Namespace: ns.name, Job: doc.ID})
+			return
+		}
+		// The bus never carried a previous daemon run's job: its stream
+		// is one terminal frame built from the journal.
+		e := dash.Event{V: dash.SchemaVersion, Namespace: ns.name, Kind: dash.KindJob,
+			Job: doc.ID, State: doc.State, Error: doc.Error}
+		if doc.DoneAt != nil {
+			e.Time = *doc.DoneAt
+		}
+		ended := make(chan dash.Event)
+		close(ended)
+		s.serveSub(w, r, dash.Sub{Backlog: []dash.Event{e}, Ch: ended})
+	})
 	scoped("GET /jobs/{id}/trace", "job_trace", false, s.handleJobTrace)
 	scoped("GET /systems", "systems", false, s.handleSystems)
 	scoped("GET /systems/{name}/outcomes", "outcomes", false, s.handleOutcomes)
@@ -1330,11 +1319,11 @@ func (s *Server) Handler() http.Handler {
 	// /v1/events carries every namespace's events, not the default
 	// namespace's — only the /v1/ns/{ns}/ variant filters.
 	handle(mux, "GET /v1/events", "events", func(w http.ResponseWriter, r *http.Request) {
-		s.serveBus(w, r, "")
+		s.serveBus(w, r, dash.SubOptions{})
 	})
 	handle(mux, "GET /v1/ns/{ns}/events", "events", s.nsHandler(false,
 		func(ns *namespace, w http.ResponseWriter, r *http.Request) {
-			s.serveBus(w, r, ns.name)
+			s.serveBus(w, r, dash.SubOptions{Namespace: ns.name})
 		}))
 	handle(mux, "GET /ui/", "ui", dash.UI().ServeHTTP)
 	mux.Handle("GET /ui", http.RedirectHandler("/ui/", http.StatusMovedPermanently))
@@ -1353,7 +1342,7 @@ func (s *Server) Handler() http.Handler {
 
 // handleMetrics serves the process-global registry in Prometheus text
 // exposition format — every instrumented layer the daemon links
-// (engine, store, hub, coordinator, sim monitor, this server).
+// (engine, store, event bus, coordinator, sim monitor, this server).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.Default().WritePrometheus(w)
@@ -1498,142 +1487,59 @@ func (s *Server) handleJobDelete(ns *namespace, w http.ResponseWriter, r *http.R
 		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
 	}
-	// The whole decision runs under the job lock, so it cannot race the
-	// scheduler's queued→running transition: either the cancellation
-	// wins (the job goroutine sees a terminal state and skips the job)
-	// or the start wins (the DELETE lands on the running branch and
-	// cancels the context).
+	// The request is recorded under the job lock, so it cannot race the
+	// scheduler's queued→running transition: either the request wins
+	// (the job goroutine sees it and never starts the job) or the start
+	// wins (the DELETE lands on the running branch and cancels the
+	// context).
 	j.mu.Lock()
-	switch j.doc.State {
+	state, cancel := j.doc.State, j.cancel
+	if !terminal(state) {
+		j.doc.CancelRequested = true
+	}
+	j.mu.Unlock()
+	switch state {
 	case StateQueued:
 		// Never started: terminal immediately; the dispatcher drops it.
-		now := time.Now().UTC()
-		j.doc.State = StateCancelled
-		j.doc.DoneAt = &now
-		j.doc.Error = "cancelled while queued"
-		doc := j.docLocked()
-		j.mu.Unlock()
-		mJobsByState.With(StateCancelled, ns.name).Inc()
-		if err := saveJournal(ns.dir, doc); err != nil {
-			s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
-		}
-		j.publish(Event{Kind: "state", Job: doc.ID, State: StateCancelled, Error: doc.Error})
-		j.closeStream()
-		s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID,
-			State: StateCancelled, Error: doc.Error})
-		s.bus.ForgetJob(ns.name, doc.ID)
+		s.finishJob(ns, j, StateCancelled, "cancelled while queued")
 		s.kickScheduler()
-		writeJSON(w, http.StatusOK, doc)
+		writeJSON(w, http.StatusOK, j.snapshot())
 	case StateRunning:
-		j.doc.CancelRequested = true
-		cancel := j.cancel
-		j.mu.Unlock()
 		if cancel != nil {
 			cancel()
 		}
 		writeJSON(w, http.StatusAccepted, j.snapshot())
 	default:
-		state := j.doc.State
-		j.mu.Unlock()
 		writeError(w, http.StatusConflict, fmt.Errorf("job is already %s", state))
-	}
-}
-
-func (s *Server) handleJobEvents(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(ns, r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(e Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.ID, e.Kind, data); err != nil {
-			return false
-		}
-		return true
-	}
-
-	backlog, dropped, ch, cancelSub := j.subscribe(lastEventID(r))
-	defer cancelSub()
-	if dropped > 0 {
-		// SSE comment: the backlog cap evicted early events, so this
-		// replay starts mid-stream.
-		fmt.Fprintf(w, ": backlog truncated, %d early events dropped\n\n", dropped)
-	}
-	for _, e := range backlog {
-		if !writeEvent(e) {
-			return
-		}
-	}
-	flusher.Flush()
-	interval := s.cfg.KeepaliveInterval
-	if interval <= 0 {
-		interval = defaultKeepalive
-	}
-	keepalive := time.NewTicker(interval)
-	defer keepalive.Stop()
-	for {
-		select {
-		case e, open := <-ch:
-			if !open {
-				return // terminal state delivered; stream complete
-			}
-			if !writeEvent(e) {
-				return
-			}
-			flusher.Flush()
-		case <-keepalive.C:
-			// SSE comment frame: keeps proxies and load balancers from
-			// idling out a quiet stream; clients ignore comments.
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-			mSSEKeepalives.Inc()
-		case <-r.Context().Done():
-			return
-		case <-s.ctx.Done():
-			return
-		}
 	}
 }
 
 // lastEventID parses the SSE Last-Event-ID request header a
 // reconnecting EventSource (or spexwatch) sends: the id of the last
-// frame it saw. Absent or malformed means "from the start".
+// frame it saw. Absent or malformed yields 0; an id past uint64
+// saturates, which resumes like an id from a previous daemon run.
 func lastEventID(r *http.Request) uint64 {
-	v := strings.TrimSpace(r.Header.Get("Last-Event-ID"))
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
+	n, _ := strconv.ParseUint(strings.TrimSpace(r.Header.Get("Last-Event-ID")), 10, 64)
 	return n
 }
 
-// serveBus streams the daemon-wide dashboard bus as SSE — the handler
-// behind GET /v1/events (namespace "" = every tenant) and
-// GET /v1/ns/{ns}/events (one tenant). Each frame's id: is the bus
-// sequence number, so a dropped connection resumes with Last-Event-ID
-// from the bus's ring; when the ring has already moved past the
-// requested id the replay starts mid-stream after a comment frame says
-// so.
-func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace string) {
+// serveBus streams one filtered bus subscription as SSE — the handler
+// behind GET /v1/events (every namespace), GET /v1/ns/{ns}/events (one
+// tenant) and GET /v1/jobs/{id}/events (one job). A reconnecting client
+// resumes after its Last-Event-ID.
+func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, o dash.SubOptions) {
+	o.AfterSeq = lastEventID(r)
+	sub := s.bus.Subscribe(o)
+	defer sub.Cancel()
+	s.serveSub(w, r, sub)
+}
+
+// serveSub writes a subscription as SSE frames — each frame's id: is
+// the bus sequence number, its event: the kind, its data: the compact
+// dash.Event — until the subscription ends (the bus closed, or the
+// watched job finished), the client leaves, or the daemon shuts down.
+// A comment frame flags a backlog that starts mid-stream.
+func (s *Server) serveSub(w http.ResponseWriter, r *http.Request, sub dash.Sub) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
@@ -1646,19 +1552,14 @@ func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace stri
 
 	writeEvent := func(e dash.Event) bool {
 		data, err := json.Marshal(e)
-		if err != nil {
-			return false
+		if err == nil {
+			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data)
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
-			return false
-		}
-		return true
+		return err == nil
 	}
 
-	sub := s.bus.Subscribe(dash.SubOptions{Namespace: namespace, AfterSeq: lastEventID(r)})
-	defer sub.Cancel()
 	if sub.Truncated {
-		fmt.Fprint(w, ": resume truncated, the ring moved past the requested id\n\n")
+		fmt.Fprint(w, ": resume truncated, earlier events are no longer retained\n\n")
 	}
 	for _, e := range sub.Backlog {
 		if !writeEvent(e) {
@@ -1676,13 +1577,15 @@ func (s *Server) serveBus(w http.ResponseWriter, r *http.Request, namespace stri
 		select {
 		case e, open := <-sub.Ch:
 			if !open {
-				return // daemon shutting down; bus closed
+				return // the job finished, or the bus closed
 			}
 			if !writeEvent(e) {
 				return
 			}
 			flusher.Flush()
 		case <-keepalive.C:
+			// SSE comment frame: keeps proxies and load balancers from
+			// idling out a quiet stream; clients ignore comments.
 			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
 				return
 			}

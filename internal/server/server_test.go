@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"spex/internal/campaignstore"
+	"spex/internal/dash"
 	"spex/internal/report"
 	"spex/internal/server"
 )
@@ -52,7 +54,14 @@ func postJob(t *testing.T, base string, spec string) server.Job {
 
 func getJob(t *testing.T, base, id string) server.Job {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id)
+	return getJobAt(t, base+"/v1/jobs/"+id)
+}
+
+// getJobAt fetches a job document by its resource URL
+// (/v1/[ns/{ns}/]jobs/{id}).
+func getJobAt(t *testing.T, url string) server.Job {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,35 +75,55 @@ func getJob(t *testing.T, base, id string) server.Job {
 
 func waitTerminal(t *testing.T, base, id string, timeout time.Duration) server.Job {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		doc := getJob(t, base, id)
-		switch doc.State {
-		case server.StateDone, server.StateFailed, server.StateCancelled:
-			return doc
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %s", id, doc.State, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return waitTerminalAt(t, base+"/v1/jobs/"+id, timeout)
 }
 
-// sseCollector consumes a job's event stream until the daemon closes
-// it (terminal state) and records every event.
-type sseCollector struct {
-	mu     sync.Mutex
-	events []server.Event
-	done   chan struct{}
-}
-
-func collectSSE(t *testing.T, base, id string) *sseCollector {
+// waitTerminalAt follows the job's event stream, which the daemon
+// closes right after the terminal frame, and returns the final job
+// document.
+func waitTerminalAt(t *testing.T, jobURL string, timeout time.Duration) server.Job {
 	t.Helper()
-	c := &sseCollector{done: make(chan struct{})}
+	c := collect(t, jobURL+"/events", 0)
+	select {
+	case <-c.done:
+	case <-time.After(timeout):
+		c.stop()
+		t.Fatalf("%s: event stream still open after %s", jobURL, timeout)
+	}
+	doc := getJobAt(t, jobURL)
+	switch doc.State {
+	case server.StateDone, server.StateFailed, server.StateCancelled:
+	default:
+		t.Fatalf("%s: event stream ended with the job %s", jobURL, doc.State)
+	}
+	return doc
+}
+
+// collector follows one SSE stream of dash.Event frames — a job's
+// /v1/jobs/{id}/events or a /v1/[ns/{ns}/]events bus stream — and
+// records every event until the daemon closes the stream or stop is
+// called.
+type collector struct {
+	mu     sync.Mutex
+	events []dash.Event
+	// more is closed (and replaced) whenever an event arrives.
+	more   chan struct{}
+	done   chan struct{}
+	cancel context.CancelFunc
+}
+
+// collect attaches to url. lastEventID > 0 resumes with the SSE
+// Last-Event-ID header.
+func collect(t *testing.T, url string, lastEventID uint64) *collector {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id+"/events", nil)
+	c := &collector{more: make(chan struct{}), done: make(chan struct{}), cancel: cancel}
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lastEventID > 0 {
+		req.Header.Set("Last-Event-ID", strconv.FormatUint(lastEventID, 10))
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -102,24 +131,24 @@ func collectSSE(t *testing.T, base, id string) *sseCollector {
 	}
 	if resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
-		t.Fatalf("GET events: %d", resp.StatusCode)
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("events content-type = %q", ct)
+		t.Errorf("%s content-type = %q", url, ct)
 	}
 	go func() {
 		defer close(c.done)
-		defer cancel()
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		for sc.Scan() {
-			line := sc.Text()
-			if data, ok := strings.CutPrefix(line, "data: "); ok {
-				var e server.Event
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var e dash.Event
 				if json.Unmarshal([]byte(data), &e) == nil {
 					c.mu.Lock()
 					c.events = append(c.events, e)
+					close(c.more)
+					c.more = make(chan struct{})
 					c.mu.Unlock()
 				}
 			}
@@ -128,34 +157,57 @@ func collectSSE(t *testing.T, base, id string) *sseCollector {
 	return c
 }
 
-func (c *sseCollector) wait(t *testing.T) []server.Event {
+// wait blocks until the daemon closes the stream and returns every
+// event it carried.
+func (c *collector) wait(t *testing.T) []dash.Event {
 	t.Helper()
 	select {
 	case <-c.done:
 	case <-time.After(2 * time.Minute):
-		t.Fatal("SSE stream never closed")
+		t.Fatal("event stream never closed")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]server.Event(nil), c.events...)
+	return c.snapshot()
 }
 
-func (c *sseCollector) waitFor(t *testing.T, pred func(server.Event) bool, timeout time.Duration) {
+// stop tears the connection down and returns everything collected.
+func (c *collector) stop() []dash.Event {
+	c.cancel()
+	<-c.done
+	return c.snapshot()
+}
+
+func (c *collector) snapshot() []dash.Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]dash.Event(nil), c.events...)
+}
+
+// waitFor blocks until a collected event satisfies pred and returns it.
+func (c *collector) waitFor(t *testing.T, what string, pred func(dash.Event) bool, timeout time.Duration) dash.Event {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	seen, ended := 0, false
 	for {
 		c.mu.Lock()
-		for _, e := range c.events {
-			if pred(e) {
+		for ; seen < len(c.events); seen++ {
+			if e := c.events[seen]; pred(e) {
 				c.mu.Unlock()
-				return
+				return e
 			}
 		}
+		more := c.more
 		c.mu.Unlock()
-		if time.Now().After(deadline) {
-			t.Fatal("SSE stream never delivered the awaited event")
+		if ended {
+			t.Fatalf("event stream ended without %s", what)
 		}
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case <-more:
+		case <-c.done:
+			ended = true // one last scan covers everything the reader appended
+		case <-timer.C:
+			t.Fatalf("event stream never delivered %s", what)
+		}
 	}
 }
 
@@ -178,7 +230,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	doc := postJob(t, ts.URL, `{"all": true, "workers": 4}`)
-	sse := collectSSE(t, ts.URL, doc.ID)
+	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
 	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
 	if final.State != server.StateDone {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
@@ -199,11 +251,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	progress := 0
 	for _, e := range events {
 		switch {
-		case e.Kind == "state" && e.State == server.StateRunning:
+		case e.Kind == dash.KindJob && e.State == server.StateRunning:
 			sawRunning = true
-		case e.Kind == "state" && e.State == server.StateDone:
+		case e.Kind == dash.KindJob && e.State == server.StateDone:
 			sawDone = true
-		case e.Kind == "progress":
+		case e.Kind == dash.KindProgress:
 			if e.Progress == nil || e.Progress.System == "" {
 				t.Fatalf("malformed progress event: %+v", e)
 			}
@@ -323,8 +375,8 @@ func TestDaemonCancellationLeavesResumableStore(t *testing.T) {
 	// One worker and a per-unit delay keep the campaign running long
 	// enough to cancel deterministically after the first outcome.
 	doc := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 1, "sim_delay": "5ms"}`)
-	sse := collectSSE(t, ts.URL, doc.ID)
-	sse.waitFor(t, func(e server.Event) bool { return e.Kind == "progress" }, time.Minute)
+	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
+	sse.waitFor(t, "a progress event", func(e dash.Event) bool { return e.Kind == dash.KindProgress }, time.Minute)
 
 	// A job queued behind the running one cancels immediately and the
 	// serial runner must skip it.
@@ -395,7 +447,7 @@ func TestDaemonCoordinateJob(t *testing.T) {
 	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 2})
 
 	doc := postJob(t, ts.URL, `{"systems": ["ldapd"], "coordinate": 2, "workers": 2}`)
-	sse := collectSSE(t, ts.URL, doc.ID)
+	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
 	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
 	if final.State != server.StateDone {
 		t.Fatalf("coordinate job ended %s: %s", final.State, final.Error)
@@ -409,7 +461,7 @@ func TestDaemonCoordinateJob(t *testing.T) {
 
 	kinds := map[string]bool{}
 	for _, e := range sse.wait(t) {
-		if e.Kind == "coord" && e.Coord != nil {
+		if e.Kind == dash.KindCoord && e.Coord != nil {
 			kinds[e.Coord.Kind] = true
 		}
 	}
