@@ -267,7 +267,7 @@ func BenchmarkAnalyzeAllParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs, err := report.AnalyzeAllContext(context.Background(),
-					report.AnalyzeOptions{Workers: workers, CampaignWorkers: 4})
+					report.AnalyzeOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,16 +2,14 @@
 // (1-12) and figure (1-7) of §4, measured against the seven simulated
 // targets and printed next to the paper's published numbers.
 //
-// The seven per-system pipelines (inference, campaign, audit) fan out on
-// the engine worker pool; pass -workers 1 to force the sequential order,
-// or -global to interleave all seven campaigns on one cross-target pool
-// (internal/shard) so small targets draining early do not idle workers.
-// Under -global (or -shard), -progress renders the campaign itself
-// through internal/progressui (the same renderer as spexinj):
-// per-system bars on a terminal, the throttled one-line aggregate
-// otherwise. Without -global it streams the original per-system
-// analysis stage lines.
-// The rendered tables are identical in every mode. With -state <dir> the
+// Inference fans out on the engine worker pool, then all seven
+// campaigns interleave on one cross-target pool (internal/shard), so
+// small targets draining early do not idle workers; -workers sets the
+// width of both. -progress renders the campaign through
+// internal/progressui (the same renderer as spexinj): per-system bars on
+// a terminal, the throttled one-line aggregate otherwise. The rendered
+// tables are identical for every worker count, and are pinned by the
+// golden files under testdata/golden. With -state <dir> the
 // campaign phase is incremental across runs: each system's outcomes are
 // persisted as a snapshot (internal/campaignstore) and replayed on the
 // next run, re-executing only what the constraint delta selects. The
@@ -43,7 +41,6 @@
 //	spexeval -table 5      # one table
 //	spexeval -figure 7     # one figure
 //	spexeval -workers 8 -progress
-//	spexeval -global -workers 8     # one cross-target campaign pool
 //	spexeval -state /var/lib/spex   # persistent incremental campaigns
 //	spexeval -shard 1/2 -state /tmp/s1   # one shard of the campaign phase
 //	spexeval -index -state /var/lib/spex # render from the outcome indexes,
@@ -70,11 +67,9 @@ func run() int {
 	var (
 		tableN     = flag.Int("table", 0, "render only this table (1-12)")
 		figureN    = flag.Int("figure", 0, "render only this figure (1-7)")
-		workers    = flag.Int("workers", 0, "parallel per-system pipelines (0 = one per CPU)")
-		campaign   = flag.Int("campaign-workers", 0, "parallel misconfigurations within each campaign (0 or 1 = sequential; systems already fan out)")
-		progress   = flag.Bool("progress", false, "stream per-system analysis progress to stderr")
+		workers    = flag.Int("workers", 0, "width of the inference fan-out and of the one cross-target campaign pool (0 = one per CPU)")
+		progress   = flag.Bool("progress", false, "render campaign progress to stderr (per-system bars on a terminal)")
 		state      = flag.String("state", "", "state directory for persistent incremental campaigns (snapshots replay across runs)")
-		global     = flag.Bool("global", false, "interleave all campaigns on one cross-target worker pool (tables are identical; -campaign-workers is ignored)")
 		shardFlag  = flag.String("shard", "", "campaign only one shard i/N of every system's workload and persist per-shard snapshots instead of rendering tables (requires -state; merge with spexmerge, then render with -state alone)")
 		index      = flag.Bool("index", false, "render tables and figures from the store's outcome indexes without replaying snapshots — read-only: takes no writer lock, runs no campaign (requires -state)")
 		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry as JSON to this file (engine, store, and scheduler series)")
@@ -154,18 +149,10 @@ func run() int {
 			return fail(err)
 		}
 	} else {
-		opts := report.AnalyzeOptions{Workers: *workers, CampaignWorkers: *campaign, State: locks, Global: *global, Shard: plan}
+		opts := report.AnalyzeOptions{Workers: *workers, State: locks, Shard: plan}
 		var finishProgress func()
 		if *progress {
-			if *global || plan.Enabled() {
-				// Campaigns run on the global scheduler: render them through
-				// the shared progress pipeline, spexinj-parity bars included.
-				opts.OnCampaignProgress, finishProgress = progressui.Attach(os.Stderr, "spexeval")
-			} else {
-				opts.OnProgress = func(p report.Progress) {
-					fmt.Fprintf(os.Stderr, "spexeval: %s %s (%d/%d)\n", p.System, p.Stage, p.Done, p.Total)
-				}
-			}
+			opts.OnCampaignProgress, finishProgress = progressui.Attach(os.Stderr, "spexeval")
 		}
 		var err error
 		results, err = report.AnalyzeAllContext(ctx, opts)
@@ -204,31 +191,17 @@ func run() int {
 		return 0
 	}
 
-	figures := map[int]func() (string, error){
-		1: report.Figure1,
-		2: report.Figure2,
-		3: func() (string, error) { return report.Figure3(results), nil },
-		4: func() (string, error) { return report.Figure4(), nil },
-		5: report.Figure5,
-		6: func() (string, error) { return report.Figure6(results), nil },
-		7: report.Figure7,
-	}
-
 	switch {
 	case *tableN != 0:
 		// One rendering path with the daemon's /v1/tables text endpoint
-		// (report.RenderTableText), held byte-identical by golden tests.
+		// (report.RenderTableText), pinned by testdata/golden.
 		text, err := report.RenderTableText(*tableN, results)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println(text)
 	case *figureN != 0:
-		f, ok := figures[*figureN]
-		if !ok {
-			return fail(fmt.Errorf("no figure %d", *figureN))
-		}
-		s, err := f()
+		s, err := report.RenderFigureText(*figureN, results)
 		if err != nil {
 			return fail(err)
 		}
@@ -244,8 +217,8 @@ func run() int {
 			}
 			fmt.Println(text)
 		}
-		for i := 1; i <= 7; i++ {
-			s, err := figures[i]()
+		for i := 1; i <= report.MaxFigure; i++ {
+			s, err := report.RenderFigureText(i, results)
 			if err != nil {
 				return fail(err)
 			}

@@ -29,6 +29,8 @@
 //     order, so a parallel injection campaign (inject.Options.Workers)
 //     or a parallel seven-target evaluation (report.AnalyzeAllContext,
 //     spex.InferAll) produces reports identical to a sequential run.
+//     testdata/golden pins every table and figure byte for byte, and
+//     report's TestGoldenOutput checks each execution mode against it.
 //   - Cancellation. Every layer threads a context.Context down to
 //     sim.MonitorStartContext; Ctrl-C in the cmd drivers stops
 //     dispatching immediately, abandons in-flight boots, and reports
@@ -36,9 +38,11 @@
 //   - Incrementality. An engine-level result cache keyed by
 //     misconfiguration identity (inject.CacheKey: violated-constraint
 //     ID + rule + injected values) makes inject.Diff's constraint delta
-//     a real incremental mode: inject.RunIncremental replays recorded
-//     outcomes for unchanged constraints and re-executes only the
-//     added/affected ones (§3.1's incremental retesting).
+//     a real incremental mode: campaignstore.Store.Prepare seeds the
+//     cache from a persisted snapshot and evicts the delta-selected
+//     retests, and shard.CampaignAll replays recorded outcomes for
+//     unchanged constraints and re-executes only the added/affected
+//     ones (§3.1's incremental retesting).
 //
 // # Persistent campaign snapshots
 //
@@ -51,8 +55,7 @@
 // in a length-prefixed binary container (see "Binary snapshot format
 // and the outcome index" below), one file per system under a state
 // directory (the -state flag of cmd/spexinj and cmd/spexeval, or
-// report.AnalyzeOptions.StateDir); stores written by the previous
-// JSON format load transparently and migrate on their next save.
+// report.AnalyzeOptions.State).
 //
 // Each run loads the snapshot, Diffs a fresh inference against the
 // stored set, re-executes only the delta-selected misconfigurations,
@@ -94,9 +97,9 @@
 //     (BenchmarkGlobalScheduler measures the utilization gap). Each
 //     per-system report is reassembled through inject.Assemble, the
 //     same code path a standalone campaign uses, so going global
-//     changes utilization, never results. This scheduler sits under
-//     `spexinj -all`, `spexinj -system X` (the one-workload special
-//     case), and `spexeval -global`.
+//     changes utilization, never results. This scheduler is the only
+//     campaign path: it sits under `spexinj -all`, `spexinj -system X`
+//     (the one-workload special case), `spexeval`, and the daemon.
 //
 //   - Plan: `spexinj -shard i/N -state dir` executes one deterministic
 //     partition of the workload. shard.Plan hashes each
@@ -303,18 +306,19 @@
 // record count, and a CRC-32 trailer over everything before it. Record
 // payloads stay JSON on purpose: they are exactly the bytes
 // Snapshot.Fingerprint hashes, so a streaming writer folds the
-// replay-equivalence fingerprint for free as records pass through, and
-// migrating a JSON-era store to the binary container provably cannot
-// change its fingerprint. The ascending key order is what makes
+// replay-equivalence fingerprint for free as records pass through. The
+// ascending key order is what makes
 // spexmerge a bounded-memory k-way streaming merge: internal/shard
 // opens one record iterator per shard, folds the minimum key's
 // freshest copy (stamp, then lexicographically greatest shard
 // directory) into a streaming writer, and never materializes a shard's
-// outcome map. All fail-safe semantics carry over bit for bit — a
-// truncated file, a flipped bit (CRC), a stale schema fingerprint, or
-// mismatched options still falls back to a full campaign, and the
-// legacy SPEX_SNAPSHOT_JSON=1 hatch reproduces the old JSON writer for
-// compatibility tests.
+// outcome map. Loading is fail-safe — a truncated file, a flipped bit
+// (CRC), a corrupt length prefix (frames are read without preallocating
+// the claimed length), a stale schema fingerprint, or mismatched
+// options falls back to a full campaign, and FuzzDecodeSnapshot holds
+// the decoder to "error or round-trip, never panic". The container is
+// the only snapshot format: a file in any other format is not a
+// snapshot, so its system campaigns in full.
 //
 // Beside each snapshot lives its outcome index
 // (internal/outcomeindex, <system>.campaign.idx): a compact per-outcome

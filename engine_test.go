@@ -1,7 +1,7 @@
 // End-to-end tests for the concurrent campaign engine: a full parallel
-// injection campaign over every target under the race detector, and a
+// injection campaign over every target under the race detector, a
 // determinism check that the parallel report equals the sequential one
-// outcome-for-outcome.
+// outcome-for-outcome, and a persisted campaign's 100% replay.
 package spex_test
 
 import (
@@ -9,10 +9,12 @@ import (
 	"reflect"
 	"testing"
 
+	"spex/internal/campaignstore"
 	"spex/internal/conffile"
 	"spex/internal/confgen"
 	"spex/internal/inject"
 	"spex/internal/report"
+	"spex/internal/shard"
 	"spex/internal/sim"
 	"spex/internal/spex"
 	"spex/internal/targets"
@@ -70,7 +72,8 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 }
 
 // TestAnalyzeAllParallelMatchesSequential checks the full seven-system
-// evaluation pipeline at the report layer.
+// evaluation pipeline at the report layer: a one-worker pool and a wide
+// cross-target pool must produce the same tables and outcomes.
 func TestAnalyzeAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
@@ -79,7 +82,7 @@ func TestAnalyzeAllParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := report.AnalyzeAllContext(context.Background(), report.AnalyzeOptions{Workers: 7, CampaignWorkers: 4})
+	par, err := report.AnalyzeAllContext(context.Background(), report.AnalyzeOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +99,10 @@ func TestAnalyzeAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestIncrementalCampaignOnRealTarget replays a mydb campaign through
-// the incremental cache: a no-op revision must replay everything and a
-// real report must be reproduced exactly.
+// TestIncrementalCampaignOnRealTarget persists a mydb campaign through
+// the store-backed global scheduler: an unchanged rerun must replay
+// every outcome from the snapshot at zero fresh cost and reproduce the
+// full report exactly.
 func TestIncrementalCampaignOnRealTarget(t *testing.T) {
 	sys := targets.ByName("mydb")
 	res, err := spex.InferSystem(sys)
@@ -106,26 +110,40 @@ func TestIncrementalCampaignOnRealTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := campaignFor(t, sys)
-	full, err := inject.Run(sys, ms, inject.DefaultOptions())
+	store, err := campaignstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := inject.NewResultCache()
-	inject.SeedCache(cache, full)
-	d := inject.Diff(res.Set, res.Set) // no-op revision
-	opts := inject.DefaultOptions()
-	opts.Workers = 4
-	inc, err := inject.RunIncremental(context.Background(), sys, ms, d, cache, opts)
+	lk, err := store.Lock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Replayed != len(ms) {
-		t.Fatalf("no-op revision replayed %d of %d outcomes", inc.Replayed, len(ms))
+	defer lk.Unlock()
+	run := func() shard.SystemRun {
+		t.Helper()
+		runs, err := shard.CampaignAll(context.Background(), lk.Set(),
+			[]shard.Workload{{Sys: sys, Set: res.Set, Ms: ms}},
+			shard.Options{Workers: 4, Inject: inject.DefaultOptions()})
+		if err == nil {
+			err = runs[0].Err
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runs[0]
 	}
-	if inc.TotalSimCost != 0 {
-		t.Fatalf("no-op revision re-executed work: cost %d", inc.TotalSimCost)
+	full := run()
+	inc := run()
+	if !inc.Status.Replayed || inc.Status.Retests != 0 {
+		t.Fatalf("unchanged rerun status = %+v, want a replay with zero retests", inc.Status)
 	}
-	if !reflect.DeepEqual(inc.Outcomes, full.Outcomes) {
-		t.Fatal("incremental report differs from the full campaign")
+	if inc.Report.Replayed != len(ms) {
+		t.Fatalf("unchanged rerun replayed %d of %d outcomes", inc.Report.Replayed, len(ms))
+	}
+	if inc.Report.TotalSimCost != 0 {
+		t.Fatalf("unchanged rerun re-executed work: cost %d", inc.Report.TotalSimCost)
+	}
+	if !reflect.DeepEqual(inc.Report.Outcomes, full.Report.Outcomes) {
+		t.Fatal("replayed report differs from the full campaign")
 	}
 }

@@ -1,0 +1,385 @@
+// Store-backed campaign tests: the snapshot-replay policy (Store.Prepare)
+// driven end to end through shard.CampaignAll, the one campaign path.
+// They live in the external test package because shard imports
+// campaignstore.
+package campaignstore_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"spex/internal/campaignstore"
+	"spex/internal/conffile"
+	"spex/internal/confgen"
+	"spex/internal/constraint"
+	"spex/internal/inject"
+	"spex/internal/shard"
+	"spex/internal/sim"
+)
+
+// storeSystem is a minimal sim.System whose boots are counted, so tests
+// can assert exactly which misconfigurations re-executed vs replayed.
+type storeSystem struct {
+	boots atomic.Int32
+}
+
+func (s *storeSystem) Name() string                       { return "storefake" }
+func (s *storeSystem) Description() string                { return "fake target for store tests" }
+func (s *storeSystem) Syntax() conffile.Syntax            { return conffile.SyntaxEquals }
+func (s *storeSystem) DefaultConfig() string              { return "p = good\nq = 1\n" }
+func (s *storeSystem) Sources() map[string]string         { return nil }
+func (s *storeSystem) Annotations() string                { return "" }
+func (s *storeSystem) Manual() map[string]sim.ManualEntry { return nil }
+func (s *storeSystem) GroundTruth() *constraint.Set       { return constraint.NewSet("storefake") }
+func (s *storeSystem) SetupEnv(env *sim.Env)              {}
+func (s *storeSystem) Tests() []sim.FuncTest {
+	return []sim.FuncTest{{
+		Name: "ping", Weight: 2,
+		Run: func(env *sim.Env, inst sim.Instance) error {
+			if v, _ := inst.Effective("p"); v == "bad" {
+				return fmt.Errorf("request failed")
+			}
+			return nil
+		},
+	}}
+}
+
+type storeInstance struct{ effective map[string]string }
+
+func (i *storeInstance) Effective(p string) (string, bool) {
+	v, ok := i.effective[p]
+	return v, ok
+}
+func (i *storeInstance) Stop() {}
+
+func (s *storeSystem) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
+	s.boots.Add(1)
+	eff := map[string]string{}
+	for _, p := range []string{"p", "q"} {
+		if v, ok := cfg.Get(p); ok {
+			eff[p] = v
+		}
+	}
+	if eff["p"] == "crash" {
+		panic("segfault")
+	}
+	return &storeInstance{effective: eff}, nil
+}
+
+// The constraint and misconfiguration fixtures mirror the in-package
+// ones in campaignstore_test.go.
+
+func basicC(p string) *constraint.Constraint {
+	return &constraint.Constraint{Kind: constraint.KindBasicType, Param: p, Basic: constraint.BasicString}
+}
+
+func rangeC(p string, min int64) *constraint.Constraint {
+	return &constraint.Constraint{Kind: constraint.KindRange, Param: p,
+		Intervals: []constraint.Interval{{HasMin: true, Min: min, Valid: true}}}
+}
+
+func mkSet(cs ...*constraint.Constraint) *constraint.Set {
+	s := constraint.NewSet("storefake")
+	for _, c := range cs {
+		s.Add(c)
+	}
+	return s
+}
+
+// misconfs builds n misconfigurations against c, with values cycling
+// through good / bad / crash so the campaign produces a mix of
+// reactions (including vulnerabilities).
+func misconfs(c *constraint.Constraint, n int) []confgen.Misconf {
+	values := []string{"good", "bad", "crash"}
+	var ms []confgen.Misconf
+	for i := 0; i < n; i++ {
+		ms = append(ms, confgen.Misconf{
+			ID: fmt.Sprintf("m%02d", i), Param: "p",
+			Values:   map[string]string{"p": values[i%len(values)]},
+			Violates: c,
+		})
+	}
+	return ms
+}
+
+// campaign runs one workload through shard.CampaignAll under the
+// store's writer lock and returns the system's report and store status.
+func campaign(t *testing.T, ctx context.Context, store *campaignstore.Store, sys sim.System, set *constraint.Set, ms []confgen.Misconf, opts shard.Options) (*inject.Report, campaignstore.Status, error) {
+	t.Helper()
+	lk, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := lk.Unlock(); err != nil {
+			t.Error(err)
+		}
+	}()
+	runs, err := shard.CampaignAll(ctx, lk.Set(), []shard.Workload{{Sys: sys, Set: set, Ms: ms}}, opts)
+	if err == nil {
+		err = runs[0].Err
+	}
+	return runs[0].Report, runs[0].Status, err
+}
+
+func defaults() shard.Options { return shard.Options{Inject: inject.DefaultOptions()} }
+
+func openStore(t *testing.T) *campaignstore.Store {
+	t.Helper()
+	store, err := campaignstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+func TestCampaignReplaysAcrossRuns(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 9)
+
+	// Run 1: full campaign, snapshot rebuilt from scratch.
+	rep1, st1, err := campaign(t, context.Background(), store, sys, set, ms, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.Replayed || st1.Fallback == "" || !st1.Saved {
+		t.Fatalf("first run status = %+v, want full-campaign fallback with a saved snapshot", st1)
+	}
+	if rep1.Replayed != 0 || rep1.TotalSimCost == 0 {
+		t.Fatalf("first run replayed=%d cost=%d, want a fully fresh campaign", rep1.Replayed, rep1.TotalSimCost)
+	}
+	boots1 := sys.boots.Load()
+	if boots1 != 9 {
+		t.Fatalf("first run booted %d times, want 9", boots1)
+	}
+
+	// Run 2: unchanged constraints — everything replays, zero fresh cost.
+	rep2, st2, err := campaign(t, context.Background(), store, sys, set, ms, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st2.Replayed || st2.Retests != 0 {
+		t.Fatalf("second run status = %+v, want replay with zero retests", st2)
+	}
+	if rep2.Replayed != 9 || rep2.TotalSimCost != 0 {
+		t.Fatalf("second run replayed=%d cost=%d, want 9/0", rep2.Replayed, rep2.TotalSimCost)
+	}
+	if sys.boots.Load() != boots1 {
+		t.Fatalf("second run booted the system %d extra times", sys.boots.Load()-boots1)
+	}
+	if got, want := rep2.CountByReaction(), rep1.CountByReaction(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed tallies differ: %v vs %v", got, want)
+	}
+
+	// Run 3: the constraint's identity changed — every misconfiguration
+	// violating it re-executes.
+	c2 := rangeC("p", 5)
+	rep3, st3, err := campaign(t, context.Background(), store, sys, mkSet(c2), misconfs(c2, 9), defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st3.Replayed || st3.Retests != 9 {
+		t.Fatalf("revision run status = %+v, want 9 delta retests", st3)
+	}
+	if rep3.TotalSimCost == 0 {
+		t.Fatal("revision run executed nothing fresh")
+	}
+}
+
+func TestCampaignDeltaRetestsOnlyAffected(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	cP := basicC("p")
+	cQ := rangeC("q", 1)
+	ms := misconfs(cP, 6)
+	ms = append(ms, confgen.Misconf{
+		ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ,
+	})
+
+	if _, _, err := campaign(t, context.Background(), store, sys, mkSet(cP, cQ), ms, defaults()); err != nil {
+		t.Fatal(err)
+	}
+	boots := sys.boots.Load()
+
+	// Revision moves q's range; p's six misconfigurations must replay
+	// and only q's re-executes.
+	cQ2 := rangeC("q", 4)
+	ms2 := append(append([]confgen.Misconf(nil), ms[:6]...), confgen.Misconf{
+		ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ2,
+	})
+	rep, st, err := campaign(t, context.Background(), store, sys, mkSet(cP, cQ2), ms2, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Replayed || st.Retests != 1 {
+		t.Fatalf("status = %+v, want exactly one delta retest", st)
+	}
+	if rep.Replayed != 6 {
+		t.Fatalf("replayed %d outcomes, want 6", rep.Replayed)
+	}
+	if got := sys.boots.Load() - boots; got != 1 {
+		t.Fatalf("revision booted %d times, want 1 (only q)", got)
+	}
+}
+
+// assertFullFallback reruns a campaign over a snapshot damaged by
+// damage and requires a full campaign whose fallback reason contains
+// want, followed by a valid rebuilt snapshot.
+func assertFullFallback(t *testing.T, want string, damage func([]byte) []byte) {
+	t.Helper()
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 6)
+	if _, _, err := campaign(t, context.Background(), store, sys, set, ms, defaults()); err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path(sys.Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boots := sys.boots.Load()
+	rep, st, err := campaign(t, context.Background(), store, sys, set, ms, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replayed || !strings.Contains(st.Fallback, want) {
+		t.Fatalf("status = %+v, want a %q fallback", st, want)
+	}
+	if rep.Replayed != 0 {
+		t.Fatalf("damaged snapshot replayed %d outcomes", rep.Replayed)
+	}
+	if got := sys.boots.Load() - boots; got != 6 {
+		t.Fatalf("fallback booted %d times, want the full 6", got)
+	}
+	if _, err := store.Load(sys.Name()); err != nil {
+		t.Fatalf("snapshot not rebuilt after fallback: %v", err)
+	}
+}
+
+func TestCampaignFallsBackOnStaleSnapshot(t *testing.T) {
+	assertFullFallback(t, "stale", func(data []byte) []byte {
+		return []byte(strings.Replace(string(data), campaignstore.SchemaFingerprint(), "v0-0123456789abcdef", 1))
+	})
+}
+
+// TestCampaignFallsBackOnCorruptBinary: a truncated snapshot triggers a
+// full campaign that rebuilds it, never a partial replay.
+func TestCampaignFallsBackOnCorruptBinary(t *testing.T) {
+	assertFullFallback(t, "corrupt", func(data []byte) []byte {
+		return data[:len(data)-5]
+	})
+}
+
+func TestCampaignFallsBackOnChangedOptions(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 6)
+	if _, _, err := campaign(t, context.Background(), store, sys, set, ms, defaults()); err != nil {
+		t.Fatal(err)
+	}
+	boots := sys.boots.Load()
+
+	// The optimizations change what SimCost/FailedTest measure, so a
+	// -no-optimizations run must not replay optimized outcomes.
+	noOpt := defaults()
+	noOpt.Inject.StopOnFirstFailure = false
+	noOpt.Inject.SortTests = false
+	rep, st, err := campaign(t, context.Background(), store, sys, set, ms, noOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replayed || !strings.Contains(st.Fallback, "options changed") {
+		t.Fatalf("status = %+v, want options-changed fallback", st)
+	}
+	if rep.Replayed != 0 || sys.boots.Load()-boots != 6 {
+		t.Fatalf("optimized outcomes replayed under -no-optimizations (replayed=%d, boots=%d)",
+			rep.Replayed, sys.boots.Load()-boots)
+	}
+
+	// The rebuilt snapshot replays for the same no-opt options...
+	rep2, st2, err := campaign(t, context.Background(), store, sys, set, ms, noOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st2.Replayed || rep2.Replayed != 6 {
+		t.Fatalf("no-opt snapshot did not replay for matching options: %+v", st2)
+	}
+}
+
+func TestCampaignCancelThenResume(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 20)
+
+	// Cancel after the third completed outcome; the campaign runs on a
+	// one-worker pool so exactly the finished prefix is recorded.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := defaults()
+	opts.Workers = 1
+	opts.OnProgress = func(p shard.Progress) {
+		if p.Done == 3 {
+			cancel()
+		}
+	}
+	rep, st, err := campaign(t, ctx, store, sys, set, ms, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !st.Saved {
+		t.Fatal("cancelled run did not save its partial snapshot")
+	}
+	finished := 0
+	for _, o := range rep.Outcomes {
+		if o.Err == "" {
+			finished++
+		}
+	}
+	snap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Outcomes) != finished {
+		t.Fatalf("snapshot holds %d outcomes, want the %d finished ones", len(snap.Outcomes), finished)
+	}
+	for _, o := range snap.Outcomes {
+		if o.Err != "" || o.Skipped {
+			t.Fatalf("snapshot cached an unfinished outcome: %+v", o)
+		}
+	}
+
+	// Resume: only the unfinished misconfigurations re-execute.
+	boots := sys.boots.Load()
+	rep2, st2, err := campaign(t, context.Background(), store, sys, set, ms, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st2.Replayed || st2.Retests != 0 {
+		t.Fatalf("resume status = %+v", st2)
+	}
+	if rep2.Replayed != finished {
+		t.Fatalf("resume replayed %d outcomes, want %d", rep2.Replayed, finished)
+	}
+	if got, want := int(sys.boots.Load()-boots), len(ms)-finished; got != want {
+		t.Fatalf("resume booted %d times, want exactly the %d unfinished", got, want)
+	}
+}

@@ -6,11 +6,12 @@
 // constraints the revision touched. Everything else replays from the
 // snapshot at zero simulated cost.
 //
-// A snapshot is a versioned JSON document saved atomically (write to a
-// temporary file, then rename) under a state directory, one file per
-// target system. Loading is fail-safe: a missing, corrupt, truncated or
-// schema-stale snapshot never replays outcomes — Load reports why, and
-// the drivers fall back to a full campaign that rebuilds the snapshot.
+// A snapshot is a versioned binary container (codec.go) saved atomically
+// (write to a temporary file, then rename) under a state directory, one
+// file per target system. Loading is fail-safe: a missing, corrupt,
+// truncated or schema-stale snapshot never replays outcomes — Load
+// reports why, and the drivers fall back to a full campaign that
+// rebuilds the snapshot.
 //
 // The schema fingerprint covers every encoding a snapshot depends on:
 // the store's own layout version, the numeric values of the env-action
@@ -24,9 +25,7 @@ package campaignstore
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -42,7 +41,6 @@ import (
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
-	"spex/internal/sim"
 )
 
 // SchemaVersion is the snapshot layout version. Bump it on any change
@@ -196,19 +194,11 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Snapshot file suffixes: snapSuffix is the binary container Save
-// writes; legacySuffix is the v2 JSON document format, still readable
-// so a JSON-era store loads transparently and migrates on its next
-// save.
-const (
-	snapSuffix   = ".campaign.snap"
-	legacySuffix = ".campaign.json"
-)
-
-// legacyJSONEnv, when set non-empty, makes Save write the legacy v2
-// JSON document instead of the binary container — the escape hatch CI
-// uses to manufacture JSON-era stores for migration coverage.
-const legacyJSONEnv = "SPEX_SNAPSHOT_JSON"
+// snapSuffix names the snapshot files Save writes. Any other file in
+// the state directory — including a <system>.campaign.json document of
+// the retired JSON format — is not a snapshot, so its system simply
+// campaigns in full again.
+const snapSuffix = ".campaign.snap"
 
 // safeName flattens a system name into a file-name-safe base.
 func safeName(system string) string {
@@ -221,54 +211,11 @@ func safeName(system string) string {
 	}, system)
 }
 
-// Path returns the snapshot file for the named system (the binary
-// container). A store written by a pre-binary build keeps its snapshot
-// at LegacyPath until the next save migrates it.
+// Path returns the snapshot file for the named system.
 func (s *Store) Path(system string) string {
 	// System names are short identifiers; flatten anything that would
 	// escape the state directory.
 	return filepath.Join(s.dir, safeName(system)+snapSuffix)
-}
-
-// LegacyPath returns the system's v2 JSON snapshot file.
-func (s *Store) LegacyPath(system string) string {
-	return filepath.Join(s.dir, safeName(system)+legacySuffix)
-}
-
-// decodeSnapshot unmarshals and validates one snapshot document — the
-// shared half of Load and LoadAll. label names the source in errors.
-// The format is sniffed from the content, not the file name: binary
-// containers open with the magic, anything else decodes as the legacy
-// v2 JSON document.
-func decodeSnapshot(data []byte, label string) (*Snapshot, error) {
-	if bytes.HasPrefix(data, snapMagic) {
-		return decodeBinarySnapshot(data, label)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("campaignstore: corrupt snapshot for %s: %w", label, err)
-	}
-	if snap.Schema != SchemaFingerprint() {
-		return nil, fmt.Errorf("%w: snapshot %q, this build %q", ErrStale, snap.Schema, SchemaFingerprint())
-	}
-	if snap.Constraints == nil {
-		return nil, fmt.Errorf("campaignstore: snapshot for %s has no constraint set", label)
-	}
-	if fp := snap.Constraints.Fingerprint(); fp != snap.SetFingerprint {
-		return nil, fmt.Errorf("campaignstore: snapshot for %s fails its constraint fingerprint (%s != %s)",
-			label, fp, snap.SetFingerprint)
-	}
-	// Outcomes missing a per-key stamp inherit the snapshot save time —
-	// the pre-Stamps freshness granularity.
-	if snap.Stamps == nil {
-		snap.Stamps = make(map[string]time.Time, len(snap.Outcomes))
-	}
-	for k := range snap.Outcomes {
-		if _, ok := snap.Stamps[k]; !ok {
-			snap.Stamps[k] = snap.SavedAt
-		}
-	}
-	return &snap, nil
 }
 
 // Load reads and validates the system's snapshot. It returns ErrNotExist
@@ -293,17 +240,12 @@ func (s *Store) Load(system string) (*Snapshot, error) {
 func (s *Store) load(system string) (*Snapshot, error) {
 	data, err := os.ReadFile(s.Path(system))
 	if errors.Is(err, os.ErrNotExist) {
-		// A store written by a pre-binary build keeps its snapshot at the
-		// legacy JSON path until the next save migrates it.
-		data, err = os.ReadFile(s.LegacyPath(system))
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
-		}
+		return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	snap, err := decodeSnapshot(data, system)
+	snap, err := decodeBinarySnapshot(data, system)
 	if err != nil {
 		return nil, err
 	}
@@ -330,12 +272,11 @@ func (s *Store) LoadAll() ([]*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaignstore: %w", err)
 		}
-		snap, err := decodeSnapshot(data, name)
+		snap, err := decodeBinarySnapshot(data, name)
 		if err != nil {
 			return nil, err
 		}
-		base := safeName(snap.System)
-		if name != base+snapSuffix && name != base+legacySuffix {
+		if base := safeName(snap.System); name != base+snapSuffix {
 			return nil, fmt.Errorf("campaignstore: %s names system %q, which belongs in %s",
 				name, snap.System, base+snapSuffix)
 		}
@@ -345,33 +286,16 @@ func (s *Store) LoadAll() ([]*Snapshot, error) {
 	return snaps, nil
 }
 
-// snapshotFiles lists the store's snapshot file names, one per system
-// base. When both a binary and a legacy JSON file exist for the same
-// base (only transiently possible — Save removes the legacy file after
-// a successful migration), the binary one wins.
+// snapshotFiles lists the store's snapshot file names.
 func (s *Store) snapshotFiles() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	binaries := map[string]bool{}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix) {
-			binaries[strings.TrimSuffix(e.Name(), snapSuffix)] = true
-		}
-	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(e.Name(), snapSuffix):
+		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix) {
 			names = append(names, e.Name())
-		case strings.HasSuffix(e.Name(), legacySuffix):
-			if !binaries[strings.TrimSuffix(e.Name(), legacySuffix)] {
-				names = append(names, e.Name())
-			}
 		}
 	}
 	return names, nil
@@ -386,11 +310,8 @@ func (s *Store) snapshotFiles() ([]string, error) {
 // subsequent run. With it, the final path only ever holds a complete
 // document (or the previous one).
 //
-// A successful save also migrates a JSON-era store (the legacy v2
-// document is removed once the binary file is in place) and rebuilds
-// the system's outcome-index sidecar, so the daemon's read path never
-// re-parses what was just written. Setting SPEX_SNAPSHOT_JSON=1 writes
-// the legacy JSON document instead (migration test coverage).
+// A successful save also rebuilds the system's outcome-index sidecar,
+// so the daemon's read path never re-parses what was just written.
 //
 // Save lives on *Lock, not *Store: the held writer lock is the one
 // capability for snapshot writes, so the "lock before you write" rule
@@ -400,24 +321,13 @@ func (l *Lock) Save(snap *Snapshot) error { return l.store.save(snap) }
 
 func (s *Store) save(snap *Snapshot) error {
 	start := time.Now()
-	legacy := os.Getenv(legacyJSONEnv) != ""
-	var err error
-	if legacy {
-		err = s.saveLegacyJSON(snap)
-	} else {
-		err = s.saveBinary(snap)
-	}
-	if err != nil {
+	if err := s.saveBinary(snap); err != nil {
 		mSaveErrors.Inc()
 		return err
 	}
 	mSaves.Inc()
 	mSaveSeconds.Observe(time.Since(start).Seconds())
-	path := s.Path(snap.System)
-	if legacy {
-		path = s.LegacyPath(snap.System)
-	}
-	if fi, statErr := os.Stat(path); statErr == nil {
+	if fi, statErr := os.Stat(s.Path(snap.System)); statErr == nil {
 		mSnapshotBytes.Observe(float64(fi.Size()))
 	}
 	return nil
@@ -445,56 +355,6 @@ func (s *Store) saveBinary(snap *Snapshot) error {
 	}
 	_, err = w.Close()
 	return err
-}
-
-// saveLegacyJSON is the pre-binary Save: the whole snapshot as one
-// indented JSON document at the legacy path. Kept (behind
-// SPEX_SNAPSHOT_JSON) so migration tests can manufacture JSON-era
-// stores with exactly the old writer.
-func (s *Store) saveLegacyJSON(snap *Snapshot) error {
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	final := s.LegacyPath(snap.System)
-	tmp, err := os.CreateTemp(s.dir, filepath.Base(final)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	// Make the rename itself durable. Directory fsync is best-effort:
-	// not every platform supports it, and the data fsync above already
-	// rules out the dangerous half (durable rename, lost data).
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	// A JSON-era writer supersedes any binary file for the system. This
-	// removal must not be best-effort: Load prefers the binary path, so
-	// a surviving stale binary would silently shadow the save we just
-	// made durable.
-	if err := os.Remove(s.Path(snap.System)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("campaignstore: removing superseded binary snapshot: %w", err)
-	}
-	// The index sidecar is derived data keyed by the snapshot's stat
-	// identity — a stale one fails validation and rebuilds — so its
-	// removal genuinely is best-effort.
-	_ = os.Remove(s.IndexPath(snap.System))
-	return nil
 }
 
 // WriteJSON persists an advisory JSON document atomically: marshalled
@@ -550,50 +410,34 @@ func (s *Store) List() ([]string, error) {
 	return systems, nil
 }
 
-// readSystemName extracts the system name from a snapshot file as
-// cheaply as the format allows: a binary container yields it from the
-// header frame without touching the outcome records; a legacy JSON
-// document must be read whole.
+// readSystemName extracts the system name from a snapshot file's
+// header frame without touching the outcome records.
 func readSystemName(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
+	br := bufio.NewReader(f)
 	magic := make([]byte, len(snapMagic))
-	if n, _ := io.ReadFull(f, magic); n == len(snapMagic) && bytes.Equal(magic, snapMagic) {
-		br := bufio.NewReader(f)
-		blobLen, err := binary.ReadUvarint(br)
-		if err != nil || blobLen > maxFrameLen {
-			return "", fmt.Errorf("campaignstore: corrupt header in %s", path)
-		}
-		head := make([]byte, blobLen)
-		if _, err := io.ReadFull(br, head); err != nil {
-			return "", fmt.Errorf("campaignstore: corrupt header in %s", path)
-		}
-		var hdr struct {
-			System string `json:"system"`
-		}
-		if err := json.Unmarshal(head, &hdr); err != nil {
-			return "", err
-		}
-		return hdr.System, nil
+	if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, snapMagic) {
+		return "", fmt.Errorf("campaignstore: %s is not a snapshot", path)
 	}
-	data, err := os.ReadFile(path)
+	head, err := readFrame(br)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("campaignstore: corrupt header in %s: %v", path, err)
 	}
-	var head struct {
+	var hdr struct {
 		System string `json:"system"`
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
+	if err := json.Unmarshal(head, &hdr); err != nil {
 		return "", err
 	}
-	return head.System, nil
+	return hdr.System, nil
 }
 
 // lockName is the store's exclusive-writer mark. It does not end in
-// .campaign.json, so List/LoadAll never mistake it for a snapshot. The
+// .campaign.snap, so List/LoadAll never mistake it for a snapshot. The
 // same suffix names the per-system lock files (<system>.spex.lock), so
 // a directory scan for held claims is one suffix match.
 const lockName = ".spex.lock"
@@ -1053,7 +897,8 @@ func (ls *LockSet) Unlock() error {
 	return first
 }
 
-// Status describes how one Campaign call used the store.
+// Status describes how one system's campaign used the store: Prepare's
+// replay decision, and whether shard.CampaignAll saved the result.
 type Status struct {
 	// Replayed reports that a valid snapshot was loaded and the run was
 	// incremental.
@@ -1079,9 +924,9 @@ type Status struct {
 // entries are pruned; on a missing, invalid, or options-mismatched
 // snapshot the cache stays empty and Status.Fallback says why — the
 // caller runs a full campaign either way, with the cache deciding what
-// replays. This is the one copy of the snapshot-replay policy, shared
-// by Campaign (per-system) and the global cross-target scheduler
-// (internal/shard CampaignAll).
+// replays. This is the one copy of the snapshot-replay policy; its
+// caller is the cross-target campaign scheduler (internal/shard
+// CampaignAll), which saves the updated snapshot afterwards.
 //
 // keep lists cache keys outside ms that must survive the prune: a shard
 // process running against a store that also holds its peers' outcomes
@@ -1115,9 +960,8 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 	st.Retests = len(retests)
 	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
 	mPrepareRetests.Add(uint64(len(retests)))
-	// The cache prep of inject.RunSelected: evict the delta so it
-	// re-executes, prune entries that left the campaign — but never the
-	// keys the caller vouched for.
+	// Evict the delta so it re-executes, and prune entries that left the
+	// campaign — but never the keys the caller vouched for.
 	for _, m := range retests {
 		cache.Delete(inject.CacheKey(m))
 	}
@@ -1130,42 +974,4 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 	}
 	cache.Retain(current)
 	return st, snap.Stamps
-}
-
-// Campaign runs one system's injection campaign against the store: load
-// the snapshot, Diff the stored constraint set against set (the fresh
-// inference), re-execute only the delta-selected misconfigurations, and
-// save the updated snapshot. When the snapshot is missing, fails
-// validation, or was recorded under different outcome-affecting options
-// (OptionsID), the campaign runs in full and the snapshot is rebuilt.
-//
-// Cancellation keeps the persisted state consistent: outcomes that
-// errored, were cancelled mid-boot, or never started are never cached
-// (the engine records only err-free results), so the snapshot saved
-// after a cancelled run holds exactly the finished outcomes and the
-// next run re-executes exactly the unfinished ones.
-//
-// The lock handle is the write capability (SystemLock.Save), so
-// Campaign takes the held *SystemLock rather than a bare store — a
-// caller cannot reach the snapshot save without having acquired the
-// system's writer lock (or a whole-directory lock viewed through
-// Lock.Set) first.
-func Campaign(ctx context.Context, lock *SystemLock, sys sim.System, set *constraint.Set, ms []confgen.Misconf, opts inject.Options) (*inject.Report, Status, error) {
-	cache := inject.NewResultCache()
-	st, _ := lock.Store().Prepare(sys.Name(), set, ms, opts, nil, cache)
-	opts.Cache = cache
-	rep, runErr := inject.RunContext(ctx, sys, ms, opts)
-
-	if rep != nil {
-		// Save even after cancellation: the cache holds only finished
-		// outcomes, so the next run resumes where this one stopped.
-		if err := lock.Save(New(sys.Name(), set, opts, cache.Snapshot())); err != nil {
-			if runErr != nil {
-				return rep, st, fmt.Errorf("%w (and saving the snapshot failed: %v)", runErr, err)
-			}
-			return rep, st, err
-		}
-		st.Saved = true
-	}
-	return rep, st, runErr
 }

@@ -1,72 +1,19 @@
 package campaignstore
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"spex/internal/conffile"
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
-	"spex/internal/sim"
 )
-
-// storeSystem is a minimal sim.System whose boots are counted, so tests
-// can assert exactly which misconfigurations re-executed vs replayed.
-type storeSystem struct {
-	boots atomic.Int32
-}
-
-func (s *storeSystem) Name() string                       { return "storefake" }
-func (s *storeSystem) Description() string                { return "fake target for store tests" }
-func (s *storeSystem) Syntax() conffile.Syntax            { return conffile.SyntaxEquals }
-func (s *storeSystem) DefaultConfig() string              { return "p = good\nq = 1\n" }
-func (s *storeSystem) Sources() map[string]string         { return nil }
-func (s *storeSystem) Annotations() string                { return "" }
-func (s *storeSystem) Manual() map[string]sim.ManualEntry { return nil }
-func (s *storeSystem) GroundTruth() *constraint.Set       { return constraint.NewSet("storefake") }
-func (s *storeSystem) SetupEnv(env *sim.Env)              {}
-func (s *storeSystem) Tests() []sim.FuncTest {
-	return []sim.FuncTest{{
-		Name: "ping", Weight: 2,
-		Run: func(env *sim.Env, inst sim.Instance) error {
-			if v, _ := inst.Effective("p"); v == "bad" {
-				return fmt.Errorf("request failed")
-			}
-			return nil
-		},
-	}}
-}
-
-type storeInstance struct{ effective map[string]string }
-
-func (i *storeInstance) Effective(p string) (string, bool) {
-	v, ok := i.effective[p]
-	return v, ok
-}
-func (i *storeInstance) Stop() {}
-
-func (s *storeSystem) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
-	s.boots.Add(1)
-	eff := map[string]string{}
-	for _, p := range []string{"p", "q"} {
-		if v, ok := cfg.Get(p); ok {
-			eff[p] = v
-		}
-	}
-	if eff["p"] == "crash" {
-		panic("segfault")
-	}
-	return &storeInstance{effective: eff}, nil
-}
 
 func basicC(p string) *constraint.Constraint {
 	return &constraint.Constraint{Kind: constraint.KindBasicType, Param: p, Basic: constraint.BasicString}
@@ -168,36 +115,45 @@ func TestLoadRejectsStaleSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := mkSet(basicC("p"))
-	// Write the snapshot as an older (pre-binary) build would have: a
-	// legacy JSON document carrying a foreign schema fingerprint.
-	snap := New("storefake", set, inject.DefaultOptions(), nil)
-	snap.Schema = "v0-deadbeefdeadbeef"
-	data, err := json.Marshal(snap)
+	// A snapshot written by a build with a different schema fingerprint
+	// must never replay.
+	if err := store.save(New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := os.ReadFile(store.Path("storefake"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(store.LegacyPath("storefake"), data, 0o644); err != nil {
+	bin = []byte(strings.Replace(string(bin), SchemaFingerprint(), "v0-0123456789abcdef", 1))
+	if err := os.WriteFile(store.Path("storefake"), bin, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Load("storefake"); !errors.Is(err, ErrStale) {
 		t.Fatalf("err = %v, want ErrStale", err)
 	}
+}
 
-	// The same staleness check guards the binary container's header.
-	if err := store.save(New("storefake2", set, inject.DefaultOptions(), nil)); err != nil {
-		t.Fatal(err)
-	}
-	bin, err := os.ReadFile(store.Path("storefake2"))
+// TestJSONSnapshotIsNotASnapshot: the retired JSON document format is
+// not read. A leftover <system>.campaign.json is invisible to Load and
+// List, so its system campaigns in full again.
+func TestJSONSnapshotIsNotASnapshot(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin = []byte(strings.Replace(string(bin), SchemaFingerprint(), "v0-0123456789abcdef", 1))
-	if err := os.WriteFile(store.Path("storefake2"), bin, 0o644); err != nil {
+	data, err := json.Marshal(New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), nil))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Load("storefake2"); !errors.Is(err, ErrStale) {
-		t.Fatalf("binary err = %v, want ErrStale", err)
+	if err := os.WriteFile(filepath.Join(dir, "storefake.campaign.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load("storefake"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Load = %v, want ErrNotExist", err)
+	}
+	if systems, err := store.List(); err != nil || len(systems) != 0 {
+		t.Fatalf("List = %v, %v, want no systems", systems, err)
 	}
 }
 
@@ -213,253 +169,6 @@ func TestLoadRejectsFingerprintMismatch(t *testing.T) {
 	}
 	if _, err := store.Load("storefake"); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("err = %v, want constraint fingerprint failure", err)
-	}
-}
-
-func TestCampaignReplaysAcrossRuns(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	c := basicC("p")
-	set := mkSet(c)
-	ms := misconfs(c, 9)
-	opts := inject.DefaultOptions()
-
-	// Run 1: full campaign, snapshot rebuilt from scratch.
-	rep1, st1, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Replayed || st1.Fallback == "" || !st1.Saved {
-		t.Fatalf("first run status = %+v, want full-campaign fallback with a saved snapshot", st1)
-	}
-	if rep1.Replayed != 0 || rep1.TotalSimCost == 0 {
-		t.Fatalf("first run replayed=%d cost=%d, want a fully fresh campaign", rep1.Replayed, rep1.TotalSimCost)
-	}
-	boots1 := sys.boots.Load()
-	if boots1 != 9 {
-		t.Fatalf("first run booted %d times, want 9", boots1)
-	}
-
-	// Run 2: unchanged constraints — everything replays, zero fresh cost.
-	rep2, st2, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Replayed || st2.Retests != 0 {
-		t.Fatalf("second run status = %+v, want replay with zero retests", st2)
-	}
-	if rep2.Replayed != 9 || rep2.TotalSimCost != 0 {
-		t.Fatalf("second run replayed=%d cost=%d, want 9/0", rep2.Replayed, rep2.TotalSimCost)
-	}
-	if sys.boots.Load() != boots1 {
-		t.Fatalf("second run booted the system %d extra times", sys.boots.Load()-boots1)
-	}
-	if got, want := rep2.CountByReaction(), rep1.CountByReaction(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("replayed tallies differ: %v vs %v", got, want)
-	}
-
-	// Run 3: the constraint's identity changed — every misconfiguration
-	// violating it re-executes.
-	c2 := rangeC("p", 5)
-	set2 := mkSet(c2)
-	ms2 := misconfs(c2, 9)
-	rep3, st3, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set2, ms2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st3.Replayed || st3.Retests != 9 {
-		t.Fatalf("revision run status = %+v, want 9 delta retests", st3)
-	}
-	if rep3.TotalSimCost == 0 {
-		t.Fatal("revision run executed nothing fresh")
-	}
-}
-
-func TestCampaignDeltaRetestsOnlyAffected(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	cP := basicC("p")
-	cQ := rangeC("q", 1)
-	ms := misconfs(cP, 6)
-	ms = append(ms, confgen.Misconf{
-		ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ,
-	})
-
-	if _, _, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, mkSet(cP, cQ), ms, inject.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	boots := sys.boots.Load()
-
-	// Revision moves q's range; p's six misconfigurations must replay
-	// and only q's re-executes.
-	cQ2 := rangeC("q", 4)
-	ms2 := append(append([]confgen.Misconf(nil), ms[:6]...), confgen.Misconf{
-		ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ2,
-	})
-	rep, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, mkSet(cP, cQ2), ms2, inject.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Replayed || st.Retests != 1 {
-		t.Fatalf("status = %+v, want exactly one delta retest", st)
-	}
-	if rep.Replayed != 6 {
-		t.Fatalf("replayed %d outcomes, want 6", rep.Replayed)
-	}
-	if got := sys.boots.Load() - boots; got != 1 {
-		t.Fatalf("revision booted %d times, want 1 (only q)", got)
-	}
-}
-
-func TestCampaignFallsBackOnStaleSnapshot(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	c := basicC("p")
-	set := mkSet(c)
-	ms := misconfs(c, 6)
-	if _, _, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the snapshot's schema in place.
-	data, err := os.ReadFile(store.Path(sys.Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = []byte(strings.Replace(string(data), SchemaFingerprint(), "v0-0123456789abcdef", 1))
-	if err := os.WriteFile(store.Path(sys.Name()), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	boots := sys.boots.Load()
-	rep, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Replayed || !strings.Contains(st.Fallback, "stale") {
-		t.Fatalf("status = %+v, want stale-schema fallback", st)
-	}
-	if rep.Replayed != 0 {
-		t.Fatalf("stale snapshot replayed %d outcomes", rep.Replayed)
-	}
-	if got := sys.boots.Load() - boots; got != 6 {
-		t.Fatalf("fallback booted %d times, want the full 6", got)
-	}
-	// The rebuilt snapshot is valid again.
-	if _, err := store.Load(sys.Name()); err != nil {
-		t.Fatalf("snapshot not rebuilt after fallback: %v", err)
-	}
-}
-
-func TestCampaignFallsBackOnChangedOptions(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	c := basicC("p")
-	set := mkSet(c)
-	ms := misconfs(c, 6)
-	if _, _, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	boots := sys.boots.Load()
-
-	// The optimizations change what SimCost/FailedTest measure, so a
-	// -no-optimizations run must not replay optimized outcomes.
-	noOpt := inject.DefaultOptions()
-	noOpt.StopOnFirstFailure = false
-	noOpt.SortTests = false
-	rep, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, noOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Replayed || !strings.Contains(st.Fallback, "options changed") {
-		t.Fatalf("status = %+v, want options-changed fallback", st)
-	}
-	if rep.Replayed != 0 || sys.boots.Load()-boots != 6 {
-		t.Fatalf("optimized outcomes replayed under -no-optimizations (replayed=%d, boots=%d)",
-			rep.Replayed, sys.boots.Load()-boots)
-	}
-
-	// The rebuilt snapshot replays for the same no-opt options...
-	rep2, st2, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, noOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Replayed || rep2.Replayed != 6 {
-		t.Fatalf("no-opt snapshot did not replay for matching options: %+v", st2)
-	}
-}
-
-func TestCampaignCancelThenResume(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	c := basicC("p")
-	set := mkSet(c)
-	ms := misconfs(c, 20)
-
-	// Cancel after the third completed outcome; the campaign runs
-	// sequentially so exactly the finished prefix is recorded.
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := inject.DefaultOptions()
-	opts.Workers = 1
-	opts.Progress = func(p inject.Progress) {
-		if p.Done == 3 {
-			cancel()
-		}
-	}
-	rep, st, err := Campaign(ctx, testWriter(store, sys.Name()), sys, set, ms, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !st.Saved {
-		t.Fatal("cancelled run did not save its partial snapshot")
-	}
-	finished := 0
-	for _, o := range rep.Outcomes {
-		if o.Err == "" {
-			finished++
-		}
-	}
-	snap, err := store.Load(sys.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Outcomes) != finished {
-		t.Fatalf("snapshot holds %d outcomes, want the %d finished ones", len(snap.Outcomes), finished)
-	}
-	for _, o := range snap.Outcomes {
-		if o.Err != "" || o.Skipped {
-			t.Fatalf("snapshot cached an unfinished outcome: %+v", o)
-		}
-	}
-
-	// Resume: only the unfinished misconfigurations re-execute.
-	boots := sys.boots.Load()
-	rep2, st2, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Replayed || st2.Retests != 0 {
-		t.Fatalf("resume status = %+v", st2)
-	}
-	if rep2.Replayed != finished {
-		t.Fatalf("resume replayed %d outcomes, want %d", rep2.Replayed, finished)
-	}
-	if got, want := int(sys.boots.Load()-boots), len(ms)-finished; got != want {
-		t.Fatalf("resume booted %d times, want exactly the %d unfinished", got, want)
 	}
 }
 
@@ -730,12 +439,4 @@ func TestUnlockAfterTakeoverLeavesSuccessorLock(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, lockName)); err != nil {
 		t.Errorf("the displaced holder's Unlock removed the successor's lock: %v", err)
 	}
-}
-
-// testWriter returns a write-capable per-system handle without
-// claiming the lock file: these tests exercise Campaign's replay logic
-// against private temp stores, and the lock-file contract has its own
-// tests above.
-func testWriter(s *Store, system string) *SystemLock {
-	return &SystemLock{store: s, system: system}
 }

@@ -1,9 +1,6 @@
-// Binary snapshot container: the storage format behind Save since the
-// read-path refactor. The JSON document format (now "legacy v2") held
-// every outcome in one json.MarshalIndent blob, so both ends of the
-// pipeline were O(whole snapshot in RAM) and the daemon re-parsed
-// megabytes per table request. The binary container is a stream of
-// length-prefixed records:
+// Binary snapshot container: the one storage format behind Save. It is
+// a stream of length-prefixed records, so both ends of the pipeline
+// handle one outcome at a time instead of the whole snapshot:
 //
 //	magic "SPEXSNP1"
 //	uvarint len | header JSON   (schema, system, saved_at, options,
@@ -25,11 +22,9 @@
 // pass, and it lets shard.Merge fold k shard files with a k-way merge
 // that holds one record per shard in memory.
 //
-// The logical schema (SchemaVersion, SchemaFingerprint) is unchanged by
-// the container: a binary snapshot and its legacy JSON form carry the
-// same schema fingerprint and the same Snapshot.Fingerprint, which is
-// what lets a v2 JSON store migrate to binary on its next save without
-// perturbing replay equivalence checks.
+// Every length prefix is untrusted input: frames are read without
+// preallocating the claimed length (readFrameBody), so a corrupt prefix
+// costs what the file actually holds, not up to maxFrameLen.
 package campaignstore
 
 import (
@@ -45,7 +40,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"spex/internal/inject"
@@ -54,9 +49,48 @@ import (
 // snapMagic opens every binary snapshot file.
 var snapMagic = []byte("SPEXSNP1")
 
-// maxFrameLen bounds any single length prefix — a corrupt prefix must
-// not turn into a multi-gigabyte allocation.
+// maxFrameLen bounds any single length prefix.
 const maxFrameLen = 1 << 30
+
+// frameChunk is the most a frame read allocates before any of its bytes
+// have arrived; larger frames grow as they are read.
+const frameChunk = 1 << 20
+
+// frameReader is the source a length-prefixed frame is read from.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// readFrame reads one uvarint-length-prefixed frame.
+func readFrame(r frameReader) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, errors.New("truncated length prefix")
+	}
+	return readFrameBody(r, n)
+}
+
+// readFrameBody reads a frame of n bytes. The buffer grows with the
+// bytes that actually arrive, so a corrupt length prefix over a short
+// file allocates at most frameChunk, never the claimed length.
+func readFrameBody(r io.Reader, n uint64) ([]byte, error) {
+	if n > maxFrameLen {
+		return nil, fmt.Errorf("frame length %d exceeds limit", n)
+	}
+	b := make([]byte, 0, min(n, frameChunk))
+	for uint64(len(b)) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, int(min(n, 2*uint64(len(b))))-len(b))
+		}
+		m, err := io.ReadFull(r, b[len(b):min(uint64(cap(b)), n)])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, errors.New("truncated frame")
+		}
+	}
+	return b, nil
+}
 
 // Fingerprinter folds Snapshot.Fingerprint incrementally: the same hash
 // as the in-memory method, computed record by record in ascending key
@@ -262,11 +296,10 @@ func (c *crcStream) Read(p []byte) (int, error) {
 
 // SnapshotDecoder streams a binary snapshot: NewSnapshotDecoder
 // validates the header (magic, schema staleness, constraint
-// fingerprint — the same fail-safe checks as the JSON path), then Next
-// yields one record at a time in ascending key order; after the last
-// record the trailer's count and CRC are verified, so a truncated or
-// bit-flipped file surfaces as an error before the caller trusts the
-// stream was complete.
+// fingerprint), then Next yields one record at a time in ascending key
+// order; after the last record the trailer's count and CRC are
+// verified, so a truncated or bit-flipped file surfaces as an error
+// before the caller trusts the stream was complete.
 type SnapshotDecoder struct {
 	s     *crcStream
 	hdr   *Snapshot
@@ -283,16 +316,16 @@ func (d *SnapshotDecoder) corruptf(format string, args ...any) error {
 
 // NewSnapshotDecoder reads and validates the container header. label
 // names the source in errors. The reader must be positioned at the
-// magic (callers sniff the first 8 bytes to pick binary vs JSON).
+// magic.
 func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 	d := &SnapshotDecoder{s: &crcStream{br: bufio.NewReaderSize(r, 1<<16)}, label: label}
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(d.s, magic); err != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, d.corruptf("bad magic")
 	}
-	head, err := d.readBlob()
+	head, err := readFrame(d.s)
 	if err != nil {
-		return nil, err
+		return nil, d.corruptf("header: %v", err)
 	}
 	var hdr snapshotHeader
 	if err := json.Unmarshal(head, &hdr); err != nil {
@@ -327,21 +360,6 @@ func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 // Header returns the decoded snapshot metadata (Outcomes/Stamps nil).
 func (d *SnapshotDecoder) Header() *Snapshot { return d.hdr }
 
-func (d *SnapshotDecoder) readBlob() ([]byte, error) {
-	n, err := binary.ReadUvarint(d.s)
-	if err != nil {
-		return nil, d.corruptf("truncated length prefix")
-	}
-	if n > maxFrameLen {
-		return nil, d.corruptf("frame length %d exceeds limit", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.s, b); err != nil {
-		return nil, d.corruptf("truncated frame")
-	}
-	return b, nil
-}
-
 // Next returns the next outcome record. After the final record it
 // verifies the trailer and returns io.EOF. The returned outJSON is the
 // record's compact outcome encoding (what the fingerprint hashes); out
@@ -374,12 +392,9 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		d.done = true
 		return "", time.Time{}, nil, inject.Outcome{}, io.EOF
 	}
-	if n > maxFrameLen {
-		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("key length %d exceeds limit", n)
-	}
-	kb := make([]byte, n)
-	if _, rerr := io.ReadFull(d.s, kb); rerr != nil {
-		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated key")
+	kb, rerr := readFrameBody(d.s, n)
+	if rerr != nil {
+		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("key: %v", rerr)
 	}
 	key = string(kb)
 	if d.last != "" && key <= d.last {
@@ -391,9 +406,9 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated stamp")
 	}
 	stamp = time.Unix(0, nano).UTC()
-	outJSON, err = d.readBlob()
-	if err != nil {
-		return "", time.Time{}, nil, inject.Outcome{}, err
+	outJSON, rerr = readFrame(d.s)
+	if rerr != nil {
+		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
 	}
 	if rerr := json.Unmarshal(outJSON, &out); rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
@@ -429,15 +444,11 @@ func decodeBinarySnapshot(data []byte, label string) (*Snapshot, error) {
 }
 
 // SnapshotIter streams one snapshot file's records in ascending key
-// order — the shard merge's per-source cursor. A binary container is
-// truly streamed (one record in memory at a time); a legacy v2 JSON
-// document has no record framing, so it is materialized once and
-// replayed in key order — memory is bounded by that single legacy file,
-// never by the whole shard set.
+// order, one record in memory at a time — the shard merge's per-source
+// cursor.
 type SnapshotIter struct {
-	hdr  *Snapshot
-	next func() (string, time.Time, inject.Outcome, error)
-	f    *os.File
+	d *SnapshotDecoder
+	f *os.File
 }
 
 // OpenSnapshotIter opens the snapshot file at path for streaming reads.
@@ -449,58 +460,24 @@ func OpenSnapshotIter(path, label string) (*SnapshotIter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	peek, _ := br.Peek(len(snapMagic))
-	if bytes.Equal(peek, snapMagic) {
-		d, err := NewSnapshotDecoder(br, label)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return &SnapshotIter{hdr: d.Header(), f: f, next: func() (string, time.Time, inject.Outcome, error) {
-			k, stamp, _, out, err := d.Next()
-			return k, stamp, out, err
-		}}, nil
-	}
-	data, err := io.ReadAll(br)
-	f.Close()
+	d, err := NewSnapshotDecoder(f, label)
 	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	snap, err := decodeSnapshot(data, label)
-	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	keys := make([]string, 0, len(snap.Outcomes))
-	for k := range snap.Outcomes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	i := 0
-	return &SnapshotIter{hdr: snap, next: func() (string, time.Time, inject.Outcome, error) {
-		if i >= len(keys) {
-			return "", time.Time{}, inject.Outcome{}, io.EOF
-		}
-		k := keys[i]
-		i++
-		return k, snap.Stamps[k], snap.Outcomes[k], nil
-	}}, nil
+	return &SnapshotIter{d: d, f: f}, nil
 }
 
-// Header returns the source snapshot's metadata (for a binary source,
-// Outcomes/Stamps are nil — the records only exist in the stream).
-func (it *SnapshotIter) Header() *Snapshot { return it.hdr }
+// Header returns the source snapshot's metadata (Outcomes/Stamps nil —
+// the records only exist in the stream).
+func (it *SnapshotIter) Header() *Snapshot { return it.d.Header() }
 
-// Next returns the next record, or io.EOF after the last one (for a
-// binary source, only once the trailer verified the stream complete).
+// Next returns the next record, or io.EOF once the trailer verified the
+// stream complete.
 func (it *SnapshotIter) Next() (key string, stamp time.Time, out inject.Outcome, err error) {
-	return it.next()
+	key, stamp, _, out, err = it.d.Next()
+	return key, stamp, out, err
 }
 
 // Close releases the underlying file.
-func (it *SnapshotIter) Close() error {
-	if it.f != nil {
-		return it.f.Close()
-	}
-	return nil
-}
+func (it *SnapshotIter) Close() error { return it.f.Close() }

@@ -2,7 +2,6 @@ package campaignstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"testing"
@@ -60,9 +59,9 @@ func encodeBinary(snap *Snapshot) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// BenchmarkSnapshotCodec compares the binary container against the
-// legacy JSON document on the same 5000-outcome snapshot. SetBytes
-// reports MB/s over each format's own encoded size.
+// BenchmarkSnapshotCodec measures the binary container's encode and
+// decode on a 5000-outcome snapshot. SetBytes reports MB/s over the
+// encoded size.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	snap := benchSnapshot(5000)
 
@@ -70,13 +69,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The legacy writer used MarshalIndent; plain Marshal is the
-	// conservative (faster) baseline.
-	jsonData, err := json.Marshal(snap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("encoded size: binary %d bytes, json %d bytes", len(bin), len(jsonData))
+	b.Logf("encoded size: %d bytes", len(bin))
 
 	b.Run("encode/binary", func(b *testing.B) {
 		b.SetBytes(int64(len(bin)))
@@ -86,26 +79,10 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("encode/json", func(b *testing.B) {
-		b.SetBytes(int64(len(jsonData)))
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(snap); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("decode/binary", func(b *testing.B) {
 		b.SetBytes(int64(len(bin)))
 		for i := 0; i < b.N; i++ {
 			if _, err := decodeBinarySnapshot(bin, "benchsys"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/json", func(b *testing.B) {
-		b.SetBytes(int64(len(jsonData)))
-		for i := 0; i < b.N; i++ {
-			if _, err := decodeSnapshot(jsonData, "benchsys"); err != nil {
 				b.Fatal(err)
 			}
 		}

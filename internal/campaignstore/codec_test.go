@@ -2,9 +2,10 @@ package campaignstore
 
 import (
 	"bytes"
-	"context"
+	"encoding/binary"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // fixtureOutcomes builds a deterministic outcome map large enough to
 // exercise multi-record streaming.
-func fixtureOutcomes(t *testing.T, n int) map[string]inject.Outcome {
+func fixtureOutcomes(t testing.TB, n int) map[string]inject.Outcome {
 	t.Helper()
 	c := basicC("p")
 	out := make(map[string]inject.Outcome, n)
@@ -51,9 +52,6 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(data, snapMagic) {
 		t.Fatalf("saved snapshot does not start with the binary magic: % x", data[:8])
 	}
-	if _, err := os.Stat(store.LegacyPath("storefake")); !os.IsNotExist(err) {
-		t.Fatalf("binary save left a legacy JSON file: %v", err)
-	}
 
 	got, err := store.Load("storefake")
 	if err != nil {
@@ -79,71 +77,6 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 		if got.Stamps[k].IsZero() {
 			t.Fatalf("key %s lost its freshness stamp", k)
 		}
-	}
-}
-
-// TestLegacyJSONMigratesOnSave is the format-compat contract: a v2 JSON
-// store (produced by the previous format via the SPEX_SNAPSHOT_JSON
-// hatch) loads transparently, and the next save migrates it to the
-// binary container with an identical snapshot fingerprint — migration
-// never perturbs replay equivalence.
-func TestLegacyJSONMigratesOnSave(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := mkSet(basicC("p"))
-	outcomes := fixtureOutcomes(t, 12)
-
-	t.Setenv(legacyJSONEnv, "1")
-	if err := store.save(New("storefake", set, inject.DefaultOptions(), outcomes)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(store.LegacyPath("storefake")); err != nil {
-		t.Fatalf("legacy hatch did not write the JSON file: %v", err)
-	}
-	if _, err := os.Stat(store.Path("storefake")); !os.IsNotExist(err) {
-		t.Fatalf("legacy hatch wrote a binary file too: %v", err)
-	}
-	t.Setenv(legacyJSONEnv, "")
-
-	// The JSON-era store loads transparently through the same API.
-	snap, err := store.Load("storefake")
-	if err != nil {
-		t.Fatalf("legacy JSON store did not load: %v", err)
-	}
-	legacyFP, err := snap.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names, err := store.List(); err != nil || len(names) != 1 || names[0] != "storefake" {
-		t.Fatalf("List over a legacy store = %v, %v", names, err)
-	}
-
-	// Saving migrates: binary appears, the JSON file is removed, and
-	// the fingerprint is bit-identical.
-	if err := store.save(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(store.Path("storefake")); err != nil {
-		t.Fatalf("migration did not write the binary file: %v", err)
-	}
-	if _, err := os.Stat(store.LegacyPath("storefake")); !os.IsNotExist(err) {
-		t.Fatalf("migration left the legacy JSON file behind: %v", err)
-	}
-	migrated, err := store.Load("storefake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	migratedFP, err := migrated.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migratedFP != legacyFP {
-		t.Fatalf("migration changed the snapshot fingerprint: %s != %s", migratedFP, legacyFP)
-	}
-	if !reflect.DeepEqual(migrated.Outcomes, snap.Outcomes) {
-		t.Fatal("migration changed the outcome map")
 	}
 }
 
@@ -180,48 +113,6 @@ func TestCorruptBinarySnapshotRejected(t *testing.T) {
 	}
 	if _, err := store.Load("storefake"); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("bit flip loaded anyway: %v", err)
-	}
-}
-
-// TestCampaignFallsBackOnCorruptBinary: the fail-safe semantics carry
-// over from the JSON era — a truncated binary snapshot triggers a full
-// campaign that rebuilds it, never a partial replay.
-func TestCampaignFallsBackOnCorruptBinary(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &storeSystem{}
-	c := basicC("p")
-	set := mkSet(c)
-	ms := misconfs(c, 6)
-	if _, _, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(store.Path(sys.Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.Path(sys.Name()), data[:len(data)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	boots := sys.boots.Load()
-	rep, st, err := Campaign(context.Background(), testWriter(store, sys.Name()), sys, set, ms, inject.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Replayed || !strings.Contains(st.Fallback, "corrupt") {
-		t.Fatalf("status = %+v, want corrupt-snapshot fallback", st)
-	}
-	if rep.Replayed != 0 {
-		t.Fatalf("corrupt snapshot replayed %d outcomes", rep.Replayed)
-	}
-	if got := sys.boots.Load() - boots; got != 6 {
-		t.Fatalf("fallback booted %d times, want the full 6", got)
-	}
-	if _, err := store.Load(sys.Name()); err != nil {
-		t.Fatalf("snapshot not rebuilt after fallback: %v", err)
 	}
 }
 
@@ -284,4 +175,83 @@ func TestLoadIndexSidecar(t *testing.T) {
 	if len(again.Docs) != len(outcomes) {
 		t.Fatalf("stale sidecar served: %d docs, want %d", len(again.Docs), len(outcomes))
 	}
+}
+
+// corruptPrefixFile is a 15-byte snapshot whose header frame claims
+// 1 GiB: the magic, uvarint 1<<30, then two bytes of JSON.
+func corruptPrefixFile() []byte {
+	b := append([]byte(nil), snapMagic...)
+	b = binary.AppendUvarint(b, 1<<30)
+	return append(b, "{}"...)
+}
+
+// TestCorruptLengthPrefixDoesNotAllocate: a length prefix is untrusted
+// input. Loading and listing a tiny file whose prefix claims 1 GiB must
+// fail without allocating anything near the claimed length.
+func TestCorruptLengthPrefixDoesNotAllocate(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := corruptPrefixFile()
+	if len(data) != 15 {
+		t.Fatalf("fixture is %d bytes, want 15", len(data))
+	}
+	if err := os.WriteFile(store.Path("storefake"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, loadErr := store.Load("storefake")
+	systems, listErr := store.List()
+	runtime.ReadMemStats(&after)
+	if loadErr == nil || !strings.Contains(loadErr.Error(), "corrupt") {
+		t.Errorf("Load = %v, want a corrupt-snapshot error", loadErr)
+	}
+	if listErr != nil || len(systems) != 0 {
+		t.Errorf("List = %v, %v, want no systems", systems, listErr)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 64<<20 {
+		t.Errorf("Load+List allocated %d MiB for a 15-byte file", delta>>20)
+	}
+}
+
+// FuzzDecodeSnapshot: the snapshot decoder reads untrusted disk input.
+// It must return an error or a snapshot that survives an encode/decode
+// round trip with its fingerprint unchanged — and never panic.
+func FuzzDecodeSnapshot(f *testing.F) {
+	valid, err := encodeBinary(New("storefake", mkSet(basicC("p"), rangeC("q", 1)), inject.DefaultOptions(), fixtureOutcomes(f, 4)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, cut := range []int{0, len(snapMagic), len(snapMagic) + 3, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(corruptPrefixFile())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := decodeBinarySnapshot(data, "fuzz")
+		if err != nil {
+			return
+		}
+		want, err := snap.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := encodeBinary(snap)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded snapshot: %v", err)
+		}
+		back, err := decodeBinarySnapshot(again, "fuzz")
+		if err != nil {
+			t.Fatalf("decoding a re-encoded snapshot: %v", err)
+		}
+		got, err := back.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("fingerprint changed across the round trip: %s != %s", got, want)
+		}
+	})
 }

@@ -22,7 +22,7 @@ import (
 	"spex/internal/outcomeindex"
 )
 
-// indexSuffix is the outcome-index sidecar suffix. It matches neither
+// indexSuffix is the outcome-index sidecar suffix. It is not the
 // snapshot suffix, so List/LoadAll never mistake a sidecar for a
 // snapshot.
 const indexSuffix = ".campaign.idx"
@@ -120,11 +120,9 @@ func (w *StreamWriter) Abort() {
 }
 
 // Close finalizes the container (terminator, count, CRC), fsyncs,
-// renames it over the final path, removes any legacy JSON file the
-// save supersedes, rewrites the index sidecar, and returns the
-// snapshot fingerprint. The fsync-before-rename contract is the same
-// as the JSON era's: the final path only ever holds a complete
-// snapshot.
+// renames it over the final path, rewrites the index sidecar, and
+// returns the snapshot fingerprint. The fsync before the rename means
+// the final path only ever holds a complete snapshot.
 func (w *StreamWriter) Close() (string, error) {
 	if w.done {
 		return "", errors.New("campaignstore: stream writer already closed")
@@ -154,9 +152,6 @@ func (w *StreamWriter) Close() (string, error) {
 		_ = d.Sync()
 		d.Close()
 	}
-	// The binary file now carries the state: a leftover legacy JSON
-	// document would be stale the moment it survived this save.
-	_ = os.Remove(w.store.LegacyPath(w.hdr.System))
 	// Rebuild the sidecar. Best-effort: the index is derived data that
 	// LoadIndex reconstructs from the snapshot if this write fails.
 	if fi, err := os.Stat(final); err == nil {
@@ -188,8 +183,7 @@ func (s *Store) Snapshots() (map[string]string, error) {
 		if err != nil || system == "" {
 			return nil, fmt.Errorf("campaignstore: corrupt snapshot for %s", name)
 		}
-		base := safeName(system)
-		if name != base+snapSuffix && name != base+legacySuffix {
+		if base := safeName(system); name != base+snapSuffix {
 			return nil, fmt.Errorf("campaignstore: %s names system %q, which belongs in %s",
 				name, system, base+snapSuffix)
 		}
@@ -198,20 +192,14 @@ func (s *Store) Snapshots() (map[string]string, error) {
 	return out, nil
 }
 
-// SnapshotInfo returns the path and stat of the snapshot file Load
-// would read for the system (the binary file, or the legacy JSON file
-// of a not-yet-migrated store). The (size, mtime) pair is the cache key
-// the daemon's read path invalidates on: every save is an atomic rename
-// that changes both.
+// SnapshotInfo returns the path and stat of the system's snapshot file.
+// The (size, mtime) pair is the cache key the daemon's read path
+// invalidates on: every save is an atomic rename that changes both.
 func (s *Store) SnapshotInfo(system string) (string, os.FileInfo, error) {
 	p := s.Path(system)
 	fi, err := os.Stat(p)
 	if errors.Is(err, os.ErrNotExist) {
-		p = s.LegacyPath(system)
-		fi, err = os.Stat(p)
-		if errors.Is(err, os.ErrNotExist) {
-			return "", nil, fmt.Errorf("%w for %s", ErrNotExist, system)
-		}
+		return "", nil, fmt.Errorf("%w for %s", ErrNotExist, system)
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("campaignstore: %w", err)

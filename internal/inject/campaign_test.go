@@ -179,16 +179,16 @@ func TestIncrementalReplaysUnchangedConstraints(t *testing.T) {
 		ID: "q-0", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ,
 	})
 
-	full, err := Run(sys, ms, DefaultOptions())
+	// The first run records every outcome in the cache.
+	opts := DefaultOptions()
+	opts.Cache = NewResultCache()
+	full, err := RunContext(context.Background(), sys, ms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewResultCache()
-	SeedCache(cache, full)
 
 	// Revision 1: nothing changed — everything replays.
-	d := Diff(mkSet(cP, cQ), mkSet(cP, cQ))
-	rep, err := RunIncremental(context.Background(), sys, ms, d, cache, DefaultOptions())
+	rep, err := RunContext(context.Background(), sys, ms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +199,20 @@ func TestIncrementalReplaysUnchangedConstraints(t *testing.T) {
 		t.Fatal("replayed report differs from the original campaign")
 	}
 
-	// Revision 2: q's range moved — only q's misconfiguration reruns.
+	// Revision 2: q's range moved — the delta selects only q's
+	// misconfiguration, which is evicted and re-executes.
 	cQ2 := rng("q", 4)
 	ms2 := append(append([]confgen.Misconf(nil), ms[:10]...), confgen.Misconf{
 		ID: "q-0", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ2,
 	})
-	d2 := Diff(mkSet(cP, cQ), mkSet(cP, cQ2))
-	rep2, err := RunIncremental(context.Background(), sys, ms2, d2, cache, DefaultOptions())
+	retests := SelectRetests(ms2, Diff(mkSet(cP, cQ), mkSet(cP, cQ2)))
+	if len(retests) != 1 || retests[0].ID != "q-0" {
+		t.Fatalf("delta selected %d retests, want only q-0", len(retests))
+	}
+	for _, m := range retests {
+		opts.Cache.Delete(CacheKey(m))
+	}
+	rep2, err := RunContext(context.Background(), sys, ms2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +280,10 @@ func TestProgressOnCancellationReportsSkippedNotDone(t *testing.T) {
 }
 
 // Regression (satellite of the persistent store): a campaign cancelled
-// mid-run must not cache cancelled or errored outcomes — SeedCache's Err
-// filter and the engine's no-record-on-error rule guard the runOne
-// StartCancelled path — and a follow-up RunIncremental must re-execute
-// exactly the unfinished misconfigurations.
+// mid-run must not cache cancelled or errored outcomes — the engine's
+// no-record-on-error rule guards the runOne StartCancelled path — and a
+// follow-up run over the same cache must re-execute exactly the
+// unfinished misconfigurations.
 func TestCancelThenResumeReexecutesOnlyUnfinished(t *testing.T) {
 	sys := &fakeSystem{}
 	c := basic("p", constraint.BasicString)
@@ -314,17 +321,12 @@ func TestCancelThenResumeReexecutesOnlyUnfinished(t *testing.T) {
 	if got := opts.Cache.Len(); got != len(finished) {
 		t.Fatalf("cache holds %d outcomes, want the %d finished", got, len(finished))
 	}
-	// ...and seeding a fresh cache from the partial report agrees: the
-	// Err filter drops cancelled and skipped outcomes.
-	seeded := NewResultCache()
-	SeedCache(seeded, rep)
-	if got := seeded.Len(); got != len(finished) {
-		t.Fatalf("SeedCache recorded %d outcomes, want %d", got, len(finished))
-	}
 
-	// Resume with an empty delta: finished outcomes replay, the rest
+	// Resume over the same cache: finished outcomes replay, the rest
 	// re-execute.
-	rep2, err := RunIncremental(context.Background(), sys, ms, Delta{}, opts.Cache, DefaultOptions())
+	resume := DefaultOptions()
+	resume.Cache = opts.Cache
+	rep2, err := RunContext(context.Background(), sys, ms, resume)
 	if err != nil {
 		t.Fatal(err)
 	}

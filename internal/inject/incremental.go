@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/engine"
-	"spex/internal/sim"
 )
 
 // The paper notes that the campaign cost is a one-time cost because
@@ -82,9 +80,9 @@ func (d Delta) AffectedParams() []string {
 }
 
 // ResultCache stores campaign outcomes keyed by misconfiguration
-// identity (CacheKey). Seeded from a previous campaign's report, it lets
-// an incremental rerun replay every outcome whose constraint the code
-// revision did not touch.
+// identity (CacheKey). Seeded from a previous campaign's snapshot
+// (campaignstore.Store.Prepare), it lets an incremental rerun replay
+// every outcome whose constraint the code revision did not touch.
 type ResultCache = engine.Cache[Outcome]
 
 // NewResultCache returns an empty incremental result cache.
@@ -122,52 +120,6 @@ func CacheKey(m confgen.Misconf) string {
 		field(a.Path)
 	}
 	return b.String()
-}
-
-// SeedCache records every successfully tested outcome of a previous
-// campaign, so the next incremental run can replay them. Outcomes that
-// errored, were cancelled mid-boot, or never started (Skipped) carry a
-// non-empty Err and are excluded — they must re-execute on the next run.
-func SeedCache(c *ResultCache, rep *Report) {
-	for _, o := range rep.Outcomes {
-		if o.Err != "" {
-			continue // failed to test (or never started): always retry
-		}
-		c.Put(CacheKey(o.Misconf), o)
-	}
-}
-
-// RunIncremental reruns a campaign after a code revision changed the
-// constraint set (paper §3.1: "only the constraints affected by the
-// modification need to be retested"). Misconfigurations selected by the
-// delta — violating an added constraint or touching an affected
-// parameter — are evicted from the cache and re-executed; everything
-// else replays its recorded outcome. The cache is pruned to the current
-// misconfiguration list and updated with the fresh outcomes, so it is
-// ready to seed the next revision's run.
-func RunIncremental(ctx context.Context, sys sim.System, ms []confgen.Misconf, d Delta, cache *ResultCache, opts Options) (*Report, error) {
-	return RunSelected(ctx, sys, ms, SelectRetests(ms, d), cache, opts)
-}
-
-// RunSelected is RunIncremental with a precomputed retest selection, for
-// callers that already ran SelectRetests (e.g. to report its size):
-// retests are evicted from the cache and re-execute, everything else in
-// ms replays, and the cache is pruned to the current misconfiguration
-// list.
-func RunSelected(ctx context.Context, sys sim.System, ms []confgen.Misconf, retests []confgen.Misconf, cache *ResultCache, opts Options) (*Report, error) {
-	if cache == nil {
-		cache = NewResultCache()
-	}
-	for _, m := range retests {
-		cache.Delete(CacheKey(m))
-	}
-	current := make(map[string]bool, len(ms))
-	for _, m := range ms {
-		current[CacheKey(m)] = true
-	}
-	cache.Retain(current)
-	opts.Cache = cache
-	return RunContext(ctx, sys, ms, opts)
 }
 
 // SelectRetests filters a full misconfiguration list down to the ones an

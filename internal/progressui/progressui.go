@@ -1,8 +1,7 @@
 // Package progressui renders the campaign progress stream
 // (shard.Progress, straight off a campaign's OnProgress callback or a
 // daemon's event stream) for a terminal or a log. It is the one renderer behind `spexinj
-// -progress` and `spexeval -progress -global`, so the two drivers
-// cannot drift:
+// -progress` and `spexeval -progress`, so the two drivers cannot drift:
 //
 //   - On a terminal (a character device — the same detection the
 //     drivers have used since the one-line \r renderer) it draws a

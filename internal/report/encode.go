@@ -8,6 +8,9 @@ import (
 // MaxTable is the highest table number of the paper's evaluation.
 const MaxTable = 12
 
+// MaxFigure is the highest figure number of the paper's evaluation.
+const MaxFigure = 7
+
 // BuildTables builds table n (1-12) in structured form. Most numbers
 // yield one Table; 9 and 10 are rendered together (the historical-case
 // study splits across two tables sharing one computation), so both
@@ -44,8 +47,8 @@ func BuildTables(n int, results []*SystemResult) ([]*Table, error) {
 }
 
 // RenderTableText renders table n exactly as cmd/spexeval prints it —
-// one code path for the CLI and the daemon's text endpoint, held
-// byte-identical by the golden tests in encode_test.go.
+// one code path for the CLI and the daemon's text endpoint, pinned by
+// the golden files under testdata/golden (golden_test.go).
 func RenderTableText(n int, results []*SystemResult) (string, error) {
 	ts, err := BuildTables(n, results)
 	if err != nil {
@@ -56,4 +59,28 @@ func RenderTableText(n int, results []*SystemResult) (string, error) {
 		parts[i] = t.String()
 	}
 	return strings.Join(parts, "\n"), nil
+}
+
+// RenderFigureText renders figure n (1-7) exactly as cmd/spexeval prints
+// it. Figures 3 and 6 read the analysis; the others rerun their own
+// case studies against the targets.
+func RenderFigureText(n int, results []*SystemResult) (string, error) {
+	switch n {
+	case 1:
+		return Figure1()
+	case 2:
+		return Figure2()
+	case 3:
+		return Figure3(results), nil
+	case 4:
+		return Figure4(), nil
+	case 5:
+		return Figure5()
+	case 6:
+		return Figure6(results), nil
+	case 7:
+		return Figure7()
+	default:
+		return "", fmt.Errorf("report: no figure %d", n)
+	}
 }

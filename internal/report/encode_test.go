@@ -81,60 +81,26 @@ func TestTableJSONRoundTrips(t *testing.T) {
 	}
 }
 
-// TestReplayFromStoreMatchesLiveAnalysis: tables served read-only from
-// a persisted store must be byte-identical to the live run that built
-// it — the daemon's table-serving contract.
-func TestReplayFromStoreMatchesLiveAnalysis(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	live, err := AnalyzeAllContext(ctx, AnalyzeOptions{Workers: 4, Global: true, State: lockedState(t, dir)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := campaignstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ReplayFromStore(ctx, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Campaign-derived tables are the ones that could diverge.
-	for _, n := range []int{3, 5, 11, 12} {
-		a, err := RenderTableText(n, live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RenderTableText(n, replayed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("table %d: replayed-from-store rendering differs from the live run's", n)
-		}
-	}
-}
-
-// TestReplayFromStoreRejectsIncompleteState: an empty state directory
+// TestReplayFromIndexRejectsIncompleteState: an empty state directory
 // must fail with ErrStateIncomplete (the daemon maps it to 409), never
 // serve partial tables.
-func TestReplayFromStoreRejectsIncompleteState(t *testing.T) {
+func TestReplayFromIndexRejectsIncompleteState(t *testing.T) {
 	store, err := campaignstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayFromStore(context.Background(), store); !errors.Is(err, ErrStateIncomplete) {
+	if _, err := ReplayFromIndex(context.Background(), store); !errors.Is(err, ErrStateIncomplete) {
 		t.Fatalf("err = %v, want ErrStateIncomplete", err)
 	}
 }
 
 // TestReplayFromIndexMatchesStoreReplay: the index-backed read path
-// must render every table byte-identically to both the snapshot replay
-// and the live run — the daemon serves tables from indexes alone.
+// must render every table byte-identically to the live run that wrote
+// the store — the daemon serves tables from indexes alone.
 func TestReplayFromIndexMatchesStoreReplay(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	live, err := AnalyzeAllContext(ctx, AnalyzeOptions{Workers: 4, Global: true, State: lockedState(t, dir)})
+	live, err := AnalyzeAllContext(ctx, AnalyzeOptions{Workers: 4, State: lockedState(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

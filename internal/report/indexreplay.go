@@ -15,23 +15,33 @@ import (
 	"spex/internal/targets"
 )
 
-// ReplayFromIndex builds the full analysis from the store's outcome
-// indexes instead of its snapshots — the daemon's table-serving fast
-// path. Inference, audits and accuracy are recomputed exactly as
-// ReplayFromStore does (they never touch the store); the campaign side
-// is reconstructed from each system's index docs, which carry the
-// complete projection the tables consume (reaction, error status, and
-// the violated constraint's source location — the inputs of
+// ErrStateIncomplete reports that a state directory cannot serve a
+// full read-only analysis: a system has no snapshot, the snapshot was
+// recorded under different outcome-affecting options, it covers a
+// different constraint set than this build infers, or it is missing
+// outcomes (e.g. a campaign cancelled mid-run). The fix is always the
+// same — run (or finish) a campaign against the store.
+var ErrStateIncomplete = errors.New("report: campaign state incomplete")
+
+// ReplayFromIndex builds the full seven-system analysis from the
+// store's outcome indexes, without executing a single misconfiguration
+// and without writing anything — the daemon's table-serving path and
+// `spexeval -index`. Inference, audits and accuracy are recomputed
+// (they are deterministic, cheap, and never touch the store); the
+// campaign side is reconstructed from each system's index docs, which
+// carry the complete projection the tables consume (reaction, error
+// status, and the violated constraint's source location — the inputs of
 // Report.CountByReaction and Report.UniqueLocations). The rendered
-// tables are therefore byte-identical to ReplayFromStore's and to
-// `spexeval -state`, without parsing a single outcome record: on a warm
-// sidecar the store read is one JSON index per system, and the
-// snapshots stay untouched.
+// tables are therefore byte-identical to `spexeval -state` over the same
+// store, without parsing a single outcome record: on a warm sidecar the
+// store read is one JSON index per system, and the snapshots stay
+// untouched. Serving needs no lock: a reader sees the last completed
+// save even while a job is running.
 //
-// Validation mirrors ReplayFromStore: the index must cover this build's
-// options identity, the constraint set the fresh inference produced,
-// and every misconfiguration's replay key — anything less is
-// ErrStateIncomplete, never a silently partial table.
+// The index must cover this build's options identity, the constraint
+// set the fresh inference produced, and every misconfiguration's replay
+// key — anything less is ErrStateIncomplete, never a silently partial
+// table.
 func ReplayFromIndex(ctx context.Context, store *campaignstore.Store) ([]*SystemResult, error) {
 	systems := targets.All()
 	rs, err := spex.InferAll(ctx, systems, 0)

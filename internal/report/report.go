@@ -16,11 +16,9 @@ import (
 
 	"spex/internal/campaignstore"
 	"spex/internal/casedb"
-	"spex/internal/conffile"
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/designcheck"
-	"spex/internal/engine"
 	"spex/internal/inject"
 	"spex/internal/shard"
 	"spex/internal/sim"
@@ -38,40 +36,20 @@ type SystemResult struct {
 	Accuracy  map[constraint.Kind]spex.Accuracy
 	// StateErr records a non-fatal persistent-store failure: the
 	// campaign completed and the tables are valid, but its snapshot
-	// could not be saved (AnalyzeOptions.StateDir). Drivers should
+	// could not be saved (AnalyzeOptions.State). Drivers should
 	// surface it as a warning.
 	StateErr error
 }
 
-// Progress is one streamed analysis event: system completed its full
-// pipeline (Stage is currently always "campaigned") as the done-th of
-// total systems.
-type Progress struct {
-	System string
-	Stage  string
-	Done   int
-	Total  int
-}
-
 // AnalyzeOptions tune AnalyzeAll's scheduling.
 type AnalyzeOptions struct {
-	// Workers bounds how many systems are analyzed at once (0 = one per
-	// CPU).
+	// Workers bounds both the inference fan-out and the one cross-target
+	// campaign pool (0 = one per CPU).
 	Workers int
-	// CampaignWorkers bounds intra-campaign parallelism per system.
-	// Zero and one both run campaigns sequentially — the systems already
-	// fan out Workers wide, so the zero value deliberately does not
-	// compound to a per-CPU pool per system.
-	CampaignWorkers int
-	// OnProgress, if set, streams per-system analysis events. Calls are
-	// serialized by the scheduler.
-	OnProgress func(Progress)
 	// OnCampaignProgress, if set, streams every completed campaign
-	// outcome (Global and Shard modes only — the per-system mode has no
-	// global scheduler to observe). This is the hook `spexeval
-	// -progress -global` feeds into internal/progressui, giving it the
-	// same per-system bar display as spexinj. Calls are serialized by
-	// the scheduler.
+	// outcome. This is the hook `spexeval -progress` feeds into
+	// internal/progressui, giving it the same per-system bar display as
+	// spexinj. Calls are serialized by the scheduler.
 	OnCampaignProgress func(shard.Progress)
 	// State, when set, persists each system's campaign snapshot through
 	// this held writer lock (internal/campaignstore): campaigns replay
@@ -83,14 +61,8 @@ type AnalyzeOptions struct {
 	// the daemon's scheduler. The set is the write capability, so an
 	// unlocked analysis cannot save snapshots by construction.
 	State *campaignstore.LockSet
-	// Global schedules the campaigns on one cross-target pool
-	// (internal/shard) instead of one pool per system: inference fans
-	// out Workers wide, then every system's misconfigurations
-	// interleave round-robin on a single Workers-wide pool, so no
-	// target's serialized boot phase starves the pool and small targets
-	// draining early do not idle workers. The rendered tables are
-	// identical either way — only utilization changes. CampaignWorkers
-	// is ignored in this mode (there is one pool, not one per system).
+	// Global is a no-op kept for existing callers: every analysis runs
+	// its campaigns on the one cross-target pool.
 	Global bool
 	// Shard, when enabled, restricts the campaign phase to the plan's
 	// partition of each system's misconfigurations — the distributed
@@ -99,109 +71,26 @@ type AnalyzeOptions struct {
 	// spexmerge folds the shard directories and a plain
 	// `spexeval -state <merged>` replays the whole campaign at zero
 	// fresh cost, rendering tables byte-identical to an unsharded
-	// run's. Requires State (a shard's outcomes ARE its snapshots)
-	// and implies Global. Sharded results cover partial campaigns, so
-	// drivers should not render tables from them directly.
+	// run's. Requires State (a shard's outcomes ARE its snapshots).
+	// Sharded results cover partial campaigns, so drivers should not
+	// render tables from them directly.
 	Shard shard.Plan
 }
 
-func analyze(ctx context.Context, sys sim.System, aopts AnalyzeOptions) (*SystemResult, error) {
-	res, err := spex.InferSystem(sys)
-	if err != nil {
-		return nil, fmt.Errorf("report: %s: %w", sys.Name(), err)
-	}
-	tmpl, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
-	if err != nil {
-		return nil, fmt.Errorf("report: %s: %w", sys.Name(), err)
-	}
-	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	opts := inject.DefaultOptions()
-	opts.Workers = aopts.CampaignWorkers
-	if opts.Workers == 0 {
-		opts.Workers = 1 // see AnalyzeOptions.CampaignWorkers
-	}
-	var rep *inject.Report
-	var stateErr error
-	if aopts.State != nil {
-		var slock *campaignstore.SystemLock
-		slock, err = aopts.State.System(sys.Name())
-		if err != nil {
-			return nil, err
-		}
-		rep, _, err = campaignstore.Campaign(ctx, slock, sys, res.Set, ms, opts)
-		if err != nil {
-			// A completed campaign whose snapshot failed to save is
-			// still a full analysis — the tables matter more than the
-			// store. Record the failure instead of discarding the data.
-			if rep == nil || ctx.Err() != nil {
-				return nil, fmt.Errorf("report: %s: %w", sys.Name(), err)
-			}
-			stateErr = err
-		}
-	} else {
-		rep, err = inject.RunContext(ctx, sys, ms, opts)
-		if err != nil {
-			return nil, fmt.Errorf("report: %s: %w", sys.Name(), err)
-		}
-	}
-	return &SystemResult{
-		Sys:       sys,
-		Inference: res,
-		Campaign:  rep,
-		Audit:     designcheck.Run(res),
-		Accuracy:  spex.Score(res.Set, sys.GroundTruth()),
-		StateErr:  stateErr,
-	}, nil
-}
-
-// AnalyzeAllContext runs the pipeline over all seven targets through the
-// engine scheduler: systems fan out opts.Workers wide, each campaign
-// runs opts.CampaignWorkers wide, and results come back in the paper's
-// Table 4/5 order regardless of completion order. With opts.Global the
-// per-system campaign pools are replaced by one cross-target pool
-// (internal/shard); the results are identical.
+// AnalyzeAllContext runs the pipeline over all seven targets: inference
+// fans out opts.Workers wide on the engine pool, then every system's
+// misconfigurations interleave round-robin on one cross-target campaign
+// pool of the same width (internal/shard, shard-filtered under an
+// enabled plan), so no target's serialized boot phase starves the pool
+// and small targets draining early do not idle workers. The audits fold
+// in sequentially (they cost microseconds). Results come back in the
+// paper's Table 4/5 order, and the rendered tables are identical for
+// every worker count.
 func AnalyzeAllContext(ctx context.Context, opts AnalyzeOptions) ([]*SystemResult, error) {
+	if opts.Shard.Enabled() && opts.State == nil {
+		return nil, fmt.Errorf("report: a sharded analysis needs a locked state store (its outcomes are its snapshots)")
+	}
 	systems := targets.All()
-	if opts.Shard.Enabled() {
-		if opts.State == nil {
-			return nil, fmt.Errorf("report: a sharded analysis needs a locked state store (its outcomes are its snapshots)")
-		}
-		return analyzeAllGlobal(ctx, systems, opts)
-	}
-	if opts.Global {
-		return analyzeAllGlobal(ctx, systems, opts)
-	}
-	total := len(systems)
-	eopts := engine.Options[*SystemResult]{Workers: opts.Workers}
-	if opts.OnProgress != nil {
-		done := 0
-		eopts.OnResult = func(r engine.Result[*SystemResult]) {
-			done++
-			name := systems[r.Index].Name()
-			opts.OnProgress(Progress{System: name, Stage: "campaigned", Done: done, Total: total})
-		}
-	}
-	results, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (*SystemResult, error) {
-		return analyze(ctx, systems[i], opts)
-	}, eopts)
-	if cancelErr != nil {
-		return nil, cancelErr
-	}
-	if err := engine.FirstError(results); err != nil {
-		return nil, err
-	}
-	out, _ := engine.Values(results)
-	return out, nil
-}
-
-// analyzeAllGlobal is AnalyzeAllContext's cross-target scheduling mode
-// (and, under opts.Shard, its distributed mode): inference fans out on
-// the engine pool, one global campaign pool interleaves every system's
-// misconfigurations (internal/shard, shard-filtered under an enabled
-// plan), and the audits fold in sequentially (they cost microseconds).
-// OnProgress still emits one "campaigned" event per system, fired when
-// the system's last outcome completes on the global pool.
-func analyzeAllGlobal(ctx context.Context, systems []sim.System, opts AnalyzeOptions) ([]*SystemResult, error) {
 	rs, err := spex.InferAll(ctx, systems, opts.Workers)
 	if err != nil {
 		return nil, err
@@ -210,39 +99,10 @@ func analyzeAllGlobal(ctx context.Context, systems []sim.System, opts AnalyzeOpt
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
-	gopts := shard.Options{Workers: opts.Workers, Inject: inject.DefaultOptions()}
-	if opts.OnProgress != nil {
-		// A system whose shard partition is empty emits no outcome
-		// events, so the completion target is the number of systems
-		// with actual work — otherwise a sharded -progress run would
-		// end at 6/7 and read as stalled.
-		withWork := 0
-		for _, w := range ws {
-			if len(w.Ms) > 0 {
-				withWork++
-			}
-		}
-		campaigned := 0
-		gopts.OnProgress = func(p shard.Progress) {
-			if p.SystemDone == p.SystemTotal {
-				campaigned++
-				opts.OnProgress(Progress{System: p.System, Stage: "campaigned",
-					Done: campaigned, Total: withWork})
-			}
-		}
-	}
-	if opts.OnCampaignProgress != nil {
-		prev := gopts.OnProgress
-		gopts.OnProgress = func(p shard.Progress) {
-			if prev != nil {
-				prev(p)
-			}
-			opts.OnCampaignProgress(p)
-		}
-	}
-	runs, runErr := shard.CampaignAll(ctx, opts.State, ws, gopts)
-	if runErr != nil {
-		return nil, runErr
+	gopts := shard.Options{Workers: opts.Workers, Inject: inject.DefaultOptions(), OnProgress: opts.OnCampaignProgress}
+	runs, err := shard.CampaignAll(ctx, opts.State, ws, gopts)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*SystemResult, len(systems))
 	for i, run := range runs {

@@ -266,18 +266,14 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("SSE stream incomplete: running=%v done=%v progress=%d", sawRunning, sawDone, progress)
 	}
 
-	// Served table text must be byte-identical to the CLI pipeline's
-	// rendering of a fresh (storeless) analysis — the same claim the
-	// CI smoke makes against a real spexeval run.
-	live, err := report.AnalyzeAllContext(context.Background(), report.AnalyzeOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Served table text must be byte-identical to the golden files —
+	// exactly what `spexeval -table N` prints.
 	for _, n := range []int{3, 5, 9, 11} {
-		wantText, err := report.RenderTableText(n, live)
+		golden, err := os.ReadFile(fmt.Sprintf("../../testdata/golden/table%02d.txt", n))
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantText := strings.TrimSuffix(string(golden), "\n")
 		resp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d?format=text", ts.URL, n))
 		if err != nil {
 			t.Fatal(err)
@@ -287,8 +283,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("table %d: %d %s", n, resp.StatusCode, body)
 		}
-		if string(body) != wantText+"\n" {
-			t.Errorf("table %d text differs from the CLI rendering", n)
+		if string(body) != string(golden) {
+			t.Errorf("table %d text differs from testdata/golden", n)
 		}
 		// The table carries the store-state ETag and honors it.
 		if tag := resp.Header.Get("ETag"); tag == "" {

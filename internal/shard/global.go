@@ -47,8 +47,7 @@ type Workload struct {
 // vouches for the full campaign's keys (Keep), so a shard run against
 // a store holding its peers' outcomes preserves them. The second
 // return value is each system's pre-filter campaign size. Shared by
-// cmd/spexinj and report's -global path so the two drivers cannot
-// drift.
+// cmd/spexinj, report and the daemon so the drivers cannot drift.
 func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]Workload, []int, error) {
 	ws := make([]Workload, len(systems))
 	totals := make([]int, len(systems))
@@ -307,8 +306,8 @@ type SystemRun struct {
 	Err error
 }
 
-// CampaignAll is the store-backed global campaign: campaignstore
-// .Campaign's load → diff → retest-delta → save lifecycle for every
+// CampaignAll is the store-backed global campaign — the one campaign
+// path: a load → diff → retest-delta → save lifecycle for every
 // workload, with all workloads' execution interleaved on one pool. For
 // each workload it loads the system's snapshot, Diffs the stored
 // constraint set against Workload.Set, seeds the workload cache with

@@ -229,9 +229,7 @@ func (c *mergeCursor) advance() error {
 // merge — every source file's records arrive in ascending key order
 // (the binary container's invariant), so the merge holds one record per
 // shard in memory and writes the result through the store's streaming
-// writer, never materializing any shard's full outcome set. (A legacy
-// v2 JSON source has no record framing and is materialized alone; memory
-// is bounded by the largest single legacy file, not the shard set.)
+// writer, never materializing any shard's full outcome set.
 //
 // Validation is strict — all of a system's shards must carry this
 // build's schema fingerprint (the iterator's header check enforces it),
