@@ -245,14 +245,14 @@ func BenchmarkGlobalScheduler(b *testing.B) {
 		cost := 0
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			reps, err := shard.RunGlobal(context.Background(), ws,
+			runs, err := shard.CampaignAll(context.Background(), nil, ws,
 				shard.Options{Workers: workers, Inject: opts})
 			if err != nil {
 				b.Fatal(err)
 			}
 			cost = 0
-			for _, rep := range reps {
-				cost += rep.TotalSimCost
+			for _, run := range runs {
+				cost += run.Report.TotalSimCost
 			}
 		}
 		b.ReportMetric(utilization(cost*b.N, time.Since(start)), "utilization")

@@ -10,8 +10,10 @@
 //
 // Jobs over disjoint system sets run concurrently (up to -max-jobs per
 // namespace); jobs sharing a system serialize on that system's lock.
-// A job may declare dependencies (needs: [jobID...]) to form a DAG,
-// or stages: ["infer", "inject", "eval"] to pipeline per system. Jobs
+// Each job runs infer → inject → eval on one pool of its `workers`
+// width. A job may declare dependencies (needs: [jobID...]) to form a
+// DAG, or stages: ["infer", "inject", "eval"] to report each system's
+// stage transitions as it finishes them. Jobs
 // are journaled durably under <ns>/jobs/ (a restarted daemon lists
 // finished jobs and re-queues jobs that never started). Every event —
 // lifecycle, scheduling, stages, coordinator moves, and campaign
@@ -71,9 +73,10 @@
 //	curl -s localhost:8476/v1/ns            # list namespaces
 //
 // Jobs in one namespace schedule as a DAG: needs waits for other jobs,
-// stages pipelines infer → inject → eval per system (a fast system
-// evaluates while a slow one still injects; every transition is a
-// "stage" event):
+// stages reports infer → inject → eval per system as "stage" events (a
+// system is saved and evaluated when its last misconfiguration
+// completes, so a fast system evaluates while a slow one still
+// injects, all on the job's one pool):
 //
 //	curl -s -X POST localhost:8476/v1/jobs \
 //	     -d '{"systems": ["mydb"], "needs": ["job-000001"]}'

@@ -18,22 +18,16 @@
 //
 // # Distributed table pipeline
 //
-// With -shard i/N (requires -state) the campaign phase covers only this
-// process's deterministic partition of every system's
-// misconfigurations — the same FNV-1a partition spexinj -shard uses —
-// and persists per-shard snapshots instead of rendering tables (a
-// partial campaign would render misleading counts). Run one shard per
-// process or machine, fold the shard directories with spexmerge, and
-// render from the merged store:
+// A campaign split across processes or machines is spexinj's job: run
+// `spexinj -all -shard i/N -state <dir>` once per shard, fold the shard
+// directories with spexmerge, and render from the merged store, which
+// replays every outcome at zero fresh simulated cost and renders tables
+// byte-identical to an unsharded run's:
 //
-//	spexeval -shard 1/2 -state /tmp/s1   # machine 1
-//	spexeval -shard 2/2 -state /tmp/s2   # machine 2
+//	spexinj -all -shard 1/2 -state /tmp/s1   # machine 1
+//	spexinj -all -shard 2/2 -state /tmp/s2   # machine 2
 //	spexmerge -out /var/lib/spex /tmp/s1 /tmp/s2
-//	spexeval -state /var/lib/spex        # replays 100%; tables byte-identical
-//
-// The final render replays every outcome from the merged store at zero
-// fresh simulated cost and produces tables byte-identical to an
-// unsharded run's.
+//	spexeval -state /var/lib/spex            # replays 100%
 //
 // Usage:
 //
@@ -42,7 +36,6 @@
 //	spexeval -figure 7     # one figure
 //	spexeval -workers 8 -progress
 //	spexeval -state /var/lib/spex   # persistent incremental campaigns
-//	spexeval -shard 1/2 -state /tmp/s1   # one shard of the campaign phase
 //	spexeval -index -state /var/lib/spex # render from the outcome indexes,
 //	                                     # read-only (no writer lock taken)
 package main
@@ -58,7 +51,6 @@ import (
 	"spex/internal/obs"
 	"spex/internal/progressui"
 	"spex/internal/report"
-	"spex/internal/shard"
 )
 
 func main() { os.Exit(run()) }
@@ -70,7 +62,6 @@ func run() int {
 		workers    = flag.Int("workers", 0, "width of the inference fan-out and of the one cross-target campaign pool (0 = one per CPU)")
 		progress   = flag.Bool("progress", false, "render campaign progress to stderr (per-system bars on a terminal)")
 		state      = flag.String("state", "", "state directory for persistent incremental campaigns (snapshots replay across runs)")
-		shardFlag  = flag.String("shard", "", "campaign only one shard i/N of every system's workload and persist per-shard snapshots instead of rendering tables (requires -state; merge with spexmerge, then render with -state alone)")
 		index      = flag.Bool("index", false, "render tables and figures from the store's outcome indexes without replaying snapshots — read-only: takes no writer lock, runs no campaign (requires -state)")
 		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry as JSON to this file (engine, store, and scheduler series)")
 	)
@@ -89,22 +80,6 @@ func run() int {
 		return 1
 	}
 
-	var plan shard.Plan
-	if *shardFlag != "" {
-		var err error
-		plan, err = shard.ParsePlan(*shardFlag)
-		if err != nil {
-			return fail(err)
-		}
-		if *state == "" {
-			fmt.Fprintln(os.Stderr, "spexeval: -shard requires -state (the shard's outcomes are its snapshot directory)")
-			return 2
-		}
-		if *index {
-			fmt.Fprintln(os.Stderr, "spexeval: -index is read-only and cannot run a -shard campaign")
-			return 2
-		}
-	}
 	if *index && *state == "" {
 		fmt.Fprintln(os.Stderr, "spexeval: -index requires -state (the indexes live beside the snapshots)")
 		return 2
@@ -149,7 +124,7 @@ func run() int {
 			return fail(err)
 		}
 	} else {
-		opts := report.AnalyzeOptions{Workers: *workers, State: locks, Shard: plan}
+		opts := report.AnalyzeOptions{Workers: *workers, State: locks}
 		var finishProgress func()
 		if *progress {
 			opts.OnCampaignProgress, finishProgress = progressui.Attach(os.Stderr, "spexeval")
@@ -162,33 +137,11 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		saveFailed := false
 		for _, r := range results {
 			if r.StateErr != nil {
-				saveFailed = true
 				fmt.Fprintf(os.Stderr, "spexeval: warning: %s: snapshot not saved: %v\n", r.Sys.Name(), r.StateErr)
 			}
 		}
-		if saveFailed && plan.Enabled() {
-			// A shard run's snapshots ARE its output: exiting 0 here would
-			// let a pipeline merge a store silently missing this partition.
-			fmt.Fprintln(os.Stderr, "spexeval: sharded analysis failed to persist its partition")
-			return 1
-		}
-	}
-
-	if plan.Enabled() {
-		// A shard's campaign is partial by construction: rendering
-		// Table 3/5 from it would print misleading counts. Summarize
-		// what was persisted and point at the merge step instead.
-		fmt.Printf("=== sharded analysis %s: campaign partition persisted to %s ===\n", plan, *state)
-		for _, r := range results {
-			rep := r.Campaign
-			fmt.Printf("  %-10s %d misconfigurations campaigned (replayed %d, executed %d)\n",
-				r.Sys.Name(), len(rep.Outcomes), rep.Replayed, rep.Finished()-rep.Replayed)
-		}
-		fmt.Printf("merge the shard directories with spexmerge, then render tables with: spexeval -state <merged>\n")
-		return 0
 	}
 
 	switch {

@@ -2,8 +2,8 @@
 // canonical store — the merge step of a distributed injection campaign
 // (internal/shard, paper §3.1 scaled across processes/machines).
 //
-// Each `spexinj -shard i/N -state <dir>` (or `spexeval -shard i/N`)
-// process saves its partition's outcomes as campaignstore snapshots
+// Each `spexinj -shard i/N -state <dir>` process saves its
+// partition's outcomes as campaignstore snapshots
 // under its own directory; spexmerge unions them per system into a
 // single snapshot that replays exactly like an unsharded run's. The
 // merge is validating, not trusting: every shard of a system must carry

@@ -85,10 +85,10 @@
 // internal/shard scales the campaign beyond one worker pool and beyond
 // one process, in a plan → execute → merge lifecycle:
 //
-//   - Global cross-target scheduling (shard.RunGlobal and the
-//     store-backed shard.CampaignAll). Instead of one engine.Run per
-//     system, every target's misconfigurations flatten into a single
-//     task queue feeding one pool. The fairness rule is round-robin
+//   - Global cross-target scheduling (shard.CampaignAll, storeless
+//     under a nil lock set). Instead of one engine.Run per system,
+//     every target's misconfigurations flatten into a single task
+//     queue feeding one pool. The fairness rule is round-robin
 //     interleaving (shard.Interleave): consecutive tasks address
 //     different targets, so the in-flight set spans as many targets as
 //     the pool is wide — no single target's mutex-serialized boot
@@ -97,7 +97,11 @@
 //     (BenchmarkGlobalScheduler measures the utilization gap). Each
 //     per-system report is reassembled through inject.Assemble, the
 //     same code path a standalone campaign uses, so going global
-//     changes utilization, never results. This scheduler is the only
+//     changes utilization, never results. A system is finished — its
+//     report assembled and its snapshot saved — the moment its last
+//     misconfiguration completes, before the progress event reporting
+//     that completion (shard.Progress.Run), so finished systems are on
+//     disk while slower ones still run. This scheduler is the only
 //     campaign path: it sits under `spexinj -all`, `spexinj -system X`
 //     (the one-workload special case), `spexeval`, and the daemon.
 //
@@ -132,13 +136,7 @@
 //	machine2$ spexinj -all -shard 2/2 -state /tmp/shard2
 //	$ spexmerge -out /var/lib/spex /tmp/shard1 /tmp/shard2
 //	$ spexinj -all -state /var/lib/spex    # 100% replay, zero sim cost
-//
-// spexeval speaks the same protocol: `spexeval -shard i/N -state dir`
-// campaigns one partition per process (persisting per-shard snapshots
-// instead of rendering partial tables), and after spexmerge a plain
-// `spexeval -state merged` replays the whole campaign and renders every
-// table byte-identical to an unsharded run — the full evaluation
-// pipeline runs distributed.
+//	$ spexeval -state /var/lib/spex        # tables byte-identical
 //
 // # Coordinated campaigns with work stealing
 //
@@ -259,15 +257,20 @@
 // Config.MaxConcurrentJobs per namespace — while jobs sharing a system
 // serialize on that system, with stores byte-identical to a serial
 // run. A spec's `needs: [jobID...]` adds explicit edges (a failed or
-// cancelled dependency fails the dependent), and
-// `stages: ["infer", "inject", "eval"]` turns the job into a
-// per-system pipeline: every system advances through its stages
-// independently, publishing each transition as a "stage" event, so
-// a fast system evaluates while a slow one is still injecting. Jobs
-// are journaled durably under <ns>/jobs/: a restarted daemon lists
-// finished jobs, adopts interrupted running jobs as failed (the
-// snapshots hold every finished outcome — resubmit to resume), and
-// re-queues jobs that never started.
+// cancelled dependency fails the dependent). Every job runs one
+// pipeline on its one pool, infer → inject → eval: spex.InferAll, then
+// one shard.CampaignAll (coord.Run for a coordinate job), then the
+// outcome indexes — so `workers` bounds every job. A plain job is
+// [infer, inject]; `stages: ["infer", "inject", "eval"]` names the
+// stages to run and publishes each system's transitions as "stage"
+// events. Stages are events, not barriers: a system's inject and eval
+// finish at its completion event, which the campaign delivers after
+// saving that system, so a fast system evaluates while a slow one is
+// still injecting. Jobs are journaled durably under <ns>/jobs/: a
+// restarted daemon lists finished jobs, adopts interrupted running
+// jobs as failed (the snapshots hold every finished outcome — resubmit
+// to resume), and re-queues jobs that never started; a journal document
+// counts only under its own file name (<id>.json).
 //
 // Progress flows through one pipeline end to end: the global scheduler
 // emits shard.Progress events (typed like the single-system

@@ -296,6 +296,7 @@ func (b *Bus) FoldProgress(namespace, job string, p shard.Progress) {
 	}
 	b.mu.Unlock()
 	pc := p
+	pc.Run = nil // the bus retains the wire form, not the finished report
 	b.Publish(Event{Namespace: namespace, Kind: KindProgress, Job: job, Progress: &pc})
 }
 

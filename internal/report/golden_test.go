@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spex/internal/campaignstore"
-	"spex/internal/shard"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from a storeless analysis")
@@ -111,33 +110,16 @@ func TestGoldenOutput(t *testing.T) {
 	})
 
 	t.Run("shard-merge-replay", func(t *testing.T) {
-		merged := t.TempDir()
-		var dirs []string
-		for i := 1; i <= 2; i++ {
-			dir := t.TempDir()
-			analyze(t, AnalyzeOptions{Workers: 4, State: lockedState(t, dir), Shard: shard.Plan{Shard: i, Of: 2}})
-			dirs = append(dirs, dir)
-		}
-		store, err := campaignstore.Open(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lk, err := store.Lock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, mergeErr := shard.Merge(lk.Set(), dirs)
-		if err := lk.Unlock(); err != nil {
-			t.Fatal(err)
-		}
-		if mergeErr != nil {
-			t.Fatal(mergeErr)
-		}
+		merged := shardedStore(t)
 		replayed := analyze(t, AnalyzeOptions{Workers: 4, State: lockedState(t, merged)})
 		requireReplayed(t, replayed)
 		checkGolden(t, replayed)
 
 		t.Run("index", func(t *testing.T) {
+			store, err := campaignstore.Open(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
 			indexed, err := ReplayFromIndex(ctx, store)
 			if err != nil {
 				t.Fatal(err)

@@ -64,38 +64,23 @@ type AnalyzeOptions struct {
 	// Global is a no-op kept for existing callers: every analysis runs
 	// its campaigns on the one cross-target pool.
 	Global bool
-	// Shard, when enabled, restricts the campaign phase to the plan's
-	// partition of each system's misconfigurations — the distributed
-	// table pipeline: every `spexeval -shard i/N -state <dir>` process
-	// campaigns one partition and persists per-shard snapshots, then
-	// spexmerge folds the shard directories and a plain
-	// `spexeval -state <merged>` replays the whole campaign at zero
-	// fresh cost, rendering tables byte-identical to an unsharded
-	// run's. Requires State (a shard's outcomes ARE its snapshots).
-	// Sharded results cover partial campaigns, so drivers should not
-	// render tables from them directly.
-	Shard shard.Plan
 }
 
 // AnalyzeAllContext runs the pipeline over all seven targets: inference
 // fans out opts.Workers wide on the engine pool, then every system's
 // misconfigurations interleave round-robin on one cross-target campaign
-// pool of the same width (internal/shard, shard-filtered under an
-// enabled plan), so no target's serialized boot phase starves the pool
-// and small targets draining early do not idle workers. The audits fold
-// in sequentially (they cost microseconds). Results come back in the
-// paper's Table 4/5 order, and the rendered tables are identical for
-// every worker count.
+// pool of the same width (internal/shard), so no target's serialized
+// boot phase starves the pool and small targets draining early do not
+// idle workers. The audits fold in sequentially (they cost
+// microseconds). Results come back in the paper's Table 4/5 order, and
+// the rendered tables are identical for every worker count.
 func AnalyzeAllContext(ctx context.Context, opts AnalyzeOptions) ([]*SystemResult, error) {
-	if opts.Shard.Enabled() && opts.State == nil {
-		return nil, fmt.Errorf("report: a sharded analysis needs a locked state store (its outcomes are its snapshots)")
-	}
 	systems := targets.All()
 	rs, err := spex.InferAll(ctx, systems, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	ws, _, err := shard.BuildWorkloads(systems, rs, opts.Shard)
+	ws, _, err := shard.BuildWorkloads(systems, rs, shard.Plan{})
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"spex/internal/campaignstore"
+	"spex/internal/inject"
 	"spex/internal/shard"
+	"spex/internal/spex"
+	"spex/internal/targets"
 )
 
 // lockedState opens dir as a campaign store and holds its writer lock
@@ -161,44 +164,63 @@ func TestTable11TotalsConsistent(t *testing.T) {
 	}
 }
 
-// TestShardedAnalysisMergesIdentical: the distributed table pipeline —
-// every system campaigned as two spexeval shards, merged, then
-// replayed — must render Table 5 (the campaign-derived table) byte-
-// identical to the unsharded analysis, and the merged replay must
-// execute nothing fresh.
-func TestShardedAnalysisMergesIdentical(t *testing.T) {
-	rs := allResults(t)
-	want := Table5(rs)
+// shardedStore campaigns every system as a two-way split, each shard in
+// its own directory — what `spexinj -all -shard i/2 -state dir` runs:
+// inference, BuildWorkloads under the plan, one CampaignAll — and
+// merges the shards into a fresh store, whose directory it returns.
+func shardedStore(t *testing.T) string {
+	t.Helper()
 	ctx := context.Background()
-
+	systems := targets.All()
+	rs, err := spex.InferAll(ctx, systems, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dirs []string
 	for i := 1; i <= 2; i++ {
-		dir := t.TempDir()
-		_, err := AnalyzeAllContext(ctx, AnalyzeOptions{
-			Workers: 4, State: lockedState(t, dir), Shard: shard.Plan{Shard: i, Of: 2},
-		})
+		plan := shard.Plan{Shard: i, Of: 2}
+		ws, _, err := shard.BuildWorkloads(systems, rs, plan)
 		if err != nil {
-			t.Fatalf("shard %d/2: %v", i, err)
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		runs, err := shard.CampaignAll(ctx, lockedState(t, dir), ws, shard.Options{Workers: 4, Inject: inject.DefaultOptions()})
+		if err != nil {
+			t.Fatalf("shard %s: %v", plan, err)
+		}
+		for _, run := range runs {
+			if run.Err != nil {
+				t.Fatalf("shard %s: %s snapshot not saved: %v", plan, run.Sys.Name(), run.Err)
+			}
 		}
 		dirs = append(dirs, dir)
 	}
 	merged := t.TempDir()
-	mstore, err := campaignstore.Open(merged)
+	store, err := campaignstore.Open(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mlock, err := mstore.Lock()
+	lk, err := store.Lock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mergeErr := shard.Merge(mlock.Set(), dirs)
-	if err := mlock.Unlock(); err != nil {
+	_, mergeErr := shard.Merge(lk.Set(), dirs)
+	if err := lk.Unlock(); err != nil {
 		t.Fatal(err)
 	}
 	if mergeErr != nil {
 		t.Fatal(mergeErr)
 	}
-	got, err := AnalyzeAllContext(ctx, AnalyzeOptions{Workers: 4, State: lockedState(t, merged)})
+	return merged
+}
+
+// TestShardedAnalysisMergesIdentical: the distributed table pipeline —
+// every system campaigned as two shards, merged, then replayed — must
+// render Table 5 (the campaign-derived table) byte-identical to the
+// unsharded analysis, and the merged replay must execute nothing fresh.
+func TestShardedAnalysisMergesIdentical(t *testing.T) {
+	want := Table5(allResults(t))
+	got, err := AnalyzeAllContext(context.Background(), AnalyzeOptions{Workers: 4, State: lockedState(t, shardedStore(t))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +232,5 @@ func TestShardedAnalysisMergesIdentical(t *testing.T) {
 	}
 	if table := Table5(got); table != want {
 		t.Errorf("Table 5 from the merged store differs from the unsharded render:\n--- unsharded ---\n%s\n--- merged ---\n%s", want, table)
-	}
-}
-
-// TestShardedAnalysisRequiresState: a shard's only output is its
-// snapshots, so refusing to run without a locked store is the API
-// contract.
-func TestShardedAnalysisRequiresState(t *testing.T) {
-	_, err := AnalyzeAllContext(context.Background(), AnalyzeOptions{Shard: shard.Plan{Shard: 1, Of: 2}})
-	if err == nil || !strings.Contains(err.Error(), "state store") {
-		t.Errorf("sharded analysis without State = %v, want a locked-state error", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -46,12 +47,13 @@ type JobSpec struct {
 	// that fails or is cancelled fails this job instead of running it.
 	// Only already-submitted jobs can be named, so cycles cannot form.
 	Needs []string `json:"needs,omitempty"`
-	// Stages declares a per-system pipeline instead of the flat
-	// campaign: an ordered subsequence of infer → inject → eval. Each
-	// system advances through the stages independently — a fast system
-	// can be in eval while a slow one is still injecting — and every
-	// transition is published as a "stage" event. Incompatible with
-	// Coordinate.
+	// Stages names the pipeline stages to run and report: an ordered
+	// subsequence of infer → inject → eval (empty = a plain job, infer
+	// and inject without stage events). Every transition is published
+	// per system as a "stage" event. The stages are events on the job's
+	// one pool, not barriers: a system's inject and eval finish when its
+	// last misconfiguration completes, so a fast system can be in eval
+	// while a slow one is still injecting. Incompatible with Coordinate.
 	Stages []string `json:"stages,omitempty"`
 }
 
@@ -216,6 +218,9 @@ func journalPath(stateDir, id string) string {
 	return filepath.Join(stateDir, jobsDirName, id+".json")
 }
 
+// jobIDRE is the form submit gives job IDs (job-%06d).
+var jobIDRE = regexp.MustCompile(`^job-[0-9]{6,}$`)
+
 // saveJournal persists the document atomically
 // (campaignstore.WriteJSON, the advisory-document contract: readers
 // never see a torn document; the snapshots carry the real outcomes, so
@@ -231,7 +236,10 @@ func saveJournal(stateDir string, doc Job) error {
 // that had started (running) is adopted as failed: the campaign state
 // itself is resumable — snapshots only ever hold finished outcomes —
 // so the fix is to resubmit. Repaired documents are written back so
-// the journal converges.
+// the journal converges. A document is adopted only under its own file
+// name — a job ID whose file is <id>.json — because the ID names every
+// file the daemon later writes for the job: an ID that escapes jobs/,
+// or that a second file also claims, is not a job.
 func loadJournal(stateDir string) ([]Job, int, error) {
 	dir := filepath.Join(stateDir, jobsDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -252,7 +260,7 @@ func loadJournal(stateDir string) ([]Job, int, error) {
 			continue
 		}
 		var doc Job
-		if json.Unmarshal(data, &doc) != nil || doc.ID == "" {
+		if json.Unmarshal(data, &doc) != nil || !jobIDRE.MatchString(doc.ID) || doc.ID+".json" != e.Name() {
 			continue
 		}
 		if !terminal(doc.State) && doc.State != StateQueued {

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"spex/internal/dash"
+	"spex/internal/obs"
 	"spex/internal/server"
 )
 
@@ -142,13 +144,14 @@ func TestSharedSystemJobsSerialize(t *testing.T) {
 // TestStagedJobPipelinesPerSystem: a stages: [...] job must pipeline
 // per system — the small system (ldapd, 43 misconfigurations) reaches
 // eval while the big one (proxyd, 154) is still injecting — instead of
-// holding every system at a stage barrier.
+// holding every system at a stage barrier, and it must do so on the
+// job's one pool: with workers: 1, no two misconfigurations run at once.
 func TestStagedJobPipelinesPerSystem(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := daemon(t, server.Config{StateDir: dir})
 
 	doc := postJob(t, ts.URL,
-		`{"systems": ["ldapd", "proxyd"], "workers": 1, "sim_delay": "5ms", "stages": ["infer", "inject", "eval"]}`)
+		`{"systems": ["ldapd", "proxyd"], "workers": 1, "sim_delay": "2ms", "stages": ["infer", "inject", "eval"]}`)
 	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
 	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
 	if final.State != server.StateDone {
@@ -191,10 +194,44 @@ func TestStagedJobPipelinesPerSystem(t *testing.T) {
 		t.Errorf("no pipelining: ldapd eval done at %d, after proxyd inject done at %d",
 			pos["ldapd/eval/done"], pos["proxyd/inject/done"])
 	}
+	t.Logf("ldapd eval done at frame %d, proxyd inject done at frame %d", pos["ldapd/eval/done"], pos["proxyd/inject/done"])
 
 	for _, sum := range final.Systems {
 		if sum.Fingerprint == "" || sum.Outcomes == 0 {
 			t.Errorf("staged summary incomplete: %+v", sum)
+		}
+	}
+
+	// The workers bound: the job's trace holds one span per executed
+	// misconfiguration, and with one worker they never overlap.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace obs.TraceDoc
+	err = json.NewDecoder(resp.Body).Decode(&trace)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.SpanDoc
+	for _, sp := range trace.Spans {
+		if sp.Kind == obs.SpanMisconf {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) == 0 {
+		t.Fatal("trace holds no misconf spans")
+	}
+	sort.Slice(spans, func(i, k int) bool { return spans[i].Start.Before(spans[k].Start) })
+	end := spans[0].End
+	for _, sp := range spans[1:] {
+		if sp.Start.Before(end) {
+			t.Fatalf("misconf %s started at %v while another ran until %v: more than one at once under workers: 1",
+				sp.Name, sp.Start, end)
+		}
+		if sp.End.After(end) {
+			end = sp.End
 		}
 	}
 }
@@ -376,20 +413,22 @@ func TestNamespaceIsolation(t *testing.T) {
 // TestRestartRequeuesQueuedJobs is the journal-adoption contract: a
 // daemon that died leaves running jobs behind as failed (resubmit to
 // resume), but a job that never left the queue — no lock claimed, no
-// outcome written — is re-queued and runs under the new daemon.
+// outcome written — is re-queued and runs under the new daemon. A
+// document is a job only under its own file name: one whose id escapes
+// the journal, or repeats another file's job, is skipped.
 func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	jobsDir := filepath.Join(dir, "jobs")
 	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	write := func(doc server.Job) {
+	write := func(file string, doc server.Job) {
 		t.Helper()
 		data, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(jobsDir, doc.ID+".json"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(jobsDir, file), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,21 +436,54 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	started := created.Add(time.Minute)
 	// job-000001 was mid-campaign when the old daemon died; job-000002
 	// never started.
-	write(server.Job{
+	write("job-000001.json", server.Job{
 		ID:        "job-000001",
 		Spec:      server.JobSpec{Systems: []string{"ldapd"}},
 		State:     server.StateRunning,
 		CreatedAt: created,
 		StartedAt: &started,
 	})
-	write(server.Job{
+	queued := server.Job{
 		ID:        "job-000002",
 		Spec:      server.JobSpec{Systems: []string{"ldapd"}, Workers: 2},
 		State:     server.StateQueued,
 		CreatedAt: created,
+	}
+	write("job-000002.json", queued)
+	// Not jobs: an id that would rewrite a file outside the state
+	// directory, and a second file claiming job-000002.
+	write("job-000010.json", server.Job{
+		ID:        "../../escape",
+		Spec:      server.JobSpec{Systems: []string{"ldapd"}},
+		State:     server.StateRunning,
+		CreatedAt: created,
 	})
+	write("job-000011.json", queued)
 
 	_, ts := daemon(t, server.Config{StateDir: dir})
+
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing struct {
+		Jobs []server.Job `json:"jobs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, j := range listing.Jobs {
+		ids = append(ids, j.ID)
+	}
+	if strings.Join(ids, " ") != "job-000001 job-000002" {
+		t.Errorf("restarted daemon lists jobs %v, want [job-000001 job-000002]", ids)
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "escape.json")); !os.IsNotExist(err) {
+		t.Errorf("journal adoption wrote outside the state directory: %v", err)
+	}
 
 	if doc := getJob(t, ts.URL, "job-000001"); doc.State != server.StateFailed ||
 		!strings.Contains(doc.Error, "daemon stopped") {

@@ -51,10 +51,13 @@
 // while jobs sharing a system serialize per system, not per daemon.
 // needs: [jobID...] adds explicit edges — a job waits for its
 // dependencies to finish (a failed or cancelled dependency fails the
-// job). stages: [infer, inject, eval] turns a job into a per-system
-// pipeline: each system advances through its stages independently, so
-// a fast system evaluates while a slow one still injects, and every
-// transition streams as a "stage" event. Per-namespace quotas bound
+// job). Every job is one pipeline on one pool `workers` wide: infer →
+// inject (one shard.CampaignAll, or coord.Run for a coordinate job) →
+// eval. stages: [infer, inject, eval] names the stages to run and
+// streams each system's transitions as "stage" events; a system's
+// inject and eval finish at its completion event, after its snapshot
+// is saved, so a fast system evaluates while a slow one still injects.
+// Per-namespace quotas bound
 // concurrency (Config.MaxConcurrentJobs) and queue depth
 // (Config.MaxQueuedJobs). Every job is journaled durably under
 // <ns>/jobs/, so a restarted daemon still lists finished jobs — and
@@ -864,10 +867,17 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 // coordStats carries a coordinate job's rebalance counters.
 type coordStats struct{ steals, spawns, retries int }
 
-// execute runs the campaign itself: the plain global scheduler, the
-// per-system staged pipeline, or the embedded coordinator for
-// coordinate jobs. Every progress event feeds the job's trace and,
-// throttled, the bus.
+// execute runs every job as one pipeline on the job's one pool:
+// infer → inject → eval. Inference fans out through spex.InferAll, the
+// inject step is one shard.CampaignAll over every system (coord.Run for
+// a coordinate job), and eval reads each system's outcome index. A
+// plain job is [infer, inject] and publishes no stage events; a staged
+// job runs and reports exactly its listed stages. Each system's inject
+// step ends at its completion event, which CampaignAll delivers after
+// saving the system, so a small system is evaluated while a big one
+// still injects and `workers` bounds the whole job; a job without the
+// eval stage reads the saved systems' fingerprints after the campaign.
+// Every progress event feeds the job's trace and, throttled, the bus.
 func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {
@@ -889,201 +899,174 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 		rec.observeProgress(p, time.Now().UTC())
 		s.bus.FoldProgress(ns.name, jobID, p)
 	}
-	if spec.Coordinate >= 2 {
-		return s.executeCoordinate(ctx, ns, jobID, spec, systems, opts, workers, locks, rec, onProgress)
+	stages := spec.Stages
+	if len(stages) == 0 {
+		stages = []string{StageInfer, StageInject}
 	}
-	if len(spec.Stages) > 0 {
-		summaries, err := s.executeStaged(ctx, ns, jobID, spec, systems, opts, workers, locks, onProgress)
-		return summaries, coordStats{}, err
-	}
-
-	results, err := spex.InferAll(ctx, systems, workers)
-	if err != nil {
-		return nil, coordStats{}, err
-	}
-	ws, _, err := shard.BuildWorkloads(systems, results, shard.Plan{})
-	if err != nil {
-		return nil, coordStats{}, err
-	}
-	gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: onProgress}
-	runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
-
-	var summaries []SystemSummary
-	var saveErr error
-	for _, run := range runs {
-		sum := summarize(run.Sys.Name(), run.Report)
-		if run.Err != nil && saveErr == nil {
-			saveErr = fmt.Errorf("%s: snapshot not saved: %w", run.Sys.Name(), run.Err)
-		}
-		if run.Status.Saved {
-			// The save just wrote the index sidecar, so this is a stat
-			// plus one small JSON read — not a snapshot re-parse.
-			if idx, err := ns.index(run.Sys.Name()); err == nil {
-				sum.Fingerprint = idx.Fingerprint
-			}
-		}
-		summaries = append(summaries, sum)
-	}
-	if runErr != nil {
-		return summaries, coordStats{}, runErr
-	}
-	return summaries, coordStats{}, saveErr
-}
-
-// executeStaged runs a stages: [...] job as one pipeline per system:
-// each system advances infer → inject → eval on its own goroutine, so
-// a fast system reaches eval while a slow one is still injecting —
-// stage pipelining, not stage barriers. Each transition is published
-// as a "stage" event. The per-system campaigns still write through the
-// job's per-system locks; systems outside the job's claim cannot be
-// reached by construction.
-func (s *Server) executeStaged(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, onProgress func(shard.Progress)) ([]SystemSummary, error) {
-	has := make(map[string]bool, len(spec.Stages))
-	for _, st := range spec.Stages {
+	has := make(map[string]bool, len(stages))
+	for _, st := range stages {
 		has[st] = true
 	}
-	var (
-		mu        sync.Mutex
-		summaries []SystemSummary
-		firstErr  error
-	)
-	record := func(sum *SystemSummary, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if sum != nil {
-			summaries = append(summaries, *sum)
+	emit := func(system, stage, state, msg string) {
+		if len(spec.Stages) > 0 && has[stage] {
+			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindStage, Job: jobID,
+				Stage: &dash.Stage{System: system, Stage: stage, State: state, Error: msg}})
 		}
+	}
+	emitAll := func(stage, state, msg string) {
+		for _, sys := range systems {
+			emit(sys.Name(), stage, state, msg)
+		}
+	}
+	summaries := make([]SystemSummary, len(systems))
+	pos := make(map[string]int, len(systems))
+	for i, sys := range systems {
+		summaries[i].System = sys.Name()
+		pos[sys.Name()] = i
+	}
+	var firstErr error
+	record := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	var wg sync.WaitGroup
-	for _, sys := range systems {
-		wg.Add(1)
-		go func(sys sim.System) {
-			defer wg.Done()
-			name := sys.Name()
-			emit := func(stage, state, errMsg string) {
-				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindStage, Job: jobID,
-					Stage: &dash.Stage{System: name, Stage: stage, State: state, Error: errMsg}})
-			}
-			// Inference feeds injection, so it runs whenever either
-			// stage is requested; it is only *reported* when listed.
-			var res *spex.Result
-			if has[StageInfer] || has[StageInject] {
-				if has[StageInfer] {
-					emit(StageInfer, "running", "")
-				}
-				results, err := spex.InferAll(ctx, []sim.System{sys}, 1)
-				if err != nil {
-					if has[StageInfer] {
-						emit(StageInfer, "failed", err.Error())
-					}
-					record(nil, err)
-					return
-				}
-				res = results[0]
-				if has[StageInfer] {
-					emit(StageInfer, "done", "")
-				}
-			}
-			sum := SystemSummary{System: name}
-			if has[StageInject] {
-				emit(StageInject, "running", "")
-				ws, _, err := shard.BuildWorkloads([]sim.System{sys}, []*spex.Result{res}, shard.Plan{})
-				if err != nil {
-					emit(StageInject, "failed", err.Error())
-					record(nil, err)
-					return
-				}
-				gopts := shard.Options{Workers: workers, Inject: opts, OnProgress: onProgress}
-				runs, runErr := shard.CampaignAll(ctx, locks, ws, gopts)
-				if runErr != nil {
-					emit(StageInject, "failed", runErr.Error())
-					record(nil, runErr)
-					return
-				}
-				run := runs[0]
-				if run.Err != nil {
-					emit(StageInject, "failed", run.Err.Error())
-					record(nil, fmt.Errorf("%s: snapshot not saved: %w", name, run.Err))
-					return
-				}
-				sum = summarize(name, run.Report)
-				emit(StageInject, "done", "")
-			}
-			if has[StageEval] {
-				emit(StageEval, "running", "")
-				idx, err := ns.index(name)
-				if err != nil {
-					emit(StageEval, "failed", err.Error())
-					record(&sum, fmt.Errorf("%s: eval: %w", name, err))
-					return
-				}
-				sum.Fingerprint = idx.Fingerprint
-				sum.Outcomes = idx.Agg.Outcomes
-				sum.Vulnerabilities = idx.Agg.Vulnerabilities
-				emit(StageEval, "done", "")
-			}
-			record(&sum, nil)
-		}(sys)
-	}
-	wg.Wait()
-	sort.Slice(summaries, func(i, k int) bool { return summaries[i].System < summaries[k].System })
-	if ctx.Err() != nil && firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return summaries, firstErr
-}
-
-// executeCoordinate embeds the shard coordinator: N workers on lease
-// files under the namespace's state directory, work-stealing
-// rebalance, bounded worker retries, and the final merge into the
-// canonical store. The daemon hands coord.Run the job's per-system
-// lock set, so the final merge writes under the claims the scheduler
-// already holds for this job.
-func (s *Server) executeCoordinate(ctx context.Context, ns *namespace, jobID string, spec JobSpec, systems []sim.System, opts inject.Options, workers int, locks *campaignstore.LockSet, rec *traceRecorder, onProgress func(shard.Progress)) ([]SystemSummary, coordStats, error) {
-	stealMin := coord.DefaultStealMin
-	if spec.StealMin != nil {
-		stealMin = *spec.StealMin
-	}
-	wopts := coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: onProgress}
-	spawn := s.inprocSpawner(systems, wopts)
-	if len(s.cfg.SpawnArgv) > 0 {
-		spawn = coord.ExecSpawner(s.cfg.SpawnArgv)
-	}
-	cfg := coord.Config{
-		StateDir:      ns.dir,
-		Workers:       spec.Coordinate,
-		Systems:       systems,
-		Inject:        opts,
-		PoolWorkers:   workers,
-		StealMin:      stealMin,
-		WorkerRetries: coord.DefaultWorkerRetries,
-		Locks:         locks,
-		Spawn:         spawn,
-		OnEvent: func(e coord.Event) {
-			rec.observeCoord(e, time.Now().UTC())
-			ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
-			if e.Err != nil {
-				ce.Error = e.Err.Error()
-			}
-			s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: ce})
-		},
-	}
-	res, err := coord.Run(ctx, cfg)
-	if err != nil {
-		return nil, coordStats{}, err
-	}
-	var summaries []SystemSummary
-	for _, st := range res.Stats {
-		sum := SystemSummary{System: st.System, Outcomes: st.Outcomes, Fingerprint: st.Fingerprint}
-		if idx, err := ns.index(st.System); err == nil {
-			sum.Vulnerabilities = idx.Agg.Vulnerabilities
+	// eval reads a system's outcome index into its summary — a stat plus
+	// one small sidecar read, never a snapshot parse: the fingerprint
+	// for every job, and as the eval stage the stored tallies.
+	eval := func(i int) error {
+		name := systems[i].Name()
+		emit(name, StageEval, "running", "")
+		idx, err := ns.index(name)
+		if err != nil {
+			emit(name, StageEval, "failed", err.Error())
+			return fmt.Errorf("%s: eval: %w", name, err)
 		}
-		summaries = append(summaries, sum)
+		summaries[i].Fingerprint = idx.Fingerprint
+		if has[StageEval] {
+			summaries[i].Outcomes, summaries[i].Vulnerabilities = idx.Agg.Outcomes, idx.Agg.Vulnerabilities
+		}
+		emit(name, StageEval, "done", "")
+		return nil
 	}
-	return summaries, coordStats{steals: res.Steals, spawns: res.Spawns, retries: res.Retries}, nil
+	// finishInject ends a system's inject step from its finished run, then
+	// runs its eval stage.
+	injected := make([]bool, len(systems))
+	finishInject := func(run *shard.SystemRun) error {
+		i := pos[run.Sys.Name()]
+		injected[i] = true
+		summaries[i] = summarize(run.Sys.Name(), run.Report)
+		if run.Err != nil {
+			emit(run.Sys.Name(), StageInject, "failed", run.Err.Error())
+			return fmt.Errorf("%s: snapshot not saved: %w", run.Sys.Name(), run.Err)
+		}
+		emit(run.Sys.Name(), StageInject, "done", "")
+		if has[StageEval] {
+			return eval(i)
+		}
+		return nil
+	}
+
+	// Infer. It feeds the inject step, so it runs whenever either stage
+	// is listed; it is only reported when listed.
+	var ws []shard.Workload
+	if has[StageInfer] || has[StageInject] {
+		emitAll(StageInfer, "running", "")
+		results, err := spex.InferAll(ctx, systems, workers)
+		if err == nil {
+			ws, _, err = shard.BuildWorkloads(systems, results, shard.Plan{})
+		}
+		if err != nil {
+			emitAll(StageInfer, "failed", err.Error())
+			return nil, coordStats{}, err
+		}
+		emitAll(StageInfer, "done", "")
+	}
+
+	switch {
+	case spec.Coordinate >= 2:
+		// The embedded shard coordinator: N workers on lease files under
+		// the namespace's state directory, work-stealing rebalance,
+		// bounded worker retries, and the final merge into the canonical
+		// store under the per-system locks the scheduler holds for the
+		// job. It plans from its own inference.
+		stealMin := coord.DefaultStealMin
+		if spec.StealMin != nil {
+			stealMin = *spec.StealMin
+		}
+		spawn := s.inprocSpawner(systems, coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: onProgress})
+		if len(s.cfg.SpawnArgv) > 0 {
+			spawn = coord.ExecSpawner(s.cfg.SpawnArgv)
+		}
+		res, err := coord.Run(ctx, coord.Config{
+			StateDir:      ns.dir,
+			Workers:       spec.Coordinate,
+			Systems:       systems,
+			Inject:        opts,
+			PoolWorkers:   workers,
+			StealMin:      stealMin,
+			WorkerRetries: coord.DefaultWorkerRetries,
+			Locks:         locks,
+			Spawn:         spawn,
+			OnEvent: func(e coord.Event) {
+				rec.observeCoord(e, time.Now().UTC())
+				ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
+				if e.Err != nil {
+					ce.Error = e.Err.Error()
+				}
+				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: ce})
+			},
+		})
+		if err != nil {
+			return nil, coordStats{}, err
+		}
+		summaries = summaries[:0]
+		for _, st := range res.Stats {
+			sum := SystemSummary{System: st.System, Outcomes: st.Outcomes, Fingerprint: st.Fingerprint}
+			if idx, err := ns.index(st.System); err == nil {
+				sum.Vulnerabilities = idx.Agg.Vulnerabilities
+			}
+			summaries = append(summaries, sum)
+		}
+		return summaries, coordStats{steals: res.Steals, spawns: res.Spawns, retries: res.Retries}, nil
+	case has[StageInject]:
+		emitAll(StageInject, "running", "")
+		runs, runErr := shard.CampaignAll(ctx, locks, ws, shard.Options{Workers: workers, Inject: opts,
+			OnProgress: func(p shard.Progress) {
+				onProgress(p)
+				if p.Run != nil {
+					record(finishInject(p.Run))
+				}
+			}})
+		for i := range runs {
+			switch {
+			case injected[i]:
+			case runErr != nil:
+				// Cancelled before the system completed: its finished
+				// outcomes are saved, but it never reaches eval.
+				summaries[i] = summarize(runs[i].Sys.Name(), runs[i].Report)
+				emit(runs[i].Sys.Name(), StageInject, "failed", runErr.Error())
+			default: // nothing to run, so no completion event
+				record(finishInject(&runs[i]))
+			}
+		}
+		if runErr != nil {
+			return summaries, coordStats{}, runErr
+		}
+		if !has[StageEval] {
+			// Read after the campaign, so no index is held in memory while
+			// other systems still run.
+			for i := range runs {
+				if runs[i].Status.Saved {
+					record(eval(i))
+				}
+			}
+		}
+	case has[StageEval]:
+		for i := range systems {
+			record(eval(i))
+		}
+	}
+	return summaries, coordStats{}, firstErr
 }
 
 // inprocSpawner runs coordinate-job workers as goroutines over

@@ -211,42 +211,84 @@ func (c *collector) waitFor(t *testing.T, what string, pred func(dash.Event) boo
 	}
 }
 
-// TestDaemonEndToEnd is the acceptance run: submit an -all job over
-// HTTP, observe SSE progress while it runs, then check that the state
-// directory and the served tables are identical to what the CLI
-// pipeline produces — fingerprints for the store, bytes for the text.
+// TestDaemonEndToEnd is the acceptance run, once per golden daemon
+// mode, each on a fresh state directory: submit an all-systems job over
+// HTTP and byte-diff all twelve served tables against testdata/golden —
+// exactly what `spexeval -table N` prints. The plain job also checks
+// the SSE stream, ETags, the JSON form, outcome serving, and that a
+// second job replays the store at zero fresh cost.
 func TestDaemonEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 4})
+	for _, mode := range []struct{ name, spec string }{
+		{"plain", `{"all": true, "workers": 4}`},
+		{"staged", `{"all": true, "workers": 4, "stages": ["infer", "inject", "eval"]}`},
+		{"coordinate", `{"all": true, "workers": 2, "coordinate": 2}`},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts := daemon(t, server.Config{StateDir: dir, Workers: 4})
 
-	// An empty store serves no tables yet.
-	resp, err := http.Get(ts.URL + "/v1/tables/5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("tables on an empty store: %d, want 409", resp.StatusCode)
-	}
+			// An empty store serves no tables yet.
+			resp, err := http.Get(ts.URL + "/v1/tables/5")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("tables on an empty store: %d, want 409", resp.StatusCode)
+			}
 
-	doc := postJob(t, ts.URL, `{"all": true, "workers": 4}`)
-	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
-	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
-	if final.State != server.StateDone {
-		t.Fatalf("job ended %s: %s", final.State, final.Error)
+			doc := postJob(t, ts.URL, mode.spec)
+			sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
+			final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
+			if final.State != server.StateDone {
+				t.Fatalf("job ended %s: %s", final.State, final.Error)
+			}
+			if len(final.Systems) != 7 {
+				t.Fatalf("job summarizes %d systems, want 7", len(final.Systems))
+			}
+			for _, sum := range final.Systems {
+				if sum.Outcomes == 0 || sum.Fingerprint == "" {
+					t.Errorf("%s summary incomplete: %+v", sum.System, sum)
+				}
+			}
+			for n := 1; n <= report.MaxTable; n++ {
+				golden, err := os.ReadFile(fmt.Sprintf("../../testdata/golden/table%02d.txt", n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d?format=text", ts.URL, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("table %d: %d %s", n, resp.StatusCode, body)
+				}
+				if string(body) != string(golden) {
+					t.Errorf("table %d text differs from testdata/golden", n)
+				}
+			}
+			if mode.name == "plain" {
+				checkPlainJob(t, ts.URL, final, sse.wait(t))
+			}
+		})
 	}
-	if len(final.Systems) != 7 {
-		t.Fatalf("job summarizes %d systems, want 7", len(final.Systems))
-	}
+}
+
+// checkPlainJob runs the plain end-to-end job's remaining checks: its
+// summaries and SSE stream, table ETags and JSON, outcome serving, and
+// a zero-fresh-cost replay job over the same store.
+func checkPlainJob(t *testing.T, base string, final server.Job, events []dash.Event) {
+	t.Helper()
 	fingerprints := map[string]string{}
 	for _, sum := range final.Systems {
-		if sum.Executed == 0 || sum.Fingerprint == "" {
-			t.Errorf("%s summary incomplete: %+v", sum.System, sum)
+		if sum.Executed == 0 {
+			t.Errorf("%s executed nothing on a fresh store: %+v", sum.System, sum)
 		}
 		fingerprints[sum.System] = sum.Fingerprint
 	}
 
-	events := sse.wait(t)
 	var sawRunning, sawDone bool
 	progress := 0
 	for _, e := range events {
@@ -266,31 +308,22 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("SSE stream incomplete: running=%v done=%v progress=%d", sawRunning, sawDone, progress)
 	}
 
-	// Served table text must be byte-identical to the golden files —
-	// exactly what `spexeval -table N` prints.
 	for _, n := range []int{3, 5, 9, 11} {
 		golden, err := os.ReadFile(fmt.Sprintf("../../testdata/golden/table%02d.txt", n))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantText := strings.TrimSuffix(string(golden), "\n")
-		resp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d?format=text", ts.URL, n))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d?format=text", base, n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("table %d: %d %s", n, resp.StatusCode, body)
-		}
-		if string(body) != string(golden) {
-			t.Errorf("table %d text differs from testdata/golden", n)
-		}
 		// The table carries the store-state ETag and honors it.
 		if tag := resp.Header.Get("ETag"); tag == "" {
 			t.Errorf("table %d has no ETag", n)
 		} else {
-			req, _ := http.NewRequest("GET", fmt.Sprintf("%s/v1/tables/%d?format=text", ts.URL, n), nil)
+			req, _ := http.NewRequest("GET", fmt.Sprintf("%s/v1/tables/%d?format=text", base, n), nil)
 			req.Header.Set("If-None-Match", tag)
 			cresp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -302,7 +335,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 			}
 		}
 		// And the JSON form must re-render to the same bytes.
-		jresp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d", ts.URL, n))
+		jresp, err := http.Get(fmt.Sprintf("%s/v1/tables/%d", base, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +357,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Outcome serving.
-	oresp, err := http.Get(ts.URL + "/v1/systems/proxyd/outcomes")
+	oresp, err := http.Get(base + "/v1/systems/proxyd/outcomes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +378,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// A second job over the same store must replay everything at zero
 	// fresh cost and land on the same fingerprint — the daemon is the
 	// incremental pipeline behind an API.
-	doc2 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
-	final2 := waitTerminal(t, ts.URL, doc2.ID, time.Minute)
+	doc2 := postJob(t, base, `{"systems": ["proxyd"], "workers": 4}`)
+	final2 := waitTerminal(t, base, doc2.ID, time.Minute)
 	if final2.State != server.StateDone || len(final2.Systems) != 1 {
 		t.Fatalf("replay job: %+v", final2)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"spex/internal/campaignstore"
@@ -29,7 +28,8 @@ type Workload struct {
 	Ms []confgen.Misconf
 	// Cache, if set, replays recorded outcomes and records fresh ones —
 	// per system, keyed by inject.CacheKey (no cross-system prefix; the
-	// scheduler namespaces internally).
+	// scheduler namespaces internally). A store-backed run replaces it
+	// with the cache its snapshot seeds.
 	Cache *inject.ResultCache
 	// Keep lists cache keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
@@ -132,6 +132,12 @@ type Progress struct {
 	// outcome was replayed from the cache). Trace recorders use it to
 	// reconstruct per-misconf spans from the event stream.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
+	// Run is set on a system's completion event only (SystemDone reaches
+	// SystemTotal): the finished system's report, store status and save
+	// error. CampaignAll delivers that event after the system's snapshot
+	// save, so a consumer can read the system back from the store. Not
+	// part of the wire form.
+	Run *SystemRun `json:"-"`
 }
 
 // Options tune one global run.
@@ -143,7 +149,8 @@ type Options struct {
 	// global pool replaces them.
 	Inject inject.Options
 	// OnProgress, if set, streams every completed outcome. Calls are
-	// serialized by the scheduler.
+	// serialized by the scheduler; a system's completion event comes
+	// after that system is finished and saved (Progress.Run).
 	OnProgress func(Progress)
 	// Gate, if set, is consulted immediately before a misconfiguration
 	// executes (cache replays bypass it — a replay costs nothing and is
@@ -160,138 +167,7 @@ type Options struct {
 // cache. System names never contain NUL, so prefixes cannot collide.
 func cachePrefix(sys sim.System) string { return sys.Name() + "\x00" }
 
-// RunGlobal executes every workload's misconfigurations through one
-// engine worker pool in interleaved order and reassembles per-workload
-// reports, index-aligned with ws. Each report is identical to what a
-// standalone inject.RunContext over the same workload would produce
-// (both reassemble through inject.Assemble in input order), so going
-// global changes wall-clock utilization, never results. On
-// cancellation every report is still returned — finished outcomes kept,
-// unstarted ones marked Skipped — together with the context error.
-func RunGlobal(ctx context.Context, ws []Workload, opts Options) ([]*inject.Report, error) {
-	runners := make([]*inject.Runner, len(ws))
-	sizes := make([]int, len(ws))
-	total := 0
-	for i, w := range ws {
-		runners[i] = inject.NewRunner(w.Sys, opts.Inject)
-		sizes[i] = len(w.Ms)
-		total += sizes[i]
-	}
-	tasks := Interleave(sizes)
-
-	// One shared engine cache serves every workload, keys namespaced by
-	// system. Seeded from the per-workload caches up front; written back
-	// per workload after the run, so each Workload.Cache ends up exactly
-	// as a standalone run would leave it (replays + fresh records).
-	var global *engine.Cache[inject.Outcome]
-	for _, w := range ws {
-		if w.Cache != nil {
-			global = engine.NewCache[inject.Outcome]()
-			break
-		}
-	}
-	if global != nil {
-		for i, w := range ws {
-			if w.Cache == nil {
-				continue
-			}
-			prefix := cachePrefix(ws[i].Sys)
-			for key, out := range w.Cache.Snapshot() {
-				global.Put(prefix+key, out)
-			}
-		}
-	}
-
-	eopts := engine.Options[inject.Outcome]{Workers: opts.Workers}
-	if global != nil {
-		eopts.Cache = global
-		eopts.KeyOf = func(i int) string {
-			t := tasks[i]
-			if ws[t.Target].Cache == nil {
-				return "" // this workload runs uncached
-			}
-			return cachePrefix(ws[t.Target].Sys) + inject.CacheKey(ws[t.Target].Ms[t.Index])
-		}
-	}
-	if opts.OnProgress != nil {
-		done := 0
-		sysDone := make([]int, len(ws))
-		eopts.OnResult = func(r engine.Result[inject.Outcome]) {
-			if r.Skipped {
-				// Never-started task flushed by a cancellation: not work
-				// done — tallied on the per-system Report.Skipped instead.
-				return
-			}
-			t := tasks[r.Index]
-			done++
-			sysDone[t.Target]++
-			opts.OnProgress(Progress{
-				System:      ws[t.Target].Sys.Name(),
-				Key:         inject.CacheKey(ws[t.Target].Ms[t.Index]),
-				Failed:      r.Err != nil,
-				Yielded:     errors.Is(r.Err, inject.ErrYielded),
-				SystemDone:  sysDone[t.Target],
-				SystemTotal: sizes[t.Target],
-				Done:        done,
-				Total:       total,
-				Elapsed:     r.Elapsed,
-			})
-		}
-	}
-
-	results, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (inject.Outcome, error) {
-		t := tasks[i]
-		if opts.Gate != nil {
-			if err := opts.Gate(ws[t.Target].Sys.Name(), ws[t.Target].Ms[t.Index]); err != nil {
-				return inject.Outcome{}, err
-			}
-		}
-		return runners[t.Target].Test(ctx, ws[t.Target].Ms[t.Index])
-	}, eopts)
-
-	// Write the shared cache back into the per-workload caches: each
-	// ends with exactly its own namespace's entries (seeded replays plus
-	// fresh recordings), the state a standalone cached run would leave.
-	if global != nil {
-		entries := global.Snapshot()
-		for i, w := range ws {
-			if w.Cache == nil {
-				continue
-			}
-			prefix := cachePrefix(ws[i].Sys)
-			own := make(map[string]inject.Outcome)
-			for key, out := range entries {
-				if strings.HasPrefix(key, prefix) {
-					own[key[len(prefix):]] = out
-				}
-			}
-			w.Cache.LoadSnapshot(own)
-		}
-	}
-
-	// Route the flat results back per workload, restoring each task's
-	// within-workload index, and reassemble through the same code path
-	// as inject.RunContext.
-	perTarget := make([][]engine.Result[inject.Outcome], len(ws))
-	for i := range ws {
-		perTarget[i] = make([]engine.Result[inject.Outcome], sizes[i])
-	}
-	for i, r := range results {
-		t := tasks[i]
-		r.Index = t.Index
-		perTarget[t.Target][t.Index] = r
-	}
-	reps := make([]*inject.Report, len(ws))
-	for i, w := range ws {
-		reps[i] = inject.Assemble(w.Sys.Name(), w.Ms, perTarget[i], w.Cache)
-	}
-	if cancelErr != nil {
-		return reps, fmt.Errorf("shard: %w", cancelErr)
-	}
-	return reps, nil
-}
-
-// SystemRun is one workload's result in a store-backed global campaign.
+// SystemRun is one workload's result in a global campaign.
 type SystemRun struct {
 	// Sys is the workload's target.
 	Sys sim.System
@@ -306,70 +182,189 @@ type SystemRun struct {
 	Err error
 }
 
-// CampaignAll is the store-backed global campaign — the one campaign
-// path: a load → diff → retest-delta → save lifecycle for every
-// workload, with all workloads' execution interleaved on one pool. For
-// each workload it loads the system's snapshot, Diffs the stored
-// constraint set against Workload.Set, seeds the workload cache with
-// the recorded outcomes, evicts the delta-selected retests, runs
-// everything through RunGlobal (replays cost nothing), and saves the
-// updated snapshot — even after cancellation, so the next run resumes
-// with exactly the unfinished misconfigurations.
+// CampaignAll is the one campaign path. Every workload's
+// misconfigurations run through one engine worker pool in interleaved
+// order (Interleave), and each workload finishes the moment its last
+// misconfiguration completes: its report is reassembled through
+// inject.Assemble in input order — identical to a standalone
+// inject.RunContext over the same workload, so going global changes
+// utilization, never results — and its snapshot is saved, all before
+// the progress event reporting that completion is delivered. A small
+// system is therefore on disk while larger ones still run. Runs come
+// back index-aligned with ws.
 //
-// The store is addressed through held per-system writer locks: the
-// campaign ends in snapshot saves, and the campaignstore lock handles
-// are the only capability for those, so a caller must have acquired
-// each workload system's lock (or a whole-directory lock viewed
-// through Lock.Set) before it can even name this function's persistent
-// mode. A nil set runs the campaign unpersisted; a restricted set
-// missing a workload's system fails that system's save loudly.
+// With a store, each workload runs a load → diff → retest-delta → save
+// lifecycle: the system's snapshot is loaded, the stored constraint set
+// Diffed against Workload.Set, the workload cache seeded with the
+// recorded outcomes minus the delta-selected retests (replays cost
+// nothing), and the updated snapshot saved — even after cancellation,
+// so the next run resumes with exactly the unfinished
+// misconfigurations. The store is addressed through held per-system
+// writer locks: the campaignstore lock handles are the only capability
+// for the saves, so a caller must have acquired each workload system's
+// lock (or a whole-directory lock viewed through Lock.Set) before it
+// can even name this mode. A restricted set missing a workload's system
+// fails that system's save loudly.
+//
+// A nil set is the storeless run: it replays and records through each
+// Workload.Cache that is set, and saves nothing. On cancellation every
+// run is still returned — finished outcomes kept, unstarted ones marked
+// Skipped — together with the context error.
 func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workload, opts Options) ([]SystemRun, error) {
 	runs := make([]SystemRun, len(ws))
-	for i := range ws {
-		runs[i].Sys = ws[i].Sys
-	}
 	prevStamps := make([]map[string]time.Time, len(ws))
-	if locks != nil {
-		store := locks.Store()
-		for i := range ws {
-			w := &ws[i]
-			cache := inject.NewResultCache()
-			runs[i].Status, prevStamps[i] = store.Prepare(w.Sys.Name(), w.Set, w.Ms, opts.Inject, w.Keep, cache)
-			w.Cache = cache
+	runners := make([]*inject.Runner, len(ws))
+	results := make([][]engine.Result[inject.Outcome], len(ws))
+	// keys[i][j] is ws[i].Ms[j]'s replay identity (inject.CacheKey),
+	// computed once for the cache lookups, the progress events and the
+	// cache moves.
+	keys := make([][]string, len(ws))
+	sizes := make([]int, len(ws))
+	total := 0
+	for i := range ws {
+		w := &ws[i]
+		runs[i].Sys = w.Sys
+		if locks != nil {
+			w.Cache = inject.NewResultCache()
+			runs[i].Status, prevStamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, opts.Inject, w.Keep, w.Cache)
+		}
+		runners[i] = inject.NewRunner(w.Sys, opts.Inject)
+		results[i] = make([]engine.Result[inject.Outcome], len(w.Ms))
+		keys[i] = make([]string, len(w.Ms))
+		for j, m := range w.Ms {
+			keys[i][j] = inject.CacheKey(m)
+		}
+		sizes[i] = len(w.Ms)
+		total += sizes[i]
+	}
+	tasks := Interleave(sizes)
+
+	// One shared engine cache serves every workload, keys namespaced by
+	// system, seeded from the per-workload caches up front.
+	eopts := engine.Options[inject.Outcome]{Workers: opts.Workers}
+	for _, w := range ws {
+		if w.Cache == nil {
+			continue
+		}
+		if eopts.Cache == nil {
+			eopts.Cache = engine.NewCache[inject.Outcome]()
+		}
+		prefix := cachePrefix(w.Sys)
+		for key, out := range w.Cache.Snapshot() {
+			eopts.Cache.Put(prefix+key, out)
+		}
+	}
+	if eopts.Cache != nil {
+		eopts.KeyOf = func(i int) string {
+			t := tasks[i]
+			if ws[t.Target].Cache == nil {
+				return "" // this workload runs uncached
+			}
+			return cachePrefix(ws[t.Target].Sys) + keys[t.Target][t.Index]
 		}
 	}
 
-	reps, runErr := RunGlobal(ctx, ws, opts)
-	for i := range ws {
-		runs[i].Report = reps[i]
-	}
-	if locks != nil {
-		for i := range ws {
-			snap := campaignstore.New(ws[i].Sys.Name(), ws[i].Set, opts.Inject, ws[i].Cache.Snapshot())
-			// Keys this run executed or re-validated (everything in Ms)
-			// are genuinely fresh; keys merely carried through the save
-			// (Workload.Keep) retain their original stamps, so a shard
-			// refresh can never make a peer's outcomes look newer than
-			// the peer's own retests at merge time.
-			if len(ws[i].Keep) > 0 && prevStamps[i] != nil {
-				own := make(map[string]bool, len(ws[i].Ms))
-				for _, m := range ws[i].Ms {
-					own[inject.CacheKey(m)] = true
+	// finish completes workload i. It moves the workload's entries from
+	// the shared cache into its own, so Workload.Cache ends exactly as a
+	// standalone cached run leaves it (replays plus fresh recordings) and
+	// a finished system's outcomes are not held twice while the others
+	// run; then it assembles the report and saves the snapshot.
+	finished := make([]bool, len(ws))
+	finish := func(i int) {
+		finished[i] = true
+		w := ws[i]
+		if w.Cache != nil {
+			prefix := cachePrefix(w.Sys)
+			for _, key := range keys[i] {
+				if out, ok := eopts.Cache.Get(prefix + key); ok {
+					w.Cache.Put(key, out)
+					eopts.Cache.Delete(prefix + key)
 				}
-				for k := range snap.Outcomes {
-					if !own[k] {
-						if t, ok := prevStamps[i][k]; ok {
-							snap.Stamps[k] = t
-						}
+			}
+		}
+		runs[i].Report = inject.Assemble(w.Sys.Name(), w.Ms, results[i], w.Cache)
+		results[i] = nil // the report holds the outcomes now
+		if locks == nil {
+			return
+		}
+		snap := campaignstore.New(w.Sys.Name(), w.Set, opts.Inject, w.Cache.Snapshot())
+		// Keys this run executed or re-validated (everything in Ms) are
+		// genuinely fresh; keys merely carried through the save
+		// (Workload.Keep) retain their original stamps, so a shard
+		// refresh can never make a peer's outcomes look newer than the
+		// peer's own retests at merge time.
+		if len(w.Keep) > 0 && prevStamps[i] != nil {
+			own := make(map[string]bool, len(keys[i]))
+			for _, key := range keys[i] {
+				own[key] = true
+			}
+			for k := range snap.Outcomes {
+				if !own[k] {
+					if t, ok := prevStamps[i][k]; ok {
+						snap.Stamps[k] = t
 					}
 				}
 			}
-			if err := locks.Save(snap); err != nil {
-				runs[i].Err = err
-				continue
-			}
-			runs[i].Status.Saved = true
+		}
+		if err := locks.Save(snap); err != nil {
+			runs[i].Err = err
+			return
+		}
+		runs[i].Status.Saved = true
+	}
+
+	done := 0
+	sysDone := make([]int, len(ws))
+	eopts.OnResult = func(r engine.Result[inject.Outcome]) {
+		t := tasks[r.Index]
+		r.Index = t.Index
+		results[t.Target][t.Index] = r
+		if r.Skipped {
+			// Never-started task flushed by a cancellation: not work done —
+			// tallied on the per-system Report.Skipped instead.
+			return
+		}
+		done++
+		sysDone[t.Target]++
+		p := Progress{
+			System:      ws[t.Target].Sys.Name(),
+			Key:         keys[t.Target][t.Index],
+			Failed:      r.Err != nil,
+			Yielded:     errors.Is(r.Err, inject.ErrYielded),
+			SystemDone:  sysDone[t.Target],
+			SystemTotal: sizes[t.Target],
+			Done:        done,
+			Total:       total,
+			Elapsed:     r.Elapsed,
+		}
+		if sysDone[t.Target] == sizes[t.Target] {
+			finish(t.Target)
+			p.Run = &runs[t.Target]
+		}
+		if opts.OnProgress != nil {
+			opts.OnProgress(p)
 		}
 	}
-	return runs, runErr
+
+	_, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (inject.Outcome, error) {
+		t := tasks[i]
+		if opts.Gate != nil {
+			if err := opts.Gate(ws[t.Target].Sys.Name(), ws[t.Target].Ms[t.Index]); err != nil {
+				return inject.Outcome{}, err
+			}
+		}
+		return runners[t.Target].Test(ctx, ws[t.Target].Ms[t.Index])
+	}, eopts)
+
+	// Workloads that never completed — cancelled mid-run, or with
+	// nothing to run — finish now, saving what they have.
+	for i := range ws {
+		if !finished[i] {
+			finish(i)
+		}
+	}
+	if cancelErr != nil {
+		return runs, fmt.Errorf("shard: %w", cancelErr)
+	}
+	return runs, nil
 }

@@ -7,14 +7,16 @@
 //
 // The subsystem has two cooperating pieces:
 //
-//   - A global cross-target scheduler (RunGlobal, CampaignAll): instead
-//     of one worker pool per system, every target's misconfigurations
-//     flatten into a single task queue feeding one pool. Tasks are
-//     interleaved round-robin across targets (Interleave), the
-//     boot-lock fairness rule: consecutive tasks hit different targets,
-//     so no single target's serialized boot phase (the per-target boot
-//     mutex in internal/targets) backs up the whole pool, and small
-//     targets draining early no longer idle workers.
+//   - A global cross-target scheduler (CampaignAll): instead of one
+//     worker pool per system, every target's misconfigurations flatten
+//     into a single task queue feeding one pool. Tasks are interleaved
+//     round-robin across targets (Interleave), the boot-lock fairness
+//     rule: consecutive tasks hit different targets, so no single
+//     target's serialized boot phase (the per-target boot mutex in
+//     internal/targets) backs up the whole pool, and small targets
+//     draining early no longer idle workers. Each system is saved the
+//     moment its last misconfiguration completes, not after the slowest
+//     system finishes.
 //
 //   - A shard/merge layer (Plan, Merge): Plan deterministically
 //     partitions the workload by stable hash of inject.CacheKey, each

@@ -18,6 +18,7 @@ import (
 	"spex/internal/spex"
 	"spex/internal/targets/httpd"
 	"spex/internal/targets/ldapd"
+	"spex/internal/targets/proxyd"
 )
 
 // workloadFor infers a real target and generates its full
@@ -183,12 +184,12 @@ func TestRunGlobalMatchesPerTarget(t *testing.T) {
 		}
 		want = append(want, rep)
 	}
-	got, err := RunGlobal(ctx, ws, Options{Workers: 8, Inject: inject.DefaultOptions()})
+	got, err := CampaignAll(ctx, nil, ws, Options{Workers: 8, Inject: inject.DefaultOptions()})
 	if err != nil {
-		t.Fatalf("RunGlobal: %v", err)
+		t.Fatalf("CampaignAll: %v", err)
 	}
 	for i := range ws {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !reflect.DeepEqual(got[i].Report, want[i]) {
 			t.Errorf("%s: global report differs from per-target report", ws[i].Sys.Name())
 		}
 	}
@@ -200,7 +201,7 @@ func TestRunGlobalProgressAggregates(t *testing.T) {
 	ws := []Workload{workloadFor(t, ldapd.New()), workloadFor(t, httpd.New())}
 	total := len(ws[0].Ms) + len(ws[1].Ms)
 	var events []Progress
-	_, err := RunGlobal(context.Background(), ws, Options{
+	_, err := CampaignAll(context.Background(), nil, ws, Options{
 		Workers: 4, Inject: inject.DefaultOptions(),
 		OnProgress: func(p Progress) { events = append(events, p) },
 	})
@@ -218,6 +219,44 @@ func TestRunGlobalProgressAggregates(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Done != last.Total {
 		t.Errorf("final event %d/%d is not complete", last.Done, last.Total)
+	}
+}
+
+// TestCampaignAllSavesEachSystemAtCompletion: a store-backed campaign
+// saves each system when its last misconfiguration completes and only
+// then delivers that completion event — ldapd's whole campaign is on
+// disk at its final event while proxyd still has events to come.
+func TestCampaignAllSavesEachSystemAtCompletion(t *testing.T) {
+	ws := []Workload{workloadFor(t, ldapd.New()), workloadFor(t, proxyd.New())}
+	store, err := campaignstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, proxydAfter := -1, 0
+	opts := Options{Workers: 1, Inject: inject.DefaultOptions(), OnProgress: func(p Progress) {
+		switch {
+		case p.System == "ldapd" && p.SystemDone == p.SystemTotal:
+			if p.Run == nil || !p.Run.Status.Saved || p.Run.Err != nil {
+				t.Errorf("ldapd completion event carries run %+v, want a saved run", p.Run)
+			}
+			snap, err := store.Load("ldapd")
+			if err != nil {
+				t.Errorf("ldapd is not on disk at its completion event: %v", err)
+				return
+			}
+			onDisk = len(snap.Outcomes)
+		case p.System == "proxyd" && onDisk >= 0:
+			proxydAfter++
+		}
+	}}
+	if _, err := lockedCampaign(t, context.Background(), store, ws, opts); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk != len(ws[0].Ms) {
+		t.Errorf("ldapd snapshot held %d outcomes at its completion event, want all %d", onDisk, len(ws[0].Ms))
+	}
+	if proxydAfter == 0 {
+		t.Error("proxyd had no events left after ldapd completed")
 	}
 }
 
