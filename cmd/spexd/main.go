@@ -4,12 +4,13 @@
 // campaigns on demand, and serves results and live progress over a
 // JSON HTTP API (internal/server). Where spexinj and spexeval are
 // one-shot CLI invocations against a -state dir, spexd holds each
-// namespace's whole-directory writer lock for its whole lifetime and
-// schedules jobs under per-system write locks — the service form of
-// the same engine, store, scheduler, and coordinator stack.
+// namespace's writer lock (<ns>/.spex.lock) for its whole lifetime and
+// schedules jobs inside it — the service form of the same engine,
+// store, scheduler, and coordinator stack.
 //
 // Jobs over disjoint system sets run concurrently (up to -max-jobs per
-// namespace); jobs sharing a system serialize on that system's lock.
+// namespace); jobs sharing a system serialize on the scheduler's
+// reservation of that system.
 // Each job runs infer → inject → eval on one pool of its `workers`
 // width. A job may declare dependencies (needs: [jobID...]) to form a
 // DAG, or stages: ["infer", "inject", "eval"] to report each system's

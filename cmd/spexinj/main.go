@@ -253,8 +253,8 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "spexinj: %v\n", uerr)
 			}
 		}()
-		// The whole-directory lock viewed as the per-system capability
-		// set the scheduler saves through.
+		// The write capability for every system, which the scheduler
+		// saves through.
 		locks = lock.Set()
 	}
 

@@ -186,6 +186,9 @@
 //   - Merge. When every worker drains, the coordinator folds the shard
 //     stores into the canonical store at the state root (shard.Merge)
 //     and prints fingerprints — byte-identical to an unsharded run's.
+//     Only the campaign's own systems are merged: shard directories
+//     keep earlier campaigns' snapshots, which must not overwrite the
+//     root's newer ones.
 //
 // Interruption is first-class: SIGINT reaches the workers, each saves
 // its finished outcomes, and the leases stay on disk. A rerun whose
@@ -208,31 +211,21 @@
 // expanded per worker by coord.ExpandArgv): an SSH preset distributes
 // workers across machines sharing the state directory.
 //
-// # Locking hierarchy
+// # Writer lock
 //
-// The writer lock comes in two granularities, both the same on-disk
-// mechanism (an atomically hard-linked lock file carrying pid/host,
-// mtime-refreshed while held, with stale-lock takeover):
-//
-//   - the whole-directory lock (campaignstore.Store.Lock, .spex.lock)
-//     claims every system in a state directory at once — the CLI mode:
-//     spexinj, spexeval and spexmerge take it for the length of a run,
-//     and Lock.Set() views it as a LockSet covering all systems;
-//   - per-system locks (Store.LockSystem / LockSystems,
-//     <system>.spex.lock) claim exactly the systems a campaign
-//     touches, so writers over disjoint systems share one directory
-//     concurrently. A LockSet is all-or-nothing: claims are taken in
-//     sorted order and the whole set rolls back on any conflict, so
-//     two sets can never hold-and-wait against each other.
-//
-// The granularities exclude each other across processes — Lock refuses
-// while live foreign per-system locks exist, LockSystem refuses under
-// a live foreign directory lock — but nest within one process (same
-// pid and host): the daemon holds each namespace's directory lock for
-// its lifetime while its jobs claim per-system locks under it. Either
-// way, the handle is the write capability: Save and NewStreamWriter
-// live on Lock, SystemLock and LockSet, and a set routes each snapshot
-// to the claim scoped to its system.
+// Each state directory has one writer: campaignstore.Store.Lock claims
+// its .spex.lock file (atomically hard-linked, carrying pid and host,
+// mtime-refreshed while held, with stale-lock takeover), and every
+// other process that tries fails fast, naming the holder. The CLIs
+// hold it for one run; spexd holds each namespace's lock for its
+// lifetime. The held Lock mints the only write capability, a LockSet:
+// Save and NewStreamWriter live on the set, so writing without the
+// lock does not compile. Lock.Set() covers every system, which is what
+// the CLIs and shard.Merge under spexmerge use; Lock.Set(systems...)
+// covers exactly those, which is what a daemon job and coord.Run use,
+// and a write outside that scope fails loudly — shard.Merge folds only
+// the systems its set covers, so shard directories left by an earlier
+// campaign never leak into the root.
 //
 // # Campaign service daemon
 //
@@ -244,16 +237,16 @@
 // directory with its own store, journal, queues and quotas, created on
 // first job submission. The JSON HTTP API: POST /v1/jobs submits a
 // campaign (named systems or all, pool width, optionally
-// `coordinate: N` to embed the work-stealing coordinator), GET
+// `coordinate: N`, N ≤ 64, to embed the work-stealing coordinator), GET
 // /v1/jobs/{id} reports status, DELETE cancels through the engine's
 // context plumbing (finished outcomes persist; the store resumes), and
 // GET /v1/jobs/{id}/events streams the job's events over Server-Sent
 // Events.
 //
-// Jobs are scheduled as a DAG over the per-system locks: each job
-// claims exactly the systems it campaigns (all-or-nothing, from a
-// reservation board under the scheduler's mutex, then as real lock
-// files), so jobs over disjoint systems run concurrently — up to
+// Jobs are scheduled as a DAG over a reservation board: each job
+// reserves exactly the systems it campaigns (all-or-nothing, under the
+// scheduler's mutex) and writes through the namespace lock's set scoped
+// to them, so jobs over disjoint systems run concurrently — up to
 // Config.MaxConcurrentJobs per namespace — while jobs sharing a system
 // serialize on that system, with stores byte-identical to a serial
 // run. A spec's `needs: [jobID...]` adds explicit edges (a failed or
@@ -334,7 +327,11 @@
 // that folds the fingerprint, and it is always derived data: the
 // sidecar records the snapshot file's name, size and mtime, one stat
 // call validates it, and any mismatch (or a deleted sidecar) triggers
-// a rebuild from the snapshot. The daemon layers an in-memory copy on
+// a rebuild from the snapshot. The sidecar persists only the docs;
+// loading re-derives the posting lists and aggregates through the code
+// that built them and rejects docs out of key order, so a corrupt
+// sidecar cannot serve a tally or a position its docs do not back
+// (FuzzReadIndexFile). The daemon layers an in-memory copy on
 // top with the same (path, size, mtime) revalidation per request, so
 // cache invalidation needs no coupling to the job lifecycle: a save's
 // atomic rename is the invalidation. `spexeval -index -state <dir>`
@@ -353,9 +350,9 @@
 // and gated in CI. internal/analysis documents the full invariant
 // catalogue and the //spexlint:ignore waiver syntax; the writer-lock
 // half of the contract is structural — Save and NewStreamWriter live
-// only on the Lock, SystemLock and LockSet handles, so holding a lock
-// is a type-level precondition for writing, and only the acquisition
-// discipline (at both granularities) is left to the analyzer.
+// only on the LockSet a held Lock mints, so holding the lock is a
+// type-level precondition for writing, and only the acquisition
+// discipline is left to the analyzer.
 //
 // # Observability (internal/obs)
 //

@@ -30,9 +30,10 @@
 // and the ".spex.lock" file name may not be spelled outside
 // campaignstore — foreign code goes through campaignstore.LockPath.
 // The refactor that makes this checkable at all is in the types:
-// (*Lock).Save and (*Lock).NewStreamWriter are the only snapshot-write
-// capability, so "writes happen under the lock" is a compile-time
-// fact and only the acquisition discipline is left to the analyzer.
+// (*LockSet).Save and (*LockSet).NewStreamWriter, on the set a held
+// Lock mints, are the only snapshot-write capability, so "writes
+// happen under the lock" is a compile-time fact and only the
+// acquisition discipline is left to the analyzer.
 //
 // ctxflow enforces context threading. context.Background and
 // context.TODO are banned outside package main and _test.go files

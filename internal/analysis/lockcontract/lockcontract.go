@@ -1,27 +1,23 @@
 // Package lockcontract checks the campaignstore writer-lock ownership
 // discipline. The type system already guarantees writes happen under
-// a lock — Save and NewStreamWriter live on the Lock, SystemLock, and
-// LockSet handles, the only snapshot-write capabilities — so this
-// analyzer owns the acquisition side of the contract, at both
-// granularities:
+// the lock — Save and NewStreamWriter live on the LockSet that a held
+// Lock mints, the only snapshot-write capability — so this analyzer
+// owns the acquisition side of the contract:
 //
-//   - a (*Store).Lock / LockSystem / LockSystems call's handle must be
-//     released in the acquiring function (handle.Unlock(), usually
-//     deferred) or escape to a caller that owns the release;
-//   - a store is whole-directory-locked at most once per function, and
-//     each system is per-system-locked at most once per function — a
-//     second acquisition of the same lock with no intervening release
-//     always deadlocks the CLI contract (both locks are exclusive);
+//   - a (*Store).Lock call's handle must be released in the acquiring
+//     function (handle.Unlock(), usually deferred) or escape to a
+//     caller that owns the release;
+//   - a store is locked at most once per function — a second
+//     acquisition with no intervening release always deadlocks the CLI
+//     contract (the lock is exclusive per state directory);
 //   - no acquisition runs inside an http.ResponseWriter-bearing
 //     function (the daemon's read endpoints are lock-free by design:
 //     they serve from snapshots and the outcome index) nor inside a
 //     shard.Progress / coord.Event callback (those execute on the
 //     scheduler's emit path, under the very campaign the lock guards —
 //     acquiring there deadlocks the writer against itself);
-//   - the ".spex.lock" file name (the directory lock, and the suffix
-//     of every per-system lock file) is campaignstore's private
-//     spelling; foreign code resolves it via campaignstore.LockPath or
-//     campaignstore.SystemLockPath.
+//   - the ".spex.lock" file name is campaignstore's private spelling;
+//     foreign code resolves it via campaignstore.LockPath.
 //
 // Test files are exempt: lock-contract tests must be able to abuse the
 // API on purpose.
@@ -31,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"spex/internal/analysis"
@@ -45,7 +40,7 @@ const (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcontract",
-	Doc:  "campaignstore writer locks (whole-directory and per-system) are acquired once, released or handed off, and never taken on the serving or progress paths",
+	Doc:  "campaignstore writer locks are acquired once, released or handed off, and never taken on the serving or progress paths",
 	Run:  run,
 }
 
@@ -80,7 +75,7 @@ func checkLockLiterals(pass *analysis.Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		lit, ok := n.(*ast.BasicLit)
 		if ok && lit.Kind == token.STRING && strings.Contains(lit.Value, ".spex.lock") {
-			pass.Reportf(lit.Pos(), "the %q file name belongs to campaignstore; use campaignstore.LockPath (or SystemLockPath for a per-system lock file)", ".spex.lock")
+			pass.Reportf(lit.Pos(), "the %q file name belongs to campaignstore; use campaignstore.LockPath", ".spex.lock")
 		}
 		return true
 	})
@@ -89,14 +84,11 @@ func checkLockLiterals(pass *analysis.Pass, file *ast.File) {
 // checkFunc applies the acquisition rules to one top-level function
 // and every literal nested in it.
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	// Acquisitions seen so far per enclosing function, keyed by the
-	// receiver store's object plus the lock's scope — "" for the
-	// whole-directory lock, the system name for a per-system claim made
-	// with a literal argument. Unlock calls clear the markers.
+	// Acquisitions seen so far, per enclosing function and receiver
+	// store. Unlock calls clear the markers.
 	type acquisition struct {
-		fn     ast.Node
-		store  types.Object
-		system string
+		fn    ast.Node
+		store types.Object
 	}
 	var acquired []acquisition
 
@@ -121,7 +113,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if _, isDefer := path[len(path)-1].(*ast.DeferStmt); !isDefer {
 				acquired = acquired[:0]
 			}
-		case "Lock", "LockSystem", "LockSystems":
+		case "Lock":
 			if !analysis.NamedType(analysis.ReceiverType(pass.Info, call), storePkg, "Store") {
 				return true
 			}
@@ -131,35 +123,13 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 			checkForbiddenContext(pass, fn.Name(), call, path)
 
-			storeObj := receiverObject(pass.Info, call)
-			if storeObj != nil {
-				// The scopes this call claims: the whole directory for
-				// Lock, each literal system name for LockSystem(s).
-				// Non-literal arguments are invisible to the static check;
-				// the runtime conflict error still catches those.
-				var scopes []string
-				if fn.Name() == "Lock" {
-					scopes = []string{""}
-				} else {
-					for _, arg := range call.Args {
-						if sys, ok := stringLiteral(arg); ok {
-							scopes = append(scopes, sys)
-						}
+			if storeObj := receiverObject(pass.Info, call); storeObj != nil {
+				for _, prev := range acquired {
+					if prev.store == storeObj && prev.fn == encl {
+						pass.Reportf(call.Pos(), "store already locked in this function with no intervening Unlock; the writer lock is exclusive per state directory")
 					}
 				}
-				for _, scope := range scopes {
-					for _, prev := range acquired {
-						if prev.store != storeObj || prev.fn != encl || prev.system != scope {
-							continue
-						}
-						if scope == "" {
-							pass.Reportf(call.Pos(), "store already locked in this function with no intervening Unlock; the writer lock is exclusive per state directory")
-						} else {
-							pass.Reportf(call.Pos(), "system %q already locked in this function with no intervening Unlock; the per-system writer lock is exclusive", scope)
-						}
-					}
-					acquired = append(acquired, acquisition{fn: encl, store: storeObj, system: scope})
-				}
+				acquired = append(acquired, acquisition{fn: encl, store: storeObj})
 			}
 
 			id, obj := analysis.AssignedIdent(pass.Info, path, call)
@@ -179,19 +149,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// stringLiteral unquotes a plain string-literal expression.
-func stringLiteral(e ast.Expr) (string, bool) {
-	lit, ok := ast.Unparen(e).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return "", false
-	}
-	s, err := strconv.Unquote(lit.Value)
-	if err != nil {
-		return "", false
-	}
-	return s, true
 }
 
 // receiverObject resolves the object of the receiver expression when

@@ -81,77 +81,3 @@ func locksInEventCallback(store *campaignstore.Store) coord.Config {
 func spellsLockName(dir string) string {
 	return dir + "/.spex.lock" // want `campaignstore.LockPath`
 }
-
-func discardsSystemLock(store *campaignstore.Store) {
-	store.LockSystem("proxyd") // want `lock handle discarded`
-}
-
-func discardsLockSet(store *campaignstore.Store) {
-	_, _ = store.LockSystems("proxyd", "ldapd") // want `lock handle discarded`
-}
-
-func neverReleasesSystemLock(store *campaignstore.Store) error {
-	lk, err := store.LockSystem("proxyd") // want `lock acquired but never released`
-	if err != nil {
-		return err
-	}
-	if lk == nil {
-		return nil
-	}
-	return nil
-}
-
-func locksSystemTwice(store *campaignstore.Store) error {
-	first, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	defer first.Unlock()
-	second, err := store.LockSystem("proxyd") // want `system "proxyd" already locked in this function`
-	if err != nil {
-		return err
-	}
-	defer second.Unlock()
-	return nil
-}
-
-func locksSystemTwiceViaSet(store *campaignstore.Store) error {
-	lk, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	defer lk.Unlock()
-	set, err := store.LockSystems("ldapd", "proxyd") // want `system "proxyd" already locked in this function`
-	if err != nil {
-		return err
-	}
-	defer set.Unlock()
-	return nil
-}
-
-func locksSystemInHandler(store *campaignstore.Store) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		lk, err := store.LockSystems("proxyd") // want `LockSystems inside an HTTP handler`
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer lk.Unlock()
-	}
-}
-
-func locksSystemInProgressCallback(store *campaignstore.Store) shard.Options {
-	return shard.Options{
-		OnProgress: func(p shard.Progress) {
-			lk, err := store.LockSystem("proxyd") // want `LockSystem inside a shard.Progress callback`
-			if err != nil {
-				return
-			}
-			defer lk.Unlock()
-		},
-	}
-}
-
-func spellsSystemLockName(dir string) string {
-	return dir + "/proxyd.spex.lock" // want `campaignstore.LockPath`
-}

@@ -56,70 +56,3 @@ func relocks(store *campaignstore.Store) error {
 func lockPath(dir string) string {
 	return campaignstore.LockPath(dir)
 }
-
-type setHolder struct {
-	locks *campaignstore.LockSet
-}
-
-// Per-system acquire-and-defer is the canonical job shape.
-func locksSystemAndReleases(store *campaignstore.Store) error {
-	lk, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	defer lk.Unlock()
-	return nil
-}
-
-// Returning the set hands release to the caller.
-func escapesSetByReturn(store *campaignstore.Store) (*campaignstore.LockSet, error) {
-	return store.LockSystems("proxyd", "ldapd")
-}
-
-// Storing the set transfers ownership to the holder.
-func escapesSetIntoField(store *campaignstore.Store, h *setHolder) error {
-	set, err := store.LockSystems("proxyd")
-	if err != nil {
-		return err
-	}
-	h.locks = set
-	return nil
-}
-
-// Different systems on one store are independent claims — the whole
-// point of the per-system granularity.
-func locksTwoSystems(store *campaignstore.Store) error {
-	first, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	defer first.Unlock()
-	second, err := store.LockSystem("ldapd")
-	if err != nil {
-		return err
-	}
-	defer second.Unlock()
-	return nil
-}
-
-// Sequential claim/release/claim of one system is legal: the direct
-// Unlock releases before the second acquisition.
-func relocksSystem(store *campaignstore.Store) error {
-	lk, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	if err := lk.Unlock(); err != nil {
-		return err
-	}
-	again, err := store.LockSystem("proxyd")
-	if err != nil {
-		return err
-	}
-	return again.Unlock()
-}
-
-// The per-system lock path is resolved through campaignstore too.
-func systemLockPath(dir string) string {
-	return campaignstore.SystemLockPath(dir, "proxyd")
-}

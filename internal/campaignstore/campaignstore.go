@@ -301,24 +301,7 @@ func (s *Store) snapshotFiles() ([]string, error) {
 	return names, nil
 }
 
-// Save writes the snapshot atomically: the binary container streams
-// outcome-by-outcome into a temporary file in the state directory, is
-// fsynced, and is renamed over the final path. The fsync before the
-// rename matters as much as the rename itself: without it a crash
-// shortly after Save could leave the rename durable but the data not,
-// and Load would find a zero-length snapshot at the final path on every
-// subsequent run. With it, the final path only ever holds a complete
-// document (or the previous one).
-//
-// A successful save also rebuilds the system's outcome-index sidecar,
-// so the daemon's read path never re-parses what was just written.
-//
-// Save lives on *Lock, not *Store: the held writer lock is the one
-// capability for snapshot writes, so the "lock before you write" rule
-// is a type-system fact instead of a convention (and spexlint's
-// lockcontract analyzer can check the acquisition side).
-func (l *Lock) Save(snap *Snapshot) error { return l.store.save(snap) }
-
+// save is the write behind LockSet.Save, without the scope check.
 func (s *Store) save(snap *Snapshot) error {
 	start := time.Now()
 	if err := s.saveBinary(snap); err != nil {
@@ -436,28 +419,17 @@ func readSystemName(path string) (string, error) {
 	return hdr.System, nil
 }
 
-// lockName is the store's exclusive-writer mark. It does not end in
-// .campaign.snap, so List/LoadAll never mistake it for a snapshot. The
-// same suffix names the per-system lock files (<system>.spex.lock), so
-// a directory scan for held claims is one suffix match.
+// lockName is the store's writer-lock file. It does not end in
+// .campaign.snap, so List/LoadAll never mistake it for a snapshot.
 const lockName = ".spex.lock"
 
-// LockPath returns the whole-directory writer-lock file guarding a
-// state directory — the one place the lock file's name is spelled
-// (SystemLockPath derives the per-system spelling from it). Callers
-// that need to observe the lock from outside (tests asserting a clean
-// release, operator tooling deciding whether a directory is claimed) go
-// through this instead of hard-coding the name; spexlint's lockcontract
+// LockPath returns the writer-lock file guarding a state directory —
+// the one place the lock file's name is spelled. Callers that need to
+// observe the lock from outside (tests asserting a clean release,
+// operator tooling deciding whether a directory is claimed) go through
+// this instead of hard-coding the name; spexlint's lockcontract
 // analyzer flags the literal anywhere outside this package.
 func LockPath(dir string) string { return filepath.Join(dir, lockName) }
-
-// SystemLockPath returns the per-system writer-lock file for one
-// system's snapshot in a state directory. The name is the flattened
-// system name plus the same .spex.lock suffix as the directory lock,
-// e.g. proxyd.spex.lock.
-func SystemLockPath(dir, system string) string {
-	return filepath.Join(dir, safeName(system)+lockName)
-}
 
 // LockStaleAfter bounds how long an unrefreshed lock is honored: a
 // live holder re-stamps its lock file's mtime every quarter of this
@@ -478,29 +450,36 @@ type lockInfo struct {
 	AcquiredAt time.Time `json:"acquired_at"`
 }
 
-// claim is one held on-disk lock file: the hard-link acquisition, the
-// background refresher that keeps its mtime fresh, and the
-// successor-safe release. The whole-directory Lock and the per-system
-// SystemLock are both claims — only their scope (and therefore which
-// writes they authorize) differs.
-type claim struct {
-	path string
-	pid  int
-	host string
-	stop chan struct{}
-	done chan struct{}
+// Lock is a held writer lock on a state directory; Unlock releases it.
+// While held, a background refresher re-stamps the lock file so the
+// staleness age bound never evicts a live holder.
+//
+// The handle mints the write capability: Save and NewStreamWriter live
+// on the LockSet that Set returns, so code that never acquired the
+// lock cannot reach the snapshot-write path at all. Read-side methods
+// (Load, List, Prepare, LoadIndex, ...) stay on *Store, because the
+// read path is designed to be lock-free.
+type Lock struct {
+	store *Store
+	pid   int
+	host  string
+	stop  chan struct{}
+	done  chan struct{}
 }
 
-// acquire claims path: a lock file naming this process, created
-// atomically with its payload (hard-linked into place). what names the
-// claimed resource in the conflict error.
+// Lock acquires the store's exclusive writer lock: one writer per state
+// directory. Two processes writing the same state directory would
+// otherwise silently race their temp+rename saves — each save is
+// atomic, but the last writer's snapshot wins wholesale and the loser's
+// outcomes are gone. With the lock the second writer fails fast with a
+// descriptive error instead.
 //
-// The claim must be atomic WITH its payload: an O_EXCL create followed
-// by a write would expose an empty lock file, which a concurrent
-// acquire would read as unparsable, deem stale, and delete — two racing
-// starts would both "win". Writing the payload to a temp file and
-// hard-linking it into place makes the lock appear fully formed or not
-// at all.
+// The claim is a lock file naming this process, and it must be atomic
+// WITH its payload: an O_EXCL create followed by a write would expose
+// an empty lock file, which a concurrent Lock would read as
+// unparsable, deem stale, and delete — two racing starts would both
+// "win". Writing the payload to a temp file and hard-linking it into
+// place makes the lock appear fully formed or not at all.
 //
 // Takeover is automatic for stale locks: a same-host holder that is no
 // longer alive, an unreadable lock file, or any lock left unrefreshed
@@ -509,13 +488,18 @@ type claim struct {
 // stays consistent even then — saves are atomic and the shard merge
 // resolves duplicates freshest-wins — the lock exists to make the race
 // loud and rare, not to be a distributed consensus protocol.)
-func acquire(dir, path, what string) (*claim, error) {
+//
+// The coordinator's lease layer (internal/coord) reuses this lock: the
+// coordinator locks the campaign root and every shard worker locks its
+// own shard directory.
+func (s *Store) Lock() (*Lock, error) {
+	path := LockPath(s.dir)
 	host, _ := os.Hostname()
 	data, err := json.Marshal(lockInfo{PID: os.Getpid(), Host: host, AcquiredAt: time.Now().UTC()})
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(s.dir, lockName+".tmp-*")
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
@@ -530,10 +514,10 @@ func acquire(dir, path, what string) (*claim, error) {
 	for attempt := 0; attempt < 2; attempt++ {
 		err := os.Link(tmp.Name(), path)
 		if err == nil {
-			c := &claim{path: path, pid: os.Getpid(), host: host,
+			l := &Lock{store: s, pid: os.Getpid(), host: host,
 				stop: make(chan struct{}), done: make(chan struct{})}
-			go c.refresh()
-			return c, nil
+			go l.refresh()
+			return l, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("campaignstore: %w", err)
@@ -542,7 +526,7 @@ func acquire(dir, path, what string) (*claim, error) {
 		if !stale {
 			return nil, fmt.Errorf(
 				"campaignstore: %s is locked by pid %d on %s since %s (another campaign is writing this state; remove %s to force)",
-				what, holder.PID, holder.Host, holder.AcquiredAt.Format(time.RFC3339), path)
+				s.dir, holder.PID, holder.Host, holder.AcquiredAt.Format(time.RFC3339), path)
 		}
 		// Stale: take it over and retry the exclusive link once.
 		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -552,153 +536,33 @@ func acquire(dir, path, what string) (*claim, error) {
 	return nil, fmt.Errorf("campaignstore: lost the takeover race for %s", path)
 }
 
-// refresh re-stamps the lock file's mtime while the claim is held, so
+// refresh re-stamps the lock file's mtime while the lock is held, so
 // the staleness age bound distinguishes a live long-running holder
 // (fresh mtime) from one that ceased to exist without unlocking (mtime
 // frozen at its last heartbeat). Ownership is re-checked before every
 // stamp: after a (documented, tiny-window) takeover race the file is
 // someone else's, and refreshing it would keep their successor's lock
 // alive past its own death.
-func (c *claim) refresh() {
-	defer close(c.done)
+func (l *Lock) refresh() {
+	defer close(l.done)
+	path := LockPath(l.store.dir)
 	ticker := time.NewTicker(LockStaleAfter / 4)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-l.stop:
 			return
 		case <-ticker.C:
 		}
 		var info lockInfo
-		data, err := os.ReadFile(c.path)
+		data, err := os.ReadFile(path)
 		if err != nil || json.Unmarshal(data, &info) != nil ||
-			info.PID != c.pid || info.Host != c.host {
+			info.PID != l.pid || info.Host != l.host {
 			continue // gone or taken over: nothing of ours to refresh
 		}
 		now := time.Now()
-		_ = os.Chtimes(c.path, now, now)
+		_ = os.Chtimes(path, now, now)
 	}
-}
-
-// release removes the lock file — but only if it still names this
-// process. After a stale takeover the file belongs to the successor;
-// removing it unconditionally would strip the successor's protection
-// and reopen the silent save race for a third writer. Releasing twice
-// is harmless.
-func (c *claim) release() error {
-	if c.stop != nil {
-		select {
-		case <-c.stop:
-		default:
-			close(c.stop)
-			<-c.done
-		}
-	}
-	var info lockInfo
-	data, err := os.ReadFile(c.path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	if json.Unmarshal(data, &info) == nil && (info.PID != c.pid || info.Host != c.host) {
-		return nil // taken over: the file is the successor's now
-	}
-	if err := os.Remove(c.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("campaignstore: %w", err)
-	}
-	return nil
-}
-
-// heldByUs reports whether the lock file at path names this process on
-// this host and is not stale — the multi-granularity exemption check.
-func heldByUs(path string) bool {
-	info, stale := readLock(path)
-	if stale {
-		return false
-	}
-	host, _ := os.Hostname()
-	return info.PID == os.Getpid() && info.Host == host
-}
-
-// Lock is a held whole-directory writer lock; Unlock releases it.
-// While held, a background refresher re-stamps the lock file so the
-// staleness age bound never evicts a live holder.
-//
-// The handle is also the write capability: Save and NewStreamWriter
-// live on *Lock, so holding the lock is not merely advisory — code
-// that never acquired it cannot reach the snapshot-write path at all.
-// Read-side methods (Load, List, Prepare, LoadIndex, ...) stay on
-// *Store, because the read path is designed to be lock-free.
-//
-// The directory lock is the coarse end of a two-level hierarchy: it
-// covers every system at once and is the right scope for the CLIs (one
-// process, the whole campaign). The fine end is SystemLock, the
-// per-system write capability the daemon's scheduler claims so jobs
-// over disjoint systems can write concurrently. The two levels exclude
-// each other across processes — Lock refuses while any live foreign
-// per-system claim exists, LockSystem refuses under a live foreign
-// directory lock — but one process may claim per-system locks under
-// its own directory lock (intent-exclusive dir + exclusive system),
-// which is how the daemon nests job claims under its namespace lock.
-type Lock struct {
-	store *Store
-	c     *claim
-}
-
-// Store returns the store this lock guards — the handle back to the
-// read-side API for callers handed only the write capability.
-func (l *Lock) Store() *Store { return l.store }
-
-// Lock acquires the store's exclusive whole-directory writer lock. Two
-// processes writing the same state directory would otherwise silently
-// race their temp+rename saves — each save is atomic, but the last
-// writer's snapshot wins wholesale and the loser's outcomes are gone.
-// With the lock the second writer fails fast with a descriptive error
-// instead. Acquisition and staleness takeover semantics are acquire's.
-//
-// A live per-system claim by another process refuses the directory
-// lock: the fine-grained writers hold real capabilities the coarse
-// lock must not trample. (The check-then-claim window is the same
-// loud-and-rare compromise as the takeover race.)
-//
-// The coordinator's lease layer (internal/coord) reuses this lock: the
-// coordinator locks the campaign root and every shard worker locks its
-// own shard directory.
-func (s *Store) Lock() (*Lock, error) {
-	if held, err := s.liveSystemLocks(); err != nil {
-		return nil, err
-	} else if len(held) > 0 {
-		return nil, fmt.Errorf(
-			"campaignstore: %s has live per-system locks (%s); a whole-directory lock cannot coexist with them",
-			s.dir, strings.Join(held, ", "))
-	}
-	c, err := acquire(s.dir, filepath.Join(s.dir, lockName), s.dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Lock{store: s, c: c}, nil
-}
-
-// liveSystemLocks scans the directory for per-system lock files whose
-// holders are still live, returning the claimed system file stems.
-func (s *Store) liveSystemLocks() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	var held []string
-	for _, e := range entries {
-		name := e.Name()
-		if name == lockName || !strings.HasSuffix(name, lockName) {
-			continue
-		}
-		if _, stale := readLock(filepath.Join(s.dir, name)); !stale {
-			held = append(held, strings.TrimSuffix(name, lockName))
-		}
-	}
-	return held, nil
 }
 
 // readLock reads the lock file and decides staleness. A missing or
@@ -732,169 +596,101 @@ func readLock(path string) (lockInfo, bool) {
 	return info, false
 }
 
-// Unlock releases the directory lock (successor-safe, see
-// claim.release).
-func (l *Lock) Unlock() error { return l.c.release() }
-
-// Set returns the whole-directory lock viewed as a per-system lock
-// set covering every system in the store. Unlock on the view is a
-// no-op — the directory Lock owns its own release — so the CLIs can
-// keep their one-lock lifecycle and still feed the per-system API.
-func (l *Lock) Set() *LockSet { return &LockSet{store: l.store, dir: l} }
-
-// SystemLock is a held per-system writer lock: the only write
-// capability for that system's snapshot. It carries the same atomic
-// hard-link claim, mtime refresh, and stale-takeover semantics as the
-// whole-directory Lock, scoped to one snapshot file. Save and
-// NewStreamWriter refuse snapshots for any other system, so the
-// capability cannot be laundered across systems.
-//
-// A SystemLock minted from a whole-directory Lock (Lock.Set) has no
-// claim of its own; its Unlock is a no-op and the directory lock keeps
-// covering it.
-type SystemLock struct {
-	store  *Store
-	system string
-	c      *claim // nil for a view minted from a whole-directory Lock
-}
-
-// Store returns the store this lock guards.
-func (l *SystemLock) Store() *Store { return l.store }
-
-// System returns the system name this lock covers.
-func (l *SystemLock) System() string { return l.system }
-
-// Unlock releases the per-system claim (successor-safe). A view minted
-// from a whole-directory lock releases nothing.
-func (l *SystemLock) Unlock() error {
-	if l.c == nil {
+// Unlock releases the lock by removing the lock file — but only if it
+// still names this process. After a stale takeover the file belongs to
+// the successor; removing it unconditionally would strip the
+// successor's protection and reopen the silent save race for a third
+// writer. Unlocking twice is harmless.
+func (l *Lock) Unlock() error {
+	select {
+	case <-l.stop:
+	default:
+		close(l.stop)
+		<-l.done
+	}
+	path := LockPath(l.store.dir)
+	var info lockInfo
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
-	return l.c.release()
-}
-
-// Save writes the snapshot through the per-system capability. The
-// snapshot's system must match the lock's scope.
-func (l *SystemLock) Save(snap *Snapshot) error {
-	if snap.System != l.system {
-		return fmt.Errorf("campaignstore: lock scoped to system %q cannot save a snapshot for %q", l.system, snap.System)
-	}
-	return l.store.save(snap)
-}
-
-// LockSystem acquires the exclusive per-system writer lock for one
-// system's snapshot. A live whole-directory lock held by another
-// process refuses the claim — but this process's own directory lock is
-// exempt: holding the coarse lock and claiming fine locks under it is
-// the intent-exclusive pattern the daemon's scheduler uses to run
-// disjoint-system jobs concurrently inside one locked namespace.
-func (s *Store) LockSystem(system string) (*SystemLock, error) {
-	dirPath := filepath.Join(s.dir, lockName)
-	if info, stale := readLock(dirPath); !stale && !heldByUs(dirPath) {
-		return nil, fmt.Errorf(
-			"campaignstore: %s is locked whole-directory by pid %d on %s since %s; a per-system lock cannot coexist with it",
-			s.dir, info.PID, info.Host, info.AcquiredAt.Format(time.RFC3339))
-	}
-	c, err := acquire(s.dir, SystemLockPath(s.dir, system), fmt.Sprintf("system %q in %s", system, s.dir))
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("campaignstore: %w", err)
 	}
-	return &SystemLock{store: s, system: system, c: c}, nil
+	if json.Unmarshal(data, &info) == nil && (info.PID != l.pid || info.Host != l.host) {
+		return nil // taken over: the file is the successor's now
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("campaignstore: %w", err)
+	}
+	return nil
 }
 
-// LockSystems claims the per-system locks for every named system,
-// all-or-nothing: systems are claimed in sorted order (a global order
-// prevents two claimants deadlocking each other's partial sets), and
-// any failure releases what was already claimed. Duplicates collapse.
-func (s *Store) LockSystems(systems ...string) (*LockSet, error) {
-	names := append([]string(nil), systems...)
-	sort.Strings(names)
-	ls := &LockSet{store: s, locks: make(map[string]*SystemLock, len(names))}
-	for _, name := range names {
-		if _, ok := ls.locks[name]; ok {
-			continue
+// Set mints the write capability under the held lock. With no
+// arguments it covers every system in the store — the CLIs' scope, one
+// process writing the whole campaign. With a list it covers exactly
+// those systems — a daemon job's scope, so a workload that leaks
+// outside the systems its job declared fails loudly instead of
+// writing.
+func (l *Lock) Set(systems ...string) *LockSet {
+	ls := &LockSet{store: l.store}
+	if len(systems) > 0 {
+		ls.systems = make(map[string]bool, len(systems))
+		for _, name := range systems {
+			ls.systems[name] = true
 		}
-		l, err := s.LockSystem(name)
-		if err != nil {
-			_ = ls.Unlock()
-			return nil, err
-		}
-		ls.locks[name] = l
-		ls.order = append(ls.order, name)
 	}
-	return ls, nil
+	return ls
 }
 
-// LockSet is a bundle of per-system write capabilities over one store —
-// what the pipeline layers (shard.CampaignAll, shard.Merge, coord,
-// report) thread instead of the directory lock. It comes in two
-// flavors: a restricted set from Store.LockSystems, which covers
-// exactly the claimed systems and errors on any other; and a
-// whole-directory view from Lock.Set, which covers every system under
-// the directory lock's protection.
+// LockSet is the snapshot-write capability, minted by Lock.Set — what
+// the pipeline layers (shard.CampaignAll, shard.Merge, coord, report)
+// thread instead of the lock itself. It carries no claim of its own:
+// the Lock it came from keeps the state directory exclusive, and the
+// set only scopes which systems may be written.
 type LockSet struct {
-	store *Store
-	dir   *Lock                  // non-nil for a whole-directory view
-	locks map[string]*SystemLock // restricted set, keyed by system
-	order []string               // claim order (sorted system names)
+	store   *Store
+	systems map[string]bool // nil: every system
 }
 
 // Store returns the store the set writes to.
 func (ls *LockSet) Store() *Store { return ls.store }
 
-// Covers reports whether the set can mint a write capability for the
-// system.
+// Covers reports whether the set may write the system's snapshot.
 func (ls *LockSet) Covers(system string) bool {
-	if ls.dir != nil {
-		return true
-	}
-	_, ok := ls.locks[system]
-	return ok
+	return ls.systems == nil || ls.systems[system]
 }
 
-// Systems lists the systems a restricted set explicitly covers, in
-// claim order. A whole-directory view returns nil: it covers all of
-// them.
-func (ls *LockSet) Systems() []string { return append([]string(nil), ls.order...) }
-
-// System returns the write capability for one system. A restricted set
-// errors on a system it never claimed — the caller's workload leaked
-// outside its declared lock scope, which must fail loudly rather than
-// write unprotected.
-func (ls *LockSet) System(system string) (*SystemLock, error) {
-	if ls.dir != nil {
-		return &SystemLock{store: ls.store, system: system}, nil
+// check refuses a write outside the set's scope.
+func (ls *LockSet) check(system string) error {
+	if ls.Covers(system) {
+		return nil
 	}
-	if l, ok := ls.locks[system]; ok {
-		return l, nil
+	covered := make([]string, 0, len(ls.systems))
+	for name := range ls.systems {
+		covered = append(covered, name)
 	}
-	covered := strings.Join(ls.order, ", ")
-	if covered == "" {
-		covered = "nothing"
-	}
-	return nil, fmt.Errorf("campaignstore: no per-system lock held for %q (set covers %s)", system, covered)
+	sort.Strings(covered)
+	return fmt.Errorf("campaignstore: lock set does not cover %q (set covers %s)", system, strings.Join(covered, ", "))
 }
 
-// Save routes the snapshot to its system's write capability.
+// Save writes the snapshot atomically if the set covers its system:
+// the binary container streams outcome-by-outcome into a temporary file
+// in the state directory, is fsynced, and is renamed over the final
+// path. The fsync before the
+// rename matters as much as the rename itself: without it a crash
+// shortly after Save could leave the rename durable but the data not,
+// and Load would find a zero-length snapshot at the final path on every
+// subsequent run. With it, the final path only ever holds a complete
+// document (or the previous one).
+//
+// A successful save also rebuilds the system's outcome-index sidecar,
+// so the daemon's read path never re-parses what was just written.
 func (ls *LockSet) Save(snap *Snapshot) error {
-	l, err := ls.System(snap.System)
-	if err != nil {
+	if err := ls.check(snap.System); err != nil {
 		return err
 	}
-	return l.Save(snap)
-}
-
-// Unlock releases every per-system claim the set holds, returning the
-// first error. A whole-directory view releases nothing — the directory
-// Lock owns its own Unlock.
-func (ls *LockSet) Unlock() error {
-	var first error
-	for _, name := range ls.order {
-		if err := ls.locks[name].Unlock(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return ls.store.save(snap)
 }
 
 // Status describes how one system's campaign used the store: Prepare's

@@ -393,6 +393,65 @@ func TestLockForeignHostHonored(t *testing.T) {
 	}
 }
 
+// TestLockSetScope: a set minted for named systems writes only their
+// snapshots, loudly refusing any other system through both write
+// paths; a set minted without names writes every system.
+func TestLockSetScope(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Unlock()
+	snap := func(system string) *Snapshot {
+		return New(system, mkSet(basicC("p")), inject.DefaultOptions(), map[string]inject.Outcome{})
+	}
+	stream := func(ls *LockSet, system string) error {
+		w, err := ls.NewStreamWriter(snap(system))
+		if err != nil {
+			return err
+		}
+		_, err = w.Close()
+		return err
+	}
+
+	scoped := lock.Set("ldapd")
+	if scoped.Covers("proxyd") || !scoped.Covers("ldapd") {
+		t.Fatal("Set(\"ldapd\") covers the wrong systems")
+	}
+	if err := scoped.Save(snap("proxyd")); err == nil || !strings.Contains(err.Error(), `does not cover "proxyd"`) {
+		t.Errorf("scoped Save for proxyd: %v", err)
+	}
+	if err := stream(scoped, "proxyd"); err == nil || !strings.Contains(err.Error(), `does not cover "proxyd"`) {
+		t.Errorf("scoped NewStreamWriter for proxyd: %v", err)
+	}
+	if _, err := os.Stat(store.Path("proxyd")); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left a proxyd snapshot: %v", err)
+	}
+	if err := scoped.Save(snap("ldapd")); err != nil {
+		t.Errorf("scoped Save for ldapd: %v", err)
+	}
+	if err := stream(scoped, "ldapd"); err != nil {
+		t.Errorf("scoped NewStreamWriter for ldapd: %v", err)
+	}
+
+	all := lock.Set()
+	for _, system := range []string{"ldapd", "proxyd"} {
+		if err := all.Save(snap(system)); err != nil {
+			t.Errorf("Set().Save for %s: %v", system, err)
+		}
+		if err := stream(all, system); err != nil {
+			t.Errorf("Set().NewStreamWriter for %s: %v", system, err)
+		}
+	}
+	if systems, err := store.List(); err != nil || len(systems) != 2 {
+		t.Errorf("List = %v, %v; want ldapd and proxyd", systems, err)
+	}
+}
+
 // TestLockFileInvisibleToStore: the lock file must never be mistaken
 // for a snapshot by List or LoadAll.
 func TestLockFileInvisibleToStore(t *testing.T) {

@@ -3,6 +3,8 @@ package campaignstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"spex/internal/inject"
+	"spex/internal/outcomeindex"
 )
 
 // fixtureOutcomes builds a deterministic outcome map large enough to
@@ -165,7 +168,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 
 	// A sidecar whose recorded snapshot identity no longer matches is
 	// stale: garbage in the file must never be served.
-	if err := os.WriteFile(store.IndexPath("storefake"), []byte(`{"version":1,"snap":"other","sys":{"system":"storefake"}}`), 0o644); err != nil {
+	if err := os.WriteFile(store.IndexPath("storefake"), []byte(fmt.Sprintf(`{"version":%d,"snap":"other","sys":{"system":"storefake"}}`, outcomeindex.Version)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	again, err := store.LoadIndex("storefake")
@@ -174,6 +177,43 @@ func TestLoadIndexSidecar(t *testing.T) {
 	}
 	if len(again.Docs) != len(outcomes) {
 		t.Fatalf("stale sidecar served: %d docs, want %d", len(again.Docs), len(outcomes))
+	}
+
+	// A sidecar whose identity still matches is trusted for its docs
+	// only: posting lists and tallies written into it — a vulnerable
+	// position past the last doc, an inflated count — are re-derived
+	// from the docs on load, never served.
+	data, err := os.ReadFile(store.IndexPath("storefake"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// UseNumber keeps the nanosecond snapshot mtime exact, so the
+	// tampered sidecar still matches its snapshot.
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	sys := doc["sys"].(map[string]any)
+	sys["vulnerable"] = []int{len(outcomes) + 5}
+	sys["agg"] = map[string]any{"outcomes": len(outcomes), "vulnerabilities": 12345}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.IndexPath("storefake"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tampered, err := store.LoadIndex("storefake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tampered.Agg, idx.Agg) || !reflect.DeepEqual(tampered.Vulnerable, idx.Vulnerable) {
+		t.Fatalf("tampered sidecar served: agg %+v vulnerable %v, want %+v %v",
+			tampered.Agg, tampered.Vulnerable, idx.Agg, idx.Vulnerable)
+	}
+	if groups := outcomeindex.Run([]*outcomeindex.System{tampered}, outcomeindex.Query{}); len(groups) == 0 {
+		t.Error("query over the reloaded index found no vulnerabilities")
 	}
 }
 

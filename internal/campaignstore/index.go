@@ -47,31 +47,14 @@ type StreamWriter struct {
 	done  bool
 }
 
-// NewStreamWriter opens a streaming save for the snapshot's system.
-// hdr supplies the header metadata; its Outcomes/Stamps are ignored.
-// Like Save, it lives on *Lock: the held writer lock is the only
-// capability that can open the snapshot-write path.
-func (l *Lock) NewStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
-	return l.store.newStreamWriter(hdr)
-}
-
-// NewStreamWriter opens a streaming save through the per-system
-// capability. The header's system must match the lock's scope.
-func (l *SystemLock) NewStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
-	if hdr.System != l.system {
-		return nil, fmt.Errorf("campaignstore: lock scoped to system %q cannot stream a snapshot for %q", l.system, hdr.System)
-	}
-	return l.store.newStreamWriter(hdr)
-}
-
-// NewStreamWriter routes the streaming save to the header system's
-// write capability in the set.
+// NewStreamWriter opens a streaming save for the snapshot's system if
+// the set covers it. hdr supplies the header metadata; its
+// Outcomes/Stamps are ignored.
 func (ls *LockSet) NewStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
-	l, err := ls.System(hdr.System)
-	if err != nil {
+	if err := ls.check(hdr.System); err != nil {
 		return nil, err
 	}
-	return l.NewStreamWriter(hdr)
+	return ls.store.newStreamWriter(hdr)
 }
 
 func (s *Store) newStreamWriter(hdr *Snapshot) (*StreamWriter, error) {

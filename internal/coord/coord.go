@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -110,16 +111,15 @@ type Config struct {
 	// store and re-executes only what never saved, so a retry costs one
 	// spawn, not a repeated partition.
 	WorkerRetries int
-	// Locks, when non-nil, is the state root's already-held write
-	// capability (a whole-directory lock's Set, or per-system locks
-	// covering every campaigned system) — the daemon (internal/server)
-	// owns its namespace's locks for the job's lifetime and hands the
-	// coordinator the handles instead of letting it take its own. The
-	// set is also the write capability the final merge needs, so
-	// "caller already locked" is no longer a boolean the coordinator has
-	// to trust. Nil makes Run acquire (and release) its own
-	// whole-directory lock. Workers still lock their own shard
-	// directories either way.
+	// Locks, when non-nil, is the state root's write capability, minted
+	// from a lock the caller already holds and scoped to Systems — the
+	// daemon (internal/server) holds its namespace lock for its whole
+	// lifetime and hands each coordinate job the set for the job's
+	// systems. The final merge folds exactly the systems the set
+	// covers, so shard snapshots an earlier campaign left behind never
+	// reach the root. Nil makes Run acquire (and release) the root's
+	// writer lock itself, scoped the same way. Workers still lock their
+	// own shard directories either way.
 	Locks *campaignstore.LockSet
 	// Spawn launches workers (required).
 	Spawn SpawnFunc
@@ -175,7 +175,11 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 		if openErr != nil {
 			return nil, openErr
 		}
-		locks = owned.Set()
+		names := make([]string, len(cfg.Systems))
+		for i, sys := range cfg.Systems {
+			names[i] = sys.Name()
+		}
+		locks = owned.Set(names...)
 		// A failed release is a real error, not cleanup noise: if the
 		// lock file could not be removed (and was not taken over), the
 		// next campaign against this root will refuse to start until the
@@ -467,9 +471,10 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 
 	// Merge the shard stores into the canonical store at the root. A
 	// worker that never spawned has no directory; one that spawned but
-	// saved nothing has no snapshots — neither can contribute. The
-	// store itself decides what counts as a snapshot (List), so the
-	// file-naming contract stays in campaignstore.
+	// saved none of this campaign's systems has no snapshot for them —
+	// neither can contribute. The store itself decides what counts as a
+	// snapshot (List), so the file-naming contract stays in
+	// campaignstore.
 	var dirs []string
 	for i := 1; i <= cfg.Workers; i++ {
 		dir := ShardDir(cfg.StateDir, i)
@@ -480,7 +485,7 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 		if err != nil {
 			continue
 		}
-		if systems, err := store.List(); err == nil && len(systems) > 0 {
+		if systems, err := store.List(); err == nil && slices.ContainsFunc(systems, locks.Covers) {
 			dirs = append(dirs, dir)
 		}
 	}

@@ -177,6 +177,69 @@ func TestCoordinatorMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestCoordinatorMergesOnlyItsSystems: shard directories keep the
+// snapshots of earlier campaigns, so a coordinated run over one system
+// must merge only that system. The root's other system keeps the newer
+// snapshot a plain run saved after its own coordinated run — recorded
+// under other options, so a merge from the stale shards would show.
+func TestCoordinatorMergesOnlyItsSystems(t *testing.T) {
+	ctx := context.Background()
+	stateDir := t.TempDir()
+	wopts := WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}
+	coordinate := func(sys sim.System) *Result {
+		t.Helper()
+		systems := []sim.System{sys}
+		res, err := Run(ctx, testConfig(stateDir, systems, inprocSpawner(systems, wopts, nil, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	coordinate(mydb.New())
+
+	root, err := campaignstore.Open(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := inject.DefaultOptions()
+	newer.SortTests = !newer.SortTests
+	lk, err := root.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = shard.CampaignAll(ctx, lk.Set(), []shard.Workload{campaignOf(t, mydb.New())},
+		shard.Options{Workers: 2, Inject: newer})
+	if uerr := lk.Unlock(); uerr != nil {
+		t.Fatal(uerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := root.Load("mydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFP, err := before.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := coordinate(ldapd.New())
+	if len(res.Stats) != 1 || res.Stats[0].System != "ldapd" {
+		t.Fatalf("ldapd run merged %+v, want ldapd alone", res.Stats)
+	}
+	after, err := root.Load("mydb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Options != campaignstore.OptionsID(newer) {
+		t.Errorf("mydb options reverted to %q by the ldapd run", after.Options)
+	}
+	if fp, err := after.Fingerprint(); err != nil || fp != wantFP {
+		t.Errorf("mydb fingerprint %s (%v) after the ldapd run, want %s", fp, err, wantFP)
+	}
+}
+
 // TestWorkStealingRebalances models a heterogeneous fleet (worker 1 on
 // a machine 60x slower per simulated cost unit): the fast worker must
 // drain, steal a suffix of the laggard's lease, and the merged result

@@ -12,17 +12,22 @@
 // lists map each parameter, constraint kind, reaction, and source
 // location to the positions of its docs. Per-system aggregates
 // (reaction tallies, vulnerability and unique-location counts) are
-// precomputed at build time, so serving table 3/5 is a map lookup, not
-// a scan.
+// precomputed when the index is built or loaded, so serving table 3/5
+// is a map lookup, not a scan.
 //
 // An index is derived data, never authoritative: it is rebuilt from its
 // snapshot whenever the sidecar is missing or stale (the sidecar
 // records the snapshot file's size and mtime; any mismatch invalidates
-// it), so deleting every *.campaign.idx file is always safe.
+// it), so deleting every *.campaign.idx file is always safe. The
+// sidecar persists only the docs and the header; the posting lists and
+// aggregates are derived from the docs on load by the same code that
+// builds them, so a tampered or corrupt sidecar can never serve
+// positions or tallies its docs do not back.
 package outcomeindex
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,7 +40,9 @@ import (
 
 // Version is the sidecar layout version. A sidecar written under a
 // different version is treated as stale and rebuilt from its snapshot.
-const Version = 1
+//
+// v2 stopped persisting the posting lists and aggregates.
+const Version = 2
 
 // Doc is one indexed outcome: the projection of inject.Outcome that the
 // HTTP API and the evaluation tables consume. Docs are stored in
@@ -113,16 +120,17 @@ type System struct {
 	SetFingerprint string    `json:"set_fingerprint"`
 	// Docs holds every outcome's projection in ascending Key order.
 	Docs []Doc `json:"docs"`
-	// Posting lists: positions into Docs, ascending.
-	ByParam    map[string][]int `json:"by_param"`
-	ByKind     map[string][]int `json:"by_kind"`
-	ByReaction map[string][]int `json:"by_reaction"`
+	// Posting lists: positions into Docs, ascending. Like Agg they are
+	// derived from Docs (Builder.Finish) and never persisted.
+	ByParam    map[string][]int `json:"-"`
+	ByKind     map[string][]int `json:"-"`
+	ByReaction map[string][]int `json:"-"`
 	// ByLoc keys are "file:line".
-	ByLoc map[string][]int `json:"by_loc"`
+	ByLoc map[string][]int `json:"-"`
 	// Vulnerable lists the vulnerability docs.
-	Vulnerable []int `json:"vulnerable"`
+	Vulnerable []int `json:"-"`
 	// Agg holds the precomputed tallies.
-	Agg Aggregates `json:"agg"`
+	Agg Aggregates `json:"-"`
 
 	keyPos map[string]int // lazy Key -> position
 }
@@ -388,11 +396,12 @@ func (q Query) matches(d *Doc) bool {
 
 // ---- sidecar persistence ----
 
-// File is the on-disk sidecar: the index plus the identity of the
-// snapshot file it was derived from. A sidecar whose Snap/SnapSize/
-// SnapMTime no longer match the snapshot on disk is stale and must be
-// rebuilt — the mtime+size pair changes on every atomic snapshot
-// rename, so a reader can validate freshness with one stat call.
+// File is the on-disk sidecar: the index's header and docs plus the
+// identity of the snapshot file it was derived from. A sidecar whose
+// Snap/SnapSize/SnapMTime no longer match the snapshot on disk is stale
+// and must be rebuilt — the mtime+size pair changes on every atomic
+// snapshot rename, so a reader can validate freshness with one stat
+// call.
 type File struct {
 	Version int `json:"version"`
 	// Snap is the snapshot file's base name; SnapSize/SnapMTime its
@@ -428,22 +437,43 @@ func WriteFile(path string, f *File) error {
 	return nil
 }
 
-// ReadFile loads a sidecar. Any structural problem is an error; the
+// ReadFile loads a sidecar and derives its posting lists and aggregates
+// from the docs, through the same Builder.Finish that built them. Any
+// structural problem is an error — including docs that are not
+// strictly ascending by key, the order every writer produces; the
 // caller treats every error as "stale, rebuild from the snapshot".
 func ReadFile(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	f, err := decodeFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("outcomeindex: sidecar %s: %w", path, err)
+	}
+	return f, nil
+}
+
+func decodeFile(data []byte) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("outcomeindex: corrupt sidecar %s: %w", path, err)
+		return nil, fmt.Errorf("corrupt: %w", err)
 	}
 	if f.Version != Version {
-		return nil, fmt.Errorf("outcomeindex: sidecar %s is version %d, this build writes %d", path, f.Version, Version)
+		return nil, fmt.Errorf("version %d, this build writes %d", f.Version, Version)
 	}
 	if f.Sys == nil {
-		return nil, fmt.Errorf("outcomeindex: sidecar %s holds no index", path)
+		return nil, errors.New("holds no index")
 	}
+	docs := f.Sys.Docs
+	for i := 1; i < len(docs); i++ {
+		if docs[i-1].Key >= docs[i].Key {
+			return nil, fmt.Errorf("doc %d (%q) is not after %q", i, docs[i].Key, docs[i-1].Key)
+		}
+	}
+	b := NewBuilder(Meta{System: f.Sys.System, Fingerprint: f.Sys.Fingerprint,
+		SavedAt: f.Sys.SavedAt, Options: f.Sys.Options, SetFingerprint: f.Sys.SetFingerprint})
+	b.docs = docs
+	f.Sys = b.Finish()
 	return &f, nil
 }

@@ -56,10 +56,10 @@ type AnalyzeOptions struct {
 	// recorded outcomes across spexeval runs and re-execute only the
 	// misconfigurations the constraint delta selects. Missing, corrupt
 	// or schema-stale snapshots fall back to a full campaign and are
-	// rebuilt. The caller acquires (and later releases) the locks — a
-	// whole-directory lock's Set for the CLIs, or per-system locks for
-	// the daemon's scheduler. The set is the write capability, so an
-	// unlocked analysis cannot save snapshots by construction.
+	// rebuilt. The caller acquires (and later releases) the state
+	// directory's writer lock and passes the set it mints (Lock.Set()).
+	// The set is the write capability, so an unlocked analysis cannot
+	// save snapshots by construction.
 	State *campaignstore.LockSet
 	// Global is a no-op kept for existing callers: every analysis runs
 	// its campaigns on the one cross-target pool.

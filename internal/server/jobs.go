@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -32,7 +33,9 @@ type JobSpec struct {
 	// Coordinate, when >= 2, runs the campaign through the embedded
 	// shard coordinator (internal/coord) with this many workers:
 	// plan → lease → steal → merge under the daemon's state
-	// directory, exactly like `spexinj -coordinate N`.
+	// directory, exactly like `spexinj -coordinate N`. At most
+	// MaxCoordinate: every worker gets its own lease file, shard
+	// directory and inference.
 	Coordinate int `json:"coordinate,omitempty"`
 	// StealMin overrides the coordinator's rebalance threshold
 	// (coordinate jobs only; nil = coord.DefaultStealMin).
@@ -55,6 +58,46 @@ type JobSpec struct {
 	// last misconfiguration completes, so a fast system can be in eval
 	// while a slow one is still injecting. Incompatible with Coordinate.
 	Stages []string `json:"stages,omitempty"`
+}
+
+// MaxCoordinate bounds JobSpec.Coordinate.
+const MaxCoordinate = 64
+
+// decodeSpec reads a POST /v1/jobs body: one JobSpec, no unknown
+// fields.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+// validateSpec holds the checks a spec must pass on its own, before
+// any namespace state is consulted — at submit, and again for a queued
+// job read back from the journal, which is disk input.
+func validateSpec(spec JobSpec) error {
+	if _, err := resolveSystems(spec); err != nil {
+		return err
+	}
+	if spec.Coordinate == 1 || spec.Coordinate < 0 {
+		return errors.New("coordinate needs at least 2 workers (a single shard has nobody to steal from)")
+	}
+	if spec.Coordinate > MaxCoordinate {
+		return fmt.Errorf("coordinate %d exceeds the limit of %d workers", spec.Coordinate, MaxCoordinate)
+	}
+	if spec.SimDelay != "" {
+		if _, err := time.ParseDuration(spec.SimDelay); err != nil {
+			return fmt.Errorf("bad sim_delay: %v", err)
+		}
+	}
+	if err := validateStages(spec.Stages); err != nil {
+		return err
+	}
+	if len(spec.Stages) > 0 && spec.Coordinate != 0 {
+		return errors.New("a staged pipeline cannot run under the coordinator (stages pipeline per system; the coordinator shards per worker)")
+	}
+	return nil
 }
 
 // Pipeline stage names (JobSpec.Stages), in pipeline order.
@@ -231,15 +274,16 @@ func saveJournal(stateDir string, doc Job) error {
 
 // loadJournal reads every persisted job document, oldest ID first. A
 // document still queued belonged to a daemon that died before the job
-// ever started — no lock was claimed, no outcome written — so it is
-// returned as queued for the restarted daemon to re-queue. A document
-// that had started (running) is adopted as failed: the campaign state
-// itself is resumable — snapshots only ever hold finished outcomes —
-// so the fix is to resubmit. Repaired documents are written back so
-// the journal converges. A document is adopted only under its own file
-// name — a job ID whose file is <id>.json — because the ID names every
-// file the daemon later writes for the job: an ID that escapes jobs/,
-// or that a second file also claims, is not a job.
+// ever started — no outcome was written — so it is returned as queued
+// for the restarted daemon to re-queue, if its spec still passes
+// validateSpec; one that does not is adopted as failed with the
+// reason. A document that had started (running) is adopted as failed:
+// the campaign state itself is resumable — snapshots only ever hold
+// finished outcomes — so the fix is to resubmit. Repaired documents are
+// written back so the journal converges. A document is adopted only
+// under its own file name — a job ID whose file is <id>.json — because
+// the ID names every file the daemon later writes for the job: an ID
+// that escapes jobs/, or that a second file also claims, is not a job.
 func loadJournal(stateDir string) ([]Job, int, error) {
 	dir := filepath.Join(stateDir, jobsDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -263,10 +307,18 @@ func loadJournal(stateDir string) ([]Job, int, error) {
 		if json.Unmarshal(data, &doc) != nil || !jobIDRE.MatchString(doc.ID) || doc.ID+".json" != e.Name() {
 			continue
 		}
-		if !terminal(doc.State) && doc.State != StateQueued {
-			doc.Error = "daemon stopped while the job was " + doc.State +
+		fail := ""
+		switch {
+		case doc.State == StateQueued:
+			if err := validateSpec(doc.Spec); err != nil {
+				fail = "journaled job spec is invalid: " + err.Error()
+			}
+		case !terminal(doc.State):
+			fail = "daemon stopped while the job was " + doc.State +
 				"; campaign snapshots hold every finished outcome — resubmit to resume"
-			doc.State = StateFailed
+		}
+		if fail != "" {
+			doc.State, doc.Error = StateFailed, fail
 			if doc.DoneAt == nil {
 				now := time.Now().UTC()
 				doc.DoneAt = &now

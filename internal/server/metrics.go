@@ -51,6 +51,6 @@ var (
 	mJobsRunning = obs.Default().GaugeVec(metricJobsRunning,
 		"jobs currently running, by namespace", "namespace")
 	mLockWait = obs.Default().HistogramVec(metricLockWait,
-		"seconds a job waited from submit until its per-system write locks were claimed, by namespace",
+		"seconds a job waited from submit until the scheduler reserved its systems and it started writing, by namespace",
 		obs.DurationBuckets, "namespace")
 )

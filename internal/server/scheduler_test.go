@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spex/internal/campaignstore"
 	"spex/internal/dash"
 	"spex/internal/obs"
 	"spex/internal/server"
@@ -61,8 +62,9 @@ func postJobAt(t *testing.T, url, spec string) server.Job {
 }
 
 // TestDisjointJobsRunConcurrently: two jobs over disjoint systems must
-// both be running at once under the default quota — the per-system
-// lock scheduler must not serialize what does not conflict.
+// both be running at once under the default quota — the scheduler must
+// not serialize what does not conflict. While they run, the namespace
+// lock is the only lock file and still refuses every other writer.
 func TestDisjointJobsRunConcurrently(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := daemon(t, server.Config{StateDir: dir})
@@ -75,10 +77,47 @@ func TestDisjointJobsRunConcurrently(t *testing.T) {
 	bus.waitFor(t, "a reservation with two jobs running", func(e dash.Event) bool {
 		return e.Kind == dash.KindSched && e.Sched.Op == "reserve" && e.Sched.Running >= 2
 	}, time.Minute)
+	// A job publishes "running" once it holds its write capability.
+	for _, id := range []string{j1.ID, j2.ID} {
+		bus.waitFor(t, id+" running", func(e dash.Event) bool {
+			return e.Job == id && e.Kind == dash.KindJob && e.State == server.StateRunning
+		}, time.Minute)
+	}
 	bus.stop()
 
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lk, err := store.Lock(); err == nil {
+		lk.Unlock()
+		t.Fatal("a second writer locked the daemon's state directory while jobs ran")
+	} else if !strings.Contains(err.Error(), "locked by pid") {
+		t.Fatalf("second writer refused for the wrong reason: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".spex.lock") && e.Name() != filepath.Base(campaignstore.LockPath(dir)) {
+			t.Errorf("lock file %s beside the namespace lock", e.Name())
+		}
+	}
+
+	// Nothing left to observe: cancel instead of waiting out the
+	// delayed campaigns (a job that already finished answers 409).
 	for _, id := range []string{j1.ID, j2.ID} {
-		if final := waitTerminal(t, ts.URL, id, time.Minute); final.State != server.StateDone {
+		req, err := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if final := waitTerminal(t, ts.URL, id, time.Minute); final.State != server.StateCancelled && final.State != server.StateDone {
 			t.Fatalf("job %s ended %s: %s", id, final.State, final.Error)
 		}
 	}
@@ -435,7 +474,8 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	created := time.Now().UTC().Add(-time.Hour)
 	started := created.Add(time.Minute)
 	// job-000001 was mid-campaign when the old daemon died; job-000002
-	// never started.
+	// and job-000003 never started, and job-000003's spec does not
+	// validate.
 	write("job-000001.json", server.Job{
 		ID:        "job-000001",
 		Spec:      server.JobSpec{Systems: []string{"ldapd"}},
@@ -450,6 +490,12 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 		CreatedAt: created,
 	}
 	write("job-000002.json", queued)
+	write("job-000003.json", server.Job{
+		ID:        "job-000003",
+		Spec:      server.JobSpec{Systems: []string{"ldapd"}, Coordinate: 3000},
+		State:     server.StateQueued,
+		CreatedAt: created,
+	})
 	// Not jobs: an id that would rewrite a file outside the state
 	// directory, and a second file claiming job-000002.
 	write("job-000010.json", server.Job{
@@ -478,8 +524,8 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	for _, j := range listing.Jobs {
 		ids = append(ids, j.ID)
 	}
-	if strings.Join(ids, " ") != "job-000001 job-000002" {
-		t.Errorf("restarted daemon lists jobs %v, want [job-000001 job-000002]", ids)
+	if strings.Join(ids, " ") != "job-000001 job-000002 job-000003" {
+		t.Errorf("restarted daemon lists jobs %v, want [job-000001 job-000002 job-000003]", ids)
 	}
 	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "escape.json")); !os.IsNotExist(err) {
 		t.Errorf("journal adoption wrote outside the state directory: %v", err)
@@ -489,6 +535,10 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 		!strings.Contains(doc.Error, "daemon stopped") {
 		t.Fatalf("interrupted running job: %s %q, want failed", doc.State, doc.Error)
 	}
+	if doc := getJob(t, ts.URL, "job-000003"); doc.State != server.StateFailed ||
+		!strings.Contains(doc.Error, "exceeds the limit") {
+		t.Fatalf("queued job with an invalid spec: %s %q, want failed", doc.State, doc.Error)
+	}
 	final := waitTerminal(t, ts.URL, "job-000002", time.Minute)
 	if final.State != server.StateDone {
 		t.Fatalf("re-queued job ended %s: %s", final.State, final.Error)
@@ -497,7 +547,7 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 		t.Fatalf("re-queued job produced no outcomes: %+v", final.Systems)
 	}
 	// New submissions continue the journal's ID sequence.
-	if doc := postJob(t, ts.URL, `{"systems": ["ldapd"]}`); doc.ID != "job-000003" {
-		t.Errorf("next job ID %s, want job-000003", doc.ID)
+	if doc := postJob(t, ts.URL, `{"systems": ["ldapd"]}`); doc.ID != "job-000004" {
+		t.Errorf("next job ID %s, want job-000004", doc.ID)
 	}
 }

@@ -1,11 +1,12 @@
 // Package server is spexd's engine room: a resident, multi-tenant
 // campaign service that owns a root state directory, hosts any number
 // of namespaces under it (one campaign store each), schedules jobs
-// concurrently under per-system write locks, and serves results and
+// concurrently over disjoint systems, and serves results and
 // live progress over a JSON HTTP API:
 //
 //	POST   /v1/jobs                  submit a campaign (systems or all,
-//	                                 workers, optional coordinate: N,
+//	                                 workers, optional coordinate: N
+//	                                 with N in 2..64,
 //	                                 needs: [jobID...], stages: [...])
 //	GET    /v1/jobs                  list jobs (including journaled ones
 //	                                 from previous daemon runs)
@@ -45,10 +46,10 @@
 // journal, quotas. POST /v1/ns/{ns}/jobs creates the namespace on
 // first use; reads on an unknown namespace 404.
 //
-// Jobs are scheduled by a DAG scheduler over per-system write locks
-// (campaignstore.Store.LockSystems): a job claims exactly the systems
-// it campaigns, so two jobs over disjoint system sets run concurrently
-// while jobs sharing a system serialize per system, not per daemon.
+// Jobs are scheduled by a DAG scheduler over an in-memory reservation
+// board: a job reserves exactly the systems it campaigns, so two jobs
+// over disjoint system sets run concurrently while jobs sharing a
+// system serialize per system, not per daemon.
 // needs: [jobID...] adds explicit edges — a job waits for its
 // dependencies to finish (a failed or cancelled dependency fails the
 // job). Every job is one pipeline on one pool `workers` wide: infer →
@@ -61,7 +62,8 @@
 // concurrency (Config.MaxConcurrentJobs) and queue depth
 // (Config.MaxQueuedJobs). Every job is journaled durably under
 // <ns>/jobs/, so a restarted daemon still lists finished jobs — and
-// re-queues jobs that never started.
+// re-queues jobs that never started, after checking their specs again
+// as it did at submit (validateSpec).
 //
 // Every event the daemon emits goes onto one bus (internal/dash), and
 // every stream is a filtered subscription to it: GET /v1/events takes
@@ -76,10 +78,11 @@
 // frame, and one for a job journaled by a previous daemon run sends
 // just that frame, built from the journal.
 //
-// The daemon holds each namespace's whole-directory lock for its
-// lifetime (foreign writers stay excluded); job claims nest under it
-// as real per-system lock files, the same claim/refresh/takeover
-// machinery at file granularity.
+// The daemon holds each namespace's writer lock (campaignstore
+// Store.Lock, the one .spex.lock file) for its lifetime, so every
+// other process stays excluded; within the daemon the board keeps jobs
+// apart, and each job writes through the namespace lock's set scoped to
+// its reserved systems (Lock.Set), so a save outside them fails loudly.
 //
 // The read path never touches snapshot records: every read endpoint is
 // served from the store's outcome indexes (internal/outcomeindex),
@@ -183,9 +186,9 @@ const (
 	defaultMaxQueued     = 256
 )
 
-// namespace is one tenant: a campaign store with its own
-// whole-directory lock (held for the daemon's lifetime), job table,
-// queue, journal, and read caches.
+// namespace is one tenant: a campaign store with its own writer lock
+// (held for the daemon's lifetime), job table, queue, journal, and
+// read caches.
 type namespace struct {
 	name  string
 	dir   string
@@ -194,7 +197,7 @@ type namespace struct {
 
 	// Scheduling state, guarded by Server.mu: the job table and
 	// submission order, the pending queue, and the reservation board —
-	// busy maps a system name to the running job holding its claim, so
+	// busy maps a system name to the running job that reserved it, so
 	// the dispatcher reserves all-or-nothing without hold-and-wait.
 	jobs      map[string]*job
 	order     []string
@@ -281,11 +284,11 @@ func validateNamespaceName(name string) error {
 }
 
 // New opens the root state directory as the default namespace (taking
-// its whole-directory writer lock), discovers previously-created
-// namespaces under it, and starts the scheduler. Each namespace's job
-// journal is loaded; documents a dead daemon left running are adopted
-// as failed, documents it left queued — jobs that never claimed a lock
-// or wrote an outcome — are re-queued.
+// its writer lock), discovers previously-created namespaces under it,
+// and starts the scheduler. Each namespace's job journal is loaded;
+// documents a dead daemon left running are adopted as failed,
+// documents it left queued — jobs that never wrote an outcome — are
+// re-queued.
 func New(cfg Config) (*Server, error) {
 	// The daemon's lifetime root: jobs and SSE streams hang off it, and
 	// Close cancels it. There is no inbound context to inherit here.
@@ -337,7 +340,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // openNamespace opens (creating if needed) one namespace's state
-// directory, takes its whole-directory lock, and loads its journal.
+// directory, takes its writer lock, and loads its journal.
 // Called from New and, under s.mu, from the lazy create path of
 // POST /v1/ns/{ns}/jobs.
 func (s *Server) openNamespace(name string) (*namespace, error) {
@@ -423,7 +426,7 @@ func (s *Server) Store() *campaignstore.Store {
 	return s.namespaces[DefaultNamespace].store
 }
 
-// closeNamespaces releases every namespace's whole-directory lock.
+// closeNamespaces releases every namespace's writer lock.
 func (s *Server) closeNamespaces() error {
 	var first error
 	for _, name := range s.nsOrder {
@@ -437,9 +440,8 @@ func (s *Server) closeNamespaces() error {
 // Close shuts the daemon down gracefully: running campaigns are
 // cancelled through the engine's context plumbing (finished outcomes
 // are already persisted — the stores stay resumable), queued jobs are
-// marked cancelled, per-system claims are released as the job
-// goroutines drain, and every namespace lock is released. Safe to call
-// more than once.
+// marked cancelled, the job goroutines drain, and every namespace lock
+// is released. Safe to call more than once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -462,9 +464,8 @@ func (s *Server) Close() error {
 		}
 		s.cancel()
 		<-s.schedDone
-		// Job goroutines observe the cancelled context, finish their
-		// documents, and release their per-system claims before the
-		// namespace locks go.
+		// Job goroutines observe the cancelled context and finish their
+		// documents before the namespace locks go.
 		s.jobsWG.Wait()
 		// Every publisher has drained; end the dashboard streams.
 		s.bus.Close()
@@ -517,22 +518,8 @@ var errUnavailable = errors.New("temporarily unavailable")
 // submit validates a spec, registers the job in its namespace,
 // journals it, and queues it for the scheduler.
 func (s *Server) submit(ns *namespace, spec JobSpec) (Job, error) {
-	if _, err := resolveSystems(spec); err != nil {
+	if err := validateSpec(spec); err != nil {
 		return Job{}, err
-	}
-	if spec.Coordinate == 1 || spec.Coordinate < 0 {
-		return Job{}, errors.New("coordinate needs at least 2 workers (a single shard has nobody to steal from)")
-	}
-	if spec.SimDelay != "" {
-		if _, err := time.ParseDuration(spec.SimDelay); err != nil {
-			return Job{}, fmt.Errorf("bad sim_delay: %v", err)
-		}
-	}
-	if err := validateStages(spec.Stages); err != nil {
-		return Job{}, err
-	}
-	if len(spec.Stages) > 0 && spec.Coordinate != 0 {
-		return Job{}, errors.New("a staged pipeline cannot run under the coordinator (stages pipeline per system; the coordinator shards per worker)")
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -600,7 +587,7 @@ func (s *Server) kickScheduler() {
 // scheduler is the DAG dispatcher loop: every kick (submit, job
 // finish, cancel) re-scans each namespace's pending queue and starts
 // every job whose dependencies are done, whose namespace has quota,
-// and whose systems are all unclaimed.
+// and whose systems are all unreserved.
 func (s *Server) scheduler() {
 	defer close(s.schedDone)
 	for {
@@ -614,10 +601,9 @@ func (s *Server) scheduler() {
 }
 
 // dispatch makes one scheduling pass. Reservations are all-or-nothing
-// under s.mu — a job either claims every system it campaigns or stays
-// queued — so two jobs can never hold-and-wait on each other's
-// systems. The real on-disk lock claims happen in the job goroutine;
-// the board guarantees they cannot conflict within this daemon.
+// under s.mu — a job either reserves every system it campaigns or
+// stays queued — so two jobs can never hold-and-wait on each other's
+// systems, and no two running jobs of this daemon write one system.
 func (s *Server) dispatch() {
 	maxConcurrent := s.cfg.MaxConcurrentJobs
 	if maxConcurrent <= 0 {
@@ -652,7 +638,7 @@ func (s *Server) dispatch() {
 			if doc.State != StateQueued {
 				continue // cancelled while queued: drop from the queue
 			}
-			// DAG edges first: a job never claims systems while a
+			// DAG edges first: a job never reserves systems while a
 			// dependency is unfinished.
 			blocked, failMsg := false, ""
 			for _, need := range doc.Spec.Needs {
@@ -688,7 +674,7 @@ func (s *Server) dispatch() {
 				continue
 			}
 			systems, err := resolveSystems(doc.Spec)
-			if err != nil { // validated at submit; unreachable in practice
+			if err != nil { // validated at submit and journal load; unreachable in practice
 				failures = append(failures, failure{ns, j, err.Error()})
 				continue
 			}
@@ -758,9 +744,9 @@ func (s *Server) releaseReservation(ns *namespace, j *job, systems []string) {
 		Sched: &dash.Sched{Op: "release", Systems: systems, QueueDepth: depth, Running: running}})
 }
 
-// runJob executes one dispatched job end to end: claim the per-system
-// write locks, run the campaign, publish the lifecycle, release the
-// locks.
+// runJob executes one dispatched job end to end: mint its write
+// capability from the namespace lock, run the campaign, publish the
+// lifecycle.
 func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.mu.Lock()
 	if j.doc.State != StateQueued || j.doc.CancelRequested { // cancelled between dispatch and start
@@ -778,21 +764,11 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.mu.Unlock()
 	defer cancel()
 
-	// The board says these systems are free within this daemon; the
-	// on-disk claims make that true against the world (and leave lock
-	// files a foreign observer can read). They nest under the
-	// namespace's own whole-directory lock.
-	locks, err := ns.store.LockSystems(systems...)
-	if err != nil {
-		s.finishJob(ns, j, StateFailed, fmt.Sprintf("claiming system locks: %v", err))
-		return
-	}
+	// The namespace lock keeps every other process out and the board
+	// keeps this daemon's jobs apart; the job's write capability covers
+	// exactly the systems it reserved.
+	locks := ns.lock.Set(systems...)
 	mLockWait.With(ns.name).Observe(time.Since(doc.CreatedAt).Seconds())
-	defer func() {
-		if uerr := locks.Unlock(); uerr != nil {
-			s.logger.Error("releasing system locks", "job", doc.ID, "namespace", ns.name, "err", uerr)
-		}
-	}()
 
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
@@ -986,9 +962,9 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 	case spec.Coordinate >= 2:
 		// The embedded shard coordinator: N workers on lease files under
 		// the namespace's state directory, work-stealing rebalance,
-		// bounded worker retries, and the final merge into the canonical
-		// store under the per-system locks the scheduler holds for the
-		// job. It plans from its own inference.
+		// bounded worker retries, and the final merge of the job's
+		// systems into the canonical store through the job's write
+		// capability. It plans from its own inference.
 		stealMin := coord.DefaultStealMin
 		if spec.StealMin != nil {
 			stealMin = *spec.StealMin
@@ -1426,10 +1402,8 @@ func (s *Server) handleStatus(ns *namespace, w http.ResponseWriter, r *http.Requ
 }
 
 func (s *Server) handleJobsCreate(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}

@@ -470,33 +470,53 @@ func TestDaemonCancellationLeavesResumableStore(t *testing.T) {
 }
 
 // TestDaemonCoordinateJob embeds the work-stealing coordinator behind
-// the API with in-process workers.
+// the API with in-process workers. The jobs share the namespace's shard
+// directories, which keep each earlier job's snapshots: every job must
+// merge only its own system and leave the other's root snapshot as its
+// own job saved it.
 func TestDaemonCoordinateJob(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 2})
-
-	doc := postJob(t, ts.URL, `{"systems": ["ldapd"], "coordinate": 2, "workers": 2}`)
-	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
-	final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
-	if final.State != server.StateDone {
-		t.Fatalf("coordinate job ended %s: %s", final.State, final.Error)
-	}
-	if final.Spawns < 2 {
-		t.Errorf("coordinate job spawned %d workers, want >= 2", final.Spawns)
-	}
-	if len(final.Systems) != 1 || final.Systems[0].Fingerprint == "" {
-		t.Fatalf("coordinate job summaries: %+v", final.Systems)
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	kinds := map[string]bool{}
-	for _, e := range sse.wait(t) {
-		if e.Kind == dash.KindCoord && e.Coord != nil {
-			kinds[e.Coord.Kind] = true
+	saved := map[string]string{} // system -> fingerprint its job saved
+	for _, system := range []string{"ldapd", "proxyd"} {
+		doc := postJob(t, ts.URL, fmt.Sprintf(`{"systems": [%q], "coordinate": 2, "workers": 2}`, system))
+		sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
+		final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute)
+		if final.State != server.StateDone {
+			t.Fatalf("%s coordinate job ended %s: %s", system, final.State, final.Error)
+		}
+		if final.Spawns < 2 {
+			t.Errorf("%s coordinate job spawned %d workers, want >= 2", system, final.Spawns)
+		}
+		if len(final.Systems) != 1 || final.Systems[0].System != system || final.Systems[0].Fingerprint == "" {
+			t.Fatalf("%s coordinate job summaries: %+v", system, final.Systems)
+		}
+		saved[system] = final.Systems[0].Fingerprint
+
+		kinds := map[string]bool{}
+		for _, e := range sse.wait(t) {
+			if e.Kind == dash.KindCoord && e.Coord != nil {
+				kinds[e.Coord.Kind] = true
+			}
+		}
+		for _, want := range []string{"plan", "spawn", "merge"} {
+			if !kinds[want] {
+				t.Errorf("%s: SSE stream missing coordinator %q event (saw %v)", system, want, kinds)
+			}
 		}
 	}
-	for _, want := range []string{"plan", "spawn", "merge"} {
-		if !kinds[want] {
-			t.Errorf("SSE stream missing coordinator %q event (saw %v)", want, kinds)
+	for system, fp := range saved {
+		idx, err := store.LoadIndex(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Fingerprint != fp {
+			t.Errorf("%s snapshot fingerprint %s, want %s as its job saved it", system, idx.Fingerprint, fp)
 		}
 	}
 }
@@ -516,6 +536,7 @@ func TestDaemonValidationAndRestart(t *testing.T) {
 		`{}`,
 		`{"systems": ["no-such-system"]}`,
 		`{"all": true, "coordinate": 1}`,
+		`{"systems": ["ldapd"], "coordinate": 3000}`,
 		`{"all": true, "sim_delay": "not-a-duration"}`,
 		`{"all": true, "bogus_field": 1}`,
 	} {

@@ -199,12 +199,11 @@ type SystemRun struct {
 // recorded outcomes minus the delta-selected retests (replays cost
 // nothing), and the updated snapshot saved — even after cancellation,
 // so the next run resumes with exactly the unfinished
-// misconfigurations. The store is addressed through held per-system
-// writer locks: the campaignstore lock handles are the only capability
-// for the saves, so a caller must have acquired each workload system's
-// lock (or a whole-directory lock viewed through Lock.Set) before it
-// can even name this mode. A restricted set missing a workload's system
-// fails that system's save loudly.
+// misconfigurations. The store is addressed through the write
+// capability a held campaignstore writer lock mints (Lock.Set), the
+// only way to save, so a caller must have acquired the state
+// directory's lock before it can even name this mode. A set scoped to
+// other systems fails a workload's save loudly.
 //
 // A nil set is the storeless run: it replays and records through each
 // Workload.Cache that is set, and saves nothing. On cancellation every

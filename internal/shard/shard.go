@@ -223,11 +223,10 @@ func (c *mergeCursor) advance() error {
 }
 
 // Merge folds shard state directories into one canonical store —
-// addressed by its held writer lock (dst), the capability for the
-// streaming snapshot writes the merge performs; callers acquire it
-// with campaignstore.Store.Lock before merging, exactly like any other
-// writer. For every system with a snapshot in any source directory, the
-// shards' records fold into a single snapshot via a k-way streaming
+// addressed by its write capability (dst), minted from the store's held
+// writer lock; callers acquire it with campaignstore.Store.Lock before
+// merging, exactly like any other writer. For every system dst covers
+// with a snapshot in any source directory, the shards' records fold into a single snapshot via a k-way streaming
 // merge — every source file's records arrive in ascending key order
 // (the binary container's invariant), so the merge holds one record per
 // shard in memory and writes the result through the store's streaming
@@ -250,7 +249,7 @@ func (c *mergeCursor) advance() error {
 // identical to an unsharded run's store fingerprint.
 func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 	if dst == nil {
-		return nil, errors.New("shard: merge needs the destination store's writer locks")
+		return nil, errors.New("shard: merge needs the destination store's write capability")
 	}
 	if len(srcDirs) == 0 {
 		return nil, errors.New("shard: no shard directories to merge")
@@ -276,6 +275,11 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 			return nil, fmt.Errorf("shard: %s holds no campaign snapshots", dir)
 		}
 		for system, path := range paths {
+			// Shard directories outlive their campaign: a system outside
+			// dst's scope is an earlier campaign's, not this merge's.
+			if !dst.Covers(system) {
+				continue
+			}
 			if len(bySystem[system]) == 0 {
 				systems = append(systems, system)
 			}
@@ -296,7 +300,7 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 }
 
 // mergeSystem streams one system's shard files into the destination
-// store through its held per-system writer lock.
+// store.
 func mergeSystem(dst *campaignstore.LockSet, system string, srcs []source) (MergeStat, error) {
 	cursors := make([]*mergeCursor, 0, len(srcs))
 	defer func() {
