@@ -12,7 +12,8 @@
 // namespace); jobs sharing a system serialize on the scheduler's
 // reservation of that system.
 // Each job runs infer → inject → eval on one pool of its `workers`
-// width. A job may declare dependencies (needs: [jobID...]) to form a
+// width; the daemon infers the seven targets once at start-up, and
+// every job and table rebuild reuses that inference. A job may declare dependencies (needs: [jobID...]) to form a
 // DAG, or stages: ["infer", "inject", "eval"] to report each system's
 // stage transitions as it finishes them. Jobs
 // are journaled durably under <ns>/jobs/ (a restarted daemon lists

@@ -35,14 +35,16 @@
 //     sim.MonitorStartContext; Ctrl-C in the cmd drivers stops
 //     dispatching immediately, abandons in-flight boots, and reports
 //     the outcomes already measured.
-//   - Incrementality. An engine-level result cache keyed by
+//   - Incrementality. A per-system result cache keyed by
 //     misconfiguration identity (inject.CacheKey: violated-constraint
 //     ID + rule + injected values) makes inject.Diff's constraint delta
 //     a real incremental mode: campaignstore.Store.Prepare seeds the
 //     cache from a persisted snapshot and evicts the delta-selected
-//     retests, and shard.CampaignAll replays recorded outcomes for
-//     unchanged constraints and re-executes only the added/affected
-//     ones (§3.1's incremental retesting).
+//     retests, and shard.CampaignAll resolves every recorded outcome of
+//     an unchanged constraint from that cache before any task runs, so
+//     only the added/affected misconfigurations reach the engine
+//     (§3.1's incremental retesting). A standalone inject.RunContext
+//     replays through the engine's own keyed cache instead.
 //
 // # Persistent campaign snapshots
 //
@@ -86,22 +88,29 @@
 // one process, in a plan → execute → merge lifecycle:
 //
 //   - Global cross-target scheduling (shard.CampaignAll, storeless
-//     under a nil lock set). Instead of one engine.Run per system,
-//     every target's misconfigurations flatten into a single task
-//     queue feeding one pool. The fairness rule is round-robin
-//     interleaving (shard.Interleave): consecutive tasks address
-//     different targets, so the in-flight set spans as many targets as
-//     the pool is wide — no single target's mutex-serialized boot
-//     phase backs up every worker, and a small target draining early
-//     leaves the rest of the rotation instead of idle workers
-//     (BenchmarkGlobalScheduler measures the utilization gap). Each
-//     per-system report is reassembled through inject.Assemble, the
-//     same code path a standalone campaign uses, so going global
-//     changes utilization, never results. A system is finished — its
-//     report assembled and its snapshot saved — the moment its last
-//     misconfiguration completes, before the progress event reporting
-//     that completion (shard.Progress.Run), so finished systems are on
-//     disk while slower ones still run. This scheduler is the only
+//     under a nil lock set). Each system is one pipeline: prepare,
+//     then its fresh misconfigurations, then finish. The prepares load
+//     each system's snapshot and resolve every replay, on a pool as
+//     wide as the campaign's; a replay never becomes an engine task.
+//     Instead of one engine.Run per system, every target's fresh
+//     misconfigurations then flatten into a single task queue feeding
+//     one pool. The fairness rule is round-robin interleaving
+//     (shard.Interleave): consecutive tasks address different targets,
+//     so the in-flight set spans as many targets as the pool is wide —
+//     no single target's mutex-serialized boot phase backs up every
+//     worker, and a small target draining early leaves the rest of the
+//     rotation instead of idle workers (BenchmarkGlobalScheduler
+//     measures the utilization gap). Each per-system report is
+//     reassembled through inject.Assemble, the same code path a
+//     standalone campaign uses, so going global changes utilization,
+//     never results. A system is finished — its report assembled and
+//     its snapshot saved — by the goroutine that resolved its last
+//     outcome (its prepare when nothing was fresh, otherwise the
+//     worker that ran its last fresh misconfiguration), outside any
+//     lock the other workers wait on, and before the progress event
+//     reporting that completion (shard.Progress.Run), so finished
+//     systems are on disk while slower ones still run and a warm
+//     campaign's loads and saves overlap. This scheduler is the only
 //     campaign path: it sits under `spexinj -all`, `spexinj -system X`
 //     (the one-workload special case), `spexeval`, and the daemon.
 //
@@ -251,9 +260,11 @@
 // serialize on that system, with stores byte-identical to a serial
 // run. A spec's `needs: [jobID...]` adds explicit edges (a failed or
 // cancelled dependency fails the dependent). Every job runs one
-// pipeline on its one pool, infer → inject → eval: spex.InferAll, then
-// one shard.CampaignAll (coord.Run for a coordinate job), then the
-// outcome indexes — so `workers` bounds every job. A plain job is
+// pipeline on its one pool, infer → inject → eval: its own copies of
+// the workloads the daemon inferred once at start (server.New), then
+// one shard.CampaignAll (coord.Run, which infers for itself, for a
+// coordinate job), then the outcome indexes — so `workers` bounds every
+// job. A plain job is
 // [infer, inject]; `stages: ["infer", "inject", "eval"]` names the
 // stages to run and publishes each system's transitions as "stage"
 // events. Stages are events, not barriers: a system's inject and eval
@@ -282,7 +293,8 @@
 // /v1/query answers cross-system misconfiguration queries (?param=,
 // ?kind=, ?reaction=, ?min-systems=N, ?all=1), and GET /v1/tables/{n}
 // renders the paper's evaluation tables from an index-backed replay
-// (report.ReplayFromIndex + the structured report.Table encoding) —
+// over the same one inference (report.ReplayWorkloadsFromIndex + the
+// structured report.Table encoding) —
 // the text form is byte-identical to `spexeval -state <dir> -table n`
 // over the same store, because the index docs carry exactly the fields
 // the table builders consume and both render through
@@ -411,6 +423,8 @@
 // SSE stream, reconnecting with backoff and Last-Event-ID resume),
 // and anything that can parse SSE — `curl -N host:port/v1/events`.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// See examples/quickstart/README.md for a tour of the CLIs and the
+// daemon's API, testdata/golden for every table and figure as this
+// reproduction prints them, and bench/README.md for the end-to-end
+// benchmark.
 package spex

@@ -722,7 +722,9 @@ type Status struct {
 // caller runs a full campaign either way, with the cache deciding what
 // replays. This is the one copy of the snapshot-replay policy; its
 // caller is the cross-target campaign scheduler (internal/shard
-// CampaignAll), which saves the updated snapshot afterwards.
+// CampaignAll), which saves the updated snapshot afterwards. keys[i]
+// is ms[i]'s replay identity (inject.CacheKey), which the caller
+// already holds.
 //
 // keep lists cache keys outside ms that must survive the prune: a shard
 // process running against a store that also holds its peers' outcomes
@@ -733,7 +735,7 @@ type Status struct {
 // stamps (nil on fallback): a caller that carries keys through its save
 // re-applies their original stamps so carried copies never masquerade
 // as fresh.
-func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, opts inject.Options, keep map[string]bool, cache *inject.ResultCache) (Status, map[string]time.Time) {
+func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, keys []string, opts inject.Options, keep map[string]bool, cache *inject.ResultCache) (Status, map[string]time.Time) {
 	st := Status{Path: s.Path(system)}
 	snap, err := s.Load(system)
 	if err == nil && snap.Options != OptionsID(opts) {
@@ -750,24 +752,23 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 		return st, nil
 	}
 	cache.LoadSnapshot(snap.Outcomes)
-	d := inject.Diff(snap.Constraints, set)
-	retests := inject.SelectRetests(ms, d)
+	retest := inject.Diff(snap.Constraints, set).Retest()
 	st.Replayed = true
-	st.Retests = len(retests)
-	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
-	mPrepareRetests.Add(uint64(len(retests)))
 	// Evict the delta so it re-executes, and prune entries that left the
 	// campaign — but never the keys the caller vouched for.
-	for _, m := range retests {
-		cache.Delete(inject.CacheKey(m))
-	}
 	current := make(map[string]bool, len(ms)+len(keep))
-	for _, m := range ms {
-		current[inject.CacheKey(m)] = true
+	for i, m := range ms {
+		if retest(m) {
+			cache.Delete(keys[i])
+			st.Retests++
+		}
+		current[keys[i]] = true
 	}
 	for k := range keep {
 		current[k] = true
 	}
 	cache.Retain(current)
+	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
+	mPrepareRetests.Add(uint64(st.Retests))
 	return st, snap.Stamps
 }

@@ -553,10 +553,23 @@ type setJSON struct {
 	Constraints []*Constraint `json:"constraints"`
 }
 
-// MarshalJSON renders the set in its stable serialized form.
+// MarshalJSON renders the set in its stable serialized form. Each ID is
+// computed once, not once per comparison: a snapshot save marshals the
+// set every time.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	cs := append([]*Constraint(nil), s.Constraints...)
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID() < cs[j].ID() })
+	type byID struct {
+		id string
+		c  *Constraint
+	}
+	sorted := make([]byID, len(s.Constraints))
+	for i, c := range s.Constraints {
+		sorted[i] = byID{c.ID(), c}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].id < sorted[j].id })
+	cs := make([]*Constraint, len(sorted))
+	for i, e := range sorted {
+		cs[i] = e.c
+	}
 	return json.Marshal(setJSON{System: s.System, Constraints: cs})
 }
 

@@ -14,7 +14,9 @@
 //     context error (marked Skipped).
 //   - Incrementality: an optional keyed Cache replays previously
 //     recorded results instead of re-executing the task — the basis of
-//     SPEX-INJ's incremental retesting mode (paper §3.1).
+//     SPEX-INJ's incremental retesting mode (paper §3.1) in
+//     inject.RunContext. The global scheduler resolves its replays
+//     before the pool starts and hands the engine only fresh tasks.
 package engine
 
 import (

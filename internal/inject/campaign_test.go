@@ -205,7 +205,7 @@ func TestIncrementalReplaysUnchangedConstraints(t *testing.T) {
 	ms2 := append(append([]confgen.Misconf(nil), ms[:10]...), confgen.Misconf{
 		ID: "q-0", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ2,
 	})
-	retests := SelectRetests(ms2, Diff(mkSet(cP, cQ), mkSet(cP, cQ2)))
+	retests := selectRetests(ms2, Diff(mkSet(cP, cQ), mkSet(cP, cQ2)))
 	if len(retests) != 1 || retests[0].ID != "q-0" {
 		t.Fatalf("delta selected %d retests, want only q-0", len(retests))
 	}

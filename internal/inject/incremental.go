@@ -122,11 +122,11 @@ func CacheKey(m confgen.Misconf) string {
 	return b.String()
 }
 
-// SelectRetests filters a full misconfiguration list down to the ones an
-// incremental campaign must rerun: misconfigurations violating an added
-// constraint, or touching any affected parameter (whose behaviour the
-// revision changed).
-func SelectRetests(ms []confgen.Misconf, d Delta) []confgen.Misconf {
+// Retest returns the delta's retest rule: a misconfiguration reruns when
+// it violates an added constraint or touches any affected parameter
+// (whose behaviour the revision changed). Build the rule once per delta
+// and apply it per misconfiguration.
+func (d Delta) Retest() func(confgen.Misconf) bool {
 	addedIDs := map[string]bool{}
 	for _, c := range d.Added {
 		addedIDs[c.ID()] = true
@@ -135,22 +135,16 @@ func SelectRetests(ms []confgen.Misconf, d Delta) []confgen.Misconf {
 	for _, p := range d.AffectedParams() {
 		affected[p] = true
 	}
-	var out []confgen.Misconf
-	for _, m := range ms {
-		if m.Violates != nil && addedIDs[m.Violates.ID()] {
-			out = append(out, m)
-			continue
+	return func(m confgen.Misconf) bool {
+		// An empty delta (the common warm rerun) never computes an ID.
+		if len(addedIDs) > 0 && m.Violates != nil && addedIDs[m.Violates.ID()] {
+			return true
 		}
-		touched := false
 		for p := range m.Values {
 			if affected[p] {
-				touched = true
-				break
+				return true
 			}
 		}
-		if touched {
-			out = append(out, m)
-		}
+		return false
 	}
-	return out
 }

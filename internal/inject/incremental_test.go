@@ -24,6 +24,19 @@ func rng(p string, min int64) *constraint.Constraint {
 		Intervals: []constraint.Interval{{HasMin: true, Min: min, Valid: true}}}
 }
 
+// selectRetests filters ms down to the misconfigurations the delta's
+// retest rule (Delta.Retest) selects.
+func selectRetests(ms []confgen.Misconf, d Delta) []confgen.Misconf {
+	retest := d.Retest()
+	var out []confgen.Misconf
+	for _, m := range ms {
+		if retest(m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 func TestDiffPartitions(t *testing.T) {
 	old := mkSet(
 		basic("a", constraint.BasicInt64),
@@ -71,7 +84,7 @@ func TestSelectRetests(t *testing.T) {
 		{ID: "m2", Param: "x", Values: map[string]string{"x": "fast"}, Violates: cStable},
 		{ID: "m3", Param: "x", Values: map[string]string{"x": "1", "a": "3"}, Violates: cStable},
 	}
-	re := SelectRetests(ms, d)
+	re := selectRetests(ms, d)
 	ids := map[string]bool{}
 	for _, m := range re {
 		ids[m.ID] = true
@@ -95,7 +108,7 @@ func TestDiffIdenticalSetsNeedNoRetest(t *testing.T) {
 		t.Errorf("identical sets produced delta: +%d -%d", len(d.Added), len(d.Removed))
 	}
 	ms := []confgen.Misconf{{ID: "m", Param: "a", Values: map[string]string{"a": "0"}}}
-	if re := SelectRetests(ms, d); len(re) != 0 {
+	if re := selectRetests(ms, d); len(re) != 0 {
 		t.Errorf("no-op revision selected %d retests", len(re))
 	}
 }

@@ -338,11 +338,13 @@ func (r *Runner) Test(ctx context.Context, m confgen.Misconf) (Outcome, error) {
 // report, in input (ms) order: cached results are replayed with their
 // metadata refreshed from the current misconfiguration list, errored
 // and skipped tasks are recorded per outcome, and the cost tallies
-// split into executed vs replayed. RunContext and the global
-// cross-target scheduler (internal/shard) share this function, which
-// is why a globally scheduled campaign's per-system report is
-// identical to a per-system run's.
-func Assemble(system string, ms []confgen.Misconf, results []engine.Result[Outcome], cache *ResultCache) *Report {
+// split into executed vs replayed. keys[i] is ms[i]'s CacheKey, the
+// entry a refreshed replay is written back under; it is read only when
+// cache is set. RunContext and the global cross-target scheduler
+// (internal/shard) share this function, which is why a globally
+// scheduled campaign's per-system report is identical to a per-system
+// run's.
+func Assemble(system string, ms []confgen.Misconf, keys []string, results []engine.Result[Outcome], cache *ResultCache) *Report {
 	rep := &Report{System: system, Outcomes: make([]Outcome, 0, len(ms))}
 	for i, r := range results {
 		out := r.Value
@@ -358,7 +360,7 @@ func Assemble(system string, ms []confgen.Misconf, results []engine.Result[Outco
 				out.Loc = ms[i].Violates.Loc
 			}
 			if cache != nil {
-				cache.Put(CacheKey(ms[i]), out)
+				cache.Put(keys[i], out)
 			}
 		}
 		if r.Err != nil { // errored, cancelled mid-run, never started, or yielded
@@ -413,9 +415,14 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 			opts.Progress(Progress{Done: done, Total: total})
 		}
 	}
+	var keys []string
 	if opts.Cache != nil {
+		keys = make([]string, len(ms))
+		for i, m := range ms {
+			keys[i] = CacheKey(m)
+		}
 		eopts.Cache = opts.Cache
-		eopts.KeyOf = func(i int) string { return CacheKey(ms[i]) }
+		eopts.KeyOf = func(i int) string { return keys[i] }
 	}
 
 	// A Test error is returned as the task error (not folded into the
@@ -425,7 +432,7 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 		return runner.Test(ctx, ms[i])
 	}, eopts)
 
-	rep := Assemble(sys.Name(), ms, results, opts.Cache)
+	rep := Assemble(sys.Name(), ms, keys, results, opts.Cache)
 	if cancelErr != nil {
 		return rep, fmt.Errorf("inject: %s: %w", sys.Name(), cancelErr)
 	}

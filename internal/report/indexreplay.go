@@ -25,18 +25,19 @@ var ErrStateIncomplete = errors.New("report: campaign state incomplete")
 
 // ReplayFromIndex builds the full seven-system analysis from the
 // store's outcome indexes, without executing a single misconfiguration
-// and without writing anything — the daemon's table-serving path and
-// `spexeval -index`. Inference, audits and accuracy are recomputed
-// (they are deterministic, cheap, and never touch the store); the
-// campaign side is reconstructed from each system's index docs, which
-// carry the complete projection the tables consume (reaction, error
-// status, and the violated constraint's source location — the inputs of
-// Report.CountByReaction and Report.UniqueLocations). The rendered
-// tables are therefore byte-identical to `spexeval -state` over the same
-// store, without parsing a single outcome record: on a warm sidecar the
-// store read is one JSON index per system, and the snapshots stay
-// untouched. Serving needs no lock: a reader sees the last completed
-// save even while a job is running.
+// and without writing anything — `spexeval -index`, and through
+// ReplayWorkloadsFromIndex the daemon's table-serving path. Inference,
+// audits and accuracy are recomputed (they are deterministic, cheap,
+// and never touch the store); the campaign side is reconstructed from
+// each system's index docs, which carry the complete projection the
+// tables consume (reaction, error status, and the violated constraint's
+// source location — the inputs of Report.CountByReaction and
+// Report.UniqueLocations). The rendered tables are therefore
+// byte-identical to `spexeval -state` over the same store, without
+// parsing a single outcome record: on a warm sidecar the store read is
+// one JSON index per system, and the snapshots stay untouched. Serving
+// needs no lock: a reader sees the last completed save even while a job
+// is running.
 //
 // The index must cover this build's options identity, the constraint
 // set the fresh inference produced, and every misconfiguration's replay
@@ -52,8 +53,18 @@ func ReplayFromIndex(ctx context.Context, store *campaignstore.Store) ([]*System
 	if err != nil {
 		return nil, err
 	}
+	return ReplayWorkloadsFromIndex(store, rs, ws)
+}
+
+// ReplayWorkloadsFromIndex is ReplayFromIndex over an inference the
+// caller already holds: rs are the seven targets' inference results in
+// targets.All order and ws the workloads shard.BuildWorkloads built from
+// them. A resident caller (the daemon) derives both once and renders
+// every table rebuild from them; neither is modified, so concurrent
+// calls may share them.
+func ReplayWorkloadsFromIndex(store *campaignstore.Store, rs []*spex.Result, ws []shard.Workload) ([]*SystemResult, error) {
 	wantOpts := campaignstore.OptionsID(inject.DefaultOptions())
-	out := make([]*SystemResult, len(systems))
+	out := make([]*SystemResult, len(ws))
 	for i, w := range ws {
 		name := w.Sys.Name()
 		idx, err := store.LoadIndex(name)
@@ -72,8 +83,8 @@ func ReplayFromIndex(ctx context.Context, store *campaignstore.Store) ([]*System
 				ErrStateIncomplete, name)
 		}
 		missing := 0
-		for _, m := range w.Ms {
-			if !idx.Has(inject.CacheKey(m)) {
+		for _, key := range w.ReplayKeys() {
+			if !idx.Has(key) {
 				missing++
 			}
 		}
@@ -86,7 +97,7 @@ func ReplayFromIndex(ctx context.Context, store *campaignstore.Store) ([]*System
 			Inference: rs[i],
 			Campaign:  campaignFromIndex(idx),
 			Audit:     designcheck.Run(rs[i]),
-			Accuracy:  spex.Score(rs[i].Set, systems[i].GroundTruth()),
+			Accuracy:  spex.Score(rs[i].Set, w.Sys.GroundTruth()),
 		}
 	}
 	return out, nil

@@ -95,9 +95,13 @@ func TestBusNamespaceIsolation(t *testing.T) {
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
 
 	// Create tenant2 first so its filtered stream can attach (reads on
-	// an unknown namespace 404).
-	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
+	// an unknown namespace 404). The stream is live-only, so it attaches
+	// before the job under test is submitted: a fast job could otherwise
+	// finish before the subscription exists.
+	first := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
+	waitTerminalAt(t, ts.URL+"/v1/ns/tenant2/jobs/"+first.ID, time.Minute)
 	c := collect(t, ts.URL+"/v1/ns/tenant2/events", 0)
+	doc2 := postJobAt(t, ts.URL+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 4}`)
 	doc1 := postJob(t, ts.URL, `{"systems": ["proxyd"], "workers": 4}`)
 
 	waitTerminal(t, ts.URL, doc1.ID, time.Minute)

@@ -16,7 +16,9 @@ import (
 
 	"spex/internal/campaignstore"
 	"spex/internal/inject"
+	"spex/internal/shard"
 	"spex/internal/sim"
+	"spex/internal/spex"
 	"spex/internal/targets"
 )
 
@@ -225,6 +227,46 @@ func (j *job) docLocked() Job {
 	doc := j.doc
 	doc.Systems = append([]SystemSummary(nil), j.doc.Systems...)
 	return doc
+}
+
+// derivation is the daemon's one inference over the seven targets: their
+// inference results and workloads (misconfigurations and their replay
+// keys), in targets.All order. New computes it; nothing writes it
+// afterwards, so every job and every table rebuild reads it
+// concurrently.
+type derivation struct {
+	results []*spex.Result
+	ws      []shard.Workload
+	pos     map[string]int // system name → index
+}
+
+// derive infers the seven targets and builds their workloads.
+func derive(ctx context.Context, workers int) (*derivation, error) {
+	systems := targets.All()
+	results, err := spex.InferAll(ctx, systems, workers)
+	if err != nil {
+		return nil, err
+	}
+	ws, _, err := shard.BuildWorkloads(systems, results, shard.Plan{})
+	if err != nil {
+		return nil, err
+	}
+	d := &derivation{results: results, ws: ws, pos: make(map[string]int, len(ws))}
+	for i, w := range ws {
+		d.pos[w.Sys.Name()] = i
+	}
+	return d, nil
+}
+
+// workloads returns a job's own copies of its systems' workloads: a
+// campaign sets each copy's Cache, while Set, Ms and Keys stay shared and
+// read-only.
+func (d *derivation) workloads(systems []sim.System) []shard.Workload {
+	ws := make([]shard.Workload, len(systems))
+	for i, sys := range systems {
+		ws[i] = d.ws[d.pos[sys.Name()]]
+	}
+	return ws
 }
 
 // resolveSystems validates a spec's target list.

@@ -125,7 +125,6 @@ import (
 	"spex/internal/report"
 	"spex/internal/shard"
 	"spex/internal/sim"
-	"spex/internal/spex"
 )
 
 // Config tunes one daemon.
@@ -239,6 +238,9 @@ type Server struct {
 	// /ui/ dashboard, and remote spexwatch clients subscribe.
 	bus *dash.Bus
 
+	// derived is the one inference every job and table rebuild reads.
+	derived *derivation
+
 	mu         sync.Mutex
 	namespaces map[string]*namespace
 	nsOrder    []string
@@ -283,17 +285,23 @@ func validateNamespaceName(name string) error {
 	return nil
 }
 
-// New opens the root state directory as the default namespace (taking
-// its writer lock), discovers previously-created namespaces under it,
-// and starts the scheduler. Each namespace's job journal is loaded;
-// documents a dead daemon left running are adopted as failed,
-// documents it left queued — jobs that never wrote an outcome — are
-// re-queued.
+// New infers the seven targets once for the daemon's lifetime, opens
+// the root state directory as the default namespace (taking its writer
+// lock), discovers previously-created namespaces under it, and starts
+// the scheduler. A failed inference fails New. Each namespace's job
+// journal is loaded; documents a dead daemon left running are adopted
+// as failed, documents it left queued — jobs that never wrote an
+// outcome — are re-queued.
 func New(cfg Config) (*Server, error) {
 	// The daemon's lifetime root: jobs and SSE streams hang off it, and
 	// Close cancels it. There is no inbound context to inherit here.
 	//spexlint:ignore ctxflow daemon lifetime root, cancelled by Close
 	ctx, cancel := context.WithCancel(context.Background())
+	derived, err := derive(ctx, cfg.Workers)
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -304,6 +312,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:        ctx,
 		cancel:     cancel,
 		bus:        dash.NewBus(dash.Options{}),
+		derived:    derived,
 		namespaces: make(map[string]*namespace),
 		kick:       make(chan struct{}, 1),
 		schedDone:  make(chan struct{}),
@@ -844,13 +853,15 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 type coordStats struct{ steals, spawns, retries int }
 
 // execute runs every job as one pipeline on the job's one pool:
-// infer → inject → eval. Inference fans out through spex.InferAll, the
-// inject step is one shard.CampaignAll over every system (coord.Run for
-// a coordinate job), and eval reads each system's outcome index. A
-// plain job is [infer, inject] and publishes no stage events; a staged
-// job runs and reports exactly its listed stages. Each system's inject
-// step ends at its completion event, which CampaignAll delivers after
-// saving the system, so a small system is evaluated while a big one
+// infer → inject → eval. The infer step takes the job's own copies of
+// its systems' workloads from the daemon's derivation (New inferred
+// them once), the inject step is one shard.CampaignAll over every
+// system (coord.Run for a coordinate job), and eval reads each system's
+// outcome index. A plain job is [infer, inject] and publishes no stage
+// events; a staged job runs and reports exactly its listed stages.
+// Each system's inject step ends at its completion event, which
+// CampaignAll delivers after the goroutine that resolved the system's
+// last outcome saved it, so a small system is evaluated while a big one
 // still injects and `workers` bounds the whole job; a job without the
 // eval stage reads the saved systems' fingerprints after the campaign.
 // Every progress event feeds the job's trace and, throttled, the bus.
@@ -947,14 +958,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 	var ws []shard.Workload
 	if has[StageInfer] || has[StageInject] {
 		emitAll(StageInfer, "running", "")
-		results, err := spex.InferAll(ctx, systems, workers)
-		if err == nil {
-			ws, _, err = shard.BuildWorkloads(systems, results, shard.Plan{})
-		}
-		if err != nil {
-			emitAll(StageInfer, "failed", err.Error())
-			return nil, coordStats{}, err
-		}
+		ws = s.derived.workloads(systems)
 		emitAll(StageInfer, "done", "")
 	}
 
@@ -1731,13 +1735,14 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 }
 
 // replayResults serves the memoized read-only analysis, recomputing it
-// (report.ReplayFromIndex — the tables never parse a snapshot record)
-// only when the combined store fingerprint moved — a client fetching
-// all twelve tables pays for one index replay, not twelve. Failed
-// replays (incomplete state) are never cached; the next request
-// retries. The returned etag identifies the store state the analysis
-// was computed from.
-func (ns *namespace) replayResults(ctx context.Context) ([]*report.SystemResult, string, error) {
+// from the daemon's derivation (report.ReplayWorkloadsFromIndex — the
+// tables never parse a snapshot record and never infer) only when the
+// combined store fingerprint moved — a client fetching all twelve
+// tables pays for one index replay, not twelve. Failed replays
+// (incomplete state) are never cached; the next request retries. The
+// returned etag identifies the store state the analysis was computed
+// from.
+func (ns *namespace) replayResults(d *derivation) ([]*report.SystemResult, string, error) {
 	idxs, err := ns.indexAll()
 	if err != nil {
 		return nil, "", err
@@ -1749,7 +1754,7 @@ func (ns *namespace) replayResults(ctx context.Context) ([]*report.SystemResult,
 		mTablesHits.Inc()
 		return ns.tablesCache, etag, nil
 	}
-	results, err := report.ReplayFromIndex(ctx, ns.store)
+	results, err := report.ReplayWorkloadsFromIndex(ns.store, d.results, d.ws)
 	if err != nil {
 		return nil, "", err
 	}
@@ -1765,7 +1770,7 @@ func (s *Server) handleTable(ns *namespace, w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusNotFound, fmt.Errorf("no table %q (want 1-%d)", r.PathValue("n"), report.MaxTable))
 		return
 	}
-	results, etag, err := ns.replayResults(r.Context())
+	results, etag, err := ns.replayResults(s.derived)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, report.ErrStateIncomplete) || errors.Is(err, campaignstore.ErrStale) ||

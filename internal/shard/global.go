@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"spex/internal/campaignstore"
@@ -26,10 +27,14 @@ type Workload struct {
 	// Ms are the misconfigurations to test (already shard-filtered when
 	// running under a Plan). The per-system report covers exactly these.
 	Ms []confgen.Misconf
-	// Cache, if set, replays recorded outcomes and records fresh ones —
-	// per system, keyed by inject.CacheKey (no cross-system prefix; the
-	// scheduler namespaces internally). A store-backed run replaces it
-	// with the cache its snapshot seeds.
+	// Keys, if set, holds each misconfiguration's replay identity
+	// (inject.CacheKey), index-aligned with Ms. BuildWorkloads fills it,
+	// so a workload built once pays for its keys once; ReplayKeys
+	// computes them when Keys does not match Ms in length.
+	Keys []string
+	// Cache, if set, replays recorded outcomes and records fresh ones,
+	// keyed by inject.CacheKey. A store-backed run replaces it with the
+	// cache its snapshot seeds.
 	Cache *inject.ResultCache
 	// Keep lists cache keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
@@ -42,12 +47,13 @@ type Workload struct {
 // BuildWorkloads turns inference results (index-aligned with systems)
 // into the global scheduler's input: for each system it parses the
 // template configuration, generates the misconfigurations violating
-// every inferred constraint, and shard-filters them under plan (a zero
-// plan keeps everything). Under an enabled plan each workload also
-// vouches for the full campaign's keys (Keep), so a shard run against
-// a store holding its peers' outcomes preserves them. The second
-// return value is each system's pre-filter campaign size. Shared by
-// cmd/spexinj, report and the daemon so the drivers cannot drift.
+// every inferred constraint, shard-filters them under plan (a zero
+// plan keeps everything), and computes their replay keys (Keys). Under
+// an enabled plan each workload also vouches for the full campaign's
+// keys (Keep), so a shard run against a store holding its peers'
+// outcomes preserves them. The second return value is each system's
+// pre-filter campaign size. Shared by cmd/spexinj, report and the
+// daemon so the drivers cannot drift.
 func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]Workload, []int, error) {
 	ws := make([]Workload, len(systems))
 	totals := make([]int, len(systems))
@@ -58,7 +64,8 @@ func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]
 		}
 		ms := confgen.NewRegistry().Generate(results[i].Set, tmpl)
 		totals[i] = len(ms)
-		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: plan.Filter(sys.Name(), ms)}
+		owned := plan.Filter(sys.Name(), ms)
+		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: owned, Keys: cacheKeys(owned)}
 		if plan.Enabled() {
 			keep := make(map[string]bool, len(ms))
 			for _, m := range ms {
@@ -129,14 +136,16 @@ type Progress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Elapsed is the task's wall-clock execution time (zero when the
-	// outcome was replayed from the cache). Trace recorders use it to
-	// reconstruct per-misconf spans from the event stream.
+	// outcome was replayed from the cache, which never runs a task).
+	// Trace recorders use it to reconstruct per-misconf spans from the
+	// event stream.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// Run is set on a system's completion event only (SystemDone reaches
 	// SystemTotal): the finished system's report, store status and save
-	// error. CampaignAll delivers that event after the system's snapshot
-	// save, so a consumer can read the system back from the store. Not
-	// part of the wire form.
+	// error. The goroutine that resolved the system's last outcome
+	// assembles and saves it before delivering that event, so a consumer
+	// can read the system back from the store. Not part of the wire
+	// form.
 	Run *SystemRun `json:"-"`
 }
 
@@ -148,9 +157,11 @@ type Options struct {
 	// scheduling fields (Workers, Progress, Cache) are ignored — the
 	// global pool replaces them.
 	Inject inject.Options
-	// OnProgress, if set, streams every completed outcome. Calls are
-	// serialized by the scheduler; a system's completion event comes
-	// after that system is finished and saved (Progress.Run).
+	// OnProgress, if set, streams every completed outcome, replayed or
+	// executed. CampaignAll serializes the calls with its own mutex, and
+	// Done and SystemDone count them in delivery order. A system's
+	// completion event comes after that system is finished and saved
+	// (Progress.Run); the save itself runs outside the mutex.
 	OnProgress func(Progress)
 	// Gate, if set, is consulted immediately before a misconfiguration
 	// executes (cache replays bypass it — a replay costs nothing and is
@@ -162,10 +173,6 @@ type Options struct {
 	// were just reassigned.
 	Gate func(system string, m confgen.Misconf) error
 }
-
-// cachePrefix namespaces one workload's keys inside the shared engine
-// cache. System names never contain NUL, so prefixes cannot collide.
-func cachePrefix(sys sim.System) string { return sys.Name() + "\x00" }
 
 // SystemRun is one workload's result in a global campaign.
 type SystemRun struct {
@@ -182,16 +189,26 @@ type SystemRun struct {
 	Err error
 }
 
-// CampaignAll is the one campaign path. Every workload's
-// misconfigurations run through one engine worker pool in interleaved
-// order (Interleave), and each workload finishes the moment its last
-// misconfiguration completes: its report is reassembled through
+// CampaignAll is the one campaign path. Each workload is one pipeline:
+// prepare, then its fresh misconfigurations, then finish.
+//
+// Prepare seeds the workload's cache and looks every misconfiguration
+// up in it. The prepares run on a pool opts.Workers wide, and every
+// prepare completes even when ctx is already cancelled, so a workload is
+// never saved from a cache its prepare did not fill. A replayed outcome
+// is resolved on the spot and never enters the engine.
+//
+// The fresh misconfigurations of every workload then run through one
+// engine worker pool in interleaved order (Interleave). Each workload
+// finishes on the goroutine that resolved its last outcome: its prepare
+// task when nothing was fresh, otherwise the worker that ran its last
+// fresh misconfiguration. Finishing reassembles the report through
 // inject.Assemble in input order — identical to a standalone
 // inject.RunContext over the same workload, so going global changes
-// utilization, never results — and its snapshot is saved, all before
-// the progress event reporting that completion is delivered. A small
-// system is therefore on disk while larger ones still run. Runs come
-// back index-aligned with ws.
+// utilization, never results — and saves the snapshot, outside any
+// lock the other workers wait on. Only then is the progress event
+// reporting that completion delivered. A small system is therefore on
+// disk while larger ones still run. Runs come back index-aligned with ws.
 //
 // With a store, each workload runs a load → diff → retest-delta → save
 // lifecycle: the system's snapshot is loaded, the stored constraint set
@@ -214,74 +231,24 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	prevStamps := make([]map[string]time.Time, len(ws))
 	runners := make([]*inject.Runner, len(ws))
 	results := make([][]engine.Result[inject.Outcome], len(ws))
-	// keys[i][j] is ws[i].Ms[j]'s replay identity (inject.CacheKey),
-	// computed once for the cache lookups, the progress events and the
-	// cache moves.
+	// keys[i][j] is ws[i].Ms[j]'s replay identity (inject.CacheKey):
+	// the cache lookups, the progress events and the save all use it.
 	keys := make([][]string, len(ws))
-	sizes := make([]int, len(ws))
+	// fresh[i] lists the indices into ws[i].Ms that must execute.
+	fresh := make([][]int, len(ws))
 	total := 0
 	for i := range ws {
-		w := &ws[i]
-		runs[i].Sys = w.Sys
-		if locks != nil {
-			w.Cache = inject.NewResultCache()
-			runs[i].Status, prevStamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, opts.Inject, w.Keep, w.Cache)
-		}
-		runners[i] = inject.NewRunner(w.Sys, opts.Inject)
-		results[i] = make([]engine.Result[inject.Outcome], len(w.Ms))
-		keys[i] = make([]string, len(w.Ms))
-		for j, m := range w.Ms {
-			keys[i][j] = inject.CacheKey(m)
-		}
-		sizes[i] = len(w.Ms)
-		total += sizes[i]
-	}
-	tasks := Interleave(sizes)
-
-	// One shared engine cache serves every workload, keys namespaced by
-	// system, seeded from the per-workload caches up front.
-	eopts := engine.Options[inject.Outcome]{Workers: opts.Workers}
-	for _, w := range ws {
-		if w.Cache == nil {
-			continue
-		}
-		if eopts.Cache == nil {
-			eopts.Cache = engine.NewCache[inject.Outcome]()
-		}
-		prefix := cachePrefix(w.Sys)
-		for key, out := range w.Cache.Snapshot() {
-			eopts.Cache.Put(prefix+key, out)
-		}
-	}
-	if eopts.Cache != nil {
-		eopts.KeyOf = func(i int) string {
-			t := tasks[i]
-			if ws[t.Target].Cache == nil {
-				return "" // this workload runs uncached
-			}
-			return cachePrefix(ws[t.Target].Sys) + keys[t.Target][t.Index]
-		}
+		runs[i].Sys = ws[i].Sys
+		runners[i] = inject.NewRunner(ws[i].Sys, opts.Inject)
+		results[i] = make([]engine.Result[inject.Outcome], len(ws[i].Ms))
+		total += len(ws[i].Ms)
 	}
 
-	// finish completes workload i. It moves the workload's entries from
-	// the shared cache into its own, so Workload.Cache ends exactly as a
-	// standalone cached run leaves it (replays plus fresh recordings) and
-	// a finished system's outcomes are not held twice while the others
-	// run; then it assembles the report and saves the snapshot.
-	finished := make([]bool, len(ws))
+	// finish completes workload i from its resolved results: it
+	// assembles the report and saves the snapshot.
 	finish := func(i int) {
-		finished[i] = true
-		w := ws[i]
-		if w.Cache != nil {
-			prefix := cachePrefix(w.Sys)
-			for _, key := range keys[i] {
-				if out, ok := eopts.Cache.Get(prefix + key); ok {
-					w.Cache.Put(key, out)
-					eopts.Cache.Delete(prefix + key)
-				}
-			}
-		}
-		runs[i].Report = inject.Assemble(w.Sys.Name(), w.Ms, results[i], w.Cache)
+		w := &ws[i]
+		runs[i].Report = inject.Assemble(w.Sys.Name(), w.Ms, keys[i], results[i], w.Cache)
 		results[i] = nil // the report holds the outcomes now
 		if locks == nil {
 			return
@@ -312,53 +279,143 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		runs[i].Status.Saved = true
 	}
 
+	// mu serializes OnProgress and guards the counters below: resolved
+	// counts each workload's outcomes as they are recorded, done and
+	// sysDone count them as their events are delivered.
+	var mu sync.Mutex
 	done := 0
 	sysDone := make([]int, len(ws))
-	eopts.OnResult = func(r engine.Result[inject.Outcome]) {
-		t := tasks[r.Index]
-		r.Index = t.Index
-		results[t.Target][t.Index] = r
-		if r.Skipped {
-			// Never-started task flushed by a cancellation: not work done —
-			// tallied on the per-system Report.Skipped instead.
+	resolved := make([]int, len(ws))
+	emit := func(i, j int, r engine.Result[inject.Outcome], run *SystemRun) {
+		done++
+		sysDone[i]++
+		if opts.OnProgress == nil {
 			return
 		}
-		done++
-		sysDone[t.Target]++
-		p := Progress{
-			System:      ws[t.Target].Sys.Name(),
-			Key:         keys[t.Target][t.Index],
+		opts.OnProgress(Progress{
+			System:      ws[i].Sys.Name(),
+			Key:         keys[i][j],
 			Failed:      r.Err != nil,
 			Yielded:     errors.Is(r.Err, inject.ErrYielded),
-			SystemDone:  sysDone[t.Target],
-			SystemTotal: sizes[t.Target],
+			SystemDone:  sysDone[i],
+			SystemTotal: len(ws[i].Ms),
 			Done:        done,
 			Total:       total,
 			Elapsed:     r.Elapsed,
+			Run:         run,
+		})
+	}
+	// resolve delivers the events of workload i's outcomes js, which the
+	// caller has just recorded in results. If they are the workload's
+	// last, the caller finishes it, outside mu, before the completion
+	// event is delivered.
+	resolve := func(i int, js []int) {
+		mu.Lock()
+		resolved[i] += len(js)
+		n := len(js)
+		last := resolved[i] == len(ws[i].Ms)
+		if last {
+			n--
 		}
-		if sysDone[t.Target] == sizes[t.Target] {
-			finish(t.Target)
-			p.Run = &runs[t.Target]
+		for _, j := range js[:n] {
+			emit(i, j, results[i][j], nil)
 		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(p)
+		mu.Unlock()
+		if last {
+			j := js[n]
+			r := results[i][j]
+			finish(i)
+			mu.Lock()
+			emit(i, j, r, &runs[i])
+			mu.Unlock()
 		}
 	}
 
-	_, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (inject.Outcome, error) {
-		t := tasks[i]
-		if opts.Gate != nil {
-			if err := opts.Gate(ws[t.Target].Sys.Name(), ws[t.Target].Ms[t.Index]); err != nil {
-				return inject.Outcome{}, err
-			}
+	// prepare seeds workload i's cache from the store, resolves every
+	// replay, and lists what must execute.
+	prepare := func(i int) {
+		w := &ws[i]
+		keys[i] = w.ReplayKeys()
+		if locks != nil {
+			w.Cache = inject.NewResultCache()
+			runs[i].Status, prevStamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep, w.Cache)
 		}
-		return runners[t.Target].Test(ctx, ws[t.Target].Ms[t.Index])
-	}, eopts)
-
-	// Workloads that never completed — cancelled mid-run, or with
-	// nothing to run — finish now, saving what they have.
+		var replayed []int
+		for j, key := range keys[i] {
+			if w.Cache != nil {
+				if out, ok := w.Cache.Get(key); ok {
+					results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Cached: true}
+					replayed = append(replayed, j)
+					continue
+				}
+			}
+			fresh[i] = append(fresh[i], j)
+		}
+		switch {
+		case len(w.Ms) == 0:
+			finish(i) // nothing to run: save what the store carries
+		case len(replayed) > 0:
+			resolve(i, replayed)
+		}
+	}
+	width := opts.Workers
+	if width == 0 {
+		width = engine.DefaultWorkers()
+	}
+	work := make(chan int, len(ws))
 	for i := range ws {
-		if !finished[i] {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for range max(1, min(width, len(ws))) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				prepare(i)
+			}
+		}()
+	}
+	wg.Wait()
+
+	sizes := make([]int, len(ws))
+	for i := range ws {
+		sizes[i] = len(fresh[i])
+	}
+	tasks := Interleave(sizes)
+	rs, cancelErr := engine.Run(ctx, len(tasks), func(ctx context.Context, k int) (inject.Outcome, error) {
+		t := tasks[k]
+		i, j := t.Target, fresh[t.Target][t.Index]
+		w := &ws[i]
+		start := time.Now()
+		var out inject.Outcome
+		var err error
+		if opts.Gate != nil {
+			err = opts.Gate(w.Sys.Name(), w.Ms[j])
+		}
+		if err == nil {
+			out, err = runners[i].Test(ctx, w.Ms[j])
+		}
+		if err == nil && w.Cache != nil {
+			w.Cache.Put(keys[i][j], out)
+		}
+		results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Err: err, Elapsed: time.Since(start)}
+		resolve(i, []int{j})
+		return out, err
+	}, engine.Options[inject.Outcome]{Workers: opts.Workers})
+
+	// Workloads that never completed — cancelled mid-run — record their
+	// never-started tasks and finish now, saving what they have.
+	for k, r := range rs {
+		if r.Skipped {
+			t := tasks[k]
+			j := fresh[t.Target][t.Index]
+			results[t.Target][j] = engine.Result[inject.Outcome]{Index: j, Err: r.Err, Skipped: true}
+		}
+	}
+	for i := range runs {
+		if runs[i].Report == nil {
 			finish(i)
 		}
 	}
@@ -366,4 +423,23 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		return runs, fmt.Errorf("shard: %w", cancelErr)
 	}
 	return runs, nil
+}
+
+// ReplayKeys returns Keys when it is index-aligned with Ms, and computes
+// the keys otherwise.
+func (w *Workload) ReplayKeys() []string {
+	if len(w.Keys) == len(w.Ms) {
+		return w.Keys
+	}
+	return cacheKeys(w.Ms)
+}
+
+// cacheKeys returns each misconfiguration's replay identity
+// (inject.CacheKey), index-aligned with ms.
+func cacheKeys(ms []confgen.Misconf) []string {
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = inject.CacheKey(m)
+	}
+	return keys
 }

@@ -1,0 +1,223 @@
+// Per-system pipeline tests: CampaignAll over all seven targets against
+// a store, with replays resolved at prepare and never sent through the
+// engine. They live in the external test package so the mixed run can
+// render the paper's tables through report, which imports shard.
+package shard_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"spex/internal/campaignstore"
+	"spex/internal/inject"
+	"spex/internal/obs"
+	"spex/internal/report"
+	"spex/internal/shard"
+	"spex/internal/spex"
+	"spex/internal/targets"
+)
+
+// allWorkloads infers the seven targets and builds their workloads, in
+// targets.All order — what every driver feeds CampaignAll.
+func allWorkloads(t *testing.T) []shard.Workload {
+	t.Helper()
+	systems := targets.All()
+	rs, err := spex.InferAll(context.Background(), systems, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := shard.BuildWorkloads(systems, rs, shard.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// lockedStore opens dir and holds its writer lock for the test.
+func lockedStore(t *testing.T, dir string) (*campaignstore.Store, *campaignstore.LockSet) {
+	t.Helper()
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := lk.Unlock(); err != nil {
+			t.Error(err)
+		}
+	})
+	return store, lk.Set()
+}
+
+// campaign runs ws against the store and fails the test on any error,
+// cancellation included.
+func campaign(t *testing.T, locks *campaignstore.LockSet, ws []shard.Workload, workers int) []shard.SystemRun {
+	t.Helper()
+	runs, err := shard.CampaignAll(context.Background(), locks, ws, shard.Options{Workers: workers, Inject: inject.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		if run.Err != nil || !run.Status.Saved {
+			t.Fatalf("%s: not saved: %v", run.Sys.Name(), run.Err)
+		}
+	}
+	return runs
+}
+
+// counter sums every series of a counter family in the process-global
+// registry (0 if it has none yet).
+func counter(t *testing.T, name string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var fams []struct {
+		Name   string `json:"name"`
+		Series []struct {
+			Value float64 `json:"value"`
+		} `json:"series"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &fams); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, f := range fams {
+		if f.Name == name {
+			for _, s := range f.Series {
+				sum += uint64(s.Value)
+			}
+		}
+	}
+	return sum
+}
+
+// TestReplayRunBypassesEngine: a 100%-replay campaign resolves every
+// outcome at prepare — the engine runs no task and looks nothing up,
+// and no target boots.
+func TestReplayRunBypassesEngine(t *testing.T) {
+	ws := allWorkloads(t)
+	_, locks := lockedStore(t, t.TempDir())
+	campaign(t, locks, ws, 2)
+
+	const tasks, hits, boots = "spex_engine_tasks_total", "spex_engine_cache_hits_total", "spex_sim_boots_total"
+	before := map[string]uint64{tasks: counter(t, tasks), hits: counter(t, hits), boots: counter(t, boots)}
+	runs := campaign(t, locks, ws, 2)
+	for name, n := range before {
+		if d := counter(t, name) - n; d != 0 {
+			t.Errorf("%s moved by %d during a 100%% replay, want 0", name, d)
+		}
+	}
+	for i, run := range runs {
+		if rep := run.Report; rep.Replayed != len(ws[i].Ms) || rep.TotalSimCost != 0 {
+			t.Errorf("%s: replayed %d of %d, fresh sim cost %d", run.Sys.Name(), rep.Replayed, len(ws[i].Ms), rep.TotalSimCost)
+		}
+	}
+}
+
+// TestMixedRunReplaysStoredSystems: one campaign over all seven targets
+// against a store holding three of them executes nothing for those
+// three, runs the other four in full, saves all seven, and the index
+// replay of the result renders the paper's output byte for byte.
+func TestMixedRunReplaysStoredSystems(t *testing.T) {
+	ws := allWorkloads(t)
+	store, locks := lockedStore(t, t.TempDir())
+	stored := map[string]bool{"ldapd": true, "proxyd": true, "httpd": true}
+	var subset []shard.Workload
+	for _, w := range ws {
+		if stored[w.Sys.Name()] {
+			subset = append(subset, w)
+		}
+	}
+	campaign(t, locks, subset, 4)
+
+	for i, run := range campaign(t, locks, ws, 4) {
+		rep, n := run.Report, len(ws[i].Ms)
+		if stored[run.Sys.Name()] {
+			if rep.Replayed != n || rep.TotalSimCost != 0 {
+				t.Errorf("%s is stored but replayed %d of %d at fresh sim cost %d", run.Sys.Name(), rep.Replayed, n, rep.TotalSimCost)
+			}
+		} else if rep.Replayed != 0 || rep.Finished() != n {
+			t.Errorf("%s is new but replayed %d and finished %d of %d", run.Sys.Name(), rep.Replayed, rep.Finished(), n)
+		}
+	}
+	if names, err := store.List(); err != nil || len(names) != len(ws) {
+		t.Fatalf("store lists %v (%v), want all %d systems", names, err, len(ws))
+	}
+
+	results, err := report.ReplayFromIndex(context.Background(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= report.MaxTable; n++ {
+		text, err := report.RenderTableText(n, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fmt.Sprintf("table%02d.txt", n), text)
+	}
+	for n := 1; n <= report.MaxFigure; n++ {
+		text, err := report.RenderFigureText(n, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fmt.Sprintf("figure%02d.txt", n), text)
+	}
+}
+
+// checkGolden compares rendered text with its golden file, which holds
+// it as spexeval prints it (with a trailing newline).
+func checkGolden(t *testing.T, name, text string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("../../testdata/golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text+"\n" != string(want) {
+		t.Errorf("%s differs from testdata/golden", name)
+	}
+}
+
+// TestCancelledReplayStillSaves: an already-cancelled context on a
+// complete store returns the context error, yet every prepare runs, so
+// each system is re-saved with all of its outcomes — never from an
+// empty cache.
+func TestCancelledReplayStillSaves(t *testing.T) {
+	ws := allWorkloads(t)
+	store, locks := lockedStore(t, t.TempDir())
+	campaign(t, locks, ws, 2)
+
+	start := time.Now()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs, err := shard.CampaignAll(ctx, locks, ws, shard.Options{Workers: 2, Inject: inject.DefaultOptions()})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("CampaignAll on a cancelled context = %v, want context.Canceled", err)
+	}
+	for i, run := range runs {
+		name := run.Sys.Name()
+		if run.Err != nil || !run.Status.Saved {
+			t.Errorf("%s: not re-saved: %v", name, run.Err)
+			continue
+		}
+		snap, err := store.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Outcomes) != len(ws[i].Ms) || !snap.SavedAt.After(start) {
+			t.Errorf("%s: snapshot holds %d of %d outcomes, saved at %v (run started %v)",
+				name, len(snap.Outcomes), len(ws[i].Ms), snap.SavedAt, start)
+		}
+	}
+}

@@ -258,6 +258,41 @@ func TestCampaignAllSavesEachSystemAtCompletion(t *testing.T) {
 	if proxydAfter == 0 {
 		t.Error("proxyd had no events left after ldapd completed")
 	}
+
+	// Warm: both systems replay in full, and each is re-saved by its
+	// own pipeline before its completion event arrives.
+	start := time.Now()
+	completions := 0
+	opts = Options{Workers: 2, Inject: inject.DefaultOptions(), OnProgress: func(p Progress) {
+		if p.Run == nil {
+			return
+		}
+		completions++
+		if !p.Run.Status.Saved || p.Run.Err != nil {
+			t.Errorf("%s completion event carries run %+v, want a saved run", p.System, p.Run)
+		}
+		snap, err := store.Load(p.System)
+		if err != nil {
+			t.Errorf("%s is not on disk at its completion event: %v", p.System, err)
+			return
+		}
+		if len(snap.Outcomes) != p.SystemTotal || !snap.SavedAt.After(start) {
+			t.Errorf("%s at its completion event: %d of %d outcomes saved at %v, want all re-saved after %v",
+				p.System, len(snap.Outcomes), p.SystemTotal, snap.SavedAt, start)
+		}
+	}}
+	runs, err := lockedCampaign(t, context.Background(), store, ws, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if completions != len(ws) {
+		t.Errorf("%d completion events, want %d", completions, len(ws))
+	}
+	for i, run := range runs {
+		if run.Report.Replayed != len(ws[i].Ms) {
+			t.Errorf("%s warm run replayed %d of %d", run.Sys.Name(), run.Report.Replayed, len(ws[i].Ms))
+		}
+	}
 }
 
 // TestShardMergeMatchesUnsharded is the acceptance criterion: the same
