@@ -22,14 +22,15 @@
 // Diffs the freshly inferred constraint set against the snapshot's
 // stored set, re-executes only the delta-selected misconfigurations
 // (replaying everything else at zero simulated cost), and atomically
-// saves the updated snapshot. A snapshot is a versioned JSON document
-// (internal/campaignstore); missing, corrupt, or schema-stale snapshots
-// never replay — the run falls back to a full campaign and rebuilds the
-// snapshot. A cancelled run saves its finished outcomes, so the next run
-// resumes with exactly the unfinished misconfigurations. The state
-// directory is guarded by an exclusive writer lock (a second concurrent
-// run fails fast instead of silently racing snapshot saves; stale locks
-// from crashed runs are taken over automatically).
+// saves the updated snapshot. A snapshot is a versioned binary
+// container, SPEXSNP1 (internal/campaignstore); missing, corrupt, or
+// schema-stale snapshots never replay — the run falls back to a full
+// campaign and rebuilds the snapshot. A cancelled run saves its
+// finished outcomes, so the next run resumes with exactly the
+// unfinished misconfigurations. The state directory is guarded by an
+// exclusive writer lock (a second concurrent run fails fast instead of
+// silently racing snapshot saves; stale locks from crashed runs are
+// taken over automatically).
 //
 // # Distributed campaign sharding
 //

@@ -23,7 +23,7 @@
 // # Concurrent campaign engine
 //
 // Campaigns and inference runs are scheduled by internal/engine, a
-// bounded worker pool with three properties the layers above rely on:
+// bounded worker pool with two properties the layers above rely on:
 //
 //   - Determinism. Tasks are indexed and results reassemble in input
 //     order, so a parallel injection campaign (inject.Options.Workers)
@@ -35,16 +35,16 @@
 //     sim.MonitorStartContext; Ctrl-C in the cmd drivers stops
 //     dispatching immediately, abandons in-flight boots, and reports
 //     the outcomes already measured.
-//   - Incrementality. A per-system result cache keyed by
-//     misconfiguration identity (inject.CacheKey: violated-constraint
-//     ID + rule + injected values) makes inject.Diff's constraint delta
-//     a real incremental mode: campaignstore.Store.Prepare seeds the
-//     cache from a persisted snapshot and evicts the delta-selected
-//     retests, and shard.CampaignAll resolves every recorded outcome of
-//     an unchanged constraint from that cache before any task runs, so
-//     only the added/affected misconfigurations reach the engine
-//     (§3.1's incremental retesting). A standalone inject.RunContext
-//     replays through the engine's own keyed cache instead.
+//
+// Incrementality is the campaign layer's alone. Recorded outcomes
+// keyed by misconfiguration identity (inject.CacheKey:
+// violated-constraint ID + rule + injected values) make inject.Diff's
+// constraint delta a real incremental mode: campaignstore.Store.Prepare
+// loads a persisted snapshot's outcomes minus the delta-selected
+// retests, and shard.CampaignAll resolves every recorded outcome of an
+// unchanged constraint from them before any task runs, so only the
+// added/affected misconfigurations reach the engine (§3.1's incremental
+// retesting).
 //
 // # Persistent campaign snapshots
 //
@@ -68,10 +68,10 @@
 // outcome-affecting campaign options; a missing, corrupt, truncated,
 // fingerprint-stale or options-mismatched snapshot is never replayed —
 // the run falls back to a full campaign and rebuilds it. Cancelled runs
-// persist only their
-// finished outcomes (errored, cancelled and never-started ones are
-// never cached), so a resumed campaign re-executes exactly the
-// unfinished misconfigurations.
+// persist only their finished outcomes (errored, cancelled and
+// never-started ones are never saved, and a stored one is dropped on
+// load), so a resumed campaign re-executes exactly the unfinished
+// misconfigurations.
 //
 // The simulated targets model the real systems' package-global config
 // variables, so each target serializes its boot phase under a package
@@ -370,7 +370,7 @@
 //
 // Every layer of the stack is instrumented against one stdlib-only
 // metrics registry (internal/obs): the engine records task latency,
-// queue depth and cache hit/miss, the campaign store its save/load
+// queue depth and busy workers, the campaign store its save/load
 // durations and snapshot sizes, the event bus its published and
 // dropped events, the coordinator its spawns, steals and heartbeat
 // lag, the sim monitor every boot by reaction kind, and the daemon

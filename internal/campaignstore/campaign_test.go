@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,15 @@ func TestCampaignReplaysAcrossRuns(t *testing.T) {
 	}
 	if got, want := rep2.CountByReaction(), rep1.CountByReaction(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("replayed tallies differ: %v vs %v", got, want)
+	}
+	// A replayed outcome equals the recorded one, field for field.
+	if len(rep2.Outcomes) != len(rep1.Outcomes) {
+		t.Fatalf("replayed %d outcomes, recorded %d", len(rep2.Outcomes), len(rep1.Outcomes))
+	}
+	for j, o := range rep2.Outcomes {
+		if !reflect.DeepEqual(o, rep1.Outcomes[j]) {
+			t.Fatalf("replayed outcome %d = %+v, recorded %+v", j, o, rep1.Outcomes[j])
+		}
 	}
 
 	// Run 3: the constraint's identity changed — every misconfiguration
@@ -381,5 +391,96 @@ func TestCampaignCancelThenResume(t *testing.T) {
 	}
 	if got, want := int(sys.boots.Load()-boots), len(ms)-finished; got != want {
 		t.Fatalf("resume booted %d times, want exactly the %d unfinished", got, want)
+	}
+}
+
+// TestCampaignReexecutesStoredHarnessError: an outcome stored with a
+// harness error (Outcome.Err) never replays. Snapshot files are disk
+// input and a merge copies records verbatim, so such a record can
+// reach a store; the next run re-executes it once and saves its real
+// outcome, and the run after that replays everything.
+func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	set := mkSet(c)
+	ms := misconfs(c, 6)
+	if _, _, err := campaign(t, context.Background(), store, sys, set, ms, defaults()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := inject.CacheKey(ms[0])
+	o := snap.Outcomes[key]
+	o.Err = "harness: boom"
+	snap.Outcomes[key] = o
+	lk, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Set().Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := lk.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+
+	for run, want := range []struct{ replayed, boots int32 }{{5, 1}, {6, 0}} {
+		boots := sys.boots.Load()
+		rep, _, err := campaign(t, context.Background(), store, sys, set, ms, defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int32(rep.Replayed) != want.replayed || sys.boots.Load()-boots != want.boots || len(rep.Errors()) != 0 {
+			t.Fatalf("run %d: replayed %d with %d boots and %d harness errors, want %d replayed, %d boots, no errors",
+				run+1, rep.Replayed, sys.boots.Load()-boots, len(rep.Errors()), want.replayed, want.boots)
+		}
+	}
+	snap, err = store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Outcomes[key]; got.Err != "" || got.Reaction != o.Reaction {
+		t.Fatalf("stored outcome after the retest = %+v, want the executed reaction %v with no error", got, o.Reaction)
+	}
+}
+
+// TestCampaignReplayRefreshesMovedLocation: a revision that moves a
+// constraint's source location without changing its identity replays
+// its outcomes, and both the report and the saved snapshot carry the
+// new location.
+func TestCampaignReplayRefreshesMovedLocation(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	c := basicC("p")
+	c.Loc = constraint.SourceLoc{File: "cfg.c", Line: 10}
+	if _, _, err := campaign(t, context.Background(), store, sys, mkSet(c), misconfs(c, 3), defaults()); err != nil {
+		t.Fatal(err)
+	}
+
+	moved := basicC("p")
+	moved.Loc = constraint.SourceLoc{File: "cfg.c", Line: 42}
+	rep, _, err := campaign(t, context.Background(), store, sys, mkSet(moved), misconfs(moved, 3), defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replayed != 3 {
+		t.Fatalf("replayed %d of 3 outcomes", rep.Replayed)
+	}
+	for _, o := range rep.Outcomes {
+		if o.Loc != moved.Loc {
+			t.Fatalf("replayed outcome at %v, want the moved location %v", o.Loc, moved.Loc)
+		}
+	}
+	snap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, o := range snap.Outcomes {
+		if o.Loc != moved.Loc {
+			t.Fatalf("saved outcome %q at %v, want the moved location %v", k, o.Loc, moved.Loc)
+		}
 	}
 }

@@ -140,24 +140,29 @@ func (s *Snapshot) Fingerprint() (string, error) {
 }
 
 // OptionsID renders the outcome-affecting campaign options as a stable
-// identity string. Scheduling knobs (Workers, Progress, SimCostDelay,
-// Cache) are excluded — they change how outcomes are measured, not what
-// is measured.
+// identity string. Scheduling knobs (Workers, Progress, SimCostDelay)
+// are excluded — they change how outcomes are measured, not what is
+// measured.
 func OptionsID(opts inject.Options) string {
 	hang := opts.HangDeadline
 	if hang == 0 {
 		hang = inject.DefaultHangDeadline // what RunContext will apply
 	}
-	return fmt.Sprintf("stop-on-first=%v sort-tests=%v hang=%s keep-all-logs=%v",
-		opts.StopOnFirstFailure, opts.SortTests, hang, opts.KeepAllLogs)
+	// "keep-all-logs=false" names an option that no longer exists (log
+	// dumps are always trimmed to vulnerabilities). It stays verbatim
+	// because this string is in every snapshot header and in
+	// Snapshot.Fingerprint: dropping it would make every existing store
+	// re-campaign and change every stored fingerprint.
+	return fmt.Sprintf("stop-on-first=%v sort-tests=%v hang=%s keep-all-logs=false",
+		opts.StopOnFirstFailure, opts.SortTests, hang)
 }
 
 // New assembles a snapshot for the system from the constraint set and
-// campaign options the outcomes were recorded under and the result
-// cache's exported entries. Every outcome is stamped with the save
-// time — correct for a run that executed or re-validated its whole key
-// set; a caller carrying peer outcomes through the save (the shard
-// layer) overrides the carried keys' stamps afterwards.
+// campaign options the outcomes were recorded under and the outcomes
+// themselves, keyed by inject.CacheKey. Every outcome is stamped with
+// the save time — correct for a run that executed or re-validated its
+// whole key set; a caller carrying peer outcomes through the save (the
+// shard layer) overrides the carried keys' stamps afterwards.
 func New(system string, set *constraint.Set, opts inject.Options, outcomes map[string]inject.Outcome) *Snapshot {
 	now := time.Now().UTC()
 	stamps := make(map[string]time.Time, len(outcomes))
@@ -711,31 +716,28 @@ type Status struct {
 	Path string
 }
 
-// Prepare seeds cache for an incremental run of ms against the system's
-// stored snapshot and returns the Status describing the decision: on a
-// valid snapshot recorded under the same outcome-affecting options
-// (OptionsID) the recorded outcomes load into the cache, the stored
-// constraint set Diffs against set (the fresh inference), the
-// delta-selected retests are evicted so they re-execute, and stale
-// entries are pruned; on a missing, invalid, or options-mismatched
-// snapshot the cache stays empty and Status.Fallback says why — the
-// caller runs a full campaign either way, with the cache deciding what
-// replays. This is the one copy of the snapshot-replay policy; its
-// caller is the cross-target campaign scheduler (internal/shard
-// CampaignAll), which saves the updated snapshot afterwards. keys[i]
-// is ms[i]'s replay identity (inject.CacheKey), which the caller
-// already holds.
+// Prepare decides how an incremental run of ms replays the system's
+// stored snapshot. On a valid snapshot recorded under the same
+// outcome-affecting options (OptionsID) it Diffs the stored constraint
+// set against set (the fresh inference) and returns the decoded
+// snapshot's own outcome map, with the delta-selected retests, stale
+// keys and harness errors deleted in place, and its per-key freshness
+// stamps. On a missing, invalid or options-mismatched snapshot both
+// maps are nil and Status.Fallback says why. This is the one copy of
+// the snapshot-replay policy; its caller is shard.CampaignAll, which
+// replays the returned outcomes and saves the updated snapshot.
+// keys[i] is ms[i]'s replay identity (inject.CacheKey).
 //
-// keep lists cache keys outside ms that must survive the prune: a shard
+// keep lists keys outside ms that must survive the prune: a shard
 // process running against a store that also holds its peers' outcomes
 // (a merged store, or a full store being refreshed one shard at a time)
-// must carry the other shards' work through its save, not discard it.
+// must carry the other shards' work through its save, with its
+// original stamps, not discard it.
 //
-// The second return value holds the loaded snapshot's per-key freshness
-// stamps (nil on fallback): a caller that carries keys through its save
-// re-applies their original stamps so carried copies never masquerade
-// as fresh.
-func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, keys []string, opts inject.Options, keep map[string]bool, cache *inject.ResultCache) (Status, map[string]time.Time) {
+// A stored outcome with a harness error (Outcome.Err) is dropped so it
+// re-executes: snapshot files are disk input and a merge copies records
+// verbatim, so it would otherwise replay forever.
+func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, keys []string, opts inject.Options, keep map[string]bool) (Status, map[string]inject.Outcome, map[string]time.Time) {
 	st := Status{Path: s.Path(system)}
 	snap, err := s.Load(system)
 	if err == nil && snap.Options != OptionsID(opts) {
@@ -749,9 +751,9 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 			st.Fallback = err.Error()
 		}
 		mPrepareFallbacks.Inc()
-		return st, nil
+		return st, nil, nil
 	}
-	cache.LoadSnapshot(snap.Outcomes)
+	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
 	retest := inject.Diff(snap.Constraints, set).Retest()
 	st.Replayed = true
 	// Evict the delta so it re-executes, and prune entries that left the
@@ -759,7 +761,7 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 	current := make(map[string]bool, len(ms)+len(keep))
 	for i, m := range ms {
 		if retest(m) {
-			cache.Delete(keys[i])
+			delete(snap.Outcomes, keys[i])
 			st.Retests++
 		}
 		current[keys[i]] = true
@@ -767,8 +769,11 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 	for k := range keep {
 		current[k] = true
 	}
-	cache.Retain(current)
-	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
+	for k, o := range snap.Outcomes {
+		if !current[k] || o.Err != "" {
+			delete(snap.Outcomes, k)
+		}
+	}
 	mPrepareRetests.Add(uint64(st.Retests))
-	return st, snap.Stamps
+	return st, snap.Outcomes, snap.Stamps
 }

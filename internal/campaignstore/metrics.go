@@ -1,5 +1,5 @@
 // Store metrics: persistence costs (save/load latency, snapshot
-// size) and the replay policy's decisions (outcomes seeded for
+// size) and the replay policy's decisions (outcomes loaded for
 // replay, delta retests, full-campaign fallbacks) feed the
 // process-global obs registry.
 package campaignstore
@@ -27,7 +27,7 @@ var (
 	mLoads            = obs.Default().Counter(metricLoads, "snapshots loaded and validated")
 	mLoadErrors       = obs.Default().Counter(metricLoadErrors, "snapshot loads that failed validation (missing snapshots excluded)")
 	mLoadSeconds      = obs.Default().Histogram(metricLoadSeconds, "wall-clock seconds per snapshot load", obs.DurationBuckets)
-	mPrepareReplayed  = obs.Default().Counter(metricPrepareReplayed, "outcomes seeded into the replay cache by Prepare")
+	mPrepareReplayed  = obs.Default().Counter(metricPrepareReplayed, "outcomes Prepare loaded from snapshots for replay")
 	mPrepareRetests   = obs.Default().Counter(metricPrepareRetests, "misconfigurations the constraint delta selected for re-execution")
 	mPrepareFallbacks = obs.Default().Counter(metricPrepareFallbacks, "Prepare calls that fell back to a full campaign")
 )

@@ -1,22 +1,19 @@
-// Package engine is the concurrent campaign scheduler shared by the
-// injection harness (internal/inject), the global cross-target
-// scheduler (internal/shard), and the inference drivers
-// (internal/spex, internal/report, cmd/...). It runs a fixed set of
-// indexed tasks on a bounded worker pool with three guarantees the
-// campaign layers rely on:
+// Package engine is the bounded worker pool shared by the campaign
+// scheduler (internal/shard), the reference campaign run
+// (inject.RunContext), and the inference drivers (internal/spex,
+// internal/report, cmd/...). It runs a fixed set of indexed tasks with
+// two guarantees the campaign layers rely on:
 //
 //   - Determinism: results come back indexed by input position, so a
 //     parallel campaign reassembles into the exact report a sequential
 //     run produces.
 //   - Cancellation: a cancelled context stops dispatching immediately;
-//     tasks already in flight finish and their results are kept, cached
-//     results are still replayed, and tasks never started carry the
-//     context error (marked Skipped).
-//   - Incrementality: an optional keyed Cache replays previously
-//     recorded results instead of re-executing the task — the basis of
-//     SPEX-INJ's incremental retesting mode (paper §3.1) in
-//     inject.RunContext. The global scheduler resolves its replays
-//     before the pool starts and hands the engine only fresh tasks.
+//     tasks already in flight finish and their results are kept, and
+//     tasks never started carry the context error (marked Skipped).
+//
+// Replaying recorded outcomes is the campaign layer's job, not the
+// pool's: shard.CampaignAll resolves every replay before the pool
+// starts and hands it only the tasks that must execute.
 package engine
 
 import (
@@ -34,10 +31,8 @@ type Result[T any] struct {
 	// Err is the task's own error, or the context error for tasks the
 	// scheduler never started.
 	Err error
-	// Cached reports that Value was replayed from the cache.
-	Cached bool
-	// Elapsed is the task's wall-clock execution time. Zero for cached
-	// and skipped results — replays cost nothing by construction.
+	// Elapsed is the task's wall-clock execution time. Zero for skipped
+	// results.
 	Elapsed time.Duration
 	// Skipped reports that the scheduler never started the task: the run
 	// was cancelled before the task was dispatched. Err carries the
@@ -57,13 +52,6 @@ type Options[T any] struct {
 	// order, not input order). Calls are serialized by the scheduler, so
 	// the callback needs no locking of its own.
 	OnResult func(Result[T])
-	// Cache, if set together with KeyOf, replays recorded results for
-	// tasks whose key is present and records successful results for
-	// tasks that ran.
-	Cache *Cache[T]
-	// KeyOf returns the cache key for task i. An empty key bypasses the
-	// cache (the task always executes and is never recorded).
-	KeyOf func(i int) string
 }
 
 // DefaultWorkers is the pool size used when Options.Workers is 0: one
@@ -110,18 +98,6 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				key := ""
-				if opts.Cache != nil && opts.KeyOf != nil {
-					key = opts.KeyOf(i)
-					if key != "" {
-						if v, ok := opts.Cache.Get(key); ok {
-							mCacheHits.Inc()
-							emit(Result[T]{Index: i, Value: v, Cached: true})
-							continue
-						}
-						mCacheMisses.Inc()
-					}
-				}
 				mBusyWorkers.Add(1)
 				start := time.Now()
 				v, err := fn(ctx, i)
@@ -129,30 +105,16 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 				mBusyWorkers.Add(-1)
 				mTasks.Inc()
 				mTaskSeconds.Observe(elapsed.Seconds())
-				if err == nil && key != "" {
-					opts.Cache.Put(key, v)
-				}
 				emit(Result[T]{Index: i, Value: v, Err: err, Elapsed: elapsed})
 			}
 		}()
 	}
 
-	// flush handles every index from from onward that was never
-	// dispatched because the run was cancelled: cached results are still
-	// served — a replay costs nothing, so cancellation only skips tasks
-	// that would have had to execute.
+	// flush marks every index from from onward as skipped: the run was
+	// cancelled before dispatching it.
 	flush := func(from int) {
 		for j := from; j < n; j++ {
 			mQueueDepth.Add(-1)
-			if opts.Cache != nil && opts.KeyOf != nil {
-				if key := opts.KeyOf(j); key != "" {
-					if v, ok := opts.Cache.Get(key); ok {
-						mCacheHits.Inc()
-						emit(Result[T]{Index: j, Value: v, Cached: true})
-						continue
-					}
-				}
-			}
 			emit(Result[T]{Index: j, Err: ctx.Err(), Skipped: true})
 		}
 	}
@@ -202,89 +164,4 @@ func FirstError[T any](rs []Result[T]) error {
 		}
 	}
 	return nil
-}
-
-// Cache is a concurrency-safe keyed result store. The injection layer
-// keys it by misconfiguration identity (violated-constraint ID + rule +
-// injected values) so that an unchanged constraint replays its recorded
-// outcome across campaign runs.
-type Cache[T any] struct {
-	mu sync.RWMutex
-	m  map[string]T
-}
-
-// NewCache returns an empty cache.
-func NewCache[T any]() *Cache[T] {
-	return &Cache[T]{m: make(map[string]T)}
-}
-
-// Get returns the cached value for key, if present.
-func (c *Cache[T]) Get(key string) (T, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-// Put records a value under key, replacing any previous entry.
-func (c *Cache[T]) Put(key string, v T) {
-	c.mu.Lock()
-	c.m[key] = v
-	c.mu.Unlock()
-}
-
-// Delete removes key from the cache (used to force re-execution of
-// entries an incremental delta invalidated).
-func (c *Cache[T]) Delete(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
-}
-
-// Retain drops every entry whose key is not in keep, returning the
-// number of entries dropped (stale results from removed constraints).
-func (c *Cache[T]) Retain(keep map[string]bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for k := range c.m {
-		if !keep[k] {
-			delete(c.m, k)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// Len returns the number of cached entries.
-func (c *Cache[T]) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// Snapshot copies the cache contents into a plain map, the export half
-// of cache persistence (internal/campaignstore). The copy is taken under
-// the read lock, so it is a consistent point-in-time view; concurrent
-// Put calls are not reflected in it.
-func (c *Cache[T]) Snapshot() map[string]T {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]T, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
-}
-
-// LoadSnapshot replaces the cache contents with entries, the import half
-// of cache persistence. The map is copied, so the caller may keep
-// mutating its own copy afterwards.
-func (c *Cache[T]) LoadSnapshot(entries map[string]T) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]T, len(entries))
-	for k, v := range entries {
-		c.m[k] = v
-	}
 }

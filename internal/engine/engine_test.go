@@ -145,45 +145,6 @@ func TestRunStreamsEveryResult(t *testing.T) {
 	}
 }
 
-func TestCacheReplaysRecordedResults(t *testing.T) {
-	cache := NewCache[int]()
-	var executions atomic.Int32
-	fn := func(_ context.Context, i int) (int, error) {
-		executions.Add(1)
-		return i * 10, nil
-	}
-	opts := Options[int]{
-		Workers: 4,
-		Cache:   cache,
-		KeyOf:   func(i int) string { return fmt.Sprintf("k%d", i) },
-	}
-	if _, err := Run(context.Background(), 20, fn, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := executions.Load(); got != 20 {
-		t.Fatalf("first run executed %d tasks, want 20", got)
-	}
-	rs, err := Run(context.Background(), 20, fn, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := executions.Load(); got != 20 {
-		t.Fatalf("second run executed %d extra tasks, want full replay", got-20)
-	}
-	for i, r := range rs {
-		if !r.Cached || r.Value != i*10 {
-			t.Fatalf("result %d = %+v, want cached %d", i, r, i*10)
-		}
-	}
-	cache.Delete("k7")
-	if _, err := Run(context.Background(), 20, fn, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := executions.Load(); got != 21 {
-		t.Fatalf("after eviction %d total executions, want 21", got)
-	}
-}
-
 func TestRunMarksNeverStartedAsSkipped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
@@ -222,33 +183,6 @@ func TestRunMarksNeverStartedAsSkipped(t *testing.T) {
 	}
 }
 
-func TestCancellationStillReplaysCachedResults(t *testing.T) {
-	cache := NewCache[int]()
-	for i := 0; i < 100; i++ {
-		if i%2 == 0 {
-			cache.Put(fmt.Sprintf("k%d", i), i*10)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before dispatch: everything goes through the flush path
-	rs, err := Run(ctx, 100, func(_ context.Context, i int) (int, error) {
-		t.Errorf("task %d executed after cancellation", i)
-		return 0, nil
-	}, Options[int]{Workers: 2, Cache: cache, KeyOf: func(i int) string { return fmt.Sprintf("k%d", i) }})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for i, r := range rs {
-		if i%2 == 0 {
-			if !r.Cached || r.Skipped || r.Value != i*10 {
-				t.Fatalf("cached task %d not replayed on cancellation: %+v", i, r)
-			}
-		} else if !r.Skipped {
-			t.Fatalf("uncached task %d not skipped: %+v", i, r)
-		}
-	}
-}
-
 func TestWorkersZeroUsesDefaultPool(t *testing.T) {
 	if DefaultWorkers() < 2 {
 		t.Skip("needs >= 2 CPUs to observe parallelism")
@@ -277,73 +211,5 @@ func TestWorkersZeroUsesDefaultPool(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run with Workers == 0 did not finish: pool is not parallel")
-	}
-}
-
-func TestCacheSnapshotRoundTrip(t *testing.T) {
-	cache := NewCache[string]()
-	cache.Put("a", "alpha")
-	cache.Put("b", "beta")
-	snap := cache.Snapshot()
-	if len(snap) != 2 || snap["a"] != "alpha" || snap["b"] != "beta" {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	// The snapshot is a copy: later cache mutations don't leak in.
-	cache.Put("c", "gamma")
-	if _, ok := snap["c"]; ok {
-		t.Fatal("snapshot aliases the live cache")
-	}
-	restored := NewCache[string]()
-	restored.Put("stale", "dropped on load")
-	restored.LoadSnapshot(snap)
-	if restored.Len() != 2 {
-		t.Fatalf("restored cache holds %d entries, want 2", restored.Len())
-	}
-	if v, ok := restored.Get("a"); !ok || v != "alpha" {
-		t.Fatalf("restored entry a = %q, %v", v, ok)
-	}
-	if _, ok := restored.Get("stale"); ok {
-		t.Fatal("LoadSnapshot kept a pre-existing entry")
-	}
-	// And LoadSnapshot copies too.
-	snap["a"] = "mutated"
-	if v, _ := restored.Get("a"); v != "alpha" {
-		t.Fatal("LoadSnapshot aliases the caller's map")
-	}
-}
-
-func TestCacheSkipsErrorsAndEmptyKeys(t *testing.T) {
-	cache := NewCache[int]()
-	boom := errors.New("boom")
-	var executions atomic.Int32
-	fn := func(_ context.Context, i int) (int, error) {
-		executions.Add(1)
-		if i == 1 {
-			return 0, boom
-		}
-		return i, nil
-	}
-	opts := Options[int]{
-		Workers: 2,
-		Cache:   cache,
-		KeyOf: func(i int) string {
-			if i == 0 {
-				return "" // uncacheable
-			}
-			return fmt.Sprintf("k%d", i)
-		},
-	}
-	for run := 0; run < 2; run++ {
-		if _, err := Run(context.Background(), 3, fn, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Task 0 (empty key) and task 1 (errored) execute both times; task 2
-	// replays on the second run.
-	if got := executions.Load(); got != 5 {
-		t.Fatalf("executions = %d, want 5", got)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
 	}
 }

@@ -1,7 +1,6 @@
 // Pool metrics: every Run feeds the process-global obs registry so
 // spexd's /metrics (and the CLIs' -metrics-out dumps) expose scheduler
-// behavior — queue depth, pool utilization, per-task latency, and the
-// cache's replay hit ratio.
+// behavior — queue depth, pool utilization and per-task latency.
 package engine
 
 import "spex/internal/obs"
@@ -11,15 +10,11 @@ const (
 	metricTaskSeconds = "spex_engine_task_seconds"
 	metricQueueDepth  = "spex_engine_queue_depth"
 	metricBusyWorkers = "spex_engine_workers_busy"
-	metricCacheHits   = "spex_engine_cache_hits_total"
-	metricCacheMisses = "spex_engine_cache_misses_total"
 )
 
 var (
-	mTasks       = obs.Default().Counter(metricTasks, "tasks executed by the worker pool (cache replays excluded)")
+	mTasks       = obs.Default().Counter(metricTasks, "tasks executed by the worker pool")
 	mTaskSeconds = obs.Default().Histogram(metricTaskSeconds, "wall-clock seconds per executed task", obs.DurationBuckets)
 	mQueueDepth  = obs.Default().Gauge(metricQueueDepth, "tasks accepted by Run but not yet dispatched or flushed")
 	mBusyWorkers = obs.Default().Gauge(metricBusyWorkers, "workers currently executing a task")
-	mCacheHits   = obs.Default().Counter(metricCacheHits, "tasks replayed from the keyed result cache")
-	mCacheMisses = obs.Default().Counter(metricCacheMisses, "keyed tasks that missed the cache and executed")
 )

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -15,45 +14,32 @@ import (
 func TestRunRecordsMetrics(t *testing.T) {
 	const n = 64
 	before := struct {
-		tasks, hits, misses, observed uint64
-	}{mTasks.Value(), mCacheHits.Value(), mCacheMisses.Value(), mTaskSeconds.Count()}
+		tasks, observed uint64
+	}{mTasks.Value(), mTaskSeconds.Count()}
 
-	cache := NewCache[int]()
 	var mu sync.Mutex
 	elapsed := make(map[int]bool)
-	run := func() {
-		results, err := Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
-			return i * i, nil
-		}, Options[int]{
-			Workers: 8,
-			Cache:   cache,
-			KeyOf:   func(i int) string { return fmt.Sprint(i) },
-			OnResult: func(r Result[int]) {
-				mu.Lock()
-				if !r.Cached && r.Elapsed > 0 {
-					elapsed[r.Index] = true
-				}
-				mu.Unlock()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != n {
-			t.Fatalf("got %d results", len(results))
-		}
+	results, err := Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
+		return i * i, nil
+	}, Options[int]{
+		Workers: 8,
+		OnResult: func(r Result[int]) {
+			mu.Lock()
+			if r.Elapsed > 0 {
+				elapsed[r.Index] = true
+			}
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run() // all fresh: n misses, n executions
-	run() // all replayed: n hits, 0 executions
+	if len(results) != n {
+		t.Fatalf("got %d results", len(results))
+	}
 
 	if d := mTasks.Value() - before.tasks; d < n {
 		t.Errorf("executed-tasks delta = %d, want >= %d", d, n)
-	}
-	if d := mCacheMisses.Value() - before.misses; d < n {
-		t.Errorf("cache-miss delta = %d, want >= %d", d, n)
-	}
-	if d := mCacheHits.Value() - before.hits; d < n {
-		t.Errorf("cache-hit delta = %d, want >= %d", d, n)
 	}
 	if d := mTaskSeconds.Count() - before.observed; d < n {
 		t.Errorf("latency observations delta = %d, want >= %d", d, n)

@@ -164,73 +164,6 @@ func TestProgressStreamsEveryOutcome(t *testing.T) {
 	}
 }
 
-func TestIncrementalReplaysUnchangedConstraints(t *testing.T) {
-	sys := &fakeSystem{}
-	cP := basic("p", constraint.BasicString)
-	cQ := rng("q", 1)
-	var ms []confgen.Misconf
-	for i := 0; i < 10; i++ {
-		ms = append(ms, confgen.Misconf{
-			ID: fmt.Sprintf("p-%02d", i), Param: "p",
-			Values: map[string]string{"p": "good"}, Violates: cP,
-		})
-	}
-	ms = append(ms, confgen.Misconf{
-		ID: "q-0", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ,
-	})
-
-	// The first run records every outcome in the cache.
-	opts := DefaultOptions()
-	opts.Cache = NewResultCache()
-	full, err := RunContext(context.Background(), sys, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Revision 1: nothing changed — everything replays.
-	rep, err := RunContext(context.Background(), sys, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Replayed != len(ms) || rep.TotalSimCost != 0 {
-		t.Fatalf("no-op revision: replayed=%d cost=%d, want %d/0", rep.Replayed, rep.TotalSimCost, len(ms))
-	}
-	if !reflect.DeepEqual(stripBookkeeping(rep), stripBookkeeping(full)) {
-		t.Fatal("replayed report differs from the original campaign")
-	}
-
-	// Revision 2: q's range moved — the delta selects only q's
-	// misconfiguration, which is evicted and re-executes.
-	cQ2 := rng("q", 4)
-	ms2 := append(append([]confgen.Misconf(nil), ms[:10]...), confgen.Misconf{
-		ID: "q-0", Param: "q", Values: map[string]string{"q": "0"}, Violates: cQ2,
-	})
-	retests := selectRetests(ms2, Diff(mkSet(cP, cQ), mkSet(cP, cQ2)))
-	if len(retests) != 1 || retests[0].ID != "q-0" {
-		t.Fatalf("delta selected %d retests, want only q-0", len(retests))
-	}
-	for _, m := range retests {
-		opts.Cache.Delete(CacheKey(m))
-	}
-	rep2, err := RunContext(context.Background(), sys, ms2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Replayed != 10 {
-		t.Fatalf("incremental run replayed %d outcomes, want 10", rep2.Replayed)
-	}
-	if rep2.TotalSimCost == 0 {
-		t.Fatal("changed constraint did not re-execute")
-	}
-	if len(rep2.Outcomes) != 11 {
-		t.Fatalf("incremental report has %d outcomes, want 11", len(rep2.Outcomes))
-	}
-}
-
-// stripBookkeeping compares campaign substance, ignoring the incremental
-// accounting fields.
-func stripBookkeeping(r *Report) []Outcome { return r.Outcomes }
-
 // Regression: cancelling a campaign must not drive progress to N/N. The
 // dispatcher flushes a Result for every never-started index; those are
 // marked Skipped and must be reported as skipped work, not done work.
@@ -279,85 +212,8 @@ func TestProgressOnCancellationReportsSkippedNotDone(t *testing.T) {
 	}
 }
 
-// Regression (satellite of the persistent store): a campaign cancelled
-// mid-run must not cache cancelled or errored outcomes — the engine's
-// no-record-on-error rule guards the runOne StartCancelled path — and a
-// follow-up run over the same cache must re-execute exactly the
-// unfinished misconfigurations.
-func TestCancelThenResumeReexecutesOnlyUnfinished(t *testing.T) {
-	sys := &fakeSystem{}
-	c := basic("p", constraint.BasicString)
-	var ms []confgen.Misconf
-	for i := 0; i < 20; i++ {
-		ms = append(ms, confgen.Misconf{
-			ID: fmt.Sprintf("m%02d", i), Param: "p",
-			Values: map[string]string{"p": "good"}, Violates: c,
-		})
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions()
-	opts.Workers = 1
-	opts.Cache = NewResultCache()
-	opts.Progress = func(p Progress) {
-		if p.Done == 5 {
-			cancel()
-		}
-	}
-	rep, err := RunContext(ctx, sys, ms, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	var finished []string
-	for _, o := range rep.Outcomes {
-		if o.Err == "" {
-			finished = append(finished, o.Misconf.ID)
-		}
-	}
-	if len(finished) == 0 || len(finished) == len(ms) {
-		t.Fatalf("finished %d/%d, want a genuine partial run", len(finished), len(ms))
-	}
-	// The live cache holds exactly the finished outcomes...
-	if got := opts.Cache.Len(); got != len(finished) {
-		t.Fatalf("cache holds %d outcomes, want the %d finished", got, len(finished))
-	}
-
-	// Resume over the same cache: finished outcomes replay, the rest
-	// re-execute.
-	resume := DefaultOptions()
-	resume.Cache = opts.Cache
-	rep2, err := RunContext(context.Background(), sys, ms, resume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Replayed != len(finished) {
-		t.Fatalf("resume replayed %d outcomes, want %d", rep2.Replayed, len(finished))
-	}
-	fresh := 0
-	for i, o := range rep2.Outcomes {
-		if o.Err != "" {
-			t.Fatalf("resume left outcome %d unfinished: %+v", i, o)
-		}
-		if !contains(finished, o.Misconf.ID) {
-			fresh++
-		}
-	}
-	if fresh != len(ms)-len(finished) {
-		t.Fatalf("resume executed %d fresh outcomes, want %d", fresh, len(ms)-len(finished))
-	}
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// Satellite: log dumps are retained only for vulnerability outcomes by
-// default, so the result cache and persisted snapshots stay bounded.
+// Satellite: log dumps are retained only for vulnerability outcomes, so
+// persisted snapshots stay bounded.
 func TestLogDumpRetainedOnlyForVulnerabilities(t *testing.T) {
 	sys := &fakeSystem{}
 	ms := []confgen.Misconf{
@@ -374,15 +230,5 @@ func TestLogDumpRetainedOnlyForVulnerabilities(t *testing.T) {
 	}
 	if rep.Outcomes[1].LogDump != "" || rep.Outcomes[2].LogDump != "" {
 		t.Error("non-vulnerability outcomes kept their log dumps")
-	}
-	// Opting in retains everything.
-	opts := DefaultOptions()
-	opts.KeepAllLogs = true
-	rep, err = Run(sys, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Outcomes[2].LogDump == "" {
-		t.Error("KeepAllLogs did not retain the good reaction's log dump")
 	}
 }

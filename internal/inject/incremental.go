@@ -7,7 +7,6 @@ import (
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
-	"spex/internal/engine"
 )
 
 // The paper notes that the campaign cost is a one-time cost because
@@ -78,15 +77,6 @@ func (d Delta) AffectedParams() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ResultCache stores campaign outcomes keyed by misconfiguration
-// identity (CacheKey). Seeded from a previous campaign's snapshot
-// (campaignstore.Store.Prepare), it lets an incremental rerun replay
-// every outcome whose constraint the code revision did not touch.
-type ResultCache = engine.Cache[Outcome]
-
-// NewResultCache returns an empty incremental result cache.
-func NewResultCache() *ResultCache { return engine.NewCache[Outcome]() }
 
 // CacheKey is the stable identity of a misconfiguration for incremental
 // retesting: the violated constraint's identity (which changes whenever

@@ -106,7 +106,7 @@ type Outcome struct {
 // ErrYielded is the gate error a scheduler returns for a
 // misconfiguration whose lease was stolen by another worker: this
 // process must not execute it. Outcomes carrying it are marked Yielded,
-// never cached, and excluded from the harness-failure tallies.
+// never saved, and excluded from the harness-failure tallies.
 var ErrYielded = errors.New("inject: lease reassigned to another worker")
 
 // Report aggregates a campaign over one system.
@@ -117,9 +117,9 @@ type Report struct {
 	// counting only outcomes that actually executed (replayed outcomes
 	// cost nothing — the point of incremental retesting).
 	TotalSimCost int
-	// Replayed counts outcomes served from the incremental result cache.
+	// Replayed counts outcomes replayed from a stored snapshot.
 	Replayed int
-	// ReplayedSimCost is the simulated cost the cache avoided.
+	// ReplayedSimCost is the simulated cost the replays avoided.
 	ReplayedSimCost int
 	// Skipped counts misconfigurations the scheduler never started
 	// because the campaign was cancelled (distinct from harness errors).
@@ -256,17 +256,6 @@ type Options struct {
 	// tallied on Report.Skipped instead, so a cancelled campaign's
 	// progress stays at the work actually performed.
 	Progress func(Progress)
-	// Cache, if set, replays recorded outcomes for misconfigurations
-	// whose identity (violated constraint, rule, injected values) is
-	// unchanged, and records fresh outcomes for the ones that ran —
-	// SPEX-INJ's incremental retesting mode (paper §3.1).
-	Cache *ResultCache
-	// KeepAllLogs retains Outcome.LogDump for every outcome. By default
-	// dumps are kept only for vulnerability outcomes and harness errors:
-	// good/tolerated reactions never render their logs (ErrorReport is
-	// only produced for vulnerabilities), and dropping them keeps the
-	// in-memory result cache and persisted campaign snapshots small.
-	KeepAllLogs bool
 }
 
 // DefaultHangDeadline is the Start deadline applied when
@@ -322,10 +311,11 @@ func (r *Runner) Options() Options { return r.opts }
 // never a system reaction.
 func (r *Runner) Test(ctx context.Context, m confgen.Misconf) (Outcome, error) {
 	out, err := runOne(ctx, r.sys, r.tmplText, m, r.opts)
-	if err == nil && !r.opts.KeepAllLogs && !out.Reaction.Vulnerability() {
-		// Good/tolerated reactions never render their logs; dropping
-		// the dump keeps the result cache and persisted snapshots
-		// bounded by the vulnerability count, not the campaign size.
+	if err == nil && !out.Reaction.Vulnerability() {
+		// Good/tolerated reactions never render their logs (ErrorReport
+		// is only produced for vulnerabilities); dropping the dump keeps
+		// persisted snapshots bounded by the vulnerability count, not
+		// the campaign size.
 		out.LogDump = ""
 	}
 	if err == nil && r.opts.SimCostDelay > 0 {
@@ -335,32 +325,28 @@ func (r *Runner) Test(ctx context.Context, m confgen.Misconf) (Outcome, error) {
 }
 
 // Assemble folds one system's engine results back into a campaign
-// report, in input (ms) order: cached results are replayed with their
-// metadata refreshed from the current misconfiguration list, errored
-// and skipped tasks are recorded per outcome, and the cost tallies
-// split into executed vs replayed. keys[i] is ms[i]'s CacheKey, the
-// entry a refreshed replay is written back under; it is read only when
-// cache is set. RunContext and the global cross-target scheduler
-// (internal/shard) share this function, which is why a globally
-// scheduled campaign's per-system report is identical to a per-system
-// run's.
-func Assemble(system string, ms []confgen.Misconf, keys []string, results []engine.Result[Outcome], cache *ResultCache) *Report {
+// report, in input (ms) order: replayed results (replayed[i] set; a nil
+// slice means none) have their metadata refreshed from the current
+// misconfiguration list, errored and skipped tasks are recorded per
+// outcome, and the cost tallies split into executed vs replayed.
+// RunContext and the campaign scheduler (internal/shard) share this
+// function, which is why a scheduled campaign's per-system report is
+// identical to a per-system run's.
+func Assemble(system string, ms []confgen.Misconf, results []engine.Result[Outcome], replayed []bool) *Report {
 	rep := &Report{System: system, Outcomes: make([]Outcome, 0, len(ms))}
 	for i, r := range results {
 		out := r.Value
-		if r.Cached {
-			// The cache key guarantees identity (constraint ID, rule ID,
+		replay := i < len(replayed) && replayed[i]
+		if replay {
+			// The replay key guarantees identity (constraint ID, rule ID,
 			// injected values, env actions) but not metadata: a code
 			// revision can move the constraint's source location without
-			// changing its identity. Refresh the replayed outcome — and
-			// the cache entry the next snapshot will persist — from the
-			// current misconfiguration.
+			// changing its identity. Refresh the replayed outcome — which
+			// the next snapshot persists — from the current
+			// misconfiguration.
 			out.Misconf = ms[i]
 			if ms[i].Violates != nil {
 				out.Loc = ms[i].Violates.Loc
-			}
-			if cache != nil {
-				cache.Put(keys[i], out)
 			}
 		}
 		if r.Err != nil { // errored, cancelled mid-run, never started, or yielded
@@ -378,7 +364,7 @@ func Assemble(system string, ms []confgen.Misconf, keys []string, results []engi
 			}
 		}
 		rep.Outcomes = append(rep.Outcomes, out)
-		if r.Cached {
+		if replay {
 			rep.Replayed++
 			rep.ReplayedSimCost += out.SimCost
 		} else if out.Err == "" {
@@ -389,15 +375,17 @@ func Assemble(system string, ms []confgen.Misconf, keys []string, results []engi
 	return rep
 }
 
-// RunContext executes a full campaign under a context. Misconfigurations
-// are dispatched through the engine worker pool (opts.Workers wide);
-// outcomes are reassembled in input order so the report is identical to
-// a sequential run. A harness-level failure on one misconfiguration is
-// recorded on its outcome (Outcome.Err) and the campaign keeps going.
-// On cancellation the partial report is returned together with the
-// context error: finished outcomes are kept, unstarted ones carry the
-// context error and are marked Skipped (tallied on Report.Skipped, not
-// reported as progress or harness failures).
+// RunContext executes a full campaign under a context and replays
+// nothing: it is the plain reference run that the store-backed campaign
+// path (shard.CampaignAll) must match. Misconfigurations are dispatched
+// through the engine worker pool (opts.Workers wide); outcomes are
+// reassembled in input order so the report is identical to a sequential
+// run. A harness-level failure on one misconfiguration is recorded on
+// its outcome (Outcome.Err) and the campaign keeps going. On
+// cancellation the partial report is returned together with the context
+// error: finished outcomes are kept, unstarted ones carry the context
+// error and are marked Skipped (tallied on Report.Skipped, not reported
+// as progress or harness failures).
 func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts Options) (*Report, error) {
 	runner := NewRunner(sys, opts)
 	total := len(ms)
@@ -415,24 +403,11 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 			opts.Progress(Progress{Done: done, Total: total})
 		}
 	}
-	var keys []string
-	if opts.Cache != nil {
-		keys = make([]string, len(ms))
-		for i, m := range ms {
-			keys[i] = CacheKey(m)
-		}
-		eopts.Cache = opts.Cache
-		eopts.KeyOf = func(i int) string { return keys[i] }
-	}
-
-	// A Test error is returned as the task error (not folded into the
-	// outcome) so the engine never records errored or cancelled outcomes
-	// in the cache — they must retry on the next run.
 	results, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (Outcome, error) {
 		return runner.Test(ctx, ms[i])
 	}, eopts)
 
-	rep := Assemble(sys.Name(), ms, keys, results, opts.Cache)
+	rep := Assemble(sys.Name(), ms, results, nil)
 	if cancelErr != nil {
 		return rep, fmt.Errorf("inject: %s: %w", sys.Name(), cancelErr)
 	}

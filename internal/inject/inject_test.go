@@ -310,7 +310,7 @@ func TestAssembleYieldedOutcomes(t *testing.T) {
 		{Index: 0, Err: fmt.Errorf("gated: %w", ErrYielded)},
 		{Index: 1, Value: Outcome{Misconf: ms[1], Reaction: ReactionCrash}},
 	}
-	rep := Assemble("fake", ms, nil, results, nil)
+	rep := Assemble("fake", ms, results, nil)
 	if rep.Yielded != 1 {
 		t.Errorf("Report.Yielded = %d, want 1", rep.Yielded)
 	}

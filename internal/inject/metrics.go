@@ -16,10 +16,10 @@ const (
 
 var (
 	mOutcomesFresh    = obs.Default().Counter(metricOutcomesFresh, "outcomes executed fresh against the simulated systems")
-	mOutcomesReplayed = obs.Default().Counter(metricOutcomesReplayed, "outcomes replayed from the incremental result cache")
+	mOutcomesReplayed = obs.Default().Counter(metricOutcomesReplayed, "outcomes replayed from stored snapshots")
 	mOutcomesYielded  = obs.Default().Counter(metricOutcomesYielded, "outcomes yielded to a work-stealing rebalance")
 	mSimCost          = obs.Default().Counter(metricSimCost, "simulated cost units paid by fresh executions")
-	mSimCostSaved     = obs.Default().Counter(metricSimCostSaved, "simulated cost units avoided by cache replay")
+	mSimCostSaved     = obs.Default().Counter(metricSimCostSaved, "simulated cost units avoided by replay")
 )
 
 // recordReportMetrics folds one assembled report into the registry.

@@ -108,8 +108,8 @@ func ReplayWorkloadsFromIndex(store *campaignstore.Store, rs []*spex.Result, ws 
 // carry every field the table builders consume, so the tallies
 // (CountByReaction, UniqueLocations, Vulnerabilities) are identical to
 // a snapshot replay's. Replay accounting matches inject.Assemble on an
-// all-cached result set: every doc counts as replayed, and its sim cost
-// lands on ReplayedSimCost.
+// all-replayed result set: every doc counts as replayed, and its sim
+// cost lands on ReplayedSimCost.
 func campaignFromIndex(idx *outcomeindex.System) *inject.Report {
 	rep := &inject.Report{
 		System:   idx.System,

@@ -258,9 +258,8 @@ func derive(ctx context.Context, workers int) (*derivation, error) {
 	return d, nil
 }
 
-// workloads returns a job's own copies of its systems' workloads: a
-// campaign sets each copy's Cache, while Set, Ms and Keys stay shared and
-// read-only.
+// workloads returns a job's systems' workloads, in the order given.
+// Campaigns only read a workload, so every job shares the derivation's.
 func (d *derivation) workloads(systems []sim.System) []shard.Workload {
 	ws := make([]shard.Workload, len(systems))
 	for i, sys := range systems {

@@ -853,18 +853,18 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 type coordStats struct{ steals, spawns, retries int }
 
 // execute runs every job as one pipeline on the job's one pool:
-// infer → inject → eval. The infer step takes the job's own copies of
-// its systems' workloads from the daemon's derivation (New inferred
-// them once), the inject step is one shard.CampaignAll over every
-// system (coord.Run for a coordinate job), and eval reads each system's
-// outcome index. A plain job is [infer, inject] and publishes no stage
-// events; a staged job runs and reports exactly its listed stages.
-// Each system's inject step ends at its completion event, which
-// CampaignAll delivers after the goroutine that resolved the system's
-// last outcome saved it, so a small system is evaluated while a big one
-// still injects and `workers` bounds the whole job; a job without the
-// eval stage reads the saved systems' fingerprints after the campaign.
-// Every progress event feeds the job's trace and, throttled, the bus.
+// infer → inject → eval. The infer step takes its systems' workloads
+// from the daemon's derivation (New inferred them once), the inject
+// step is one shard.CampaignAll over every system (coord.Run for a
+// coordinate job), and eval reads each system's outcome index. A plain
+// job is [infer, inject] and publishes no stage events; a staged job
+// runs and reports exactly its listed stages. Each system's inject step
+// ends at its completion event, which CampaignAll delivers after the
+// goroutine that resolved the system's last outcome saved it, so a
+// small system is evaluated while a big one still injects and `workers`
+// bounds the whole job; a job without the eval stage reads the saved
+// systems' fingerprints after the campaign. Every progress event feeds
+// the job's trace and, throttled, the bus.
 func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {

@@ -64,7 +64,7 @@ func newTraceRecorder(jobID string, start time.Time) *traceRecorder {
 // observeProgress folds one completed-outcome event into the tree. The
 // system span opens on the system's first event; each outcome becomes
 // a misconf span reconstructed from the event's Elapsed (start = now −
-// elapsed), zero-length for cache replays.
+// elapsed), zero-length for replays.
 func (rec *traceRecorder) observeProgress(p shard.Progress, now time.Time) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

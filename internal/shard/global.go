@@ -32,11 +32,7 @@ type Workload struct {
 	// so a workload built once pays for its keys once; ReplayKeys
 	// computes them when Keys does not match Ms in length.
 	Keys []string
-	// Cache, if set, replays recorded outcomes and records fresh ones,
-	// keyed by inject.CacheKey. A store-backed run replaces it with the
-	// cache its snapshot seeds.
-	Cache *inject.ResultCache
-	// Keep lists cache keys outside Ms that a store-backed run
+	// Keep lists replay keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
 	// pruning as stale. A shard process sets it to the full campaign's
 	// keys, so refreshing one shard against a merged (or full) store
@@ -122,7 +118,7 @@ type Progress struct {
 	Key string `json:"key,omitempty"`
 	// Failed reports that the task errored (harness failure, gate
 	// rejection, or cancellation mid-run): its outcome will not be
-	// cached or persisted, so a heartbeat must not count it as done.
+	// persisted, so a heartbeat must not count it as done.
 	Failed bool `json:"failed,omitempty"`
 	// Yielded narrows Failed: the task was abandoned because its key was
 	// reassigned to another worker by a work-stealing rebalance
@@ -136,7 +132,7 @@ type Progress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Elapsed is the task's wall-clock execution time (zero when the
-	// outcome was replayed from the cache, which never runs a task).
+	// outcome was replayed from the store, which never runs a task).
 	// Trace recorders use it to reconstruct per-misconf spans from the
 	// event stream.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
@@ -154,8 +150,8 @@ type Options struct {
 	// Workers bounds the single global pool (0 = one per CPU).
 	Workers int
 	// Inject holds the campaign options shared by every workload. The
-	// scheduling fields (Workers, Progress, Cache) are ignored — the
-	// global pool replaces them.
+	// scheduling fields (Workers, Progress) are ignored — the global
+	// pool replaces them.
 	Inject inject.Options
 	// OnProgress, if set, streams every completed outcome, replayed or
 	// executed. CampaignAll serializes the calls with its own mutex, and
@@ -164,10 +160,10 @@ type Options struct {
 	// (Progress.Run); the save itself runs outside the mutex.
 	OnProgress func(Progress)
 	// Gate, if set, is consulted immediately before a misconfiguration
-	// executes (cache replays bypass it — a replay costs nothing and is
+	// executes (replays bypass it — a replay costs nothing and is
 	// already recorded). A non-nil error abandons the task with that
 	// error recorded on its outcome, exactly like a harness failure,
-	// and the outcome is never cached. The coordinator's worker harness
+	// and the outcome is never saved. The coordinator's worker harness
 	// (internal/coord) gates on lease ownership, which is how a
 	// work-stealing rebalance stops the victim from executing keys that
 	// were just reassigned.
@@ -190,13 +186,15 @@ type SystemRun struct {
 }
 
 // CampaignAll is the one campaign path. Each workload is one pipeline:
-// prepare, then its fresh misconfigurations, then finish.
+// prepare, then its fresh misconfigurations, then finish. It never
+// writes to ws, so concurrent campaigns may share one workload slice.
 //
-// Prepare seeds the workload's cache and looks every misconfiguration
-// up in it. The prepares run on a pool opts.Workers wide, and every
-// prepare completes even when ctx is already cancelled, so a workload is
-// never saved from a cache its prepare did not fill. A replayed outcome
-// is resolved on the spot and never enters the engine.
+// Prepare loads the workload's stored outcomes and looks every
+// misconfiguration up in them. The prepares run on a pool opts.Workers
+// wide, and every prepare completes even when ctx is already cancelled,
+// so a workload is never saved without the outcomes its snapshot
+// offered. A replayed outcome is resolved on the spot and never enters
+// the engine.
 //
 // The fresh misconfigurations of every workload then run through one
 // engine worker pool in interleaved order (Interleave). Each workload
@@ -211,29 +209,37 @@ type SystemRun struct {
 // disk while larger ones still run. Runs come back index-aligned with ws.
 //
 // With a store, each workload runs a load → diff → retest-delta → save
-// lifecycle: the system's snapshot is loaded, the stored constraint set
-// Diffed against Workload.Set, the workload cache seeded with the
+// lifecycle: campaignstore.Store.Prepare loads the system's snapshot,
+// Diffs the stored constraint set against Workload.Set and returns the
 // recorded outcomes minus the delta-selected retests (replays cost
-// nothing), and the updated snapshot saved — even after cancellation,
-// so the next run resumes with exactly the unfinished
+// nothing). The saved snapshot holds every finished outcome of Ms,
+// stamped at save time, plus the stored outcomes of Workload.Keep keys
+// outside Ms with their stored stamps. It is saved even after
+// cancellation, so the next run resumes with exactly the unfinished
 // misconfigurations. The store is addressed through the write
 // capability a held campaignstore writer lock mints (Lock.Set), the
 // only way to save, so a caller must have acquired the state
 // directory's lock before it can even name this mode. A set scoped to
 // other systems fails a workload's save loudly.
 //
-// A nil set is the storeless run: it replays and records through each
-// Workload.Cache that is set, and saves nothing. On cancellation every
-// run is still returned — finished outcomes kept, unstarted ones marked
-// Skipped — together with the context error.
+// A nil set is the storeless run: every misconfiguration executes and
+// nothing is saved. On cancellation every run is still returned —
+// finished outcomes kept, unstarted ones marked Skipped — together with
+// the context error.
 func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workload, opts Options) ([]SystemRun, error) {
 	runs := make([]SystemRun, len(ws))
-	prevStamps := make([]map[string]time.Time, len(ws))
 	runners := make([]*inject.Runner, len(ws))
 	results := make([][]engine.Result[inject.Outcome], len(ws))
 	// keys[i][j] is ws[i].Ms[j]'s replay identity (inject.CacheKey):
-	// the cache lookups, the progress events and the save all use it.
+	// the replay lookups, the progress events and the save all use it.
 	keys := make([][]string, len(ws))
+	// stored[i] and stamps[i] hold workload i's replayable outcomes and
+	// their freshness stamps as its prepare loaded them (nil without a
+	// snapshot); replayed[i][j] marks the outcomes resolved from them.
+	// Only the workload's own prepare and finish touch them.
+	stored := make([]map[string]inject.Outcome, len(ws))
+	stamps := make([]map[string]time.Time, len(ws))
+	replayed := make([][]bool, len(ws))
 	// fresh[i] lists the indices into ws[i].Ms that must execute.
 	fresh := make([][]int, len(ws))
 	total := 0
@@ -241,6 +247,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		runs[i].Sys = ws[i].Sys
 		runners[i] = inject.NewRunner(ws[i].Sys, opts.Inject)
 		results[i] = make([]engine.Result[inject.Outcome], len(ws[i].Ms))
+		replayed[i] = make([]bool, len(ws[i].Ms))
 		total += len(ws[i].Ms)
 	}
 
@@ -248,30 +255,35 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	// assembles the report and saves the snapshot.
 	finish := func(i int) {
 		w := &ws[i]
-		runs[i].Report = inject.Assemble(w.Sys.Name(), w.Ms, keys[i], results[i], w.Cache)
+		rep := inject.Assemble(w.Sys.Name(), w.Ms, results[i], replayed[i])
+		runs[i].Report = rep
 		results[i] = nil // the report holds the outcomes now
 		if locks == nil {
 			return
 		}
-		snap := campaignstore.New(w.Sys.Name(), w.Set, opts.Inject, w.Cache.Snapshot())
-		// Keys this run executed or re-validated (everything in Ms) are
-		// genuinely fresh; keys merely carried through the save
-		// (Workload.Keep) retain their original stamps, so a shard
-		// refresh can never make a peer's outcomes look newer than the
-		// peer's own retests at merge time.
-		if len(w.Keep) > 0 && prevStamps[i] != nil {
-			own := make(map[string]bool, len(keys[i]))
-			for _, key := range keys[i] {
-				own[key] = true
+		outcomes := make(map[string]inject.Outcome, max(len(w.Ms), len(stored[i])))
+		for j, o := range rep.Outcomes {
+			if o.Err == "" {
+				outcomes[keys[i][j]] = o
 			}
-			for k := range snap.Outcomes {
-				if !own[k] {
-					if t, ok := prevStamps[i][k]; ok {
-						snap.Stamps[k] = t
-					}
+		}
+		snap := campaignstore.New(w.Sys.Name(), w.Set, opts.Inject, outcomes)
+		// Prepare pruned stored[i] to the keys of Ms and Workload.Keep,
+		// and every stored key of Ms replayed, so the stored keys the
+		// report lacks are exactly the Keep keys outside Ms. Those are
+		// carried with their original stamps, so a shard refresh can
+		// never make a peer's outcomes look newer than the peer's own
+		// retests at merge time; everything this run executed or
+		// re-validated is stamped now.
+		for k, o := range stored[i] {
+			if _, ok := outcomes[k]; !ok {
+				outcomes[k] = o
+				if t, ok := stamps[i][k]; ok {
+					snap.Stamps[k] = t
 				}
 			}
 		}
+		stored[i], stamps[i] = nil, nil
 		if err := locks.Save(snap); err != nil {
 			runs[i].Err = err
 			return
@@ -331,31 +343,29 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		}
 	}
 
-	// prepare seeds workload i's cache from the store, resolves every
-	// replay, and lists what must execute.
+	// prepare loads workload i's stored outcomes, resolves every replay,
+	// and lists what must execute.
 	prepare := func(i int) {
 		w := &ws[i]
 		keys[i] = w.ReplayKeys()
 		if locks != nil {
-			w.Cache = inject.NewResultCache()
-			runs[i].Status, prevStamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep, w.Cache)
+			runs[i].Status, stored[i], stamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep)
 		}
-		var replayed []int
+		var js []int
 		for j, key := range keys[i] {
-			if w.Cache != nil {
-				if out, ok := w.Cache.Get(key); ok {
-					results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Cached: true}
-					replayed = append(replayed, j)
-					continue
-				}
+			if out, ok := stored[i][key]; ok {
+				replayed[i][j] = true
+				results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out}
+				js = append(js, j)
+				continue
 			}
 			fresh[i] = append(fresh[i], j)
 		}
 		switch {
 		case len(w.Ms) == 0:
 			finish(i) // nothing to run: save what the store carries
-		case len(replayed) > 0:
-			resolve(i, replayed)
+		case len(js) > 0:
+			resolve(i, js)
 		}
 	}
 	width := opts.Workers
@@ -396,9 +406,6 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		}
 		if err == nil {
 			out, err = runners[i].Test(ctx, w.Ms[j])
-		}
-		if err == nil && w.Cache != nil {
-			w.Cache.Put(keys[i][j], out)
 		}
 		results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Err: err, Elapsed: time.Since(start)}
 		resolve(i, []int{j})

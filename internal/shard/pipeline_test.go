@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,15 +105,14 @@ func counter(t *testing.T, name string) uint64 {
 }
 
 // TestReplayRunBypassesEngine: a 100%-replay campaign resolves every
-// outcome at prepare — the engine runs no task and looks nothing up,
-// and no target boots.
+// outcome at prepare — the engine runs no task and no target boots.
 func TestReplayRunBypassesEngine(t *testing.T) {
 	ws := allWorkloads(t)
 	_, locks := lockedStore(t, t.TempDir())
 	campaign(t, locks, ws, 2)
 
-	const tasks, hits, boots = "spex_engine_tasks_total", "spex_engine_cache_hits_total", "spex_sim_boots_total"
-	before := map[string]uint64{tasks: counter(t, tasks), hits: counter(t, hits), boots: counter(t, boots)}
+	const tasks, boots = "spex_engine_tasks_total", "spex_sim_boots_total"
+	before := map[string]uint64{tasks: counter(t, tasks), boots: counter(t, boots)}
 	runs := campaign(t, locks, ws, 2)
 	for name, n := range before {
 		if d := counter(t, name) - n; d != 0 {
@@ -218,6 +218,53 @@ func TestCancelledReplayStillSaves(t *testing.T) {
 		if len(snap.Outcomes) != len(ws[i].Ms) || !snap.SavedAt.After(start) {
 			t.Errorf("%s: snapshot holds %d of %d outcomes, saved at %v (run started %v)",
 				name, len(snap.Outcomes), len(ws[i].Ms), snap.SavedAt, start)
+		}
+	}
+}
+
+// TestConcurrentCampaignsShareWorkloads: CampaignAll never writes its
+// workloads, so two campaigns over one shared slice, into two stores,
+// run at once without a data race (-race) and save snapshots with
+// identical fingerprints.
+func TestConcurrentCampaignsShareWorkloads(t *testing.T) {
+	ws := allWorkloads(t)
+	var stores [2]*campaignstore.Store
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range stores {
+		var locks *campaignstore.LockSet
+		stores[k], locks = lockedStore(t, t.TempDir())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs, err := shard.CampaignAll(context.Background(), locks, ws, shard.Options{Workers: 2, Inject: inject.DefaultOptions()})
+			for _, run := range runs {
+				if err == nil && (run.Err != nil || !run.Status.Saved) {
+					err = fmt.Errorf("%s: not saved: %v", run.Sys.Name(), run.Err)
+				}
+			}
+			errs[k] = err
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", k, err)
+		}
+	}
+	for _, w := range ws {
+		var fps [2]string
+		for k, store := range stores {
+			snap, err := store.Load(w.Sys.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fps[k], err = snap.Fingerprint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fps[0] != fps[1] {
+			t.Errorf("%s: fingerprints differ between the two campaigns: %s vs %s", w.Sys.Name(), fps[0], fps[1])
 		}
 	}
 }

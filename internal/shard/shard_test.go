@@ -438,6 +438,68 @@ func TestShardRefreshPreservesPeerOutcomes(t *testing.T) {
 	}
 }
 
+// TestShardRefreshKeepsCarriedStamps: a shard refresh stamps its own
+// partition's outcomes at save time and carries its peers' outcomes
+// (Workload.Keep) with their stored stamps, so a carried copy never
+// looks fresher than the owner's last retest at merge time.
+func TestShardRefreshKeepsCarriedStamps(t *testing.T) {
+	sys := ldapd.New()
+	w := workloadFor(t, sys)
+	ctx := context.Background()
+	opts := Options{Workers: 4, Inject: inject.DefaultOptions()}
+	store, err := campaignstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lockedCampaign(t, ctx, store, []Workload{w}, opts); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	for k := range snap.Stamps {
+		snap.Stamps[k] = t0
+	}
+	if err := saveLocked(t, store, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	plan := Plan{Shard: 1, Of: 2}
+	keep := make(map[string]bool, len(w.Ms))
+	for _, m := range w.Ms {
+		keep[inject.CacheKey(m)] = true
+	}
+	sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Filter(sys.Name(), w.Ms), Keep: keep}
+	if _, err := lockedCampaign(t, ctx, store, []Workload{sw}, opts); err != nil {
+		t.Fatal(err)
+	}
+	own := make(map[string]bool, len(sw.Ms))
+	for _, m := range sw.Ms {
+		own[inject.CacheKey(m)] = true
+	}
+	if len(own) == 0 || len(own) == len(keep) {
+		t.Fatalf("shard 1 owns %d of %d keys, want a proper subset", len(own), len(keep))
+	}
+	snap, err = store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Outcomes) != len(keep) {
+		t.Fatalf("refreshed snapshot holds %d outcomes, want %d", len(snap.Outcomes), len(keep))
+	}
+	for k := range snap.Outcomes {
+		want := t0
+		if own[k] {
+			want = snap.SavedAt
+		}
+		if got := snap.Stamps[k]; !got.Equal(want) {
+			t.Fatalf("key %q (own=%v) stamped %v, want %v", k, own[k], got, want)
+		}
+	}
+}
+
 // Synthetic snapshot fixtures for the merge validation tests.
 
 func synthSet(params ...string) *constraint.Set {
