@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§4), plus ablations for the design decisions DESIGN.md calls out: the
-// MAY-belief confidence threshold, the value-relationship hop budget, and
-// the injection-campaign optimizations.
+// (§4), plus ablations of three design decisions: the MAY-belief
+// confidence threshold, the value-relationship hop budget, and the
+// injection-campaign optimizations.
 package spex_test
 
 import (
@@ -155,32 +155,33 @@ func BenchmarkTable5Campaign(b *testing.B) {
 }
 
 // BenchmarkCampaignParallel runs the Table 5 workload (mydb's full
-// injection campaign) through the engine worker pool at several widths,
-// tracking the concurrent campaign engine's speedup in the perf
-// trajectory. SimCostDelay gives the campaign the paper's cost shape —
-// booting the target once per misconfiguration dominates (§3.1), which
-// the hermetic simulation otherwise collapses to microseconds — so the
-// scheduler's overlap is what the benchmark measures. Outcomes are
-// order-deterministic, so every width produces the identical report.
+// injection campaign) through the campaign scheduler (shard.CampaignAll)
+// at several pool widths, tracking the concurrent campaign engine's
+// speedup in the perf trajectory. SimCostDelay gives the campaign the
+// paper's cost shape — booting the target once per misconfiguration
+// dominates (§3.1), which the hermetic simulation otherwise collapses to
+// microseconds — so the scheduler's overlap is what the benchmark
+// measures. Outcomes are order-deterministic, so every width produces
+// the identical report.
 func BenchmarkCampaignParallel(b *testing.B) {
 	res := inferred(b, "mydb")
 	sys := mydb.New()
 	tmpl, _ := conffile.Parse(sys.DefaultConfig(), conffile.SyntaxEquals)
-	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
+	ws := []shard.Workload{{Sys: sys, Set: res.Set, Ms: confgen.NewRegistry().Generate(res.Set, tmpl)}}
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := inject.DefaultOptions()
-			opts.Workers = workers
 			opts.SimCostDelay = 200 * time.Microsecond
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := inject.Run(sys, ms, opts)
+				runs, err := shard.CampaignAll(context.Background(), nil, ws,
+					shard.Options{Workers: workers, Inject: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(rep.Vulnerabilities()) == 0 {
+				if len(runs[0].Report.Vulnerabilities()) == 0 {
 					b.Fatal("campaign exposed nothing")
 				}
 			}
@@ -221,14 +222,15 @@ func BenchmarkGlobalScheduler(b *testing.B) {
 	b.Run("per-target", func(b *testing.B) {
 		opts := inject.DefaultOptions()
 		opts.SimCostDelay = delay
-		opts.Workers = 1
 		cost := 0
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			results, _ := engine.Run(context.Background(), len(ws),
+			results, _ := engine.Run(context.Background(), len(ws), workers,
 				func(ctx context.Context, j int) (*inject.Report, error) {
-					return inject.RunContext(ctx, ws[j].Sys, ws[j].Ms, opts)
-				}, engine.Options[*inject.Report]{Workers: workers})
+					runs, err := shard.CampaignAll(ctx, nil, ws[j:j+1],
+						shard.Options{Workers: 1, Inject: opts})
+					return runs[0].Report, err
+				})
 			if err := engine.FirstError(results); err != nil {
 				b.Fatal(err)
 			}

@@ -46,11 +46,12 @@
 // # Coordinated campaigns with work stealing
 //
 // With -coordinate N the process becomes a shard coordinator
-// (internal/coord): it launches N local child spexinj workers, assigns
-// each the same i/N hash partition a static -shard run would compute
-// (persisted as lease files under <state>/coord/), watches per-worker
-// heartbeat files, and rebalances by stealing — when a worker drains
-// while another still has more than -steal-min pending
+// (internal/coord): it holds the state root's writer lock for its
+// systems until the merge is done, launches N local child spexinj
+// workers, assigns each the same i/N hash partition a static -shard run
+// would compute (persisted as lease files under <state>/coord/),
+// watches per-worker heartbeat files, and rebalances by stealing — when
+// a worker drains while another still has more than -steal-min pending
 // misconfigurations, a deterministic suffix of the laggard's remaining
 // lease moves to the idle worker, which is relaunched on it. The
 // laggard observes its shrunken lease between outcomes and yields the
@@ -64,9 +65,11 @@
 //
 // Worker processes are spexinj itself in lease mode (-lease <file>,
 // normally set by the coordinator): they execute exactly their lease's
-// keys, heartbeat progress, and watch for steals. A worker process
-// that dies on an error (a crashed child, a lost connection) is
-// respawned on its unchanged lease up to -worker-retries times
+// keys, heartbeat progress, and watch for steals. Every mode — plain,
+// -shard, -coordinate and -lease — infers the targets and builds the
+// campaign's workloads once, before it starts. A worker process that
+// dies on an error (a crashed child, a lost connection) is respawned
+// on its unchanged lease up to -worker-retries times
 // (default 1) before the campaign aborts; the respawned worker replays
 // its persisted outcomes and re-executes only what never saved.
 //
@@ -209,18 +212,38 @@ func run() int {
 		}
 	}
 
+	if *coordinate != 0 && *coordinate < 2 {
+		fmt.Fprintln(os.Stderr, "spexinj: -coordinate needs at least 2 workers (a single shard has nobody to steal from)")
+		return 2
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *coordinate != 0 {
-		if *coordinate < 2 {
-			fmt.Fprintln(os.Stderr, "spexinj: -coordinate needs at least 2 workers (a single shard has nobody to steal from)")
-			return 2
+	// Every mode runs on one inference: it fans out on the engine pool,
+	// and the workloads it yields (restricted to the shard under a
+	// -shard plan) feed the campaign, the coordinator's plan, or the
+	// worker's lease.
+	results, err := spex.InferAll(ctx, systems, *workers)
+	if err != nil {
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintf(os.Stderr, "spexinj: cancelled: %v\n", err)
+			return 130
 		}
+		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
+		return 1
+	}
+	ws, totals, err := shard.BuildWorkloads(systems, results, plan)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
+		return 1
+	}
+
+	if *coordinate != 0 {
 		if *progress {
 			fmt.Fprintln(os.Stderr, "spexinj: -progress is ignored under -coordinate (lifecycle events stream to stderr; per-worker output is in <state>/coord/worker<i>.log)")
 		}
-		return runCoordinator(ctx, systems, opts, coordArgs{
+		return runCoordinator(ctx, ws, opts, coordArgs{
 			state: *state, workers: *coordinate, pool: *workers,
 			stealMin: *stealMin, retries: *retries, spawn: *spawnTmpl,
 			all: *all, system: *system,
@@ -229,7 +252,7 @@ func run() int {
 		})
 	}
 	if *leaseFlag != "" {
-		return runWorker(ctx, *leaseFlag, *state, systems, opts, *workers)
+		return runWorker(ctx, *leaseFlag, *state, ws, opts, *workers)
 	}
 
 	var lock *campaignstore.Lock
@@ -259,24 +282,7 @@ func run() int {
 		locks = lock.Set()
 	}
 
-	// Inference fans out on the engine pool, then every system's
-	// misconfigurations (shard-filtered under a -shard plan) interleave
-	// on one global pool.
-	results, err := spex.InferAll(ctx, systems, *workers)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "spexinj: cancelled: %v\n", err)
-			return 130
-		}
-		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
-		return 1
-	}
-	ws, totals, err := shard.BuildWorkloads(systems, results, plan)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
-		return 1
-	}
-
+	// Every system's misconfigurations interleave on one global pool.
 	gopts := shard.Options{Workers: *workers, Inject: opts}
 	var finishProgress func()
 	if *progress {
@@ -380,15 +386,30 @@ type coordArgs struct {
 	max      int
 }
 
-// runCoordinator is `spexinj -coordinate N`: launch N child spexinj
-// workers in lease mode over the shared state directory, rebalance by
-// stealing, merge, and print the canonical store's per-system stats.
-func runCoordinator(ctx context.Context, systems []sim.System, opts inject.Options, a coordArgs) int {
+// runCoordinator is `spexinj -coordinate N`: hold the state root's
+// writer lock for ws's systems, launch N child spexinj workers in lease
+// mode over the shared state directory, rebalance by stealing, merge,
+// and print the canonical store's per-system stats.
+func runCoordinator(ctx context.Context, ws []shard.Workload, opts inject.Options, a coordArgs) int {
 	clog := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "coordinator")
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
 		return 1
+	}
+	root, err := campaignstore.Open(a.state)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
+		return 1
+	}
+	lock, err := root.Lock()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spexinj: %v\n", err)
+		return 1
+	}
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Sys.Name()
 	}
 	argvFor := func(worker int) []string {
 		argv := []string{exe, "-lease", "{lease}", "-state", "{state}", "-workers", fmt.Sprint(a.pool)}
@@ -413,11 +434,11 @@ func runCoordinator(ctx context.Context, systems []sim.System, opts inject.Optio
 	cfg := coord.Config{
 		StateDir:      a.state,
 		Workers:       a.workers,
-		Systems:       systems,
+		Workloads:     ws,
 		Inject:        opts,
-		PoolWorkers:   a.pool,
 		StealMin:      a.stealMin,
 		WorkerRetries: a.retries,
+		Locks:         lock.Set(names...),
 		Spawn: func(ctx context.Context, spec coord.WorkerSpec) (coord.Handle, error) {
 			if len(tmpl) > 0 {
 				return coord.ExecSpawner(tmpl)(ctx, spec)
@@ -459,6 +480,13 @@ func runCoordinator(ctx context.Context, systems []sim.System, opts inject.Optio
 		},
 	}
 	res, err := coord.Run(ctx, cfg)
+	// A failed release is a real error, not cleanup noise: if the lock
+	// file could not be removed (and was not taken over), the next
+	// campaign against this root refuses to start until the staleness
+	// window expires.
+	if uerr := lock.Unlock(); uerr != nil && err == nil {
+		err = fmt.Errorf("releasing the state root lock: %w", uerr)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "spexinj: coordinator cancelled (leases and shard snapshots kept; rerun to resume): %v\n", err)
@@ -526,8 +554,8 @@ func printMergedReports(stateDir string, max int) error {
 // runWorker is `spexinj -lease <file>`: the coordinator's child
 // process, executing exactly the leased key set against its private
 // shard store and heartbeating progress.
-func runWorker(ctx context.Context, leasePath, stateDir string, systems []sim.System, opts inject.Options, pool int) int {
-	res, err := coord.RunWorker(ctx, leasePath, stateDir, systems, coord.WorkerOptions{
+func runWorker(ctx context.Context, leasePath, stateDir string, ws []shard.Workload, opts inject.Options, pool int) int {
+	res, err := coord.RunWorker(ctx, leasePath, stateDir, ws, coord.WorkerOptions{
 		Workers: pool, Inject: opts,
 	})
 	cancelled := err != nil && errors.Is(err, context.Canceled)

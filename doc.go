@@ -26,9 +26,10 @@
 // bounded worker pool with two properties the layers above rely on:
 //
 //   - Determinism. Tasks are indexed and results reassemble in input
-//     order, so a parallel injection campaign (inject.Options.Workers)
-//     or a parallel seven-target evaluation (report.AnalyzeAllContext,
-//     spex.InferAll) produces reports identical to a sequential run.
+//     order, so a parallel injection campaign (shard.CampaignAll at any
+//     pool width) or a parallel seven-target evaluation
+//     (report.AnalyzeAllContext, spex.InferAll) produces reports
+//     identical to a sequential run.
 //     testdata/golden pins every table and figure byte for byte, and
 //     report's TestGoldenOutput checks each execution mode against it.
 //   - Cancellation. Every layer threads a context.Context down to
@@ -156,20 +157,23 @@
 // for: `spexinj -coordinate N -state dir` runs a coordinator whose
 // lifecycle is plan → lease → steal → merge.
 //
-//   - Plan. The coordinator computes the same deterministic workload
-//     every shard process would and assigns each misconfiguration its
-//     i/N hash owner (shard.Owner) — a coordinated campaign starts
-//     from exactly the static partition. The assignment is persisted
-//     as lease files, <state>/coord/worker<i>.lease.json: owner,
-//     generation counter, and the explicit key list in execution
-//     order (the workload's round-robin interleave).
+//   - Plan. The coordinator takes the full workload from its caller —
+//     the same deterministic inference every shard process runs, done
+//     once by spexinj before it picks a mode, or once per daemon — and
+//     assigns each misconfiguration its i/N hash owner (shard.Owner),
+//     so a coordinated campaign starts from exactly the static
+//     partition. The assignment is persisted as lease files,
+//     <state>/coord/worker<i>.lease.json: owner, generation counter,
+//     and the explicit key list in execution order (the workload's
+//     round-robin interleave).
 //
 //   - Lease. N child spexinj processes launch in worker mode
 //     (`spexinj -lease <file> -state <state>/shard<i>`), each
-//     compiling its lease into an explicit key-set plan
-//     (shard.Plan.Keys — the Plan extension beyond i/N hashing),
-//     executing it on the global scheduler against its private shard
-//     store, and writing heartbeat files
+//     restricting its workload to its lease through an explicit
+//     key-set plan (shard.Plan.Keys — the Plan extension beyond i/N
+//     hashing — applied by Plan.Apply, the same code a -shard run's
+//     BuildWorkloads uses), executing it on the global scheduler
+//     against its private shard store, and writing heartbeat files
 //     (worker<i>.heartbeat.json: lease generation, pid, and the keys
 //     whose outcomes are recorded). Child processes are launched
 //     through a pluggable command template (coord.ExecSpawner expands
@@ -207,9 +211,10 @@
 // remainder — zero duplicated fresh sim cost; any mismatch re-plans
 // from scratch. Every state directory is guarded by an exclusive
 // writer lock (campaignstore.Store.Lock, an O_EXCL lock file with
-// stale-lock takeover): the coordinator locks the root, each worker
-// its shard directory, and a stray concurrent `spexinj -state` run
-// fails fast instead of silently racing snapshot saves.
+// stale-lock takeover): coord.Run's caller holds the root's lock
+// (spexinj -coordinate for the run, spexd for its lifetime), each
+// worker locks its shard directory, and a stray concurrent `spexinj
+// -state` run fails fast instead of silently racing snapshot saves.
 //
 // Worker processes that die on an error are respawned on their
 // unchanged lease up to a bounded retry budget
@@ -230,10 +235,11 @@
 // lifetime. The held Lock mints the only write capability, a LockSet:
 // Save and NewStreamWriter live on the set, so writing without the
 // lock does not compile. Lock.Set() covers every system, which is what
-// the CLIs and shard.Merge under spexmerge use; Lock.Set(systems...)
-// covers exactly those, which is what a daemon job and coord.Run use,
-// and a write outside that scope fails loudly — shard.Merge folds only
-// the systems its set covers, so shard directories left by an earlier
+// the plain and -shard CLI runs, coordinator workers and shard.Merge
+// under spexmerge use; Lock.Set(systems...) covers exactly those, which
+// is what a daemon job and spexinj -coordinate hand coord.Run, and a
+// write outside that scope fails loudly — shard.Merge folds only the
+// systems its set covers, so shard directories left by an earlier
 // campaign never leak into the root.
 //
 // # Campaign service daemon
@@ -260,31 +266,32 @@
 // serialize on that system, with stores byte-identical to a serial
 // run. A spec's `needs: [jobID...]` adds explicit edges (a failed or
 // cancelled dependency fails the dependent). Every job runs one
-// pipeline on its one pool, infer → inject → eval: its own copies of
-// the workloads the daemon inferred once at start (server.New), then
-// one shard.CampaignAll (coord.Run, which infers for itself, for a
-// coordinate job), then the outcome indexes — so `workers` bounds every
-// job. A plain job is
-// [infer, inject]; `stages: ["infer", "inject", "eval"]` names the
-// stages to run and publishes each system's transitions as "stage"
-// events. Stages are events, not barriers: a system's inject and eval
-// finish at its completion event, which the campaign delivers after
-// saving that system, so a fast system evaluates while a slow one is
-// still injecting. Jobs are journaled durably under <ns>/jobs/: a
-// restarted daemon lists finished jobs, adopts interrupted running
-// jobs as failed (the snapshots hold every finished outcome — resubmit
-// to resume), and re-queues jobs that never started; a journal document
+// pipeline on its one pool, infer → inject → eval: the workloads the
+// daemon inferred once at start (server.New), shared read-only by every
+// job, then one shard.CampaignAll over them (coord.Run over the same
+// workloads for a coordinate job, whose in-process workers restrict
+// them to their leases), then the outcome indexes — so no job infers
+// and `workers` bounds every job. A plain job is [infer, inject];
+// `stages: ["infer", "inject", "eval"]` names the stages to run and
+// publishes each system's transitions as "stage" events. Stages are
+// events, not barriers: a system's inject and eval finish at its
+// completion event, which the campaign delivers after saving that
+// system, so a fast system evaluates while a slow one is still
+// injecting. Jobs are journaled durably under <ns>/jobs/: a restarted
+// daemon lists finished jobs, adopts interrupted running jobs as
+// failed (the snapshots hold every finished outcome — resubmit to
+// resume), and re-queues jobs that never started; a journal document
 // counts only under its own file name (<id>.json).
 //
-// Progress flows through one pipeline end to end: the global scheduler
-// emits shard.Progress events (typed like the single-system
-// inject.Progress) to one OnProgress callback. The CLIs hand it to the
-// renderer (internal/progressui: per-system TTY bars, throttled
-// one-line aggregate in logs); coordinator workers fold it into their
-// heartbeats; the daemon folds it into the job's trace and, throttled,
-// onto its event bus (internal/dash, below), which is the daemon's
-// only fan-out: every event stream it serves, per-job ones included,
-// is a filtered subscription to that bus.
+// Progress flows through one pipeline end to end: the global
+// scheduler emits shard.Progress events to one OnProgress callback.
+// The CLIs hand it to the renderer (internal/progressui: per-system
+// TTY bars, throttled one-line aggregate in logs); coordinator
+// workers fold it into their heartbeats; the daemon folds it into the
+// job's trace and, throttled, onto its event bus (internal/dash,
+// below), which is the daemon's only fan-out: every event stream it
+// serves, per-job ones included, is a filtered subscription to that
+// bus.
 //
 // Reads are served lock-free from the store's outcome indexes, even
 // while a job is writing: GET /v1/systems/{name}/outcomes pages through

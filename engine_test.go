@@ -35,37 +35,47 @@ func campaignFor(t testing.TB, sys sim.System) []confgen.Misconf {
 }
 
 // TestParallelCampaignMatchesSequential drives the Table 5 campaign for
-// every target both sequentially and with 4 workers and requires the
-// reports to match outcome-for-outcome. Run under -race this doubles as
-// the engine's full-campaign race test: every boot, functional test,
+// every target through the campaign scheduler (shard.CampaignAll) on a
+// one-wide and a four-wide pool and requires both reports to match the
+// reference run (inject.Run) outcome-for-outcome. Run under -race this
+// doubles as the full-campaign race test: every boot, functional test,
 // and substrate operation of all seven targets executes concurrently.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
 	for _, sys := range targets.All() {
 		sys := sys
 		t.Run(sys.Name(), func(t *testing.T) {
 			t.Parallel() // cross-target concurrency on top of intra-campaign workers
-			ms := campaignFor(t, sys)
-			seq, err := inject.Run(sys, ms, inject.DefaultOptions())
+			res, err := spex.InferSystem(sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := inject.DefaultOptions()
-			opts.Workers = 4
-			par, err := inject.Run(sys, ms, opts)
+			ws, _, err := shard.BuildWorkloads([]sim.System{sys}, []*spex.Result{res}, shard.Plan{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(par.Outcomes) != len(seq.Outcomes) {
-				t.Fatalf("parallel report has %d outcomes, sequential %d", len(par.Outcomes), len(seq.Outcomes))
+			ref, err := inject.Run(sys, ws[0].Ms, inject.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range seq.Outcomes {
-				if !reflect.DeepEqual(par.Outcomes[i], seq.Outcomes[i]) {
-					t.Errorf("outcome %d (%s) differs:\nparallel  : %+v\nsequential: %+v",
-						i, seq.Outcomes[i].Misconf.ID, par.Outcomes[i], seq.Outcomes[i])
+			for _, workers := range []int{1, 4} {
+				runs, err := shard.CampaignAll(context.Background(), nil, ws,
+					shard.Options{Workers: workers, Inject: inject.DefaultOptions()})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if par.TotalSimCost != seq.TotalSimCost {
-				t.Errorf("sim cost: parallel %d, sequential %d", par.TotalSimCost, seq.TotalSimCost)
+				got := runs[0].Report
+				if len(got.Outcomes) != len(ref.Outcomes) {
+					t.Fatalf("workers=%d: report has %d outcomes, reference %d", workers, len(got.Outcomes), len(ref.Outcomes))
+				}
+				for i := range ref.Outcomes {
+					if !reflect.DeepEqual(got.Outcomes[i], ref.Outcomes[i]) {
+						t.Errorf("workers=%d: outcome %d (%s) differs:\nscheduled: %+v\nreference: %+v",
+							workers, i, ref.Outcomes[i].Misconf.ID, got.Outcomes[i], ref.Outcomes[i])
+					}
+				}
+				if got.TotalSimCost != ref.TotalSimCost {
+					t.Errorf("workers=%d: sim cost %d, reference %d", workers, got.TotalSimCost, ref.TotalSimCost)
+				}
 			}
 		})
 	}
@@ -86,11 +96,18 @@ func TestAnalyzeAllParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Table5(seq) != report.Table5(par) {
-		t.Error("Table 5 differs between sequential and parallel analysis")
-	}
-	if report.Table11(seq) != report.Table11(par) {
-		t.Error("Table 11 differs between sequential and parallel analysis")
+	for _, n := range []int{5, 11} {
+		a, err := report.RenderTableText(n, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := report.RenderTableText(n, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("Table %d differs between sequential and parallel analysis", n)
+		}
 	}
 	for i := range seq {
 		if !reflect.DeepEqual(seq[i].Campaign.Outcomes, par[i].Campaign.Outcomes) {

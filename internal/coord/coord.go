@@ -14,8 +14,6 @@ import (
 	"spex/internal/campaignstore"
 	"spex/internal/inject"
 	"spex/internal/shard"
-	"spex/internal/sim"
-	"spex/internal/spex"
 )
 
 // DefaultStealMin is the K of the rebalance rule: a laggard is only
@@ -87,13 +85,13 @@ type Config struct {
 	StateDir string
 	// Workers is the number of shard worker slots.
 	Workers int
-	// Systems are the campaign targets.
-	Systems []sim.System
+	// Workloads are the full campaign, as shard.BuildWorkloads built it
+	// under the zero plan. The coordinator plans its leases over their
+	// replay keys; an in-process spawner hands the same slice to
+	// RunWorker, which restricts it to each lease. Nothing writes it.
+	Workloads []shard.Workload
 	// Inject holds the campaign options shared by every worker.
 	Inject inject.Options
-	// PoolWorkers bounds each worker's internal engine pool (0 = one
-	// per CPU) and the coordinator's own inference fan-out.
-	PoolWorkers int
 	// StealMin is the rebalance threshold K: an idle worker steals only
 	// from a laggard with more than K pending keys. Zero therefore
 	// means "steal any non-empty backlog"; negative disables stealing
@@ -111,15 +109,13 @@ type Config struct {
 	// store and re-executes only what never saved, so a retry costs one
 	// spawn, not a repeated partition.
 	WorkerRetries int
-	// Locks, when non-nil, is the state root's write capability, minted
-	// from a lock the caller already holds and scoped to Systems — the
-	// daemon (internal/server) holds its namespace lock for its whole
-	// lifetime and hands each coordinate job the set for the job's
-	// systems. The final merge folds exactly the systems the set
+	// Locks is the state root's write capability (required), minted
+	// from the writer lock the caller holds and scoped to the campaign's
+	// systems: spexinj -coordinate locks the root for the run, and the
+	// daemon (internal/server) hands each coordinate job the set for the
+	// job's systems. The final merge folds exactly the systems the set
 	// covers, so shard snapshots an earlier campaign left behind never
-	// reach the root. Nil makes Run acquire (and release) the root's
-	// writer lock itself, scoped the same way. Workers still lock their
-	// own shard directories either way.
+	// reach the root. Workers lock their own shard directories.
 	Locks *campaignstore.LockSet
 	// Spawn launches workers (required).
 	Spawn SpawnFunc
@@ -148,13 +144,14 @@ type Result struct {
 // Run coordinates one distributed campaign end to end: plan (or resume)
 // the leases, spawn the workers, watch heartbeats and rebalance by
 // stealing, and merge the shard stores into the canonical store at the
-// state root. See the package comment for the protocol.
-func Run(ctx context.Context, cfg Config) (res *Result, err error) {
+// state root through cfg.Locks. See the package comment for the
+// protocol.
+func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("coord: %d workers (want at least 1)", cfg.Workers)
 	}
-	if cfg.StateDir == "" || cfg.Spawn == nil || len(cfg.Systems) == 0 {
-		return nil, errors.New("coord: StateDir, Spawn and Systems are required")
+	if cfg.StateDir == "" || cfg.Spawn == nil || cfg.Locks == nil || len(cfg.Workloads) == 0 {
+		return nil, errors.New("coord: StateDir, Spawn, Locks and Workloads are required")
 	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
@@ -163,32 +160,6 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 		if cfg.OnEvent != nil {
 			cfg.OnEvent(e)
 		}
-	}
-
-	locks := cfg.Locks
-	if locks == nil {
-		root, openErr := campaignstore.Open(cfg.StateDir)
-		if openErr != nil {
-			return nil, openErr
-		}
-		owned, openErr := root.Lock()
-		if openErr != nil {
-			return nil, openErr
-		}
-		names := make([]string, len(cfg.Systems))
-		for i, sys := range cfg.Systems {
-			names[i] = sys.Name()
-		}
-		locks = owned.Set(names...)
-		// A failed release is a real error, not cleanup noise: if the
-		// lock file could not be removed (and was not taken over), the
-		// next campaign against this root will refuse to start until the
-		// staleness window expires, so the caller must hear about it.
-		defer func() {
-			if uerr := owned.Unlock(); uerr != nil && err == nil {
-				res, err = nil, fmt.Errorf("coord: releasing the state root lock: %w", uerr)
-			}
-		}()
 	}
 	coordDir := filepath.Join(cfg.StateDir, CoordDirName)
 	if err := os.MkdirAll(coordDir, 0o755); err != nil {
@@ -199,26 +170,21 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 	// the execution order leases inherit, which is what makes "steal a
 	// suffix of the remaining keys" collide least with the laggard's
 	// in-flight front.
-	results, err := spex.InferAll(ctx, cfg.Systems, cfg.PoolWorkers)
-	if err != nil {
-		return nil, err
-	}
-	ws, _, err := shard.BuildWorkloads(cfg.Systems, results, shard.Plan{})
-	if err != nil {
-		return nil, err
-	}
+	ws := cfg.Workloads
+	keys := make([][]string, len(ws))
 	sizes := make([]int, len(ws))
-	for i, w := range ws {
-		sizes[i] = len(w.Ms)
+	for i := range ws {
+		keys[i] = ws[i].ReplayKeys()
+		sizes[i] = len(keys[i])
 	}
 	order := shard.Interleave(sizes)
 	allKeys := make([]KeyRef, len(order))
 	owners := make([]int, len(order)) // 0-based initial hash assignment
 	for i, t := range order {
-		m := ws[t.Target].Ms[t.Index]
 		sys := ws[t.Target].Sys.Name()
-		allKeys[i] = KeyRef{System: sys, Key: inject.CacheKey(m)}
-		owners[i] = shard.Owner(sys, m, cfg.Workers)
+		key := keys[t.Target][t.Index]
+		allKeys[i] = KeyRef{System: sys, Key: key}
+		owners[i] = shard.Owner(sys, key, cfg.Workers)
 	}
 
 	man := &manifest{
@@ -255,7 +221,7 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 	for i := range states {
 		states[i] = &workerState{lease: leases[i]}
 	}
-	res = &Result{Resumed: resumed}
+	res := &Result{Resumed: resumed}
 	running := 0
 	spawn := func(i int) error {
 		// A select with a ready ctx.Done case can still pick another
@@ -485,14 +451,14 @@ func Run(ctx context.Context, cfg Config) (res *Result, err error) {
 		if err != nil {
 			continue
 		}
-		if systems, err := store.List(); err == nil && slices.ContainsFunc(systems, locks.Covers) {
+		if systems, err := store.List(); err == nil && slices.ContainsFunc(systems, cfg.Locks.Covers) {
 			dirs = append(dirs, dir)
 		}
 	}
 	if len(dirs) == 0 {
 		return nil, errors.New("coord: no worker produced a shard snapshot")
 	}
-	stats, err := shard.Merge(locks, dirs)
+	stats, err := shard.Merge(cfg.Locks, dirs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
-	"spex/internal/conffile"
-	"spex/internal/confgen"
 	"spex/internal/inject"
 	"spex/internal/shard"
 	"spex/internal/sim"
@@ -49,7 +47,7 @@ func (s *resultSink) executed() int {
 // inprocSpawner runs workers as goroutines calling RunWorker — the
 // test and benchmark backend. tune customizes one worker's options
 // (e.g. a per-worker SimCostDelay modeling a slow machine).
-func inprocSpawner(systems []sim.System, base WorkerOptions, tune func(worker int, o *WorkerOptions), sink *resultSink) SpawnFunc {
+func inprocSpawner(ws []shard.Workload, base WorkerOptions, tune func(worker int, o *WorkerOptions), sink *resultSink) SpawnFunc {
 	return func(ctx context.Context, spec WorkerSpec) (Handle, error) {
 		o := base
 		if tune != nil {
@@ -58,7 +56,7 @@ func inprocSpawner(systems []sim.System, base WorkerOptions, tune func(worker in
 		wctx, cancel := context.WithCancel(ctx)
 		done := make(chan error, 1)
 		go func() {
-			res, err := RunWorker(wctx, spec.LeasePath, spec.StateDir, systems, o)
+			res, err := RunWorker(wctx, spec.LeasePath, spec.StateDir, ws, o)
 			if sink != nil && res != nil {
 				sink.add(res)
 			}
@@ -76,19 +74,19 @@ type inprocHandle struct {
 func (h *inprocHandle) Wait() error { return <-h.done }
 func (h *inprocHandle) Interrupt()  { h.cancel() }
 
-// campaignOf infers a system and generates its full misconfiguration
-// list — the coordinator's and the baselines' shared input.
+// campaignOf infers a system and builds its full workload — the
+// coordinator's and the baselines' shared input.
 func campaignOf(t testing.TB, sys sim.System) shard.Workload {
 	t.Helper()
 	res, err := spex.InferSystem(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+	ws, _, err := shard.BuildWorkloads([]sim.System{sys}, []*spex.Result{res}, shard.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return shard.Workload{Sys: sys, Set: res.Set, Ms: confgen.NewRegistry().Generate(res.Set, tmpl)}
+	return ws[0]
 }
 
 // unshardedFingerprint runs the plain store-backed campaign and returns
@@ -121,17 +119,42 @@ func unshardedFingerprint(t testing.TB, w shard.Workload) string {
 	return fp
 }
 
-func testConfig(stateDir string, systems []sim.System, spawn SpawnFunc) Config {
+func testConfig(stateDir string, ws []shard.Workload, spawn SpawnFunc) Config {
 	return Config{
-		StateDir:    stateDir,
-		Workers:     2,
-		Systems:     systems,
-		Inject:      inject.DefaultOptions(),
-		PoolWorkers: 2,
-		StealMin:    2,
-		Poll:        10 * time.Millisecond,
-		Spawn:       spawn,
+		StateDir:  stateDir,
+		Workers:   2,
+		Workloads: ws,
+		Inject:    inject.DefaultOptions(),
+		StealMin:  2,
+		Poll:      10 * time.Millisecond,
+		Spawn:     spawn,
 	}
+}
+
+// runLocked runs the coordinator under the state root's writer lock,
+// scoped to the campaign's systems — the lock every caller of Run
+// holds.
+func runLocked(t testing.TB, ctx context.Context, cfg Config) (*Result, error) {
+	t.Helper()
+	root, err := campaignstore.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := root.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := lk.Unlock(); err != nil {
+			t.Error(err)
+		}
+	}()
+	names := make([]string, len(cfg.Workloads))
+	for i, w := range cfg.Workloads {
+		names[i] = w.Sys.Name()
+	}
+	cfg.Locks = lk.Set(names...)
+	return Run(ctx, cfg)
 }
 
 // TestCoordinatorMatchesUnsharded is the acceptance criterion's first
@@ -144,9 +167,9 @@ func TestCoordinatorMatchesUnsharded(t *testing.T) {
 	want := unshardedFingerprint(t, w)
 
 	stateDir := t.TempDir()
-	systems := []sim.System{sys}
-	cfg := testConfig(stateDir, systems, inprocSpawner(systems, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil))
-	res, err := Run(context.Background(), cfg)
+	ws := []shard.Workload{w}
+	cfg := testConfig(stateDir, ws, inprocSpawner(ws, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil))
+	res, err := runLocked(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +211,8 @@ func TestCoordinatorMergesOnlyItsSystems(t *testing.T) {
 	wopts := WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}
 	coordinate := func(sys sim.System) *Result {
 		t.Helper()
-		systems := []sim.System{sys}
-		res, err := Run(ctx, testConfig(stateDir, systems, inprocSpawner(systems, wopts, nil, nil)))
+		ws := []shard.Workload{campaignOf(t, sys)}
+		res, err := runLocked(t, ctx, testConfig(stateDir, ws, inprocSpawner(ws, wopts, nil, nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +274,7 @@ func TestWorkStealingRebalances(t *testing.T) {
 	want := unshardedFingerprint(t, w)
 
 	stateDir := t.TempDir()
-	systems := []sim.System{sys}
+	ws := []shard.Workload{w}
 	base := WorkerOptions{Workers: 1, Inject: inject.DefaultOptions(), Poll: 5 * time.Millisecond}
 	tune := func(worker int, o *WorkerOptions) {
 		if worker == 1 {
@@ -262,14 +285,14 @@ func TestWorkStealingRebalances(t *testing.T) {
 	}
 	var events []Event
 	var mu sync.Mutex
-	cfg := testConfig(stateDir, systems, inprocSpawner(systems, base, tune, nil))
+	cfg := testConfig(stateDir, ws, inprocSpawner(ws, base, tune, nil))
 	cfg.Poll = 5 * time.Millisecond
 	cfg.OnEvent = func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
 	}
-	res, err := Run(context.Background(), cfg)
+	res, err := runLocked(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +331,7 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 	}
 
 	stateDir := t.TempDir()
-	systems := []sim.System{sys}
+	ws := []shard.Workload{w}
 	base := WorkerOptions{Workers: 1, Inject: inject.DefaultOptions(), Poll: 5 * time.Millisecond}
 	tune := func(worker int, o *WorkerOptions) {
 		if worker == 1 {
@@ -317,14 +340,14 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := testConfig(stateDir, systems, inprocSpawner(systems, base, tune, nil))
+	cfg := testConfig(stateDir, ws, inprocSpawner(ws, base, tune, nil))
 	cfg.Poll = 5 * time.Millisecond
 	cfg.OnEvent = func(e Event) {
 		if e.Kind == "steal" {
 			cancel() // SIGINT lands mid-steal
 		}
 	}
-	_, err := Run(ctx, cfg)
+	_, err := runLocked(t, ctx, cfg)
 	if err == nil {
 		t.Fatal("cancelled coordinator returned nil error (steal never fired?)")
 	}
@@ -390,9 +413,9 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 	// heartbeat-lagged key (safe under freshest-wins), which is a
 	// different phenomenon than resume duplication.
 	sink := &resultSink{}
-	cfg2 := testConfig(stateDir, systems, inprocSpawner(systems, base, nil, sink))
+	cfg2 := testConfig(stateDir, ws, inprocSpawner(ws, base, nil, sink))
 	cfg2.StealMin = -1
-	res, err := Run(context.Background(), cfg2)
+	res, err := runLocked(t, context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,23 +436,23 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 // a resume against incompatible leases.
 func TestCoordinatorReplanOnIdentityChange(t *testing.T) {
 	sys := ldapd.New()
-	systems := []sim.System{sys}
+	w := campaignOf(t, sys)
+	ws := []shard.Workload{w}
 	stateDir := t.TempDir()
 	opts := WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}
-	cfg := testConfig(stateDir, systems, inprocSpawner(systems, opts, nil, nil))
-	if _, err := Run(context.Background(), cfg); err != nil {
+	cfg := testConfig(stateDir, ws, inprocSpawner(ws, opts, nil, nil))
+	if _, err := runLocked(t, context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg3 := testConfig(stateDir, systems, inprocSpawner(systems, opts, nil, nil))
+	cfg3 := testConfig(stateDir, ws, inprocSpawner(ws, opts, nil, nil))
 	cfg3.Workers = 3
-	res, err := Run(context.Background(), cfg3)
+	res, err := runLocked(t, context.Background(), cfg3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Resumed {
 		t.Error("a 3-worker run resumed a 2-worker manifest")
 	}
-	w := campaignOf(t, sys)
 	if res.Stats[0].Fingerprint != unshardedFingerprint(t, w) {
 		t.Error("re-planned run diverged from the unsharded fingerprint")
 	}
@@ -443,8 +466,7 @@ func TestCoordinatorReplanOnIdentityChange(t *testing.T) {
 // "steal" enables it; everything else is identical, so the wall-clock
 // gap is the rebalance's win.
 func BenchmarkWorkStealing(b *testing.B) {
-	sys := mydb.New()
-	systems := []sim.System{sys}
+	ws := []shard.Workload{campaignOf(b, mydb.New())}
 	base := WorkerOptions{Workers: 1, Inject: inject.DefaultOptions(), Poll: 2 * time.Millisecond}
 	tune := func(worker int, o *WorkerOptions) {
 		if worker == 1 {
@@ -461,10 +483,10 @@ func BenchmarkWorkStealing(b *testing.B) {
 			steals := 0
 			for i := 0; i < b.N; i++ {
 				stateDir := b.TempDir()
-				cfg := testConfig(stateDir, systems, inprocSpawner(systems, base, tune, nil))
+				cfg := testConfig(stateDir, ws, inprocSpawner(ws, base, tune, nil))
 				cfg.StealMin = mode.stealMin
 				cfg.Poll = 2 * time.Millisecond
-				res, err := Run(context.Background(), cfg)
+				res, err := runLocked(b, context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -476,8 +498,8 @@ func BenchmarkWorkStealing(b *testing.B) {
 }
 
 // TestExecSpawnerTemplate checks the placeholder expansion contract the
-// CLI template relies on (the process itself is exercised by the CI
-// coordinator smoke).
+// CLI template relies on (real worker processes run in cmd/spexinj's
+// TestCoordinatorMatchesUnshardedRun).
 func TestExecSpawnerTemplate(t *testing.T) {
 	dir := t.TempDir()
 	spec := WorkerSpec{Worker: 3, LeasePath: "/l/worker3.lease.json", StateDir: "/s/shard3",
@@ -572,13 +594,13 @@ func TestWorkerRetryRespawnsFailedWorker(t *testing.T) {
 	want := unshardedFingerprint(t, w)
 
 	stateDir := t.TempDir()
-	systems := []sim.System{sys}
-	inner := inprocSpawner(systems, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil)
+	ws := []shard.Workload{w}
+	inner := inprocSpawner(ws, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil)
 	failer := &failOnceSpawner{inner: inner, worker: 1}
 
 	var mu sync.Mutex
 	var retries []Event
-	cfg := testConfig(stateDir, systems, failer.spawn)
+	cfg := testConfig(stateDir, ws, failer.spawn)
 	cfg.WorkerRetries = DefaultWorkerRetries
 	cfg.OnEvent = func(e Event) {
 		if e.Kind == "retry" {
@@ -587,7 +609,7 @@ func TestWorkerRetryRespawnsFailedWorker(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	res, err := Run(context.Background(), cfg)
+	res, err := runLocked(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,17 +627,15 @@ func TestWorkerRetryRespawnsFailedWorker(t *testing.T) {
 // TestWorkerRetryExhaustedAborts: with retries exhausted the campaign
 // must abort with the worker's error, not merge an incomplete store.
 func TestWorkerRetryExhaustedAborts(t *testing.T) {
-	sys := ldapd.New()
-	_ = campaignOf(t, sys) // warm the inference caches like the other tests
+	ws := []shard.Workload{campaignOf(t, ldapd.New())}
 
 	stateDir := t.TempDir()
-	systems := []sim.System{sys}
-	inner := inprocSpawner(systems, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil)
+	inner := inprocSpawner(ws, WorkerOptions{Workers: 2, Inject: inject.DefaultOptions(), Poll: 10 * time.Millisecond}, nil, nil)
 	failer := &failOnceSpawner{inner: inner, worker: 1}
 
-	cfg := testConfig(stateDir, systems, failer.spawn)
+	cfg := testConfig(stateDir, ws, failer.spawn)
 	cfg.WorkerRetries = 0 // library default: no retries
-	_, err := Run(context.Background(), cfg)
+	_, err := runLocked(t, context.Background(), cfg)
 	if err == nil {
 		t.Fatal("coordinator merged despite a dead worker and no retries")
 	}

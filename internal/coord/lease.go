@@ -7,21 +7,21 @@
 //
 // The lifecycle is plan → lease → steal → merge:
 //
-//   - Plan. The coordinator computes the full workload (the same
-//     deterministic inference every shard process would run) and
-//     assigns each misconfiguration to a worker by the same FNV-1a hash
-//     a static `spexinj -shard i/N` run uses (shard.Owner), so a
-//     coordinated campaign starts from exactly the coordinator-free
-//     partition.
+//   - Plan. The caller hands the coordinator the full workload
+//     (Config.Workloads, from the same deterministic inference every
+//     shard process runs) and the coordinator assigns each
+//     misconfiguration to a worker by the same FNV-1a hash a static
+//     `spexinj -shard i/N` run uses (shard.Owner), so a coordinated
+//     campaign starts from exactly the coordinator-free partition.
 //
 //   - Lease. Each worker's assignment is persisted as a lease file in
 //     the shared state directory (<state>/coord/worker<i>.lease.json):
 //     an owner, a generation counter, and the explicit key list, in
-//     execution order. Workers compile their lease into an explicit
-//     key-set plan (shard.KeySetPlan) and re-read the file between
-//     outcomes; progress streams back through heartbeat files
-//     (worker<i>.heartbeat.json) listing the keys whose outcomes are
-//     recorded.
+//     execution order. Workers restrict the full workload to their
+//     lease through an explicit key-set plan (shard.KeySetPlan, then
+//     Plan.Apply) and re-read the file between outcomes; progress
+//     streams back through heartbeat files (worker<i>.heartbeat.json)
+//     listing the keys whose outcomes are recorded.
 //
 //   - Steal. When a worker drains while another still has more than
 //     StealMin pending keys, the coordinator reassigns a deterministic
@@ -51,8 +51,9 @@
 // its own shard store and executes only what is missing, so nothing is
 // re-executed. A rerun whose identity differs re-plans from scratch.
 //
-// Locking reuses the campaignstore writer lock: the coordinator locks
-// the state root and every worker locks its own shard directory, so a
+// Locking reuses the campaignstore writer lock: the caller holds the
+// state root's lock and hands Run the write capability it mints
+// (Config.Locks), and every worker locks its own shard directory, so a
 // stray concurrent `spexinj -state` run fails fast instead of silently
 // racing snapshot saves.
 package coord

@@ -12,8 +12,6 @@ import (
 	"spex/internal/confgen"
 	"spex/internal/inject"
 	"spex/internal/shard"
-	"spex/internal/sim"
-	"spex/internal/spex"
 )
 
 // WorkerOptions tune one shard worker.
@@ -49,20 +47,24 @@ type WorkerResult struct {
 	Yielded int
 }
 
-// RunWorker executes one worker's lease: it compiles the lease into an
-// explicit key-set plan, runs the owned misconfigurations through the
+// RunWorker executes one worker's lease over ws, the full campaign as
+// shard.BuildWorkloads built it under the zero plan: it compiles the
+// lease into an explicit key-set plan, restricts ws to it
+// (shard.Plan.Apply), runs the owned misconfigurations through the
 // store-backed global scheduler (shard.CampaignAll) against the
 // worker's private shard store, streams per-outcome heartbeats, and
 // watches the lease file for steals — keys that disappear from the
-// lease are yielded (inject.ErrYielded) instead of executed.
+// lease are yielded (inject.ErrYielded) instead of executed. ws is
+// never modified, so in-process workers share one slice.
 //
 // This is the child side of `spexinj -lease <file> -state <shardDir>`;
-// the in-process test and benchmark spawner calls it directly. The
-// shard store is locked for the duration (campaignstore.Store.Lock).
+// in-process spawners (the daemon's coordinate jobs, tests) call it
+// directly. The shard store is locked for the duration
+// (campaignstore.Store.Lock).
 // On cancellation the finished outcomes are saved (the campaignstore
 // contract) and the context error is returned alongside the partial
 // result, so a resumed run replays them at zero cost.
-func RunWorker(ctx context.Context, leasePath, stateDir string, systems []sim.System, opts WorkerOptions) (res *WorkerResult, err error) {
+func RunWorker(ctx context.Context, leasePath, stateDir string, ws []shard.Workload, opts WorkerOptions) (res *WorkerResult, err error) {
 	if opts.Poll <= 0 {
 		opts.Poll = 200 * time.Millisecond
 	}
@@ -94,11 +96,6 @@ func RunWorker(ctx context.Context, leasePath, stateDir string, systems []sim.Sy
 		}
 	}()
 
-	results, err := spex.InferAll(ctx, systems, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-
 	// The live assignment: swapped whole by the lease watcher, consulted
 	// by the gate before every execution.
 	type assignment struct {
@@ -108,10 +105,7 @@ func RunWorker(ctx context.Context, leasePath, stateDir string, systems []sim.Sy
 	var owned atomic.Pointer[assignment]
 	owned.Store(&assignment{gen: lease.Generation, keys: keySet(lease.Keys)})
 
-	ws, _, err := shard.BuildWorkloads(systems, results, shard.KeySetPlan(owned.Load().keys))
-	if err != nil {
-		return nil, err
-	}
+	ws = shard.KeySetPlan(owned.Load().keys).Apply(ws)
 	total := 0
 	for _, w := range ws {
 		total += len(w.Ms)

@@ -42,58 +42,31 @@ type Result[T any] struct {
 	Skipped bool
 }
 
-// Options tune one Run.
-type Options[T any] struct {
-	// Workers bounds parallelism. The zero value picks a hardware-sized
-	// pool (DefaultWorkers); negative values run sequentially through a
-	// single worker, as does Workers == 1.
-	Workers int
-	// OnResult, if set, streams every result as it completes (completion
-	// order, not input order). Calls are serialized by the scheduler, so
-	// the callback needs no locking of its own.
-	OnResult func(Result[T])
-}
-
-// DefaultWorkers is the pool size used when Options.Workers is 0: one
-// worker per CPU.
+// DefaultWorkers is the pool size Run uses when workers is 0: one worker
+// per CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes n tasks through a bounded worker pool and returns their
-// results in input order. fn receives the run context and the task index.
+// Run executes n tasks through a pool of at most workers goroutines and
+// returns their results in input order. Zero workers picks a
+// hardware-sized pool (DefaultWorkers); one or a negative count runs the
+// tasks one at a time. fn receives the run context and the task index.
 // Run returns ctx.Err() if the context was cancelled before every task
 // finished; the result slice is still fully populated (unstarted tasks
 // carry the context error).
-func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error), opts Options[T]) ([]Result[T], error) {
-	if opts.Workers == 0 {
-		opts.Workers = DefaultWorkers()
+func Run[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]Result[T], error) {
+	if workers == 0 {
+		workers = DefaultWorkers()
 	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
-	if opts.Workers > n {
-		opts.Workers = n
-	}
+	workers = max(1, min(workers, n))
 	results := make([]Result[T], n)
 	if n == 0 {
 		return results, ctx.Err()
 	}
 	mQueueDepth.Add(float64(n))
 
-	var (
-		emitMu sync.Mutex
-		wg     sync.WaitGroup
-	)
-	emit := func(r Result[T]) {
-		results[r.Index] = r
-		if opts.OnResult != nil {
-			emitMu.Lock()
-			opts.OnResult(r)
-			emitMu.Unlock()
-		}
-	}
-
+	var wg sync.WaitGroup
 	indices := make(chan int)
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -105,7 +78,7 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 				mBusyWorkers.Add(-1)
 				mTasks.Inc()
 				mTaskSeconds.Observe(elapsed.Seconds())
-				emit(Result[T]{Index: i, Value: v, Err: err, Elapsed: elapsed})
+				results[i] = Result[T]{Index: i, Value: v, Err: err, Elapsed: elapsed}
 			}
 		}()
 	}
@@ -115,7 +88,7 @@ func Run[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	flush := func(from int) {
 		for j := from; j < n; j++ {
 			mQueueDepth.Add(-1)
-			emit(Result[T]{Index: j, Err: ctx.Err(), Skipped: true})
+			results[j] = Result[T]{Index: j, Err: ctx.Err(), Skipped: true}
 		}
 	}
 

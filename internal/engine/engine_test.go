@@ -11,9 +11,9 @@ import (
 
 func TestRunPreservesInputOrder(t *testing.T) {
 	n := 100
-	rs, err := Run(context.Background(), n, func(_ context.Context, i int) (int, error) {
+	rs, err := Run(context.Background(), n, 8, func(_ context.Context, i int) (int, error) {
 		return i * i, nil
-	}, Options[int]{Workers: 8})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestRunSequentialEqualsParallel(t *testing.T) {
 	fn := func(_ context.Context, i int) (string, error) {
 		return fmt.Sprintf("task-%03d", i), nil
 	}
-	seq, err := Run(context.Background(), 50, fn, Options[string]{Workers: 1})
+	seq, err := Run(context.Background(), 50, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), 50, fn, Options[string]{Workers: 7})
+	par, err := Run(context.Background(), 50, 7, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunSequentialEqualsParallel(t *testing.T) {
 
 func TestRunBoundsParallelism(t *testing.T) {
 	var cur, peak atomic.Int32
-	_, err := Run(context.Background(), 64, func(_ context.Context, _ int) (struct{}, error) {
+	_, err := Run(context.Background(), 64, 4, func(_ context.Context, _ int) (struct{}, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -59,7 +59,7 @@ func TestRunBoundsParallelism(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
 		return struct{}{}, nil
-	}, Options[struct{}]{Workers: 4})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,12 @@ func TestRunBoundsParallelism(t *testing.T) {
 
 func TestRunRecordsPerTaskErrors(t *testing.T) {
 	boom := errors.New("boom")
-	rs, err := Run(context.Background(), 10, func(_ context.Context, i int) (int, error) {
+	rs, err := Run(context.Background(), 10, 3, func(_ context.Context, i int) (int, error) {
 		if i%3 == 0 {
 			return 0, boom
 		}
 		return i, nil
-	}, Options[int]{Workers: 3})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +96,15 @@ func TestRunRecordsPerTaskErrors(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	release := make(chan struct{})
-	rs, err := Run(ctx, 100, func(ctx context.Context, i int) (int, error) {
-		started.Add(1)
-		if started.Load() == 2 {
+	rs, err := Run(ctx, 100, 2, func(ctx context.Context, i int) (int, error) {
+		if started.Add(1) == 2 {
 			cancel()
 		}
-		<-release
+		// Every task waits for the cancellation, so only the tasks in
+		// flight when it lands (and a dispatch racing it) run.
+		<-ctx.Done()
 		return i, nil
-	}, Options[int]{Workers: 2, OnResult: func(r Result[int]) {
-		// Unblock in-flight tasks once cancellation has marked the rest.
-		select {
-		case <-release:
-		default:
-			if r.Err != nil {
-				close(release)
-			}
-		}
-	}})
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -130,39 +121,15 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-func TestRunStreamsEveryResult(t *testing.T) {
-	seen := map[int]bool{}
-	_, err := Run(context.Background(), 32, func(_ context.Context, i int) (int, error) {
-		return i, nil
-	}, Options[int]{Workers: 5, OnResult: func(r Result[int]) {
-		seen[r.Index] = true // serialized by the scheduler
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 32 {
-		t.Fatalf("streamed %d results, want 32", len(seen))
-	}
-}
-
 func TestRunMarksNeverStartedAsSkipped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	rs, err := Run(ctx, 50, func(ctx context.Context, i int) (int, error) {
+	rs, err := Run(ctx, 50, 1, func(ctx context.Context, i int) (int, error) {
 		if i == 0 {
 			cancel()
 		}
-		<-release
+		<-ctx.Done()
 		return i, nil
-	}, Options[int]{Workers: 1, OnResult: func(r Result[int]) {
-		select {
-		case <-release:
-		default:
-			if r.Skipped {
-				close(release)
-			}
-		}
-	}})
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -193,7 +160,7 @@ func TestWorkersZeroUsesDefaultPool(t *testing.T) {
 	meet := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), 2, func(_ context.Context, i int) (int, error) {
+		_, err := Run(context.Background(), 2, 0, func(_ context.Context, i int) (int, error) {
 			select {
 			case meet <- struct{}{}:
 			case <-meet:
@@ -201,7 +168,7 @@ func TestWorkersZeroUsesDefaultPool(t *testing.T) {
 				return 0, errors.New("rendezvous timed out: tasks did not overlap")
 			}
 			return i, nil
-		}, Options[int]{})
+		})
 		done <- err
 	}()
 	select {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
 )
 
@@ -17,19 +16,8 @@ func TestRunRecordsMetrics(t *testing.T) {
 		tasks, observed uint64
 	}{mTasks.Value(), mTaskSeconds.Count()}
 
-	var mu sync.Mutex
-	elapsed := make(map[int]bool)
-	results, err := Run(context.Background(), n, func(ctx context.Context, i int) (int, error) {
+	results, err := Run(context.Background(), n, 8, func(ctx context.Context, i int) (int, error) {
 		return i * i, nil
-	}, Options[int]{
-		Workers: 8,
-		OnResult: func(r Result[int]) {
-			mu.Lock()
-			if r.Elapsed > 0 {
-				elapsed[r.Index] = true
-			}
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +40,13 @@ func TestRunRecordsMetrics(t *testing.T) {
 			t.Errorf("queue depth gauge went negative: %v", got)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(elapsed) != n {
-		t.Errorf("Elapsed populated for %d/%d executed results", len(elapsed), n)
+	elapsed := 0
+	for _, r := range results {
+		if r.Elapsed > 0 {
+			elapsed++
+		}
+	}
+	if elapsed != n {
+		t.Errorf("Elapsed populated for %d/%d executed results", elapsed, n)
 	}
 }

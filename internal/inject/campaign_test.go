@@ -10,6 +10,7 @@ import (
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
+	"spex/internal/engine"
 	"spex/internal/sim"
 )
 
@@ -30,6 +31,10 @@ func campaignMisconfs(n int) []confgen.Misconf {
 	return ms
 }
 
+// TestParallelReportEqualsSequential runs the campaign on a one-wide
+// engine pool and on wider ones, and through Run's hardware-sized pool:
+// outcomes are reassembled in input order, so every report must equal
+// the sequential one.
 func TestParallelReportEqualsSequential(t *testing.T) {
 	sys := &fakeSystem{tests: []sim.FuncTest{
 		{Name: "quick", Weight: 1, Run: func(env *sim.Env, inst sim.Instance) error {
@@ -45,30 +50,41 @@ func TestParallelReportEqualsSequential(t *testing.T) {
 	ms := campaignMisconfs(60)
 	opts := DefaultOptions()
 	opts.HangDeadline = 100 * time.Millisecond
-
-	seq, err := Run(sys, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		opts.Workers = workers
-		par, err := Run(sys, ms, opts)
+	runner := NewRunner(sys, opts)
+	runPool := func(workers int) *Report {
+		results, err := engine.Run(context.Background(), len(ms), workers, func(ctx context.Context, i int) (Outcome, error) {
+			return runner.Test(ctx, ms[i])
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return Assemble(sys.Name(), ms, results, nil)
+	}
+
+	seq := runPool(1)
+	check := func(name string, par *Report) {
+		t.Helper()
 		if len(par.Outcomes) != len(seq.Outcomes) {
-			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(par.Outcomes), len(seq.Outcomes))
+			t.Fatalf("%s: %d outcomes, want %d", name, len(par.Outcomes), len(seq.Outcomes))
 		}
 		for i := range seq.Outcomes {
 			if !reflect.DeepEqual(par.Outcomes[i], seq.Outcomes[i]) {
-				t.Fatalf("workers=%d: outcome %d differs:\nparallel  : %+v\nsequential: %+v",
-					workers, i, par.Outcomes[i], seq.Outcomes[i])
+				t.Fatalf("%s: outcome %d differs:\nparallel  : %+v\nsequential: %+v",
+					name, i, par.Outcomes[i], seq.Outcomes[i])
 			}
 		}
 		if par.TotalSimCost != seq.TotalSimCost {
-			t.Fatalf("workers=%d: sim cost %d, want %d", workers, par.TotalSimCost, seq.TotalSimCost)
+			t.Fatalf("%s: sim cost %d, want %d", name, par.TotalSimCost, seq.TotalSimCost)
 		}
 	}
+	for _, workers := range []int{2, 4, 8} {
+		check(fmt.Sprintf("workers=%d", workers), runPool(workers))
+	}
+	rep, err := Run(sys, ms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", rep)
 }
 
 func TestRunRecordsPerOutcomeErrorsAndKeepsGoing(t *testing.T) {
@@ -109,20 +125,33 @@ func TestRunRecordsPerOutcomeErrorsAndKeepsGoing(t *testing.T) {
 	}
 }
 
+// TestRunContextCancellationReturnsPartialReport cancels the campaign
+// from the fake system's boot hook: the first misconfiguration runs to
+// completion, and every later boot waits for its functional test,
+// cancels the run, and hangs until the test ends. RunContext must
+// return the partial report with both kinds of rows.
 func TestRunContextCancellationReturnsPartialReport(t *testing.T) {
-	sys := &fakeSystem{}
-	ms := campaignMisconfs(40)
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions()
-	opts.Workers = 2
-	fired := false
-	opts.Progress = func(Progress) {
-		if !fired {
-			fired = true
+	defer cancel()
+	tested := make(chan struct{})
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	sys := &fakeSystem{
+		tests: []sim.FuncTest{{Name: "quick", Weight: 1, Run: func(*sim.Env, sim.Instance) error {
+			close(tested) // only the first misconfiguration boots far enough
+			return nil
+		}}},
+		boot: func(value string) {
+			if value == "first" {
+				return
+			}
+			<-tested
 			cancel()
-		}
+			<-release
+		},
 	}
-	rep, err := RunContext(ctx, sys, ms, opts)
+	ms := append([]confgen.Misconf{mk("p", "first", nil)}, campaignMisconfs(39)...)
+	rep, err := RunContext(ctx, sys, ms, DefaultOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -139,76 +168,6 @@ func TestRunContextCancellationReturnsPartialReport(t *testing.T) {
 	}
 	if done == 0 || cancelled == 0 {
 		t.Fatalf("done=%d cancelled=%d, want a genuine partial run", done, cancelled)
-	}
-}
-
-func TestProgressStreamsEveryOutcome(t *testing.T) {
-	sys := &fakeSystem{}
-	ms := campaignMisconfs(24)
-	opts := DefaultOptions()
-	opts.Workers = 4
-	var calls int
-	var last int
-	opts.Progress = func(p Progress) {
-		calls++
-		last = p.Done
-		if p.Total != 24 {
-			t.Errorf("total = %d, want 24", p.Total)
-		}
-	}
-	if _, err := Run(sys, ms, opts); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 24 || last != 24 {
-		t.Fatalf("progress calls=%d last=%d, want 24/24", calls, last)
-	}
-}
-
-// Regression: cancelling a campaign must not drive progress to N/N. The
-// dispatcher flushes a Result for every never-started index; those are
-// marked Skipped and must be reported as skipped work, not done work.
-func TestProgressOnCancellationReportsSkippedNotDone(t *testing.T) {
-	sys := &fakeSystem{}
-	ms := campaignMisconfs(40)
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions()
-	opts.Workers = 1
-	var lastDone int
-	opts.Progress = func(p Progress) {
-		lastDone = p.Done
-		if p.Done == 2 {
-			cancel()
-		}
-	}
-	rep, err := RunContext(ctx, sys, ms, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if lastDone >= len(ms) {
-		t.Fatalf("progress jumped to %d/%d on cancellation", lastDone, len(ms))
-	}
-	if rep.Skipped == 0 {
-		t.Fatal("no outcomes tallied as skipped")
-	}
-	if got := len(rep.SkippedOutcomes()); got != rep.Skipped {
-		t.Fatalf("SkippedOutcomes lists %d, tally says %d", got, rep.Skipped)
-	}
-	// Progress reported exactly the outcomes that were attempted (done or
-	// errored in flight), never the flushed remainder.
-	attempted := 0
-	for _, o := range rep.Outcomes {
-		if !o.Skipped {
-			attempted++
-		}
-	}
-	if lastDone != attempted {
-		t.Fatalf("progress ended at %d, want the %d attempted outcomes", lastDone, attempted)
-	}
-	// Skipped outcomes are not harness failures.
-	for _, o := range rep.Errors() {
-		if o.Skipped {
-			t.Fatalf("skipped outcome listed as a harness error: %+v", o)
-		}
 	}
 }
 

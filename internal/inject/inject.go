@@ -211,20 +211,6 @@ func (r *Report) UniqueLocations() int {
 	return len(seen)
 }
 
-// Progress is one campaign progress event: Done outcomes have finished
-// (executed or replayed) out of Total. It is the single-system face of
-// the progress pipeline — the global scheduler's shard.Progress carries
-// the same counts plus the owning system — so every consumer (the CLI
-// status line, the TTY bar renderer, the daemon's SSE stream) speaks
-// one event vocabulary end to end.
-type Progress struct {
-	// Done counts outcomes that finished (cancellation skips are not
-	// progress; they are tallied on Report.Skipped).
-	Done int
-	// Total is the campaign size.
-	Total int
-}
-
 // Options tune the campaign.
 type Options struct {
 	// HangDeadline bounds Start; targets model hangs by blocking.
@@ -241,21 +227,9 @@ type Options struct {
 	// "under 10 hours"). Zero (the default) runs at full simulation
 	// speed. The engine overlaps these delays across workers, so a
 	// parallel campaign's wall-clock time shrinks toward
-	// TotalSimCost/Workers — the speedup the paper's optimizations and
-	// this scheduler exist to deliver.
+	// TotalSimCost/workers — the speedup the paper's optimizations and
+	// the campaign scheduler (shard.CampaignAll) exist to deliver.
 	SimCostDelay time.Duration
-	// Workers bounds campaign parallelism: how many misconfigurations
-	// are in flight at once. Zero (the zero value) sizes the pool to the
-	// hardware (engine.DefaultWorkers); one runs sequentially. Outcomes
-	// are always reassembled in input order, so a parallel report is
-	// identical to a sequential one.
-	Workers int
-	// Progress, if set, streams campaign progress as outcomes complete.
-	// Calls are serialized by the scheduler. Outcomes a cancellation
-	// skipped before they started are not reported as done — they are
-	// tallied on Report.Skipped instead, so a cancelled campaign's
-	// progress stays at the work actually performed.
-	Progress func(Progress)
 }
 
 // DefaultHangDeadline is the Start deadline applied when
@@ -376,37 +350,21 @@ func Assemble(system string, ms []confgen.Misconf, results []engine.Result[Outco
 }
 
 // RunContext executes a full campaign under a context and replays
-// nothing: it is the plain reference run that the store-backed campaign
-// path (shard.CampaignAll) must match. Misconfigurations are dispatched
-// through the engine worker pool (opts.Workers wide); outcomes are
-// reassembled in input order so the report is identical to a sequential
-// run. A harness-level failure on one misconfiguration is recorded on
-// its outcome (Outcome.Err) and the campaign keeps going. On
-// cancellation the partial report is returned together with the context
-// error: finished outcomes are kept, unstarted ones carry the context
-// error and are marked Skipped (tallied on Report.Skipped, not reported
-// as progress or harness failures).
+// nothing: it is the plain reference run that the campaign scheduler
+// (shard.CampaignAll) must match. Misconfigurations are dispatched
+// through a hardware-sized engine pool; outcomes are reassembled in
+// input order so the report is identical to a sequential run. A
+// harness-level failure on one misconfiguration is recorded on its
+// outcome (Outcome.Err) and the campaign keeps going. On cancellation
+// the partial report is returned together with the context error:
+// finished outcomes are kept, unstarted ones carry the context error
+// and are marked Skipped (tallied on Report.Skipped, not as harness
+// failures).
 func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts Options) (*Report, error) {
 	runner := NewRunner(sys, opts)
-	total := len(ms)
-
-	eopts := engine.Options[Outcome]{Workers: opts.Workers}
-	if opts.Progress != nil {
-		done := 0
-		eopts.OnResult = func(r engine.Result[Outcome]) {
-			if r.Skipped {
-				// Never-started task flushed by a cancellation: not work
-				// done — reported on Report.Skipped instead.
-				return
-			}
-			done++
-			opts.Progress(Progress{Done: done, Total: total})
-		}
-	}
-	results, cancelErr := engine.Run(ctx, total, func(ctx context.Context, i int) (Outcome, error) {
+	results, cancelErr := engine.Run(ctx, len(ms), 0, func(ctx context.Context, i int) (Outcome, error) {
 		return runner.Test(ctx, ms[i])
-	}, eopts)
-
+	})
 	rep := Assemble(sys.Name(), ms, results, nil)
 	if cancelErr != nil {
 		return rep, fmt.Errorf("inject: %s: %w", sys.Name(), cancelErr)

@@ -15,9 +15,11 @@ import (
 )
 
 // fakeSystem reacts to the injected value of parameter "p" according to a
-// behaviour table, letting tests drive every classification path.
+// behaviour table, letting tests drive every classification path. boot,
+// if set, is called with that value at the start of every boot.
 type fakeSystem struct {
 	tests []sim.FuncTest
+	boot  func(value string)
 }
 
 func (s *fakeSystem) Name() string                       { return "fake" }
@@ -41,6 +43,9 @@ func (i *fakeInstance) Stop() {}
 
 func (s *fakeSystem) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
 	v, _ := cfg.Get("p")
+	if s.boot != nil {
+		s.boot(v)
+	}
 	switch v {
 	case "crash":
 		panic("segfault")

@@ -131,8 +131,6 @@ type System struct {
 	Vulnerable []int `json:"-"`
 	// Agg holds the precomputed tallies.
 	Agg Aggregates `json:"-"`
-
-	keyPos map[string]int // lazy Key -> position
 }
 
 // Meta identifies the snapshot an index is built from.
@@ -242,16 +240,11 @@ func Build(meta Meta, outcomes map[string]inject.Outcome) *System {
 	return b.Finish()
 }
 
-// Has reports whether the index holds an outcome for key.
+// Has reports whether the index holds an outcome for key. It only reads
+// the index, so concurrent callers may share one.
 func (s *System) Has(key string) bool {
-	if s.keyPos == nil {
-		s.keyPos = make(map[string]int, len(s.Docs))
-		for i := range s.Docs {
-			s.keyPos[s.Docs[i].Key] = i
-		}
-	}
-	_, ok := s.keyPos[key]
-	return ok
+	i := sort.Search(len(s.Docs), func(i int) bool { return s.Docs[i].Key >= key })
+	return i < len(s.Docs) && s.Docs[i].Key == key
 }
 
 // ---- cross-system query ----

@@ -8,42 +8,12 @@ import (
 	"testing"
 
 	"spex/internal/campaignstore"
+	"spex/internal/inject"
+	"spex/internal/outcomeindex"
+	"spex/internal/shard"
+	"spex/internal/sim"
+	"spex/internal/spex"
 )
-
-// TestRenderTableTextMatchesLegacyRenderers is the golden half of the
-// machine-readable encoding path: the structured builders must render
-// text byte-identical to the public string renderers spexeval has
-// always printed (which are now thin wrappers, so this guards against
-// the two paths drifting apart again).
-func TestRenderTableTextMatchesLegacyRenderers(t *testing.T) {
-	rs := allResults(t)
-	legacy := map[int]string{
-		1:  Table1(rs),
-		2:  Table2(),
-		3:  Table3(rs),
-		4:  Table4(rs),
-		5:  Table5(rs),
-		6:  Table6(rs),
-		7:  Table7(rs),
-		8:  Table8(rs),
-		9:  Tables9and10(rs),
-		10: Tables9and10(rs),
-		11: Table11(rs),
-		12: Table12(rs),
-	}
-	for n := 1; n <= MaxTable; n++ {
-		got, err := RenderTableText(n, rs)
-		if err != nil {
-			t.Fatalf("RenderTableText(%d): %v", n, err)
-		}
-		if got != legacy[n] {
-			t.Errorf("table %d: structured rendering differs from the legacy text", n)
-		}
-	}
-	if _, err := RenderTableText(13, rs); err == nil {
-		t.Error("RenderTableText(13) succeeded, want an error")
-	}
-}
 
 // TestTableJSONRoundTrips: the HTTP API's JSON encoding must be
 // lossless — unmarshalling a marshalled table yields an equal value
@@ -91,6 +61,73 @@ func TestReplayFromIndexRejectsIncompleteState(t *testing.T) {
 	}
 	if _, err := ReplayFromIndex(context.Background(), store); !errors.Is(err, ErrStateIncomplete) {
 		t.Fatalf("err = %v, want ErrStateIncomplete", err)
+	}
+}
+
+// TestReplayWorkloadsFromIndexRendersHandedIndexes: the analysis
+// renders exactly the indexes it is handed and reads nothing else, so
+// the daemon's tables can never show a newer store state than the
+// indexes it hashed into their ETag.
+func TestReplayWorkloadsFromIndexRendersHandedIndexes(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	live, err := AnalyzeAllContext(ctx, AnalyzeOptions{Workers: 4, State: lockedState(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs, err := store.LoadIndexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := make([]sim.System, len(live))
+	rs := make([]*spex.Result, len(live))
+	for i, r := range live {
+		systems[i], rs[i] = r.Sys, r.Inference
+	}
+	ws, _, err := shard.BuildWorkloads(systems, rs, shard.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayWorkloadsFromIndex(idxs, rs, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tableText(t, 5, live)
+	if table := tableText(t, 5, got); table != want {
+		t.Fatalf("the store's own indexes render a different Table 5:\n%s\nwant:\n%s", table, want)
+	}
+
+	// Hand over an ldapd index whose docs say every misconfiguration
+	// crashed; the store on disk still holds the recorded reactions.
+	for i, idx := range idxs {
+		if idx.System == "ldapd" {
+			changed := *idx
+			changed.Docs = append([]outcomeindex.Doc(nil), idx.Docs...)
+			for j := range changed.Docs {
+				changed.Docs[j].Reaction = int(inject.ReactionCrash)
+			}
+			idxs[i] = &changed
+		}
+	}
+	got, err = ReplayWorkloadsFromIndex(idxs, rs, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got {
+		if r.Sys.Name() != "ldapd" {
+			continue
+		}
+		tallied := len(r.Campaign.Outcomes) - len(r.Campaign.Errors())
+		if n := r.Campaign.CountByReaction()[inject.ReactionCrash]; n != tallied {
+			t.Errorf("ldapd tallies %d crashes, want all %d handed docs", n, tallied)
+		}
+	}
+	if tableText(t, 5, got) == want {
+		t.Error("Table 5 ignores the handed ldapd docs and shows the store's reactions")
 	}
 }
 

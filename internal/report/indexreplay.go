@@ -53,26 +53,35 @@ func ReplayFromIndex(ctx context.Context, store *campaignstore.Store) ([]*System
 	if err != nil {
 		return nil, err
 	}
-	return ReplayWorkloadsFromIndex(store, rs, ws)
+	idxs, err := store.LoadIndexAll()
+	if err != nil {
+		return nil, err
+	}
+	return ReplayWorkloadsFromIndex(idxs, rs, ws)
 }
 
-// ReplayWorkloadsFromIndex is ReplayFromIndex over an inference the
-// caller already holds: rs are the seven targets' inference results in
-// targets.All order and ws the workloads shard.BuildWorkloads built from
-// them. A resident caller (the daemon) derives both once and renders
-// every table rebuild from them; neither is modified, so concurrent
-// calls may share them.
-func ReplayWorkloadsFromIndex(store *campaignstore.Store, rs []*spex.Result, ws []shard.Workload) ([]*SystemResult, error) {
+// ReplayWorkloadsFromIndex is ReplayFromIndex over indexes and an
+// inference the caller already holds: idxs are the store's outcome
+// indexes (in any order; a system without one has no snapshot), rs the
+// seven targets' inference results in targets.All order and ws the
+// workloads shard.BuildWorkloads built from them. It reads nothing
+// else, so the analysis shows exactly the store state idxs describe —
+// the daemon hashes the same indexes into the tables' ETag. A resident
+// caller (the daemon) derives rs and ws once and renders every table
+// rebuild from them; nothing passed in is modified, so concurrent calls
+// may share it all.
+func ReplayWorkloadsFromIndex(idxs []*outcomeindex.System, rs []*spex.Result, ws []shard.Workload) ([]*SystemResult, error) {
 	wantOpts := campaignstore.OptionsID(inject.DefaultOptions())
+	byName := make(map[string]*outcomeindex.System, len(idxs))
+	for _, idx := range idxs {
+		byName[idx.System] = idx
+	}
 	out := make([]*SystemResult, len(ws))
 	for i, w := range ws {
 		name := w.Sys.Name()
-		idx, err := store.LoadIndex(name)
-		if err != nil {
-			if errors.Is(err, campaignstore.ErrNotExist) {
-				return nil, fmt.Errorf("%w: no snapshot for %s (submit a campaign job first)", ErrStateIncomplete, name)
-			}
-			return nil, err
+		idx := byName[name]
+		if idx == nil {
+			return nil, fmt.Errorf("%w: no snapshot for %s (submit a campaign job first)", ErrStateIncomplete, name)
 		}
 		if idx.Options != wantOpts {
 			return nil, fmt.Errorf("%w: %s snapshot was recorded under options %q, this build renders %q",

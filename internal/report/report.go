@@ -10,7 +10,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -520,55 +519,3 @@ func buildTable12(results []*SystemResult) *Table {
 		"shape: accuracy above 90% for most systems; ldapd lowest on ranges (pointer aliasing through the shared ConfigArgs scratch)")
 	return t
 }
-
-// ConstraintDump lists every inferred constraint of one system.
-func ConstraintDump(r *SystemResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== constraints inferred for %s (%d) ===\n", r.Sys.Name(), r.Inference.Set.Len())
-	lines := make([]string, 0, r.Inference.Set.Len())
-	for _, c := range r.Inference.Set.Constraints {
-		lines = append(lines, fmt.Sprintf("  [%s] %s", c.Kind, c))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Table1 renders the mapping-convention survey as text.
-func Table1(results []*SystemResult) string { return buildTable1(results).String() }
-
-// Table2 renders the generation rules as text.
-func Table2() string { return buildTable2().String() }
-
-// Table3 renders the reaction taxonomy as text.
-func Table3(results []*SystemResult) string { return buildTable3(results).String() }
-
-// Table4 renders the evaluated systems as text.
-func Table4(results []*SystemResult) string { return buildTable4(results).String() }
-
-// Table5 renders the exposed vulnerabilities as text.
-func Table5(results []*SystemResult) string { return buildTable5(results).String() }
-
-// Table6 renders the case-sensitivity split as text.
-func Table6(results []*SystemResult) string { return buildTable6(results).String() }
-
-// Table7 renders the unit distributions as text.
-func Table7(results []*SystemResult) string { return buildTable7(results).String() }
-
-// Table8 renders the design detectors as text.
-func Table8(results []*SystemResult) string { return buildTable8(results).String() }
-
-// Tables9and10 renders the historical-case study (two tables) as text.
-func Tables9and10(results []*SystemResult) string {
-	t9, t10 := buildTables9and10(results)
-	return t9.String() + "\n" + t10.String()
-}
-
-// Table11 renders the inferred-constraint counts as text.
-func Table11(results []*SystemResult) string { return buildTable11(results).String() }
-
-// Table12 renders the inference accuracy as text.
-func Table12(results []*SystemResult) string { return buildTable12(results).String() }

@@ -47,28 +47,28 @@ func allResults(t *testing.T) []*SystemResult {
 	return cachedResults
 }
 
+// tableText renders table n as spexeval prints it.
+func tableText(t *testing.T, n int, rs []*SystemResult) string {
+	t.Helper()
+	text, err := RenderTableText(n, rs)
+	if err != nil {
+		t.Fatalf("RenderTableText(%d): %v", n, err)
+	}
+	return text
+}
+
 func TestAllTablesRender(t *testing.T) {
 	rs := allResults(t)
-	tables := map[string]string{
-		"Table 1":  Table1(rs),
-		"Table 2":  Table2(),
-		"Table 3":  Table3(rs),
-		"Table 4":  Table4(rs),
-		"Table 5":  Table5(rs),
-		"Table 6":  Table6(rs),
-		"Table 7":  Table7(rs),
-		"Table 8":  Table8(rs),
-		"Table 9":  Tables9and10(rs),
-		"Table 11": Table11(rs),
-		"Table 12": Table12(rs),
-	}
-	for name, text := range tables {
-		if !strings.Contains(text, "===") || len(text) < 80 {
-			t.Errorf("%s rendered suspiciously small:\n%s", name, text)
+	for n := 1; n <= MaxTable; n++ {
+		if text := tableText(t, n, rs); !strings.Contains(text, "===") || len(text) < 80 {
+			t.Errorf("Table %d rendered suspiciously small:\n%s", n, text)
 		}
 	}
+	if _, err := RenderTableText(MaxTable+1, rs); err == nil {
+		t.Errorf("RenderTableText(%d) succeeded, want an error", MaxTable+1)
+	}
 	// Every system appears in Table 5.
-	t5 := tables["Table 5"]
+	t5 := tableText(t, 5, rs)
 	for _, sys := range []string{"Storage-A", "httpd", "mydb", "pgdb", "ldapd", "ftpd", "proxyd"} {
 		if !strings.Contains(t5, sys) {
 			t.Errorf("Table 5 is missing system %s", sys)
@@ -118,7 +118,7 @@ func TestFiguresRender(t *testing.T) {
 
 func TestTable5ShapeHolds(t *testing.T) {
 	rs := allResults(t)
-	text := Table5(rs)
+	text := tableText(t, 5, rs)
 	// The totals row must show silent violation as the dominant
 	// vulnerability category, as in the paper.
 	if !strings.Contains(text, "Total") {
@@ -138,20 +138,9 @@ func TestTable5ShapeHolds(t *testing.T) {
 	}
 }
 
-func TestConstraintDump(t *testing.T) {
-	rs := allResults(t)
-	dump := ConstraintDump(rs[0])
-	if !strings.Contains(dump, "constraints inferred for") {
-		t.Errorf("malformed dump header:\n%.200s", dump)
-	}
-	if strings.Count(dump, "\n") < 20 {
-		t.Errorf("dump suspiciously short:\n%s", dump)
-	}
-}
-
 func TestTable11TotalsConsistent(t *testing.T) {
 	rs := allResults(t)
-	text := Table11(rs)
+	text := tableText(t, 11, rs)
 	if !strings.Contains(text, "| 3800") {
 		t.Errorf("Table 11 must carry the paper's 3800 total:\n%s", text)
 	}
@@ -219,7 +208,7 @@ func shardedStore(t *testing.T) string {
 // render Table 5 (the campaign-derived table) byte-identical to the
 // unsharded analysis, and the merged replay must execute nothing fresh.
 func TestShardedAnalysisMergesIdentical(t *testing.T) {
-	want := Table5(allResults(t))
+	want := tableText(t, 5, allResults(t))
 	got, err := AnalyzeAllContext(context.Background(), AnalyzeOptions{Workers: 4, State: lockedState(t, shardedStore(t))})
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +219,7 @@ func TestShardedAnalysisMergesIdentical(t *testing.T) {
 				r.Sys.Name(), r.Campaign.Replayed, len(r.Campaign.Outcomes))
 		}
 	}
-	if table := Table5(got); table != want {
+	if table := tableText(t, 5, got); table != want {
 		t.Errorf("Table 5 from the merged store differs from the unsharded render:\n--- unsharded ---\n%s\n--- merged ---\n%s", want, table)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +63,61 @@ func TestConcurrentJobsShareDerivation(t *testing.T) {
 	replays := submit()
 	tables()
 	wait(replays)
+}
+
+// TestWarmJobKeepsTablesCache: the tables cache is keyed by the
+// combined fingerprint ETag, and a warm job re-saves identical
+// fingerprints, so the first table read after it is a cache hit, not a
+// rebuild.
+func TestWarmJobKeepsTablesCache(t *testing.T) {
+	_, ts := daemon(t, server.Config{StateDir: t.TempDir(), Workers: 2})
+	run := func() {
+		t.Helper()
+		doc := postJob(t, ts.URL, `{"all": true, "workers": 2}`)
+		if final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute); final.State != server.StateDone {
+			t.Fatalf("job ended %s: %s", final.State, final.Error)
+		}
+	}
+	run()
+	if err := checkTable(ts.URL+"/v1", 5); err != nil {
+		t.Fatal(err)
+	}
+	run() // warm: every outcome replays and every system is re-saved
+	hits, rebuilds := counter(t, ts.URL, "spex_server_tables_cache_hits_total"), counter(t, ts.URL, "spex_server_tables_cache_rebuilds_total")
+	if err := checkTable(ts.URL+"/v1", 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(t, ts.URL, "spex_server_tables_cache_hits_total"); got != hits+1 {
+		t.Errorf("tables cache hits moved %v → %v after a warm job, want one hit", hits, got)
+	}
+	if got := counter(t, ts.URL, "spex_server_tables_cache_rebuilds_total"); got != rebuilds {
+		t.Errorf("tables cache rebuilt after a warm job (%v → %v)", rebuilds, got)
+	}
+}
+
+// counter reads one unlabelled counter from the daemon's /metrics.
+func counter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
 }
 
 // checkTable fetches table n's text form under base (the /v1 root of a

@@ -35,9 +35,9 @@ type JobSpec struct {
 	// Coordinate, when >= 2, runs the campaign through the embedded
 	// shard coordinator (internal/coord) with this many workers:
 	// plan → lease → steal → merge under the daemon's state
-	// directory, exactly like `spexinj -coordinate N`. At most
-	// MaxCoordinate: every worker gets its own lease file, shard
-	// directory and inference.
+	// directory, exactly like `spexinj -coordinate N`, over the
+	// workloads the daemon inferred once. At most MaxCoordinate: every
+	// worker gets its own lease file and shard directory.
 	Coordinate int `json:"coordinate,omitempty"`
 	// StealMin overrides the coordinator's rebalance threshold
 	// (coordinate jobs only; nil = coord.DefaultStealMin).

@@ -124,7 +124,6 @@ import (
 	"spex/internal/outcomeindex"
 	"spex/internal/report"
 	"spex/internal/shard"
-	"spex/internal/sim"
 )
 
 // Config tunes one daemon.
@@ -217,8 +216,8 @@ type namespace struct {
 	// tablesMu guards tablesCache, the memoized read-only analysis
 	// behind /v1/tables, keyed by the combined store fingerprint
 	// (tablesKey) so it survives exactly as long as every underlying
-	// snapshot does. finishJob also drops it eagerly; holding the mutex
-	// across the compute single-flights concurrent table requests.
+	// snapshot's replay content does; holding the mutex across the
+	// compute single-flights concurrent table requests.
 	tablesMu    sync.Mutex
 	tablesKey   string
 	tablesCache []*report.SystemResult
@@ -840,11 +839,6 @@ func (s *Server) finishJob(ns *namespace, j *job, state, msg string) {
 	if err := saveJournal(ns.dir, doc); err != nil {
 		s.logger.Error("journal write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
-	// The job may have rewritten snapshots: drop the memoized table
-	// analysis.
-	ns.tablesMu.Lock()
-	ns.tablesCache = nil
-	ns.tablesMu.Unlock()
 	s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindJob, Job: doc.ID, State: state, Error: msg})
 	s.bus.EndJob(ns.name, doc.ID)
 }
@@ -855,16 +849,17 @@ type coordStats struct{ steals, spawns, retries int }
 // execute runs every job as one pipeline on the job's one pool:
 // infer → inject → eval. The infer step takes its systems' workloads
 // from the daemon's derivation (New inferred them once), the inject
-// step is one shard.CampaignAll over every system (coord.Run for a
-// coordinate job), and eval reads each system's outcome index. A plain
-// job is [infer, inject] and publishes no stage events; a staged job
-// runs and reports exactly its listed stages. Each system's inject step
-// ends at its completion event, which CampaignAll delivers after the
-// goroutine that resolved the system's last outcome saved it, so a
-// small system is evaluated while a big one still injects and `workers`
-// bounds the whole job; a job without the eval stage reads the saved
-// systems' fingerprints after the campaign. Every progress event feeds
-// the job's trace and, throttled, the bus.
+// step is one shard.CampaignAll over every system (coord.Run over the
+// same workloads for a coordinate job, so no job infers), and eval
+// reads each system's outcome index. A plain job is [infer, inject] and
+// publishes no stage events; a staged job runs and reports exactly its
+// listed stages. Each system's inject step ends at its completion
+// event, which CampaignAll delivers after the goroutine that resolved
+// the system's last outcome saved it, so a small system is evaluated
+// while a big one still injects and `workers` bounds the whole job; a
+// job without the eval stage reads the saved systems' fingerprints
+// after the campaign. Every progress event feeds the job's trace and,
+// throttled, the bus.
 func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {
@@ -968,21 +963,21 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 		// the namespace's state directory, work-stealing rebalance,
 		// bounded worker retries, and the final merge of the job's
 		// systems into the canonical store through the job's write
-		// capability. It plans from its own inference.
+		// capability. It plans from the job's workloads, and in-process
+		// workers restrict the same workloads to their leases.
 		stealMin := coord.DefaultStealMin
 		if spec.StealMin != nil {
 			stealMin = *spec.StealMin
 		}
-		spawn := s.inprocSpawner(systems, coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: onProgress})
+		spawn := inprocSpawner(ws, coord.WorkerOptions{Workers: workers, Inject: opts, OnProgress: onProgress})
 		if len(s.cfg.SpawnArgv) > 0 {
 			spawn = coord.ExecSpawner(s.cfg.SpawnArgv)
 		}
 		res, err := coord.Run(ctx, coord.Config{
 			StateDir:      ns.dir,
 			Workers:       spec.Coordinate,
-			Systems:       systems,
+			Workloads:     ws,
 			Inject:        opts,
-			PoolWorkers:   workers,
 			StealMin:      stealMin,
 			WorkerRetries: coord.DefaultWorkerRetries,
 			Locks:         locks,
@@ -1051,14 +1046,14 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 
 // inprocSpawner runs coordinate-job workers as goroutines over
 // coord.RunWorker — the default when no spawn template is configured.
-// Each worker locks its own shard directory and reports to the job's
-// progress callback.
-func (s *Server) inprocSpawner(systems []sim.System, wopts coord.WorkerOptions) coord.SpawnFunc {
+// Every worker reads the job's workloads, locks its own shard directory
+// and reports to the job's progress callback.
+func inprocSpawner(ws []shard.Workload, wopts coord.WorkerOptions) coord.SpawnFunc {
 	return func(ctx context.Context, spec coord.WorkerSpec) (coord.Handle, error) {
 		wctx, cancel := context.WithCancel(ctx)
 		done := make(chan error, 1)
 		go func() {
-			_, err := coord.RunWorker(wctx, spec.LeasePath, spec.StateDir, systems, wopts)
+			_, err := coord.RunWorker(wctx, spec.LeasePath, spec.StateDir, ws, wopts)
 			done <- err
 		}()
 		return &goWorkerHandle{cancel: cancel, done: done}, nil
@@ -1740,8 +1735,9 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 // combined store fingerprint moved — a client fetching all twelve
 // tables pays for one index replay, not twelve. Failed replays
 // (incomplete state) are never cached; the next request retries. The
-// returned etag identifies the store state the analysis was computed
-// from.
+// analysis renders the very indexes the returned etag hashes, so a
+// save landing mid-request can never put a newer body under an older
+// tag.
 func (ns *namespace) replayResults(d *derivation) ([]*report.SystemResult, string, error) {
 	idxs, err := ns.indexAll()
 	if err != nil {
@@ -1754,7 +1750,7 @@ func (ns *namespace) replayResults(d *derivation) ([]*report.SystemResult, strin
 		mTablesHits.Inc()
 		return ns.tablesCache, etag, nil
 	}
-	results, err := report.ReplayWorkloadsFromIndex(ns.store, d.results, d.ws)
+	results, err := report.ReplayWorkloadsFromIndex(idxs, d.results, d.ws)
 	if err != nil {
 		return nil, "", err
 	}

@@ -24,8 +24,9 @@ type Workload struct {
 	// Set is the inferred constraint set the misconfigurations were
 	// generated from — the identity a persisted snapshot diffs against.
 	Set *constraint.Set
-	// Ms are the misconfigurations to test (already shard-filtered when
-	// running under a Plan). The per-system report covers exactly these.
+	// Ms are the misconfigurations to test (already restricted to the
+	// shard when running under a Plan). The per-system report covers
+	// exactly these.
 	Ms []confgen.Misconf
 	// Keys, if set, holds each misconfiguration's replay identity
 	// (inject.CacheKey), index-aligned with Ms. BuildWorkloads fills it,
@@ -34,22 +35,20 @@ type Workload struct {
 	Keys []string
 	// Keep lists replay keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
-	// pruning as stale. A shard process sets it to the full campaign's
-	// keys, so refreshing one shard against a merged (or full) store
-	// never discards the other shards' outcomes.
+	// pruning as stale. Plan.Apply sets it to the full campaign's keys
+	// for every shard, so refreshing one shard against a merged (or
+	// full) store never discards the other shards' outcomes.
 	Keep map[string]bool
 }
 
 // BuildWorkloads turns inference results (index-aligned with systems)
 // into the global scheduler's input: for each system it parses the
 // template configuration, generates the misconfigurations violating
-// every inferred constraint, shard-filters them under plan (a zero
-// plan keeps everything), and computes their replay keys (Keys). Under
-// an enabled plan each workload also vouches for the full campaign's
-// keys (Keep), so a shard run against a store holding its peers'
-// outcomes preserves them. The second return value is each system's
-// pre-filter campaign size. Shared by cmd/spexinj, report and the
-// daemon so the drivers cannot drift.
+// every inferred constraint and computes their replay keys (Keys), then
+// restricts the campaign to plan's shard (Plan.Apply; a zero plan keeps
+// everything). The second return value is each system's pre-plan
+// campaign size. Shared by cmd/spexinj, report and the daemon so the
+// drivers cannot drift.
 func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]Workload, []int, error) {
 	ws := make([]Workload, len(systems))
 	totals := make([]int, len(systems))
@@ -60,17 +59,9 @@ func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]
 		}
 		ms := confgen.NewRegistry().Generate(results[i].Set, tmpl)
 		totals[i] = len(ms)
-		owned := plan.Filter(sys.Name(), ms)
-		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: owned, Keys: cacheKeys(owned)}
-		if plan.Enabled() {
-			keep := make(map[string]bool, len(ms))
-			for _, m := range ms {
-				keep[inject.CacheKey(m)] = true
-			}
-			ws[i].Keep = keep
-		}
+		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: ms, Keys: cacheKeys(ms)}
 	}
-	return ws, totals, nil
+	return plan.Apply(ws), totals, nil
 }
 
 // Task addresses one misconfiguration in a global workload.
@@ -149,9 +140,7 @@ type Progress struct {
 type Options struct {
 	// Workers bounds the single global pool (0 = one per CPU).
 	Workers int
-	// Inject holds the campaign options shared by every workload. The
-	// scheduling fields (Workers, Progress) are ignored — the global
-	// pool replaces them.
+	// Inject holds the campaign options shared by every workload.
 	Inject inject.Options
 	// OnProgress, if set, streams every completed outcome, replayed or
 	// executed. CampaignAll serializes the calls with its own mutex, and
@@ -394,7 +383,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		sizes[i] = len(fresh[i])
 	}
 	tasks := Interleave(sizes)
-	rs, cancelErr := engine.Run(ctx, len(tasks), func(ctx context.Context, k int) (inject.Outcome, error) {
+	rs, cancelErr := engine.Run(ctx, len(tasks), opts.Workers, func(ctx context.Context, k int) (inject.Outcome, error) {
 		t := tasks[k]
 		i, j := t.Target, fresh[t.Target][t.Index]
 		w := &ws[i]
@@ -410,7 +399,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Err: err, Elapsed: time.Since(start)}
 		resolve(i, []int{j})
 		return out, err
-	}, engine.Options[inject.Outcome]{Workers: opts.Workers})
+	})
 
 	// Workloads that never completed — cancelled mid-run — record their
 	// never-started tasks and finish now, saving what they have.

@@ -46,17 +46,17 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
-	"spex/internal/confgen"
 	"spex/internal/inject"
 )
 
 // Plan identifies one shard of an N-way campaign partition. The zero
 // value is "unsharded" (Enabled reports false, Owns reports true for
-// everything). A plan is either arithmetic (Shard/Of, the
-// coordinator-free i/N hash partition) or explicit (Keys, a key-set
-// plan): the coordinator's lease layer (internal/coord) compiles leases
-// into key-set plans, which is how a work-stealing rebalance reassigns
-// misconfigurations mid-campaign without re-hashing anything.
+// everything, Apply keeps every workload whole). A plan is either
+// arithmetic (Shard/Of, the coordinator-free i/N hash partition) or
+// explicit (Keys, a key-set plan): the coordinator's lease layer
+// (internal/coord) compiles leases into key-set plans, which is how a
+// work-stealing rebalance reassigns misconfigurations mid-campaign
+// without re-hashing anything.
 type Plan struct {
 	// Shard is this process's 1-based shard number.
 	Shard int
@@ -82,17 +82,17 @@ func GlobalKey(system, key string) string {
 func KeySetPlan(keys map[string]bool) Plan { return Plan{Keys: keys} }
 
 // Owner returns the 0-based shard index the i/N hash partition assigns
-// the misconfiguration to: a stable FNV-1a hash of the system name and
-// the misconfiguration's replay identity, mod n. Every process that ran
-// the same deterministic inference computes the same assignment with no
-// coordination; the coordinator uses the same function for its initial
-// leases, so a coordinated campaign starts from exactly the partition a
-// static -shard run would use.
-func Owner(system string, m confgen.Misconf, n int) int {
+// a misconfiguration to: a stable FNV-1a hash of the system name and
+// the misconfiguration's replay identity (key, an inject.CacheKey), mod
+// n. Every process that ran the same deterministic inference computes
+// the same assignment with no coordination; the coordinator uses the
+// same function for its initial leases, so a coordinated campaign
+// starts from exactly the partition a static -shard run would use.
+func Owner(system, key string, n int) int {
 	h := fnv.New64a()
 	h.Write([]byte(system))
 	h.Write([]byte{0})
-	h.Write([]byte(inject.CacheKey(m)))
+	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(n))
 }
 
@@ -140,31 +140,44 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%d/%d", p.Shard, p.Of)
 }
 
-// Owns reports whether this shard executes the misconfiguration: for a
-// key-set plan, membership in Keys; otherwise the stable i/N hash
-// partition (Owner), so every process that ran the same deterministic
-// inference computes the same partition with no coordination, each key
-// belongs to exactly one shard, and the assignment survives re-runs (a
-// shard's incremental -state re-run replays its own outcomes).
-func (p Plan) Owns(system string, m confgen.Misconf) bool {
+// Owns reports whether this shard executes the misconfiguration whose
+// replay identity is key: for a key-set plan, membership in Keys;
+// otherwise the stable i/N hash partition (Owner), so every process
+// that ran the same deterministic inference computes the same partition
+// with no coordination, each key belongs to exactly one shard, and the
+// assignment survives re-runs (a shard's incremental -state re-run
+// replays its own outcomes).
+func (p Plan) Owns(system, key string) bool {
 	if p.Keys != nil {
-		return p.Keys[GlobalKey(system, inject.CacheKey(m))]
+		return p.Keys[GlobalKey(system, key)]
 	}
 	if p.Of <= 1 {
 		return true
 	}
-	return Owner(system, m, p.Of) == p.Shard-1
+	return Owner(system, key, p.Of) == p.Shard-1
 }
 
-// Filter returns the misconfigurations this shard owns, in input order.
-func (p Plan) Filter(system string, ms []confgen.Misconf) []confgen.Misconf {
+// Apply restricts a full campaign's workloads to this shard. Each
+// returned workload keeps the misconfigurations the plan owns, in input
+// order, with their replay keys, and vouches for the full campaign's
+// keys (Keep), so a shard run against a store holding its peers'
+// outcomes preserves them. A plan that does not partition returns ws
+// itself. ws is never modified.
+func (p Plan) Apply(ws []Workload) []Workload {
 	if !p.Enabled() {
-		return ms
+		return ws
 	}
-	var out []confgen.Misconf
-	for _, m := range ms {
-		if p.Owns(system, m) {
-			out = append(out, m)
+	out := make([]Workload, len(ws))
+	for i, w := range ws {
+		keys := w.ReplayKeys()
+		keep := make(map[string]bool, len(keys))
+		out[i] = Workload{Sys: w.Sys, Set: w.Set, Keep: keep}
+		for j, key := range keys {
+			keep[key] = true
+			if p.Owns(w.Sys.Name(), key) {
+				out[i].Ms = append(out[i].Ms, w.Ms[j])
+				out[i].Keys = append(out[i].Keys, key)
+			}
 		}
 	}
 	return out

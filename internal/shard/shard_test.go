@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -75,12 +76,13 @@ func TestParsePlan(t *testing.T) {
 // together execute the whole campaign with no overlap and no gap.
 func TestPlanPartitionsDisjointAndComplete(t *testing.T) {
 	w := workloadFor(t, ldapd.New())
+	keys := w.ReplayKeys()
 	for _, n := range []int{2, 3, 7} {
 		owners := 0
-		for _, m := range w.Ms {
+		for j, m := range w.Ms {
 			c := 0
 			for i := 1; i <= n; i++ {
-				if (Plan{Shard: i, Of: n}).Owns(w.Sys.Name(), m) {
+				if (Plan{Shard: i, Of: n}).Owns(w.Sys.Name(), keys[j]) {
 					c++
 				}
 			}
@@ -94,7 +96,7 @@ func TestPlanPartitionsDisjointAndComplete(t *testing.T) {
 		}
 		total := 0
 		for i := 1; i <= n; i++ {
-			total += len((Plan{Shard: i, Of: n}).Filter(w.Sys.Name(), w.Ms))
+			total += len((Plan{Shard: i, Of: n}).Apply([]Workload{w})[0].Ms)
 		}
 		if total != len(w.Ms) {
 			t.Errorf("N=%d: shard filters cover %d of %d misconfigurations", n, total, len(w.Ms))
@@ -104,7 +106,7 @@ func TestPlanPartitionsDisjointAndComplete(t *testing.T) {
 
 // TestKeySetPlan: an explicit key-set plan owns exactly its listed
 // keys, is Enabled even when empty, and BuildWorkloads under it
-// filters the workload and vouches for the full campaign (Keep) the
+// restricts the workload and vouches for the full campaign (Keep) the
 // same way an i/N plan does — the contract the coordinator's leases
 // compile to.
 func TestKeySetPlan(t *testing.T) {
@@ -129,14 +131,15 @@ func TestKeySetPlan(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("Validate() = %v", err)
 	}
-	if got := p.Filter(sys.Name(), ms); len(got) != 3 {
-		t.Errorf("Filter kept %d misconfigurations, want 3", len(got))
+	full := []Workload{{Sys: sys, Set: res.Set, Ms: ms}}
+	if got := p.Apply(full)[0].Ms; len(got) != 3 {
+		t.Errorf("Apply kept %d misconfigurations, want 3", len(got))
 	}
-	if p.Owns("othersystem", ms[0]) {
+	if p.Owns("othersystem", inject.CacheKey(ms[0])) {
 		t.Error("key-set plan owns a foreign system's key")
 	}
 	empty := KeySetPlan(map[string]bool{})
-	if !empty.Enabled() || len(empty.Filter(sys.Name(), ms)) != 0 {
+	if !empty.Enabled() || len(empty.Apply(full)[0].Ms) != 0 {
 		t.Error("empty key-set plan must be enabled and own nothing")
 	}
 
@@ -158,10 +161,10 @@ func TestKeySetPlan(t *testing.T) {
 // than a static -shard run.
 func TestOwnerConsistentWithPlan(t *testing.T) {
 	w := workloadFor(t, ldapd.New())
-	for _, m := range w.Ms {
-		o := Owner(w.Sys.Name(), m, 4)
+	for _, key := range w.ReplayKeys() {
+		o := Owner(w.Sys.Name(), key, 4)
 		for i := 1; i <= 4; i++ {
-			owns := (Plan{Shard: i, Of: 4}).Owns(w.Sys.Name(), m)
+			owns := (Plan{Shard: i, Of: 4}).Owns(w.Sys.Name(), key)
 			if owns != (o == i-1) {
 				t.Fatalf("Owner says shard %d, Plan %d/4 says owns=%v", o+1, i, owns)
 			}
@@ -171,7 +174,8 @@ func TestOwnerConsistentWithPlan(t *testing.T) {
 
 // TestRunGlobalMatchesPerTarget: the global cross-target scheduler must
 // produce, per system, the identical report a standalone per-system
-// campaign produces — interleaving changes utilization, never results.
+// campaign produces, at every pool width — interleaving and parallelism
+// change utilization, never results.
 func TestRunGlobalMatchesPerTarget(t *testing.T) {
 	ws := []Workload{workloadFor(t, ldapd.New()), workloadFor(t, httpd.New())}
 	ctx := context.Background()
@@ -184,13 +188,15 @@ func TestRunGlobalMatchesPerTarget(t *testing.T) {
 		}
 		want = append(want, rep)
 	}
-	got, err := CampaignAll(ctx, nil, ws, Options{Workers: 8, Inject: inject.DefaultOptions()})
-	if err != nil {
-		t.Fatalf("CampaignAll: %v", err)
-	}
-	for i := range ws {
-		if !reflect.DeepEqual(got[i].Report, want[i]) {
-			t.Errorf("%s: global report differs from per-target report", ws[i].Sys.Name())
+	for _, workers := range []int{1, 2, 8} {
+		got, err := CampaignAll(ctx, nil, ws, Options{Workers: workers, Inject: inject.DefaultOptions()})
+		if err != nil {
+			t.Fatalf("CampaignAll at %d workers: %v", workers, err)
+		}
+		for i := range ws {
+			if !reflect.DeepEqual(got[i].Report, want[i]) {
+				t.Errorf("workers=%d: %s: global report differs from per-target report", workers, ws[i].Sys.Name())
+			}
 		}
 	}
 }
@@ -219,6 +225,51 @@ func TestRunGlobalProgressAggregates(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Done != last.Total {
 		t.Errorf("final event %d/%d is not complete", last.Done, last.Total)
+	}
+}
+
+// TestProgressOnCancellationReportsSkippedNotDone: cancelling a campaign
+// must not drive progress to N/N. Misconfigurations the cancellation
+// kept from starting are tallied on Report.Skipped and get no progress
+// event, so the last event counts exactly the outcomes attempted.
+func TestProgressOnCancellationReportsSkippedNotDone(t *testing.T) {
+	ws := []Workload{workloadFor(t, ldapd.New())}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var last Progress
+	runs, err := CampaignAll(ctx, nil, ws, Options{Workers: 1, Inject: inject.DefaultOptions(),
+		OnProgress: func(p Progress) {
+			last = p
+			if p.Done == 2 {
+				cancel()
+			}
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	rep := runs[0].Report
+	if rep.Skipped == 0 {
+		t.Fatal("no outcomes tallied as skipped")
+	}
+	if got := len(rep.SkippedOutcomes()); got != rep.Skipped {
+		t.Fatalf("SkippedOutcomes lists %d, tally says %d", got, rep.Skipped)
+	}
+	// Progress reported exactly the outcomes that were attempted (done or
+	// errored in flight), never the flushed remainder.
+	attempted := 0
+	for _, o := range rep.Outcomes {
+		if !o.Skipped {
+			attempted++
+		}
+	}
+	if last.Done != attempted || last.Done >= last.Total {
+		t.Fatalf("progress ended at %d/%d, want the %d attempted outcomes, below the total", last.Done, last.Total, attempted)
+	}
+	// Skipped outcomes are not harness failures.
+	for _, o := range rep.Errors() {
+		if o.Skipped {
+			t.Fatalf("skipped outcome listed as a harness error: %+v", o)
+		}
 	}
 }
 
@@ -339,7 +390,7 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Filter(sys.Name(), w.Ms)}
+			sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Apply([]Workload{w})[0].Ms}
 			if _, err := lockedCampaign(t, ctx, store, []Workload{sw}, opts); err != nil {
 				t.Fatalf("N=%d shard %d: %v", n, i, err)
 			}
@@ -400,7 +451,7 @@ func TestShardRefreshPreservesPeerOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Filter(sys.Name(), w.Ms)}
+		sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Apply([]Workload{w})[0].Ms}
 		if _, err := lockedCampaign(t, ctx, store, []Workload{sw}, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +471,7 @@ func TestShardRefreshPreservesPeerOutcomes(t *testing.T) {
 	for _, m := range w.Ms {
 		keep[inject.CacheKey(m)] = true
 	}
-	sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Filter(sys.Name(), w.Ms), Keep: keep}
+	sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Apply([]Workload{w})[0].Ms, Keep: keep}
 	runs, err := lockedCampaign(t, ctx, mgStore, []Workload{sw}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +522,7 @@ func TestShardRefreshKeepsCarriedStamps(t *testing.T) {
 	for _, m := range w.Ms {
 		keep[inject.CacheKey(m)] = true
 	}
-	sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Filter(sys.Name(), w.Ms), Keep: keep}
+	sw := Workload{Sys: sys, Set: w.Set, Ms: plan.Apply([]Workload{w})[0].Ms, Keep: keep}
 	if _, err := lockedCampaign(t, ctx, store, []Workload{sw}, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -643,9 +643,9 @@ func InferSystem(sys sim.System) (*Result, error) {
 // first inference error (in input order) aborts with that error, as the
 // sequential loop it replaces did.
 func InferAll(ctx context.Context, systems []sim.System, workers int) ([]*Result, error) {
-	results, cancelErr := engine.Run(ctx, len(systems), func(_ context.Context, i int) (*Result, error) {
+	results, cancelErr := engine.Run(ctx, len(systems), workers, func(_ context.Context, i int) (*Result, error) {
 		return InferSystem(systems[i])
-	}, engine.Options[*Result]{Workers: workers})
+	})
 	if cancelErr != nil {
 		return nil, cancelErr
 	}

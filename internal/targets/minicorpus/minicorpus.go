@@ -51,7 +51,7 @@ type SurveyResult struct {
 // to parse or extract fails the survey.
 func Survey(ctx context.Context, workers int) ([]SurveyResult, error) {
 	projects := Projects()
-	results, cancelErr := engine.Run(ctx, len(projects), func(_ context.Context, i int) (SurveyResult, error) {
+	results, cancelErr := engine.Run(ctx, len(projects), workers, func(_ context.Context, i int) (SurveyResult, error) {
 		p := projects[i]
 		proj, err := frontend.Parse(p.Name, p.Sources)
 		if err != nil {
@@ -66,7 +66,7 @@ func Survey(ctx context.Context, workers int) ([]SurveyResult, error) {
 			return SurveyResult{}, fmt.Errorf("minicorpus: %s: %w", p.Name, err)
 		}
 		return SurveyResult{Project: p, Pairs: len(pairs), Convention: mapping.Convention(af)}, nil
-	}, engine.Options[SurveyResult]{Workers: workers})
+	})
 	if cancelErr != nil {
 		return nil, cancelErr
 	}
