@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +61,93 @@ var (
 	fullReplayRE  = regexp.MustCompile(`state: replayed (\d+)/(\d+), executed 0, fresh sim cost 0`)
 )
 
+// replaysInFull reports whether a -state run's report says it replayed
+// every outcome at zero fresh cost.
+func replaysInFull(report string) bool {
+	m := fullReplayRE.FindStringSubmatch(report)
+	return m != nil && m[1] == m[2]
+}
+
+// withoutLines drops the report lines containing any of the given
+// substrings.
+func withoutLines(report string, drop ...string) string {
+	var kept []string
+	for _, line := range strings.Split(report, "\n") {
+		if !slices.ContainsFunc(drop, func(d string) bool { return strings.Contains(line, d) }) {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// TestStateReplaysAcrossProcesses: a second spexinj -state process over
+// the first one's store replays every outcome at zero fresh cost, prints
+// the same report apart from its state and cost lines, and its
+// -metrics-out dump records replayed outcomes and no fresh ones.
+func TestStateReplaysAcrossProcesses(t *testing.T) {
+	tmp := t.TempDir()
+	state, metrics := filepath.Join(tmp, "state"), filepath.Join(tmp, "metrics.json")
+	first := mustRun(t, "spexinj", "-system", "proxyd", "-state", state)
+	if !strings.Contains(first, "state: full campaign — no snapshot (first run)") {
+		t.Errorf("the first run is not a full first-run campaign:\n%s", first)
+	}
+	second := mustRun(t, "spexinj", "-system", "proxyd", "-state", state, "-metrics-out", metrics)
+	if !replaysInFull(second) {
+		t.Errorf("the second run does not replay in full:\n%s", second)
+	}
+	if a, b := withoutLines(first, "state:", "simulated cost"), withoutLines(second, "state:", "simulated cost"); a != b {
+		t.Errorf("the replayed report differs from the first run's:\n%s\n---\n%s", a, b)
+	}
+
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fams []struct {
+		Name   string `json:"name"`
+		Series []struct {
+			Value float64 `json:"value"`
+		} `json:"series"`
+	}
+	if err := json.Unmarshal(data, &fams); err != nil {
+		t.Fatal(err)
+	}
+	value := map[string]float64{}
+	for _, f := range fams {
+		if len(f.Series) > 0 {
+			value[f.Name] = f.Series[0].Value
+		}
+	}
+	for _, name := range []string{"spex_store_loads_total", "spex_campaign_outcomes_replayed_total", "spex_campaign_outcomes_fresh_total"} {
+		if _, ok := value[name]; !ok {
+			t.Errorf("-metrics-out has no %s series", name)
+		}
+	}
+	if r, f := value["spex_campaign_outcomes_replayed_total"], value["spex_campaign_outcomes_fresh_total"]; r <= 0 || f != 0 {
+		t.Errorf("replay run recorded %v replayed and %v fresh outcomes, want > 0 and 0", r, f)
+	}
+}
+
+// TestShardMergeMatchesUnshardedRun: two -shard processes merged by
+// spexmerge give a store that replays in full and reports exactly what
+// an unsharded store's replay reports.
+func TestShardMergeMatchesUnshardedRun(t *testing.T) {
+	tmp := t.TempDir()
+	dir := func(name string) string { return filepath.Join(tmp, name) }
+	mustRun(t, "spexinj", "-system", "proxyd", "-state", dir("unsharded"))
+	unsharded := mustRun(t, "spexinj", "-system", "proxyd", "-state", dir("unsharded"))
+	mustRun(t, "spexinj", "-system", "proxyd", "-shard", "1/2", "-state", dir("shard1"))
+	mustRun(t, "spexinj", "-system", "proxyd", "-shard", "2/2", "-state", dir("shard2"))
+	mustRun(t, "spexmerge", "-out", dir("merged"), dir("shard1"), dir("shard2"))
+	merged := mustRun(t, "spexinj", "-system", "proxyd", "-state", dir("merged"))
+	if !replaysInFull(merged) {
+		t.Errorf("the merged store does not replay in full:\n%s", merged)
+	}
+	if a, b := withoutLines(unsharded, "state:"), withoutLines(merged, "state:"); a != b {
+		t.Errorf("the merged store's report differs from the unsharded one's:\n%s\n---\n%s", a, b)
+	}
+}
+
 // TestCoordinatorMatchesUnshardedRun runs a coordinated campaign as
 // separate processes — spexinj -coordinate launching spexinj -lease
 // workers — with worker 1 ten times slower per simulated cost unit. The
@@ -88,7 +177,7 @@ func TestCoordinatorMatchesUnshardedRun(t *testing.T) {
 	}
 
 	replay := mustRun(t, "spexinj", "-system", "proxyd", "-state", coordinated)
-	if m := fullReplayRE.FindStringSubmatch(replay); m == nil || m[1] != m[2] {
+	if !replaysInFull(replay) {
 		t.Errorf("the coordinated root does not replay in full:\n%s", replay)
 	}
 }

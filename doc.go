@@ -45,7 +45,14 @@
 // retests, and shard.CampaignAll resolves every recorded outcome of an
 // unchanged constraint from them before any task runs, so only the
 // added/affected misconfigurations reach the engine (§3.1's incremental
-// retesting).
+// retesting). A replay costs no simulated time, and little real time
+// either: each workload from shard.BuildWorkloads carries its canonical
+// snapshot encodings (campaignstore.Canonical: the constraint set's
+// JSON, and a hash per misconfiguration), built once, on its first
+// snapshot load, and Prepare checks a stored header and record against
+// them instead of decoding the constraint set and the embedded
+// misconfiguration. Bytes that do not match take the full decode, with
+// the same result.
 //
 // # Persistent campaign snapshots
 //

@@ -5,9 +5,13 @@
 package campaignstore_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -108,9 +112,25 @@ func misconfs(c *constraint.Constraint, n int) []confgen.Misconf {
 	return ms
 }
 
+// workload is the workload shard.BuildWorkloads would build from set and
+// ms: replay keys and canonical encodings included.
+func workload(sys sim.System, set *constraint.Set, ms []confgen.Misconf) shard.Workload {
+	keys := make([]string, len(ms))
+	for i, m := range ms {
+		keys[i] = inject.CacheKey(m)
+	}
+	return shard.Workload{Sys: sys, Set: set, Ms: ms, Keys: keys, Canon: campaignstore.NewCanonical(set, ms, keys)}
+}
+
 // campaign runs one workload through shard.CampaignAll under the
 // store's writer lock and returns the system's report and store status.
 func campaign(t *testing.T, ctx context.Context, store *campaignstore.Store, sys sim.System, set *constraint.Set, ms []confgen.Misconf, opts shard.Options) (*inject.Report, campaignstore.Status, error) {
+	t.Helper()
+	return campaignOf(t, ctx, store, workload(sys, set, ms), opts)
+}
+
+// campaignOf is campaign for a prepared workload.
+func campaignOf(t *testing.T, ctx context.Context, store *campaignstore.Store, w shard.Workload, opts shard.Options) (*inject.Report, campaignstore.Status, error) {
 	t.Helper()
 	lk, err := store.Lock()
 	if err != nil {
@@ -121,7 +141,7 @@ func campaign(t *testing.T, ctx context.Context, store *campaignstore.Store, sys
 			t.Error(err)
 		}
 	}()
-	runs, err := shard.CampaignAll(ctx, lk.Set(), []shard.Workload{{Sys: sys, Set: set, Ms: ms}}, opts)
+	runs, err := shard.CampaignAll(ctx, lk.Set(), []shard.Workload{w}, opts)
 	if err == nil {
 		err = runs[0].Err
 	}
@@ -450,26 +470,39 @@ func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
 // TestCampaignReplayRefreshesMovedLocation: a revision that moves a
 // constraint's source location without changing its identity replays
 // its outcomes, and both the report and the saved snapshot carry the
-// new location.
+// new location. The move changes the bytes of the header's constraint
+// set and of that constraint's misconfigurations, so exactly those
+// take the full decode, and the report equals a plain decode's; the
+// next run matches every byte again.
 func TestCampaignReplayRefreshesMovedLocation(t *testing.T) {
 	store := openStore(t)
 	sys := &storeSystem{}
 	c := basicC("p")
 	c.Loc = constraint.SourceLoc{File: "cfg.c", Line: 10}
-	if _, _, err := campaign(t, context.Background(), store, sys, mkSet(c), misconfs(c, 3), defaults()); err != nil {
+	q := rangeC("q", 1)
+	qms := []confgen.Misconf{{ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: q}}
+	if _, _, err := campaign(t, context.Background(), store, sys, mkSet(c, q), append(misconfs(c, 3), qms...), defaults()); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(store.Path(sys.Name()))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	moved := basicC("p")
 	moved.Loc = constraint.SourceLoc{File: "cfg.c", Line: 42}
-	rep, _, err := campaign(t, context.Background(), store, sys, mkSet(moved), misconfs(moved, 3), defaults())
+	w := workload(sys, mkSet(moved, q), append(misconfs(moved, 3), qms...))
+	rep, st, err := campaignOf(t, context.Background(), store, w, defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Replayed != 3 {
-		t.Fatalf("replayed %d of 3 outcomes", rep.Replayed)
+	if rep.Replayed != 4 {
+		t.Fatalf("replayed %d of 4 outcomes", rep.Replayed)
 	}
-	for _, o := range rep.Outcomes {
+	if !st.FullHeader || st.FullDecodes != 3 {
+		t.Errorf("full header %v, %d records decoded in full; want the header and the 3 moved ones", st.FullHeader, st.FullDecodes)
+	}
+	for _, o := range rep.Outcomes[:3] {
 		if o.Loc != moved.Loc {
 			t.Fatalf("replayed outcome at %v, want the moved location %v", o.Loc, moved.Loc)
 		}
@@ -479,8 +512,149 @@ func TestCampaignReplayRefreshesMovedLocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, o := range snap.Outcomes {
-		if o.Loc != moved.Loc {
+		if o.Misconf.Param == "p" && o.Loc != moved.Loc {
 			t.Fatalf("saved outcome %q at %v, want the moved location %v", k, o.Loc, moved.Loc)
+		}
+	}
+	fp, err := snap.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The same revision over the same store without canonical encodings.
+	if err := os.WriteFile(store.Path(sys.Name()), stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	plain := w
+	plain.Canon = nil
+	plainRep, plainSt, err := campaignOf(t, context.Background(), store, plain, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, plainRep) || plainSt.Replayed != st.Replayed || plainSt.Retests != st.Retests {
+		t.Errorf("canonical decode reported %+v (%+v), plain decode %+v (%+v)", rep, st, plainRep, plainSt)
+	}
+	plainSnap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plainFP, err := plainSnap.Fingerprint(); err != nil || plainFP != fp {
+		t.Errorf("plain decode saved fingerprint %s (%v), canonical decode %s", plainFP, err, fp)
+	}
+
+	_, st, err = campaignOf(t, context.Background(), store, w, defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullHeader || st.FullDecodes != 0 {
+		t.Errorf("the run after the revision: full header %v, %d records decoded in full; want none", st.FullHeader, st.FullDecodes)
+	}
+}
+
+// TestSavedSnapshotsKeepPlainEncodings: whichever way a campaign ends —
+// cold, warm, a delta retest, cancelled, or a shard refresh carrying its
+// peers' outcomes (Workload.Keep) — the saved header's constraint bytes
+// are json.Marshal of the set under its own fingerprint, and every
+// record's payload is json.Marshal of its decoded outcome: the bytes the
+// canonical decode matches, and the bytes every fingerprint hashes.
+func TestSavedSnapshotsKeepPlainEncodings(t *testing.T) {
+	store := openStore(t)
+	sys := &storeSystem{}
+	cP, cQ := basicC("p"), rangeC("q", 1)
+	cP.Loc = constraint.SourceLoc{File: "cfg.c", Line: 7, Func: "load"}
+	msFor := func(q *constraint.Constraint) []confgen.Misconf {
+		return append(misconfs(cP, 12), confgen.Misconf{ID: "q-low", Param: "q", Values: map[string]string{"q": "0"}, Violates: q})
+	}
+	w := workload(sys, mkSet(cP, cQ), msFor(cQ))
+	check := func(stage string, w shard.Workload) {
+		t.Helper()
+		if _, _, err := campaignOf(t, context.Background(), store, w, defaults()); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		assertPlainEncodings(t, stage, store.Path(sys.Name()), w.Set)
+	}
+	check("cold", w)
+	check("warm", w)
+	cQ2 := rangeC("q", 4)
+	w = workload(sys, mkSet(cP, cQ2), msFor(cQ2))
+	check("delta retest", w)
+
+	moved := *cP
+	moved.Loc.Line = 70
+	w = workload(sys, mkSet(&moved, cQ2), append(misconfs(&moved, 12), w.Ms[12]))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := defaults()
+	opts.Workers = 1
+	opts.OnProgress = func(p shard.Progress) {
+		if p.Done == 3 {
+			cancel()
+		}
+	}
+	if _, _, err := campaignOf(t, ctx, store, w, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: %v, want context.Canceled", err)
+	}
+	assertPlainEncodings(t, "cancelled", store.Path(sys.Name()), w.Set)
+	check("resumed", w)
+	refresh := shard.Plan{Shard: 1, Of: 2}.Apply([]shard.Workload{w})[0]
+	if len(refresh.Ms) == len(w.Ms) || len(refresh.Keep) != len(w.Ms) {
+		t.Fatalf("shard 1/2 owns %d of %d and keeps %d", len(refresh.Ms), len(w.Ms), len(refresh.Keep))
+	}
+	check("shard refresh", refresh)
+	snap, err := store.Load(sys.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Outcomes) != len(w.Ms) {
+		t.Fatalf("the shard refresh saved %d of %d outcomes", len(snap.Outcomes), len(w.Ms))
+	}
+}
+
+// assertPlainEncodings reads a snapshot file's raw header and records and
+// fails unless they hold exactly the json.Marshal bytes of the set, with
+// its fingerprint, and of each decoded outcome.
+func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data[len("SPEXSNP1"):])
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, n)
+	if _, err := io.ReadFull(r, head); err != nil {
+		t.Fatal(err)
+	}
+	var hdr struct {
+		SetFingerprint string          `json:"set_fingerprint"`
+		Constraints    json.RawMessage `json:"constraints"`
+	}
+	if err := json.Unmarshal(head, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := json.Marshal(set); err != nil || !bytes.Equal(hdr.Constraints, want) {
+		t.Errorf("%s: header constraint bytes are not json.Marshal of the set (%v)", stage, err)
+	}
+	if hdr.SetFingerprint != set.Fingerprint() {
+		t.Errorf("%s: header set fingerprint %s, want %s", stage, hdr.SetFingerprint, set.Fingerprint())
+	}
+	d, err := campaignstore.NewSnapshotDecoder(bytes.NewReader(data), stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		key, _, payload, out, err := d.Next()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := json.Marshal(out); err != nil || !bytes.Equal(payload, want) {
+			t.Errorf("%s: record %q is not json.Marshal of its outcome (%v)", stage, key, err)
 		}
 	}
 }

@@ -140,9 +140,8 @@ func (s *Snapshot) Fingerprint() (string, error) {
 }
 
 // OptionsID renders the outcome-affecting campaign options as a stable
-// identity string. Scheduling knobs (Workers, Progress, SimCostDelay)
-// are excluded — they change how outcomes are measured, not what is
-// measured.
+// identity string. The scheduling knob SimCostDelay is excluded — it
+// changes how long a campaign takes, not what it measures.
 func OptionsID(opts inject.Options) string {
 	hang := opts.HangDeadline
 	if hang == 0 {
@@ -230,8 +229,15 @@ func (s *Store) Path(system string) string {
 // caller must run a full campaign — outcomes are never replayed from a
 // snapshot that fails validation.
 func (s *Store) Load(system string) (*Snapshot, error) {
+	return s.load(system, nil, nil)
+}
+
+// load is Load decoding against c (nil: the plain decode). On success
+// it records in st, if set, how much of the snapshot took the full
+// decode.
+func (s *Store) load(system string, c *Canonical, st *Status) (*Snapshot, error) {
 	start := time.Now()
-	snap, err := s.load(system)
+	snap, err := s.read(system, c, st)
 	switch {
 	case err == nil:
 		mLoads.Inc()
@@ -242,7 +248,7 @@ func (s *Store) Load(system string) (*Snapshot, error) {
 	return snap, err
 }
 
-func (s *Store) load(system string) (*Snapshot, error) {
+func (s *Store) read(system string, c *Canonical, st *Status) (*Snapshot, error) {
 	data, err := os.ReadFile(s.Path(system))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
@@ -250,12 +256,15 @@ func (s *Store) load(system string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	snap, err := decodeBinarySnapshot(data, system)
+	snap, d, err := decodeBinarySnapshot(data, system, c)
 	if err != nil {
 		return nil, err
 	}
 	if snap.System != system {
 		return nil, fmt.Errorf("campaignstore: snapshot names system %q, want %q", snap.System, system)
+	}
+	if st != nil {
+		st.FullHeader, st.FullDecodes = d.fullHeader, d.fullRecords
 	}
 	return snap, nil
 }
@@ -277,7 +286,7 @@ func (s *Store) LoadAll() ([]*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaignstore: %w", err)
 		}
-		snap, err := decodeBinarySnapshot(data, name)
+		snap, _, err := decodeBinarySnapshot(data, name, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -710,6 +719,13 @@ type Status struct {
 	// Retests is the number of misconfigurations the constraint delta
 	// selected for re-execution (0 on a full campaign).
 	Retests int
+	// FullHeader and FullDecodes report what of the loaded snapshot
+	// Prepare decoded in full rather than matching it against the
+	// workload's Canonical: the header's constraint set, and the number
+	// of outcome records. A rerun of the workloads that wrote the store
+	// reads false and 0.
+	FullHeader  bool
+	FullDecodes int
 	// Saved reports that the updated snapshot was written back.
 	Saved bool
 	// Path is the snapshot file the run loaded from / saved to.
@@ -728,6 +744,17 @@ type Status struct {
 // replays the returned outcomes and saves the updated snapshot.
 // keys[i] is ms[i]'s replay identity (inject.CacheKey).
 //
+// c, the workload's Canonical (nil for none), makes the load cheap
+// without changing its result: a header whose constraint bytes are c's
+// takes c's set and fingerprint, and a record payload that opens with
+// its key's canonical misconfiguration decodes only the fields after it
+// and takes the workload's misconfiguration, which inject.Assemble puts
+// on every replay anyway. Every other header or record is decoded in
+// full, and Status.FullHeader and Status.FullDecodes count those. The
+// fast path rests on one invariant of the writers: a record's payload
+// is always json.Marshal of its outcome. The load is observed exactly
+// like Load (spex_store_load_seconds and its counters).
+//
 // keep lists keys outside ms that must survive the prune: a shard
 // process running against a store that also holds its peers' outcomes
 // (a merged store, or a full store being refreshed one shard at a time)
@@ -737,9 +764,9 @@ type Status struct {
 // A stored outcome with a harness error (Outcome.Err) is dropped so it
 // re-executes: snapshot files are disk input and a merge copies records
 // verbatim, so it would otherwise replay forever.
-func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, keys []string, opts inject.Options, keep map[string]bool) (Status, map[string]inject.Outcome, map[string]time.Time) {
+func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf, keys []string, opts inject.Options, keep map[string]bool, c *Canonical) (Status, map[string]inject.Outcome, map[string]time.Time) {
 	st := Status{Path: s.Path(system)}
-	snap, err := s.Load(system)
+	snap, err := s.load(system, c, &st)
 	if err == nil && snap.Options != OptionsID(opts) {
 		snap, err = nil, fmt.Errorf("campaign options changed (snapshot %q, this run %q)",
 			snap.Options, OptionsID(opts))

@@ -22,6 +22,19 @@
 // pass, and it lets shard.Merge fold k shard files with a k-way merge
 // that holds one record per shard in memory.
 //
+// Every writer keeps one invariant: a record's payload is
+// json.Marshal(outcome), and the header's constraints member, written
+// last, is json.Marshal(set). Store.Prepare's decoder leans on it. Given
+// the workload's Canonical (canonical.go), a header that ends with the
+// canonical set bytes decodes only the members before them and takes
+// the workload's set and fingerprint. A payload that opens with
+// {"Misconf": and then exactly its key's canonical misconfiguration
+// bytes (by length and sha256) decodes only the members after them and
+// takes the workload's misconfiguration. Anything else, and every
+// decode without a Canonical (Load, LoadAll, SnapshotIter), takes the
+// full json.Unmarshal. Both paths accept the same bytes and yield the
+// same fingerprint and outcome encodings (FuzzCanonicalDecode).
+//
 // Every length prefix is untrusted input: frames are read without
 // preallocating the claimed length (readFrameBody), so a corrupt prefix
 // costs what the file actually holds, not up to maxFrameLen.
@@ -307,6 +320,12 @@ type SnapshotDecoder struct {
 	count int
 	done  bool
 	last  string
+	// canon, if set, is what the header and records are matched against
+	// before any full decode; fullHeader and fullRecords count what
+	// still took it.
+	canon       *Canonical
+	fullHeader  bool
+	fullRecords int
 }
 
 // corruptf builds the decoder's uniform corruption error.
@@ -318,7 +337,13 @@ func (d *SnapshotDecoder) corruptf(format string, args ...any) error {
 // names the source in errors. The reader must be positioned at the
 // magic.
 func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
-	d := &SnapshotDecoder{s: &crcStream{br: bufio.NewReaderSize(r, 1<<16)}, label: label}
+	return newSnapshotDecoder(r, label, nil)
+}
+
+// newSnapshotDecoder is NewSnapshotDecoder matching against c (nil: the
+// plain decode).
+func newSnapshotDecoder(r io.Reader, label string, c *Canonical) (*SnapshotDecoder, error) {
+	d := &SnapshotDecoder{s: &crcStream{br: bufio.NewReaderSize(r, 1<<16)}, label: label, canon: c}
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(d.s, magic); err != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, d.corruptf("bad magic")
@@ -328,8 +353,12 @@ func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 		return nil, d.corruptf("header: %v", err)
 	}
 	var hdr snapshotHeader
-	if err := json.Unmarshal(head, &hdr); err != nil {
-		return nil, d.corruptf("header: %v", err)
+	canonical := c.decodeHeader(head, &hdr)
+	if !canonical {
+		d.fullHeader = true
+		if err := json.Unmarshal(head, &hdr); err != nil {
+			return nil, d.corruptf("header: %v", err)
+		}
 	}
 	snap := &Snapshot{
 		Schema:         hdr.Schema,
@@ -338,7 +367,10 @@ func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 		Options:        hdr.Options,
 		SetFingerprint: hdr.SetFingerprint,
 	}
-	if len(hdr.Constraints) > 0 && !bytes.Equal(hdr.Constraints, []byte("null")) {
+	var fp string
+	if canonical {
+		snap.Constraints, fp = c.set, c.setFP
+	} else if len(hdr.Constraints) > 0 && !bytes.Equal(hdr.Constraints, []byte("null")) {
 		if err := json.Unmarshal(hdr.Constraints, &snap.Constraints); err != nil {
 			return nil, d.corruptf("constraint set: %v", err)
 		}
@@ -349,7 +381,10 @@ func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 	if snap.Constraints == nil {
 		return nil, fmt.Errorf("campaignstore: snapshot for %s has no constraint set", label)
 	}
-	if fp := snap.Constraints.Fingerprint(); fp != snap.SetFingerprint {
+	if !canonical {
+		fp = snap.Constraints.Fingerprint()
+	}
+	if fp != snap.SetFingerprint {
 		return nil, fmt.Errorf("campaignstore: snapshot for %s fails its constraint fingerprint (%s != %s)",
 			label, fp, snap.SetFingerprint)
 	}
@@ -410,21 +445,26 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
 	}
-	if rerr := json.Unmarshal(outJSON, &out); rerr != nil {
-		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
+	if !d.canon.decodeOutcome(key, outJSON, &out) {
+		d.fullRecords++
+		if rerr := json.Unmarshal(outJSON, &out); rerr != nil {
+			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
+		}
 	}
 	d.count++
 	return key, stamp, outJSON, out, nil
 }
 
 // decodeBinarySnapshot materializes a whole binary snapshot — the Load
-// path. Every record is decoded and the trailer verified before the
-// snapshot is returned, so a truncated or corrupt file yields an error
-// and a nil snapshot, never a partial replay.
-func decodeBinarySnapshot(data []byte, label string) (*Snapshot, error) {
-	d, err := NewSnapshotDecoder(bytes.NewReader(data), label)
+// path — matching it against c (nil: the plain decode); the returned
+// decoder reports how much took the full decode. Every record is decoded
+// and the trailer verified before the snapshot is returned, so a
+// truncated or corrupt file yields an error and a nil snapshot, never a
+// partial replay.
+func decodeBinarySnapshot(data []byte, label string, c *Canonical) (*Snapshot, *SnapshotDecoder, error) {
+	d, err := newSnapshotDecoder(bytes.NewReader(data), label, c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	snap := d.Header()
 	snap.Outcomes = make(map[string]inject.Outcome)
@@ -435,12 +475,12 @@ func decodeBinarySnapshot(data []byte, label string) (*Snapshot, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		snap.Outcomes[key] = out
 		snap.Stamps[key] = stamp
 	}
-	return snap, nil
+	return snap, d, nil
 }
 
 // SnapshotIter streams one snapshot file's records in ascending key

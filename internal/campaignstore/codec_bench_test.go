@@ -82,7 +82,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	b.Run("decode/binary", func(b *testing.B) {
 		b.SetBytes(int64(len(bin)))
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeBinarySnapshot(bin, "benchsys"); err != nil {
+			if _, _, err := decodeBinarySnapshot(bin, "benchsys", nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -270,7 +270,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add(corruptPrefixFile())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := decodeBinarySnapshot(data, "fuzz")
+		snap, _, err := decodeBinarySnapshot(data, "fuzz", nil)
 		if err != nil {
 			return
 		}
@@ -282,7 +282,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot: %v", err)
 		}
-		back, err := decodeBinarySnapshot(again, "fuzz")
+		back, _, err := decodeBinarySnapshot(again, "fuzz", nil)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded snapshot: %v", err)
 		}

@@ -33,6 +33,13 @@ type Workload struct {
 	// so a workload built once pays for its keys once; ReplayKeys
 	// computes them when Keys does not match Ms in length.
 	Keys []string
+	// Canon, if set, holds the encodings a snapshot of this workload
+	// carries (campaignstore.Canonical), built from Set and the full
+	// campaign's Ms and Keys. BuildWorkloads fills it and Plan.Apply
+	// keeps it, because its lookups are by replay key. A store-backed
+	// run decodes its snapshot against it (which builds its encodings on
+	// first use); without it the load takes the plain decode.
+	Canon *campaignstore.Canonical
 	// Keep lists replay keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
 	// pruning as stale. Plan.Apply sets it to the full campaign's keys
@@ -44,7 +51,8 @@ type Workload struct {
 // BuildWorkloads turns inference results (index-aligned with systems)
 // into the global scheduler's input: for each system it parses the
 // template configuration, generates the misconfigurations violating
-// every inferred constraint and computes their replay keys (Keys), then
+// every inferred constraint, computes their replay keys (Keys), attaches
+// their canonical snapshot encodings (Canon, encoded on first use), then
 // restricts the campaign to plan's shard (Plan.Apply; a zero plan keeps
 // everything). The second return value is each system's pre-plan
 // campaign size. Shared by cmd/spexinj, report and the daemon so the
@@ -59,7 +67,9 @@ func BuildWorkloads(systems []sim.System, results []*spex.Result, plan Plan) ([]
 		}
 		ms := confgen.NewRegistry().Generate(results[i].Set, tmpl)
 		totals[i] = len(ms)
-		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: ms, Keys: cacheKeys(ms)}
+		keys := cacheKeys(ms)
+		ws[i] = Workload{Sys: sys, Set: results[i].Set, Ms: ms, Keys: keys,
+			Canon: campaignstore.NewCanonical(results[i].Set, ms, keys)}
 	}
 	return plan.Apply(ws), totals, nil
 }
@@ -338,7 +348,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		w := &ws[i]
 		keys[i] = w.ReplayKeys()
 		if locks != nil {
-			runs[i].Status, stored[i], stamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep)
+			runs[i].Status, stored[i], stamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep, w.Canon)
 		}
 		var js []int
 		for j, key := range keys[i] {

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
+	"spex/internal/confgen"
+	"spex/internal/constraint"
 	"spex/internal/inject"
 	"spex/internal/obs"
 	"spex/internal/report"
@@ -126,6 +128,49 @@ func TestReplayRunBypassesEngine(t *testing.T) {
 	}
 }
 
+// TestWarmReplayMatchesCanonicalEncodings: a rerun of the workloads
+// that wrote the store matches every snapshot header and record against
+// the workloads' canonical encodings, for all seven targets, so none is
+// decoded in full; each prepare still counts as one snapshot load. The
+// canonical decode takes a workload's own set and misconfigurations, so
+// it also checks that their JSON decodes back to itself.
+func TestWarmReplayMatchesCanonicalEncodings(t *testing.T) {
+	ws := allWorkloads(t)
+	for _, w := range ws {
+		roundTrips(t, w.Set, new(constraint.Set))
+		for _, m := range w.Ms {
+			roundTrips(t, m, new(confgen.Misconf))
+		}
+	}
+	_, locks := lockedStore(t, t.TempDir())
+	campaign(t, locks, ws, 2)
+	const loads = "spex_store_loads_total"
+	before := counter(t, loads)
+	for i, run := range campaign(t, locks, ws, 2) {
+		if st := run.Status; !st.Replayed || st.FullHeader || st.FullDecodes != 0 {
+			t.Errorf("%s: replayed %v, header decoded in full %v, %d of %d records decoded in full",
+				run.Sys.Name(), st.Replayed, st.FullHeader, st.FullDecodes, len(ws[i].Ms))
+		}
+	}
+	if d := counter(t, loads) - before; d != uint64(len(ws)) {
+		t.Errorf("%s moved by %d over %d prepares", loads, d, len(ws))
+	}
+}
+
+// roundTrips fails unless v's JSON decodes into back and encodes again
+// to the same bytes.
+func roundTrips(t *testing.T, v, back any) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err == nil {
+		err = json.Unmarshal(b, back)
+	}
+	again, merr := json.Marshal(back)
+	if err != nil || merr != nil || !bytes.Equal(again, b) {
+		t.Fatalf("%T does not round-trip through JSON (%v, %v):\n%s\n%s", v, err, merr, b, again)
+	}
+}
+
 // TestMixedRunReplaysStoredSystems: one campaign over all seven targets
 // against a store holding three of them executes nothing for those
 // three, runs the other four in full, saves all seven, and the index
@@ -225,31 +270,36 @@ func TestCancelledReplayStillSaves(t *testing.T) {
 // TestConcurrentCampaignsShareWorkloads: CampaignAll never writes its
 // workloads, so two campaigns over one shared slice, into two stores,
 // run at once without a data race (-race) and save snapshots with
-// identical fingerprints.
+// identical fingerprints — cold, and again warm, decoding against the
+// shared canonical encodings.
 func TestConcurrentCampaignsShareWorkloads(t *testing.T) {
 	ws := allWorkloads(t)
 	var stores [2]*campaignstore.Store
-	var errs [2]error
-	var wg sync.WaitGroup
+	var locks [2]*campaignstore.LockSet
 	for k := range stores {
-		var locks *campaignstore.LockSet
-		stores[k], locks = lockedStore(t, t.TempDir())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runs, err := shard.CampaignAll(context.Background(), locks, ws, shard.Options{Workers: 2, Inject: inject.DefaultOptions()})
-			for _, run := range runs {
-				if err == nil && (run.Err != nil || !run.Status.Saved) {
-					err = fmt.Errorf("%s: not saved: %v", run.Sys.Name(), run.Err)
-				}
-			}
-			errs[k] = err
-		}()
+		stores[k], locks[k] = lockedStore(t, t.TempDir())
 	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			t.Fatalf("campaign %d: %v", k, err)
+	for round := 0; round < 2; round++ {
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k := range stores {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runs, err := shard.CampaignAll(context.Background(), locks[k], ws, shard.Options{Workers: 2, Inject: inject.DefaultOptions()})
+				for _, run := range runs {
+					if err == nil && (run.Err != nil || !run.Status.Saved || run.Status.Replayed != (round == 1)) {
+						err = fmt.Errorf("%s: saved %v (%v), replayed %v", run.Sys.Name(), run.Status.Saved, run.Err, run.Status.Replayed)
+					}
+				}
+				errs[k] = err
+			}()
+		}
+		wg.Wait()
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, campaign %d: %v", round, k, err)
+			}
 		}
 	}
 	for _, w := range ws {

@@ -159,10 +159,11 @@ func (p Plan) Owns(system, key string) bool {
 
 // Apply restricts a full campaign's workloads to this shard. Each
 // returned workload keeps the misconfigurations the plan owns, in input
-// order, with their replay keys, and vouches for the full campaign's
-// keys (Keep), so a shard run against a store holding its peers'
-// outcomes preserves them. A plan that does not partition returns ws
-// itself. ws is never modified.
+// order, with their replay keys and the full campaign's canonical
+// encodings (Canon), and vouches for the full campaign's keys (Keep),
+// so a shard run against a store holding its peers' outcomes preserves
+// them. A plan that does not partition returns ws itself. ws is never
+// modified.
 func (p Plan) Apply(ws []Workload) []Workload {
 	if !p.Enabled() {
 		return ws
@@ -171,7 +172,7 @@ func (p Plan) Apply(ws []Workload) []Workload {
 	for i, w := range ws {
 		keys := w.ReplayKeys()
 		keep := make(map[string]bool, len(keys))
-		out[i] = Workload{Sys: w.Sys, Set: w.Set, Keep: keep}
+		out[i] = Workload{Sys: w.Sys, Set: w.Set, Canon: w.Canon, Keep: keep}
 		for j, key := range keys {
 			keep[key] = true
 			if p.Owns(w.Sys.Name(), key) {
