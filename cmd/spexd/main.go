@@ -109,9 +109,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -174,8 +176,15 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(os.Stderr, "spexd: serving %s on http://%s\n", *state, *addr)
-	if err := s.ListenAndServe(ctx, *addr); err != nil {
+	// Bind before announcing, so the line names the bound port (an -addr
+	// of port 0 picks a free one) and never precedes a bind failure.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spexd: %v\n", errors.Join(err, s.Close()))
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "spexd: serving %s on http://%s\n", *state, ln.Addr())
+	if err := s.Serve(ctx, ln); err != nil {
 		fmt.Fprintf(os.Stderr, "spexd: %v\n", err)
 		return 1
 	}

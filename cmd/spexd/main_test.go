@@ -1,0 +1,342 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+
+	"spex/internal/campaignstore"
+)
+
+// binDir holds the spexd and spexeval binaries TestMain builds once.
+var binDir string
+
+func TestMain(m *testing.M) { os.Exit(buildAndRun(m)) }
+
+func buildAndRun(m *testing.M) int {
+	dir, err := os.MkdirTemp("", "spexd-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "spex/cmd/spexd", "spex/cmd/spexeval")
+	if out, err := build.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building spexd and spexeval: %v\n%s", err, out)
+		return 1
+	}
+	binDir = dir
+	return m.Run()
+}
+
+// servingRE matches the line spexd prints once its listener is bound.
+var servingRE = regexp.MustCompile(`^spexd: serving .* on (http://\S+)$`)
+
+// daemonProc is one spexd process and what it has written to stderr.
+type daemonProc struct {
+	cmd    *exec.Cmd
+	base   string
+	exited chan struct{} // closed once the process has been waited for
+	err    error         // the exit error, set before exited closes
+
+	mu     sync.Mutex
+	stderr bytes.Buffer
+}
+
+// log returns everything the daemon has written to stderr so far.
+func (d *daemonProc) log() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stderr.String()
+}
+
+// startDaemon runs spexd on state with an OS-chosen port and returns
+// once it has printed the address it is serving on.
+func startDaemon(t *testing.T, state string) *daemonProc {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(binDir, "spexd"), "-state", state, "-addr", "127.0.0.1:0")
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	d := &daemonProc{cmd: cmd, exited: make(chan struct{})}
+	ready := make(chan string, 1)
+	scanned := make(chan struct{})
+	go func() {
+		defer close(scanned)
+		sc := bufio.NewScanner(pipe)
+		for sc.Scan() {
+			line := sc.Text()
+			d.mu.Lock()
+			d.stderr.WriteString(line + "\n")
+			d.mu.Unlock()
+			if m := servingRE.FindStringSubmatch(line); m != nil {
+				select {
+				case ready <- m[1]:
+				default:
+				}
+			}
+		}
+	}()
+	go func() {
+		<-scanned // Wait closes the pipe, so read it to the end first
+		d.err = cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-d.exited:
+		default:
+			_ = cmd.Process.Kill()
+			<-d.exited
+		}
+	})
+	select {
+	case d.base = <-ready:
+	case <-d.exited:
+		t.Fatalf("spexd exited before serving (%v):\n%s", d.err, d.log())
+	case <-time.After(time.Minute):
+		t.Fatalf("spexd printed no serving line within a minute:\n%s", d.log())
+	}
+	return d
+}
+
+// client bounds every request; a job's event stream is the longest.
+var client = &http.Client{Timeout: 2 * time.Minute}
+
+// get fetches url and returns the status, headers and body.
+func get(t *testing.T, url string, header ...string) (int, http.Header, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return resp.StatusCode, resp.Header, string(body)
+}
+
+// mustGet is get for a request that must answer 200; it returns the
+// body.
+func mustGet(t *testing.T, url string) string {
+	t.Helper()
+	code, _, body := get(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: %d\n%s", url, code, body)
+	}
+	return body
+}
+
+// runJob submits an all-systems job, reads its event stream to the end
+// (the stream closes after the job's terminal frame), checks that the
+// job is done, and returns its ID and stream.
+func runJob(t *testing.T, base string) (string, string) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"all": true, "workers": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil || doc.ID == "" {
+		t.Fatalf("POST /v1/jobs: status %d, id %q, %v", resp.StatusCode, doc.ID, err)
+	}
+	events := mustGet(t, base+"/v1/jobs/"+doc.ID+"/events")
+	var final struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(mustGet(t, base+"/v1/jobs/"+doc.ID)), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "done" {
+		t.Fatalf("job %s ended %s: %s", doc.ID, final.State, final.Error)
+	}
+	return doc.ID, events
+}
+
+// metrics scrapes /metrics into its sample values by series name.
+func metrics(t *testing.T, base string) (map[string]float64, string) {
+	t.Helper()
+	page := mustGet(t, base+"/metrics")
+	values := map[string]float64{}
+	for _, line := range strings.Split(page, "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if f, err := strconv.ParseFloat(v, 64); err == nil {
+			values[name] = f
+		}
+	}
+	return values, page
+}
+
+// TestDaemonServesAndDrains runs spexd as its own process: an
+// all-systems job streams progress and a versioned terminal frame, the
+// daemon serves the paper's table 5, the cross-system query, ETag
+// revalidation and the job's trace, a second job replays the store, and
+// /metrics spans the layers. SIGTERM drains the daemon and releases the
+// state lock, and spexeval renders the drained store's table 5, from
+// snapshots and from the index, byte for byte as served.
+func TestDaemonServesAndDrains(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "state")
+	d := startDaemon(t, state)
+
+	job, events := runJob(t, d.base)
+	if !strings.Contains(events, "event: progress") {
+		t.Errorf("the job's stream carries no progress frames:\n%s", events)
+	}
+	var frame []string // the stream's lines, blank lines and comments dropped
+	for _, line := range strings.Split(events, "\n") {
+		if line != "" && !strings.HasPrefix(line, ":") {
+			frame = append(frame, line)
+		}
+	}
+	if len(frame) < 3 {
+		t.Fatalf("the job's stream is too short:\n%s", events)
+	}
+	last := frame[len(frame)-3:]
+	if !strings.HasPrefix(last[0], "id: ") || last[1] != "event: job" ||
+		!strings.Contains(last[2], `"v":1`) || !strings.Contains(last[2], `"state":"done"`) {
+		t.Errorf("the stream does not end with a v1 done job frame:\n%s", strings.Join(last, "\n"))
+	}
+
+	golden, err := os.ReadFile("../../testdata/golden/table05.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := mustGet(t, d.base+"/v1/tables/5?format=text")
+	if table != string(golden) {
+		t.Errorf("served table 5 differs from testdata/golden/table05.txt:\n%s", table)
+	}
+
+	var query struct {
+		Groups []struct {
+			Param   string   `json:"param"`
+			Systems []string `json:"systems"`
+		} `json:"groups"`
+	}
+	if err := json.Unmarshal([]byte(mustGet(t, d.base+"/v1/query?min-systems=2")), &query); err != nil {
+		t.Fatal(err)
+	}
+	if len(query.Groups) == 0 {
+		t.Error("the cross-system query found no groups")
+	}
+	for _, g := range query.Groups {
+		if g.Param == "" || len(g.Systems) < 2 {
+			t.Errorf("query group %+v: want a parameter in at least two systems", g)
+		}
+	}
+
+	_, header, _ := get(t, d.base+"/v1/tables/5?format=text")
+	etag := header.Get("ETag")
+	if etag == "" {
+		t.Error("table 5 carries no ETag")
+	} else if code, _, _ := get(t, d.base+"/v1/tables/5?format=text", "If-None-Match", etag); code != http.StatusNotModified {
+		t.Errorf("revalidating table 5 with its ETag answered %d, want 304", code)
+	}
+
+	var trace struct {
+		Spans []struct {
+			Kind string `json:"kind"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(mustGet(t, d.base+"/v1/jobs/"+job+"/trace")), &trace); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, s := range trace.Spans {
+		kinds[s.Kind]++
+	}
+	if kinds["job"] != 1 || kinds["system"] == 0 {
+		t.Errorf("the trace has %d job and %d system spans, want 1 and some", kinds["job"], kinds["system"])
+	}
+	text := mustGet(t, d.base+"/v1/jobs/"+job+"/trace?format=text")
+	if !regexp.MustCompile(`(?m)^job `).MatchString(text) || !regexp.MustCompile(`(?m)^  system `).MatchString(text) {
+		t.Errorf("the text trace lacks a job line or an indented system line:\n%s", text)
+	}
+
+	// A second identical job replays everything the first one saved.
+	before, _ := metrics(t, d.base)
+	if before["spex_campaign_outcomes_fresh_total"] <= 0 {
+		t.Error("/metrics counts no fresh outcomes after the first job")
+	}
+	runJob(t, d.base)
+	after, page := metrics(t, d.base)
+	if r := after["spex_campaign_outcomes_replayed_total"] - before["spex_campaign_outcomes_replayed_total"]; r <= 0 {
+		t.Errorf("the second job replayed %v outcomes, want some", r)
+	}
+	if f := after["spex_campaign_outcomes_fresh_total"] - before["spex_campaign_outcomes_fresh_total"]; f != 0 {
+		t.Errorf("the second job ran %v fresh outcomes, want 0", f)
+	}
+	if n := strings.Count(page, "\n# TYPE spex_"); n < 20 {
+		t.Errorf("/metrics has %d spex_ families, want at least 20", n)
+	}
+	if !strings.Contains(page, "\nspex_job_seconds_bucket") {
+		t.Error("/metrics has no spex_job_seconds histogram buckets")
+	}
+	for _, name := range []string{"spex_campaign_outcomes_replayed_total", "spex_http_etag_304_total", "spex_store_saves_total"} {
+		if after[name] < 1 {
+			t.Errorf("/metrics: %s = %v, want at least 1", name, after[name])
+		}
+	}
+
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.exited:
+	case <-time.After(time.Minute):
+		t.Fatalf("spexd did not drain within a minute of SIGTERM:\n%s", d.log())
+	}
+	if d.err != nil {
+		t.Fatalf("spexd exited with %v after SIGTERM:\n%s", d.err, d.log())
+	}
+	if _, err := os.Stat(campaignstore.LockPath(state)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the drained daemon left its state lock (stat: %v)", err)
+	}
+
+	for _, args := range [][]string{
+		{"-state", state, "-table", "5"},
+		{"-index", "-state", state, "-table", "5"},
+	} {
+		out, err := exec.Command(filepath.Join(binDir, "spexeval"), args...).Output()
+		if err != nil {
+			t.Fatalf("spexeval %s: %v", strings.Join(args, " "), err)
+		}
+		if string(out) != table {
+			t.Errorf("spexeval %s differs from the served table:\n%s", strings.Join(args, " "), out)
+		}
+	}
+}

@@ -523,11 +523,20 @@ func printMergedReports(stateDir string, max int) error {
 	if err != nil {
 		return err
 	}
-	snaps, err := store.LoadAll()
+	paths, err := store.Snapshots()
 	if err != nil {
 		return err
 	}
-	for _, snap := range snaps {
+	systems := make([]string, 0, len(paths))
+	for system := range paths {
+		systems = append(systems, system)
+	}
+	sort.Strings(systems)
+	for _, system := range systems {
+		snap, err := store.Load(system)
+		if err != nil {
+			return err
+		}
 		keys := make([]string, 0, len(snap.Outcomes))
 		for k := range snap.Outcomes {
 			keys = append(keys, k)

@@ -208,3 +208,44 @@ func TestCoordinatorRefusesLockedRoot(t *testing.T) {
 		t.Errorf("stderr does not name the lock holder:\n%s", stderr)
 	}
 }
+
+var (
+	errorReportRE = regexp.MustCompile(`(?s)=== SPEX-INJ error report: .*?\n\n`)
+	moreVulnsRE   = regexp.MustCompile(`^  \.\.\. \(\d+ more vulnerabilities in (\S+); raise -max\)$`)
+)
+
+// TestCoordinatedReportsMatchUnshardedRun: -coordinate -reports renders
+// error reports from the merged store, at most -max per system, and
+// each is a report the unsharded run prints too.
+func TestCoordinatedReportsMatchUnshardedRun(t *testing.T) {
+	all := mustRun(t, "spexinj", "-all", "-reports", "-max", "100000")
+	coordinated := mustRun(t, "spexinj", "-all", "-coordinate", "2", "-reports", "-max", "2",
+		"-state", filepath.Join(t.TempDir(), "coordst"))
+
+	reports, systems := 0, map[string]bool{}
+	for _, line := range strings.Split(coordinated, "\n") {
+		if strings.HasPrefix(line, "=== SPEX-INJ error report: ") {
+			reports++
+		}
+		if m := moreVulnsRE.FindStringSubmatch(line); m != nil {
+			if reports > 2 {
+				t.Errorf("%d error reports for %s, want at most 2", reports, m[1])
+			}
+			systems[m[1]] = true
+			reports = 0
+		}
+	}
+	if len(systems) != 7 || reports != 0 {
+		t.Errorf("capped reports for %d systems, with %d reports after the last cap, want all 7 capped:\n%s",
+			len(systems), reports, coordinated)
+	}
+	blocks := errorReportRE.FindAllString(coordinated, -1)
+	if len(blocks) == 0 {
+		t.Fatalf("the coordinated run printed no error reports:\n%s", coordinated)
+	}
+	for _, b := range blocks {
+		if !strings.Contains(all, b) {
+			t.Errorf("the unsharded run does not report:\n%s", b)
+		}
+	}
+}

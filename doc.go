@@ -350,17 +350,20 @@
 // precomputed per-system aggregates (reaction tallies, vulnerability
 // and unique-location counts — the Table 3/5 numbers). The index is
 // rebuilt incrementally on every save by the same streaming writer
-// that folds the fingerprint, and it is always derived data: the
-// sidecar records the snapshot file's name, size and mtime, one stat
-// call validates it, and any mismatch (or a deleted sidecar) triggers
-// a rebuild from the snapshot. The sidecar persists only the docs;
-// loading re-derives the posting lists and aggregates through the code
-// that built them and rejects docs out of key order, so a corrupt
-// sidecar cannot serve a tally or a position its docs do not back
-// (FuzzReadIndexFile). The daemon layers an in-memory copy on
-// top with the same (path, size, mtime) revalidation per request, so
-// cache invalidation needs no coupling to the job lifecycle: a save's
-// atomic rename is the invalidation. `spexeval -index -state <dir>`
+// that folds the fingerprint, and it is always derived data: both the
+// sidecar and the copy the store keeps in memory record the snapshot
+// file's name, size and mtime, and Store.LoadIndex validates them with
+// one stat call. The store keeps the index its own save built, so the
+// daemon's read path and a job's eval never read back what was just
+// written; a foreign writer's rename changes the identity, and a
+// mismatch (or a deleted sidecar) falls back to the sidecar, then to a
+// rebuild from the snapshot. Cache invalidation needs no coupling to
+// the job lifecycle: a save's atomic rename is the invalidation. The
+// sidecar persists only the docs; loading re-derives the posting lists
+// and aggregates through the code that built them and rejects docs out
+// of key order, so a corrupt sidecar cannot serve a tally or a
+// position its docs do not back (FuzzReadIndexFile).
+// `spexeval -index -state <dir>`
 // renders all tables and figures from the indexes alone — read-only,
 // no writer lock, no snapshot record parsed — byte-identical to a
 // -state replay (report.ReplayFromIndex).

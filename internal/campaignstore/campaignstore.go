@@ -35,12 +35,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
+	"spex/internal/outcomeindex"
 )
 
 // SchemaVersion is the snapshot layout version. Bump it on any change
@@ -180,9 +182,19 @@ func New(system string, set *constraint.Set, opts inject.Options, outcomes map[s
 	}
 }
 
-// Store is a state directory holding one snapshot file per system.
+// Store is a state directory holding one snapshot file per system,
+// plus the outcome indexes the store has read or written (LoadIndex).
+// A held index is served only while its snapshot file keeps the size
+// and mtime it was derived from, so a save by another Store or process
+// on the same directory invalidates it like the store's own.
 type Store struct {
 	dir string
+
+	// mu guards idx, system name → its index pinned to the snapshot
+	// file's identity (the value the sidecar persists). It is never held
+	// across I/O.
+	mu  sync.Mutex
+	idx map[string]*outcomeindex.File
 }
 
 // Open prepares a store rooted at dir, creating the directory if
@@ -195,7 +207,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, idx: make(map[string]*outcomeindex.File)}, nil
 }
 
 // snapSuffix names the snapshot files Save writes. Any other file in
@@ -267,37 +279,6 @@ func (s *Store) read(system string, c *Canonical, st *Status) (*Snapshot, error)
 		st.FullHeader, st.FullDecodes = d.fullHeader, d.fullRecords
 	}
 	return snap, nil
-}
-
-// LoadAll reads and validates every snapshot in the store in one pass,
-// sorted by system name — the shard-merge path, which needs the full
-// documents and must not parse each file twice (once to list, once to
-// load). Unlike List it is strict: an unreadable, corrupt, stale, or
-// misfiled snapshot fails the whole call, because a merge must never
-// silently skip a shard's data.
-func (s *Store) LoadAll() ([]*Snapshot, error) {
-	names, err := s.snapshotFiles()
-	if err != nil {
-		return nil, err
-	}
-	var snaps []*Snapshot
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("campaignstore: %w", err)
-		}
-		snap, _, err := decodeBinarySnapshot(data, name, nil)
-		if err != nil {
-			return nil, err
-		}
-		if base := safeName(snap.System); name != base+snapSuffix {
-			return nil, fmt.Errorf("campaignstore: %s names system %q, which belongs in %s",
-				name, snap.System, base+snapSuffix)
-		}
-		snaps = append(snaps, snap)
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].System < snaps[j].System })
-	return snaps, nil
 }
 
 // snapshotFiles lists the store's snapshot file names.
@@ -434,7 +415,7 @@ func readSystemName(path string) (string, error) {
 }
 
 // lockName is the store's writer-lock file. It does not end in
-// .campaign.snap, so List/LoadAll never mistake it for a snapshot.
+// .campaign.snap, so List/Snapshots never mistake it for a snapshot.
 const lockName = ".spex.lock"
 
 // LockPath returns the writer-lock file guarding a state directory —
@@ -698,8 +679,9 @@ func (ls *LockSet) check(system string) error {
 // subsequent run. With it, the final path only ever holds a complete
 // document (or the previous one).
 //
-// A successful save also rebuilds the system's outcome-index sidecar,
-// so the daemon's read path never re-parses what was just written.
+// A successful save also keeps the system's outcome index, built as
+// the records streamed, in the store and in its sidecar (see
+// StreamWriter.Close), so no reader re-parses what was just written.
 func (ls *LockSet) Save(snap *Snapshot) error {
 	if err := ls.check(snap.System); err != nil {
 		return err

@@ -453,7 +453,7 @@ func TestLockSetScope(t *testing.T) {
 }
 
 // TestLockFileInvisibleToStore: the lock file must never be mistaken
-// for a snapshot by List or LoadAll.
+// for a snapshot by List or Snapshots.
 func TestLockFileInvisibleToStore(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -467,8 +467,8 @@ func TestLockFileInvisibleToStore(t *testing.T) {
 	if systems, err := store.List(); err != nil || len(systems) != 0 {
 		t.Errorf("List = %v, %v with only a lock file present", systems, err)
 	}
-	if snaps, err := store.LoadAll(); err != nil || len(snaps) != 0 {
-		t.Errorf("LoadAll = %d snaps, %v with only a lock file present", len(snaps), err)
+	if snaps, err := store.Snapshots(); err != nil || len(snaps) != 0 {
+		t.Errorf("Snapshots = %d snaps, %v with only a lock file present", len(snaps), err)
 	}
 }
 

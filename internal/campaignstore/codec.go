@@ -31,7 +31,7 @@
 // {"Misconf": and then exactly its key's canonical misconfiguration
 // bytes (by length and sha256) decodes only the members after them and
 // takes the workload's misconfiguration. Anything else, and every
-// decode without a Canonical (Load, LoadAll, SnapshotIter), takes the
+// decode without a Canonical (Load, SnapshotIter), takes the
 // full json.Unmarshal. Both paths accept the same bytes and yield the
 // same fingerprint and outcome encodings (FuzzCanonicalDecode).
 //

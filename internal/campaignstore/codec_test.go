@@ -121,11 +121,21 @@ func TestCorruptBinarySnapshotRejected(t *testing.T) {
 
 // TestLoadIndexSidecar: a save writes the index sidecar; LoadIndex
 // serves it while fresh and rebuilds (and rewrites it) when it is
-// missing or stale.
+// missing or stale. The saving store answers from memory, so every
+// read here goes through a freshly opened store.
 func TestLoadIndexSidecar(t *testing.T) {
-	store, err := Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh := func() *Store {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	set := mkSet(basicC("p"))
 	outcomes := fixtureOutcomes(t, 18)
@@ -141,7 +151,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 		t.Fatalf("save did not write the index sidecar: %v", err)
 	}
 
-	idx, err := store.LoadIndex("storefake")
+	idx, err := fresh().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 	if err := os.Remove(store.IndexPath("storefake")); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := store.LoadIndex("storefake")
+	rebuilt, err := fresh().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 	if err := os.WriteFile(store.IndexPath("storefake"), []byte(fmt.Sprintf(`{"version":%d,"snap":"other","sys":{"system":"storefake"}}`, outcomeindex.Version)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	again, err := store.LoadIndex("storefake")
+	again, err := fresh().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 	if err := os.WriteFile(store.IndexPath("storefake"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tampered, err := store.LoadIndex("storefake")
+	tampered, err := fresh().LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}

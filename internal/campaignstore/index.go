@@ -1,13 +1,14 @@
-// Streaming snapshot writes and the outcome-index sidecar. The
+// Streaming snapshot writes and the outcome-index cache. The
 // StreamWriter is the one write path for binary snapshots — Save and
 // the shard merge both go through it — and it maintains two derived
 // artifacts as records pass through: the snapshot fingerprint (folded
-// by the encoder) and the system's outcome index, persisted beside the
-// snapshot as <system>.campaign.idx. The sidecar is keyed by the
-// snapshot file's name, size and mtime; LoadIndex validates that
-// identity with one stat call and rebuilds from the snapshot when it
-// does not hold, so a sidecar can always be deleted (or go stale via a
-// foreign writer) without any loss.
+// by the encoder) and the system's outcome index. Close keeps the index
+// in the store's memory and persists it beside the snapshot as
+// <system>.campaign.idx. Both copies are keyed by the snapshot file's
+// size and mtime; LoadIndex validates that identity with one stat call
+// and rebuilds from the snapshot when neither copy matches it, so a
+// sidecar can always be deleted (or go stale via a foreign writer)
+// without any loss.
 package campaignstore
 
 import (
@@ -23,7 +24,7 @@ import (
 )
 
 // indexSuffix is the outcome-index sidecar suffix. It is not the
-// snapshot suffix, so List/LoadAll never mistake a sidecar for a
+// snapshot suffix, so List/Snapshots never mistake a sidecar for a
 // snapshot.
 const indexSuffix = ".campaign.idx"
 
@@ -103,9 +104,12 @@ func (w *StreamWriter) Abort() {
 }
 
 // Close finalizes the container (terminator, count, CRC), fsyncs,
-// renames it over the final path, rewrites the index sidecar, and
-// returns the snapshot fingerprint. The fsync before the rename means
-// the final path only ever holds a complete snapshot.
+// renames it over the final path, and returns the snapshot fingerprint.
+// The fsync before the rename means the final path only ever holds a
+// complete snapshot. The index built from the added records is then
+// kept under the file's new size and mtime, in the store (so LoadIndex
+// answers from memory, not from disk) and in the sidecar (so another
+// process or a later Store reads it instead of the snapshot).
 func (w *StreamWriter) Close() (string, error) {
 	if w.done {
 		return "", errors.New("campaignstore: stream writer already closed")
@@ -121,6 +125,9 @@ func (w *StreamWriter) Close() (string, error) {
 		w.tmp.Close()
 		return "", fmt.Errorf("campaignstore: %w", err)
 	}
+	// The rename keeps the file's size and mtime, so this is the identity
+	// of exactly these bytes, whatever another writer renames later.
+	fi, statErr := w.tmp.Stat()
 	if err := w.tmp.Close(); err != nil {
 		return "", fmt.Errorf("campaignstore: %w", err)
 	}
@@ -135,25 +142,21 @@ func (w *StreamWriter) Close() (string, error) {
 		_ = d.Sync()
 		d.Close()
 	}
-	// Rebuild the sidecar. Best-effort: the index is derived data that
-	// LoadIndex reconstructs from the snapshot if this write fails.
-	if fi, err := os.Stat(final); err == nil {
+	// Best-effort: the index is derived data that LoadIndex reconstructs
+	// from the snapshot if it is not kept.
+	if statErr == nil {
 		w.idx.SetFingerprint(fp)
-		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), &outcomeindex.File{
-			Version:   outcomeindex.Version,
-			Snap:      filepath.Base(final),
-			SnapSize:  fi.Size(),
-			SnapMTime: fi.ModTime().UnixNano(),
-			Sys:       w.idx.Finish(),
-		})
+		f := w.store.indexFile(w.hdr.System, fi, w.idx.Finish())
+		w.store.hold(w.hdr.System, f)
+		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), f)
 	}
 	return fp, nil
 }
 
-// Snapshots returns the store's snapshot files keyed by system name —
-// strict like LoadAll (an unreadable or misfiled snapshot header is an
-// error, because a merge must never silently skip a shard's data), but
-// without decoding any outcome records.
+// Snapshots returns the store's snapshot files keyed by system name,
+// without decoding any outcome records. Unlike List it is strict: an
+// unreadable or misfiled snapshot header is an error, because a merge
+// must never silently skip a shard's data.
 func (s *Store) Snapshots() (map[string]string, error) {
 	names, err := s.snapshotFiles()
 	if err != nil {
@@ -175,62 +178,89 @@ func (s *Store) Snapshots() (map[string]string, error) {
 	return out, nil
 }
 
-// SnapshotInfo returns the path and stat of the system's snapshot file.
-// The (size, mtime) pair is the cache key the daemon's read path
-// invalidates on: every save is an atomic rename that changes both.
-func (s *Store) SnapshotInfo(system string) (string, os.FileInfo, error) {
-	p := s.Path(system)
-	fi, err := os.Stat(p)
+// snapshotInfo stats the system's snapshot file. Its size and mtime
+// are the identity every index is checked against (current): every
+// save is an atomic rename that changes both.
+func (s *Store) snapshotInfo(system string) (os.FileInfo, error) {
+	fi, err := os.Stat(s.Path(system))
 	if errors.Is(err, os.ErrNotExist) {
-		return "", nil, fmt.Errorf("%w for %s", ErrNotExist, system)
+		return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
 	}
 	if err != nil {
-		return "", nil, fmt.Errorf("campaignstore: %w", err)
+		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	return p, fi, nil
+	return fi, nil
 }
 
-// LoadIndex returns the system's outcome index: the persisted sidecar
-// when it matches the snapshot on disk, otherwise a rebuild from the
-// snapshot (which also rewrites the sidecar, so the next read is
-// cheap). Errors mirror Load's — ErrNotExist when the system has no
-// snapshot, and any snapshot validation failure surfaces unchanged,
-// because an index must never outlive the fail-safe checks of the data
-// it summarizes.
-func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
-	path, fi, err := s.SnapshotInfo(system)
-	if err != nil {
-		return nil, err
-	}
-	ipath := s.IndexPath(system)
-	if f, err := outcomeindex.ReadFile(ipath); err == nil &&
-		f.Snap == filepath.Base(path) && f.SnapSize == fi.Size() &&
-		f.SnapMTime == fi.ModTime().UnixNano() && f.Sys.System == system {
-		return f.Sys, nil
-	}
-	snap, err := s.Load(system)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := snap.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	sys := outcomeindex.Build(outcomeindex.Meta{
-		System:         snap.System,
-		Fingerprint:    fp,
-		SavedAt:        snap.SavedAt,
-		Options:        snap.Options,
-		SetFingerprint: snap.SetFingerprint,
-	}, snap.Outcomes)
-	_ = outcomeindex.WriteFile(ipath, &outcomeindex.File{
+// indexFile pins sys to the identity of the system's snapshot file as
+// fi describes it. The store holds this value and persists it as the
+// sidecar.
+func (s *Store) indexFile(system string, fi os.FileInfo, sys *outcomeindex.System) *outcomeindex.File {
+	return &outcomeindex.File{
 		Version:   outcomeindex.Version,
-		Snap:      filepath.Base(path),
+		Snap:      filepath.Base(s.Path(system)),
 		SnapSize:  fi.Size(),
 		SnapMTime: fi.ModTime().UnixNano(),
 		Sys:       sys,
-	})
-	return sys, nil
+	}
+}
+
+// current reports whether f, held in memory or read from the sidecar,
+// was derived from the system's snapshot file as fi describes it now.
+func (s *Store) current(f *outcomeindex.File, system string, fi os.FileInfo) bool {
+	return f.Snap == filepath.Base(s.Path(system)) && f.SnapSize == fi.Size() &&
+		f.SnapMTime == fi.ModTime().UnixNano() && f.Sys.System == system
+}
+
+// hold keeps f as the system's index until a later save or read
+// replaces it.
+func (s *Store) hold(system string, f *outcomeindex.File) {
+	s.mu.Lock()
+	s.idx[system] = f
+	s.mu.Unlock()
+}
+
+// LoadIndex returns the system's outcome index. It stats the snapshot
+// once and returns the index the store holds while it is current: one
+// the store saved (StreamWriter.Close) or read before. Otherwise it
+// reads the sidecar if that is current, or rebuilds the index from the
+// snapshot and rewrites the sidecar, and holds the result. Errors
+// mirror Load's — ErrNotExist when the system has no snapshot, and any
+// snapshot validation failure surfaces unchanged, because an index must
+// never outlive the fail-safe checks of the data it summarizes.
+func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
+	fi, err := s.snapshotInfo(system)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	f := s.idx[system]
+	s.mu.Unlock()
+	if f != nil && s.current(f, system, fi) {
+		mIndexHits.Inc()
+		return f.Sys, nil
+	}
+	if f, err = outcomeindex.ReadFile(s.IndexPath(system)); err != nil || !s.current(f, system, fi) {
+		snap, err := s.Load(system)
+		if err != nil {
+			return nil, err
+		}
+		fp, err := snap.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		f = s.indexFile(system, fi, outcomeindex.Build(outcomeindex.Meta{
+			System:         snap.System,
+			Fingerprint:    fp,
+			SavedAt:        snap.SavedAt,
+			Options:        snap.Options,
+			SetFingerprint: snap.SetFingerprint,
+		}, snap.Outcomes))
+		_ = outcomeindex.WriteFile(s.IndexPath(system), f)
+	}
+	mIndexRebuilds.Inc()
+	s.hold(system, f)
+	return f.Sys, nil
 }
 
 // LoadIndexAll loads every system's index, sorted by system name.

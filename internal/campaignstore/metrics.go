@@ -1,7 +1,8 @@
 // Store metrics: persistence costs (save/load latency, snapshot
-// size) and the replay policy's decisions (outcomes loaded for
-// replay, delta retests, full-campaign fallbacks) feed the
-// process-global obs registry.
+// size), the replay policy's decisions (outcomes loaded for replay,
+// delta retests, full-campaign fallbacks) and the outcome-index cache
+// (LoadIndex) feed the process-global obs registry. The index-cache
+// families keep the names they had when spexd owned that cache.
 package campaignstore
 
 import "spex/internal/obs"
@@ -17,6 +18,8 @@ const (
 	metricPrepareReplayed  = "spex_store_prepare_replayed_outcomes_total"
 	metricPrepareRetests   = "spex_store_prepare_retests_total"
 	metricPrepareFallbacks = "spex_store_prepare_fallbacks_total"
+	metricIndexHits        = "spex_server_index_cache_hits_total"
+	metricIndexRebuilds    = "spex_server_index_cache_rebuilds_total"
 )
 
 var (
@@ -30,4 +33,6 @@ var (
 	mPrepareReplayed  = obs.Default().Counter(metricPrepareReplayed, "outcomes Prepare loaded from snapshots for replay")
 	mPrepareRetests   = obs.Default().Counter(metricPrepareRetests, "misconfigurations the constraint delta selected for re-execution")
 	mPrepareFallbacks = obs.Default().Counter(metricPrepareFallbacks, "Prepare calls that fell back to a full campaign")
+	mIndexHits        = obs.Default().Counter(metricIndexHits, "outcome-index reads served from the in-memory cache after stat revalidation")
+	mIndexRebuilds    = obs.Default().Counter(metricIndexRebuilds, "outcome-index reads that reloaded the index from disk")
 )

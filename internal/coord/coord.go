@@ -305,7 +305,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if len(remaining) <= best {
 				continue // below threshold on heartbeat evidence alone
 			}
-			// Only now pay for parsing the worker's shard store: a
+			// Only now pay for reading the worker's shard store: a
 			// resumed worker's persisted outcomes replay for free and
 			// must not count as stealable backlog.
 			if persisted := persistedKeys(ShardDir(cfg.StateDir, j+1)); len(persisted) > 0 {
@@ -484,14 +484,14 @@ func persistedKeys(dir string) map[string]bool {
 	if err != nil {
 		return nil
 	}
-	snaps, err := store.LoadAll()
+	idxs, err := store.LoadIndexAll()
 	if err != nil {
 		return nil
 	}
 	keys := make(map[string]bool)
-	for _, snap := range snaps {
-		for key := range snap.Outcomes {
-			keys[shard.GlobalKey(snap.System, key)] = true
+	for _, idx := range idxs {
+		for _, d := range idx.Docs {
+			keys[shard.GlobalKey(idx.System, d.Key)] = true
 		}
 	}
 	return keys

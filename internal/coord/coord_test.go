@@ -382,9 +382,13 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps, _ := store.LoadAll()
+		paths, _ := store.Snapshots()
 		own := make(map[string]bool)
-		for _, snap := range snaps {
+		for system := range paths {
+			snap, err := store.Load(system)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for key := range snap.Outcomes {
 				g := shard.GlobalKey(snap.System, key)
 				own[g] = true

@@ -95,6 +95,29 @@ func TestWarmJobKeepsTablesCache(t *testing.T) {
 	}
 }
 
+// TestWarmJobReadsNoIndexFromDisk: a job's saves leave each system's
+// outcome index in the store's memory, so neither the job's own eval
+// nor the table read after it loads an index from disk.
+func TestWarmJobReadsNoIndexFromDisk(t *testing.T) {
+	_, ts := daemon(t, server.Config{StateDir: t.TempDir(), Workers: 2})
+	run := func() {
+		t.Helper()
+		doc := postJob(t, ts.URL, `{"all": true, "workers": 2}`)
+		if final := waitTerminal(t, ts.URL, doc.ID, 2*time.Minute); final.State != server.StateDone {
+			t.Fatalf("job ended %s: %s", final.State, final.Error)
+		}
+	}
+	run()
+	rebuilds := counter(t, ts.URL, "spex_server_index_cache_rebuilds_total")
+	run() // warm: every system is re-saved
+	if err := checkTable(ts.URL+"/v1", 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(t, ts.URL, "spex_server_index_cache_rebuilds_total"); got != rebuilds {
+		t.Errorf("a warm job and a table read loaded %v indexes from disk, want 0", got-rebuilds)
+	}
+}
+
 // counter reads one unlabelled counter from the daemon's /metrics.
 func counter(t *testing.T, base, name string) float64 {
 	t.Helper()

@@ -337,7 +337,10 @@ func loadJournal(stateDir string) ([]Job, int, error) {
 	var jobs []Job
 	maxSeq := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		// Only a job ID's own name can hold its document, so anything else
+		// (a job's <id>.trace.json among them) is never read.
+		stem, ok := strings.CutSuffix(e.Name(), ".json")
+		if e.IsDir() || !ok || !jobIDRE.MatchString(stem) {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -345,7 +348,7 @@ func loadJournal(stateDir string) ([]Job, int, error) {
 			continue
 		}
 		var doc Job
-		if json.Unmarshal(data, &doc) != nil || !jobIDRE.MatchString(doc.ID) || doc.ID+".json" != e.Name() {
+		if json.Unmarshal(data, &doc) != nil || doc.ID != stem {
 			continue
 		}
 		fail := ""

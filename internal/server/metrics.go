@@ -1,7 +1,8 @@
 // Daemon metrics: per-endpoint HTTP traffic and latency, ETag
-// revalidation hits, the two read-path caches, job lifecycle counts
-// and durations, and SSE keepalive frames all feed the obs registry
-// the daemon itself serves at GET /metrics.
+// revalidation hits, the tables cache, job lifecycle counts and
+// durations, and SSE keepalive frames all feed the obs registry the
+// daemon itself serves at GET /metrics. The outcome-index cache and
+// its spex_server_index_cache_* families live in campaignstore.
 package server
 
 import "spex/internal/obs"
@@ -11,8 +12,6 @@ const (
 	metricHTTPSeconds    = "spex_http_request_seconds"
 	metricEtagChecks     = "spex_http_etag_checks_total"
 	metricEtag304        = "spex_http_etag_304_total"
-	metricIndexHits      = "spex_server_index_cache_hits_total"
-	metricIndexRebuilds  = "spex_server_index_cache_rebuilds_total"
 	metricTablesHits     = "spex_server_tables_cache_hits_total"
 	metricTablesRebuilds = "spex_server_tables_cache_rebuilds_total"
 	metricJobsByState    = "spex_jobs_total"
@@ -32,10 +31,6 @@ var (
 		"conditional requests carrying If-None-Match")
 	mEtag304 = obs.Default().Counter(metricEtag304,
 		"conditional requests answered 304 Not Modified")
-	mIndexHits = obs.Default().Counter(metricIndexHits,
-		"outcome-index reads served from the in-memory cache after stat revalidation")
-	mIndexRebuilds = obs.Default().Counter(metricIndexRebuilds,
-		"outcome-index reads that reloaded the index from disk")
 	mTablesHits = obs.Default().Counter(metricTablesHits,
 		"table requests served from the memoized replay analysis")
 	mTablesRebuilds = obs.Default().Counter(metricTablesRebuilds,

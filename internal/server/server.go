@@ -85,12 +85,14 @@
 // its reserved systems (Lock.Set), so a save outside them fails loudly.
 //
 // The read path never touches snapshot records: every read endpoint is
-// served from the store's outcome indexes (internal/outcomeindex),
-// cached in memory per system and revalidated with one stat call per
-// request against the snapshot file's (path, size, mtime) — a job's
-// atomic snapshot rename is exactly what changes that identity, so
-// cache invalidation needs no coupling to the job lifecycle. Reads
-// need no lock at all, even while a job is writing. Every read
+// served from the namespace store's outcome indexes
+// (campaignstore.Store.LoadIndex, internal/outcomeindex). The store
+// keeps each system's index in memory and revalidates it with one stat
+// call per request against the snapshot file's size and mtime. Its own
+// saves fill that cache — a job's save keeps the index it built while
+// writing — and a foreign writer's atomic rename changes the identity,
+// so invalidation needs no coupling to the job lifecycle. Reads need
+// no lock at all, even while a job is writing. Every read
 // endpoint carries an ETag derived from the snapshot fingerprint(s) it
 // serves (the replay-equivalence hash, not the bytes) and honors
 // If-None-Match with 304 Not Modified.
@@ -105,6 +107,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -186,7 +189,7 @@ const (
 
 // namespace is one tenant: a campaign store with its own writer lock
 // (held for the daemon's lifetime), job table, queue, journal, and
-// read caches.
+// tables cache.
 type namespace struct {
 	name  string
 	dir   string
@@ -205,14 +208,6 @@ type namespace struct {
 	exclusive bool // a coordinate job owns the whole namespace
 	busy      map[string]string
 
-	// idxMu guards idxCache, the in-memory outcome indexes behind the
-	// read path. An entry is valid only while the snapshot file it was
-	// derived from keeps its (path, size, mtime) identity — one stat
-	// call per request, rechecked every time, so a foreign writer (or a
-	// job's save) invalidates it without any signalling.
-	idxMu    sync.Mutex
-	idxCache map[string]*cachedIndex
-
 	// tablesMu guards tablesCache, the memoized read-only analysis
 	// behind /v1/tables, keyed by the combined store fingerprint
 	// (tablesKey) so it survives exactly as long as every underlying
@@ -224,7 +219,7 @@ type namespace struct {
 }
 
 // Server is the daemon. Create with New, serve with Handler (any
-// http.Server) or ListenAndServe, stop with Close.
+// http.Server) or Serve, stop with Close.
 type Server struct {
 	cfg    Config
 	logger *slog.Logger
@@ -250,15 +245,6 @@ type Server struct {
 	jobsWG    sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// cachedIndex pins one system's in-memory index to the snapshot file
-// identity it was derived from.
-type cachedIndex struct {
-	path  string
-	size  int64
-	mtime int64
-	sys   *outcomeindex.System
 }
 
 // nsNameRE bounds namespace names: a path-safe lowercase slug.
@@ -370,14 +356,13 @@ func (s *Server) openNamespace(name string) (*namespace, error) {
 		return nil, err
 	}
 	ns := &namespace{
-		name:     name,
-		dir:      dir,
-		store:    store,
-		lock:     lock,
-		jobs:     make(map[string]*job),
-		busy:     make(map[string]string),
-		idxCache: make(map[string]*cachedIndex),
-		seq:      seq,
+		name:  name,
+		dir:   dir,
+		store: store,
+		lock:  lock,
+		jobs:  make(map[string]*job),
+		busy:  make(map[string]string),
+		seq:   seq,
 	}
 	for _, doc := range docs {
 		// A queued job never started under the dead daemon: re-queue it
@@ -484,12 +469,12 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// ListenAndServe runs the HTTP server until ctx is cancelled (SIGTERM
-// in cmd/spexd), then drains: in-flight handlers and running campaigns
-// are stopped, the job journals are final, and every lock is released
-// before returning.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
+// Serve runs the HTTP server on ln until ctx is cancelled (SIGTERM in
+// cmd/spexd), then drains: in-flight handlers and running campaigns are
+// stopped, the job journals are final, and every lock is released
+// before returning. Serve closes ln.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	srv := &http.Server{Handler: s.Handler()}
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)
@@ -507,7 +492,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		defer stop()
 		_ = srv.Shutdown(sctx)
 	}()
-	err := srv.ListenAndServe()
+	err := srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		err = nil
 	}
@@ -912,13 +897,14 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 			firstErr = err
 		}
 	}
-	// eval reads a system's outcome index into its summary — a stat plus
-	// one small sidecar read, never a snapshot parse: the fingerprint
-	// for every job, and as the eval stage the stored tallies.
+	// eval reads a system's outcome index into its summary — a stat and
+	// the index the store kept when it saved the system, never a
+	// snapshot parse: the fingerprint for every job, and as the eval
+	// stage the stored tallies.
 	eval := func(i int) error {
 		name := systems[i].Name()
 		emit(name, StageEval, "running", "")
-		idx, err := ns.index(name)
+		idx, err := ns.store.LoadIndex(name)
 		if err != nil {
 			emit(name, StageEval, "failed", err.Error())
 			return fmt.Errorf("%s: eval: %w", name, err)
@@ -997,7 +983,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 		summaries = summaries[:0]
 		for _, st := range res.Stats {
 			sum := SystemSummary{System: st.System, Outcomes: st.Outcomes, Fingerprint: st.Fingerprint}
-			if idx, err := ns.index(st.System); err == nil {
+			if idx, err := ns.store.LoadIndex(st.System); err == nil {
 				sum.Vulnerabilities = idx.Agg.Vulnerabilities
 			}
 			summaries = append(summaries, sum)
@@ -1080,55 +1066,6 @@ func describeSpec(spec JobSpec) string {
 		return fmt.Sprintf("%s, stages %v", target, spec.Stages)
 	}
 	return target
-}
-
-// ---- index cache ----
-
-// index returns the system's outcome index, serving the in-memory copy
-// while the snapshot file on disk still matches the (path, size, mtime)
-// identity the copy was built from, and falling through to
-// store.LoadIndex (sidecar, or full rebuild) otherwise.
-func (ns *namespace) index(name string) (*outcomeindex.System, error) {
-	path, fi, err := ns.store.SnapshotInfo(name)
-	if err != nil {
-		return nil, err
-	}
-	ns.idxMu.Lock()
-	if c := ns.idxCache[name]; c != nil &&
-		c.path == path && c.size == fi.Size() && c.mtime == fi.ModTime().UnixNano() {
-		sys := c.sys
-		ns.idxMu.Unlock()
-		mIndexHits.Inc()
-		return sys, nil
-	}
-	ns.idxMu.Unlock()
-	sys, err := ns.store.LoadIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	mIndexRebuilds.Inc()
-	ns.idxMu.Lock()
-	ns.idxCache[name] = &cachedIndex{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano(), sys: sys}
-	ns.idxMu.Unlock()
-	return sys, nil
-}
-
-// indexAll returns every stored system's index, sorted by system name.
-func (ns *namespace) indexAll() ([]*outcomeindex.System, error) {
-	names, err := ns.store.List()
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	out := make([]*outcomeindex.System, 0, len(names))
-	for _, name := range names {
-		sys, err := ns.index(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sys)
-	}
-	return out, nil
 }
 
 // combinedEtag folds the per-system snapshot fingerprints into one
@@ -1556,7 +1493,7 @@ func (s *Server) serveSub(w http.ResponseWriter, r *http.Request, sub dash.Sub) 
 }
 
 func (s *Server) handleSystems(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -1636,7 +1573,7 @@ func (s *Server) handleOutcomes(ns *namespace, w http.ResponseWriter, r *http.Re
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	idx, err := ns.index(name)
+	idx, err := ns.store.LoadIndex(name)
 	if err != nil {
 		writeError(w, storeErrCode(err), err)
 		return
@@ -1709,7 +1646,7 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad all %q (want 1 or 0)", v))
 		return
 	}
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		writeError(w, storeErrCode(err), err)
 		return
@@ -1739,7 +1676,7 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 // save landing mid-request can never put a newer body under an older
 // tag.
 func (ns *namespace) replayResults(d *derivation) ([]*report.SystemResult, string, error) {
-	idxs, err := ns.indexAll()
+	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
 		return nil, "", err
 	}

@@ -27,8 +27,7 @@ import (
 const maxMisconfSpans = 256
 
 // tracePath is the job's persisted trace document, next to its journal
-// entry. The trace's top-level key is "job", not "id", so loadJournal
-// never mistakes it for a job document.
+// entry. Its name is not a job ID's, so loadJournal never reads it.
 func tracePath(stateDir, id string) string {
 	return filepath.Join(stateDir, jobsDirName, id+".trace.json")
 }
