@@ -357,12 +357,17 @@
 // daemon's read path and a job's eval never read back what was just
 // written; a foreign writer's rename changes the identity, and a
 // mismatch (or a deleted sidecar) falls back to the sidecar, then to a
-// rebuild from the snapshot. Cache invalidation needs no coupling to
-// the job lifecycle: a save's atomic rename is the invalidation. The
-// sidecar persists only the docs; loading re-derives the posting lists
-// and aggregates through the code that built them and rejects docs out
-// of key order, so a corrupt sidecar cannot serve a tally or a
-// position its docs do not back (FuzzReadIndexFile).
+// rebuild from the snapshot. A held index also names its snapshot
+// file, so a warm cross-system read (/v1/tables, /v1/query,
+// /v1/systems, /v1/status) costs one directory read and one stat per
+// system; only a file the store holds no current index for — one a
+// fresh process has not read, or a foreign writer replaced — has its
+// header read for its system name. Cache invalidation needs no
+// coupling to the job lifecycle: a save's atomic rename is the
+// invalidation. The sidecar persists only the docs; loading re-derives
+// the posting lists and aggregates through the code that built them and
+// rejects docs out of key order, so a corrupt sidecar cannot serve a
+// tally or a position its docs do not back (FuzzReadIndexFile).
 // `spexeval -index -state <dir>`
 // renders all tables and figures from the indexes alone — read-only,
 // no writer lock, no snapshot record parsed — byte-identical to a

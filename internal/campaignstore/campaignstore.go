@@ -184,15 +184,18 @@ func New(system string, set *constraint.Set, opts inject.Options, outcomes map[s
 
 // Store is a state directory holding one snapshot file per system,
 // plus the outcome indexes the store has read or written (LoadIndex).
-// A held index is served only while its snapshot file keeps the size
-// and mtime it was derived from, so a save by another Store or process
-// on the same directory invalidates it like the store's own.
+// A held index is served only while its snapshot file keeps the name,
+// size and mtime it was derived from (current), so a save by another
+// Store or process on the same directory invalidates it like the
+// store's own. While current it also names its file for List and
+// LoadIndexAll, so a warm store answers them without reading a
+// snapshot header.
 type Store struct {
 	dir string
 
-	// mu guards idx, system name → its index pinned to the snapshot
-	// file's identity (the value the sidecar persists). It is never held
-	// across I/O.
+	// mu guards idx, snapshot file name → its index pinned to the file's
+	// identity (the value the sidecar persists). It is never held across
+	// I/O.
 	mu  sync.Mutex
 	idx map[string]*outcomeindex.File
 }
@@ -368,24 +371,58 @@ func WriteJSON(path string, v any) error {
 }
 
 // List returns the name of every system with a snapshot in the store,
-// sorted. File names are flattened (Path), so the name is read from
-// each snapshot document; files that do not minimally parse are
-// skipped — Load will report them properly when asked.
+// sorted. File names are flattened (Path), so each file is named by the
+// index the store holds for it while that index is current, else by its
+// header; files whose header does not parse are skipped — Load will
+// report them properly when asked.
 func (s *Store) List() ([]string, error) {
-	names, err := s.snapshotFiles()
+	files, err := s.walk()
 	if err != nil {
 		return nil, err
 	}
 	var systems []string
-	for _, name := range names {
-		system, err := readSystemName(filepath.Join(s.dir, name))
-		if err != nil || system == "" {
-			continue
-		}
-		systems = append(systems, system)
+	for _, f := range files {
+		systems = append(systems, f.system)
 	}
 	sort.Strings(systems)
 	return systems, nil
+}
+
+// snapshotFile is one snapshot file of the store, named.
+type snapshotFile struct {
+	system string
+	// held is the store's current index for the file, which named it;
+	// nil when its header did.
+	held *outcomeindex.File
+}
+
+// walk names every snapshot file in the store with one directory read
+// and one stat per file: by the index the store holds for the file
+// while it is current (one this store saved or read), else by the
+// file's header (readSystemName) — a file whose index this store has
+// not read yet, or one another writer replaced since. A file whose
+// header does not parse is skipped.
+func (s *Store) walk() ([]snapshotFile, error) {
+	names, err := s.snapshotFiles()
+	if err != nil {
+		return nil, err
+	}
+	files := make([]snapshotFile, 0, len(names))
+	for _, name := range names {
+		path := filepath.Join(s.dir, name)
+		if fi, err := os.Stat(path); err == nil {
+			if f := s.held(fi); f != nil {
+				files = append(files, snapshotFile{system: f.Sys.System, held: f})
+				continue
+			}
+		}
+		system, err := readSystemName(path)
+		if err != nil || system == "" {
+			continue
+		}
+		files = append(files, snapshotFile{system: system})
+	}
+	return files, nil
 }
 
 // readSystemName extracts the system name from a snapshot file's

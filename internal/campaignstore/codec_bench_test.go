@@ -2,6 +2,7 @@ package campaignstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -9,6 +10,8 @@ import (
 
 	"spex/internal/confgen"
 	"spex/internal/inject"
+	"spex/internal/spex"
+	"spex/internal/targets"
 )
 
 // benchSnapshot builds an n-outcome snapshot shaped like a real
@@ -87,4 +90,40 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLoadIndexAll measures LoadIndexAll on a warm store: the seven
+// targets' snapshots, each with its inferred constraint set in the
+// header, read by the store that saved them — what spexd does on every
+// tables, query and systems request.
+func BenchmarkLoadIndexAll(b *testing.B) {
+	rs, err := spex.InferAll(context.Background(), targets.All(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	lock, err := store.Lock()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lock.Unlock()
+	for _, r := range rs {
+		if err := lock.Set().Save(New(r.System, r.Set, inject.DefaultOptions(), fixtureOutcomes(b, 50))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idxs, err := store.LoadIndexAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(idxs) != len(rs) {
+			b.Fatalf("LoadIndexAll returned %d indexes, want %d", len(idxs), len(rs))
+		}
+	}
 }

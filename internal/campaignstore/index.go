@@ -5,10 +5,11 @@
 // by the encoder) and the system's outcome index. Close keeps the index
 // in the store's memory and persists it beside the snapshot as
 // <system>.campaign.idx. Both copies are keyed by the snapshot file's
-// size and mtime; LoadIndex validates that identity with one stat call
-// and rebuilds from the snapshot when neither copy matches it, so a
-// sidecar can always be deleted (or go stale via a foreign writer)
-// without any loss.
+// name, size and mtime; LoadIndex validates that identity with one stat
+// call and rebuilds from the snapshot when neither copy matches it, so
+// a sidecar can always be deleted (or go stale via a foreign writer)
+// without any loss. A held index also names its file for List and
+// LoadIndexAll, so a warm store reads no snapshot header.
 package campaignstore
 
 import (
@@ -147,7 +148,7 @@ func (w *StreamWriter) Close() (string, error) {
 	if statErr == nil {
 		w.idx.SetFingerprint(fp)
 		f := w.store.indexFile(w.hdr.System, fi, w.idx.Finish())
-		w.store.hold(w.hdr.System, f)
+		w.store.hold(f)
 		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), f)
 	}
 	return fp, nil
@@ -178,9 +179,8 @@ func (s *Store) Snapshots() (map[string]string, error) {
 	return out, nil
 }
 
-// snapshotInfo stats the system's snapshot file. Its size and mtime
-// are the identity every index is checked against (current): every
-// save is an atomic rename that changes both.
+// snapshotInfo stats the system's snapshot file: the identity every
+// index is checked against (current).
 func (s *Store) snapshotInfo(system string) (os.FileInfo, error) {
 	fi, err := os.Stat(s.Path(system))
 	if errors.Is(err, os.ErrNotExist) {
@@ -205,19 +205,32 @@ func (s *Store) indexFile(system string, fi os.FileInfo, sys *outcomeindex.Syste
 	}
 }
 
-// current reports whether f, held in memory or read from the sidecar,
-// was derived from the system's snapshot file as fi describes it now.
-func (s *Store) current(f *outcomeindex.File, system string, fi os.FileInfo) bool {
-	return f.Snap == filepath.Base(s.Path(system)) && f.SnapSize == fi.Size() &&
-		f.SnapMTime == fi.ModTime().UnixNano() && f.Sys.System == system
+// current reports whether f, held in memory or read from a sidecar,
+// was derived from the snapshot file as fi describes it now: the one
+// identity rule (file name, size, mtime). Every save is an atomic
+// rename that changes it.
+func (s *Store) current(f *outcomeindex.File, fi os.FileInfo) bool {
+	return f.Snap == fi.Name() && f.SnapSize == fi.Size() && f.SnapMTime == fi.ModTime().UnixNano()
 }
 
-// hold keeps f as the system's index until a later save or read
-// replaces it.
-func (s *Store) hold(system string, f *outcomeindex.File) {
+// hold keeps f as the index of its snapshot file until a later save or
+// read replaces it.
+func (s *Store) hold(f *outcomeindex.File) {
 	s.mu.Lock()
-	s.idx[system] = f
+	s.idx[f.Snap] = f
 	s.mu.Unlock()
+}
+
+// held returns the index the store holds for the snapshot file fi
+// describes, or nil if it holds none that is current.
+func (s *Store) held(fi os.FileInfo) *outcomeindex.File {
+	s.mu.Lock()
+	f := s.idx[fi.Name()]
+	s.mu.Unlock()
+	if f == nil || !s.current(f, fi) {
+		return nil
+	}
+	return f
 }
 
 // LoadIndex returns the system's outcome index. It stats the snapshot
@@ -233,14 +246,14 @@ func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	f := s.idx[system]
-	s.mu.Unlock()
-	if f != nil && s.current(f, system, fi) {
+	// Two systems can flatten to one file name (Path), so an index
+	// serves only the system it names.
+	if f := s.held(fi); f != nil && f.Sys.System == system {
 		mIndexHits.Inc()
 		return f.Sys, nil
 	}
-	if f, err = outcomeindex.ReadFile(s.IndexPath(system)); err != nil || !s.current(f, system, fi) {
+	f, err := outcomeindex.ReadFile(s.IndexPath(system))
+	if err != nil || f.Sys.System != system || !s.current(f, fi) {
 		snap, err := s.Load(system)
 		if err != nil {
 			return nil, err
@@ -259,19 +272,29 @@ func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 		_ = outcomeindex.WriteFile(s.IndexPath(system), f)
 	}
 	mIndexRebuilds.Inc()
-	s.hold(system, f)
+	s.hold(f)
 	return f.Sys, nil
 }
 
-// LoadIndexAll loads every system's index, sorted by system name.
+// LoadIndexAll returns every system's index, sorted by system name. It
+// reads the directory once and stats each snapshot file once: a file
+// the store holds a current index for is served from memory (one index
+// cache hit each), and only the others are named from their headers
+// and loaded through LoadIndex. Files whose header does not parse are
+// skipped, as in List; any other LoadIndex error is returned.
 func (s *Store) LoadIndexAll() ([]*outcomeindex.System, error) {
-	systems, err := s.List()
+	files, err := s.walk()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*outcomeindex.System, 0, len(systems))
-	for _, name := range systems {
-		sys, err := s.LoadIndex(name)
+	out := make([]*outcomeindex.System, 0, len(files))
+	for _, f := range files {
+		if f.held != nil {
+			mIndexHits.Inc()
+			out = append(out, f.held.Sys)
+			continue
+		}
+		sys, err := s.LoadIndex(f.system)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package campaignstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"spex/internal/inject"
+	"spex/internal/outcomeindex"
 )
 
 // TestSaveKeepsIndexInMemory: a store answers LoadIndex for a system it
@@ -188,5 +190,174 @@ func TestConcurrentSavesAndLoadIndex(t *testing.T) {
 	if idx.Fingerprint != want || len(idx.Docs) != len(onDisk.Outcomes) {
 		t.Errorf("after the saves LoadIndex serves %s with %d docs; the snapshot on disk is %s with %d outcomes",
 			idx.Fingerprint, len(idx.Docs), want, len(onDisk.Outcomes))
+	}
+}
+
+// saveSystem saves an n-outcome snapshot for the system through s.
+func saveSystem(t *testing.T, s *Store, system string, n int) {
+	t.Helper()
+	lock, err := s.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Unlock()
+	if err := lock.Set().Save(New(system, mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, n))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openStore opens a Store on dir.
+func openStore(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// renameInHeader overwrites the system name in a snapshot's header in
+// place with a name of equal length and restores the file's mtime, so
+// the file keeps the identity (name, size, mtime) a held index was
+// derived from while its header names another system.
+func renameInHeader(t *testing.T, path, from, to string) {
+	t.Helper()
+	if len(from) != len(to) {
+		t.Fatalf("renameInHeader: %q and %q differ in length", from, to)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, repl := []byte(`"system":"`+from+`"`), []byte(`"system":"`+to+`"`)
+	if n := bytes.Count(data, old); n != 1 {
+		t.Fatalf("%s holds %s %d times, want once", path, old, n)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, old, repl, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != fi.Size() || !after.ModTime().Equal(fi.ModTime()) {
+		t.Fatalf("renameInHeader changed the identity of %s: %v", path, err)
+	}
+}
+
+// indexNames returns each index's system name and fingerprint.
+func indexNames(idxs []*outcomeindex.System) []string {
+	out := make([]string, len(idxs))
+	for i, idx := range idxs {
+		out[i] = idx.System + "@" + idx.Fingerprint
+	}
+	return out
+}
+
+// TestHeldIndexesNameTheirFiles: a store that saved or loaded every
+// system names each snapshot file from the index it holds, so List and
+// LoadIndexAll read no header. A header rewritten in place under the
+// same name, size and mtime shows it: the holding stores still list and
+// load the saved system, one index cache hit per index served, while a
+// freshly opened store names the file from its header.
+func TestHeldIndexesNameTheirFiles(t *testing.T) {
+	dir := t.TempDir()
+	saver := openStore(t, dir)
+	systems := []string{"alpha", "beta", "gamma"}
+	for i, system := range systems {
+		saveSystem(t, saver, system, 10+i)
+	}
+	want, err := saver.LoadIndexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := openStore(t, dir)
+	if got, err := loader.LoadIndexAll(); err != nil || !reflect.DeepEqual(indexNames(got), indexNames(want)) {
+		t.Fatalf("a fresh store's LoadIndexAll = %v, %v; want %v", indexNames(got), err, indexNames(want))
+	}
+
+	renameInHeader(t, saver.Path("beta"), "beta", "bext")
+	for name, s := range map[string]*Store{"saved": saver, "loaded": loader} {
+		if got, err := s.List(); err != nil || !reflect.DeepEqual(got, systems) {
+			t.Errorf("the store that %s every system lists %v, %v; want %v", name, got, err, systems)
+		}
+		hits, rebuilds := mIndexHits.Value(), mIndexRebuilds.Value()
+		got, err := s.LoadIndexAll()
+		if err != nil || !reflect.DeepEqual(indexNames(got), indexNames(want)) {
+			t.Errorf("the store that %s every system loads %v, %v; want %v", name, indexNames(got), err, indexNames(want))
+		}
+		if h, r := mIndexHits.Value()-hits, mIndexRebuilds.Value()-rebuilds; h != uint64(len(systems)) || r != 0 {
+			t.Errorf("LoadIndexAll on the store that %s every system counted %d hits and %d rebuilds, want %d and 0",
+				name, h, r, len(systems))
+		}
+	}
+	if got, err := openStore(t, dir).List(); err != nil || !reflect.DeepEqual(got, []string{"alpha", "bext", "gamma"}) {
+		t.Errorf("a fresh store lists %v, %v; want the rewritten header's name", got, err)
+	}
+}
+
+// TestStaleHeldIndexesFallBackToHeaders: once a snapshot file no longer
+// has the identity its held index was derived from, the holding store
+// names it from its header again, and it lists and loads exactly what a
+// freshly opened store does. Each index it still holds current is one
+// cache hit.
+func TestStaleHeldIndexesFallBackToHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// change rewrites the directory behind the holder's back, after
+		// it saved a/b and beta with 12 outcomes each. The new snapshots
+		// have 15, so the size moves even where mtimes are coarse.
+		change func(t *testing.T, dir string)
+		list   []string
+		// gone is a system the holder saved and must no longer load.
+		gone string
+	}{
+		{"foreign save", func(t *testing.T, dir string) {
+			saveSystem(t, openStore(t, dir), "beta", 15)
+		}, []string{"a/b", "beta"}, ""},
+		{"deleted snapshot", func(t *testing.T, dir string) {
+			if err := os.Remove(openStore(t, dir).Path("beta")); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"a/b"}, "beta"},
+		// a/b and a_b share a_b.campaign.snap.
+		{"flattened-name collision", func(t *testing.T, dir string) {
+			saveSystem(t, openStore(t, dir), "a_b", 15)
+		}, []string{"a_b", "beta"}, "a/b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			holder := openStore(t, dir)
+			saveSystem(t, holder, "a/b", 12)
+			saveSystem(t, holder, "beta", 12)
+			tc.change(t, dir)
+
+			if got, err := holder.List(); err != nil || !reflect.DeepEqual(got, tc.list) {
+				t.Errorf("the holder lists %v, %v; want %v", got, err, tc.list)
+			}
+			hits := mIndexHits.Value()
+			got, err := holder.LoadIndexAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := mIndexHits.Value() - hits; h != 1 {
+				t.Errorf("LoadIndexAll counted %d index cache hits, want 1 (the snapshot the change left alone)", h)
+			}
+			fresh, err := openStore(t, dir).LoadIndexAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(indexNames(got), indexNames(fresh)) {
+				t.Errorf("the holder loads %v, a fresh store %v", indexNames(got), indexNames(fresh))
+			}
+			if tc.gone != "" {
+				if idx, err := holder.LoadIndex(tc.gone); err == nil {
+					t.Errorf("the holder still loads %s: %s", tc.gone, idx.System+"@"+idx.Fingerprint)
+				}
+			}
+		})
 	}
 }

@@ -227,10 +227,14 @@ func Generate(spec Spec, inferred *constraint.Set) []Case {
 			Summary: "setting is valid by every constraint but does not match the user's intention",
 		})
 	}
+	var params []string
+	if spec.GoodReaction > 0 {
+		params = inferred.Params()
+	}
 	for i := 0; i < spec.GoodReaction; i++ {
 		p := ""
-		if ps := inferred.Params(); len(ps) > 0 {
-			p = ps[int(rng.next())%len(ps)]
+		if len(params) > 0 {
+			p = params[int(rng.next())%len(params)]
 		}
 		out = append(out, Case{
 			ID: next(), System: spec.System, Violation: true, Pinpointed: true,

@@ -115,6 +115,22 @@ func TestGenerateWithMissingKindsFallsBack(t *testing.T) {
 	}
 }
 
+// TestGenerateWithoutInferredSet: a nil set is safe for a spec with no
+// good-reaction cases, and every avoidable case falls back to
+// patternless.
+func TestGenerateWithoutInferredSet(t *testing.T) {
+	spec := Spec{System: "x", AvoidableByKind: [5]int{1, 0, 0, 2, 0}, SingleSW: 1, CrossSW: 1, Conform: 1}
+	cases := Generate(spec, nil)
+	if len(cases) != spec.Total() {
+		t.Fatalf("generated %d cases, spec total %d", len(cases), spec.Total())
+	}
+	for _, c := range cases {
+		if c.Violation && !c.Patternless {
+			t.Errorf("case %s is bound to %q without an inferred set", c.ID, c.Param)
+		}
+	}
+}
+
 func TestCategoryNames(t *testing.T) {
 	if CategoryAvoidable.String() != "avoidable" ||
 		CategoryCrossSW.String() != "cross-sw-incapability" {

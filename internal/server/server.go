@@ -1495,7 +1495,7 @@ func (s *Server) serveSub(w http.ResponseWriter, r *http.Request, sub dash.Sub) 
 func (s *Server) handleSystems(ns *namespace, w http.ResponseWriter, r *http.Request) {
 	idxs, err := ns.store.LoadIndexAll()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		writeError(w, storeErrCode(err), err)
 		return
 	}
 	if serveCached(w, r, combinedEtag(idxs)) {

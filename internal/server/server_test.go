@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
+	"spex/internal/constraint"
 	"spex/internal/dash"
+	"spex/internal/inject"
 	"spex/internal/report"
 	"spex/internal/server"
 )
@@ -777,6 +779,50 @@ func TestReadPathPagingEtagQuery(t *testing.T) {
 		bresp.Body.Close()
 		if bresp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query%s: %d, want 400", bad, bresp.StatusCode)
+		}
+	}
+}
+
+// TestStaleSnapshotReadsConflict: a snapshot written under another
+// schema fingerprint, with no sidecar left to answer from, makes the
+// cross-system reads answer 409 Conflict, as /v1/tables does — not 500.
+func TestStaleSnapshotReadsConflict(t *testing.T) {
+	dir := t.TempDir()
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = lock.Set().Save(campaignstore.New("ldapd", constraint.NewSet("ldapd"), inject.DefaultOptions(), nil))
+	lock.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(store.Path("ldapd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Replace(string(data), campaignstore.SchemaFingerprint(), "v0-0123456789abcdef", 1)
+	if err := os.WriteFile(store.Path("ldapd"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(store.IndexPath("ldapd")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 2})
+	for _, path := range []string{"/v1/systems", "/v1/query?all=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("%s over a schema-stale snapshot: %d %s, want 409", path, resp.StatusCode, body)
 		}
 	}
 }
