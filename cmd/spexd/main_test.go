@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,9 +21,11 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
+	"spex/internal/dash"
 )
 
-// binDir holds the spexd and spexeval binaries TestMain builds once.
+// binDir holds the spexd, spexeval and spexinj binaries TestMain
+// builds once.
 var binDir string
 
 func TestMain(m *testing.M) { os.Exit(buildAndRun(m)) }
@@ -34,9 +37,9 @@ func buildAndRun(m *testing.M) int {
 		return 1
 	}
 	defer os.RemoveAll(dir)
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "spex/cmd/spexd", "spex/cmd/spexeval")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "spex/cmd/spexd", "spex/cmd/spexeval", "spex/cmd/spexinj")
 	if out, err := build.CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "building spexd and spexeval: %v\n%s", err, out)
+		fmt.Fprintf(os.Stderr, "building spexd, spexeval and spexinj: %v\n%s", err, out)
 		return 1
 	}
 	binDir = dir
@@ -154,12 +157,11 @@ func mustGet(t *testing.T, url string) string {
 	return body
 }
 
-// runJob submits an all-systems job, reads its event stream to the end
-// (the stream closes after the job's terminal frame), checks that the
-// job is done, and returns its ID and stream.
-func runJob(t *testing.T, base string) (string, string) {
+// submit posts a job spec to a jobs collection URL and returns the
+// job's ID.
+func submit(t *testing.T, url, spec string) string {
 	t.Helper()
-	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"all": true, "workers": 2}`))
+	resp, err := client.Post(url, "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,20 +171,130 @@ func runJob(t *testing.T, base string) (string, string) {
 	err = json.NewDecoder(resp.Body).Decode(&doc)
 	resp.Body.Close()
 	if err != nil || doc.ID == "" {
-		t.Fatalf("POST /v1/jobs: status %d, id %q, %v", resp.StatusCode, doc.ID, err)
+		t.Fatalf("POST %s %s: status %d, id %q, %v", url, spec, resp.StatusCode, doc.ID, err)
 	}
-	events := mustGet(t, base+"/v1/jobs/"+doc.ID+"/events")
+	return doc.ID
+}
+
+// finish reads the event stream of the job at jobURL to the end (the
+// stream closes after the job's terminal frame), checks that the job is
+// done, and returns the stream.
+func finish(t *testing.T, jobURL string) string {
+	t.Helper()
+	events := mustGet(t, jobURL+"/events")
 	var final struct {
 		State string `json:"state"`
 		Error string `json:"error"`
 	}
-	if err := json.Unmarshal([]byte(mustGet(t, base+"/v1/jobs/"+doc.ID)), &final); err != nil {
+	if err := json.Unmarshal([]byte(mustGet(t, jobURL)), &final); err != nil {
 		t.Fatal(err)
 	}
 	if final.State != "done" {
-		t.Fatalf("job %s ended %s: %s", doc.ID, final.State, final.Error)
+		t.Fatalf("job %s ended %s: %s", jobURL, final.State, final.Error)
 	}
-	return doc.ID, events
+	return events
+}
+
+// runJob runs an all-systems job to the end and returns its ID and
+// event stream.
+func runJob(t *testing.T, base string) (string, string) {
+	t.Helper()
+	id := submit(t, base+"/v1/jobs", `{"all": true, "workers": 2}`)
+	return id, finish(t, base+"/v1/jobs/"+id)
+}
+
+// frames decodes the data lines of an SSE stream.
+func frames(t *testing.T, stream string) []dash.Event {
+	t.Helper()
+	var out []dash.Event
+	for _, line := range strings.Split(stream, "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			var e dash.Event
+			if err := json.Unmarshal([]byte(data), &e); err != nil {
+				t.Fatalf("event frame %s: %v", data, err)
+			}
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// subscribe opens the event stream at url and delivers its events as
+// they arrive, until stop (also run at cleanup) closes the stream.
+func subscribe(t *testing.T, url string) (events <-chan dash.Event, stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	// No client timeout: the stream lives until stop.
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		cancel()
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+	ch := make(chan dash.Event)
+	go func() {
+		defer close(ch)
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var e dash.Event
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok || json.Unmarshal([]byte(data), &e) != nil {
+				continue
+			}
+			select {
+			case ch <- e:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	stop = func() {
+		cancel()
+		for range ch {
+		}
+	}
+	t.Cleanup(stop)
+	return ch, stop
+}
+
+// terminate sends SIGTERM to the daemon and checks that it drains and
+// exits 0 within a minute.
+func terminate(t *testing.T, d *daemonProc) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.exited:
+	case <-time.After(time.Minute):
+		t.Fatalf("spexd did not drain within a minute of SIGTERM:\n%s", d.log())
+	}
+	if d.err != nil {
+		t.Fatalf("spexd exited with %v after SIGTERM:\n%s", d.err, d.log())
+	}
+}
+
+// spexevalMatches runs spexeval with args and checks that it prints
+// want.
+func spexevalMatches(t *testing.T, want string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(filepath.Join(binDir, "spexeval"), args...).Output()
+	if err != nil {
+		t.Fatalf("spexeval %s: %v", strings.Join(args, " "), err)
+	}
+	if string(out) != want {
+		t.Errorf("spexeval %s differs from the served table:\n%s", strings.Join(args, " "), out)
+	}
 }
 
 // metrics scrapes /metrics into its sample values by series name.
@@ -312,31 +424,128 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		}
 	}
 
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-d.exited:
-	case <-time.After(time.Minute):
-		t.Fatalf("spexd did not drain within a minute of SIGTERM:\n%s", d.log())
-	}
-	if d.err != nil {
-		t.Fatalf("spexd exited with %v after SIGTERM:\n%s", d.err, d.log())
-	}
+	terminate(t, d)
 	if _, err := os.Stat(campaignstore.LockPath(state)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the drained daemon left its state lock (stat: %v)", err)
 	}
+	if idx, _ := filepath.Glob(filepath.Join(state, "*.campaign.idx")); len(idx) != 0 {
+		t.Errorf("the daemon's jobs wrote index files %v; indexes live only in memory", idx)
+	}
+	spexevalMatches(t, table, "-state", state, "-table", "5")
+	spexevalMatches(t, table, "-index", "-state", state, "-table", "5")
+}
 
-	for _, args := range [][]string{
-		{"-state", state, "-table", "5"},
-		{"-index", "-state", state, "-table", "5"},
-	} {
-		out, err := exec.Command(filepath.Join(binDir, "spexeval"), args...).Output()
-		if err != nil {
-			t.Fatalf("spexeval %s: %v", strings.Join(args, " "), err)
+// TestDaemonSchedulesJobs runs spexd's scheduler as its own process.
+// Two jobs over disjoint systems are both reserved before either is
+// released, and a CLI writer is refused while they run. A staged job
+// that needs one of them evaluates ldapd before proxyd finishes
+// injecting, since stages are events on one pool, not barriers. The
+// lock-wait histogram observes the jobs, a tenant namespace runs an
+// all-systems job, and SIGTERM releases every lock. spexeval then
+// renders the tenant's table 5, from snapshots and from the index, as
+// the daemon served it.
+func TestDaemonSchedulesJobs(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "state")
+	d := startDaemon(t, root)
+
+	events, stop := subscribe(t, d.base+"/v1/events")
+	// The sim delay holds both campaigns open while they overlap. They
+	// leave proxyd and ldapd to the staged job below, which must run
+	// their misconfigurations, not replay them.
+	ja := submit(t, d.base+"/v1/jobs", `{"systems": ["httpd"], "workers": 1, "sim_delay": "20ms"}`)
+	jb := submit(t, d.base+"/v1/jobs", `{"systems": ["ftpd"], "workers": 1, "sim_delay": "20ms"}`)
+	reserved := map[string]bool{}
+	for len(reserved) < 2 {
+		var e dash.Event
+		select {
+		case ev, open := <-events:
+			if !open {
+				t.Fatalf("the event stream ended before both jobs were reserved:\n%s", d.log())
+			}
+			e = ev
+		case <-time.After(time.Minute):
+			t.Fatalf("the disjoint jobs were not both reserved within a minute (reserved: %v)", reserved)
 		}
-		if string(out) != table {
-			t.Errorf("spexeval %s differs from the served table:\n%s", strings.Join(args, " "), out)
+		if e.Kind != dash.KindSched || e.Sched == nil || (e.Job != ja && e.Job != jb) {
+			continue
+		}
+		switch e.Sched.Op {
+		case "reserve":
+			reserved[e.Job] = true
+		case "release":
+			t.Fatalf("job %s was released before both disjoint jobs were reserved (reserved: %v)", e.Job, reserved)
 		}
 	}
+	stop()
+
+	// Cross-process exclusion rests on the namespace lock alone: a CLI
+	// writer on the daemon's state directory is refused, naming the
+	// holder.
+	var stderr bytes.Buffer
+	inj := exec.Command(filepath.Join(binDir, "spexinj"), "-system", "ldapd", "-state", root)
+	inj.Stderr = &stderr
+	if err := inj.Run(); err == nil {
+		t.Error("spexinj wrote under a running daemon")
+	} else if !strings.Contains(stderr.String(), "locked by pid") {
+		t.Errorf("spexinj under a running daemon: %v, stderr lacks \"locked by pid\":\n%s", err, stderr.String())
+	}
+	finish(t, d.base+"/v1/jobs/"+ja)
+	finish(t, d.base+"/v1/jobs/"+jb)
+
+	// One worker makes the stage order deterministic: ldapd's 43
+	// misconfigurations interleave with proxyd's 154.
+	jc := submit(t, d.base+"/v1/jobs", fmt.Sprintf(
+		`{"systems": ["proxyd", "ldapd"], "workers": 1, "stages": ["infer", "inject", "eval"], "needs": [%q]}`, ja))
+	ldapdEval, proxydInject := -1, -1
+	for i, e := range frames(t, finish(t, d.base+"/v1/jobs/"+jc)) {
+		if e.Kind != dash.KindStage || e.Stage == nil || e.Stage.State != "done" {
+			continue
+		}
+		switch {
+		case e.Stage.System == "ldapd" && e.Stage.Stage == "eval":
+			ldapdEval = i
+		case e.Stage.System == "proxyd" && e.Stage.Stage == "inject":
+			proxydInject = i
+		}
+	}
+	if ldapdEval < 0 || proxydInject < 0 || ldapdEval > proxydInject {
+		t.Errorf("ldapd's eval done is frame %d and proxyd's inject done frame %d; want both, ldapd's first", ldapdEval, proxydInject)
+	}
+
+	if m, _ := metrics(t, d.base); m[`spex_server_lock_wait_seconds_count{namespace="default"}`] < 1 {
+		t.Errorf("the lock-wait histogram observed %v jobs, want at least 1", m[`spex_server_lock_wait_seconds_count{namespace="default"}`])
+	}
+
+	tenant := d.base + "/v1/ns/tenant1"
+	finish(t, tenant+"/jobs/"+submit(t, tenant+"/jobs", `{"all": true, "workers": 4}`))
+	var list struct {
+		Namespaces []struct {
+			Name string `json:"name"`
+		} `json:"namespaces"`
+	}
+	if err := json.Unmarshal([]byte(mustGet(t, d.base+"/v1/ns")), &list); err != nil {
+		t.Fatal(err)
+	}
+	listed := false
+	for _, ns := range list.Namespaces {
+		listed = listed || ns.Name == "tenant1"
+	}
+	if !listed {
+		t.Errorf("/v1/ns does not list tenant1: %+v", list.Namespaces)
+	}
+	table := mustGet(t, tenant+"/tables/5?format=text")
+
+	terminate(t, d)
+	for _, dir := range []string{root, filepath.Join(root, "tenant1")} {
+		if _, err := os.Stat(campaignstore.LockPath(dir)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("the drained daemon left %s (stat: %v)", campaignstore.LockPath(dir), err)
+		}
+	}
+	if locks, _ := filepath.Glob(filepath.Join(root, "*.spex.lock")); len(locks) != 0 {
+		t.Errorf("the drained daemon left lock files %v", locks)
+	}
+	// A namespaced store is a plain state directory; -index reads it as
+	// a fresh process, rebuilding every index from its snapshot.
+	spexevalMatches(t, table, "-state", filepath.Join(root, "tenant1"), "-table", "5")
+	spexevalMatches(t, table, "-index", "-state", filepath.Join(root, "tenant1"), "-table", "5")
 }

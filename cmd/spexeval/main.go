@@ -81,7 +81,7 @@ func run() int {
 	}
 
 	if *index && *state == "" {
-		fmt.Fprintln(os.Stderr, "spexeval: -index requires -state (the indexes live beside the snapshots)")
+		fmt.Fprintln(os.Stderr, "spexeval: -index requires -state (the indexes are built from its snapshots)")
 		return 2
 	}
 
@@ -112,9 +112,10 @@ func run() int {
 	var results []*report.SystemResult
 	if *index {
 		// Index render: inference recomputes (deterministic, cheap), the
-		// campaign side comes from the outcome indexes — no snapshot
-		// record is parsed, nothing is written, no lock is needed. The
-		// rendered tables are byte-identical to a -state replay.
+		// campaign side comes from the outcome indexes, built from each
+		// snapshot once — nothing is replayed or written, no lock is
+		// needed. The rendered tables are byte-identical to a -state
+		// replay.
 		store, err := campaignstore.Open(*state)
 		if err != nil {
 			return fail(err)

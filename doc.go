@@ -342,35 +342,36 @@
 // the only snapshot format: a file in any other format is not a
 // snapshot, so its system campaigns in full.
 //
-// Beside each snapshot lives its outcome index
-// (internal/outcomeindex, <system>.campaign.idx): a compact per-outcome
-// projection (the fields the HTTP API and the tables consume — no log
-// dumps, no env actions) plus posting lists keyed by parameter,
-// constraint kind, reaction, and vulnerability source location, plus
-// precomputed per-system aggregates (reaction tallies, vulnerability
-// and unique-location counts — the Table 3/5 numbers). The index is
-// rebuilt incrementally on every save by the same streaming writer
-// that folds the fingerprint, and it is always derived data: both the
-// sidecar and the copy the store keeps in memory record the snapshot
-// file's name, size and mtime, and Store.LoadIndex validates them with
-// one stat call. The store keeps the index its own save built, so the
-// daemon's read path and a job's eval never read back what was just
-// written; a foreign writer's rename changes the identity, and a
-// mismatch (or a deleted sidecar) falls back to the sidecar, then to a
-// rebuild from the snapshot. A held index also names its snapshot
+// Each snapshot has an outcome index (internal/outcomeindex): a
+// compact per-outcome projection (the fields the HTTP API and the
+// tables consume — no log dumps, no env actions) plus posting lists
+// keyed by parameter, constraint kind, reaction, and vulnerability
+// source location, plus precomputed per-system aggregates (reaction
+// tallies, vulnerability and unique-location counts — the Table 3/5
+// numbers). The index is built incrementally on every save by the same
+// streaming writer that folds the fingerprint, and it is derived data
+// that lives only in memory: campaignstore.Store holds each index under
+// its snapshot file's name, size and mtime, and Store.LoadIndex
+// validates them with one stat call. The store keeps the index its own
+// save built, so the daemon's read path and a job's eval never read
+// back what was just written; a foreign writer's rename changes the
+// identity, and a mismatch falls back to a rebuild from the snapshot
+// through Load, so an index never outlives the snapshot's fail-safe
+// checks (a schema-stale snapshot is ErrStale for LoadIndex as for
+// Load). No index file is written, so a fresh process's first read
+// decodes each snapshot once. A held index also names its snapshot
 // file, so a warm cross-system read (/v1/tables, /v1/query,
 // /v1/systems, /v1/status) costs one directory read and one stat per
 // system; only a file the store holds no current index for — one a
 // fresh process has not read, or a foreign writer replaced — has its
 // header read for its system name. Cache invalidation needs no
 // coupling to the job lifecycle: a save's atomic rename is the
-// invalidation. The sidecar persists only the docs; loading re-derives
-// the posting lists and aggregates through the code that built them and
-// rejects docs out of key order, so a corrupt sidecar cannot serve a
-// tally or a position its docs do not back (FuzzReadIndexFile).
-// `spexeval -index -state <dir>`
-// renders all tables and figures from the indexes alone — read-only,
-// no writer lock, no snapshot record parsed — byte-identical to a
+// invalidation. FuzzReadIndexFile holds the index LoadIndex reads from
+// any snapshot file to queries that never panic and aggregates equal
+// to a direct tally of its docs.
+// `spexeval -index -state <dir>` renders all tables and figures from
+// the indexes — read-only: no writer lock, nothing written, each
+// snapshot decoded once to build its index — byte-identical to a
 // -state replay (report.ReplayFromIndex).
 //
 // # Checked invariants (spexlint)

@@ -44,9 +44,9 @@
 // inject.Run, sim.MonitorStart — because each of those silently drops
 // the cancellation the caller was promised.
 //
-// fingerprintpurity guards the snapshot fingerprint and the
-// .campaign.idx stat-validation chain. Code feeding a fingerprint or
-// index sink (SnapshotEncoder.Add, StreamWriter.Add,
+// fingerprintpurity guards the snapshot fingerprint and the outcome
+// index the streaming writer builds with it. Code feeding a
+// fingerprint or index sink (SnapshotEncoder.Add, StreamWriter.Add,
 // outcomeindex.Builder.Add, or an fmt.Fprint* whose writer is a
 // hash.Hash) must not hash nondeterministic snapshot fields — SavedAt
 // and Stamps — and must not emit sink records from inside a map

@@ -1,5 +1,6 @@
 // Package fingerprintpurity protects the determinism of the snapshot
-// fingerprint and the .campaign.idx stat-validation chain. The
+// fingerprint and of the outcome index the streaming writer builds with
+// it. The
 // acceptance bar for the whole distributed pipeline is "merged store
 // fingerprint equals unsharded store fingerprint", which only holds if
 // everything folded into a fingerprint is a pure function of the

@@ -183,7 +183,9 @@ func New(system string, set *constraint.Set, opts inject.Options, outcomes map[s
 }
 
 // Store is a state directory holding one snapshot file per system,
-// plus the outcome indexes the store has read or written (LoadIndex).
+// plus, in memory only, the outcome index of each snapshot the store
+// has written or read (LoadIndex); a Store opened later on the same
+// directory rebuilds each from its snapshot on its first read.
 // A held index is served only while its snapshot file keeps the name,
 // size and mtime it was derived from (current), so a save by another
 // Store or process on the same directory invalidates it like the
@@ -194,10 +196,9 @@ type Store struct {
 	dir string
 
 	// mu guards idx, snapshot file name → its index pinned to the file's
-	// identity (the value the sidecar persists). It is never held across
-	// I/O.
+	// identity. It is never held across I/O.
 	mu  sync.Mutex
-	idx map[string]*outcomeindex.File
+	idx map[string]*heldIndex
 }
 
 // Open prepares a store rooted at dir, creating the directory if
@@ -210,7 +211,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	return &Store{dir: dir, idx: make(map[string]*outcomeindex.File)}, nil
+	return &Store{dir: dir, idx: make(map[string]*heldIndex)}, nil
 }
 
 // snapSuffix names the snapshot files Save writes. Any other file in
@@ -393,7 +394,7 @@ type snapshotFile struct {
 	system string
 	// held is the store's current index for the file, which named it;
 	// nil when its header did.
-	held *outcomeindex.File
+	held *outcomeindex.System
 }
 
 // walk names every snapshot file in the store with one directory read
@@ -411,8 +412,8 @@ func (s *Store) walk() ([]snapshotFile, error) {
 	for _, name := range names {
 		path := filepath.Join(s.dir, name)
 		if fi, err := os.Stat(path); err == nil {
-			if f := s.held(fi); f != nil {
-				files = append(files, snapshotFile{system: f.Sys.System, held: f})
+			if sys := s.held(fi); sys != nil {
+				files = append(files, snapshotFile{system: sys.System, held: sys})
 				continue
 			}
 		}
@@ -716,9 +717,9 @@ func (ls *LockSet) check(system string) error {
 // subsequent run. With it, the final path only ever holds a complete
 // document (or the previous one).
 //
-// A successful save also keeps the system's outcome index, built as
-// the records streamed, in the store and in its sidecar (see
-// StreamWriter.Close), so no reader re-parses what was just written.
+// A successful save also holds the system's outcome index, built as
+// the records streamed, in the store's memory (see StreamWriter.Close),
+// so the store never re-parses what it has just written.
 func (ls *LockSet) Save(snap *Snapshot) error {
 	if err := ls.check(snap.System); err != nil {
 		return err

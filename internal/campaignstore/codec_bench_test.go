@@ -92,11 +92,11 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkLoadIndexAll measures LoadIndexAll on a warm store: the seven
-// targets' snapshots, each with its inferred constraint set in the
-// header, read by the store that saved them — what spexd does on every
-// tables, query and systems request.
-func BenchmarkLoadIndexAll(b *testing.B) {
+// sevenTargetStore saves the seven targets' snapshots into a new
+// store, each with its inferred constraint set in the header and 50
+// outcomes, and returns the store and the number of systems.
+func sevenTargetStore(b *testing.B) (*Store, int) {
+	b.Helper()
 	rs, err := spex.InferAll(context.Background(), targets.All(), 0)
 	if err != nil {
 		b.Fatal(err)
@@ -115,15 +115,46 @@ func BenchmarkLoadIndexAll(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return store, len(rs)
+}
+
+// loadIndexAll calls store.LoadIndexAll and checks it returned n
+// indexes.
+func loadIndexAll(b *testing.B, store *Store, n int) {
+	idxs, err := store.LoadIndexAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(idxs) != n {
+		b.Fatalf("LoadIndexAll returned %d indexes, want %d", len(idxs), n)
+	}
+}
+
+// BenchmarkLoadIndexAll measures LoadIndexAll on a warm store: the seven
+// targets' snapshots read by the store that saved them — what spexd
+// does on every tables, query and systems request.
+func BenchmarkLoadIndexAll(b *testing.B) {
+	store, n := sevenTargetStore(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idxs, err := store.LoadIndexAll()
+		loadIndexAll(b, store, n)
+	}
+}
+
+// BenchmarkLoadIndexAllCold measures LoadIndexAll on the same seven
+// snapshots by a freshly opened Store each time: a new process's first
+// read (spexeval -index, a restarted daemon), which names every file
+// from its header and builds every index from its snapshot.
+func BenchmarkLoadIndexAllCold(b *testing.B) {
+	store, n := sevenTargetStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh, err := Open(store.dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(idxs) != len(rs) {
-			b.Fatalf("LoadIndexAll returned %d indexes, want %d", len(idxs), len(rs))
-		}
+		loadIndexAll(b, fresh, n)
 	}
 }

@@ -3,8 +3,6 @@ package campaignstore
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -12,7 +10,6 @@ import (
 	"testing"
 
 	"spex/internal/inject"
-	"spex/internal/outcomeindex"
 )
 
 // fixtureOutcomes builds a deterministic outcome map large enough to
@@ -116,114 +113,6 @@ func TestCorruptBinarySnapshotRejected(t *testing.T) {
 	}
 	if _, err := store.Load("storefake"); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("bit flip loaded anyway: %v", err)
-	}
-}
-
-// TestLoadIndexSidecar: a save writes the index sidecar; LoadIndex
-// serves it while fresh and rebuilds (and rewrites it) when it is
-// missing or stale. The saving store answers from memory, so every
-// read here goes through a freshly opened store.
-func TestLoadIndexSidecar(t *testing.T) {
-	dir := t.TempDir()
-	store, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() *Store {
-		t.Helper()
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	set := mkSet(basicC("p"))
-	outcomes := fixtureOutcomes(t, 18)
-	snap := New("storefake", set, inject.DefaultOptions(), outcomes)
-	if err := store.save(snap); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := snap.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(store.IndexPath("storefake")); err != nil {
-		t.Fatalf("save did not write the index sidecar: %v", err)
-	}
-
-	idx, err := fresh().LoadIndex("storefake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.System != "storefake" || idx.Fingerprint != fp || len(idx.Docs) != len(outcomes) {
-		t.Fatalf("sidecar index wrong: system=%q fp=%s docs=%d", idx.System, idx.Fingerprint, len(idx.Docs))
-	}
-
-	// Deleting the sidecar forces a rebuild from the snapshot with the
-	// same content, and the rebuild rewrites the sidecar.
-	if err := os.Remove(store.IndexPath("storefake")); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := fresh().LoadIndex("storefake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Fingerprint != fp || len(rebuilt.Docs) != len(idx.Docs) ||
-		!reflect.DeepEqual(rebuilt.Agg, idx.Agg) {
-		t.Fatal("rebuilt index differs from the sidecar index")
-	}
-	if _, err := os.Stat(store.IndexPath("storefake")); err != nil {
-		t.Fatalf("rebuild did not rewrite the sidecar: %v", err)
-	}
-
-	// A sidecar whose recorded snapshot identity no longer matches is
-	// stale: garbage in the file must never be served.
-	if err := os.WriteFile(store.IndexPath("storefake"), []byte(fmt.Sprintf(`{"version":%d,"snap":"other","sys":{"system":"storefake"}}`, outcomeindex.Version)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, err := fresh().LoadIndex("storefake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Docs) != len(outcomes) {
-		t.Fatalf("stale sidecar served: %d docs, want %d", len(again.Docs), len(outcomes))
-	}
-
-	// A sidecar whose identity still matches is trusted for its docs
-	// only: posting lists and tallies written into it — a vulnerable
-	// position past the last doc, an inflated count — are re-derived
-	// from the docs on load, never served.
-	data, err := os.ReadFile(store.IndexPath("storefake"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// UseNumber keeps the nanosecond snapshot mtime exact, so the
-	// tampered sidecar still matches its snapshot.
-	var doc map[string]any
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	sys := doc["sys"].(map[string]any)
-	sys["vulnerable"] = []int{len(outcomes) + 5}
-	sys["agg"] = map[string]any{"outcomes": len(outcomes), "vulnerabilities": 12345}
-	if data, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.IndexPath("storefake"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tampered, err := fresh().LoadIndex("storefake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tampered.Agg, idx.Agg) || !reflect.DeepEqual(tampered.Vulnerable, idx.Vulnerable) {
-		t.Fatalf("tampered sidecar served: agg %+v vulnerable %v, want %+v %v",
-			tampered.Agg, tampered.Vulnerable, idx.Agg, idx.Vulnerable)
-	}
-	if groups := outcomeindex.Run([]*outcomeindex.System{tampered}, outcomeindex.Query{}); len(groups) == 0 {
-		t.Error("query over the reloaded index found no vulnerabilities")
 	}
 }
 

@@ -1,14 +1,13 @@
 // Streaming snapshot writes and the outcome-index cache. The
 // StreamWriter is the one write path for binary snapshots — Save and
 // the shard merge both go through it — and it maintains two derived
-// artifacts as records pass through: the snapshot fingerprint (folded
-// by the encoder) and the system's outcome index. Close keeps the index
-// in the store's memory and persists it beside the snapshot as
-// <system>.campaign.idx. Both copies are keyed by the snapshot file's
-// name, size and mtime; LoadIndex validates that identity with one stat
-// call and rebuilds from the snapshot when neither copy matches it, so
-// a sidecar can always be deleted (or go stale via a foreign writer)
-// without any loss. A held index also names its file for List and
+// values as records pass through: the snapshot fingerprint (folded by
+// the encoder) and the system's outcome index. Close keeps the index in
+// the store's memory, pinned to the snapshot file's name, size and
+// mtime; nothing else is written. LoadIndex validates that identity
+// with one stat call and otherwise rebuilds the index from the snapshot
+// through Load, so an index is never served past the snapshot's own
+// fail-safe checks. A held index also names its file for List and
 // LoadIndexAll, so a warm store reads no snapshot header.
 package campaignstore
 
@@ -24,19 +23,9 @@ import (
 	"spex/internal/outcomeindex"
 )
 
-// indexSuffix is the outcome-index sidecar suffix. It is not the
-// snapshot suffix, so List/Snapshots never mistake a sidecar for a
-// snapshot.
-const indexSuffix = ".campaign.idx"
-
-// IndexPath returns the system's outcome-index sidecar file.
-func (s *Store) IndexPath(system string) string {
-	return filepath.Join(s.dir, safeName(system)+indexSuffix)
-}
-
 // StreamWriter streams one snapshot into the store: Add per outcome in
-// ascending key order, then Close to atomically publish the snapshot,
-// its fingerprint, and its rebuilt index sidecar. The writer holds one
+// ascending key order, then Close to atomically publish the snapshot
+// and its fingerprint and to hold its outcome index. The writer holds one
 // outcome in memory at a time (plus the index's compact per-outcome
 // projection), which is what lets the shard merge fold arbitrarily
 // large shard stores without materializing them.
@@ -108,9 +97,10 @@ func (w *StreamWriter) Abort() {
 // renames it over the final path, and returns the snapshot fingerprint.
 // The fsync before the rename means the final path only ever holds a
 // complete snapshot. The index built from the added records is then
-// kept under the file's new size and mtime, in the store (so LoadIndex
-// answers from memory, not from disk) and in the sidecar (so another
-// process or a later Store reads it instead of the snapshot).
+// held under the file's new identity, so LoadIndex answers from memory
+// instead of reading back what was just written. Only the store that
+// saved holds it: another Store or process rebuilds it from the
+// snapshot on its first read.
 func (w *StreamWriter) Close() (string, error) {
 	if w.done {
 		return "", errors.New("campaignstore: stream writer already closed")
@@ -126,8 +116,9 @@ func (w *StreamWriter) Close() (string, error) {
 		w.tmp.Close()
 		return "", fmt.Errorf("campaignstore: %w", err)
 	}
-	// The rename keeps the file's size and mtime, so this is the identity
-	// of exactly these bytes, whatever another writer renames later.
+	// The rename keeps the file's size and mtime, so under the final
+	// name this is the identity of exactly these bytes, whatever another
+	// writer renames later.
 	fi, statErr := w.tmp.Stat()
 	if err := w.tmp.Close(); err != nil {
 		return "", fmt.Errorf("campaignstore: %w", err)
@@ -143,13 +134,11 @@ func (w *StreamWriter) Close() (string, error) {
 		_ = d.Sync()
 		d.Close()
 	}
-	// Best-effort: the index is derived data that LoadIndex reconstructs
-	// from the snapshot if it is not kept.
+	// Best-effort: the index is derived data that LoadIndex rebuilds
+	// from the snapshot if it is not held.
 	if statErr == nil {
 		w.idx.SetFingerprint(fp)
-		f := w.store.indexFile(w.hdr.System, fi, w.idx.Finish())
-		w.store.hold(f)
-		_ = outcomeindex.WriteFile(w.store.IndexPath(w.hdr.System), f)
+		w.store.hold(filepath.Base(final), fi, w.idx.Finish())
 	}
 	return fp, nil
 }
@@ -192,55 +181,51 @@ func (s *Store) snapshotInfo(system string) (os.FileInfo, error) {
 	return fi, nil
 }
 
-// indexFile pins sys to the identity of the system's snapshot file as
-// fi describes it. The store holds this value and persists it as the
-// sidecar.
-func (s *Store) indexFile(system string, fi os.FileInfo, sys *outcomeindex.System) *outcomeindex.File {
-	return &outcomeindex.File{
-		Version:   outcomeindex.Version,
-		Snap:      filepath.Base(s.Path(system)),
-		SnapSize:  fi.Size(),
-		SnapMTime: fi.ModTime().UnixNano(),
-		Sys:       sys,
-	}
+// heldIndex is an outcome index pinned to the identity of the snapshot
+// file it was derived from: the file's base name, size and mtime.
+type heldIndex struct {
+	snap  string
+	size  int64
+	mtime time.Time
+	sys   *outcomeindex.System
 }
 
-// current reports whether f, held in memory or read from a sidecar,
-// was derived from the snapshot file as fi describes it now: the one
-// identity rule (file name, size, mtime). Every save is an atomic
-// rename that changes it.
-func (s *Store) current(f *outcomeindex.File, fi os.FileInfo) bool {
-	return f.Snap == fi.Name() && f.SnapSize == fi.Size() && f.SnapMTime == fi.ModTime().UnixNano()
+// current reports whether h was derived from the snapshot file as fi
+// describes it now: the one identity rule (file name, size, mtime).
+// Every save is an atomic rename that changes it.
+func (s *Store) current(h *heldIndex, fi os.FileInfo) bool {
+	return h.snap == fi.Name() && h.size == fi.Size() && h.mtime.Equal(fi.ModTime())
 }
 
-// hold keeps f as the index of its snapshot file until a later save or
-// read replaces it.
-func (s *Store) hold(f *outcomeindex.File) {
+// hold keeps sys as the index of the snapshot file named snap, whose
+// size and mtime fi describes, until a later save or read replaces it.
+func (s *Store) hold(snap string, fi os.FileInfo, sys *outcomeindex.System) {
+	h := &heldIndex{snap: snap, size: fi.Size(), mtime: fi.ModTime(), sys: sys}
 	s.mu.Lock()
-	s.idx[f.Snap] = f
+	s.idx[h.snap] = h
 	s.mu.Unlock()
 }
 
 // held returns the index the store holds for the snapshot file fi
 // describes, or nil if it holds none that is current.
-func (s *Store) held(fi os.FileInfo) *outcomeindex.File {
+func (s *Store) held(fi os.FileInfo) *outcomeindex.System {
 	s.mu.Lock()
-	f := s.idx[fi.Name()]
+	h := s.idx[fi.Name()]
 	s.mu.Unlock()
-	if f == nil || !s.current(f, fi) {
+	if h == nil || !s.current(h, fi) {
 		return nil
 	}
-	return f
+	return h.sys
 }
 
 // LoadIndex returns the system's outcome index. It stats the snapshot
 // once and returns the index the store holds while it is current: one
 // the store saved (StreamWriter.Close) or read before. Otherwise it
-// reads the sidecar if that is current, or rebuilds the index from the
-// snapshot and rewrites the sidecar, and holds the result. Errors
-// mirror Load's — ErrNotExist when the system has no snapshot, and any
-// snapshot validation failure surfaces unchanged, because an index must
-// never outlive the fail-safe checks of the data it summarizes.
+// rebuilds the index from the snapshot through Load and holds it.
+// Errors are Load's — ErrNotExist when the system has no snapshot,
+// ErrStale for another schema, and any other validation failure —
+// because an index must never outlive the fail-safe checks of the data
+// it summarizes.
 func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 	fi, err := s.snapshotInfo(system)
 	if err != nil {
@@ -248,32 +233,28 @@ func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
 	}
 	// Two systems can flatten to one file name (Path), so an index
 	// serves only the system it names.
-	if f := s.held(fi); f != nil && f.Sys.System == system {
+	if sys := s.held(fi); sys != nil && sys.System == system {
 		mIndexHits.Inc()
-		return f.Sys, nil
+		return sys, nil
 	}
-	f, err := outcomeindex.ReadFile(s.IndexPath(system))
-	if err != nil || f.Sys.System != system || !s.current(f, fi) {
-		snap, err := s.Load(system)
-		if err != nil {
-			return nil, err
-		}
-		fp, err := snap.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		f = s.indexFile(system, fi, outcomeindex.Build(outcomeindex.Meta{
-			System:         snap.System,
-			Fingerprint:    fp,
-			SavedAt:        snap.SavedAt,
-			Options:        snap.Options,
-			SetFingerprint: snap.SetFingerprint,
-		}, snap.Outcomes))
-		_ = outcomeindex.WriteFile(s.IndexPath(system), f)
+	snap, err := s.Load(system)
+	if err != nil {
+		return nil, err
 	}
+	fp, err := snap.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
+	sys := outcomeindex.Build(outcomeindex.Meta{
+		System:         snap.System,
+		Fingerprint:    fp,
+		SavedAt:        snap.SavedAt,
+		Options:        snap.Options,
+		SetFingerprint: snap.SetFingerprint,
+	}, snap.Outcomes)
 	mIndexRebuilds.Inc()
-	s.hold(f)
-	return f.Sys, nil
+	s.hold(fi.Name(), fi, sys)
+	return sys, nil
 }
 
 // LoadIndexAll returns every system's index, sorted by system name. It
@@ -291,7 +272,7 @@ func (s *Store) LoadIndexAll() ([]*outcomeindex.System, error) {
 	for _, f := range files {
 		if f.held != nil {
 			mIndexHits.Inc()
-			out = append(out, f.held.Sys)
+			out = append(out, f.held)
 			continue
 		}
 		sys, err := s.LoadIndex(f.system)

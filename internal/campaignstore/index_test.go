@@ -13,54 +13,34 @@ import (
 )
 
 // TestSaveKeepsIndexInMemory: a store answers LoadIndex for a system it
-// saved from the index its writer built, without going to disk — with
-// the sidecar deleted, the read must not recreate it — and that index
-// is exactly what a freshly opened store rebuilds from the snapshot or
-// decodes from the sidecar: docs, posting lists, aggregates and meta.
+// saved from the index its writer built, one cache hit and no rebuild,
+// and that index is exactly what each freshly opened store rebuilds
+// from the snapshot: docs, posting lists, aggregates and meta.
 func TestSaveKeepsIndexInMemory(t *testing.T) {
 	dir := t.TempDir()
-	store, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lock, err := store.Lock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lock.Unlock()
-	snap := New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, 18))
-	if err := lock.Set().Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(store.IndexPath("storefake")); err != nil {
-		t.Fatal(err)
-	}
+	store := openStore(t, dir)
+	saveSystem(t, store, "storefake", 18)
 
 	hits, rebuilds := mIndexHits.Value(), mIndexRebuilds.Value()
 	got, err := store.LoadIndex("storefake")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(store.IndexPath("storefake")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("LoadIndex after the store's own save went to disk (sidecar stat: %v)", err)
-	}
 	if h, r := mIndexHits.Value()-hits, mIndexRebuilds.Value()-rebuilds; h != 1 || r != 0 {
 		t.Errorf("LoadIndex after a save counted %d hits and %d rebuilds, want 1 and 0", h, r)
 	}
 
-	// The first fresh store rebuilds from the snapshot and writes the
-	// sidecar; the second decodes that sidecar.
-	for _, from := range []string{"snapshot", "sidecar"} {
-		fresh, err := Open(dir)
+	for i := 0; i < 2; i++ {
+		hits, rebuilds := mIndexHits.Value(), mIndexRebuilds.Value()
+		want, err := openStore(t, dir).LoadIndex("storefake")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.LoadIndex("storefake")
-		if err != nil {
-			t.Fatal(err)
+		if h, r := mIndexHits.Value()-hits, mIndexRebuilds.Value()-rebuilds; h != 0 || r != 1 {
+			t.Errorf("fresh store %d counted %d hits and %d rebuilds, want 0 and 1", i, h, r)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("the saved index differs from the one decoded from the %s:\ngot  %+v\nwant %+v", from, got, want)
+			t.Errorf("the saved index differs from the one fresh store %d rebuilt from the snapshot:\ngot  %+v\nwant %+v", i, got, want)
 		}
 	}
 }
@@ -216,14 +196,14 @@ func openStore(t *testing.T, dir string) *Store {
 	return s
 }
 
-// renameInHeader overwrites the system name in a snapshot's header in
-// place with a name of equal length and restores the file's mtime, so
-// the file keeps the identity (name, size, mtime) a held index was
-// derived from while its header names another system.
-func renameInHeader(t *testing.T, path, from, to string) {
+// rewriteInPlace overwrites the one occurrence of from in a snapshot
+// file with to, of equal length, and restores the file's mtime, so the
+// file keeps the identity (name, size, mtime) a held index was derived
+// from while its bytes say something else.
+func rewriteInPlace(t *testing.T, path, from, to string) {
 	t.Helper()
 	if len(from) != len(to) {
-		t.Fatalf("renameInHeader: %q and %q differ in length", from, to)
+		t.Fatalf("rewriteInPlace: %q and %q differ in length", from, to)
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -233,18 +213,17 @@ func renameInHeader(t *testing.T, path, from, to string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, repl := []byte(`"system":"`+from+`"`), []byte(`"system":"`+to+`"`)
-	if n := bytes.Count(data, old); n != 1 {
-		t.Fatalf("%s holds %s %d times, want once", path, old, n)
+	if n := bytes.Count(data, []byte(from)); n != 1 {
+		t.Fatalf("%s holds %s %d times, want once", path, from, n)
 	}
-	if err := os.WriteFile(path, bytes.Replace(data, old, repl, 1), 0o644); err != nil {
+	if err := os.WriteFile(path, bytes.Replace(data, []byte(from), []byte(to), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
 		t.Fatal(err)
 	}
 	if after, err := os.Stat(path); err != nil || after.Size() != fi.Size() || !after.ModTime().Equal(fi.ModTime()) {
-		t.Fatalf("renameInHeader changed the identity of %s: %v", path, err)
+		t.Fatalf("rewriteInPlace changed the identity of %s: %v", path, err)
 	}
 }
 
@@ -279,7 +258,7 @@ func TestHeldIndexesNameTheirFiles(t *testing.T) {
 		t.Fatalf("a fresh store's LoadIndexAll = %v, %v; want %v", indexNames(got), err, indexNames(want))
 	}
 
-	renameInHeader(t, saver.Path("beta"), "beta", "bext")
+	rewriteInPlace(t, saver.Path("beta"), `"system":"beta"`, `"system":"bext"`)
 	for name, s := range map[string]*Store{"saved": saver, "loaded": loader} {
 		if got, err := s.List(); err != nil || !reflect.DeepEqual(got, systems) {
 			t.Errorf("the store that %s every system lists %v, %v; want %v", name, got, err, systems)
@@ -359,5 +338,26 @@ func TestStaleHeldIndexesFallBackToHeaders(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSchemaStaleSnapshotHasNoIndex: a snapshot rewritten in place to
+// name another schema fingerprint, under the same size and mtime, gets
+// no index from a freshly opened store: LoadIndex and LoadIndexAll
+// return ErrStale, as Load does.
+func TestSchemaStaleSnapshotHasNoIndex(t *testing.T) {
+	dir := t.TempDir()
+	saver := openStore(t, dir)
+	saveSystem(t, saver, "storefake", 12)
+	rewriteInPlace(t, saver.Path("storefake"), `"schema":"`+SchemaFingerprint()+`"`, `"schema":"v0-0123456789abcdef"`)
+
+	if _, err := openStore(t, dir).Load("storefake"); !errors.Is(err, ErrStale) {
+		t.Fatalf("Load = %v, want ErrStale", err)
+	}
+	if _, err := openStore(t, dir).LoadIndex("storefake"); !errors.Is(err, ErrStale) {
+		t.Errorf("a fresh store's LoadIndex = %v, want ErrStale", err)
+	}
+	if idxs, err := openStore(t, dir).LoadIndexAll(); !errors.Is(err, ErrStale) {
+		t.Errorf("a fresh store's LoadIndexAll = %v, %v; want ErrStale", indexNames(idxs), err)
 	}
 }

@@ -34,5 +34,5 @@ var (
 	mPrepareRetests   = obs.Default().Counter(metricPrepareRetests, "misconfigurations the constraint delta selected for re-execution")
 	mPrepareFallbacks = obs.Default().Counter(metricPrepareFallbacks, "Prepare calls that fell back to a full campaign")
 	mIndexHits        = obs.Default().Counter(metricIndexHits, "outcome-index reads served from the in-memory cache after stat revalidation")
-	mIndexRebuilds    = obs.Default().Counter(metricIndexRebuilds, "outcome-index reads that reloaded the index from disk")
+	mIndexRebuilds    = obs.Default().Counter(metricIndexRebuilds, "outcome-index reads that rebuilt the index from the snapshot")
 )

@@ -1,10 +1,10 @@
-// Package outcomeindex builds and persists an inverted index over a
-// campaign's recorded outcomes — the read-side companion of the binary
-// snapshot format in internal/campaignstore. A snapshot answers "replay
-// this exact campaign"; the index answers the daemon's query traffic
-// ("this system's outcomes, page 3", "which misconfigurations break
-// more than N systems?", "table 5's tallies") without re-parsing a
-// snapshot at all.
+// Package outcomeindex builds an inverted index over a campaign's
+// recorded outcomes — the read-side companion of the binary snapshot
+// format in internal/campaignstore. A snapshot answers "replay this
+// exact campaign"; the index answers the daemon's query traffic ("this
+// system's outcomes, page 3", "which misconfigurations break more than
+// N systems?", "table 5's tallies") without re-parsing a snapshot per
+// request.
 //
 // The shape is keyword → posting list: every outcome becomes one
 // compact Doc (the projection the API and the tables actually consume —
@@ -12,25 +12,16 @@
 // lists map each parameter, constraint kind, reaction, and source
 // location to the positions of its docs. Per-system aggregates
 // (reaction tallies, vulnerability and unique-location counts) are
-// precomputed when the index is built or loaded, so serving table 3/5
-// is a map lookup, not a scan.
+// precomputed when the index is built, so serving table 3/5 is a map
+// lookup, not a scan.
 //
-// An index is derived data, never authoritative: it is rebuilt from its
-// snapshot whenever the sidecar is missing or stale (the sidecar
-// records the snapshot file's size and mtime; any mismatch invalidates
-// it), so deleting every *.campaign.idx file is always safe. The
-// sidecar persists only the docs and the header; the posting lists and
-// aggregates are derived from the docs on load by the same code that
-// builds them, so a tampered or corrupt sidecar can never serve
-// positions or tallies its docs do not back.
+// An index is derived data, never authoritative, and this package does
+// not persist it: campaignstore builds one as a snapshot is written or
+// decoded and holds it in memory while the snapshot file is unchanged.
 package outcomeindex
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -38,38 +29,32 @@ import (
 	"spex/internal/inject"
 )
 
-// Version is the sidecar layout version. A sidecar written under a
-// different version is treated as stale and rebuilt from its snapshot.
-//
-// v2 stopped persisting the posting lists and aggregates.
-const Version = 2
-
 // Doc is one indexed outcome: the projection of inject.Outcome that the
 // HTTP API and the evaluation tables consume. Docs are stored in
 // ascending Key order, so posting lists (positions into Docs) enumerate
 // outcomes deterministically.
 type Doc struct {
 	// Key is the outcome's replay identity (inject.CacheKey).
-	Key string `json:"key"`
+	Key string
 	// ID, Param, Rule and Description identify the misconfiguration.
-	ID          string `json:"id"`
-	Param       string `json:"param"`
-	Rule        string `json:"rule,omitempty"`
-	Description string `json:"description,omitempty"`
+	ID          string
+	Param       string
+	Rule        string
+	Description string
 	// Kind names the violated constraint's kind ("" when unknown).
-	Kind string `json:"kind,omitempty"`
+	Kind string
 	// Reaction is the persisted inject.Reaction value.
-	Reaction int `json:"reaction"`
+	Reaction int
 	// Err is the harness failure, if any; errored docs are excluded
 	// from reaction tallies exactly like Report.CountByReaction.
-	Err        string `json:"err,omitempty"`
-	Pinpointed bool   `json:"pinpointed,omitempty"`
-	FailedTest string `json:"failed_test,omitempty"`
+	Err        string
+	Pinpointed bool
+	FailedTest string
 	// File/Line/Func are the violated constraint's source location.
-	File    string `json:"file,omitempty"`
-	Line    int    `json:"line,omitempty"`
-	Func    string `json:"func,omitempty"`
-	SimCost int    `json:"sim_cost,omitempty"`
+	File    string
+	Line    int
+	Func    string
+	SimCost int
 }
 
 // Vulnerability reports whether the doc's reaction counts as a
@@ -91,46 +76,46 @@ func (d *Doc) LocString() string {
 // outcomes endpoint serve.
 type Aggregates struct {
 	// Outcomes counts every doc, errored ones included.
-	Outcomes int `json:"outcomes"`
+	Outcomes int
 	// Errors counts harness failures (excluded from ByReaction).
-	Errors int `json:"errors,omitempty"`
+	Errors int
 	// ByReaction tallies err-free docs per reaction name — the same
 	// numbers as inject.Report.CountByReaction.
-	ByReaction map[string]int `json:"by_reaction"`
+	ByReaction map[string]int
 	// Vulnerabilities counts err-free docs whose reaction is a
 	// vulnerability.
-	Vulnerabilities int `json:"vulnerabilities"`
+	Vulnerabilities int
 	// UniqueLocations counts distinct file:line locations behind the
 	// vulnerabilities (Table 5b).
-	UniqueLocations int `json:"unique_locations"`
+	UniqueLocations int
 }
 
 // System is one system's index: docs, posting lists, and aggregates,
 // plus the snapshot identity it was derived from.
 type System struct {
 	// System is the target system's name.
-	System string `json:"system"`
+	System string
 	// Fingerprint is the source snapshot's replay-equivalence hash
 	// (campaignstore.Snapshot.Fingerprint) — the ETag of every read
 	// endpoint serving this system.
-	Fingerprint string `json:"fingerprint"`
+	Fingerprint string
 	// SavedAt, Options and SetFingerprint mirror the snapshot header.
-	SavedAt        time.Time `json:"saved_at"`
-	Options        string    `json:"options"`
-	SetFingerprint string    `json:"set_fingerprint"`
+	SavedAt        time.Time
+	Options        string
+	SetFingerprint string
 	// Docs holds every outcome's projection in ascending Key order.
-	Docs []Doc `json:"docs"`
-	// Posting lists: positions into Docs, ascending. Like Agg they are
-	// derived from Docs (Builder.Finish) and never persisted.
-	ByParam    map[string][]int `json:"-"`
-	ByKind     map[string][]int `json:"-"`
-	ByReaction map[string][]int `json:"-"`
+	Docs []Doc
+	// Posting lists: positions into Docs, ascending, derived from Docs
+	// by Builder.Finish like Agg.
+	ByParam    map[string][]int
+	ByKind     map[string][]int
+	ByReaction map[string][]int
 	// ByLoc keys are "file:line".
-	ByLoc map[string][]int `json:"-"`
+	ByLoc map[string][]int
 	// Vulnerable lists the vulnerability docs.
-	Vulnerable []int `json:"-"`
+	Vulnerable []int
 	// Agg holds the precomputed tallies.
-	Agg Aggregates `json:"-"`
+	Agg Aggregates
 }
 
 // Meta identifies the snapshot an index is built from.
@@ -226,7 +211,7 @@ func (b *Builder) Finish() *System {
 }
 
 // Build indexes a full outcome map in one call — the rebuild path for
-// stores whose sidecar is missing or stale.
+// a snapshot the store holds no index for.
 func Build(meta Meta, outcomes map[string]inject.Outcome) *System {
 	b := NewBuilder(meta)
 	keys := make([]string, 0, len(outcomes))
@@ -385,88 +370,4 @@ func (q Query) matches(d *Doc) bool {
 		return false
 	}
 	return true
-}
-
-// ---- sidecar persistence ----
-
-// File is the on-disk sidecar: the index's header and docs plus the
-// identity of the snapshot file it was derived from. A sidecar whose
-// Snap/SnapSize/SnapMTime no longer match the snapshot on disk is stale
-// and must be rebuilt — the mtime+size pair changes on every atomic
-// snapshot rename, so a reader can validate freshness with one stat
-// call.
-type File struct {
-	Version int `json:"version"`
-	// Snap is the snapshot file's base name; SnapSize/SnapMTime its
-	// size and mtime (UnixNano) at index-build time.
-	Snap      string  `json:"snap"`
-	SnapSize  int64   `json:"snap_size"`
-	SnapMTime int64   `json:"snap_mtime"`
-	Sys       *System `json:"sys"`
-}
-
-// WriteFile persists the sidecar atomically (temp file + rename). No
-// fsync: the index is reconstructible from its snapshot.
-func WriteFile(path string, f *File) error {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("outcomeindex: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("outcomeindex: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("outcomeindex: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("outcomeindex: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("outcomeindex: %w", err)
-	}
-	return nil
-}
-
-// ReadFile loads a sidecar and derives its posting lists and aggregates
-// from the docs, through the same Builder.Finish that built them. Any
-// structural problem is an error — including docs that are not
-// strictly ascending by key, the order every writer produces; the
-// caller treats every error as "stale, rebuild from the snapshot".
-func ReadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := decodeFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("outcomeindex: sidecar %s: %w", path, err)
-	}
-	return f, nil
-}
-
-func decodeFile(data []byte) (*File, error) {
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("corrupt: %w", err)
-	}
-	if f.Version != Version {
-		return nil, fmt.Errorf("version %d, this build writes %d", f.Version, Version)
-	}
-	if f.Sys == nil {
-		return nil, errors.New("holds no index")
-	}
-	docs := f.Sys.Docs
-	for i := 1; i < len(docs); i++ {
-		if docs[i-1].Key >= docs[i].Key {
-			return nil, fmt.Errorf("doc %d (%q) is not after %q", i, docs[i].Key, docs[i-1].Key)
-		}
-	}
-	b := NewBuilder(Meta{System: f.Sys.System, Fingerprint: f.Sys.Fingerprint,
-		SavedAt: f.Sys.SavedAt, Options: f.Sys.Options, SetFingerprint: f.Sys.SetFingerprint})
-	b.docs = docs
-	f.Sys = b.Finish()
-	return &f, nil
 }

@@ -1,9 +1,7 @@
 package outcomeindex
 
 import (
-	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -185,95 +183,4 @@ func TestQueryRun(t *testing.T) {
 			t.Fatalf("reaction filter leaked other reactions: %+v", g)
 		}
 	}
-}
-
-func TestSidecarRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "alpha.campaign.idx")
-	sys := build("alpha", 10)
-	f := &File{Version: Version, Snap: "alpha.campaign.snap", SnapSize: 1234, SnapMTime: 99, Sys: sys}
-	if err := WriteFile(path, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Snap != f.Snap || got.SnapSize != f.SnapSize || got.SnapMTime != f.SnapMTime {
-		t.Fatalf("sidecar identity lost: %+v", got)
-	}
-	if got.Sys.System != "alpha" || len(got.Sys.Docs) != len(sys.Docs) ||
-		!reflect.DeepEqual(got.Sys.Agg, sys.Agg) {
-		t.Fatal("sidecar index content lost")
-	}
-
-	// A version from the future is stale, not trusted.
-	f.Version = Version + 1
-	if err := WriteFile(path, f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("version-mismatched sidecar accepted")
-	}
-}
-
-// FuzzReadIndexFile: a sidecar is untrusted disk input. Decoding must
-// return an error or an index whose queries never panic and whose
-// aggregates are exactly what its docs add up to.
-func FuzzReadIndexFile(f *testing.F) {
-	valid, err := json.Marshal(&File{Version: Version, Snap: "alpha.campaign.snap", Sys: build("alpha", 12)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"version":2,"sys":{"system":"ldapd","docs":[{"key":"a","reaction":0}],"vulnerable":[48],"agg":{"vulnerabilities":12345}}}`))
-	f.Add([]byte(`{"version":2,"sys":{"docs":[{"key":"b"},{"key":"a"}]}}`))
-	f.Add([]byte(`{"version":2,"sys":{"docs":[{"key":"a","reaction":-7,"err":""},{"key":"b","reaction":99,"line":-1}]}}`))
-	f.Add([]byte(`{"version":2,"sys":null}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		file, err := decodeFile(data)
-		if err != nil {
-			return
-		}
-		sys := file.Sys
-		queries := []Query{{}, {All: true}, {MinSystems: 2}}
-		for i := range sys.Docs {
-			if i == 8 {
-				break
-			}
-			d := &sys.Docs[i]
-			queries = append(queries,
-				Query{Param: d.Param}, Query{Kind: d.Kind, All: true},
-				Query{Reaction: d.ReactionName(), All: true},
-				Query{Param: d.Param, Kind: d.Kind, Reaction: d.ReactionName()})
-		}
-		for _, q := range queries {
-			Run([]*System{sys, sys}, q)
-		}
-		if got, want := sys.Agg, docAggregates(sys.Docs); !reflect.DeepEqual(got, want) {
-			t.Fatalf("aggregates %+v do not match the docs' %+v", got, want)
-		}
-	})
-}
-
-// docAggregates tallies docs directly — the reference the fuzz target
-// holds a loaded index's aggregates to.
-func docAggregates(docs []Doc) Aggregates {
-	agg := Aggregates{Outcomes: len(docs), ByReaction: map[string]int{}}
-	locs := map[string]bool{}
-	for i := range docs {
-		d := &docs[i]
-		if d.Err != "" {
-			agg.Errors++
-			continue
-		}
-		agg.ByReaction[d.ReactionName()]++
-		if d.Vulnerability() {
-			agg.Vulnerabilities++
-			locs[fmt.Sprintf("%s:%d", d.File, d.Line)] = true
-		}
-	}
-	agg.UniqueLocations = len(locs)
-	return agg
 }

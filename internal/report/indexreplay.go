@@ -33,11 +33,12 @@ var ErrStateIncomplete = errors.New("report: campaign state incomplete")
 // tables consume (reaction, error status, and the violated constraint's
 // source location — the inputs of Report.CountByReaction and
 // Report.UniqueLocations). The rendered tables are therefore
-// byte-identical to `spexeval -state` over the same store, without
-// parsing a single outcome record: on a warm sidecar the store read is
-// one JSON index per system, and the snapshots stay untouched. Serving
-// needs no lock: a reader sees the last completed save even while a job
-// is running.
+// byte-identical to `spexeval -state` over the same store. The store
+// read is LoadIndexAll: a store that holds current indexes (the
+// daemon's) serves them from memory, and a fresh process decodes each
+// snapshot once to build them. Serving needs no lock and writes
+// nothing: a reader sees the last completed save even while a job is
+// running.
 //
 // The index must cover this build's options identity, the constraint
 // set the fresh inference produced, and every misconfiguration's replay

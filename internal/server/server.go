@@ -42,8 +42,7 @@
 // Every /v1 route above addresses the default namespace — the root
 // state directory itself, so a single-tenant daemon keeps today's URLs
 // and on-disk layout. A namespaced route addresses <root>/<namespace>/,
-// a full state directory of its own: snapshots, outcome indexes, job
-// journal, quotas. POST /v1/ns/{ns}/jobs creates the namespace on
+// a full state directory of its own: snapshots, job journal, quotas. POST /v1/ns/{ns}/jobs creates the namespace on
 // first use; reads on an unknown namespace 404.
 //
 // Jobs are scheduled by a DAG scheduler over an in-memory reservation
@@ -84,14 +83,16 @@
 // apart, and each job writes through the namespace lock's set scoped to
 // its reserved systems (Lock.Set), so a save outside them fails loudly.
 //
-// The read path never touches snapshot records: every read endpoint is
+// The read path parses no snapshot per request: every read endpoint is
 // served from the namespace store's outcome indexes
 // (campaignstore.Store.LoadIndex, internal/outcomeindex). The store
 // keeps each system's index in memory and revalidates it with one stat
 // call per request against the snapshot file's size and mtime. Its own
 // saves fill that cache — a job's save keeps the index it built while
 // writing — and a foreign writer's atomic rename changes the identity,
-// so invalidation needs no coupling to the job lifecycle. Reads need
+// so invalidation needs no coupling to the job lifecycle; a snapshot
+// the store holds no index for (after a restart, or a foreign save) is
+// decoded once, on the first read. Reads need
 // no lock at all, even while a job is writing. Every read
 // endpoint carries an ETag derived from the snapshot fingerprint(s) it
 // serves (the replay-equivalence hash, not the bytes) and honors
@@ -1622,8 +1623,8 @@ func (s *Server) handleOutcomes(ns *namespace, w http.ResponseWriter, r *http.Re
 
 // handleQuery answers the cross-system misconfiguration query from the
 // outcome indexes alone: which (parameter, rule) families match the
-// filters, in how many systems, with what reactions. No snapshot is
-// parsed — the posting lists narrow the scan per system.
+// filters, in how many systems, with what reactions. The posting lists
+// narrow the scan per system.
 func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Request) {
 	q := outcomeindex.Query{
 		Param:    r.URL.Query().Get("param"),
@@ -1668,7 +1669,7 @@ func (s *Server) handleQuery(ns *namespace, w http.ResponseWriter, r *http.Reque
 
 // replayResults serves the memoized read-only analysis, recomputing it
 // from the daemon's derivation (report.ReplayWorkloadsFromIndex — the
-// tables never parse a snapshot record and never infer) only when the
+// tables render the held indexes and never infer) only when the
 // combined store fingerprint moved — a client fetching all twelve
 // tables pays for one index replay, not twelve. Failed replays
 // (incomplete state) are never cached; the next request retries. The

@@ -784,8 +784,9 @@ func TestReadPathPagingEtagQuery(t *testing.T) {
 }
 
 // TestStaleSnapshotReadsConflict: a snapshot written under another
-// schema fingerprint, with no sidecar left to answer from, makes the
-// cross-system reads answer 409 Conflict, as /v1/tables does — not 500.
+// schema fingerprint makes the cross-system reads and the tables answer
+// 409 Conflict naming the stale schema, not 500 and not an index built
+// before the rewrite. The rewrite keeps the file's size and mtime.
 func TestStaleSnapshotReadsConflict(t *testing.T) {
 	dir := t.TempDir()
 	store, err := campaignstore.Open(dir)
@@ -801,6 +802,10 @@ func TestStaleSnapshotReadsConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fi, err := os.Stat(store.Path("ldapd"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(store.Path("ldapd"))
 	if err != nil {
 		t.Fatal(err)
@@ -809,20 +814,20 @@ func TestStaleSnapshotReadsConflict(t *testing.T) {
 	if err := os.WriteFile(store.Path("ldapd"), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(store.IndexPath("ldapd")); err != nil {
+	if err := os.Chtimes(store.Path("ldapd"), fi.ModTime(), fi.ModTime()); err != nil {
 		t.Fatal(err)
 	}
 
 	_, ts := daemon(t, server.Config{StateDir: dir, Workers: 2})
-	for _, path := range []string{"/v1/systems", "/v1/query?all=1"} {
+	for _, path := range []string{"/v1/systems", "/v1/query?all=1", "/v1/tables/5"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusConflict {
-			t.Errorf("%s over a schema-stale snapshot: %d %s, want 409", path, resp.StatusCode, body)
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), campaignstore.ErrStale.Error()) {
+			t.Errorf("%s over a schema-stale snapshot: %d %s, want 409 naming the stale schema", path, resp.StatusCode, body)
 		}
 	}
 }
