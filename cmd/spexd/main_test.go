@@ -24,8 +24,8 @@ import (
 	"spex/internal/dash"
 )
 
-// binDir holds the spexd, spexeval and spexinj binaries TestMain
-// builds once.
+// binDir holds the spexd, spexeval, spexinj and spexwatch binaries
+// TestMain builds once.
 var binDir string
 
 func TestMain(m *testing.M) { os.Exit(buildAndRun(m)) }
@@ -37,9 +37,10 @@ func buildAndRun(m *testing.M) int {
 		return 1
 	}
 	defer os.RemoveAll(dir)
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "spex/cmd/spexd", "spex/cmd/spexeval", "spex/cmd/spexinj")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"spex/cmd/spexd", "spex/cmd/spexeval", "spex/cmd/spexinj", "spex/cmd/spexwatch")
 	if out, err := build.CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "building spexd, spexeval and spexinj: %v\n%s", err, out)
+		fmt.Fprintf(os.Stderr, "building spexd, spexeval, spexinj and spexwatch: %v\n%s", err, out)
 		return 1
 	}
 	binDir = dir
@@ -67,11 +68,11 @@ func (d *daemonProc) log() string {
 	return d.stderr.String()
 }
 
-// startDaemon runs spexd on state with an OS-chosen port and returns
-// once it has printed the address it is serving on.
-func startDaemon(t *testing.T, state string) *daemonProc {
+// startDaemon runs spexd on state with an OS-chosen port and any extra
+// flags, and returns once it has printed the address it is serving on.
+func startDaemon(t *testing.T, state string, flags ...string) *daemonProc {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binDir, "spexd"), "-state", state, "-addr", "127.0.0.1:0")
+	cmd := exec.Command(filepath.Join(binDir, "spexd"), append([]string{"-state", state, "-addr", "127.0.0.1:0"}, flags...)...)
 	pipe, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -548,4 +549,119 @@ func TestDaemonSchedulesJobs(t *testing.T) {
 	// a fresh process, rebuilding every index from its snapshot.
 	spexevalMatches(t, table, "-state", filepath.Join(root, "tenant1"), "-table", "5")
 	spexevalMatches(t, table, "-index", "-state", filepath.Join(root, "tenant1"), "-table", "5")
+}
+
+// externalHostRE matches a reference to an http:// or https:// host.
+var externalHostRE = regexp.MustCompile(`https?://`)
+
+// TestDaemonServesDashboard runs spexd's dashboard surfaces as their own
+// process. The embedded UI is served from the binary, names no external
+// host and revalidates by ETag. One daemon-wide event subscription,
+// opened before any job, carries two namespaces' jobs to their done
+// frames, with scheduler frames and each namespace's progress, while
+// spexwatch renders one of them live. SIGTERM exits 0 and dumps the bus
+// series, labelled per namespace.
+func TestDaemonServesDashboard(t *testing.T) {
+	dir := t.TempDir()
+	dump := filepath.Join(dir, "metrics.json")
+	d := startDaemon(t, filepath.Join(dir, "state"), "-metrics-out", dump)
+
+	if page := mustGet(t, d.base+"/ui/"); !strings.Contains(page, "spex dashboard") {
+		t.Errorf("/ui/ does not say \"spex dashboard\":\n%s", page)
+	} else if host := externalHostRE.FindString(page); host != "" {
+		t.Errorf("/ui/ names an external host (%s)", host)
+	}
+	if host := externalHostRE.FindString(mustGet(t, d.base+"/ui/app.js")); host != "" {
+		t.Errorf("/ui/app.js names an external host (%s)", host)
+	}
+	_, header, _ := get(t, d.base+"/ui/app.js")
+	if etag := header.Get("ETag"); etag == "" {
+		t.Error("/ui/app.js carries no ETag")
+	} else if code, _, _ := get(t, d.base+"/ui/app.js", "If-None-Match", etag); code != http.StatusNotModified {
+		t.Errorf("revalidating /ui/app.js with its ETag answered %d, want 304", code)
+	}
+
+	events, stop := subscribe(t, d.base+"/v1/events")
+	ja := submit(t, d.base+"/v1/jobs", `{"systems": ["proxyd"], "workers": 2, "sim_delay": "10ms"}`)
+	jb := submit(t, d.base+"/v1/ns/tenant2/jobs", `{"systems": ["ldapd"], "workers": 2, "sim_delay": "10ms"}`)
+	type nsJob struct{ ns, job string }
+	done := map[nsJob]bool{}
+	progress := map[string]bool{}
+	sched := false
+	var watch *exec.Cmd
+	var watched bytes.Buffer
+	for !done[nsJob{"default", ja}] || !done[nsJob{"tenant2", jb}] {
+		var e dash.Event
+		select {
+		case ev, open := <-events:
+			if !open {
+				t.Fatalf("the event stream ended before both jobs were done:\n%s", d.log())
+			}
+			e = ev
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("the jobs were not both done within two minutes (done: %v)", done)
+		}
+		switch e.Kind {
+		case dash.KindJob:
+			if e.State == "done" {
+				done[nsJob{e.Namespace, e.Job}] = true
+			} else if e.State == "failed" || e.State == "cancelled" {
+				t.Fatalf("job %s in %s ended %s: %s", e.Job, e.Namespace, e.State, e.Error)
+			}
+		case dash.KindSched:
+			sched = true
+		case dash.KindProgress:
+			progress[e.Namespace] = true
+			if watch == nil && e.Namespace == "default" && e.Job == ja {
+				// The job is running: watch it to its end.
+				watch = exec.Command(filepath.Join(binDir, "spexwatch"), "-addr", d.base, "-job", ja, "-once")
+				watch.Stdout = &watched
+				if err := watch.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	stop()
+	if !sched {
+		t.Error("the daemon-wide stream carries no sched frames")
+	}
+	for _, ns := range []string{"default", "tenant2"} {
+		if !progress[ns] {
+			t.Errorf("the daemon-wide stream carries no progress frames from %s", ns)
+		}
+	}
+	if watch == nil {
+		t.Fatal("the default job streamed no progress frame to watch it from")
+	}
+	if err := watch.Wait(); err != nil {
+		t.Errorf("spexwatch -once on a done job: %v", err)
+	}
+	if !regexp.MustCompile(`spexwatch: [1-9][0-9]*/[0-9]+`).Match(watched.Bytes()) {
+		t.Errorf("spexwatch printed no nonzero progress:\n%s", watched.String())
+	}
+
+	terminate(t, d)
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fams []struct {
+		Name   string `json:"name"`
+		Series []struct {
+			Labels map[string]string `json:"labels"`
+		} `json:"series"`
+	}
+	if err := json.Unmarshal(data, &fams); err != nil {
+		t.Fatalf("-metrics-out dump: %v", err)
+	}
+	tenant2 := false
+	for _, f := range fams {
+		for _, s := range f.Series {
+			tenant2 = tenant2 || (f.Name == "spex_dash_events_total" && s.Labels["namespace"] == "tenant2")
+		}
+	}
+	if !tenant2 {
+		t.Errorf("the -metrics-out dump has no spex_dash_events_total series labelled namespace tenant2:\n%s", data)
+	}
 }

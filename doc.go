@@ -48,11 +48,16 @@
 // retesting). A replay costs no simulated time, and little real time
 // either: each workload from shard.BuildWorkloads carries its canonical
 // snapshot encodings (campaignstore.Canonical: the constraint set's
-// JSON, and a hash per misconfiguration), built once, on its first
-// snapshot load, and Prepare checks a stored header and record against
+// JSON, and each misconfiguration's JSON), built once, on its first
+// snapshot load, and Prepare compares a stored header and record with
 // them instead of decoding the constraint set and the embedded
-// misconfiguration. Bytes that do not match take the full decode, with
-// the same result.
+// misconfiguration; a header that decodes to the workload's own set
+// skips the diff. Bytes that do not match take the full decode, with
+// the same result. The re-save that follows writes those same bytes
+// back: given the workload's Canonical (LockSet.Save), it splices the
+// canonical set into the header and each misconfiguration into its
+// record instead of marshalling them again, and the file holds exactly
+// the bytes a plain save would write.
 //
 // # Persistent campaign snapshots
 //

@@ -25,6 +25,8 @@ import (
 	"spex/internal/inject"
 	"spex/internal/shard"
 	"spex/internal/sim"
+	"spex/internal/spex"
+	"spex/internal/targets"
 )
 
 // storeSystem is a minimal sim.System whose boots are counted, so tests
@@ -440,7 +442,7 @@ func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lk.Set().Save(snap); err != nil {
+	if err := lk.Set().Save(snap, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := lk.Unlock(); err != nil {
@@ -655,6 +657,65 @@ func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set)
 		}
 		if want, err := json.Marshal(out); err != nil || !bytes.Equal(payload, want) {
 			t.Errorf("%s: record %q is not json.Marshal of its outcome (%v)", stage, key, err)
+		}
+	}
+}
+
+// TestResavesMatchPlainSaves: over the seven targets, after a cold
+// CampaignAll and again after a warm one, every snapshot file holds
+// exactly the bytes a plain save of its loaded snapshot writes (Save
+// without a Canonical, same SavedAt and stamps). The warm campaign
+// saves against the canonical encodings its loads built, and
+// TestSevenTargetResavesSplice shows that those saves splice.
+func TestResavesMatchPlainSaves(t *testing.T) {
+	systems := targets.All()
+	rs, err := spex.InferAll(context.Background(), systems, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := shard.BuildWorkloads(systems, rs, shard.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, plain := openStore(t), openStore(t)
+	var locks [2]*campaignstore.LockSet
+	for i, s := range []*campaignstore.Store{store, plain} {
+		lk, err := s.Lock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if err := lk.Unlock(); err != nil {
+				t.Error(err)
+			}
+		})
+		locks[i] = lk.Set()
+	}
+	opts := shard.Options{Workers: 2, Inject: inject.DefaultOptions()}
+	for _, warm := range []bool{false, true} {
+		runs, err := shard.CampaignAll(context.Background(), locks[0], ws, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range ws {
+			name := w.Sys.Name()
+			if st := runs[i].Status; !st.Saved || st.Replayed != warm || runs[i].Err != nil {
+				t.Fatalf("%s (warm %v): saved %v, replayed %v: %v", name, warm, st.Saved, st.Replayed, runs[i].Err)
+			}
+			got, err := os.ReadFile(store.Path(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.Load(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := locks[1].Save(snap, nil); err != nil {
+				t.Fatal(err)
+			}
+			if want, err := os.ReadFile(plain.Path(name)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s (warm %v): the saved file differs from a plain save of its snapshot (%v)", name, warm, err)
+			}
 		}
 	}
 }

@@ -301,9 +301,9 @@ func (s *Store) snapshotFiles() ([]string, error) {
 }
 
 // save is the write behind LockSet.Save, without the scope check.
-func (s *Store) save(snap *Snapshot) error {
+func (s *Store) save(snap *Snapshot, c *Canonical) error {
 	start := time.Now()
-	if err := s.saveBinary(snap); err != nil {
+	if err := s.saveBinary(snap, c); err != nil {
 		mSaveErrors.Inc()
 		return err
 	}
@@ -315,8 +315,8 @@ func (s *Store) save(snap *Snapshot) error {
 	return nil
 }
 
-func (s *Store) saveBinary(snap *Snapshot) error {
-	w, err := s.newStreamWriter(snap)
+func (s *Store) saveBinary(snap *Snapshot, c *Canonical) error {
+	w, err := s.newStreamWriter(snap, c)
 	if err != nil {
 		return err
 	}
@@ -720,11 +720,18 @@ func (ls *LockSet) check(system string) error {
 // A successful save also holds the system's outcome index, built as
 // the records streamed, in the store's memory (see StreamWriter.Close),
 // so the store never re-parses what it has just written.
-func (ls *LockSet) Save(snap *Snapshot) error {
+//
+// c is the workload's Canonical, as Prepare takes it (nil for none).
+// Once a load has built its encodings, a header whose Constraints is c's
+// own set and a record whose Misconf deep-equals the workload's
+// misconfiguration for its key are written from those bytes instead of
+// being marshalled again; the file holds the same bytes either way. A
+// Canonical no load has built is not built here: the save marshals.
+func (ls *LockSet) Save(snap *Snapshot, c *Canonical) error {
 	if err := ls.check(snap.System); err != nil {
 		return err
 	}
-	return ls.store.save(snap)
+	return ls.store.save(snap, c)
 }
 
 // Status describes how one system's campaign used the store: Prepare's
@@ -772,8 +779,10 @@ type Status struct {
 // on every replay anyway. Every other header or record is decoded in
 // full, and Status.FullHeader and Status.FullDecodes count those. The
 // fast path rests on one invariant of the writers: a record's payload
-// is always json.Marshal of its outcome. The load is observed exactly
-// like Load (spex_store_load_seconds and its counters).
+// is always json.Marshal of its outcome. A header that decoded to set
+// itself (c's set is the workload's) skips the Diff: a set diffed
+// against itself retests nothing. The load is observed exactly like
+// Load (spex_store_load_seconds and its counters).
 //
 // keep lists keys outside ms that must survive the prune: a shard
 // process running against a store that also holds its peers' outcomes
@@ -801,7 +810,10 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 		return st, nil, nil
 	}
 	mPrepareReplayed.Add(uint64(len(snap.Outcomes)))
-	retest := inject.Diff(snap.Constraints, set).Retest()
+	retest := func(confgen.Misconf) bool { return false }
+	if snap.Constraints != set {
+		retest = inject.Diff(snap.Constraints, set).Retest()
+	}
 	st.Replayed = true
 	// Evict the delta so it re-executes, and prune entries that left the
 	// campaign — but never the keys the caller vouched for.

@@ -60,7 +60,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"k2": {Misconf: confgen.Misconf{ID: "m2", Param: "p", Values: map[string]string{"p": "good"}},
 			Reaction: inject.ReactionTolerated, SimCost: 3},
 	}
-	if err := store.save(New("storefake", set, inject.DefaultOptions(), outcomes)); err != nil {
+	if err := store.save(New("storefake", set, inject.DefaultOptions(), outcomes), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Load("storefake")
@@ -117,7 +117,7 @@ func TestLoadRejectsStaleSchema(t *testing.T) {
 	}
 	// A snapshot written by a build with a different schema fingerprint
 	// must never replay.
-	if err := store.save(New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), nil)); err != nil {
+	if err := store.save(New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := os.ReadFile(store.Path("storefake"))
@@ -164,7 +164,7 @@ func TestLoadRejectsFingerprintMismatch(t *testing.T) {
 	}
 	snap := New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), nil)
 	snap.SetFingerprint = "0000000000000000"
-	if err := store.save(snap); err != nil {
+	if err := store.save(snap, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Load("storefake"); err == nil || !strings.Contains(err.Error(), "fingerprint") {
@@ -199,7 +199,7 @@ func TestSaveSurvivesReplacement(t *testing.T) {
 	set := mkSet(basicC("p"))
 	for i := 0; i < 3; i++ {
 		snap := New("storefake", set, inject.DefaultOptions(), map[string]inject.Outcome{})
-		if err := store.save(snap); err != nil {
+		if err := store.save(snap, nil); err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestListReturnsSavedSystems(t *testing.T) {
 	}
 	for _, name := range []string{"zeta", "alpha"} {
 		snap := New(name, constraint.NewSet(name), inject.DefaultOptions(), map[string]inject.Outcome{})
-		if err := store.save(snap); err != nil {
+		if err := store.save(snap, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,7 +422,7 @@ func TestLockSetScope(t *testing.T) {
 	if scoped.Covers("proxyd") || !scoped.Covers("ldapd") {
 		t.Fatal("Set(\"ldapd\") covers the wrong systems")
 	}
-	if err := scoped.Save(snap("proxyd")); err == nil || !strings.Contains(err.Error(), `does not cover "proxyd"`) {
+	if err := scoped.Save(snap("proxyd"), nil); err == nil || !strings.Contains(err.Error(), `does not cover "proxyd"`) {
 		t.Errorf("scoped Save for proxyd: %v", err)
 	}
 	if err := stream(scoped, "proxyd"); err == nil || !strings.Contains(err.Error(), `does not cover "proxyd"`) {
@@ -431,7 +431,7 @@ func TestLockSetScope(t *testing.T) {
 	if _, err := os.Stat(store.Path("proxyd")); !os.IsNotExist(err) {
 		t.Fatalf("a refused write left a proxyd snapshot: %v", err)
 	}
-	if err := scoped.Save(snap("ldapd")); err != nil {
+	if err := scoped.Save(snap("ldapd"), nil); err != nil {
 		t.Errorf("scoped Save for ldapd: %v", err)
 	}
 	if err := stream(scoped, "ldapd"); err != nil {
@@ -440,7 +440,7 @@ func TestLockSetScope(t *testing.T) {
 
 	all := lock.Set()
 	for _, system := range []string{"ldapd", "proxyd"} {
-		if err := all.Save(snap(system)); err != nil {
+		if err := all.Save(snap(system), nil); err != nil {
 			t.Errorf("Set().Save for %s: %v", system, err)
 		}
 		if err := stream(all, system); err != nil {

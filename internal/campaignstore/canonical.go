@@ -2,9 +2,10 @@ package campaignstore
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
+	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
@@ -13,27 +14,32 @@ import (
 
 // Canonical holds the encodings a snapshot saved for one workload
 // carries: its constraint set's JSON and fingerprint, and, per replay
-// key, the sha256 and length of that misconfiguration's json.Marshal
-// bytes. shard.BuildWorkloads makes one per workload, so a daemon's
-// workloads and every job share it. The encodings are built on the
-// first decode against it, under a sync.Once, so a caller that never
-// loads a snapshot for the workload never pays for them; the value is
-// read-only after that.
+// key, that misconfiguration's json.Marshal bytes. shard.BuildWorkloads
+// makes one per workload, so a daemon's workloads and every job share
+// it. The encodings are built on the first decode against it, under a
+// sync.Once, so a caller that never loads a snapshot for the workload
+// never pays for them; the value is read-only after that.
 //
-// Store.Prepare decodes against it (codec.go): a header whose last
-// member is the canonical constraint set decodes only the members before
-// it, and a record whose payload opens with its key's canonical
-// misconfiguration decodes only the members after it. Only the bytes
-// select that path, and it returns what the plain decoder would: build
-// indexes only encodings that decode back to the value they were encoded
-// from.
+// The codec uses them both ways (codec.go). Store.Prepare decodes
+// against them: a header whose last member is the canonical constraint
+// set decodes only the members before it, and a record whose payload
+// opens with its key's canonical misconfiguration decodes only the
+// members after it. Only the bytes select that path, and it returns what
+// the plain decoder would: build indexes only encodings that decode back
+// to the value they were encoded from. A save given the Canonical
+// (LockSet.Save) writes those same bytes back, spliced, instead of
+// marshalling the set and every misconfiguration again, but only once a
+// load has built them: a save never builds them itself.
 type Canonical struct {
 	set  *constraint.Set
 	ms   []confgen.Misconf
 	keys []string
 
-	// once guards build, which fills the fields below.
-	once sync.Once
+	// once guards build, which fills the fields below and then sets
+	// built, so a save can tell that they are there without building
+	// them.
+	once  sync.Once
+	built atomic.Bool
 	// setJSON is json.Marshal(set), or nil when a decode of those bytes
 	// would not yield set's constraints.
 	setJSON []byte
@@ -41,11 +47,10 @@ type Canonical struct {
 	byKey   map[string]canonMisconf
 }
 
-// canonMisconf identifies ms[i]'s json.Marshal bytes without holding
-// them.
+// canonMisconf holds the json.Marshal bytes of ms[i].
 type canonMisconf struct {
-	sum  [sha256.Size]byte
-	n, i int32
+	json []byte
+	i    int
 }
 
 // NewCanonical records the workload whose canonical encodings c stands
@@ -56,7 +61,7 @@ func NewCanonical(set *constraint.Set, ms []confgen.Misconf, keys []string) *Can
 }
 
 // build encodes the workload once. A misconfiguration missing from the
-// index just takes the plain decode.
+// index just takes the plain decode and the plain encode.
 func (c *Canonical) build() {
 	c.once.Do(func() {
 		c.setFP = c.set.Fingerprint()
@@ -68,9 +73,10 @@ func (c *Canonical) build() {
 		c.byKey = make(map[string]canonMisconf, len(c.ms))
 		for i, m := range c.ms {
 			if b, err := json.Marshal(m); err == nil && lossless(b) {
-				c.byKey[c.keys[i]] = canonMisconf{sum: sha256.Sum256(b), n: int32(len(b)), i: int32(i)}
+				c.byKey[c.keys[i]] = canonMisconf{json: b, i: i}
 			}
 		}
+		c.built.Store(true)
 	})
 }
 
@@ -162,7 +168,7 @@ func (c *Canonical) decodeOutcome(key string, payload []byte, out *inject.Outcom
 	if !ok {
 		return false
 	}
-	end := len(misconfPrefix) + int(cm.n)
+	end := len(misconfPrefix) + len(cm.json)
 	if len(payload) <= end || payload[end] != ',' {
 		return false
 	}
@@ -171,7 +177,7 @@ func (c *Canonical) decodeOutcome(key string, payload []byte, out *inject.Outcom
 	if rest := bytes.TrimLeft(payload[end+1:], " \t\r\n"); len(rest) == 0 || rest[0] != '"' {
 		return false
 	}
-	if sha256.Sum256(payload[len(misconfPrefix):end]) != cm.sum {
+	if !bytes.Equal(payload[len(misconfPrefix):end], cm.json) {
 		return false
 	}
 	// Decode "{" + the remaining members by putting the brace where the
@@ -186,4 +192,65 @@ func (c *Canonical) decodeOutcome(key string, payload []byte, out *inject.Outcom
 	*out = t.Outcome
 	out.Misconf = c.ms[cm.i]
 	return true
+}
+
+// encodings returns c once a load has built its encodings, else nil, so
+// a save never builds them.
+func (c *Canonical) encodings() *Canonical {
+	if c == nil || !c.built.Load() {
+		return nil
+	}
+	return c
+}
+
+// nullConstraints closes a header marshalled without its constraint set.
+var nullConstraints = []byte(`,"constraints":null}`)
+
+// encodeHeader is decodeHeader's inverse: when set is c's own set, the
+// json.Marshal bytes of h (whose Constraints is nil) with set as its
+// constraints, written as the members before the set followed by the
+// canonical set bytes. It returns nil, for the caller's plain encode,
+// for any other set.
+func (c *Canonical) encodeHeader(h snapshotHeader, set *constraint.Set) []byte {
+	if c == nil || set != c.set || c.setJSON == nil {
+		return nil
+	}
+	head, err := json.Marshal(h)
+	if err != nil || !bytes.HasSuffix(head, nullConstraints) {
+		return nil
+	}
+	head = head[:len(head)-len("null}")]
+	return append(append(head, c.setJSON...), '}')
+}
+
+// zeroMisconfHead opens the json.Marshal bytes of an outcome whose
+// misconfiguration is the zero value.
+var zeroMisconfHead = func() []byte {
+	b, err := json.Marshal(confgen.Misconf{})
+	if err != nil {
+		panic(err)
+	}
+	return append(append([]byte(nil), misconfPrefix...), b...)
+}()
+
+// encodeOutcome is decodeOutcome's inverse: when out's misconfiguration
+// deep-equals the workload's for key, json.Marshal(out) is misconfPrefix,
+// then the returned canonical misconfiguration bytes, then the returned
+// tail of the members after it. ok is false, for the caller's plain
+// encode, for any other outcome.
+func (c *Canonical) encodeOutcome(key string, out *inject.Outcome) (misconf, tail []byte, ok bool) {
+	if c == nil {
+		return nil, nil, false
+	}
+	cm, found := c.byKey[key]
+	if !found || !reflect.DeepEqual(&out.Misconf, &c.ms[cm.i]) {
+		return nil, nil, false
+	}
+	rest := *out
+	rest.Misconf = confgen.Misconf{}
+	b, err := json.Marshal(rest)
+	if err != nil || !bytes.HasPrefix(b, zeroMisconfHead) {
+		return nil, nil, false
+	}
+	return cm.json, b[len(zeroMisconfHead):], true
 }

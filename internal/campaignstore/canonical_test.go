@@ -2,22 +2,31 @@ package campaignstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"reflect"
 	"testing"
 
+	"spex/internal/conffile"
+	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
+	"spex/internal/spex"
+	"spex/internal/targets"
 )
 
-// canonFixture is a workload's Canonical and the header and outcome
-// payloads a snapshot saved from it carries, payloads[i] being keys[i]'s.
+// canonFixture is a workload's Canonical and the header, outcomes and
+// outcome payloads a snapshot saved from it carries, outcomes[i] and
+// payloads[i] being keys[i]'s.
 type canonFixture struct {
 	c        *Canonical
 	keys     []string
 	head     []byte
+	outcomes []inject.Outcome
 	payloads [][]byte
 }
 
@@ -48,6 +57,7 @@ func newCanonFixture(t testing.TB) canonFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fx.outcomes = append(fx.outcomes, o)
 		fx.payloads = append(fx.payloads, b)
 	}
 	return fx
@@ -161,7 +171,7 @@ func TestCanonicalBuildsOnFirstDecode(t *testing.T) {
 // spaceAfterSpan is payload i with whitespace after the comma that
 // follows its misconfiguration.
 func spaceAfterSpan(fx canonFixture, i int) []byte {
-	end := len(misconfPrefix) + int(fx.c.byKey[fx.keys[i]].n)
+	end := len(misconfPrefix) + len(fx.c.byKey[fx.keys[i]].json)
 	p := fx.payloads[i]
 	return append(append(append([]byte(nil), p[:end+1]...), " \n\t"...), p[end+1:]...)
 }
@@ -221,7 +231,7 @@ func FuzzCanonicalDecode(f *testing.F) {
 	f.Add(fx.head, uint8(1), append(append([]byte(nil), second...), `,"MISCONF":null}`...))
 	// Whitespace or a brace right after the span's comma.
 	f.Add(fx.head, uint8(2), spaceAfterSpan(fx, 2))
-	end := len(misconfPrefix) + int(fx.c.byKey[fx.keys[2]].n)
+	end := len(misconfPrefix) + len(fx.c.byKey[fx.keys[2]].json)
 	f.Add(fx.head, uint8(2), append(append([]byte(nil), fx.payloads[2][:end+1]...), '}'))
 	f.Add(fx.head, uint8(2), append(append([]byte(nil), fx.payloads[2][:end+1]...), " }"...))
 	// A header whose constraint bytes differ only in a Loc, one with no
@@ -233,5 +243,246 @@ func FuzzCanonicalDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), fx.head...), ' '), uint8(0), fx.payloads[0])
 	f.Fuzz(func(t *testing.T, head []byte, key uint8, payload []byte) {
 		sameDecode(t, container(head, fx.keys[int(key)%len(fx.keys)], payload), fx.c)
+	})
+}
+
+// samePlainEncode fails unless encoding snap against c writes exactly
+// the plain encode's bytes, whose payloads are json.Marshal of each
+// outcome, and its fingerprint, which is Snapshot.Fingerprint. It
+// returns what c spliced.
+func samePlainEncode(t testing.TB, snap *Snapshot, c *Canonical) (header bool, records int) {
+	t.Helper()
+	got, gotFP, err := encodeBinary(snap, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantFP, err := encodeBinary(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the encode against the Canonical differs from the plain encode:\n%q\n%q", got, want)
+	}
+	if fp, err := snap.Fingerprint(); err != nil || gotFP != wantFP || gotFP != fp {
+		t.Fatalf("fingerprints: spliced %s, plain %s, Snapshot.Fingerprint %s (%v)", gotFP, wantFP, fp, err)
+	}
+	return spliced(snap, c)
+}
+
+// spliced reports what a save of snap against c writes from c's
+// encodings instead of marshalling: the header, and how many records.
+// It asks the encoder's own splice decisions and builds nothing.
+func spliced(snap *Snapshot, c *Canonical) (header bool, records int) {
+	c = c.encodings()
+	h := snapshotHeader{Schema: snap.Schema, System: snap.System, SavedAt: snap.SavedAt,
+		Options: snap.Options, SetFingerprint: snap.SetFingerprint}
+	header = c.encodeHeader(h, snap.Constraints) != nil
+	for k, o := range snap.Outcomes {
+		if _, _, ok := c.encodeOutcome(k, &o); ok {
+			records++
+		}
+	}
+	return header, records
+}
+
+// fixtureSnapshot is a snapshot of fx's workload: its own set and its
+// outcomes, each carrying the workload's misconfiguration.
+func fixtureSnapshot(fx canonFixture) *Snapshot {
+	outcomes := make(map[string]inject.Outcome, len(fx.keys))
+	for i, k := range fx.keys {
+		outcomes[k] = fx.outcomes[i]
+	}
+	return New("storefake", fx.c.set, inject.DefaultOptions(), outcomes)
+}
+
+// TestSevenTargetResavesSplice takes each of the seven targets' inferred
+// workload through the store side of a cold and then a warm campaign.
+// A prepare that finds no snapshot and a save against the workload's
+// Canonical build no encodings. The next prepare builds them as it
+// decodes, and the re-save of what it replays splices the header and
+// every record and writes exactly the plain encode's bytes.
+func TestSevenTargetResavesSplice(t *testing.T) {
+	systems := targets.All()
+	rs, err := spex.InferAll(context.Background(), systems, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := inject.DefaultOptions()
+	for i, sys := range systems {
+		name, set := sys.Name(), rs[i].Set
+		tmpl, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := confgen.NewRegistry().Generate(set, tmpl)
+		keys := make([]string, len(ms))
+		outcomes := make(map[string]inject.Outcome, len(ms))
+		for j, m := range ms {
+			keys[j] = inject.CacheKey(m)
+			o := inject.Outcome{Misconf: m, Reaction: inject.Reaction(j % 4), SimCost: j,
+				Loc: constraint.SourceLoc{File: name + "/<main>.c", Line: j}}
+			if j%3 == 0 {
+				o.FailedTest, o.LogDump = "ping", "ERR request failed & retried\n"
+			}
+			outcomes[keys[j]] = o
+		}
+		c := NewCanonical(set, ms, keys)
+		if st, _, _ := store.Prepare(name, set, ms, keys, opts, nil, c); st.Replayed {
+			t.Fatalf("%s: the first prepare replayed", name)
+		}
+		if err := store.save(New(name, set, opts, outcomes), c); err != nil {
+			t.Fatal(err)
+		}
+		if c.built.Load() {
+			t.Errorf("%s: a cold prepare and save built the encodings", name)
+		}
+		st, replayed, _ := store.Prepare(name, set, ms, keys, opts, nil, c)
+		if !st.Replayed || st.FullHeader || st.FullDecodes != 0 || len(replayed) != len(ms) || !c.built.Load() {
+			t.Fatalf("%s: warm prepare replayed %v (%d of %d), full header %v, %d records decoded in full, built %v",
+				name, st.Replayed, len(replayed), len(ms), st.FullHeader, st.FullDecodes, c.built.Load())
+		}
+		warm := New(name, set, opts, replayed)
+		if header, records := samePlainEncode(t, warm, c); !header || records != len(ms) {
+			t.Errorf("%s: the warm re-save splices header %v and %d of %d records", name, header, records, len(ms))
+		}
+		if err := store.save(warm, c); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := encodeBinary(warm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(store.Path(name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the warm re-save's file is not the plain encode (%v)", name, err)
+		}
+	}
+}
+
+// TestCanonicalEncodeFallbacks: whatever is not the workload's own set,
+// or not its misconfiguration for the key, is marshalled, and so is
+// everything a Canonical no load has built covers.
+func TestCanonicalEncodeFallbacks(t *testing.T) {
+	fx := newCanonFixture(t)
+	moved := *fx.c.set.Constraints[0]
+	moved.Loc.Line = 42
+	if moved.ID() != fx.c.set.Constraints[0].ID() || moved.Loc == fx.c.set.Constraints[0].Loc {
+		t.Fatal("the moved constraint must keep its identity and change its location")
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*Snapshot) *Canonical
+		header  bool
+		records int
+	}{
+		{"a Canonical no load has built", func(*Snapshot) *Canonical {
+			return NewCanonical(fx.c.set, fx.c.ms, fx.c.keys)
+		}, false, 0},
+		{"another description", func(snap *Snapshot) *Canonical {
+			o := snap.Outcomes[fx.keys[0]]
+			o.Misconf.Description = "injected"
+			snap.Outcomes[fx.keys[0]] = o
+			return fx.c
+		}, true, len(fx.keys) - 1},
+		{"a violated constraint that moved", func(snap *Snapshot) *Canonical {
+			o := snap.Outcomes[fx.keys[1]]
+			o.Misconf.Violates = &moved
+			snap.Outcomes[fx.keys[1]] = o
+			return fx.c
+		}, true, len(fx.keys) - 1},
+		{"an equal set under another pointer", func(snap *Snapshot) *Canonical {
+			snap.Constraints = mkSet(fx.c.set.Constraints...)
+			return fx.c
+		}, false, len(fx.keys)},
+		{"a set with the same fingerprint whose constraint moved", func(snap *Snapshot) *Canonical {
+			snap.Constraints = mkSet(&moved, fx.c.set.Constraints[1])
+			if snap.Constraints.Fingerprint() != snap.SetFingerprint {
+				t.Fatal("the moved set changed fingerprint")
+			}
+			return fx.c
+		}, false, len(fx.keys)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := fixtureSnapshot(fx)
+			c := tc.edit(snap)
+			header, records := samePlainEncode(t, snap, c)
+			if header != tc.header || records != tc.records {
+				t.Errorf("spliced header %v and %d records; want %v and %d", header, records, tc.header, tc.records)
+			}
+			if c != fx.c && c.built.Load() {
+				t.Error("a save built the Canonical's encodings")
+			}
+		})
+	}
+}
+
+// TestCanonicalEncodeEscapes: the members after a spliced
+// misconfiguration carry encoding/json's escapes (HTML characters,
+// U+2028 and U+2029, control bytes, invalid UTF-8) exactly as
+// json.Marshal of the whole outcome does.
+func TestCanonicalEncodeEscapes(t *testing.T) {
+	fx := newCanonFixture(t)
+	snap := fixtureSnapshot(fx)
+	odd := "<b>&amp;</b>\u2028\u2029\x00\x1f\x7f\xff\xfe\"\\ \t\r\n"
+	for i, k := range fx.keys {
+		o := snap.Outcomes[k]
+		o.LogDump, o.FailedTest, o.Err = odd[i:], odd[:len(odd)-i], odd
+		o.Loc.File = "dir/" + odd
+		snap.Outcomes[k] = o
+	}
+	if header, records := samePlainEncode(t, snap, fx.c); !header || records != len(fx.keys) {
+		t.Errorf("spliced header %v and %d of %d records; want all", header, records, len(fx.keys))
+	}
+}
+
+// FuzzCanonicalEncode: for any outcome fields over a fixed workload, a
+// record spliced from the canonical misconfiguration is exactly
+// json.Marshal of the outcome, and a fuzzed change to the
+// misconfiguration takes the plain encode, with the same bytes.
+func FuzzCanonicalEncode(f *testing.F) {
+	fx := newCanonFixture(f)
+	f.Add(uint8(0), 0, false, "", "", "", "", 0, 0, uint8(0), "")
+	f.Add(uint8(1), 3, true, "ping", "ERR <x> & y \u2028\x00\xff", "boot: \x01", "a/<b>.c", 7, 12, uint8(0), "")
+	f.Add(uint8(2), -1, false, "t", "log", "", "f.c", -3, 1<<40, uint8(1), "injected\xff")
+	f.Add(uint8(3), 9, true, "", "", "", "", 1, 2, uint8(3), "moved.c")
+	f.Add(uint8(0), 1, false, "", "", "", "", 1, 2, uint8(4), "bad")
+	f.Fuzz(func(t *testing.T, key uint8, reaction int, pinpointed bool, failedTest, logDump, errText, file string,
+		line, simCost int, mutate uint8, value string) {
+		i := int(key) % len(fx.keys)
+		m := fx.c.ms[i]
+		switch mutate % 6 {
+		case 1:
+			m.Description = value
+		case 2:
+			m.ID = value
+		case 3:
+			moved := *m.Violates
+			moved.Loc.File = value
+			m.Violates = &moved
+		case 4:
+			m.Values = map[string]string{m.Param: value}
+		case 5:
+			m.Env = append(m.Env, confgen.EnvAction{Path: value})
+		}
+		out := inject.Outcome{Misconf: m, Reaction: inject.Reaction(reaction), Pinpointed: pinpointed,
+			FailedTest: failedTest, LogDump: logDump, Err: errText,
+			Loc: constraint.SourceLoc{File: file, Line: line, Func: value}, SimCost: simCost}
+		want, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misconf, tail, ok := fx.c.encodeOutcome(fx.keys[i], &out)
+		if ok != reflect.DeepEqual(m, fx.c.ms[i]) {
+			t.Fatalf("spliced %v for a misconfiguration that deep-equals the workload's: %v", ok, !ok)
+		}
+		if got := append(append(append([]byte(nil), misconfPrefix...), misconf...), tail...); ok && !bytes.Equal(got, want) {
+			t.Fatalf("spliced record differs from json.Marshal:\n%s\n%s", got, want)
+		}
+		snap := fixtureSnapshot(fx)
+		snap.Outcomes[fx.keys[i]] = out
+		samePlainEncode(t, snap, fx.c)
 	})
 }

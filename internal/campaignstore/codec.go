@@ -24,16 +24,25 @@
 //
 // Every writer keeps one invariant: a record's payload is
 // json.Marshal(outcome), and the header's constraints member, written
-// last, is json.Marshal(set). Store.Prepare's decoder leans on it. Given
-// the workload's Canonical (canonical.go), a header that ends with the
-// canonical set bytes decodes only the members before them and takes
-// the workload's set and fingerprint. A payload that opens with
-// {"Misconf": and then exactly its key's canonical misconfiguration
-// bytes (by length and sha256) decodes only the members after them and
-// takes the workload's misconfiguration. Anything else, and every
-// decode without a Canonical (Load, SnapshotIter), takes the
-// full json.Unmarshal. Both paths accept the same bytes and yield the
-// same fingerprint and outcome encodings (FuzzCanonicalDecode).
+// last, is json.Marshal(set). The workload's Canonical (canonical.go)
+// holds those bytes for its set and misconfigurations, and the codec
+// uses them both ways. Store.Prepare's decoder leans on the invariant:
+// a header that ends with the canonical set bytes decodes only the
+// members before them and takes the workload's set and fingerprint, and
+// a payload that opens with {"Misconf": and then exactly its key's
+// canonical misconfiguration bytes decodes only the members after them
+// and takes the workload's misconfiguration. Anything else, and every
+// decode without a Canonical (Load, SnapshotIter), takes the full
+// json.Unmarshal. Both paths accept the same bytes and yield the same
+// fingerprint and outcome encodings (FuzzCanonicalDecode). The encoder
+// splices what the decoder matches, so it keeps the invariant without
+// marshalling those bytes again: given a Canonical a load has built, a
+// header whose set is the workload's own is its other members followed
+// by the canonical set bytes, and a record whose misconfiguration
+// deep-equals the workload's for its key is {"Misconf":, the canonical
+// bytes, then the marshalled members after them, written and hashed
+// piece by piece. Anything else is marshalled whole, and both ways
+// write the same bytes (FuzzCanonicalEncode).
 //
 // Every length prefix is untrusted input: frames are read without
 // preallocating the claimed length (readFrameBody), so a corrupt prefix
@@ -54,6 +63,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strconv"
 	"time"
 
 	"spex/internal/inject"
@@ -109,10 +119,14 @@ func readFrameBody(r io.Reader, n uint64) ([]byte, error) {
 // as the in-memory method, computed record by record in ascending key
 // order, so streaming writers (Save, shard.Merge) get the fingerprint
 // as a byproduct of encoding instead of a second pass over the store.
+// The encoder hashes a spliced record (canonical.go) piece by piece,
+// exactly as if its payload were one slice, and no record is formatted
+// through fmt.
 type Fingerprinter struct {
 	h       hash.Hash
 	last    string
 	started bool
+	line    []byte
 }
 
 // NewFingerprinter starts the hash with the snapshot's header lines.
@@ -126,13 +140,33 @@ func NewFingerprinter(schema, system, options, setFingerprint string) *Fingerpri
 // Add folds one outcome record. outJSON must be the outcome's compact
 // json.Marshal bytes; keys must arrive in strictly ascending order.
 func (f *Fingerprinter) Add(key string, outJSON []byte) error {
+	return f.add(key, outJSON)
+}
+
+// add is Add for an outcome whose JSON is the concatenation of parts:
+// it hashes "outcome <len(key)>:<key> <len(json)>:<json>\n".
+func (f *Fingerprinter) add(key string, parts ...[]byte) error {
 	if f.started && key <= f.last {
 		return fmt.Errorf("campaignstore: fingerprint keys out of order (%q after %q)", key, f.last)
 	}
 	f.started, f.last = true, key
-	fmt.Fprintf(f.h, "outcome %d:%s %d:%s\n", len(key), key, len(outJSON), outJSON)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	f.line = append(f.line[:0], "outcome "...)
+	f.line = strconv.AppendInt(f.line, int64(len(key)), 10)
+	f.line = append(append(append(f.line, ':'), key...), ' ')
+	f.line = append(strconv.AppendInt(f.line, int64(n), 10), ':')
+	f.h.Write(f.line)
+	for _, p := range parts {
+		f.h.Write(p)
+	}
+	f.h.Write(newline)
 	return nil
 }
+
+var newline = []byte{'\n'}
 
 // Sum returns the fingerprint accumulated so far.
 func (f *Fingerprinter) Sum() string {
@@ -174,34 +208,50 @@ type SnapshotEncoder struct {
 	last    string
 	started bool
 	scratch []byte
+	// canon, if set, holds the built encodings records are spliced from;
+	// payload is the current record's payload, in pieces.
+	canon   *Canonical
+	payload [][]byte
 }
 
 // NewSnapshotEncoder writes the magic and header. hdr carries the
 // snapshot's metadata; its Outcomes/Stamps are ignored.
 func NewSnapshotEncoder(w io.Writer, hdr *Snapshot) (*SnapshotEncoder, error) {
-	rawSet, err := json.Marshal(hdr.Constraints)
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	head, err := json.Marshal(snapshotHeader{
+	return newSnapshotEncoder(w, hdr, nil)
+}
+
+// newSnapshotEncoder is NewSnapshotEncoder splicing the header and
+// records from c's encodings where they are what json.Marshal would
+// write (nil, or a c no load has built: the plain encode).
+func newSnapshotEncoder(w io.Writer, hdr *Snapshot, c *Canonical) (*SnapshotEncoder, error) {
+	c = c.encodings()
+	h := snapshotHeader{
 		Schema:         hdr.Schema,
 		System:         hdr.System,
 		SavedAt:        hdr.SavedAt,
 		Options:        hdr.Options,
 		SetFingerprint: hdr.SetFingerprint,
-		Constraints:    rawSet,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
+	}
+	head := c.encodeHeader(h, hdr.Constraints)
+	if head == nil {
+		rawSet, err := json.Marshal(hdr.Constraints)
+		if err != nil {
+			return nil, fmt.Errorf("campaignstore: %w", err)
+		}
+		h.Constraints = rawSet
+		if head, err = json.Marshal(h); err != nil {
+			return nil, fmt.Errorf("campaignstore: %w", err)
+		}
 	}
 	cw := &crcWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	// The CRC must cover the buffered bytes in write order, so the CRC
 	// sits *under* the bufio layer.
 	e := &SnapshotEncoder{
-		bw: bw,
-		cw: cw,
-		fp: NewFingerprinter(hdr.Schema, hdr.System, hdr.Options, hdr.SetFingerprint),
+		bw:    bw,
+		cw:    cw,
+		fp:    NewFingerprinter(hdr.Schema, hdr.System, hdr.Options, hdr.SetFingerprint),
+		canon: c,
 	}
 	if _, err := bw.Write(snapMagic); err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
@@ -221,12 +271,20 @@ func (e *SnapshotEncoder) writeUvarint(v uint64) error {
 	return nil
 }
 
-func (e *SnapshotEncoder) writeBlob(b []byte) error {
-	if err := e.writeUvarint(uint64(len(b))); err != nil {
+// writeBlob writes one length-prefixed frame holding the concatenation
+// of parts.
+func (e *SnapshotEncoder) writeBlob(parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if err := e.writeUvarint(uint64(n)); err != nil {
 		return err
 	}
-	if _, err := e.bw.Write(b); err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
+	for _, p := range parts {
+		if _, err := e.bw.Write(p); err != nil {
+			return fmt.Errorf("campaignstore: %w", err)
+		}
 	}
 	return nil
 }
@@ -241,11 +299,16 @@ func (e *SnapshotEncoder) Add(key string, stamp time.Time, out inject.Outcome) e
 		return fmt.Errorf("campaignstore: outcome keys out of order (%q after %q)", key, e.last)
 	}
 	e.started, e.last = true, key
-	data, err := json.Marshal(out)
-	if err != nil {
-		return fmt.Errorf("campaignstore: %w", err)
+	if misconf, tail, ok := e.canon.encodeOutcome(key, &out); ok {
+		e.payload = append(e.payload[:0], misconfPrefix, misconf, tail)
+	} else {
+		data, err := json.Marshal(out)
+		if err != nil {
+			return fmt.Errorf("campaignstore: %w", err)
+		}
+		e.payload = append(e.payload[:0], data)
 	}
-	if err := e.fp.Add(key, data); err != nil {
+	if err := e.fp.add(key, e.payload...); err != nil {
 		return err
 	}
 	if err := e.writeBlob([]byte(key)); err != nil {
@@ -255,7 +318,7 @@ func (e *SnapshotEncoder) Add(key string, stamp time.Time, out inject.Outcome) e
 	if _, err := e.bw.Write(e.scratch); err != nil {
 		return fmt.Errorf("campaignstore: %w", err)
 	}
-	if err := e.writeBlob(data); err != nil {
+	if err := e.writeBlob(e.payload...); err != nil {
 		return err
 	}
 	e.count++
@@ -285,16 +348,17 @@ func (e *SnapshotEncoder) Finish() (string, error) {
 }
 
 // crcStream folds the bytes the decoder *consumes* into a running CRC.
-// The fold must sit above the bufio layer, not below it: bufio prefetches
-// past the decoder's logical position, and a fold on the raw reader
-// would swallow the trailer (and anything after it) ahead of time.
+// The fold must sit above any bufio layer, not below it: bufio
+// prefetches past the decoder's logical position, and a fold on the raw
+// reader would swallow the trailer (and anything after it) ahead of
+// time.
 type crcStream struct {
-	br  *bufio.Reader
+	r   frameReader
 	crc uint32
 }
 
 func (c *crcStream) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
+	b, err := c.r.ReadByte()
 	if err == nil {
 		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
 	}
@@ -302,7 +366,7 @@ func (c *crcStream) ReadByte() (byte, error) {
 }
 
 func (c *crcStream) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
+	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
 	return n, err
 }
@@ -341,9 +405,14 @@ func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
 }
 
 // newSnapshotDecoder is NewSnapshotDecoder matching against c (nil: the
-// plain decode).
+// plain decode). A reader that cannot read byte by byte (a file) is
+// buffered; one that can (the bytes.Reader behind Load) is read as is.
 func newSnapshotDecoder(r io.Reader, label string, c *Canonical) (*SnapshotDecoder, error) {
-	d := &SnapshotDecoder{s: &crcStream{br: bufio.NewReaderSize(r, 1<<16)}, label: label, canon: c}
+	fr, ok := r.(frameReader)
+	if !ok {
+		fr = bufio.NewReaderSize(r, 1<<16)
+	}
+	d := &SnapshotDecoder{s: &crcStream{r: fr}, label: label, canon: c}
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(d.s, magic); err != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, d.corruptf("bad magic")
@@ -418,7 +487,7 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		}
 		sum := d.s.crc // CRC of everything consumed before the trailer CRC
 		var tail [4]byte
-		if _, rerr := io.ReadFull(d.s.br, tail[:]); rerr != nil {
+		if _, rerr := io.ReadFull(d.s.r, tail[:]); rerr != nil {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated CRC trailer")
 		}
 		if got := binary.LittleEndian.Uint32(tail[:]); got != sum {

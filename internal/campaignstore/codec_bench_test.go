@@ -39,12 +39,14 @@ func benchSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// encodeBinary streams the snapshot through the container codec.
-func encodeBinary(snap *Snapshot) ([]byte, error) {
+// encodeBinary streams the snapshot through the container codec against
+// c (nil: the plain encode), every record stamped SavedAt, and returns
+// the bytes and the fingerprint.
+func encodeBinary(snap *Snapshot, c *Canonical) ([]byte, string, error) {
 	var buf bytes.Buffer
-	enc, err := NewSnapshotEncoder(&buf, snap)
+	enc, err := newSnapshotEncoder(&buf, snap, c)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	keys := make([]string, 0, len(snap.Outcomes))
 	for k := range snap.Outcomes {
@@ -53,13 +55,14 @@ func encodeBinary(snap *Snapshot) ([]byte, error) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if err := enc.Add(k, snap.SavedAt, snap.Outcomes[k]); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
-	if _, err := enc.Finish(); err != nil {
-		return nil, err
+	fp, err := enc.Finish()
+	if err != nil {
+		return nil, "", err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), fp, nil
 }
 
 // BenchmarkSnapshotCodec measures the binary container's encode and
@@ -68,7 +71,7 @@ func encodeBinary(snap *Snapshot) ([]byte, error) {
 func BenchmarkSnapshotCodec(b *testing.B) {
 	snap := benchSnapshot(5000)
 
-	bin, err := encodeBinary(snap)
+	bin, _, err := encodeBinary(snap, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	b.Run("encode/binary", func(b *testing.B) {
 		b.SetBytes(int64(len(bin)))
 		for i := 0; i < b.N; i++ {
-			if _, err := encodeBinary(snap); err != nil {
+			if _, _, err := encodeBinary(snap, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -111,7 +114,7 @@ func sevenTargetStore(b *testing.B) (*Store, int) {
 	}
 	defer lock.Unlock()
 	for _, r := range rs {
-		if err := lock.Set().Save(New(r.System, r.Set, inject.DefaultOptions(), fixtureOutcomes(b, 50))); err != nil {
+		if err := lock.Set().Save(New(r.System, r.Set, inject.DefaultOptions(), fixtureOutcomes(b, 50)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,16 +45,18 @@ func (ls *LockSet) NewStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
 	if err := ls.check(hdr.System); err != nil {
 		return nil, err
 	}
-	return ls.store.newStreamWriter(hdr)
+	return ls.store.newStreamWriter(hdr, nil)
 }
 
-func (s *Store) newStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
+// newStreamWriter opens a streaming save encoding against c (see
+// LockSet.Save).
+func (s *Store) newStreamWriter(hdr *Snapshot, c *Canonical) (*StreamWriter, error) {
 	final := s.Path(hdr.System)
 	tmp, err := os.CreateTemp(s.dir, filepath.Base(final)+".tmp-*")
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	enc, err := NewSnapshotEncoder(tmp, hdr)
+	enc, err := newSnapshotEncoder(tmp, hdr, c)
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())

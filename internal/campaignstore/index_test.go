@@ -58,7 +58,7 @@ func TestForeignSaveInvalidatesIndex(t *testing.T) {
 		}
 		defer lock.Unlock()
 		snap := New("storefake", mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, n))
-		if err := lock.Set().Save(snap); err != nil {
+		if err := lock.Set().Save(snap, nil); err != nil {
 			t.Fatal(err)
 		}
 		fp, err := snap.Fingerprint()
@@ -119,7 +119,7 @@ func TestConcurrentSavesAndLoadIndex(t *testing.T) {
 		}
 		saved[fp] = true
 	}
-	if err := set.Save(snaps[0]); err != nil {
+	if err := set.Save(snaps[0], nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestConcurrentSavesAndLoadIndex(t *testing.T) {
 		go func(snap *Snapshot) {
 			defer wg.Done()
 			for n := 0; n < saves; n++ {
-				if err := set.Save(snap); err != nil {
+				if err := set.Save(snap, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -181,7 +181,7 @@ func saveSystem(t *testing.T, s *Store, system string, n int) {
 		t.Fatal(err)
 	}
 	defer lock.Unlock()
-	if err := lock.Set().Save(New(system, mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, n))); err != nil {
+	if err := lock.Set().Save(New(system, mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, n)), nil); err != nil {
 		t.Fatal(err)
 	}
 }

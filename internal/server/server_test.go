@@ -797,7 +797,7 @@ func TestStaleSnapshotReadsConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = lock.Set().Save(campaignstore.New("ldapd", constraint.NewSet("ldapd"), inject.DefaultOptions(), nil))
+	err = lock.Set().Save(campaignstore.New("ldapd", constraint.NewSet("ldapd"), inject.DefaultOptions(), nil), nil)
 	lock.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,8 @@ type Workload struct {
 	// campaign's Ms and Keys. BuildWorkloads fills it and Plan.Apply
 	// keeps it, because its lookups are by replay key. A store-backed
 	// run decodes its snapshot against it (which builds its encodings on
-	// first use); without it the load takes the plain decode.
+	// first use) and, once it has loaded one, saves against it too;
+	// without it the load and the save take the plain codec.
 	Canon *campaignstore.Canonical
 	// Keep lists replay keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
@@ -215,11 +216,14 @@ type SystemRun struct {
 // stamped at save time, plus the stored outcomes of Workload.Keep keys
 // outside Ms with their stored stamps. It is saved even after
 // cancellation, so the next run resumes with exactly the unfinished
-// misconfigurations. The store is addressed through the write
-// capability a held campaignstore writer lock mints (Lock.Set), the
-// only way to save, so a caller must have acquired the state
-// directory's lock before it can even name this mode. A set scoped to
-// other systems fails a workload's save loudly.
+// misconfigurations. A workload whose prepare loaded its snapshot saves
+// against Workload.Canon, whose encodings that load built, so its set
+// and misconfigurations are spliced rather than marshalled again; a
+// cold workload saves without it and builds nothing. The store is
+// addressed through the write capability a held campaignstore writer
+// lock mints (Lock.Set), the only way to save, so a caller must have
+// acquired the state directory's lock before it can even name this
+// mode. A set scoped to other systems fails a workload's save loudly.
 //
 // A nil set is the storeless run: every misconfiguration executes and
 // nothing is saved. On cancellation every run is still returned —
@@ -283,7 +287,12 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 			}
 		}
 		stored[i], stamps[i] = nil, nil
-		if err := locks.Save(snap); err != nil {
+		// Only a loaded snapshot built the workload's encodings.
+		var canon *campaignstore.Canonical
+		if runs[i].Status.Replayed {
+			canon = w.Canon
+		}
+		if err := locks.Save(snap, canon); err != nil {
 			runs[i].Err = err
 			return
 		}
