@@ -112,7 +112,7 @@ func BenchmarkTable3Classification(b *testing.B) {
 	opts := inject.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inject.Run(sys, one, opts); err != nil {
+		if _, err := inject.RunContext(context.Background(), sys, one, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkTable5Campaign(b *testing.B) {
 	opts := inject.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := inject.Run(sys, ms, opts)
+		rep, err := inject.RunContext(context.Background(), sys, ms, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func BenchmarkFigure3Examples(b *testing.B) {
 // BenchmarkFigure5Injections reruns the six rule-by-rule injections.
 func BenchmarkFigure5Injections(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := report.Figure5(); err != nil {
+		if _, err := report.Figure5(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func BenchmarkFigure5Injections(b *testing.B) {
 // BenchmarkFigure7Vulnerabilities reruns the five category examples.
 func BenchmarkFigure7Vulnerabilities(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := report.Figure7(); err != nil {
+		if _, err := report.Figure7(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -474,7 +474,7 @@ func BenchmarkAblationCampaignOptimizations(b *testing.B) {
 			opts.StopOnFirstFailure = optimized
 			var cost int
 			for i := 0; i < b.N; i++ {
-				rep, err := inject.Run(sys, ms, opts)
+				rep, err := inject.RunContext(context.Background(), sys, ms, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

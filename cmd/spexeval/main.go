@@ -155,7 +155,7 @@ func run() int {
 		}
 		fmt.Println(text)
 	case *figureN != 0:
-		s, err := report.RenderFigureText(*figureN, results)
+		s, err := report.RenderFigureText(ctx, *figureN, results)
 		if err != nil {
 			return fail(err)
 		}
@@ -172,7 +172,7 @@ func run() int {
 			fmt.Println(text)
 		}
 		for i := 1; i <= report.MaxFigure; i++ {
-			s, err := report.RenderFigureText(i, results)
+			s, err := report.RenderFigureText(ctx, i, results)
 			if err != nil {
 				return fail(err)
 			}

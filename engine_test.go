@@ -37,7 +37,7 @@ func campaignFor(t testing.TB, sys sim.System) []confgen.Misconf {
 // TestParallelCampaignMatchesSequential drives the Table 5 campaign for
 // every target through the campaign scheduler (shard.CampaignAll) on a
 // one-wide and a four-wide pool and requires both reports to match the
-// reference run (inject.Run) outcome-for-outcome. Run under -race this
+// reference run (inject.RunContext) outcome-for-outcome. Run under -race this
 // doubles as the full-campaign race test: every boot, functional test,
 // and substrate operation of all seven targets executes concurrently.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
@@ -53,7 +53,7 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := inject.Run(sys, ws[0].Ms, inject.DefaultOptions())
+			ref, err := inject.RunContext(context.Background(), sys, ws[0].Ms, inject.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

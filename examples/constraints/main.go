@@ -19,7 +19,7 @@ func main() {
 	}
 	fmt.Println(report.Figure3(results))
 
-	fig5, err := report.Figure5()
+	fig5, err := report.Figure5(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,11 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
-	"spex/internal/conffile"
+	"spex/internal/confgen"
+	"spex/internal/inject"
 	"spex/internal/sim"
 	"spex/internal/simlog"
 	"spex/internal/targets/ldapd"
@@ -21,16 +22,13 @@ func main() {
 	sys := ldapd.New()
 
 	fmt.Println("== 1. the user sets listener-threads = 32 ==")
-	env := sim.NewEnv()
-	sys.SetupEnv(env)
-	cfg, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+	m := confgen.Misconf{ID: "figure2", Param: "listener-threads", Values: map[string]string{"listener-threads": "32"}}
+	out, err := inject.NewRunner(sys, inject.DefaultOptions()).Test(context.Background(), m)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Set("listener-threads", "32")
-	out := sim.MonitorStart(sys, env, cfg, 250*time.Millisecond)
-	fmt.Printf("reaction: %s\n", out.Kind)
-	if out.Kind == sim.StartCrash {
+	fmt.Printf("reaction: %s\n", out.Reaction)
+	if out.Reaction == inject.ReactionCrash {
 		fmt.Printf("console : Segmentation fault (core dumped)\n")
 		fmt.Println("-> the user has no idea the root cause is a configuration value;")
 		fmt.Println("   the paper reports two users filed this as a software bug.")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	fmt.Printf("\ngenerated %d misconfigurations\n", len(ms))
 
 	// 3. Inject, boot, test, classify.
-	rep, err := inject.Run(sys, ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), sys, ms, inject.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,9 +40,9 @@
 // (every long-running entry point takes a caller context); and a
 // function that receives a context.Context must not call the
 // context-free variant of an API that has a context-aware one —
-// time.Sleep, exec.Command, net/http's Get/Post/Head/PostForm,
-// inject.Run, sim.MonitorStart — because each of those silently drops
-// the cancellation the caller was promised.
+// time.Sleep, exec.Command, net/http's Get/Post/Head/PostForm — because
+// each of those silently drops the cancellation the caller was
+// promised.
 //
 // fingerprintpurity guards the snapshot fingerprint and the outcome
 // index the streaming writer builds with it. Code feeding a

@@ -8,9 +8,8 @@
 //     this shape).
 //   - a function that receives a context.Context must not call the
 //     context-free variant of an API with a context-aware twin:
-//     time.Sleep, exec.Command, net/http's Get/Head/Post/PostForm,
-//     inject.Run and sim.MonitorStart all ignore the cancellation the
-//     signature promised to honor.
+//     time.Sleep, exec.Command and net/http's Get/Head/Post/PostForm
+//     all ignore the cancellation the signature promised to honor.
 //
 // Deliberate roots (a daemon's lifetime context, a process-wide memo)
 // carry a //spexlint:ignore ctxflow directive with the reason.
@@ -31,14 +30,12 @@ var Analyzer = &analysis.Analyzer{
 // bannedInCtxFunc maps (package path, function) to the context-aware
 // replacement named in the diagnostic.
 var bannedInCtxFunc = map[[2]string]string{
-	{"time", "Sleep"}:                     "a timer select on ctx.Done()",
-	{"os/exec", "Command"}:                "exec.CommandContext (or document why cancellation arrives another way)",
-	{"net/http", "Get"}:                   "http.NewRequestWithContext",
-	{"net/http", "Head"}:                  "http.NewRequestWithContext",
-	{"net/http", "Post"}:                  "http.NewRequestWithContext",
-	{"net/http", "PostForm"}:              "http.NewRequestWithContext",
-	{"spex/internal/inject", "Run"}:       "inject.RunContext",
-	{"spex/internal/sim", "MonitorStart"}: "sim.MonitorStartContext",
+	{"time", "Sleep"}:        "a timer select on ctx.Done()",
+	{"os/exec", "Command"}:   "exec.CommandContext (or document why cancellation arrives another way)",
+	{"net/http", "Get"}:      "http.NewRequestWithContext",
+	{"net/http", "Head"}:     "http.NewRequestWithContext",
+	{"net/http", "Post"}:     "http.NewRequestWithContext",
+	{"net/http", "PostForm"}: "http.NewRequestWithContext",
 }
 
 func run(pass *analysis.Pass) error {

@@ -6,11 +6,6 @@ import (
 	"net/http"
 	"os/exec"
 	"time"
-
-	"spex/internal/conffile"
-	"spex/internal/confgen"
-	"spex/internal/inject"
-	"spex/internal/sim"
 )
 
 func roots() context.Context {
@@ -31,14 +26,6 @@ func spawns(ctx context.Context) *exec.Cmd {
 
 func fetches(ctx context.Context) (*http.Response, error) {
 	return http.Get("http://localhost/") // want `http.Get ignores the context`
-}
-
-func campaigns(ctx context.Context, sys sim.System, ms []confgen.Misconf) (*inject.Report, error) {
-	return inject.Run(sys, ms, inject.DefaultOptions()) // want `inject.Run ignores the context`
-}
-
-func monitors(ctx context.Context, sys sim.System, env *sim.Env, cfg *conffile.File) sim.StartOutcome {
-	return sim.MonitorStart(sys, env, cfg, time.Second) // want `sim.MonitorStart ignores the context`
 }
 
 // A nested literal still sees the outer function's context.

@@ -25,7 +25,7 @@ func threaded(ctx context.Context, sys sim.System, ms []confgen.Misconf) (*injec
 }
 
 func monitorsThreaded(ctx context.Context, sys sim.System, env *sim.Env, cfg *conffile.File) sim.StartOutcome {
-	return sim.MonitorStartContext(ctx, sys, env, cfg, time.Second)
+	return sim.MonitorStartContext(ctx, sys, env, cfg)
 }
 
 // A deliberate root carries the waiver with its reason.

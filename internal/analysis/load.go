@@ -59,7 +59,9 @@ type ExportIndex map[string]string
 
 // LoadExportIndex builds the export index for the patterns' full
 // dependency closure, including test dependencies. dir is the module
-// root the `go list` runs in.
+// root the `go list` runs in. The index keeps the bracketed test
+// variants ("dep [pkg.test]") under their listed names, beside the plain
+// export the rest of the graph links against.
 func LoadExportIndex(dir string, patterns ...string) (ExportIndex, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export", "-test"}, patterns...)
 	pkgs, err := goList(dir, args)
@@ -68,23 +70,25 @@ func LoadExportIndex(dir string, patterns ...string) (ExportIndex, error) {
 	}
 	idx := ExportIndex{}
 	for _, p := range pkgs {
-		// Bracketed variants ("pkg [pkg.test]") re-export a package with
-		// its test files compiled in; the plain entry is the export the
-		// rest of the graph links against, so it wins.
-		if p.Export == "" || strings.Contains(p.ImportPath, " [") {
-			continue
-		}
-		if _, ok := idx[p.ImportPath]; !ok {
+		if p.Export != "" {
 			idx[p.ImportPath] = p.Export
 		}
 	}
 	return idx, nil
 }
 
-// Importer returns a types.Importer resolving through the index.
-func (idx ExportIndex) Importer(fset *token.FileSet) types.Importer {
+// Importer returns a types.Importer resolving through the index. A
+// non-empty forTest names the package whose external test is being
+// checked: each import then resolves to its "[forTest.test]" variant
+// where `go list -test` built one (forTest itself with its _test.go
+// files, export_test.go included, and every dependency recompiled
+// against it), as cmd/go links that test.
+func (idx ExportIndex) Importer(fset *token.FileSet, forTest string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		f, ok := idx[path]
+		f, ok := idx[path+" ["+forTest+".test]"]
+		if forTest == "" || !ok {
+			f, ok = idx[path]
+		}
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q (not in the loaded dependency closure)", path)
 		}
@@ -108,7 +112,7 @@ func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := idx.Importer(fset)
+	imp := idx.Importer(fset, "")
 	var out []*Package
 	for _, p := range pkgs {
 		if len(p.CgoFiles) > 0 {
@@ -126,7 +130,8 @@ func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 			out = append(out, u)
 		}
 		if withTests && len(p.XTestGoFiles) > 0 {
-			u, err := checkUnit(fset, imp, p.ImportPath+"_test", absFiles(p.Dir, p.XTestGoFiles))
+			ximp := idx.Importer(fset, p.ImportPath)
+			u, err := checkUnit(fset, ximp, p.ImportPath+"_test", absFiles(p.Dir, p.XTestGoFiles))
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +145,7 @@ func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 // path: sources outside the module's package graph, dependencies from
 // the index).
 func CheckFiles(fset *token.FileSet, idx ExportIndex, pkgPath string, files []string) (*Package, error) {
-	return checkUnit(fset, idx.Importer(fset), pkgPath, files)
+	return checkUnit(fset, idx.Importer(fset, ""), pkgPath, files)
 }
 
 func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) (*Package, error) {

@@ -145,17 +145,14 @@ func (s *Snapshot) Fingerprint() (string, error) {
 // identity string. The scheduling knob SimCostDelay is excluded — it
 // changes how long a campaign takes, not what it measures.
 func OptionsID(opts inject.Options) string {
-	hang := opts.HangDeadline
-	if hang == 0 {
-		hang = inject.DefaultHangDeadline // what RunContext will apply
-	}
-	// "keep-all-logs=false" names an option that no longer exists (log
-	// dumps are always trimmed to vulnerabilities). It stays verbatim
-	// because this string is in every snapshot header and in
-	// Snapshot.Fingerprint: dropping it would make every existing store
-	// re-campaign and change every stored fingerprint.
-	return fmt.Sprintf("stop-on-first=%v sort-tests=%v hang=%s keep-all-logs=false",
-		opts.StopOnFirstFailure, opts.SortTests, hang)
+	// "hang=250ms" and "keep-all-logs=false" name options that no longer
+	// exist: a hang is signalled, not timed (sim.Hang), and log dumps are
+	// always trimmed to vulnerabilities. They stay verbatim because this
+	// string is in every snapshot header and in Snapshot.Fingerprint:
+	// dropping them would make every existing store re-campaign and
+	// change every stored fingerprint.
+	return fmt.Sprintf("stop-on-first=%v sort-tests=%v hang=250ms keep-all-logs=false",
+		opts.StopOnFirstFailure, opts.SortTests)
 }
 
 // New assembles a snapshot for the system from the constraint set and

@@ -499,3 +499,23 @@ func TestUnlockAfterTakeoverLeavesSuccessorLock(t *testing.T) {
 		t.Errorf("the displaced holder's Unlock removed the successor's lock: %v", err)
 	}
 }
+
+// TestOptionsIDText pins the options identity, which every snapshot
+// header and fingerprint carries. "hang=250ms" and "keep-all-logs=false"
+// name options that no longer exist and stay verbatim, so no store
+// re-campaigns; SimCostDelay is scheduling, not identity.
+func TestOptionsIDText(t *testing.T) {
+	opts := inject.DefaultOptions()
+	if got, want := OptionsID(opts), "stop-on-first=true sort-tests=true hang=250ms keep-all-logs=false"; got != want {
+		t.Errorf("default OptionsID = %q, want %q", got, want)
+	}
+	opts.SimCostDelay = time.Millisecond
+	if got := OptionsID(opts); got != OptionsID(inject.DefaultOptions()) {
+		t.Errorf("SimCostDelay changed the identity to %q", got)
+	}
+	// spexinj -no-optimizations turns both paper optimizations off.
+	opts.StopOnFirstFailure, opts.SortTests = false, false
+	if got, want := OptionsID(opts), "stop-on-first=false sort-tests=false hang=250ms keep-all-logs=false"; got != want {
+		t.Errorf("-no-optimizations OptionsID = %q, want %q", got, want)
+	}
+}

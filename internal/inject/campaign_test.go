@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
@@ -32,7 +31,7 @@ func campaignMisconfs(n int) []confgen.Misconf {
 }
 
 // TestParallelReportEqualsSequential runs the campaign on a one-wide
-// engine pool and on wider ones, and through Run's hardware-sized pool:
+// engine pool and on wider ones, and through RunContext's hardware-sized pool:
 // outcomes are reassembled in input order, so every report must equal
 // the sequential one.
 func TestParallelReportEqualsSequential(t *testing.T) {
@@ -49,7 +48,6 @@ func TestParallelReportEqualsSequential(t *testing.T) {
 	}}
 	ms := campaignMisconfs(60)
 	opts := DefaultOptions()
-	opts.HangDeadline = 100 * time.Millisecond
 	runner := NewRunner(sys, opts)
 	runPool := func(workers int) *Report {
 		results, err := engine.Run(context.Background(), len(ms), workers, func(ctx context.Context, i int) (Outcome, error) {
@@ -80,11 +78,11 @@ func TestParallelReportEqualsSequential(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		check(fmt.Sprintf("workers=%d", workers), runPool(workers))
 	}
-	rep, err := Run(sys, ms, opts)
+	rep, err := RunContext(context.Background(), sys, ms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("Run", rep)
+	check("RunContext", rep)
 }
 
 func TestRunRecordsPerOutcomeErrorsAndKeepsGoing(t *testing.T) {
@@ -101,7 +99,7 @@ func TestRunRecordsPerOutcomeErrorsAndKeepsGoing(t *testing.T) {
 			}},
 		{ID: "ok-2", Param: "p", Values: map[string]string{"p": "clamped"}, Violates: c},
 	}
-	rep, err := Run(sys, ms, DefaultOptions())
+	rep, err := RunContext(context.Background(), sys, ms, DefaultOptions())
 	if err != nil {
 		t.Fatalf("a single bad misconfiguration aborted the campaign: %v", err)
 	}
@@ -180,7 +178,7 @@ func TestLogDumpRetainedOnlyForVulnerabilities(t *testing.T) {
 		mk("p", "benign", nil),        // tolerated
 		mk("p", "exit-pinpoint", nil), // good reaction
 	}
-	rep, err := Run(sys, ms, DefaultOptions())
+	rep, err := RunContext(context.Background(), sys, ms, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

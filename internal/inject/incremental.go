@@ -22,8 +22,6 @@ type Delta struct {
 	// Removed are constraints present only in the old set; their past
 	// outcomes are stale and should be dropped from dashboards.
 	Removed []*constraint.Constraint
-	// Unchanged are constraints present in both.
-	Unchanged []*constraint.Constraint
 }
 
 // Diff computes the constraint delta between two inference runs.
@@ -40,9 +38,7 @@ func Diff(old, new *constraint.Set) Delta {
 	for _, c := range new.Constraints {
 		id := c.ID()
 		seen[id] = true
-		if _, ok := oldByID[id]; ok {
-			d.Unchanged = append(d.Unchanged, c)
-		} else {
+		if _, ok := oldByID[id]; !ok {
 			d.Added = append(d.Added, c)
 		}
 	}

@@ -213,8 +213,6 @@ func (r *Report) UniqueLocations() int {
 
 // Options tune the campaign.
 type Options struct {
-	// HangDeadline bounds Start; targets model hangs by blocking.
-	HangDeadline time.Duration
 	// StopOnFirstFailure stops testing a misconfiguration at the first
 	// failed functional test (paper optimization 1).
 	StopOnFirstFailure bool
@@ -232,23 +230,9 @@ type Options struct {
 	SimCostDelay time.Duration
 }
 
-// DefaultHangDeadline is the Start deadline applied when
-// Options.HangDeadline is zero. Campaign snapshots key replay identity
-// on the effective deadline (campaignstore.OptionsID), so it lives in
-// one place.
-const DefaultHangDeadline = 250 * time.Millisecond
-
 // DefaultOptions enables both paper optimizations.
 func DefaultOptions() Options {
-	return Options{HangDeadline: DefaultHangDeadline, StopOnFirstFailure: true, SortTests: true}
-}
-
-// Run executes a full campaign: every misconfiguration in ms against the
-// target system.
-func Run(sys sim.System, ms []confgen.Misconf, opts Options) (*Report, error) {
-	// Context-free compatibility shim; scheduled callers use RunContext.
-	//spexlint:ignore ctxflow context-free entry point
-	return RunContext(context.Background(), sys, ms, opts)
+	return Options{StopOnFirstFailure: true, SortTests: true}
 }
 
 // Runner executes individual misconfigurations of one system — the unit
@@ -261,30 +245,40 @@ type Runner struct {
 	opts     Options
 }
 
-// NewRunner prepares a runner for the system. The options are
-// normalized once here (HangDeadline zero becomes DefaultHangDeadline),
-// so every Test call and every scheduler sees the same effective
-// options.
+// NewRunner prepares a runner for the system.
 func NewRunner(sys sim.System, opts Options) *Runner {
-	if opts.HangDeadline == 0 {
-		opts.HangDeadline = DefaultHangDeadline
-	}
 	return &Runner{sys: sys, tmplText: sys.DefaultConfig(), opts: opts}
 }
 
-// System returns the runner's target.
-func (r *Runner) System() sim.System { return r.sys }
+// Trial is one misconfiguration's verdict with the evidence behind it.
+// A campaign persists only the Outcome; the figures' case studies print
+// the rest.
+type Trial struct {
+	Outcome Outcome
+	// Start is what the boot did.
+	Start sim.StartOutcome
+	// TestErr is the error of the test Outcome.FailedTest names.
+	TestErr error
+	// Changed is the first injected parameter, in name order, whose
+	// effective value differs from the injected one once every test
+	// passed; Effective is that value.
+	Changed, Effective string
+}
 
-// Options returns the normalized campaign options.
-func (r *Runner) Options() Options { return r.opts }
+// Trial boots the misconfiguration on fresh virtual substrates, runs the
+// functional tests and classifies the reaction: the one place a boot
+// becomes a verdict. A returned error is a harness-level failure (the
+// misconfiguration could not be tested), never a system reaction.
+func (r *Runner) Trial(ctx context.Context, m confgen.Misconf) (Trial, error) {
+	return runOne(ctx, r.sys, r.tmplText, m, r.opts)
+}
 
-// Test executes one misconfiguration end to end: boot on fresh virtual
-// substrates, functional tests, reaction classification, log-dump
-// trimming, and the optional SimCostDelay sleep. A returned error is a
-// harness-level failure (the misconfiguration could not be tested),
-// never a system reaction.
+// Test is Trial's outcome as a campaign records it: the log dump is
+// trimmed from non-vulnerabilities, and the optional SimCostDelay sleep
+// follows.
 func (r *Runner) Test(ctx context.Context, m confgen.Misconf) (Outcome, error) {
-	out, err := runOne(ctx, r.sys, r.tmplText, m, r.opts)
+	t, err := r.Trial(ctx, m)
+	out := t.Outcome
 	if err == nil && !out.Reaction.Vulnerability() {
 		// Good/tolerated reactions never render their logs (ErrorReport
 		// is only produced for vulnerabilities); dropping the dump keeps
@@ -372,14 +366,16 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 	return rep, nil
 }
 
-func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misconf, opts Options) (Outcome, error) {
-	out := Outcome{Misconf: m}
+func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misconf, opts Options) (Trial, error) {
+	var t Trial
+	out := &t.Outcome
+	out.Misconf = m
 	if m.Violates != nil {
 		out.Loc = m.Violates.Loc
 	}
 	tmpl, err := conffile.Parse(tmplText, sys.Syntax())
 	if err != nil {
-		return out, err
+		return t, err
 	}
 	cfg := tmpl.Clone()
 	// Apply the injected values in sorted order so the rendered config —
@@ -397,24 +393,24 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	env := sim.NewEnv()
 	sys.SetupEnv(env)
 	if err := applyEnv(env, m.Env); err != nil {
-		return out, err
+		return t, err
 	}
 
-	started := sim.MonitorStartContext(ctx, sys, env, cfg, opts.HangDeadline)
-	if started.Kind == sim.StartCancelled {
-		return out, started.Err
+	t.Start = sim.MonitorStartContext(ctx, sys, env, cfg)
+	if k := t.Start.Kind; k == sim.StartCancelled || k == sim.StartTimeout {
+		return t, t.Start.Err
 	}
 	out.SimCost = 1 // boot cost
 	line, _ := cfg.LineOf(m.Param)
 	injected := m.Values[m.Param]
 	pin := env.Log.Pinpoints(m.Param, injected, line)
 
-	switch started.Kind {
+	switch t.Start.Kind {
 	case sim.StartCrash, sim.StartHang:
 		out.Reaction = ReactionCrash
 		out.Pinpointed = false
 		out.LogDump = env.Log.Dump()
-		return out, nil
+		return t, nil
 	case sim.StartExit, sim.StartError:
 		out.Pinpointed = pin
 		if pin {
@@ -423,21 +419,21 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 			out.Reaction = ReactionEarlyTerm
 		}
 		out.LogDump = env.Log.Dump()
-		return out, nil
+		return t, nil
 	}
 
-	inst := started.Instance
+	inst := t.Start.Instance
 	defer inst.Stop()
 
 	tests := append([]sim.FuncTest(nil), sys.Tests()...)
 	if opts.SortTests {
 		sort.SliceStable(tests, func(i, j int) bool { return tests[i].Weight < tests[j].Weight })
 	}
-	for _, t := range tests {
-		out.SimCost += t.Weight
-		if err := sim.RunTest(t, env, inst); err != nil {
+	for _, ft := range tests {
+		out.SimCost += ft.Weight
+		if err := sim.RunTest(ft, env, inst); err != nil {
 			pin = env.Log.Pinpoints(m.Param, injected, line)
-			out.FailedTest = t.Name
+			out.FailedTest, t.TestErr = ft.Name, err
 			out.Pinpointed = pin
 			if pin {
 				out.Reaction = ReactionGood
@@ -446,12 +442,12 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 			}
 			out.LogDump = env.Log.Dump()
 			if opts.StopOnFirstFailure {
-				return out, nil
+				return t, nil
 			}
 		}
 	}
 	if out.FailedTest != "" {
-		return out, nil
+		return t, nil
 	}
 
 	// All tests passed: silent violation / ignorance analysis.
@@ -459,17 +455,16 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	out.Pinpointed = pin
 	out.LogDump = env.Log.Dump()
 
-	changed := false
-	for p, v := range m.Values {
-		if eff, ok := inst.Effective(p); ok && !sameValue(eff, v) {
-			changed = true
+	for _, p := range params {
+		if eff, ok := inst.Effective(p); ok && !sameValue(eff, m.Values[p]) {
+			t.Changed, t.Effective = p, eff
 			break
 		}
 	}
 	switch {
 	case pin:
 		out.Reaction = ReactionGood
-	case changed:
+	case t.Changed != "":
 		out.Reaction = ReactionSilentViolation
 	case m.Violates != nil && m.Violates.Kind == constraint.KindControlDep:
 		// The setting is retained verbatim but cannot take effect: the
@@ -478,7 +473,7 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	default:
 		out.Reaction = ReactionTolerated
 	}
-	return out, nil
+	return t, nil
 }
 
 // sleepCost realizes a tested misconfiguration's simulated cost as wall

@@ -1,11 +1,12 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"spex/internal/conffile"
 	"spex/internal/confgen"
@@ -77,7 +78,7 @@ func mk(param, value string, violates *constraint.Constraint) confgen.Misconf {
 
 func runOneMisconf(t *testing.T, sys sim.System, m confgen.Misconf, opts Options) Outcome {
 	t.Helper()
-	rep, err := Run(sys, []confgen.Misconf{m}, opts)
+	rep, err := RunContext(context.Background(), sys, []confgen.Misconf{m}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,59 @@ func TestClassifyCrash(t *testing.T) {
 }
 
 func TestClassifyHang(t *testing.T) {
-	opts := DefaultOptions()
-	opts.HangDeadline = 30 * time.Millisecond
-	o := runOneMisconf(t, &fakeSystem{}, mk("p", "hang", nil), opts)
+	o := runOneMisconf(t, &fakeSystem{}, mk("p", "hang", nil), DefaultOptions())
 	if o.Reaction != ReactionCrash {
 		t.Errorf("reaction = %s (hang folds into crash/hang)", o.Reaction)
+	}
+}
+
+// TestHangUnwindsBootLock: a hang is a signal, not a wait. A target
+// that calls sim.Hang under its boot lock is classified crash/hang at
+// once, the lock's deferred unlock runs, and the next boot runs.
+func TestHangUnwindsBootLock(t *testing.T) {
+	var bootMu sync.Mutex
+	runner := NewRunner(&fakeSystem{boot: func(v string) {
+		bootMu.Lock()
+		defer bootMu.Unlock()
+		if v == "hang-locked" {
+			sim.Hang()
+		}
+	}}, DefaultOptions())
+	for _, c := range []struct {
+		value string
+		want  Reaction
+	}{{"hang-locked", ReactionCrash}, {"good", ReactionTolerated}} {
+		o, err := runner.Test(context.Background(), mk("p", c.value, nil))
+		if err != nil || o.Reaction != c.want {
+			t.Errorf("p = %s: %s (err %v), want %s", c.value, o.Reaction, err, c.want)
+		}
+	}
+}
+
+// TestBootPastGuardIsAHarnessError: a boot that outlives sim.BootGuard
+// without calling sim.Hang gets no verdict. Its outcome carries Err, so
+// it is listed as a harness failure, tallied as no reaction, never
+// saved, and re-executed on the next run.
+func TestBootPastGuardIsAHarnessError(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	sys := &fakeSystem{boot: func(v string) {
+		if v == "stuck" {
+			<-release
+		}
+	}}
+	rep, err := RunContext(context.Background(), sys, []confgen.Misconf{
+		mk("p", "stuck", nil), mk("p", "crash", nil),
+	}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := rep.Errors(); len(errs) != 1 || errs[0].Misconf.ID != "p#stuck" {
+		t.Fatalf("Errors() = %+v, want exactly p#stuck", errs)
+	}
+	counts := rep.CountByReaction()
+	if len(counts) != 1 || counts[ReactionCrash] != 1 {
+		t.Errorf("CountByReaction() = %v, want only the crash", counts)
 	}
 }
 
@@ -196,7 +245,7 @@ func TestUniqueLocations(t *testing.T) {
 	locB := constraint.SourceLoc{File: "a.go", Line: 20}
 	ca := &constraint.Constraint{Kind: constraint.KindBasicType, Param: "p", Loc: locA}
 	cb := &constraint.Constraint{Kind: constraint.KindBasicType, Param: "p", Loc: locB}
-	rep, err := Run(&fakeSystem{}, []confgen.Misconf{
+	rep, err := RunContext(context.Background(), &fakeSystem{}, []confgen.Misconf{
 		mk("p", "crash", ca), mk("p", "clamped", ca), mk("p", "exit-silent", cb),
 	}, DefaultOptions())
 	if err != nil {
@@ -237,7 +286,7 @@ func TestEnvActionsApplied(t *testing.T) {
 			return nil
 		},
 	}}}
-	rep, err := Run(sys, []confgen.Misconf{m}, DefaultOptions())
+	rep, err := RunContext(context.Background(), sys, []confgen.Misconf{m}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,43 +13,10 @@ import (
 	"testing"
 
 	"spex/internal/campaignstore"
-	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
 	"spex/internal/outcomeindex"
 )
-
-// fixture builds a system's outcome map with a mix of reactions,
-// harness errors and source locations; it mirrors the in-package one,
-// which this package cannot see.
-func fixture(system string, n int) map[string]inject.Outcome {
-	reactions := []inject.Reaction{
-		inject.ReactionCrash, inject.ReactionFuncFailure,
-		inject.ReactionTolerated, inject.ReactionEarlyTerm,
-	}
-	out := make(map[string]inject.Outcome, n)
-	for i := 0; i < n; i++ {
-		c := &constraint.Constraint{
-			Kind:  constraint.KindBasicType,
-			Param: fmt.Sprintf("param%d", i%4),
-			Basic: constraint.BasicString,
-			Loc:   constraint.SourceLoc{File: fmt.Sprintf("%s.c", system), Line: 100 + i%3, Func: "parse"},
-		}
-		o := inject.Outcome{
-			Misconf: confgen.Misconf{
-				ID: fmt.Sprintf("m%03d", i), Param: c.Param, Rule: "null",
-				Values: map[string]string{c.Param: "bad"}, Violates: c,
-			},
-			Reaction: reactions[i%len(reactions)],
-			Loc:      c.Loc,
-		}
-		if i%7 == 6 {
-			o.Err = "boot failed"
-		}
-		out[inject.CacheKey(o.Misconf)] = o
-	}
-	return out
-}
 
 // snapshotFile saves the outcomes as the system's snapshot and returns
 // the file's bytes.
@@ -82,11 +49,11 @@ func snapshotFile(f *testing.F, system string, outcomes map[string]inject.Outcom
 // file must return an error or an index whose queries never panic and
 // whose aggregates are exactly what its docs add up to.
 func FuzzReadIndexFile(f *testing.F) {
-	valid := snapshotFile(f, "alpha", fixture("alpha", 12))
+	valid := snapshotFile(f, "alpha", outcomeindex.Fixture("alpha", 12))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	// Reactions outside the enum, a harness error and negative lines.
-	odd := fixture("alpha", 4)
+	odd := outcomeindex.Fixture("alpha", 4)
 	keys := make([]string, 0, len(odd))
 	for k := range odd {
 		keys = append(keys, k)
@@ -103,7 +70,7 @@ func FuzzReadIndexFile(f *testing.F) {
 	}
 	f.Add(snapshotFile(f, "alpha", odd))
 	// Another system's snapshot under alpha's file name.
-	f.Add(snapshotFile(f, "beta", fixture("beta", 3)))
+	f.Add(snapshotFile(f, "beta", outcomeindex.Fixture("beta", 3)))
 	// Alpha's snapshot under another schema.
 	schema := `"schema":"` + campaignstore.SchemaFingerprint() + `"`
 	if !bytes.Contains(valid, []byte(schema)) {

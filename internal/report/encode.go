@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -62,24 +63,24 @@ func RenderTableText(n int, results []*SystemResult) (string, error) {
 }
 
 // RenderFigureText renders figure n (1-7) exactly as cmd/spexeval prints
-// it. Figures 3 and 6 read the analysis; the others rerun their own
-// case studies against the targets.
-func RenderFigureText(n int, results []*SystemResult) (string, error) {
+// it. Figures 3 and 6 read the analysis; 1, 2, 5 and 7 test their case
+// studies through the campaign harness (inject.Runner.Trial) under ctx.
+func RenderFigureText(ctx context.Context, n int, results []*SystemResult) (string, error) {
 	switch n {
 	case 1:
-		return Figure1()
+		return Figure1(ctx)
 	case 2:
-		return Figure2()
+		return Figure2(ctx)
 	case 3:
 		return Figure3(results), nil
 	case 4:
 		return Figure4(), nil
 	case 5:
-		return Figure5()
+		return Figure5(ctx)
 	case 6:
 		return Figure6(results), nil
 	case 7:
-		return Figure7()
+		return Figure7(ctx)
 	default:
 		return "", fmt.Errorf("report: no figure %d", n)
 	}

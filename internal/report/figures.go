@@ -1,81 +1,85 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"spex/internal/conffile"
+	"spex/internal/confgen"
 	"spex/internal/constraint"
+	"spex/internal/inject"
 	"spex/internal/sim"
 	"spex/internal/targets"
 )
 
-// scenario injects specific values into one target and reports the
-// observed reaction, reproducing a figure's case study.
+// scenario injects specific values into one target, reproducing a
+// figure's case study. Dep names the control dependency the values
+// violate; without it the harness calls a retained setting tolerated.
 type scenario struct {
 	Caption string
 	System  string
 	Values  map[string]string
+	Dep     *constraint.Constraint
 }
 
-func runScenario(sc scenario) (string, error) {
+// dep is a control dependency: param takes effect only when peer is value.
+func dep(param, peer, value string) *constraint.Constraint {
+	return &constraint.Constraint{Kind: constraint.KindControlDep, Param: param, Peer: peer, Cond: constraint.OpEQ, Value: value}
+}
+
+// params returns the injected parameters in name order, so the figure
+// and the misconfiguration it tests are deterministic across runs.
+func (sc scenario) params() []string {
+	ps := make([]string, 0, len(sc.Values))
+	for p := range sc.Values {
+		ps = append(ps, p)
+	}
+	sort.Strings(ps)
+	return ps
+}
+
+// trial tests the scenario through the campaign harness: the verdict
+// and the evidence behind it.
+func (sc scenario) trial(ctx context.Context) (inject.Trial, error) {
 	sys := targets.ByName(sc.System)
 	if sys == nil {
-		return "", fmt.Errorf("unknown system %q", sc.System)
+		return inject.Trial{}, fmt.Errorf("unknown system %q", sc.System)
 	}
-	env := sim.NewEnv()
-	sys.SetupEnv(env)
-	cfg, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+	m := confgen.Misconf{ID: sc.Caption, Param: sc.params()[0], Values: sc.Values, Violates: sc.Dep}
+	if sc.Dep != nil {
+		m.Param = sc.Dep.Param
+	}
+	return inject.NewRunner(sys, inject.DefaultOptions()).Trial(ctx, m)
+}
+
+func runScenario(ctx context.Context, sc scenario) (string, error) {
+	t, err := sc.trial(ctx)
 	if err != nil {
 		return "", err
 	}
-	// Walk the injected values in sorted order so the rendered figure is
-	// deterministic across runs.
-	params := make([]string, 0, len(sc.Values))
-	for p := range sc.Values {
-		params = append(params, p)
-	}
-	sort.Strings(params)
 	var kv []string
-	var anyParam string
-	for _, p := range params {
-		v := sc.Values[p]
-		cfg.Set(p, v)
-		kv = append(kv, fmt.Sprintf("%s = %s", p, v))
-		anyParam = p
+	for _, p := range sc.params() {
+		kv = append(kv, fmt.Sprintf("%s = %s", p, sc.Values[p]))
 	}
-	out := sim.MonitorStart(sys, env, cfg, 250*time.Millisecond)
 	var b strings.Builder
 	fmt.Fprintf(&b, "--- %s ---\n", sc.Caption)
 	fmt.Fprintf(&b, "inject : %s\n", strings.Join(kv, ", "))
-	switch out.Kind {
-	case sim.StartCrash:
-		fmt.Fprintf(&b, "result : CRASH (%v)\n", out.PanicVal)
-	case sim.StartHang:
+	switch o, st := t.Outcome, t.Start; {
+	case st.Kind == sim.StartCrash:
+		fmt.Fprintf(&b, "result : CRASH (%v)\n", st.PanicVal)
+	case st.Kind == sim.StartHang:
 		b.WriteString("result : HANG (startup never completed)\n")
-	case sim.StartExit:
-		fmt.Fprintf(&b, "result : terminated, status %d\n", out.Exit.Status)
-	case sim.StartOK:
-		inst := out.Instance
-		failed := ""
-		for _, t := range sys.Tests() {
-			if err := sim.RunTest(t, env, inst); err != nil {
-				failed = fmt.Sprintf("%s (%v)", t.Name, err)
-				break
-			}
-		}
-		if failed != "" {
-			fmt.Fprintf(&b, "result : functional failure in test %s\n", failed)
-		} else if eff, ok := inst.Effective(anyParam); ok && eff != sc.Values[anyParam] {
-			fmt.Fprintf(&b, "result : silently changed: %s -> %q\n", anyParam, eff)
-		} else {
-			b.WriteString("result : server runs; setting silently retained/ignored\n")
-		}
-		inst.Stop()
+	case st.Kind == sim.StartExit:
+		fmt.Fprintf(&b, "result : terminated, status %d\n", st.Exit.Status)
+	case o.FailedTest != "":
+		fmt.Fprintf(&b, "result : functional failure in test %s (%v)\n", o.FailedTest, t.TestErr)
+	case t.Changed != "":
+		fmt.Fprintf(&b, "result : silently changed: %s -> %q\n", t.Changed, t.Effective)
+	case st.Kind == sim.StartOK:
+		b.WriteString("result : server runs; setting silently retained/ignored\n")
 	}
-	if dump := env.Log.Dump(); dump != "" {
+	if dump := t.Outcome.LogDump; dump != "" {
 		b.WriteString("logs   :\n")
 		for _, line := range strings.Split(strings.TrimRight(dump, "\n"), "\n") {
 			fmt.Fprintf(&b, "  %s\n", line)
@@ -86,23 +90,71 @@ func runScenario(sc scenario) (string, error) {
 	return b.String(), nil
 }
 
-// Figure1 reproduces the commercial initiator-name case: uppercase letters
-// make the storage share unrecognizable with no message.
-func Figure1() (string, error) {
-	return runScenario(scenario{
+// runScenarios renders a figure of several case studies under its title.
+func runScenarios(ctx context.Context, title string, scs []scenario) (string, error) {
+	var b strings.Builder
+	b.WriteString(title)
+	for _, sc := range scs {
+		s, err := runScenario(ctx, sc)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(s)
+	}
+	return b.String(), nil
+}
+
+// The figures' case studies; TestFigureVerdicts pins each one's verdict.
+var (
+	figure1Case = scenario{
 		Caption: "Figure 1: Storage-A initiator name with capital letters",
 		System:  "Storage-A",
 		Values:  map[string]string{"iscsi.initiator_name": "iqn.2013-01.com.example:TARGET"},
-	})
-}
-
-// Figure2 reproduces the OpenLDAP listener-threads crash.
-func Figure2() (string, error) {
-	return runScenario(scenario{
+	}
+	figure2Case = scenario{
 		Caption: "Figure 2: ldapd listener-threads = 32 (hard-coded max is 16)",
 		System:  "ldapd",
 		Values:  map[string]string{"listener-threads": "32"},
-	})
+	}
+	figure5Cases = []scenario{
+		{Caption: "Figure 5(a): basic-type violation — overflowing log.filesize",
+			System: "Storage-A", Values: map[string]string{"log.filesize": "9000000000"}},
+		{Caption: "Figure 5(b): semantic-type violation (FILE) — stopword file is a directory",
+			System: "mydb", Values: map[string]string{"ft_stopword_file": "/var/lib/mydb"}},
+		{Caption: "Figure 5(c): semantic-type violation (PORT) — ICP port out of range",
+			System: "proxyd", Values: map[string]string{"icp_port": "70000"}},
+		{Caption: "Figure 5(d): data-range violation — index_intlen = 300",
+			System: "ldapd", Values: map[string]string{"index_intlen": "300"}},
+		{Caption: "Figure 5(e): control-dependency violation — fsync=off with commit_siblings set",
+			System: "pgdb", Values: map[string]string{"fsync": "off", "commit_siblings": "5"},
+			Dep: dep("commit_siblings", "fsync", "true")},
+		{Caption: "Figure 5(f): value-relationship violation — ft_min 25 > ft_max 10",
+			System: "mydb", Values: map[string]string{"ft_min_word_len": "25", "ft_max_word_len": "10"}},
+	}
+	figure7Cases = []scenario{
+		{Caption: "Figure 7(a): crash — performance schema history size 0 then negative allocation",
+			System: "mydb", Values: map[string]string{"performance_schema_events_waits_history_size": "-4096"}},
+		{Caption: "Figure 7(b): early termination with misleading message — ThreadLimit = 100000",
+			System: "httpd", Values: map[string]string{"ThreadLimit": "100000"}},
+		{Caption: "Figure 7(c): functional failure without pinpointing — sockbuf_max_incoming 1",
+			System: "ldapd", Values: map[string]string{"sockbuf_max_incoming": "1"}},
+		{Caption: "Figure 7(d): silent violation — pcs.size = 512MB (unit suffix ignored)",
+			System: "Storage-A", Values: map[string]string{"pcs.size": "512MB"}},
+		{Caption: "Figure 7(e): silent ignorance — virtual_use_local_privs with one_process_mode",
+			System: "ftpd", Values: map[string]string{"virtual_use_local_privs": "yes", "one_process_mode": "yes"},
+			Dep: dep("virtual_use_local_privs", "one_process_mode", "false")},
+	}
+)
+
+// Figure1 reproduces the commercial initiator-name case: uppercase letters
+// make the storage share unrecognizable with no message.
+func Figure1(ctx context.Context) (string, error) {
+	return runScenario(ctx, figure1Case)
+}
+
+// Figure2 reproduces the OpenLDAP listener-threads crash.
+func Figure2(ctx context.Context) (string, error) {
+	return runScenario(ctx, figure2Case)
 }
 
 // Figure3 shows one inferred constraint per kind, matching the paper's six
@@ -153,31 +205,8 @@ func Figure4() string {
 }
 
 // Figure5 reproduces the injection examples, one per generation rule.
-func Figure5() (string, error) {
-	scs := []scenario{
-		{Caption: "Figure 5(a): basic-type violation — overflowing log.filesize",
-			System: "Storage-A", Values: map[string]string{"log.filesize": "9000000000"}},
-		{Caption: "Figure 5(b): semantic-type violation (FILE) — stopword file is a directory",
-			System: "mydb", Values: map[string]string{"ft_stopword_file": "/var/lib/mydb"}},
-		{Caption: "Figure 5(c): semantic-type violation (PORT) — ICP port out of range",
-			System: "proxyd", Values: map[string]string{"icp_port": "70000"}},
-		{Caption: "Figure 5(d): data-range violation — index_intlen = 300",
-			System: "ldapd", Values: map[string]string{"index_intlen": "300"}},
-		{Caption: "Figure 5(e): control-dependency violation — fsync=off with commit_siblings set",
-			System: "pgdb", Values: map[string]string{"fsync": "off", "commit_siblings": "5"}},
-		{Caption: "Figure 5(f): value-relationship violation — ft_min 25 > ft_max 10",
-			System: "mydb", Values: map[string]string{"ft_min_word_len": "25", "ft_max_word_len": "10"}},
-	}
-	var b strings.Builder
-	b.WriteString("=== Figure 5: misconfiguration injection examples ===\n")
-	for _, sc := range scs {
-		s, err := runScenario(sc)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(s)
-	}
-	return b.String(), nil
+func Figure5(ctx context.Context) (string, error) {
+	return runScenarios(ctx, "=== Figure 5: misconfiguration injection examples ===\n", figure5Cases)
 }
 
 // Figure6 shows the error-prone design examples found by the audit.
@@ -209,27 +238,6 @@ func Figure6(results []*SystemResult) string {
 }
 
 // Figure7 reproduces the five vulnerability-category examples.
-func Figure7() (string, error) {
-	scs := []scenario{
-		{Caption: "Figure 7(a): crash — performance schema history size 0 then negative allocation",
-			System: "mydb", Values: map[string]string{"performance_schema_events_waits_history_size": "-4096"}},
-		{Caption: "Figure 7(b): early termination with misleading message — ThreadLimit = 100000",
-			System: "httpd", Values: map[string]string{"ThreadLimit": "100000"}},
-		{Caption: "Figure 7(c): functional failure without pinpointing — sockbuf_max_incoming 1",
-			System: "ldapd", Values: map[string]string{"sockbuf_max_incoming": "1"}},
-		{Caption: "Figure 7(d): silent violation — pcs.size = 512MB (unit suffix ignored)",
-			System: "Storage-A", Values: map[string]string{"pcs.size": "512MB"}},
-		{Caption: "Figure 7(e): silent ignorance — virtual_use_local_privs with one_process_mode",
-			System: "ftpd", Values: map[string]string{"virtual_use_local_privs": "yes", "one_process_mode": "yes"}},
-	}
-	var b strings.Builder
-	b.WriteString("=== Figure 7: vulnerability examples by category ===\n")
-	for _, sc := range scs {
-		s, err := runScenario(sc)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(s)
-	}
-	return b.String(), nil
+func Figure7(ctx context.Context) (string, error) {
+	return runScenarios(ctx, "=== Figure 7: vulnerability examples by category ===\n", figure7Cases)
 }

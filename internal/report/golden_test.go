@@ -32,7 +32,7 @@ func renderGolden(t *testing.T, results []*SystemResult) map[string]string {
 		out[fmt.Sprintf("table%02d.txt", n)] = text + "\n"
 	}
 	for n := 1; n <= MaxFigure; n++ {
-		text, err := RenderFigureText(n, results)
+		text, err := RenderFigureText(context.Background(), n, results)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,14 +78,14 @@ func TestAllTablesRender(t *testing.T) {
 
 func TestFiguresRender(t *testing.T) {
 	rs := allResults(t)
-	f1, err := Figure1()
+	f1, err := Figure1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(f1, "functional failure") {
 		t.Errorf("Figure 1 should show a functional failure (share not recognized):\n%s", f1)
 	}
-	f2, err := Figure2()
+	f2, err := Figure2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestFiguresRender(t *testing.T) {
 			t.Errorf("Figure 3 missing %q:\n%s", want, f3)
 		}
 	}
-	f5, err := Figure5()
+	f5, err := Figure5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(f5, "Figure 5(f)") {
 		t.Errorf("Figure 5 incomplete:\n%s", f5)
 	}
-	f7, err := Figure7()
+	f7, err := Figure7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestMixedRunReplaysStoredSystems(t *testing.T) {
 		checkGolden(t, fmt.Sprintf("table%02d.txt", n), text)
 	}
 	for n := 1; n <= report.MaxFigure; n++ {
-		text, err := report.RenderFigureText(n, results)
+		text, err := report.RenderFigureText(context.Background(), n, results)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,5 @@
-// Boot metrics: every monitored target boot records its observed
-// reaction kind (ok/crash/exit/hang/error/cancelled) in the obs
-// registry.
+// Boot metrics: every monitored target boot records its observed kind
+// (ok/crash/exit/hang/error/cancelled/timeout) in the obs registry.
 package sim
 
 import "spex/internal/obs"

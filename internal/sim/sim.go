@@ -8,9 +8,12 @@
 // events into the paper's observables:
 //
 //	panic during startup      -> crash
-//	blocking past a deadline  -> hang
+//	sim.Hang during startup   -> hang
 //	*ExitError from Start     -> termination with an exit status
 //	nil Instance error        -> server running; functional tests may run
+//
+// A boot still running after BootGuard is a harness failure, not an
+// observable, so no verdict is read off the clock.
 package sim
 
 import (
@@ -124,8 +127,8 @@ type System interface {
 	// the default configuration expects (doc roots, stopword files, ...).
 	SetupEnv(env *Env)
 	// Start parses the configuration and boots the system. It may panic
-	// (crash), block (hang), return *ExitError (termination) or return a
-	// running Instance.
+	// (crash), call Hang (hang), return *ExitError (termination) or
+	// return a running Instance.
 	Start(env *Env, cfg *conffile.File) (Instance, error)
 	// Tests returns the system's functional test suite.
 	Tests() []FuncTest
@@ -141,14 +144,22 @@ const (
 	StartCrash
 	// StartExit: Start returned *ExitError.
 	StartExit
-	// StartHang: Start did not return before the deadline.
+	// StartHang: Start called Hang.
 	StartHang
 	// StartError: Start returned an unexpected non-exit error.
 	StartError
 	// StartCancelled: the campaign context was cancelled while the boot
 	// was in flight; the outcome carries the context error.
 	StartCancelled
+	// StartTimeout: Start neither returned nor called Hang within
+	// BootGuard; the outcome carries an error, not a reaction.
+	StartTimeout
 )
+
+// BootGuard bounds the monitor's wait for a boot. It guards the harness
+// against a target that blocks without calling Hang; it decides no
+// verdict.
+const BootGuard = 250 * time.Millisecond
 
 func (k StartKind) String() string {
 	switch k {
@@ -164,6 +175,8 @@ func (k StartKind) String() string {
 		return "error"
 	case StartCancelled:
 		return "cancelled"
+	case StartTimeout:
+		return "timeout"
 	}
 	return fmt.Sprintf("StartKind(%d)", int(k))
 }
@@ -177,33 +190,18 @@ type StartOutcome struct {
 	Err      error
 }
 
-// MonitorStart boots the system under observation, recovering panics and
-// enforcing a hang deadline. Targets that hang block on a channel rather
-// than sleeping, so the deadline can be short; the goroutine of a hung
-// start is abandoned, which is safe only because of a construction rule
-// every target must follow: hang points (sim.Hang or equivalent blocking)
-// must sit outside any lock — in particular outside the per-target boot
-// mutex that serializes the global-config parse phase. A target that
-// hung while holding its boot lock would wedge every later boot of that
-// target.
-func MonitorStart(sys System, env *Env, cfg *conffile.File, deadline time.Duration) StartOutcome {
-	// Context-free compatibility shim: callers with a campaign context
-	// use MonitorStartContext; this entry point has none to thread.
-	//spexlint:ignore ctxflow context-free entry point, deadline still bounds the boot
-	return MonitorStartContext(context.Background(), sys, env, cfg, deadline)
-}
-
-// MonitorStartContext is MonitorStart under a campaign context: a
-// cancelled context abandons the in-flight boot the same way a hang
-// deadline does and reports StartCancelled, so a parallel campaign can
-// be stopped mid-misconfiguration without waiting out the deadline.
-func MonitorStartContext(ctx context.Context, sys System, env *Env, cfg *conffile.File, deadline time.Duration) StartOutcome {
-	out := monitorStart(ctx, sys, env, cfg, deadline)
+// MonitorStartContext boots the system under observation, recovering
+// panics and Hang's signal. A cancelled context, or a boot still running
+// after BootGuard, abandons the in-flight boot and reports StartCancelled
+// or StartTimeout with an error, so a parallel campaign can be stopped
+// mid-misconfiguration and a boot that never returns stalls no worker.
+func MonitorStartContext(ctx context.Context, sys System, env *Env, cfg *conffile.File) StartOutcome {
+	out := monitorStart(ctx, sys, env, cfg)
 	mBoots.With(out.Kind.String()).Inc()
 	return out
 }
 
-func monitorStart(ctx context.Context, sys System, env *Env, cfg *conffile.File, deadline time.Duration) StartOutcome {
+func monitorStart(ctx context.Context, sys System, env *Env, cfg *conffile.File) StartOutcome {
 	type result struct {
 		inst     Instance
 		err      error
@@ -222,11 +220,13 @@ func monitorStart(ctx context.Context, sys System, env *Env, cfg *conffile.File,
 		}()
 		res.inst, res.err = sys.Start(env, cfg)
 	}()
-	timer := time.NewTimer(deadline)
+	timer := time.NewTimer(BootGuard)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
 		switch {
+		case res.panicVal == (hangSignal{}):
+			return StartOutcome{Kind: StartHang}
 		case res.panicked:
 			env.Log.Fatalf("Segmentation fault (core dumped): %v", res.panicVal)
 			return StartOutcome{Kind: StartCrash, PanicVal: res.panicVal}
@@ -239,7 +239,7 @@ func monitorStart(ctx context.Context, sys System, env *Env, cfg *conffile.File,
 			return StartOutcome{Kind: StartOK, Instance: res.inst}
 		}
 	case <-timer.C:
-		return StartOutcome{Kind: StartHang}
+		return StartOutcome{Kind: StartTimeout, Err: fmt.Errorf("sim: %s boot outlived %v without sim.Hang", sys.Name(), BootGuard)}
 	case <-ctx.Done():
 		return StartOutcome{Kind: StartCancelled, Err: ctx.Err()}
 	}
@@ -256,8 +256,13 @@ func RunTest(t FuncTest, env *Env, inst Instance) (err error) {
 	return t.Run(env, inst)
 }
 
-// Hang blocks forever; targets call it to model a hung startup (e.g. a
-// retry loop that never terminates).
+// hangSignal is Hang's panic value; the monitor reports it as StartHang.
+type hangSignal struct{}
+
+// Hang models a hung startup (e.g. a retry loop that never terminates).
+// It unwinds Start at once, running Start's deferred calls (a boot
+// lock's unlock among them), and the monitor reports StartHang without
+// waiting. It must be called on Start's goroutine.
 func Hang() {
-	select {}
+	panic(hangSignal{})
 }

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"spex/internal/conffile"
 	"spex/internal/constraint"
 )
 
-// stubSystem lets tests drive each MonitorStart outcome.
+// stubSystem lets tests drive each MonitorStartContext outcome.
 type stubSystem struct {
 	start func(env *Env, cfg *conffile.File) (Instance, error)
 }
@@ -42,7 +41,7 @@ func monitor(t *testing.T, start func(env *Env, cfg *conffile.File) (Instance, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MonitorStart(&stubSystem{start: start}, env, cfg, 50*time.Millisecond)
+	return MonitorStartContext(context.Background(), &stubSystem{start: start}, env, cfg)
 }
 
 func TestMonitorStartOK(t *testing.T) {
@@ -137,7 +136,8 @@ func TestExitErrorMessage(t *testing.T) {
 func TestStartKindStrings(t *testing.T) {
 	names := map[StartKind]string{
 		StartOK: "ok", StartCrash: "crash", StartExit: "exit",
-		StartHang: "hang", StartError: "error",
+		StartHang: "hang", StartError: "error", StartCancelled: "cancelled",
+		StartTimeout: "timeout",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -159,7 +159,7 @@ func TestMonitorStartContextCancelled(t *testing.T) {
 	out := MonitorStartContext(ctx, &stubSystem{start: func(env *Env, cfg *conffile.File) (Instance, error) {
 		<-release
 		return &stubInstance{}, nil
-	}}, env, cfg, time.Second)
+	}}, env, cfg)
 	if out.Kind != StartCancelled {
 		t.Fatalf("outcome = %s, want cancelled", out.Kind)
 	}
@@ -176,7 +176,7 @@ func TestMonitorStartContextUncancelledBehavesAsMonitorStart(t *testing.T) {
 	}
 	out := MonitorStartContext(context.Background(), &stubSystem{start: func(env *Env, cfg *conffile.File) (Instance, error) {
 		return &stubInstance{}, nil
-	}}, env, cfg, time.Second)
+	}}, env, cfg)
 	if out.Kind != StartOK {
 		t.Fatalf("outcome = %s, want ok", out.Kind)
 	}

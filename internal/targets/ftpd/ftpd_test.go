@@ -1,6 +1,7 @@
 package ftpd
 
 import (
+	"context"
 	"testing"
 
 	"spex/internal/conffile"
@@ -100,7 +101,7 @@ func TestCampaignCrashHeavyShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,6 @@ func (i *instance) Stop() { i.env.Net.ReleaseOwner("ftpd") }
 // bootMu serializes the boot: the corpus models VSFTP's real global
 // tunable variables (and snapshot reads them through the option table),
 // so concurrent Starts must not interleave until the instance detaches.
-// Hang points must never sit inside this lock (see sim.MonitorStart).
 var bootMu sync.Mutex
 
 func (s *System) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestCampaignShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

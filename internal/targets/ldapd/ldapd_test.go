@@ -1,6 +1,7 @@
 package ldapd
 
 import (
+	"context"
 	"testing"
 
 	"spex/internal/conffile"
@@ -42,11 +43,7 @@ func TestFigure2ListenerThreadsCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Set("listener-threads", "32")
-	out := sim.MonitorStart(s, env, cfg, 0)
-	_ = out
-	// MonitorStart with a zero deadline would classify everything as a
-	// hang; call with the campaign default instead.
-	out = sim.MonitorStart(s, env, cfg, inject.DefaultOptions().HangDeadline)
+	out := sim.MonitorStartContext(context.Background(), s, env, cfg)
 	if out.Kind != sim.StartCrash {
 		t.Fatalf("listener-threads=32 -> %s, want crash", out.Kind)
 	}
@@ -110,7 +107,7 @@ func TestCampaignShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

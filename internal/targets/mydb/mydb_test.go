@@ -1,6 +1,7 @@
 package mydb
 
 import (
+	"context"
 	"testing"
 
 	"spex/internal/conffile"
@@ -81,7 +82,7 @@ func TestCampaignShape(t *testing.T) {
 	if len(ms) < 40 {
 		t.Fatalf("generated %d misconfigurations, want >= 40", len(ms))
 	}
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}

@@ -1,6 +1,7 @@
 package pgdb
 
 import (
+	"context"
 	"testing"
 
 	"spex/internal/conffile"
@@ -62,7 +63,7 @@ func TestDataStructureValidationLimitsVulnerabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package storagea
 
 import (
+	"context"
 	"testing"
 
 	"spex/internal/conffile"
@@ -90,7 +91,7 @@ func TestCampaignShapeNoCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms := confgen.NewRegistry().Generate(res.Set, tmpl)
-	rep, err := inject.Run(New(), ms, inject.DefaultOptions())
+	rep, err := inject.RunContext(context.Background(), New(), ms, inject.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,8 +116,7 @@ func (i *instance) Stop() { i.env.Net.ReleaseOwner("storagea") }
 // bootMu serializes the boot: the corpus models the appliance's real
 // global registry options (and snapshot reads them through the option
 // table), so concurrent Starts must not interleave until the instance
-// detaches. Hang points must never sit inside this lock (see
-// sim.MonitorStart).
+// detaches.
 var bootMu sync.Mutex
 
 func (s *System) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {

@@ -1,9 +1,9 @@
 package targets_test
 
 import (
+	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"spex/internal/conffile"
 	"spex/internal/sim"
@@ -41,7 +41,7 @@ func run(t *testing.T, sc scenario) {
 	for p, v := range sc.values {
 		cfg.Set(p, v)
 	}
-	out := sim.MonitorStart(sys, env, cfg, 250*time.Millisecond)
+	out := sim.MonitorStartContext(context.Background(), sys, env, cfg)
 	if out.Kind != sc.expect {
 		t.Fatalf("boot outcome = %s, want %s\nlog:\n%s", out.Kind, sc.expect, env.Log.Dump())
 	}
@@ -209,7 +209,7 @@ func TestDefaultsBootEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := sim.MonitorStart(sys, env, cfg, 250*time.Millisecond)
+			out := sim.MonitorStartContext(context.Background(), sys, env, cfg)
 			if out.Kind != sim.StartOK {
 				t.Fatalf("defaults outcome = %s\nlog:\n%s", out.Kind, env.Log.Dump())
 			}
