@@ -299,11 +299,10 @@
 // scheduler emits shard.Progress events to one OnProgress callback.
 // The CLIs hand it to the renderer (internal/progressui: per-system
 // TTY bars, throttled one-line aggregate in logs); coordinator
-// workers fold it into their heartbeats; the daemon folds it into the
-// job's trace and, throttled, onto its event bus (internal/dash,
-// below), which is the daemon's only fan-out: every event stream it
-// serves, per-job ones included, is a filtered subscription to that
-// bus.
+// workers fold it into their heartbeats; the daemon puts it,
+// throttled, onto its event bus (internal/dash, below), which is the
+// daemon's only fan-out: every event stream it serves, per-job ones
+// included, is a filtered subscription to that bus.
 //
 // Reads are served lock-free from the store's outcome indexes, even
 // while a job is writing: GET /v1/systems/{name}/outcomes pages through
@@ -405,9 +404,12 @@
 // its per-endpoint HTTP latency, ETag revalidation traffic, and job
 // lifecycle. spexd serves the registry at GET /metrics in Prometheus
 // text format (plus net/http/pprof behind -pprof), and the CLIs dump
-// it with -metrics-out <file> as JSON. The daemon also folds each
-// job's progress stream into a span tree — job → system → misconf,
-// steal spans for coordinate runs — journaled beside the job document
+// it with -metrics-out <file> as JSON. Each spexd job also has a span
+// tree whose spans ride the context (obs.Start): the daemon opens the
+// job span, shard.CampaignAll a system span per workload (prepare
+// through save, replays counted on it) and a misconf span per executed
+// misconfiguration, and coord.Run a worker span per spawn and a steal
+// span per rebalance. The tree is journaled beside the job document
 // and served at GET /v1/jobs/{id}/trace as JSON or indented text.
 // Metric families register exactly once, at package level, under
 // package-level name constants; the spexlint obsmetric analyzer

@@ -214,15 +214,11 @@ type SnapshotEncoder struct {
 	payload [][]byte
 }
 
-// NewSnapshotEncoder writes the magic and header. hdr carries the
-// snapshot's metadata; its Outcomes/Stamps are ignored.
-func NewSnapshotEncoder(w io.Writer, hdr *Snapshot) (*SnapshotEncoder, error) {
-	return newSnapshotEncoder(w, hdr, nil)
-}
-
-// newSnapshotEncoder is NewSnapshotEncoder splicing the header and
-// records from c's encodings where they are what json.Marshal would
-// write (nil, or a c no load has built: the plain encode).
+// newSnapshotEncoder writes the magic and header. hdr carries the
+// snapshot's metadata; its Outcomes/Stamps are ignored. The header and
+// records are spliced from c's encodings where they are what
+// json.Marshal would write (nil, or a c no load has built: the plain
+// encode).
 func newSnapshotEncoder(w io.Writer, hdr *Snapshot, c *Canonical) (*SnapshotEncoder, error) {
 	c = c.encodings()
 	h := snapshotHeader{

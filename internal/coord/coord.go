@@ -8,11 +8,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"spex/internal/campaignstore"
 	"spex/internal/inject"
+	"spex/internal/obs"
 	"spex/internal/shard"
 )
 
@@ -145,7 +147,9 @@ type Result struct {
 // the leases, spawn the workers, watch heartbeats and rebalance by
 // stealing, and merge the shard stores into the canonical store at the
 // state root through cfg.Locks. See the package comment for the
-// protocol.
+// protocol. Under a span on ctx (obs.Start), each spawn opens a worker
+// span, whose ctx is the one handed to Spawn, and each rebalance a
+// steal span.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("coord: %d workers (want at least 1)", cfg.Workers)
@@ -236,8 +240,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			StateDir:  ShardDir(cfg.StateDir, i+1),
 			LogPath:   filepath.Join(coordDir, fmt.Sprintf("worker%d.log", i+1)),
 		}
-		h, err := cfg.Spawn(ctx, spec)
+		wctx, span := obs.Start(ctx, obs.SpanWorker, fmt.Sprintf("worker-%d", i+1))
+		span.SetAttr("keys", strconv.Itoa(len(states[i].lease.Keys)))
+		h, err := cfg.Spawn(wctx, spec)
 		if err != nil {
+			endWorker(span, err)
 			return fmt.Errorf("coord: spawn worker %d: %w", i+1, err)
 		}
 		states[i].handle = h
@@ -247,7 +254,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		mSpawns.Inc()
 		mWorkersRunning.Add(1)
 		emit(Event{Kind: "spawn", Worker: i + 1, Keys: len(states[i].lease.Keys)})
-		go func() { exitCh <- exitMsg{worker: i, err: h.Wait()} }()
+		go func() {
+			err := h.Wait()
+			endWorker(span, err)
+			exitCh <- exitMsg{worker: i, err: err}
+		}()
 		return nil
 	}
 	// abort is the one shutdown path: interrupt every running worker
@@ -332,6 +343,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return false, nil
 		}
 		stolenSet := keySet(stolen)
+		_, span := obs.Start(ctx, obs.SpanSteal, fmt.Sprintf("worker-%d<-worker-%d", thief+1, victim+1))
+		span.SetAttr("keys", strconv.Itoa(len(stolen)))
 
 		// The thief keeps its old keys (all done — they replay from its
 		// shard snapshot in the respawned run, and keeping them is what
@@ -339,6 +352,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		tl := states[thief].lease
 		newThief := &Lease{Worker: thief + 1, Generation: tl.Generation + 1, Keys: append(append([]KeyRef{}, tl.Keys...), stolen...)}
 		if err := writeJSON(LeasePath(coordDir, thief+1), newThief); err != nil {
+			span.End("failed")
 			return false, err
 		}
 		states[thief].lease = newThief
@@ -352,6 +366,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		newVictim := &Lease{Worker: victim + 1, Generation: vl.Generation + 1, Keys: kept}
 		if err := writeJSON(LeasePath(coordDir, victim+1), newVictim); err != nil {
+			span.End("failed")
 			return false, err
 		}
 		states[victim].lease = newVictim
@@ -360,6 +375,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		mSteals.Inc()
 		mStolenKeys.Add(uint64(len(stolen)))
 		emit(Event{Kind: "steal", Worker: thief + 1, From: victim + 1, Keys: len(stolen)})
+		span.End("ok")
 		return true, nil
 	}
 
@@ -469,6 +485,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	emit(Event{Kind: "merge", Keys: merged})
 	return res, nil
+}
+
+// endWorker ends a worker's span when it exits: failed, with the error,
+// if the worker failed.
+func endWorker(span *obs.Span, err error) {
+	if err != nil {
+		span.SetAttr("error", err.Error())
+		span.End("failed")
+		return
+	}
+	span.End("ok")
 }
 
 // persistedKeys returns the global keys with outcomes recorded in a

@@ -10,6 +10,7 @@ import (
 
 	"spex/internal/campaignstore"
 	"spex/internal/inject"
+	"spex/internal/obs"
 	"spex/internal/shard"
 	"spex/internal/sim"
 	"spex/internal/spex"
@@ -267,7 +268,8 @@ func TestCoordinatorMergesOnlyItsSystems(t *testing.T) {
 // a machine 60x slower per simulated cost unit): the fast worker must
 // drain, steal a suffix of the laggard's lease, and the merged result
 // must still be byte-identical to the unsharded campaign — stealing
-// moves work, never changes outcomes.
+// moves work, never changes outcomes. Under a traced ctx, each spawn
+// and each steal is one span.
 func TestWorkStealingRebalances(t *testing.T) {
 	sys := ldapd.New()
 	w := campaignOf(t, sys)
@@ -292,12 +294,26 @@ func TestWorkStealingRebalances(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	}
-	res, err := runLocked(t, context.Background(), cfg)
+	tr := obs.NewTrace("job")
+	ctx, job := tr.Start(context.Background(), obs.SpanJob, "job")
+	res, err := runLocked(t, ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	job.End("done")
 	if res.Steals == 0 {
 		t.Error("no steal despite a 60x-skewed worker (the rebalance never engaged)")
+	}
+	count := map[string]int{}
+	for _, sp := range tr.Doc().Spans {
+		count[sp.Kind]++
+		if sp.Kind == obs.SpanSteal && (sp.Status != "ok" || sp.Parent != "s1" || sp.Attrs["keys"] == "" || sp.Attrs["keys"] == "0") {
+			t.Errorf("steal span %s: %+v", sp.Name, sp)
+		}
+	}
+	if count[obs.SpanSteal] != res.Steals || count[obs.SpanWorker] != res.Spawns {
+		t.Errorf("%d steal and %d worker spans for %d steals and %d spawns",
+			count[obs.SpanSteal], count[obs.SpanWorker], res.Steals, res.Spawns)
 	}
 	if res.Stats[0].Fingerprint != want {
 		t.Errorf("fingerprint after stealing %s != unsharded %s", res.Stats[0].Fingerprint, want)

@@ -21,7 +21,6 @@ type Engine struct {
 	DB   *apispec.DB
 
 	taint    map[Loc]TaintSet
-	seeds    map[string][]Loc
 	pointsTo map[Loc]Loc // pointer local -> pointee (1-level alias tracking)
 
 	collecting bool
@@ -36,7 +35,6 @@ func New(proj *frontend.Project, db *apispec.DB) *Engine {
 		Proj:     proj,
 		DB:       db,
 		taint:    make(map[Loc]TaintSet),
-		seeds:    make(map[string][]Loc),
 		pointsTo: make(map[Loc]Loc),
 		graphs:   make(map[string]*cfg.Graph),
 	}
@@ -45,7 +43,6 @@ func New(proj *frontend.Project, db *apispec.DB) *Engine {
 // Seed marks loc as holding the value of the named configuration
 // parameter (produced by the mapping toolkits).
 func (e *Engine) Seed(param string, loc Loc) {
-	e.seeds[param] = append(e.seeds[param], loc)
 	ts := e.taint[loc]
 	if ts == nil {
 		ts = make(TaintSet)
@@ -53,9 +50,6 @@ func (e *Engine) Seed(param string, loc Loc) {
 	}
 	ts[param] = Taint{Hops: 0, Mult: 1}
 }
-
-// SeedLocs returns the seed locations for a parameter.
-func (e *Engine) SeedLocs(param string) []Loc { return e.seeds[param] }
 
 // TaintAt returns the parameters tainting loc (sorted), for tests and
 // diagnostics.

@@ -1,7 +1,8 @@
 // Package obs is the stack's observability layer: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms, and
 // their labelled Vec variants) with Prometheus text-format exposition,
-// plus a lightweight span recorder for campaign traces.
+// plus campaign traces whose spans ride the context (trace.go): the
+// code doing the work opens each span under the one its ctx carries.
 //
 // The registry follows the Prometheus data model but none of its
 // client library: metric families are registered once, at package

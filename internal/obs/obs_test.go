@@ -1,14 +1,15 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -200,17 +201,16 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestTraceTree(t *testing.T) {
-	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	tr := NewTrace("job-000001")
-	job := tr.Span(SpanJob, "job-000001", "", base)
-	sys := tr.Span(SpanSystem, "proxyd", job.ID(), base)
-	mc := tr.Span(SpanMisconf, "max_connections=0", sys.ID(), base.Add(10*time.Millisecond))
-	mc.Finish(base.Add(13*time.Millisecond), "failed")
-	steal := tr.Span(SpanSteal, "worker 2 <- worker 1", job.ID(), base.Add(20*time.Millisecond))
+	ctx, job := tr.Start(context.Background(), SpanJob, "job-000001")
+	sctx, sys := Start(ctx, SpanSystem, "proxyd")
+	_, mc := Start(sctx, SpanMisconf, "max_connections=0")
+	mc.End("failed")
+	_, steal := Start(ctx, SpanSteal, "worker 2 <- worker 1")
 	steal.SetAttr("keys", "5")
-	steal.Finish(base.Add(20*time.Millisecond), "ok")
-	sys.Finish(base.Add(30*time.Millisecond), "done")
-	job.Finish(base.Add(40*time.Millisecond), "done")
+	steal.End("ok")
+	sys.End("done")
+	job.End("done")
 
 	doc := tr.Doc()
 	if doc.Job != "job-000001" || len(doc.Spans) != 4 {
@@ -219,8 +219,13 @@ func TestTraceTree(t *testing.T) {
 	if doc.Spans[0].ID != "s1" || doc.Spans[1].Parent != "s1" || doc.Spans[2].Parent != "s2" {
 		t.Fatalf("span IDs/parents wrong: %+v", doc.Spans)
 	}
-	if doc.Spans[2].DurationNS != (3 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("misconf duration = %d", doc.Spans[2].DurationNS)
+	for _, sp := range doc.Spans {
+		if sp.End.Before(sp.Start) || sp.DurationNS != sp.End.Sub(sp.Start).Nanoseconds() {
+			t.Fatalf("span %s: [%v, %v], duration %d", sp.ID, sp.Start, sp.End, sp.DurationNS)
+		}
+	}
+	if doc.Spans[0].Start.After(doc.Spans[1].Start) || doc.Spans[2].End.After(doc.Spans[1].End) {
+		t.Fatalf("a child lies outside its parent: %+v", doc.Spans)
 	}
 
 	text := doc.Text()
@@ -234,7 +239,7 @@ func TestTraceTree(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "  system proxyd ") {
 		t.Errorf("system line: %q", lines[1])
 	}
-	if !strings.HasPrefix(lines[2], "    misconf max_connections=0 3ms failed") {
+	if !strings.HasPrefix(lines[2], "    misconf max_connections=0 ") || !strings.HasSuffix(lines[2], " failed") {
 		t.Errorf("misconf line: %q", lines[2])
 	}
 	if !strings.Contains(lines[3], "keys=5") {
@@ -249,5 +254,62 @@ func TestTraceTree(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"job":"job-000001"`) {
 		t.Fatalf("doc JSON missing job key: %s", raw)
+	}
+}
+
+// TestSpanChildCap: a span records maxChildren children; the rest are
+// counted in its dropped attribute, and a dropped span's descendants
+// record nothing.
+func TestSpanChildCap(t *testing.T) {
+	tr := NewTrace("job-000001")
+	ctx, job := tr.Start(context.Background(), SpanJob, "job-000001")
+	sctx, sys := Start(ctx, SpanSystem, "proxyd")
+	for i := range maxChildren {
+		_, mc := sys.Start(sctx, SpanMisconf, fmt.Sprintf("m%d", i))
+		if mc == nil {
+			t.Fatalf("child %d dropped, want %d kept", i+1, maxChildren)
+		}
+		mc.End("ok")
+	}
+	dctx, dropped := sys.Start(sctx, SpanMisconf, "one too many")
+	if dropped != nil {
+		t.Fatalf("child %d kept, want it dropped", maxChildren+1)
+	}
+	dropped.SetAttr("k", "v")
+	dropped.End("ok")
+	if _, s := Start(dctx, SpanMisconf, "under a dropped span"); s != nil {
+		t.Fatal("a dropped span's child was recorded")
+	}
+	if _, s := Start(dctx, SpanSystem, "also under it"); s != nil {
+		t.Fatal("a dropped span's child was recorded")
+	}
+	sys.End("ok")
+	job.End("done")
+
+	doc := tr.Doc()
+	if len(doc.Spans) != 2+maxChildren {
+		t.Fatalf("trace holds %d spans, want %d", len(doc.Spans), 2+maxChildren)
+	}
+	if got := doc.Spans[1].Attrs["dropped"]; got != "1" {
+		t.Fatalf("system span dropped = %q, want 1", got)
+	}
+	if _, ok := doc.Spans[0].Attrs["dropped"]; ok {
+		t.Fatalf("job span counts drops it never had: %v", doc.Spans[0].Attrs)
+	}
+}
+
+// TestStartWithoutSpanAllocatesNothing: the campaign path opens spans
+// on every ctx, traced or not, so an untraced one must cost nothing.
+func TestStartWithoutSpanAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		sctx, sys := Start(ctx, SpanSystem, "proxyd")
+		sys.SetAttr("replayed", "0")
+		_, mc := sys.Start(sctx, SpanMisconf, "max_connections=0")
+		mc.End("ok")
+		sys.End("ok")
+	})
+	if allocs != 0 {
+		t.Fatalf("Start on a ctx without a span allocates %v times, want 0", allocs)
 	}
 }

@@ -1,71 +1,124 @@
 // Campaign tracing: a Trace records a tree of spans — job → system →
-// misconf/steal — with parent IDs, wall-clock bounds, and an outcome
-// status. The recorder rides the existing progress plumbing (spexd
-// feeds it from each job's progress callback), so tracing adds no hooks
-// to the engine; the finished tree is journaled next to the
-// job document and served at GET /v1/jobs/{id}/trace as JSON or an
-// indented text rendering.
+// misconf, with worker and steal spans for coordinate runs — with
+// parent IDs, wall-clock bounds, and an outcome status. Spans ride the
+// context: the code doing the work opens each one under the span its
+// ctx carries (Start) and ends it when the work ends, so the tree holds
+// what happened. A ctx without a span records nothing and costs no
+// allocation. spexd opens each job's root span, journals the finished
+// tree next to the job document, and serves it at GET
+// /v1/jobs/{id}/trace as JSON or an indented text rendering.
 package obs
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Span kinds used by the campaign recorder. Free-form strings are
-// allowed; these are the vocabulary the daemon emits.
+// Span kinds the campaign path opens. Free-form strings are allowed;
+// these are the vocabulary the daemon's traces hold.
 const (
 	SpanJob     = "job"
 	SpanSystem  = "system"
 	SpanMisconf = "misconf"
+	SpanWorker  = "worker"
 	SpanSteal   = "steal"
 )
+
+// maxChildren bounds the children one span records: a large campaign
+// completes thousands of misconfigurations, and the trace is a
+// readable summary, not a second outcome store. Later children are
+// counted in the parent's `dropped` attribute, and record nothing
+// themselves, descendants included.
+const maxChildren = 256
 
 // Trace accumulates spans for one job. Safe for concurrent use.
 type Trace struct {
 	mu    sync.Mutex
 	job   string
-	next  int
 	spans []*Span
 }
 
 // Span is one timed node in the trace tree. Fields are mutated only
-// through methods, which serialize on the owning trace's lock.
+// through methods, which serialize on the owning trace's lock. A nil
+// *Span is valid and records nothing.
 type Span struct {
-	tr     *Trace
-	id     string
-	parent string
-	kind   string
-	name   string
-	start  time.Time
-	end    time.Time
-	status string
-	attrs  map[string]string
+	tr       *Trace
+	id       string
+	parent   string
+	kind     string
+	name     string
+	start    time.Time
+	end      time.Time
+	status   string
+	attrs    map[string]string
+	children int
+	dropped  int
 }
+
+// spanKey is the context key the current span rides under.
+type spanKey struct{}
 
 // NewTrace starts an empty trace for the named job.
 func NewTrace(job string) *Trace { return &Trace{job: job} }
 
-// Span appends a new span. Parent is the ID of the enclosing span
-// ("" for the root); IDs are assigned deterministically in creation
-// order (s1, s2, ...).
-func (t *Trace) Span(kind, name, parent string, start time.Time) *Span {
+// Start opens a root span and returns ctx carrying it.
+func (t *Trace) Start(ctx context.Context, kind, name string) (context.Context, *Span) {
+	s := t.open(nil, kind, name)
+	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// Start opens a child of the span ctx carries and returns ctx carrying
+// the child. Without a span on ctx it returns ctx and nil.
+func Start(ctx context.Context, kind, name string) (context.Context, *Span) {
+	parent, _ := ctx.Value(spanKey{}).(*Span)
+	return parent.Start(ctx, kind, name)
+}
+
+// Start opens a child of s and returns ctx carrying the child. A nil s,
+// or one that already holds maxChildren, opens nothing: the returned ctx
+// then carries no span, so the child's descendants record nothing.
+func (s *Span) Start(ctx context.Context, kind, name string) (context.Context, *Span) {
+	var child *Span
+	if s != nil {
+		child = s.tr.open(s, kind, name)
+	}
+	if child == nil && ctx.Value(spanKey{}) == nil {
+		return ctx, nil
+	}
+	return context.WithValue(ctx, spanKey{}, child), child
+}
+
+// open appends a span under parent (nil: a root) and assigns its ID in
+// creation order (s1, s2, ...), so a parent always precedes its
+// children. It returns nil, and counts the span as dropped, when parent
+// already holds maxChildren.
+func (t *Trace) open(parent *Span, kind, name string) *Span {
+	s := &Span{tr: t, kind: kind, name: name, start: time.Now().UTC()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.next++
-	s := &Span{tr: t, id: fmt.Sprintf("s%d", t.next), parent: parent, kind: kind, name: name, start: start}
+	if parent != nil {
+		if parent.children == maxChildren {
+			parent.dropped++
+			return nil
+		}
+		parent.children++
+		s.parent = parent.id
+	}
+	s.id = "s" + strconv.Itoa(len(t.spans)+1)
 	t.spans = append(t.spans, s)
 	return s
 }
 
-// ID returns the span's identifier, for parenting child spans.
-func (s *Span) ID() string { return s.id }
-
 // SetAttr attaches one key=value annotation.
 func (s *Span) SetAttr(k, v string) {
+	if s == nil {
+		return
+	}
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
 	if s.attrs == nil {
@@ -74,14 +127,15 @@ func (s *Span) SetAttr(k, v string) {
 	s.attrs[k] = v
 }
 
-// Finish closes the span with an end time and outcome status. Calling
-// it again moves the end forward (the recorder extends system spans as
-// progress arrives).
-func (s *Span) Finish(end time.Time, status string) {
+// End closes the span now with its outcome status.
+func (s *Span) End(status string) {
+	if s == nil {
+		return
+	}
+	now := time.Now().UTC()
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
-	s.end = end
-	s.status = status
+	s.end, s.status = now, status
 }
 
 // TraceDoc is the serialized form of a trace. The top-level key is
@@ -118,10 +172,13 @@ func (t *Trace) Doc() TraceDoc {
 		if !s.end.IsZero() && s.end.After(s.start) {
 			sd.DurationNS = s.end.Sub(s.start).Nanoseconds()
 		}
-		if len(s.attrs) > 0 {
-			sd.Attrs = make(map[string]string, len(s.attrs))
+		if len(s.attrs) > 0 || s.dropped > 0 {
+			sd.Attrs = make(map[string]string, len(s.attrs)+1)
 			for k, v := range s.attrs {
 				sd.Attrs[k] = v
+			}
+			if s.dropped > 0 {
+				sd.Attrs["dropped"] = strconv.Itoa(s.dropped)
 			}
 		}
 		doc.Spans = append(doc.Spans, sd)

@@ -16,6 +16,7 @@ import (
 
 	"spex/internal/campaignstore"
 	"spex/internal/inject"
+	"spex/internal/obs"
 	"spex/internal/shard"
 	"spex/internal/sim"
 	"spex/internal/spex"
@@ -200,7 +201,7 @@ type Job struct {
 }
 
 // job pairs the API document with the live machinery: the cancel hook
-// and the trace recorder. Its events live on the daemon's bus.
+// and the span trace. Its events live on the daemon's bus.
 type job struct {
 	mu  sync.Mutex
 	doc Job
@@ -210,10 +211,11 @@ type job struct {
 	// cancel stops the running campaign (set while running; a queued
 	// job cancels by state flip).
 	cancel context.CancelFunc
-	// trace is the job's span recorder, set when the job starts
-	// running; nil for journaled history from previous daemon runs
-	// (their trace, if any, is read back from disk).
-	trace *traceRecorder
+	// trace holds the job's spans, set when the job starts running:
+	// runJob opens the job span on the job's ctx, and the campaign
+	// opens the rest under it. Nil for journaled history from previous
+	// daemon runs (their trace, if any, is read back from disk).
+	trace *obs.Trace
 }
 
 // snapshot returns a copy of the API document.
@@ -300,6 +302,12 @@ const jobsDirName = "jobs"
 // journalPath is the job's document file.
 func journalPath(stateDir, id string) string {
 	return filepath.Join(stateDir, jobsDirName, id+".json")
+}
+
+// tracePath is the job's persisted trace document, next to its journal
+// entry. Its name is not a job ID's, so loadJournal never reads it.
+func tracePath(stateDir, id string) string {
+	return filepath.Join(stateDir, jobsDirName, id+".trace.json")
 }
 
 // jobIDRE is the form submit gives job IDs (job-%06d).

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spex/internal/dash"
 	"spex/internal/obs"
 	"spex/internal/server"
 )
@@ -63,18 +63,7 @@ func TestJobTrace(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET trace: %d", resp.StatusCode)
-	}
-	var tdoc obs.TraceDoc
-	if err := json.NewDecoder(resp.Body).Decode(&tdoc); err != nil {
-		t.Fatal(err)
-	}
+	tdoc := getTrace(t, ts.URL, doc.ID)
 	if tdoc.Job != doc.ID {
 		t.Errorf("trace job = %q, want %q", tdoc.Job, doc.ID)
 	}
@@ -115,6 +104,45 @@ func TestJobTrace(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "jobs", doc.ID+".trace.json")); err != nil {
 		t.Errorf("trace not persisted: %v", err)
 	}
+}
+
+// TestLiveTraceIsATree reads a cold job's trace in a loop while the
+// job runs: prepare goroutines and engine workers open spans while the
+// handler copies them, and every copy must be a tree whose spans each
+// follow their parent. Run it under -race.
+func TestLiveTraceIsATree(t *testing.T) {
+	_, ts := daemon(t, server.Config{StateDir: t.TempDir()})
+	doc := postJob(t, ts.URL, `{"all": true, "workers": 2}`)
+	sse := collect(t, ts.URL+"/v1/jobs/"+doc.ID+"/events", 0)
+	sse.waitFor(t, "the running frame", func(e dash.Event) bool {
+		return e.Kind == dash.KindJob && e.State == server.StateRunning
+	}, time.Minute)
+
+	live := 0
+	for deadline := time.Now().Add(2 * time.Minute); ; live++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the job span never ended")
+		}
+		tdoc := getTrace(t, ts.URL, doc.ID)
+		seen := map[string]bool{}
+		for i, sp := range tdoc.Spans {
+			if (i == 0) != (sp.Parent == "") || (i > 0 && !seen[sp.Parent]) || seen[sp.ID] {
+				t.Fatalf("read %d: span %d (%s %s, id %s) has parent %q, seen before it: %v",
+					live, i, sp.Kind, sp.Name, sp.ID, sp.Parent, seen)
+			}
+			seen[sp.ID] = true
+		}
+		if tdoc.Spans[0].Status != "" {
+			break // the job span ended: the trace is final
+		}
+	}
+	if live == 0 {
+		t.Error("no read overlapped the running job")
+	}
+	if final := waitTerminal(t, ts.URL, doc.ID, time.Minute); final.State != server.StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	t.Logf("%d reads while the job ran", live)
 }
 
 // TestMetricsEndpoint: GET /metrics serves Prometheus text covering

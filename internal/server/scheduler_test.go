@@ -243,18 +243,8 @@ func TestStagedJobPipelinesPerSystem(t *testing.T) {
 
 	// The workers bound: the job's trace holds one span per executed
 	// misconfiguration, and with one worker they never overlap.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + doc.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace obs.TraceDoc
-	err = json.NewDecoder(resp.Body).Decode(&trace)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spans []obs.SpanDoc
-	for _, sp := range trace.Spans {
+	for _, sp := range getTrace(t, ts.URL, doc.ID).Spans {
 		if sp.Kind == obs.SpanMisconf {
 			spans = append(spans, sp)
 		}

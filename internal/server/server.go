@@ -16,6 +16,23 @@
 //	GET    /v1/jobs/{id}/events      the job's slice of the event bus
 //	                                 (Server-Sent Events; ends with the
 //	                                 job's terminal frame)
+//	GET    /v1/jobs/{id}/trace       the job's span tree (JSON, or
+//	                                 ?format=text): job → system →
+//	                                 misconf, each span opened by the
+//	                                 code doing the work. A system span
+//	                                 covers its prepare through its
+//	                                 save, counts its replays
+//	                                 (replayed=N; only executed
+//	                                 misconfigurations get misconf
+//	                                 spans) and ends with that system's
+//	                                 own status; a coordinate job's
+//	                                 system spans sit under worker
+//	                                 spans, one per spawn, beside its
+//	                                 steal spans. A span keeps 256
+//	                                 children and counts the rest as
+//	                                 dropped=N. Journaled beside the
+//	                                 job document before its terminal
+//	                                 frame
 //	GET    /v1/systems               systems with snapshots in the store
 //	GET    /v1/systems/{name}/outcomes   one system's recorded outcomes
 //	                                 (?limit/?offset paging, 1000 per
@@ -752,8 +769,9 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.doc.StartedAt = &now
 	jctx, cancel := context.WithCancel(s.ctx)
 	j.cancel = cancel
-	rec := newTraceRecorder(j.doc.ID, now)
-	j.trace = rec
+	tr := obs.NewTrace(j.doc.ID)
+	jctx, span := tr.Start(jctx, obs.SpanJob, j.doc.ID)
+	j.trace = tr
 	doc := j.docLocked()
 	j.mu.Unlock()
 	defer cancel()
@@ -771,7 +789,7 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	mJobsByState.With(StateRunning, ns.name).Inc()
 	s.logger.Info("job running", "job", doc.ID, "namespace", ns.name, "spec", describeSpec(doc.Spec))
 
-	summaries, stats, err := s.execute(jctx, ns, doc.ID, doc.Spec, locks, rec)
+	summaries, stats, err := s.execute(jctx, ns, doc.ID, doc.Spec, locks)
 
 	state := StateDone
 	msg := ""
@@ -796,8 +814,8 @@ func (s *Server) runJob(ns *namespace, j *job, systems []string) {
 	j.mu.Unlock()
 	// The trace is final and persisted before the terminal event, so a
 	// client that saw the job end can read it.
-	tdoc := rec.finish(state, time.Now().UTC())
-	if err := campaignstore.WriteJSON(tracePath(ns.dir, doc.ID), tdoc); err != nil {
+	span.End(state)
+	if err := campaignstore.WriteJSON(tracePath(ns.dir, doc.ID), tr.Doc()); err != nil {
 		s.logger.Error("trace write failed", "job", doc.ID, "namespace", ns.name, "err", err)
 	}
 	s.finishJob(ns, j, state, msg)
@@ -844,9 +862,9 @@ type coordStats struct{ steals, spawns, retries int }
 // the system's last outcome saved it, so a small system is evaluated
 // while a big one still injects and `workers` bounds the whole job; a
 // job without the eval stage reads the saved systems' fingerprints
-// after the campaign. Every progress event feeds the job's trace and,
-// throttled, the bus.
-func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet, rec *traceRecorder) ([]SystemSummary, coordStats, error) {
+// after the campaign. Every progress event goes, throttled, onto the
+// bus; the campaign opens its own spans under the job span ctx carries.
+func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
 	if err != nil {
 		return nil, coordStats{}, err
@@ -863,10 +881,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 		}
 		opts.SimCostDelay = d
 	}
-	onProgress := func(p shard.Progress) {
-		rec.observeProgress(p, time.Now().UTC())
-		s.bus.FoldProgress(ns.name, jobID, p)
-	}
+	onProgress := func(p shard.Progress) { s.bus.FoldProgress(ns.name, jobID, p) }
 	stages := spec.Stages
 	if len(stages) == 0 {
 		stages = []string{StageInfer, StageInject}
@@ -970,7 +985,6 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 			Locks:         locks,
 			Spawn:         spawn,
 			OnEvent: func(e coord.Event) {
-				rec.observeCoord(e, time.Now().UTC())
 				ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
 				if e.Err != nil {
 					ce.Error = e.Err.Error()
@@ -1262,9 +1276,9 @@ func (s *Server) handleNamespaces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"namespaces": out})
 }
 
-// handleJobTrace serves a job's span tree: live from the recorder for
-// jobs run by this daemon, from the persisted trace document for
-// journaled history. ?format=text renders the indented tree.
+// handleJobTrace serves a job's span tree: live from its trace for jobs
+// run by this daemon, from the persisted trace document for journaled
+// history. ?format=text renders the indented tree.
 func (s *Server) handleJobTrace(ns *namespace, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookup(ns, id)
@@ -1273,11 +1287,11 @@ func (s *Server) handleJobTrace(ns *namespace, w http.ResponseWriter, r *http.Re
 		return
 	}
 	j.mu.Lock()
-	rec := j.trace
+	tr := j.trace
 	j.mu.Unlock()
 	var doc obs.TraceDoc
-	if rec != nil {
-		doc = rec.doc()
+	if tr != nil {
+		doc = tr.Doc()
 	} else {
 		data, err := os.ReadFile(tracePath(ns.dir, id))
 		if err != nil {

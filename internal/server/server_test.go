@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"spex/internal/constraint"
 	"spex/internal/dash"
 	"spex/internal/inject"
+	"spex/internal/obs"
 	"spex/internal/report"
 	"spex/internal/server"
 )
@@ -69,6 +71,24 @@ func getJobAt(t *testing.T, url string) server.Job {
 	}
 	defer resp.Body.Close()
 	var doc server.Job
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// getTrace fetches a job's span tree (GET /v1/jobs/{id}/trace).
+func getTrace(t *testing.T, base, id string) obs.TraceDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s trace: %d", id, resp.StatusCode)
+	}
+	var doc obs.TraceDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
@@ -454,6 +474,16 @@ func TestDaemonCancellationLeavesResumableStore(t *testing.T) {
 		t.Fatalf("job ended %s (cancel_requested=%v), want cancelled by request", final.State, final.CancelRequested)
 	}
 	sse.wait(t)
+	// The job span and proxyd's system span say how each ended.
+	kinds := map[string]string{}
+	for _, sp := range getTrace(t, ts.URL, doc.ID).Spans {
+		if sp.Kind != obs.SpanMisconf {
+			kinds[sp.Kind+" "+sp.Name] = sp.Status
+		}
+	}
+	if want := map[string]string{"job " + doc.ID: "cancelled", "system proxyd": "cancelled"}; !maps.Equal(kinds, want) {
+		t.Errorf("cancelled job's spans end %v, want %v", kinds, want)
+	}
 
 	// The resumed job replays the persisted prefix and finishes the
 	// rest — never a full restart.
@@ -468,6 +498,25 @@ func TestDaemonCancellationLeavesResumableStore(t *testing.T) {
 	}
 	if sum.Executed == 0 {
 		t.Errorf("resume job executed nothing; cancellation skipped no work? %+v", sum)
+	}
+	// Its trace counts the replays on the system span and holds one
+	// misconf span per executed misconfiguration under it.
+	var sys obs.SpanDoc
+	misconfs := 0
+	for _, sp := range getTrace(t, ts.URL, doc2.ID).Spans {
+		switch sp.Kind {
+		case obs.SpanSystem:
+			sys = sp
+		case obs.SpanMisconf:
+			if sp.Parent != sys.ID {
+				t.Errorf("misconf span %s is under %q, not the system span %q", sp.Name, sp.Parent, sys.ID)
+			}
+			misconfs++
+		}
+	}
+	if sys.Name != "proxyd" || sys.Attrs["replayed"] != strconv.Itoa(sum.Replayed) || misconfs != sum.Executed {
+		t.Errorf("resume trace: system %s replayed=%s with %d misconf spans, want proxyd replayed=%d with %d",
+			sys.Name, sys.Attrs["replayed"], misconfs, sum.Replayed, sum.Executed)
 	}
 }
 
@@ -510,6 +559,26 @@ func TestDaemonCoordinateJob(t *testing.T) {
 			if !kinds[want] {
 				t.Errorf("%s: SSE stream missing coordinator %q event (saw %v)", system, want, kinds)
 			}
+		}
+
+		// Each spawn is a worker span, each in-process worker's system
+		// span sits under it, and each rebalance is a steal span.
+		workers := map[string]bool{}
+		count := map[string]int{}
+		for _, sp := range getTrace(t, ts.URL, doc.ID).Spans {
+			count[sp.Kind]++
+			switch sp.Kind {
+			case obs.SpanWorker:
+				workers[sp.ID] = true
+			case obs.SpanSystem:
+				if !workers[sp.Parent] || sp.Name != system {
+					t.Errorf("%s: system span %s is under %q, not a worker span", system, sp.Name, sp.Parent)
+				}
+			}
+		}
+		if count[obs.SpanWorker] != final.Spawns || count[obs.SpanSteal] != final.Steals || count[obs.SpanSystem] == 0 {
+			t.Errorf("%s: %d worker, %d steal and %d system spans for %d spawns and %d steals",
+				system, count[obs.SpanWorker], count[obs.SpanSteal], count[obs.SpanSystem], final.Spawns, final.Steals)
 		}
 	}
 	for system, fp := range saved {

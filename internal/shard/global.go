@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"spex/internal/constraint"
 	"spex/internal/engine"
 	"spex/internal/inject"
+	"spex/internal/obs"
 	"spex/internal/sim"
 	"spex/internal/spex"
 )
@@ -135,8 +137,6 @@ type Progress struct {
 	Total int `json:"total"`
 	// Elapsed is the task's wall-clock execution time (zero when the
 	// outcome was replayed from the store, which never runs a task).
-	// Trace recorders use it to reconstruct per-misconf spans from the
-	// event stream.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// Run is set on a system's completion event only (SystemDone reaches
 	// SystemTotal): the finished system's report, store status and save
@@ -225,6 +225,12 @@ type SystemRun struct {
 // acquired the state directory's lock before it can even name this
 // mode. A set scoped to other systems fails a workload's save loudly.
 //
+// Under a span on ctx (obs.Start), each workload opens a system span
+// at its prepare and ends it after its save, with its replays counted
+// in a replayed attribute, and each executed misconfiguration a misconf
+// span, named by its replay key, around its gate and Runner.Test, which
+// runs under that span's ctx.
+//
 // A nil set is the storeless run: every misconfiguration executes and
 // nothing is saved. On cancellation every run is still returned —
 // finished outcomes kept, unstarted ones marked Skipped — together with
@@ -245,6 +251,9 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	replayed := make([][]bool, len(ws))
 	// fresh[i] lists the indices into ws[i].Ms that must execute.
 	fresh := make([][]int, len(ws))
+	// spans[i] is workload i's system span, from its prepare through
+	// its save, under the span ctx carries (nil without one).
+	spans := make([]*obs.Span, len(ws))
 	total := 0
 	for i := range ws {
 		runs[i].Sys = ws[i].Sys
@@ -255,12 +264,23 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	}
 
 	// finish completes workload i from its resolved results: it
-	// assembles the report and saves the snapshot.
+	// assembles the report, saves the snapshot and ends the system span,
+	// cancelled if ctx cut any of its misconfigurations short.
 	finish := func(i int) {
 		w := &ws[i]
 		rep := inject.Assemble(w.Sys.Name(), w.Ms, results[i], replayed[i])
 		runs[i].Report = rep
 		results[i] = nil // the report holds the outcomes now
+		defer func() {
+			switch {
+			case runs[i].Err != nil:
+				spans[i].End("failed")
+			case ctx.Err() != nil && rep.Finished()+rep.Yielded < len(rep.Outcomes):
+				spans[i].End("cancelled")
+			default:
+				spans[i].End("ok")
+			}
+		}()
 		if locks == nil {
 			return
 		}
@@ -355,6 +375,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	// and lists what must execute.
 	prepare := func(i int) {
 		w := &ws[i]
+		_, spans[i] = obs.Start(ctx, obs.SpanSystem, w.Sys.Name())
 		keys[i] = w.ReplayKeys()
 		if locks != nil {
 			runs[i].Status, stored[i], stamps[i] = locks.Store().Prepare(w.Sys.Name(), w.Set, w.Ms, keys[i], opts.Inject, w.Keep, w.Canon)
@@ -369,6 +390,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 			}
 			fresh[i] = append(fresh[i], j)
 		}
+		spans[i].SetAttr("replayed", strconv.Itoa(len(js)))
 		switch {
 		case len(w.Ms) == 0:
 			finish(i) // nothing to run: save what the store carries
@@ -407,14 +429,16 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		i, j := t.Target, fresh[t.Target][t.Index]
 		w := &ws[i]
 		start := time.Now()
+		mctx, span := spans[i].Start(ctx, obs.SpanMisconf, keys[i][j])
 		var out inject.Outcome
 		var err error
 		if opts.Gate != nil {
 			err = opts.Gate(w.Sys.Name(), w.Ms[j])
 		}
 		if err == nil {
-			out, err = runners[i].Test(ctx, w.Ms[j])
+			out, err = runners[i].Test(mctx, w.Ms[j])
 		}
+		span.End(taskStatus(err))
 		results[i][j] = engine.Result[inject.Outcome]{Index: j, Value: out, Err: err, Elapsed: time.Since(start)}
 		resolve(i, []int{j})
 		return out, err
@@ -438,6 +462,19 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		return runs, fmt.Errorf("shard: %w", cancelErr)
 	}
 	return runs, nil
+}
+
+// taskStatus names how an executed misconfiguration ended, for its span.
+func taskStatus(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, inject.ErrYielded):
+		return "yielded"
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return "cancelled"
+	}
+	return "failed"
 }
 
 // ReplayKeys returns Keys when it is index-aligned with Ms, and computes

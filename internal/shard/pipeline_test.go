@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -315,6 +317,84 @@ func TestConcurrentCampaignsShareWorkloads(t *testing.T) {
 		}
 		if fps[0] != fps[1] {
 			t.Errorf("%s: fingerprints differ between the two campaigns: %s vs %s", w.Sys.Name(), fps[0], fps[1])
+		}
+	}
+}
+
+// TestCampaignSpansRecordWhatRan: under a traced ctx, a cold campaign
+// opens one misconf span per executed misconfiguration, named by its
+// replay key and lying under and inside its system span, and a warm
+// rerun on the same store counts its replays on each system span and
+// opens no misconf span. A system span covers the making of its
+// snapshot. Four workers run the prepares and the tasks concurrently
+// while they open spans.
+func TestCampaignSpansRecordWhatRan(t *testing.T) {
+	ws := allWorkloads(t)
+	store, locks := lockedStore(t, t.TempDir())
+	for _, warm := range []bool{false, true} {
+		tr := obs.NewTrace("job")
+		ctx, job := tr.Start(context.Background(), obs.SpanJob, "job")
+		runs, err := shard.CampaignAll(ctx, locks, ws, shard.Options{Workers: 4, Inject: inject.DefaultOptions()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.End("done")
+		doc := tr.Doc()
+
+		systems := map[string]obs.SpanDoc{} // by span ID
+		misconfs := map[string][]string{}   // system name → misconf span names
+		for _, sp := range doc.Spans[1:] {
+			switch sp.Kind {
+			case obs.SpanSystem:
+				if sp.Parent != doc.Spans[0].ID {
+					t.Fatalf("warm=%v: system span %s is under %q, not the job span", warm, sp.Name, sp.Parent)
+				}
+				systems[sp.ID] = sp
+			case obs.SpanMisconf:
+				sys, ok := systems[sp.Parent]
+				if !ok {
+					t.Fatalf("warm=%v: misconf span %s is not under a system span", warm, sp.Name)
+				}
+				if sp.Start.Before(sys.Start) || sp.End.After(sys.End) || sp.Status != "ok" {
+					t.Fatalf("warm=%v: misconf span %s [%v, %v] %s outside %s [%v, %v]",
+						warm, sp.Name, sp.Start, sp.End, sp.Status, sys.Name, sys.Start, sys.End)
+				}
+				misconfs[sys.Name] = append(misconfs[sys.Name], sp.Name)
+			default:
+				t.Fatalf("warm=%v: unexpected %s span %s", warm, sp.Kind, sp.Name)
+			}
+		}
+		if len(systems) != len(ws) {
+			t.Fatalf("warm=%v: %d system spans for %d workloads", warm, len(systems), len(ws))
+		}
+		replayed := map[string]string{}
+		for _, sp := range systems {
+			snap, err := store.Load(sp.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp.Status != "ok" || snap.SavedAt.Before(sp.Start) || snap.SavedAt.After(sp.End) {
+				t.Errorf("warm=%v: system span %s [%v, %v] ended %q, its snapshot saved at %v",
+					warm, sp.Name, sp.Start, sp.End, sp.Status, snap.SavedAt)
+			}
+			replayed[sp.Name] = sp.Attrs["replayed"]
+		}
+		for i, run := range runs {
+			name := run.Sys.Name()
+			if got, want := replayed[name], strconv.Itoa(run.Report.Replayed); got != want {
+				t.Errorf("warm=%v: %s system span replayed = %q, want %s", warm, name, got, want)
+			}
+			var executed []string
+			if !warm {
+				executed = slices.Clone(ws[i].Keys)
+			}
+			got := misconfs[name]
+			slices.Sort(executed)
+			slices.Sort(got)
+			if !slices.Equal(got, executed) {
+				t.Errorf("warm=%v: %s has %d misconf spans for %d executed misconfigurations (replayed %d)",
+					warm, name, len(got), len(executed), run.Report.Replayed)
+			}
 		}
 	}
 }
