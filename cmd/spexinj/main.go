@@ -345,8 +345,11 @@ func run() int {
 			}
 			fmt.Printf("  state: replayed %d/%d, executed %d, fresh sim cost %d (saved %d)\n",
 				rep.Replayed, len(ws[i].Ms), executed, rep.TotalSimCost, rep.ReplayedSimCost)
-			if run.Status.Saved {
+			switch {
+			case run.Status.Saved:
 				fmt.Printf("  state: snapshot saved to %s\n", run.Status.Path)
+			case run.Status.Unchanged:
+				fmt.Printf("  state: snapshot unchanged, left as it was at %s\n", run.Status.Path)
 			}
 		}
 		fmt.Println()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"spex/internal/campaignstore"
 )
@@ -80,20 +82,32 @@ func withoutLines(report string, drop ...string) string {
 	return strings.Join(kept, "\n")
 }
 
-// TestStateReplaysAcrossProcesses: a second spexinj -state process over
-// the first one's store replays every outcome at zero fresh cost, prints
-// the same report apart from its state and cost lines, and its
-// -metrics-out dump records replayed outcomes and no fresh ones.
+// TestStateReplaysAcrossProcesses: a second spexinj -all -state process
+// over the first one's store replays every outcome of the seven systems
+// at zero fresh cost, says that each snapshot was left as it was and
+// leaves every file in the store with its bytes and mtime, prints the
+// same report apart from its state and cost lines, and its -metrics-out
+// dump records replayed outcomes and no fresh ones.
 func TestStateReplaysAcrossProcesses(t *testing.T) {
 	tmp := t.TempDir()
 	state, metrics := filepath.Join(tmp, "state"), filepath.Join(tmp, "metrics.json")
-	first := mustRun(t, "spexinj", "-system", "proxyd", "-state", state)
-	if !strings.Contains(first, "state: full campaign — no snapshot (first run)") {
-		t.Errorf("the first run is not a full first-run campaign:\n%s", first)
+	first := mustRun(t, "spexinj", "-all", "-state", state)
+	if n := strings.Count(first, "state: full campaign — no snapshot (first run)"); n != 7 {
+		t.Errorf("the first run is a full first-run campaign for %d systems, want 7:\n%s", n, first)
 	}
-	second := mustRun(t, "spexinj", "-system", "proxyd", "-state", state, "-metrics-out", metrics)
-	if !replaysInFull(second) {
-		t.Errorf("the second run does not replay in full:\n%s", second)
+	files := readFiles(t, state)
+	second := mustRun(t, "spexinj", "-all", "-state", state, "-metrics-out", metrics)
+	replays := fullReplayRE.FindAllStringSubmatch(second, -1)
+	for _, m := range replays {
+		if m[1] != m[2] {
+			t.Errorf("the second run replayed %s of %s outcomes", m[1], m[2])
+		}
+	}
+	if n := strings.Count(second, "state: snapshot unchanged, left as it was at "); len(replays) != 7 || n != 7 {
+		t.Errorf("the second run replays %d systems at zero fresh cost and leaves %d unchanged, want 7 and 7:\n%s", len(replays), n, second)
+	}
+	if after := readFiles(t, state); !maps.EqualFunc(after, files, fileState.equal) {
+		t.Errorf("the second run changed the store's files")
 	}
 	if a, b := withoutLines(first, "state:", "simulated cost"), withoutLines(second, "state:", "simulated cost"); a != b {
 		t.Errorf("the replayed report differs from the first run's:\n%s\n---\n%s", a, b)
@@ -126,6 +140,36 @@ func TestStateReplaysAcrossProcesses(t *testing.T) {
 	if r, f := value["spex_campaign_outcomes_replayed_total"], value["spex_campaign_outcomes_fresh_total"]; r <= 0 || f != 0 {
 		t.Errorf("replay run recorded %v replayed and %v fresh outcomes, want > 0 and 0", r, f)
 	}
+}
+
+// fileState is a file's bytes and modification time.
+type fileState struct {
+	data []byte
+	mod  time.Time
+}
+
+func (a fileState) equal(b fileState) bool { return bytes.Equal(a.data, b.data) && a.mod.Equal(b.mod) }
+
+// readFiles reads every file in dir by name.
+func readFiles(t *testing.T, dir string) map[string]fileState {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]fileState, len(entries))
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = fileState{data: data, mod: fi.ModTime()}
+	}
+	return files
 }
 
 // TestShardMergeMatchesUnshardedRun: two -shard processes merged by

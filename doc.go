@@ -53,11 +53,7 @@
 // them instead of decoding the constraint set and the embedded
 // misconfiguration; a header that decodes to the workload's own set
 // skips the diff. Bytes that do not match take the full decode, with
-// the same result. The re-save that follows writes those same bytes
-// back: given the workload's Canonical (LockSet.Save), it splices the
-// canonical set into the header and each misconfiguration into its
-// record instead of marshalling them again, and the file holds exactly
-// the bytes a plain save would write.
+// the same result.
 //
 // # Persistent campaign snapshots
 //
@@ -74,8 +70,15 @@
 //
 // Each run loads the snapshot, Diffs a fresh inference against the
 // stored set, re-executes only the delta-selected misconfigurations,
-// and saves the updated snapshot. Loading is fail-safe by construction:
-// the snapshot embeds a schema fingerprint covering the store layout
+// and saves the updated snapshot. A run that changed nothing — its
+// load matched the workload's encodings throughout, and it retested,
+// pruned and executed nothing — writes nothing: the snapshot keeps its
+// bytes and mtime (campaignstore.Status.Unchanged). Only SavedAt and
+// the per-outcome stamps stay older than a save would have made them,
+// and no fingerprint, table or merge depends on them, because an
+// outcome is a function of its replay key. Loading is fail-safe by
+// construction: the snapshot embeds a schema fingerprint covering the
+// store layout
 // version and every encoding the data depends on (env-action kinds,
 // reaction values, constraint kinds), plus the identity of the
 // outcome-affecting campaign options; a missing, corrupt, truncated,
@@ -122,8 +125,8 @@
 //     worker that ran its last fresh misconfiguration), outside any
 //     lock the other workers wait on, and before the progress event
 //     reporting that completion (shard.Progress.Run), so finished
-//     systems are on disk while slower ones still run and a warm
-//     campaign's loads and saves overlap. This scheduler is the only
+//     systems are on disk while slower ones still run and an
+//     incremental campaign's loads and saves overlap. This scheduler is the only
 //     campaign path: it sits under `spexinj -all`, `spexinj -system X`
 //     (the one-workload special case), `spexeval`, and the daemon.
 //

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spex/internal/campaignstore"
 	"spex/internal/conffile"
@@ -442,7 +443,7 @@ func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lk.Set().Save(snap, nil); err != nil {
+	if err := lk.Set().Save(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := lk.Unlock(); err != nil {
@@ -466,6 +467,96 @@ func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
 	}
 	if got := snap.Outcomes[key]; got.Err != "" || got.Reaction != o.Reaction {
 		t.Fatalf("stored outcome after the retest = %+v, want the executed reaction %v with no error", got, o.Reaction)
+	}
+}
+
+// TestCampaignSavesUnlessUnchanged: a run over a stored snapshot still
+// saves when that snapshot is not what a save would write — keys that
+// left the campaign (pruned), a record or a header that does not match
+// the workload's encodings (decoded in full), a missing outcome
+// (executed) — and the rerun after that save finds it unchanged. The
+// saved snapshot is the one a cold campaign of the workload writes.
+func TestCampaignSavesUnlessUnchanged(t *testing.T) {
+	c, q := basicC("p"), rangeC("q", 1)
+	set := mkSet(c, q)
+	ms := misconfs(c, 6)
+	key := inject.CacheKey(ms[0])
+	for _, tc := range []struct {
+		name string
+		// edit changes the stored snapshot or the workload to rerun.
+		edit func(snap *campaignstore.Snapshot, w *shard.Workload)
+		want campaignstore.Status
+	}{
+		{"keys that left the campaign", func(_ *campaignstore.Snapshot, w *shard.Workload) {
+			// As Plan.Apply leaves a shard: the full campaign's encodings.
+			w.Ms, w.Keys = w.Ms[:4], w.Keys[:4]
+		}, campaignstore.Status{Replayed: true, Pruned: 2, Saved: true}},
+		{"a record's misconfiguration", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
+			o := snap.Outcomes[key]
+			o.Misconf.Description = "edited"
+			snap.Outcomes[key] = o
+		}, campaignstore.Status{Replayed: true, FullDecodes: 1, Saved: true}},
+		{"a constraint's location", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
+			moved := *q
+			moved.Loc.Line = 42
+			snap.Constraints = mkSet(c, &moved)
+		}, campaignstore.Status{Replayed: true, FullHeader: true, Saved: true}},
+		{"a missing outcome", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
+			delete(snap.Outcomes, key)
+		}, campaignstore.Status{Replayed: true, Saved: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := openStore(t)
+			w := workload(&storeSystem{}, set, ms)
+			if _, _, err := campaignOf(t, context.Background(), store, w, defaults()); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := store.Load("storefake")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(snap, &w)
+			lk, err := store.Lock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lk.Set().Save(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := lk.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+			for run, want := range []campaignstore.Status{tc.want, {Replayed: true, Unchanged: true}} {
+				_, st, err := campaignOf(t, context.Background(), store, w, defaults())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Path = ""; st != want {
+					t.Fatalf("run %d: status %+v, want %+v", run+1, st, want)
+				}
+			}
+			cold := openStore(t)
+			if _, _, err := campaignOf(t, context.Background(), cold, w, defaults()); err != nil {
+				t.Fatal(err)
+			}
+			var fps [2]string
+			var sets [2][]byte
+			for k, s := range []*campaignstore.Store{store, cold} {
+				snap, err := s.Load("storefake")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fps[k], err = snap.Fingerprint(); err != nil {
+					t.Fatal(err)
+				}
+				if sets[k], err = json.Marshal(snap.Constraints); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fps[0] != fps[1] || !bytes.Equal(sets[0], sets[1]) {
+				t.Errorf("the saved snapshot differs from a cold campaign's: fingerprint %s vs %s, set\n%s\n%s", fps[0], fps[1], sets[0], sets[1])
+			}
+		})
 	}
 }
 
@@ -662,11 +753,10 @@ func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set)
 }
 
 // TestResavesMatchPlainSaves: over the seven targets, after a cold
-// CampaignAll and again after a warm one, every snapshot file holds
-// exactly the bytes a plain save of its loaded snapshot writes (Save
-// without a Canonical, same SavedAt and stamps). The warm campaign
-// saves against the canonical encodings its loads built, and
-// TestSevenTargetResavesSplice shows that those saves splice.
+// CampaignAll every snapshot file holds exactly the bytes a save of its
+// loaded snapshot writes (same SavedAt and stamps), and a warm
+// CampaignAll, which changes nothing, reports every system unchanged
+// and leaves every file's bytes and mtime as the cold one wrote them.
 func TestResavesMatchPlainSaves(t *testing.T) {
 	systems := targets.All()
 	rs, err := spex.InferAll(context.Background(), systems, 2)
@@ -692,6 +782,8 @@ func TestResavesMatchPlainSaves(t *testing.T) {
 		locks[i] = lk.Set()
 	}
 	opts := shard.Options{Workers: 2, Inject: inject.DefaultOptions()}
+	cold := map[string][]byte{}
+	mtimes := map[string]time.Time{}
 	for _, warm := range []bool{false, true} {
 		runs, err := shard.CampaignAll(context.Background(), locks[0], ws, opts)
 		if err != nil {
@@ -699,22 +791,33 @@ func TestResavesMatchPlainSaves(t *testing.T) {
 		}
 		for i, w := range ws {
 			name := w.Sys.Name()
-			if st := runs[i].Status; !st.Saved || st.Replayed != warm || runs[i].Err != nil {
-				t.Fatalf("%s (warm %v): saved %v, replayed %v: %v", name, warm, st.Saved, st.Replayed, runs[i].Err)
+			if st := runs[i].Status; st.Saved == warm || st.Unchanged != warm || st.Replayed != warm || runs[i].Err != nil {
+				t.Fatalf("%s (warm %v): saved %v, unchanged %v, replayed %v: %v", name, warm, st.Saved, st.Unchanged, st.Replayed, runs[i].Err)
 			}
 			got, err := os.ReadFile(store.Path(name))
 			if err != nil {
 				t.Fatal(err)
 			}
+			fi, err := os.Stat(store.Path(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm {
+				if !bytes.Equal(got, cold[name]) || !fi.ModTime().Equal(mtimes[name]) {
+					t.Errorf("%s: the warm campaign rewrote the snapshot (mtime %v, was %v)", name, fi.ModTime(), mtimes[name])
+				}
+				continue
+			}
+			cold[name], mtimes[name] = got, fi.ModTime()
 			snap, err := store.Load(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := locks[1].Save(snap, nil); err != nil {
+			if err := locks[1].Save(snap); err != nil {
 				t.Fatal(err)
 			}
 			if want, err := os.ReadFile(plain.Path(name)); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s (warm %v): the saved file differs from a plain save of its snapshot (%v)", name, warm, err)
+				t.Errorf("%s: the saved file differs from a save of its loaded snapshot (%v)", name, err)
 			}
 		}
 	}

@@ -298,9 +298,9 @@ func (s *Store) snapshotFiles() ([]string, error) {
 }
 
 // save is the write behind LockSet.Save, without the scope check.
-func (s *Store) save(snap *Snapshot, c *Canonical) error {
+func (s *Store) save(snap *Snapshot) error {
 	start := time.Now()
-	if err := s.saveBinary(snap, c); err != nil {
+	if err := s.saveBinary(snap); err != nil {
 		mSaveErrors.Inc()
 		return err
 	}
@@ -312,8 +312,8 @@ func (s *Store) save(snap *Snapshot, c *Canonical) error {
 	return nil
 }
 
-func (s *Store) saveBinary(snap *Snapshot, c *Canonical) error {
-	w, err := s.newStreamWriter(snap, c)
+func (s *Store) saveBinary(snap *Snapshot) error {
+	w, err := s.newStreamWriter(snap)
 	if err != nil {
 		return err
 	}
@@ -718,21 +718,19 @@ func (ls *LockSet) check(system string) error {
 // the records streamed, in the store's memory (see StreamWriter.Close),
 // so the store never re-parses what it has just written.
 //
-// c is the workload's Canonical, as Prepare takes it (nil for none).
-// Once a load has built its encodings, a header whose Constraints is c's
-// own set and a record whose Misconf deep-equals the workload's
-// misconfiguration for its key are written from those bytes instead of
-// being marshalled again; the file holds the same bytes either way. A
-// Canonical no load has built is not built here: the save marshals.
-func (ls *LockSet) Save(snap *Snapshot, c *Canonical) error {
+// Every save marshals the set and each outcome. shard.CampaignAll does
+// not call it for a run that changed nothing it would write
+// (Status.Unchanged).
+func (ls *LockSet) Save(snap *Snapshot) error {
 	if err := ls.check(snap.System); err != nil {
 		return err
 	}
-	return ls.store.save(snap, c)
+	return ls.store.save(snap)
 }
 
 // Status describes how one system's campaign used the store: Prepare's
-// replay decision, and whether shard.CampaignAll saved the result.
+// replay decision, and whether shard.CampaignAll saved the result or
+// found the snapshot unchanged.
 type Status struct {
 	// Replayed reports that a valid snapshot was loaded and the run was
 	// incremental.
@@ -743,6 +741,9 @@ type Status struct {
 	// Retests is the number of misconfigurations the constraint delta
 	// selected for re-execution (0 on a full campaign).
 	Retests int
+	// Pruned is the number of stored outcomes Prepare dropped because
+	// their keys left the campaign or they recorded a harness error.
+	Pruned int
 	// FullHeader and FullDecodes report what of the loaded snapshot
 	// Prepare decoded in full rather than matching it against the
 	// workload's Canonical: the header's constraint set, and the number
@@ -752,6 +753,10 @@ type Status struct {
 	FullDecodes int
 	// Saved reports that the updated snapshot was written back.
 	Saved bool
+	// Unchanged reports that the run would have saved the same set,
+	// options and outcomes it loaded, so the snapshot was left as it
+	// was: same bytes and mtime, with its older SavedAt and stamps.
+	Unchanged bool
 	// Path is the snapshot file the run loaded from / saved to.
 	Path string
 }
@@ -761,11 +766,12 @@ type Status struct {
 // outcome-affecting options (OptionsID) it Diffs the stored constraint
 // set against set (the fresh inference) and returns the decoded
 // snapshot's own outcome map, with the delta-selected retests, stale
-// keys and harness errors deleted in place, and its per-key freshness
-// stamps. On a missing, invalid or options-mismatched snapshot both
-// maps are nil and Status.Fallback says why. This is the one copy of
-// the snapshot-replay policy; its caller is shard.CampaignAll, which
-// replays the returned outcomes and saves the updated snapshot.
+// keys and harness errors deleted in place (counted in Status.Retests
+// and Status.Pruned), and its per-key freshness stamps. On a missing,
+// invalid or options-mismatched snapshot both maps are nil and
+// Status.Fallback says why. This is the one copy of the snapshot-replay
+// policy; its caller is shard.CampaignAll, which replays the returned
+// outcomes and saves the updated snapshot unless nothing changed.
 // keys[i] is ms[i]'s replay identity (inject.CacheKey).
 //
 // c, the workload's Canonical (nil for none), makes the load cheap
@@ -828,6 +834,7 @@ func (s *Store) Prepare(system string, set *constraint.Set, ms []confgen.Misconf
 	for k, o := range snap.Outcomes {
 		if !current[k] || o.Err != "" {
 			delete(snap.Outcomes, k)
+			st.Pruned++
 		}
 	}
 	mPrepareRetests.Add(uint64(st.Retests))

@@ -3,9 +3,7 @@ package campaignstore
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"sync"
-	"sync/atomic"
 
 	"spex/internal/confgen"
 	"spex/internal/constraint"
@@ -20,26 +18,22 @@ import (
 // sync.Once, so a caller that never loads a snapshot for the workload
 // never pays for them; the value is read-only after that.
 //
-// The codec uses them both ways (codec.go). Store.Prepare decodes
-// against them: a header whose last member is the canonical constraint
-// set decodes only the members before it, and a record whose payload
-// opens with its key's canonical misconfiguration decodes only the
-// members after it. Only the bytes select that path, and it returns what
-// the plain decoder would: build indexes only encodings that decode back
-// to the value they were encoded from. A save given the Canonical
-// (LockSet.Save) writes those same bytes back, spliced, instead of
-// marshalling the set and every misconfiguration again, but only once a
-// load has built them: a save never builds them itself.
+// Store.Prepare decodes against them (codec.go): a header whose last
+// member is the canonical constraint set decodes only the members
+// before it, and a record whose payload opens with its key's canonical
+// misconfiguration decodes only the members after it. Only the bytes
+// select that path, and it returns what the plain decoder would: build
+// indexes only encodings that decode back to the value they were
+// encoded from. Saves never use them: a run whose load matched all of
+// them and changed nothing does not save (shard.CampaignAll), so every
+// save marshals.
 type Canonical struct {
 	set  *constraint.Set
 	ms   []confgen.Misconf
 	keys []string
 
-	// once guards build, which fills the fields below and then sets
-	// built, so a save can tell that they are there without building
-	// them.
-	once  sync.Once
-	built atomic.Bool
+	// once guards build, which fills the fields below.
+	once sync.Once
 	// setJSON is json.Marshal(set), or nil when a decode of those bytes
 	// would not yield set's constraints.
 	setJSON []byte
@@ -61,7 +55,7 @@ func NewCanonical(set *constraint.Set, ms []confgen.Misconf, keys []string) *Can
 }
 
 // build encodes the workload once. A misconfiguration missing from the
-// index just takes the plain decode and the plain encode.
+// index just takes the plain decode.
 func (c *Canonical) build() {
 	c.once.Do(func() {
 		c.setFP = c.set.Fingerprint()
@@ -76,7 +70,6 @@ func (c *Canonical) build() {
 				c.byKey[c.keys[i]] = canonMisconf{json: b, i: i}
 			}
 		}
-		c.built.Store(true)
 	})
 }
 
@@ -192,65 +185,4 @@ func (c *Canonical) decodeOutcome(key string, payload []byte, out *inject.Outcom
 	*out = t.Outcome
 	out.Misconf = c.ms[cm.i]
 	return true
-}
-
-// encodings returns c once a load has built its encodings, else nil, so
-// a save never builds them.
-func (c *Canonical) encodings() *Canonical {
-	if c == nil || !c.built.Load() {
-		return nil
-	}
-	return c
-}
-
-// nullConstraints closes a header marshalled without its constraint set.
-var nullConstraints = []byte(`,"constraints":null}`)
-
-// encodeHeader is decodeHeader's inverse: when set is c's own set, the
-// json.Marshal bytes of h (whose Constraints is nil) with set as its
-// constraints, written as the members before the set followed by the
-// canonical set bytes. It returns nil, for the caller's plain encode,
-// for any other set.
-func (c *Canonical) encodeHeader(h snapshotHeader, set *constraint.Set) []byte {
-	if c == nil || set != c.set || c.setJSON == nil {
-		return nil
-	}
-	head, err := json.Marshal(h)
-	if err != nil || !bytes.HasSuffix(head, nullConstraints) {
-		return nil
-	}
-	head = head[:len(head)-len("null}")]
-	return append(append(head, c.setJSON...), '}')
-}
-
-// zeroMisconfHead opens the json.Marshal bytes of an outcome whose
-// misconfiguration is the zero value.
-var zeroMisconfHead = func() []byte {
-	b, err := json.Marshal(confgen.Misconf{})
-	if err != nil {
-		panic(err)
-	}
-	return append(append([]byte(nil), misconfPrefix...), b...)
-}()
-
-// encodeOutcome is decodeOutcome's inverse: when out's misconfiguration
-// deep-equals the workload's for key, json.Marshal(out) is misconfPrefix,
-// then the returned canonical misconfiguration bytes, then the returned
-// tail of the members after it. ok is false, for the caller's plain
-// encode, for any other outcome.
-func (c *Canonical) encodeOutcome(key string, out *inject.Outcome) (misconf, tail []byte, ok bool) {
-	if c == nil {
-		return nil, nil, false
-	}
-	cm, found := c.byKey[key]
-	if !found || !reflect.DeepEqual(&out.Misconf, &c.ms[cm.i]) {
-		return nil, nil, false
-	}
-	rest := *out
-	rest.Misconf = confgen.Misconf{}
-	b, err := json.Marshal(rest)
-	if err != nil || !bytes.HasPrefix(b, zeroMisconfHead) {
-		return nil, nil, false
-	}
-	return cm.json, b[len(zeroMisconfHead):], true
 }

@@ -39,14 +39,13 @@ func benchSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// encodeBinary streams the snapshot through the container codec against
-// c (nil: the plain encode), every record stamped SavedAt, and returns
-// the bytes and the fingerprint.
-func encodeBinary(snap *Snapshot, c *Canonical) ([]byte, string, error) {
+// encodeBinary streams the snapshot through the container codec, every
+// record stamped SavedAt.
+func encodeBinary(snap *Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
-	enc, err := newSnapshotEncoder(&buf, snap, c)
+	enc, err := newSnapshotEncoder(&buf, snap)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	keys := make([]string, 0, len(snap.Outcomes))
 	for k := range snap.Outcomes {
@@ -55,14 +54,13 @@ func encodeBinary(snap *Snapshot, c *Canonical) ([]byte, string, error) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if err := enc.Add(k, snap.SavedAt, snap.Outcomes[k]); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	fp, err := enc.Finish()
-	if err != nil {
-		return nil, "", err
+	if _, err := enc.Finish(); err != nil {
+		return nil, err
 	}
-	return buf.Bytes(), fp, nil
+	return buf.Bytes(), nil
 }
 
 // BenchmarkSnapshotCodec measures the binary container's encode and
@@ -71,7 +69,7 @@ func encodeBinary(snap *Snapshot, c *Canonical) ([]byte, string, error) {
 func BenchmarkSnapshotCodec(b *testing.B) {
 	snap := benchSnapshot(5000)
 
-	bin, _, err := encodeBinary(snap, nil)
+	bin, err := encodeBinary(snap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	b.Run("encode/binary", func(b *testing.B) {
 		b.SetBytes(int64(len(bin)))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := encodeBinary(snap, nil); err != nil {
+			if _, err := encodeBinary(snap); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -114,7 +112,7 @@ func sevenTargetStore(b *testing.B) (*Store, int) {
 	}
 	defer lock.Unlock()
 	for _, r := range rs {
-		if err := lock.Set().Save(New(r.System, r.Set, inject.DefaultOptions(), fixtureOutcomes(b, 50)), nil); err != nil {
+		if err := lock.Set().Save(New(r.System, r.Set, inject.DefaultOptions(), fixtureOutcomes(b, 50))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.save(snap, nil); err != nil {
+	if err := store.save(snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func TestCorruptBinarySnapshotRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := mkSet(basicC("p"))
-	if err := store.save(New("storefake", set, inject.DefaultOptions(), fixtureOutcomes(t, 12)), nil); err != nil {
+	if err := store.save(New("storefake", set, inject.DefaultOptions(), fixtureOutcomes(t, 12))); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(store.Path("storefake"))
@@ -159,7 +159,7 @@ func TestCorruptLengthPrefixDoesNotAllocate(t *testing.T) {
 // It must return an error or a snapshot that survives an encode/decode
 // round trip with its fingerprint unchanged — and never panic.
 func FuzzDecodeSnapshot(f *testing.F) {
-	valid, _, err := encodeBinary(New("storefake", mkSet(basicC("p"), rangeC("q", 1)), inject.DefaultOptions(), fixtureOutcomes(f, 4)), nil)
+	valid, err := encodeBinary(New("storefake", mkSet(basicC("p"), rangeC("q", 1)), inject.DefaultOptions(), fixtureOutcomes(f, 4)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := encodeBinary(snap, nil)
+		again, err := encodeBinary(snap)
 		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot: %v", err)
 		}

@@ -51,7 +51,7 @@ func TestLoadIndexSidecar(t *testing.T) {
 		d2: {Misconf: ms[1], Reaction: inject.ReactionTolerated},
 	} {
 		locked(dir, func(ls *campaignstore.LockSet) error {
-			return ls.Save(campaignstore.New("storefake", set, opts, map[string]inject.Outcome{inject.CacheKey(o.Misconf): o}), nil)
+			return ls.Save(campaignstore.New("storefake", set, opts, map[string]inject.Outcome{inject.CacheKey(o.Misconf): o}))
 		})
 	}
 

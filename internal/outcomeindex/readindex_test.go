@@ -30,7 +30,7 @@ func snapshotFile(f *testing.F, system string, outcomes map[string]inject.Outcom
 	if err != nil {
 		f.Fatal(err)
 	}
-	err = lk.Set().Save(campaignstore.New(system, constraint.NewSet(system), inject.DefaultOptions(), outcomes), nil)
+	err = lk.Set().Save(campaignstore.New(system, constraint.NewSet(system), inject.DefaultOptions(), outcomes))
 	if uerr := lk.Unlock(); uerr != nil {
 		f.Fatal(uerr)
 	}

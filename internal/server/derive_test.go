@@ -66,9 +66,9 @@ func TestConcurrentJobsShareDerivation(t *testing.T) {
 }
 
 // TestWarmJobKeepsTablesCache: the tables cache is keyed by the
-// combined fingerprint ETag, and a warm job re-saves identical
-// fingerprints, so the first table read after it is a cache hit, not a
-// rebuild.
+// combined fingerprint ETag, and a warm job leaves every snapshot and
+// its fingerprint as they were, so the first table read after it is a
+// cache hit, not a rebuild.
 func TestWarmJobKeepsTablesCache(t *testing.T) {
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir(), Workers: 2})
 	run := func() {
@@ -82,7 +82,7 @@ func TestWarmJobKeepsTablesCache(t *testing.T) {
 	if err := checkTable(ts.URL+"/v1", 5); err != nil {
 		t.Fatal(err)
 	}
-	run() // warm: every outcome replays and every system is re-saved
+	run() // warm: every outcome replays and every system is unchanged
 	hits, rebuilds := counter(t, ts.URL, "spex_server_tables_cache_hits_total"), counter(t, ts.URL, "spex_server_tables_cache_rebuilds_total")
 	if err := checkTable(ts.URL+"/v1", 5); err != nil {
 		t.Fatal(err)
@@ -96,8 +96,9 @@ func TestWarmJobKeepsTablesCache(t *testing.T) {
 }
 
 // TestWarmJobReadsNoIndexFromDisk: a job's saves leave each system's
-// outcome index in the store's memory, so neither the job's own eval
-// nor the table read after it loads an index from disk.
+// outcome index in the store's memory, and a warm job leaves every
+// snapshot as it was, so neither its eval nor the table read after it
+// loads an index from disk.
 func TestWarmJobReadsNoIndexFromDisk(t *testing.T) {
 	_, ts := daemon(t, server.Config{StateDir: t.TempDir(), Workers: 2})
 	run := func() {
@@ -109,7 +110,7 @@ func TestWarmJobReadsNoIndexFromDisk(t *testing.T) {
 	}
 	run()
 	rebuilds := counter(t, ts.URL, "spex_server_index_cache_rebuilds_total")
-	run() // warm: every system is re-saved
+	run() // warm: every system is unchanged
 	if err := checkTable(ts.URL+"/v1", 5); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,10 @@
 //	GET    /v1/systems               systems with snapshots in the store
 //	GET    /v1/systems/{name}/outcomes   one system's recorded outcomes
 //	                                 (?limit/?offset paging, 1000 per
-//	                                 page by default, 10000 max)
+//	                                 page by default, 10000 max);
+//	                                 saved_at is when the snapshot last
+//	                                 changed: a job that changes nothing
+//	                                 leaves it as it was
 //	GET    /v1/tables/{n}            evaluation table n (json or text —
 //	                                 text is byte-identical to spexeval)
 //	GET    /v1/query                 cross-system misconfiguration query
@@ -73,7 +76,8 @@
 // eval. stages: [infer, inject, eval] names the stages to run and
 // streams each system's transitions as "stage" events; a system's
 // inject and eval finish at its completion event, after its snapshot
-// is saved, so a fast system evaluates while a slow one still injects.
+// is saved or found unchanged, so a fast system evaluates while a slow
+// one still injects.
 // Per-namespace quotas bound
 // concurrency (Config.MaxConcurrentJobs) and queue depth
 // (Config.MaxQueuedJobs). Every job is journaled durably under
@@ -859,10 +863,11 @@ type coordStats struct{ steals, spawns, retries int }
 // publishes no stage events; a staged job runs and reports exactly its
 // listed stages. Each system's inject step ends at its completion
 // event, which CampaignAll delivers after the goroutine that resolved
-// the system's last outcome saved it, so a small system is evaluated
-// while a big one still injects and `workers` bounds the whole job; a
-// job without the eval stage reads the saved systems' fingerprints
-// after the campaign. Every progress event goes, throttled, onto the
+// the system's last outcome saved it or found it unchanged, so a small
+// system is evaluated while a big one still injects and `workers`
+// bounds the whole job; a job without the eval stage reads the
+// fingerprints of the systems saved or found unchanged after the
+// campaign. Every progress event goes, throttled, onto the
 // bus; the campaign opens its own spans under the job span ctx carries.
 func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec JobSpec, locks *campaignstore.LockSet) ([]SystemSummary, coordStats, error) {
 	systems, err := resolveSystems(spec)
@@ -914,9 +919,10 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 		}
 	}
 	// eval reads a system's outcome index into its summary — a stat and
-	// the index the store kept when it saved the system, never a
-	// snapshot parse: the fingerprint for every job, and as the eval
-	// stage the stored tallies.
+	// the index the store kept when it saved or last read the system
+	// (only a daemon's first read of a snapshot it never saved parses
+	// it): the fingerprint for every job, and as the eval stage the
+	// stored tallies.
 	eval := func(i int) error {
 		name := systems[i].Name()
 		emit(name, StageEval, "running", "")
@@ -1032,7 +1038,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 			// Read after the campaign, so no index is held in memory while
 			// other systems still run.
 			for i := range runs {
-				if runs[i].Status.Saved {
+				if st := runs[i].Status; st.Saved || st.Unchanged {
 					record(eval(i))
 				}
 			}

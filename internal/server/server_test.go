@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -292,7 +294,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 				}
 			}
 			if mode.name == "plain" {
-				checkPlainJob(t, ts.URL, final, sse.wait(t))
+				checkPlainJob(t, ts.URL, dir, final, sse.wait(t))
 			}
 		})
 	}
@@ -300,8 +302,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 // checkPlainJob runs the plain end-to-end job's remaining checks: its
 // summaries and SSE stream, table ETags and JSON, outcome serving, and
-// a zero-fresh-cost replay job over the same store.
-func checkPlainJob(t *testing.T, base string, final server.Job, events []dash.Event) {
+// a zero-fresh-cost replay job over the same store in dir, which leaves
+// the snapshot as it was.
+func checkPlainJob(t *testing.T, base, dir string, final server.Job, events []dash.Event) {
 	t.Helper()
 	fingerprints := map[string]string{}
 	for _, sum := range final.Systems {
@@ -398,8 +401,23 @@ func checkPlainJob(t *testing.T, base string, final server.Job, events []dash.Ev
 	}
 
 	// A second job over the same store must replay everything at zero
-	// fresh cost and land on the same fingerprint — the daemon is the
-	// incremental pipeline behind an API.
+	// fresh cost, leave the snapshot's bytes and mtime as they were and
+	// land on the same fingerprint — the daemon is the incremental
+	// pipeline behind an API.
+	snapPath := filepath.Join(dir, "proxyd.campaign.snap")
+	readSnap := func() ([]byte, time.Time) {
+		t.Helper()
+		fi, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, fi.ModTime()
+	}
+	coldData, coldMod := readSnap()
 	doc2 := postJob(t, base, `{"systems": ["proxyd"], "workers": 4}`)
 	final2 := waitTerminal(t, base, doc2.ID, time.Minute)
 	if final2.State != server.StateDone || len(final2.Systems) != 1 {
@@ -411,6 +429,9 @@ func checkPlainJob(t *testing.T, base string, final server.Job, events []dash.Ev
 	}
 	if sum.Fingerprint != fingerprints["proxyd"] {
 		t.Errorf("replay fingerprint %s != original %s", sum.Fingerprint, fingerprints["proxyd"])
+	}
+	if data, mod := readSnap(); !bytes.Equal(data, coldData) || !mod.Equal(coldMod) {
+		t.Errorf("the replay job rewrote proxyd's snapshot (mtime %v, was %v)", mod, coldMod)
 	}
 }
 
@@ -866,7 +887,7 @@ func TestStaleSnapshotReadsConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = lock.Set().Save(campaignstore.New("ldapd", constraint.NewSet("ldapd"), inject.DefaultOptions(), nil), nil)
+	err = lock.Set().Save(campaignstore.New("ldapd", constraint.NewSet("ldapd"), inject.DefaultOptions(), nil))
 	lock.Unlock()
 	if err != nil {
 		t.Fatal(err)

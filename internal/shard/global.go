@@ -40,8 +40,8 @@ type Workload struct {
 	// campaign's Ms and Keys. BuildWorkloads fills it and Plan.Apply
 	// keeps it, because its lookups are by replay key. A store-backed
 	// run decodes its snapshot against it (which builds its encodings on
-	// first use) and, once it has loaded one, saves against it too;
-	// without it the load and the save take the plain codec.
+	// first use); without it the load takes the plain decode, and the
+	// run always saves (Status.FullHeader).
 	Canon *campaignstore.Canonical
 	// Keep lists replay keys outside Ms that a store-backed run
 	// (CampaignAll) must carry through its snapshot save instead of
@@ -141,9 +141,9 @@ type Progress struct {
 	// Run is set on a system's completion event only (SystemDone reaches
 	// SystemTotal): the finished system's report, store status and save
 	// error. The goroutine that resolved the system's last outcome
-	// assembles and saves it before delivering that event, so a consumer
-	// can read the system back from the store. Not part of the wire
-	// form.
+	// assembles it and has it saved, or found unchanged, before
+	// delivering that event, so a consumer can read the system back from
+	// the store. Not part of the wire form.
 	Run *SystemRun `json:"-"`
 }
 
@@ -156,8 +156,9 @@ type Options struct {
 	// OnProgress, if set, streams every completed outcome, replayed or
 	// executed. CampaignAll serializes the calls with its own mutex, and
 	// Done and SystemDone count them in delivery order. A system's
-	// completion event comes after that system is finished and saved
-	// (Progress.Run); the save itself runs outside the mutex.
+	// completion event comes after that system is finished and saved, or
+	// found unchanged (Progress.Run); the save itself runs outside the
+	// mutex.
 	OnProgress func(Progress)
 	// Gate, if set, is consulted immediately before a misconfiguration
 	// executes (replays bypass it — a replay costs nothing and is
@@ -203,10 +204,11 @@ type SystemRun struct {
 // fresh misconfiguration. Finishing reassembles the report through
 // inject.Assemble in input order — identical to a standalone
 // inject.RunContext over the same workload, so going global changes
-// utilization, never results — and saves the snapshot, outside any
-// lock the other workers wait on. Only then is the progress event
-// reporting that completion delivered. A small system is therefore on
-// disk while larger ones still run. Runs come back index-aligned with ws.
+// utilization, never results — and saves the snapshot unless it is
+// unchanged, outside any lock the other workers wait on. Only then is
+// the progress event reporting that completion delivered. A small
+// system is therefore on disk while larger ones still run. Runs come
+// back index-aligned with ws.
 //
 // With a store, each workload runs a load → diff → retest-delta → save
 // lifecycle: campaignstore.Store.Prepare loads the system's snapshot,
@@ -216,10 +218,13 @@ type SystemRun struct {
 // stamped at save time, plus the stored outcomes of Workload.Keep keys
 // outside Ms with their stored stamps. It is saved even after
 // cancellation, so the next run resumes with exactly the unfinished
-// misconfigurations. A workload whose prepare loaded its snapshot saves
-// against Workload.Canon, whose encodings that load built, so its set
-// and misconfigurations are spliced rather than marshalled again; a
-// cold workload saves without it and builds nothing. The store is
+// misconfigurations. A workload whose save would write what its prepare
+// loaded is not saved (Status.Unchanged): the snapshot loaded, its
+// header and every record matched Workload.Canon, Prepare retested and
+// pruned nothing, and nothing executed. Such a save would write the
+// same set, options and outcomes; only SavedAt and the stamps would
+// move, and no fingerprint, table or merge result depends on them,
+// because an outcome is a function of its replay key. The store is
 // addressed through the write capability a held campaignstore writer
 // lock mints (Lock.Set), the only way to save, so a caller must have
 // acquired the state directory's lock before it can even name this
@@ -264,8 +269,9 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	}
 
 	// finish completes workload i from its resolved results: it
-	// assembles the report, saves the snapshot and ends the system span,
-	// cancelled if ctx cut any of its misconfigurations short.
+	// assembles the report, saves the snapshot unless it is unchanged
+	// and ends the system span, cancelled if ctx cut any of its
+	// misconfigurations short.
 	finish := func(i int) {
 		w := &ws[i]
 		rep := inject.Assemble(w.Sys.Name(), w.Ms, results[i], replayed[i])
@@ -282,6 +288,12 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 			}
 		}()
 		if locks == nil {
+			return
+		}
+		if st := &runs[i].Status; st.Replayed && !st.FullHeader && st.FullDecodes == 0 &&
+			st.Retests == 0 && st.Pruned == 0 && len(fresh[i]) == 0 {
+			st.Unchanged = true
+			stored[i], stamps[i] = nil, nil
 			return
 		}
 		outcomes := make(map[string]inject.Outcome, max(len(w.Ms), len(stored[i])))
@@ -307,12 +319,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 			}
 		}
 		stored[i], stamps[i] = nil, nil
-		// Only a loaded snapshot built the workload's encodings.
-		var canon *campaignstore.Canonical
-		if runs[i].Status.Replayed {
-			canon = w.Canon
-		}
-		if err := locks.Save(snap, canon); err != nil {
+		if err := locks.Save(snap); err != nil {
 			runs[i].Err = err
 			return
 		}

@@ -35,7 +35,7 @@ func saveLocked(t testing.TB, store *campaignstore.Store, snap *campaignstore.Sn
 			t.Error(uerr)
 		}
 	}()
-	return lk.Set().Save(snap, nil)
+	return lk.Set().Save(snap)
 }
 
 // mergeInto opens and locks the destination directory, then folds the

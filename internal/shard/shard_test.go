@@ -311,7 +311,9 @@ func TestCampaignAllSavesEachSystemAtCompletion(t *testing.T) {
 	}
 
 	// Warm: both systems replay in full, and each is re-saved by its
-	// own pipeline before its completion event arrives.
+	// own pipeline before its completion event arrives (these workloads
+	// carry no Canon, so their loads take the full decode and they never
+	// count as unchanged).
 	start := time.Now()
 	completions := 0
 	opts = Options{Workers: 2, Inject: inject.DefaultOptions(), OnProgress: func(p Progress) {
