@@ -135,14 +135,14 @@ func run() int {
 		pprof      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (operator profiling surface)")
 		maxJobs    = flag.Int("max-jobs", 0, "max concurrently running jobs per namespace (0 = 4)")
 		maxQueue   = flag.Int("max-queued", 0, "max queued jobs per namespace before submits answer 503 (0 = 256)")
-		metricsOut = flag.String("metrics-out", "", "on graceful shutdown, dump the process metrics registry as JSON to this file (server, engine, store, and dashboard bus series)")
+		metricsOut = flag.String("metrics-out", "", "on graceful shutdown, dump the process metrics registry to this file in the Prometheus text format GET /metrics serves (server, engine, store, and dashboard bus series)")
 	)
 	flag.Parse()
 	defer func() {
 		if *metricsOut == "" {
 			return
 		}
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := obs.Default().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "spexd: metrics-out: %v\n", err)
 		}
 	}()

@@ -63,14 +63,14 @@ func run() int {
 		progress   = flag.Bool("progress", false, "render campaign progress to stderr (per-system bars on a terminal)")
 		state      = flag.String("state", "", "state directory for persistent incremental campaigns (snapshots replay across runs)")
 		index      = flag.Bool("index", false, "render tables and figures from the store's outcome indexes without replaying snapshots — read-only: takes no writer lock, runs no campaign (requires -state)")
-		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry as JSON to this file (engine, store, and scheduler series)")
+		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry to this file in the Prometheus text format GET /metrics serves (engine, store, and scheduler series)")
 	)
 	flag.Parse()
 	defer func() {
 		if *metricsOut == "" {
 			return
 		}
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := obs.Default().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "spexeval: metrics-out: %v\n", err)
 		}
 	}()

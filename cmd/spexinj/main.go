@@ -158,14 +158,14 @@ func run() int {
 		leaseFlag  = flag.String("lease", "", "worker mode: execute the key set leased in this file (requires -state; normally set by -coordinate)")
 		simDelay   = flag.Duration("sim-delay", 0, "realize each simulated cost unit as this much wall time (scheduling knob for demos and skew experiments; 0 = full speed)")
 		skew       = flag.Int("skew", 1, "coordinator: multiply -sim-delay by this factor for worker 1, modeling a slow machine (demo/CI knob)")
-		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry as JSON to this file (engine, store, scheduler, and coordinator series)")
+		metricsOut = flag.String("metrics-out", "", "on exit, dump the process metrics registry to this file in the Prometheus text format GET /metrics serves (engine, store, scheduler, and coordinator series)")
 	)
 	flag.Parse()
 	defer func() {
 		if *metricsOut == "" {
 			return
 		}
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := obs.Default().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "spexinj: metrics-out: %v\n", err)
 		}
 	}()
@@ -464,15 +464,15 @@ func runCoordinator(ctx context.Context, ws []shard.Workload, opts inject.Option
 				clog.Info(fmt.Sprintf("worker %d launched on %d keys", e.Worker, e.Keys),
 					"worker", e.Worker, "keys", e.Keys)
 			case "exit":
-				if e.Err != nil {
-					clog.Warn(fmt.Sprintf("worker %d exited: %v", e.Worker, e.Err),
-						"worker", e.Worker, "err", e.Err)
+				if e.Error != "" {
+					clog.Warn(fmt.Sprintf("worker %d exited: %s", e.Worker, e.Error),
+						"worker", e.Worker, "err", e.Error)
 				} else {
 					clog.Info(fmt.Sprintf("worker %d drained", e.Worker), "worker", e.Worker)
 				}
 			case "retry":
-				clog.Warn(fmt.Sprintf("respawning worker %d after failure (attempt %d): %v", e.Worker, e.Attempt, e.Err),
-					"worker", e.Worker, "attempt", e.Attempt, "err", e.Err)
+				clog.Warn(fmt.Sprintf("respawning worker %d after failure (attempt %d): %s", e.Worker, e.Attempt, e.Error),
+					"worker", e.Worker, "attempt", e.Attempt, "err", e.Error)
 			case "steal":
 				clog.Info(fmt.Sprintf("worker %d stole %d keys from laggard worker %d", e.Worker, e.Keys, e.From),
 					"worker", e.Worker, "from", e.From, "keys", e.Keys)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +90,7 @@ func withoutLines(report string, drop ...string) string {
 // dump records replayed outcomes and no fresh ones.
 func TestStateReplaysAcrossProcesses(t *testing.T) {
 	tmp := t.TempDir()
-	state, metrics := filepath.Join(tmp, "state"), filepath.Join(tmp, "metrics.json")
+	state, metrics := filepath.Join(tmp, "state"), filepath.Join(tmp, "metrics.txt")
 	first := mustRun(t, "spexinj", "-all", "-state", state)
 	if n := strings.Count(first, "state: full campaign — no snapshot (first run)"); n != 7 {
 		t.Errorf("the first run is a full first-run campaign for %d systems, want 7:\n%s", n, first)
@@ -117,19 +117,14 @@ func TestStateReplaysAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fams []struct {
-		Name   string `json:"name"`
-		Series []struct {
-			Value float64 `json:"value"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(data, &fams); err != nil {
-		t.Fatal(err)
-	}
 	value := map[string]float64{}
-	for _, f := range fams {
-		if len(f.Series) > 0 {
-			value[f.Name] = f.Series[0].Value
+	for _, line := range strings.Split(string(data), "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if f, err := strconv.ParseFloat(v, 64); err == nil {
+			value[name] = f
 		}
 	}
 	for _, name := range []string{"spex_store_loads_total", "spex_campaign_outcomes_replayed_total", "spex_campaign_outcomes_fresh_total"} {

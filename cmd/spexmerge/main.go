@@ -41,13 +41,13 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	out := flag.String("out", "", "destination state directory for the merged store (required)")
-	metricsOut := flag.String("metrics-out", "", "on exit, dump the process metrics registry as JSON to this file (store and merge series)")
+	metricsOut := flag.String("metrics-out", "", "on exit, dump the process metrics registry to this file in the Prometheus text format GET /metrics serves (store and merge series)")
 	flag.Parse()
 	defer func() {
 		if *metricsOut == "" {
 			return
 		}
-		if err := obs.Default().WriteJSONFile(*metricsOut); err != nil {
+		if err := obs.Default().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "spexmerge: metrics-out: %v\n", err)
 		}
 	}()

@@ -406,17 +406,17 @@
 // lag, the sim monitor every boot by reaction kind, and the daemon
 // its per-endpoint HTTP latency, ETag revalidation traffic, and job
 // lifecycle. spexd serves the registry at GET /metrics in Prometheus
-// text format (plus net/http/pprof behind -pprof), and the CLIs dump
-// it with -metrics-out <file> as JSON. Each spexd job also has a span
-// tree whose spans ride the context (obs.Start): the daemon opens the
-// job span, shard.CampaignAll a system span per workload (prepare
-// through save, replays counted on it) and a misconf span per executed
-// misconfiguration, and coord.Run a worker span per spawn and a steal
-// span per rebalance. The tree is journaled beside the job document
-// and served at GET /v1/jobs/{id}/trace as JSON or indented text.
-// Metric families register exactly once, at package level, under
-// package-level name constants; the spexlint obsmetric analyzer
-// enforces that discipline statically.
+// text format (plus net/http/pprof behind -pprof), and the CLIs'
+// -metrics-out <file> writes the same text at exit. Each spexd job
+// also has a span tree whose spans ride the context (obs.Start): the
+// daemon opens the job span, shard.CampaignAll a system span per
+// workload (prepare through save, replays counted on it) and a misconf
+// span per executed misconfiguration, and coord.Run a worker span per
+// spawn and a steal span per rebalance. The tree is journaled beside
+// the job document and served at GET /v1/jobs/{id}/trace as JSON or
+// indented text. Metric families register exactly once, at package
+// level, under package-level name constants; the spexlint obsmetric
+// analyzer enforces that discipline statically.
 //
 // # Dashboard and event bus
 //

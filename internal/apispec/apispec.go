@@ -67,15 +67,9 @@ func New() *DB {
 	return db
 }
 
-// NewEmpty returns a DB with no entries (used in tests).
-func NewEmpty() *DB { return &DB{funcs: make(map[string]*FuncSpec)} }
-
 // Register adds or replaces a function spec. This is the "import your own
 // library APIs" hook the paper provides for proprietary code.
 func (db *DB) Register(f *FuncSpec) { db.funcs[f.Name] = f }
-
-// Len returns the number of registered specs.
-func (db *DB) Len() int { return len(db.funcs) }
 
 // Lookup resolves a call name to a spec. For dotted names the full name is
 // tried first, then the "Recv.Method" suffix, then the bare method name.
@@ -163,23 +157,6 @@ var builtins = []FuncSpec{
 // multiplier found on the data-flow path (time.Duration(x)*time.Second =>
 // seconds, *time.Millisecond => milliseconds, ...).
 const UnitOfDuration = constraint.Unit("duration")
-
-// DurationUnit maps a time-constant name to its unit.
-func DurationUnit(constName string) (constraint.Unit, bool) {
-	switch constName {
-	case "time.Microsecond":
-		return constraint.UnitMicrosecond, true
-	case "time.Millisecond":
-		return constraint.UnitMillisecond, true
-	case "time.Second":
-		return constraint.UnitSecond, true
-	case "time.Minute":
-		return constraint.UnitMinute, true
-	case "time.Hour":
-		return constraint.UnitHour, true
-	}
-	return constraint.UnitNone, false
-}
 
 // SizeUnit maps a byte multiplier to the input unit: a parameter multiplied
 // by 1024 before reaching a byte-unit API is configured in KB (paper

@@ -38,10 +38,7 @@ func TestLookupBareHelper(t *testing.T) {
 }
 
 func TestRegisterOverride(t *testing.T) {
-	db := NewEmpty()
-	if db.Len() != 0 {
-		t.Fatal("NewEmpty not empty")
-	}
+	db := &DB{funcs: map[string]*FuncSpec{}}
 	db.Register(&FuncSpec{Name: "validateInitiator",
 		Args: []ArgSpec{{Index: 0, Semantic: constraint.SemInitiator}}})
 	spec, ok := db.Lookup("validateInitiator")
@@ -60,25 +57,6 @@ func TestArgAtMiss(t *testing.T) {
 	}
 	if a, ok := spec.ArgAt(1); !ok || a.Semantic != constraint.SemPort {
 		t.Error("ArgAt(1) should hit")
-	}
-}
-
-func TestDurationUnit(t *testing.T) {
-	cases := map[string]constraint.Unit{
-		"time.Microsecond": constraint.UnitMicrosecond,
-		"time.Millisecond": constraint.UnitMillisecond,
-		"time.Second":      constraint.UnitSecond,
-		"time.Minute":      constraint.UnitMinute,
-		"time.Hour":        constraint.UnitHour,
-	}
-	for name, want := range cases {
-		got, ok := DurationUnit(name)
-		if !ok || got != want {
-			t.Errorf("DurationUnit(%s) = %s,%v", name, got, ok)
-		}
-	}
-	if _, ok := DurationUnit("time.Nanosecond"); ok {
-		t.Error("nanosecond should not map")
 	}
 }
 

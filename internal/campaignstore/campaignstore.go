@@ -470,7 +470,7 @@ func LockPath(dir string) string { return filepath.Join(dir, lockName) }
 // the mtime age is the only staleness signal; on the same host a dead
 // PID is stale immediately. Long campaigns are safe at any duration:
 // the refresh keeps a live holder's lock fresh forever.
-var LockStaleAfter = 4 * time.Hour
+const LockStaleAfter = 4 * time.Hour
 
 // lockInfo is the lock file's JSON payload, enough to decide staleness
 // and to name the holder in the conflict error.

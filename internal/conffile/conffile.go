@@ -138,28 +138,6 @@ func (f *File) Set(key, value string) {
 	f.index[key] = append(f.index[key], idx)
 }
 
-// Delete removes all directives with the given key. It reports whether any
-// directive was removed.
-func (f *File) Delete(key string) bool {
-	idxs, ok := f.index[key]
-	if !ok {
-		return false
-	}
-	del := make(map[int]bool, len(idxs))
-	for _, i := range idxs {
-		del[i] = true
-	}
-	out := f.Lines[:0]
-	for i, ln := range f.Lines {
-		if !del[i] {
-			out = append(out, ln)
-		}
-	}
-	f.Lines = out
-	f.reindex()
-	return true
-}
-
 func (f *File) reindex() {
 	f.index = make(map[string][]int)
 	for i, ln := range f.Lines {

@@ -89,22 +89,6 @@ func TestSetReplacesAndAppends(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	f, _ := Parse("a = 1\nb = 2\na = 3\n", SyntaxEquals)
-	if !f.Delete("a") {
-		t.Fatal("Delete(a) = false")
-	}
-	if _, ok := f.Get("a"); ok {
-		t.Error("a still present after Delete")
-	}
-	if v, _ := f.Get("b"); v != "2" {
-		t.Errorf("b = %q after deleting a", v)
-	}
-	if f.Delete("zz") {
-		t.Error("Delete of a missing key must return false")
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	f, _ := Parse("a = 1\n", SyntaxEquals)
 	c := f.Clone()

@@ -456,17 +456,6 @@ func (c *Constraint) ValidIntervals() []Interval {
 	return out
 }
 
-// InvalidIntervals returns the invalid sub-intervals of a range constraint.
-func (c *Constraint) InvalidIntervals() []Interval {
-	var out []Interval
-	for _, iv := range c.Intervals {
-		if !iv.Valid {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
 // Set is a deduplicated collection of constraints for one analyzed system.
 type Set struct {
 	System      string

@@ -185,9 +185,6 @@ func TestValidInvalidIntervals(t *testing.T) {
 	if got := len(c.ValidIntervals()); got != 1 {
 		t.Errorf("valid intervals = %d, want 1", got)
 	}
-	if got := len(c.InvalidIntervals()); got != 2 {
-		t.Errorf("invalid intervals = %d, want 2", got)
-	}
 }
 
 func TestConstraintString(t *testing.T) {

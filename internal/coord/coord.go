@@ -33,23 +33,24 @@ const DefaultWorkerRetries = 1
 
 // Event is one coordinator lifecycle notification, streamed to
 // Config.OnEvent (serialized; the CLI prints them to stderr, the
-// daemon forwards them onto a job's SSE stream).
+// daemon publishes them onto a job's SSE stream). Its JSON tags are
+// the `coord` frame's wire form under dash schema v1.
 type Event struct {
 	// Kind is "plan", "resume", "spawn", "exit", "retry", "steal", or
 	// "merge".
-	Kind string
+	Kind string `json:"kind"`
 	// Worker is the subject (the thief, for steals).
-	Worker int
+	Worker int `json:"worker,omitempty"`
 	// From is the steal victim (steals only).
-	From int
+	From int `json:"from,omitempty"`
 	// Keys counts the keys involved: lease size on spawn, stolen count
 	// on steal, merged outcomes on merge.
-	Keys int
+	Keys int `json:"keys,omitempty"`
 	// Attempt is the respawn attempt number (retries only): 1 for the
 	// first retry, up to Config.WorkerRetries.
-	Attempt int
-	// Err is the worker's exit error, if any (exits and retries).
-	Err error
+	Attempt int `json:"attempt,omitempty"`
+	// Error is the worker's exit error, if any (exits and retries).
+	Error string `json:"error,omitempty"`
 }
 
 // Handle is a launched worker: Wait blocks until it exits, Interrupt
@@ -351,7 +352,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		// preserves the every-key-is-leased invariant across crashes).
 		tl := states[thief].lease
 		newThief := &Lease{Worker: thief + 1, Generation: tl.Generation + 1, Keys: append(append([]KeyRef{}, tl.Keys...), stolen...)}
-		if err := writeJSON(LeasePath(coordDir, thief+1), newThief); err != nil {
+		if err := campaignstore.WriteJSON(LeasePath(coordDir, thief+1), newThief); err != nil {
 			span.End("failed")
 			return false, err
 		}
@@ -365,7 +366,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		newVictim := &Lease{Worker: victim + 1, Generation: vl.Generation + 1, Keys: kept}
-		if err := writeJSON(LeasePath(coordDir, victim+1), newVictim); err != nil {
+		if err := campaignstore.WriteJSON(LeasePath(coordDir, victim+1), newVictim); err != nil {
 			span.End("failed")
 			return false, err
 		}
@@ -412,8 +413,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			st.running = false
 			running--
 			mWorkersRunning.Add(-1)
-			emit(Event{Kind: "exit", Worker: m.worker + 1, Err: m.err})
 			if m.err != nil {
+				emit(Event{Kind: "exit", Worker: m.worker + 1, Error: m.err.Error()})
 				if ctx.Err() != nil {
 					return abort(ctx.Err())
 				}
@@ -426,7 +427,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					res.Retries++
 					mRetries.Inc()
 					emit(Event{Kind: "retry", Worker: m.worker + 1,
-						Keys: len(st.lease.Keys), Attempt: st.retries, Err: m.err})
+						Keys: len(st.lease.Keys), Attempt: st.retries, Error: m.err.Error()})
 					if err := spawn(m.worker); err != nil {
 						return abort(err)
 					}
@@ -434,6 +435,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 				return abort(fmt.Errorf("coord: worker %d failed: %w", m.worker+1, m.err))
 			}
+			emit(Event{Kind: "exit", Worker: m.worker + 1})
 			if err := stealAndRespawn(m.worker); err != nil {
 				return abort(err)
 			}
@@ -560,12 +562,12 @@ func planOrResume(coordDir string, man *manifest, allKeys []KeyRef, owners []int
 		l.Keys = append(l.Keys, k)
 	}
 	for i, l := range leases {
-		if err := writeJSON(LeasePath(coordDir, i+1), l); err != nil {
+		if err := campaignstore.WriteJSON(LeasePath(coordDir, i+1), l); err != nil {
 			return nil, false, err
 		}
 	}
 	// The manifest lands last: its presence marks the lease set valid.
-	if err := writeJSON(filepath.Join(coordDir, "manifest.json"), man); err != nil {
+	if err := campaignstore.WriteJSON(filepath.Join(coordDir, "manifest.json"), man); err != nil {
 		return nil, false, err
 	}
 	return leases, false, nil

@@ -636,7 +636,7 @@ func TestWorkerRetryRespawnsFailedWorker(t *testing.T) {
 	if res.Retries != 1 || len(retries) != 1 {
 		t.Fatalf("res.Retries=%d, retry events=%d, want exactly 1", res.Retries, len(retries))
 	}
-	if retries[0].Worker != 1 || retries[0].Attempt != 1 || retries[0].Err == nil {
+	if retries[0].Worker != 1 || retries[0].Attempt != 1 || retries[0].Error == "" {
 		t.Errorf("retry event = %+v, want worker 1 attempt 1 with the exit error", retries[0])
 	}
 	if len(res.Stats) != 1 || res.Stats[0].Fingerprint != want {

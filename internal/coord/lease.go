@@ -66,7 +66,6 @@ import (
 	"strings"
 	"time"
 
-	"spex/internal/campaignstore"
 	"spex/internal/shard"
 )
 
@@ -150,15 +149,6 @@ func HeartbeatPath(leasePath string) string {
 // state root.
 func ShardDir(stateDir string, worker int) string {
 	return filepath.Join(stateDir, fmt.Sprintf("shard%d", worker))
-}
-
-// writeJSON persists v atomically (campaignstore.WriteJSON, the one
-// copy of the temp+rename advisory-document write): a concurrent
-// reader never sees a torn document, and there is no fsync because the
-// coordination files are advisory progress state — the snapshots carry
-// the real outcomes.
-func writeJSON(path string, v any) error {
-	return campaignstore.WriteJSON(path, v)
 }
 
 func readJSON(path string, v any) error {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"spex/internal/campaignstore"
 )
 
 // FuzzReadLease: a lease file is disk input that workers and the
@@ -28,7 +30,7 @@ func FuzzReadLease(f *testing.F) {
 			return
 		}
 		again := filepath.Join(dir, "worker2.lease.json")
-		if err := writeJSON(again, l); err != nil {
+		if err := campaignstore.WriteJSON(again, l); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadLease(again)

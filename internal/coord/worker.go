@@ -76,7 +76,7 @@ func RunWorker(ctx context.Context, leasePath, stateDir string, ws []shard.Workl
 	hbPath := HeartbeatPath(leasePath)
 	hb := &Heartbeat{Worker: lease.Worker, Generation: lease.Generation, PID: os.Getpid(), UpdatedAt: time.Now().UTC()}
 	if len(lease.Keys) == 0 {
-		return res, writeJSON(hbPath, hb)
+		return res, campaignstore.WriteJSON(hbPath, hb)
 	}
 
 	store, err := campaignstore.Open(stateDir)
@@ -134,7 +134,7 @@ func RunWorker(ctx context.Context, leasePath, stateDir string, ws []shard.Workl
 		}
 		lastFlush = now
 		hb.UpdatedAt = now.UTC()
-		_ = writeJSON(hbPath, hb) // advisory: the snapshot carries the real outcomes
+		_ = campaignstore.WriteJSON(hbPath, hb) // advisory: the snapshot carries the real outcomes
 	}
 	mu.Lock()
 	flush(true)

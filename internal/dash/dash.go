@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"spex/internal/coord"
 	"spex/internal/shard"
 )
 
@@ -53,7 +54,8 @@ const (
 	// (Event.Stage).
 	KindStage = "stage"
 	// KindCoord is a coordinate job's rebalance lifecycle event
-	// (Event.Coord).
+	// (Event.Coord, the coord.Event the coordinator emitted, which is
+	// its own wire form).
 	KindCoord = "coord"
 )
 
@@ -80,18 +82,6 @@ type Stage struct {
 	// State is "running", "done", or "failed".
 	State string `json:"state"`
 	Error string `json:"error,omitempty"`
-}
-
-// Coord is the payload of a KindCoord event, mirroring the
-// coordinator's lifecycle verbs (plan, resume, spawn, exit, retry,
-// steal, merge).
-type Coord struct {
-	Kind    string `json:"kind"`
-	Worker  int    `json:"worker,omitempty"`
-	From    int    `json:"from,omitempty"`
-	Keys    int    `json:"keys,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Error   string `json:"error,omitempty"`
 }
 
 // Event is one entry of the bus — the typed, versioned wire form of
@@ -122,7 +112,7 @@ type Event struct {
 	Progress *shard.Progress `json:"progress,omitempty"`
 	Sched    *Sched          `json:"sched,omitempty"`
 	Stage    *Stage          `json:"stage,omitempty"`
-	Coord    *Coord          `json:"coord,omitempty"`
+	Coord    *coord.Event    `json:"coord,omitempty"`
 }
 
 // Options tunes a Bus.

@@ -1,6 +1,7 @@
 package dash
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spex/internal/coord"
 	"spex/internal/shard"
 )
 
@@ -44,6 +46,46 @@ func TestPublishStampsAndOrders(t *testing.T) {
 		}
 		if e.Time.IsZero() {
 			t.Errorf("event %d: zero timestamp", i)
+		}
+	}
+}
+
+// TestCoordFrameBytes: the data: line of a coord frame (the compact
+// JSON of the published event, as the daemon's SSE handler writes it)
+// keeps its schema v1 bytes for every coordinator event kind.
+func TestCoordFrameBytes(t *testing.T) {
+	const head = `{"v":1,"seq":%d,"time":"2026-01-02T03:04:05.000000006Z","namespace":"default","kind":"coord","job":"job-1","coord":`
+	cases := []struct {
+		e    coord.Event
+		want string
+	}{
+		{coord.Event{Kind: "plan", Keys: 647}, `{"kind":"plan","keys":647}}`},
+		{coord.Event{Kind: "resume", Keys: 120}, `{"kind":"resume","keys":120}}`},
+		{coord.Event{Kind: "spawn", Worker: 1, Keys: 324}, `{"kind":"spawn","worker":1,"keys":324}}`},
+		{coord.Event{Kind: "exit", Worker: 2}, `{"kind":"exit","worker":2}}`},
+		{coord.Event{Kind: "exit", Worker: 1, Error: "exit status 1"}, `{"kind":"exit","worker":1,"error":"exit status 1"}}`},
+		{coord.Event{Kind: "retry", Worker: 1, Keys: 324, Attempt: 1, Error: "exit status 1"}, `{"kind":"retry","worker":1,"keys":324,"attempt":1,"error":"exit status 1"}}`},
+		{coord.Event{Kind: "steal", Worker: 2, From: 1, Keys: 40}, `{"kind":"steal","worker":2,"from":1,"keys":40}}`},
+		{coord.Event{Kind: "merge", Keys: 647}, `{"kind":"merge","keys":647}}`},
+	}
+	b := NewBus(Options{})
+	sub := b.Subscribe(SubOptions{})
+	at := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	for _, c := range cases {
+		b.Publish(Event{Time: at, Namespace: "default", Kind: KindCoord, Job: "job-1", Coord: &c.e})
+	}
+	b.Close()
+	events := drain(sub)
+	if len(events) != len(cases) {
+		t.Fatalf("got %d events, want %d", len(events), len(cases))
+	}
+	for i, e := range events {
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(head, i+1) + cases[i].want; string(data) != want {
+			t.Errorf("%s frame:\n got %s\nwant %s", cases[i].e.Kind, data, want)
 		}
 	}
 }

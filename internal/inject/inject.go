@@ -174,23 +174,11 @@ func (r *Report) Finished() int {
 // Errors returns the outcomes the harness failed to test. Outcomes a
 // cancellation skipped before they started, or a work-stealing
 // rebalance reassigned to another worker, are not failures and are
-// listed by SkippedOutcomes / counted by Report.Yielded instead.
+// counted by Report.Skipped and Report.Yielded instead.
 func (r *Report) Errors() []Outcome {
 	var out []Outcome
 	for _, o := range r.Outcomes {
 		if o.Err != "" && !o.Skipped && !o.Yielded {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// SkippedOutcomes returns the outcomes a cancellation prevented from
-// starting.
-func (r *Report) SkippedOutcomes() []Outcome {
-	var out []Outcome
-	for _, o := range r.Outcomes {
-		if o.Skipped {
 			out = append(out, o)
 		}
 	}

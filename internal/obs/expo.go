@@ -1,11 +1,10 @@
 // Exposition: the registry renders itself as Prometheus text format
-// 0.0.4 (served by spexd at GET /metrics) and as a JSON document (the
-// CLIs' -metrics-out dump, for offline diffing against BENCH_*.json).
+// 0.0.4, which spexd serves at GET /metrics and the CLIs' -metrics-out
+// flag writes to a file.
 package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -48,72 +47,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// familyJSON and seriesJSON shape the -metrics-out document: one entry
-// per family, one series per live label combination.
-type familyJSON struct {
-	Name   string       `json:"name"`
-	Type   string       `json:"type"`
-	Help   string       `json:"help"`
-	Series []seriesJSON `json:"series"`
-}
-
-type seriesJSON struct {
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   any               `json:"value,omitempty"`
-	Count   uint64            `json:"count,omitempty"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-}
-
-// WriteJSON renders the registry as an indented JSON array of
-// families, sorted by name.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var doc []familyJSON
-	for _, f := range r.sortedFamilies() {
-		fj := familyJSON{Name: f.name, Type: f.kind.String(), Help: f.help, Series: []seriesJSON{}}
-		for _, key := range f.sortedKeys() {
-			values := f.splitKey(key)
-			f.mu.RLock()
-			m := f.children[key]
-			f.mu.RUnlock()
-			s := seriesJSON{}
-			if len(f.labels) > 0 {
-				s.Labels = make(map[string]string, len(f.labels))
-				for i, l := range f.labels {
-					s.Labels[l] = values[i]
-				}
-			}
-			switch m := m.(type) {
-			case *Counter:
-				s.Value = m.Value()
-			case *Gauge:
-				s.Value = m.Value()
-			case *Histogram:
-				s.Count = m.Count()
-				s.Sum = m.Sum()
-				s.Buckets = make(map[string]uint64, len(m.bounds)+1)
-				for i, b := range m.bounds {
-					s.Buckets[formatFloat(b)] = m.buckets[i].Load()
-				}
-				s.Buckets["+Inf"] = m.buckets[len(m.bounds)].Load()
-			}
-			fj.Series = append(fj.Series, s)
-		}
-		doc = append(doc, fj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// WriteJSONFile atomically writes the WriteJSON document to path.
-func (r *Registry) WriteJSONFile(path string) error {
+// WriteFile atomically writes the WritePrometheus rendering to path
+// (the CLIs' -metrics-out dump): a temp file in path's directory, then
+// a rename, so a reader never sees a torn dump.
+func (r *Registry) WriteFile(path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".metrics-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := r.WriteJSON(tmp); err != nil {
+	if err := r.WritePrometheus(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -19,8 +19,9 @@
 //	const metricTasks = "spex_engine_tasks_total"
 //	var mTasks = obs.Default().Counter(metricTasks, "tasks executed")
 //
-// which spexd serves at GET /metrics and the CLIs dump with
-// -metrics-out.
+// which spexd serves at GET /metrics and the CLIs' -metrics-out flag
+// writes to a file at exit, both as the one encoding WritePrometheus
+// renders.
 package obs
 
 import (

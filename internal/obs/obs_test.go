@@ -121,34 +121,36 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestWriteJSONFile: the -metrics-out file is exactly the
+// WritePrometheus rendering GET /metrics serves, and the atomic write
+// leaves no temp file behind.
 func TestWriteJSONFile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_ops_total", "ops").Add(3)
 	h := r.Histogram("test_lat_seconds", "lat", []float64{1})
 	h.Observe(0.5)
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := r.WriteJSONFile(path); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "metrics.txt")
+	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc []struct {
-		Name   string            `json:"name"`
-		Type   string            `json:"type"`
-		Series []json.RawMessage `json:"series"`
+	var want strings.Builder
+	if err := r.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("metrics dump is not JSON: %v\n%s", err, raw)
+	if string(raw) != want.String() {
+		t.Errorf("metrics file differs from the exposition:\n%s\n---\n%s", raw, want.String())
 	}
-	if len(doc) != 2 || doc[0].Name != "test_lat_seconds" || doc[1].Name != "test_ops_total" {
-		t.Fatalf("unexpected dump shape: %+v", doc)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range doc {
-		if len(f.Series) != 1 {
-			t.Fatalf("family %s has %d series, want 1", f.Name, len(f.Series))
-		}
+	if len(entries) != 1 {
+		t.Errorf("the write left %d files in its directory, want only metrics.txt", len(entries))
 	}
 }
 

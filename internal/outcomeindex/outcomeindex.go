@@ -110,8 +110,6 @@ type System struct {
 	ByParam    map[string][]int
 	ByKind     map[string][]int
 	ByReaction map[string][]int
-	// ByLoc keys are "file:line".
-	ByLoc map[string][]int
 	// Vulnerable lists the vulnerability docs.
 	Vulnerable []int
 	// Agg holds the precomputed tallies.
@@ -180,7 +178,6 @@ func (b *Builder) Finish() *System {
 		ByParam:        map[string][]int{},
 		ByKind:         map[string][]int{},
 		ByReaction:     map[string][]int{},
-		ByLoc:          map[string][]int{},
 		Agg:            Aggregates{ByReaction: map[string]int{}},
 	}
 	locs := map[string]bool{}
@@ -201,9 +198,7 @@ func (b *Builder) Finish() *System {
 		if d.Vulnerability() {
 			sys.Vulnerable = append(sys.Vulnerable, i)
 			sys.Agg.Vulnerabilities++
-			loc := fmt.Sprintf("%s:%d", d.File, d.Line)
-			sys.ByLoc[loc] = append(sys.ByLoc[loc], i)
-			locs[loc] = true
+			locs[fmt.Sprintf("%s:%d", d.File, d.Line)] = true
 		}
 	}
 	sys.Agg.UniqueLocations = len(locs)

@@ -991,11 +991,7 @@ func (s *Server) execute(ctx context.Context, ns *namespace, jobID string, spec 
 			Locks:         locks,
 			Spawn:         spawn,
 			OnEvent: func(e coord.Event) {
-				ce := &dash.Coord{Kind: e.Kind, Worker: e.Worker, From: e.From, Keys: e.Keys, Attempt: e.Attempt}
-				if e.Err != nil {
-					ce.Error = e.Err.Error()
-				}
-				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: ce})
+				s.bus.Publish(dash.Event{Namespace: ns.name, Kind: dash.KindCoord, Job: jobID, Coord: &e})
 			},
 		})
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,29 +129,25 @@ func checkUnchanged(t testing.TB, store *campaignstore.Store, runs []shard.Syste
 }
 
 // counter sums every series of a counter family in the process-global
-// registry (0 if it has none yet).
+// registry (0 if it has none yet), read from the text GET /metrics
+// serves.
 func counter(t *testing.T, name string) uint64 {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := obs.Default().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var fams []struct {
-		Name   string `json:"name"`
-		Series []struct {
-			Value float64 `json:"value"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &fams); err != nil {
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
-	for _, f := range fams {
-		if f.Name == name {
-			for _, s := range f.Series {
-				sum += uint64(s.Value)
-			}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || (series != name && !strings.HasPrefix(series, name+"{")) {
+			continue
 		}
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		sum += n
 	}
 	return sum
 }

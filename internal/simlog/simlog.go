@@ -90,13 +90,6 @@ func (l *Log) Len() int {
 	return len(l.entries)
 }
 
-// Reset discards all captured entries.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = nil
-}
-
 // Dump renders the captured log as text, one entry per line.
 func (l *Log) Dump() string {
 	var b strings.Builder

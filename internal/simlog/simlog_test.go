@@ -87,15 +87,6 @@ func TestContainsAndDump(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	l := New()
-	l.Infof("x")
-	l.Reset()
-	if l.Len() != 0 {
-		t.Error("Reset left entries")
-	}
-}
-
 func TestConcurrentLogging(t *testing.T) {
 	l := New()
 	var wg sync.WaitGroup

@@ -89,13 +89,6 @@ func (n *Net) OccupyForTest(proto string, port int) error {
 	return n.Bind(proto, port, "spex-inj")
 }
 
-// BoundCount returns the number of bound ports.
-func (n *Net) BoundCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.bound)
-}
-
 // ValidIP reports whether s is a syntactically valid IPv4 dotted quad.
 // Targets use it to validate IPADDR parameters without the real net
 // package's resolver behaviour.

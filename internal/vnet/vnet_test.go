@@ -58,9 +58,6 @@ func TestReleaseAndOwner(t *testing.T) {
 	if !n.Occupied("tcp", 8082) {
 		t.Error("owner release must not touch other owners")
 	}
-	if n.BoundCount() != 1 {
-		t.Errorf("bound = %d, want 1", n.BoundCount())
-	}
 }
 
 func TestOccupyForTest(t *testing.T) {
