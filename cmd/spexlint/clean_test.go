@@ -9,10 +9,10 @@ import (
 )
 
 // TestRepoIsClean runs the full spexlint suite over every package in
-// the module, tests included, and fails on any finding. This is the
-// meta-test behind the CI gate: the tree must hold its own invariants,
-// with every deliberate waiver carried by an auditable
-// //spexlint:ignore directive.
+// the module, tests included, and fails on any finding. It calls the
+// analysis.Check the command runs, so it sees what CI's spexlint step
+// sees: the tree must hold its own invariants, with every deliberate
+// waiver carried by an auditable //spexlint:ignore directive.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -21,21 +21,12 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := analysis.Load(root, true, "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
+	diags, err := analysis.Check(root, suite(), "./...")
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
-	for _, u := range units {
-		for _, e := range u.TypeErrors {
-			t.Errorf("%s: type error: %v", u.PkgPath, e)
-		}
-		diags, err := analysis.RunAnalyzers(u.Fset, u.Files, u.Types, u.Info, suite())
-		if err != nil {
-			t.Fatalf("%s: %v", u.PkgPath, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+	if err != nil {
+		t.Error(err)
 	}
 }
 

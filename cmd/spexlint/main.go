@@ -5,13 +5,16 @@
 // obs metric-registration discipline.
 // See internal/analysis for the checked-invariant catalogue.
 //
-// Two ways to run it:
+// Run it from inside the module on package patterns:
 //
-//	spexlint ./...                              # standalone, tests included
-//	go vet -vettool=$(which spexlint) ./...     # as a vet tool, cached by the build system
+//	spexlint ./...
 //
-// Findings exit 2; a //spexlint:ignore <analyzer> <reason> directive
-// on or above the flagged line waives one finding with an audit trail.
+// It loads the packages with their tests through analysis.Load and
+// prints each finding as `file:line:col: message (spexlint:name)` on
+// stderr. Exit 0 is clean, 1 a driver failure or a package that does
+// not type-check, 2 findings; a //spexlint:ignore <analyzer> <reason>
+// directive on or above the flagged line waives one finding with an
+// audit trail.
 package main
 
 import (

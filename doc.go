@@ -387,9 +387,8 @@
 // once per state directory and never on the serving or progress paths,
 // contexts threaded instead of re-rooted, fingerprint inputs
 // deterministic, the progress fan-out non-blocking — are enforced by a
-// custom static-analysis suite, cmd/spexlint, runnable standalone
-// (`spexlint ./...`) or as `go vet -vettool=$(which spexlint) ./...`
-// and gated in CI. internal/analysis documents the full invariant
+// custom static-analysis suite, cmd/spexlint (`spexlint ./...`, tests
+// included), gated in CI. internal/analysis documents the full invariant
 // catalogue and the //spexlint:ignore waiver syntax; the writer-lock
 // half of the contract is structural — Save and NewStreamWriter live
 // only on the LockSet a held Lock mints, so holding the lock is a

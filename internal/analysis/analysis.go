@@ -2,15 +2,15 @@
 // the style of golang.org/x/tools/go/analysis, built only on the
 // standard library's go/ast, go/types and go/importer: the repo vendors
 // no dependencies, so the checker suite (cmd/spexlint) carries its own
-// driver. Three drivers share the analyzers:
+// driver. Every unit reaches the analyzers through Load (load.go),
+// which type-checks packages via `go list -export`:
 //
-//   - Load (load.go) type-checks packages via `go list -export` and
-//     powers the standalone `spexlint ./...` mode, the analysistest
-//     fixture harness, and the repo-wide cleanliness test;
-//   - Main (unit.go) speaks cmd/go's unitchecker .cfg protocol, which
-//     is what `go vet -vettool=$(which spexlint) ./...` invokes;
-//   - analysistest runs one analyzer over a testdata fixture tree and
-//     diffs the diagnostics against `// want` comments.
+//   - Check (unit.go) loads package patterns with their tests and runs
+//     the suite; the `spexlint ./...` command (Main) and the repo-wide
+//     cleanliness test both call it;
+//   - analysistest loads one testdata fixture package by its import
+//     path, runs one analyzer over it and diffs the diagnostics against
+//     `// want` comments.
 //
 // # Checked invariants
 //
@@ -74,8 +74,9 @@
 //
 //	//spexlint:ignore <analyzer> <reason>
 //
-// on the flagged line or the line above it; the reason is mandatory
-// and should say why the invariant does not apply there.
+// on the flagged line or the line above it. The reason is mandatory
+// and should say why the invariant does not apply there; a directive
+// without one waives nothing.
 package analysis
 
 import (
@@ -83,6 +84,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,7 +95,7 @@ import (
 // state between packages.
 type Analyzer struct {
 	Name string
-	// Doc is the one-line contract statement shown by `spexlint -help`.
+	// Doc is the one-line contract statement.
 	Doc string
 	Run func(*Pass) error
 }
@@ -142,9 +144,9 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return nil
 }
 
-// IsTestFile reports whether pos sits in a _test.go file. The vet
-// protocol analyzes test-augmented compilation units, so analyzers
-// exempt test code by file name, not by package.
+// IsTestFile reports whether pos sits in a _test.go file. Load folds a
+// package's _test.go files into its unit, so analyzers exempt test
+// code by file name, not by package.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -204,10 +206,9 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) ignoreIndex {
 				fields := strings.Fields(rest)
 				pos := fset.Position(c.Pos())
 				if len(fields) < 2 {
-					// A directive without an analyzer name and reason is
-					// itself a finding-shaped mistake; record a marker the
-					// drivers report. Encoded as analyzer "" (matches
-					// nothing) so the bad directive never suppresses.
+					// Without both an analyzer name and a reason the
+					// directive waives nothing, so the finding it was
+					// meant for is reported as usual.
 					continue
 				}
 				byLine := idx[pos.Filename]
@@ -228,10 +229,8 @@ func (idx ignoreIndex) suppressed(analyzer string, pos token.Position) bool {
 		return false
 	}
 	for _, l := range []int{pos.Line, pos.Line - 1} {
-		for _, name := range byLine[l] {
-			if name == analyzer || name == "all" {
-				return true
-			}
+		if slices.Contains(byLine[l], analyzer) {
+			return true
 		}
 	}
 	return false

@@ -2,106 +2,48 @@
 // diffs its diagnostics against `// want "regexp"` comments, the
 // golden-test idiom of golang.org/x/tools/go/analysis/analysistest.
 // Fixtures live in <analyzer package>/testdata/src/<name>/ and are
-// ordinary Go sources — they may import the real spex packages, whose
-// compiled export data comes from one shared `go list -export` pass
-// over the module — but they are not part of the module's package
-// graph, so the intentional violations inside them never trip the
-// repo-wide spexlint run.
+// ordinary Go sources that may import the real spex packages. Each is
+// loaded through analysis.Load under its own import path, as spexlint
+// loads any package; `./...` never matches a testdata directory, so
+// the intentional violations inside them never trip the repo-wide
+// spexlint run.
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"spex/internal/analysis"
 )
-
-var (
-	indexOnce sync.Once
-	indexVal  analysis.ExportIndex
-	indexErr  error
-	rootVal   string
-)
-
-// sharedIndex builds the module-wide export index once per test
-// process; every fixture type-check resolves imports through it.
-func sharedIndex(t *testing.T) (string, analysis.ExportIndex) {
-	t.Helper()
-	indexOnce.Do(func() {
-		rootVal, indexErr = moduleRoot()
-		if indexErr != nil {
-			return
-		}
-		indexVal, indexErr = analysis.LoadExportIndex(rootVal, "./...")
-	})
-	if indexErr != nil {
-		t.Fatalf("analysistest: building export index: %v", indexErr)
-	}
-	return rootVal, indexVal
-}
-
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
 
 // Run checks the analyzer against testdata/src/<fixture> relative to
 // the calling test's package directory: every diagnostic must match a
 // `// want "regexp"` on its line, and every want must be matched.
 func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	t.Helper()
-	_, idx := sharedIndex(t)
-	dir := filepath.Join("testdata", "src", fixture)
-	entries, err := os.ReadDir(dir)
+	units, err := analysis.Load(".", false, "./testdata/src/"+fixture)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
+	if len(units) != 1 {
+		t.Fatalf("analysistest: fixture %s loaded as %d units, want 1", fixture, len(units))
 	}
-	if len(files) == 0 {
-		t.Fatalf("analysistest: no fixture sources in %s", dir)
-	}
-	fset := token.NewFileSet()
-	unit, err := analysis.CheckFiles(fset, idx, fixture, files)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
+	unit := units[0]
 	for _, e := range unit.TypeErrors {
 		t.Errorf("analysistest: fixture does not type-check: %v", e)
 	}
 	if t.Failed() {
 		t.FailNow()
 	}
-	diags, err := analysis.RunAnalyzers(fset, unit.Files, unit.Types, unit.Info, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(unit.Fset, unit.Files, unit.Types, unit.Info, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	wants := collectWants(t, fset, unit)
-	matchDiagnostics(t, diags, wants)
+	matchDiagnostics(t, diags, collectWants(t, unit))
 }
 
 // want is one expectation: a diagnostic on (file base name, line)
@@ -116,7 +58,7 @@ type want struct {
 
 var wantRE = regexp.MustCompile("(\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)")
 
-func collectWants(t *testing.T, fset *token.FileSet, unit *analysis.Package) []*want {
+func collectWants(t *testing.T, unit *analysis.Package) []*want {
 	t.Helper()
 	var wants []*want
 	for _, f := range unit.Files {
@@ -126,7 +68,7 @@ func collectWants(t *testing.T, fset *token.FileSet, unit *analysis.Package) []*
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}
-				pos := fset.Position(c.Pos())
+				pos := unit.Fset.Position(c.Pos())
 				for _, m := range wantRE.FindAllString(text[len("want "):], -1) {
 					pat := m
 					if strings.HasPrefix(pat, "`") {

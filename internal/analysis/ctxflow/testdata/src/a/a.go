@@ -34,3 +34,9 @@ func nested(ctx context.Context) func() {
 		time.Sleep(time.Minute) // want `time.Sleep ignores the context`
 	}
 }
+
+// A waiver without a reason waives nothing.
+func reasonlessWaiver() context.Context {
+	//spexlint:ignore ctxflow
+	return context.Background() // want `context.Background\(\) outside package main`
+}

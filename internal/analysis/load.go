@@ -1,10 +1,10 @@
-// The standalone package loader: `go list -deps -export -json -test`
-// resolves every dependency to compiled export data, then each
-// requested package unit is parsed and type-checked from source with
-// go/importer reading those export files. This is what the x/tools
-// go/packages loader does in LoadAllSyntax mode, cut down to the one
-// configuration the spexlint drivers need — no cgo special cases, no
-// overlays, no module graph mutation.
+// The package loader, the only way a unit reaches the analyzers:
+// `go list -deps -export -json -test` resolves every dependency to
+// compiled export data, then each requested package unit is parsed and
+// type-checked from source with go/importer reading those export
+// files. This is what the x/tools go/packages loader does in
+// LoadAllSyntax mode, cut down to the one configuration spexlint
+// needs — no cgo special cases, no overlays, no module graph mutation.
 package analysis
 
 import (
@@ -28,47 +28,41 @@ import (
 // ordinary sources; an external _test package is its own unit.
 type Package struct {
 	PkgPath string
-	Name    string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// TypeErrors collects type-check failures. The loader keeps going —
-	// the vet protocol's SucceedOnTypecheckFailure contract — and the
-	// drivers decide whether a broken package is fatal.
+	// TypeErrors collects type-check failures. The loader keeps going,
+	// and Check reports a unit's type errors instead of analyzing it.
 	TypeErrors []error
 }
 
 // listedPkg is the subset of `go list -json` output the loader reads.
 type listedPkg struct {
 	ImportPath   string
-	Name         string
 	Dir          string
 	Export       string
-	Standard     bool
-	ForTest      string
 	GoFiles      []string
 	CgoFiles     []string
 	TestGoFiles  []string
 	XTestGoFiles []string
 }
 
-// ExportIndex maps canonical import paths to compiled export-data
+// exportIndex maps canonical import paths to compiled export-data
 // files, the importer's lookup table.
-type ExportIndex map[string]string
+type exportIndex map[string]string
 
-// LoadExportIndex builds the export index for the patterns' full
-// dependency closure, including test dependencies. dir is the module
-// root the `go list` runs in. The index keeps the bracketed test
-// variants ("dep [pkg.test]") under their listed names, beside the plain
-// export the rest of the graph links against.
-func LoadExportIndex(dir string, patterns ...string) (ExportIndex, error) {
+// loadExportIndex builds the export index for the patterns' full
+// dependency closure, including test dependencies. The index keeps the
+// bracketed test variants ("dep [pkg.test]") under their listed names,
+// beside the plain export the rest of the graph links against.
+func loadExportIndex(dir string, patterns ...string) (exportIndex, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export", "-test"}, patterns...)
 	pkgs, err := goList(dir, args)
 	if err != nil {
 		return nil, err
 	}
-	idx := ExportIndex{}
+	idx := exportIndex{}
 	for _, p := range pkgs {
 		if p.Export != "" {
 			idx[p.ImportPath] = p.Export
@@ -77,13 +71,13 @@ func LoadExportIndex(dir string, patterns ...string) (ExportIndex, error) {
 	return idx, nil
 }
 
-// Importer returns a types.Importer resolving through the index. A
+// importerFor returns a types.Importer resolving through the index. A
 // non-empty forTest names the package whose external test is being
 // checked: each import then resolves to its "[forTest.test]" variant
 // where `go list -test` built one (forTest itself with its _test.go
 // files, export_test.go included, and every dependency recompiled
 // against it), as cmd/go links that test.
-func (idx ExportIndex) Importer(fset *token.FileSet, forTest string) types.Importer {
+func (idx exportIndex) importerFor(fset *token.FileSet, forTest string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := idx[path+" ["+forTest+".test]"]
 		if forTest == "" || !ok {
@@ -98,21 +92,23 @@ func (idx ExportIndex) Importer(fset *token.FileSet, forTest string) types.Impor
 }
 
 // Load type-checks the packages matching the patterns (module-local
-// syntax, export-data dependencies). withTests folds each package's
-// _test.go files into its unit and adds external _test packages as
-// their own units.
+// syntax, export-data dependencies). dir is a directory inside the
+// module, where `go list` runs and relative patterns resolve; a
+// pattern may name a testdata directory outright, which `./...` never
+// matches. withTests folds each package's _test.go files into its unit
+// and adds external _test packages as their own units.
 func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
-	idx, err := LoadExportIndex(dir, patterns...)
+	idx, err := loadExportIndex(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	args := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
 	pkgs, err := goList(dir, args)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := idx.Importer(fset, "")
+	imp := idx.importerFor(fset, "")
 	var out []*Package
 	for _, p := range pkgs {
 		if len(p.CgoFiles) > 0 {
@@ -130,7 +126,7 @@ func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 			out = append(out, u)
 		}
 		if withTests && len(p.XTestGoFiles) > 0 {
-			ximp := idx.Importer(fset, p.ImportPath)
+			ximp := idx.importerFor(fset, p.ImportPath)
 			u, err := checkUnit(fset, ximp, p.ImportPath+"_test", absFiles(p.Dir, p.XTestGoFiles))
 			if err != nil {
 				return nil, err
@@ -139,13 +135,6 @@ func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 		}
 	}
 	return out, nil
-}
-
-// CheckFiles type-checks one ad-hoc unit (the analysistest fixture
-// path: sources outside the module's package graph, dependencies from
-// the index).
-func CheckFiles(fset *token.FileSet, idx ExportIndex, pkgPath string, files []string) (*Package, error) {
-	return checkUnit(fset, idx.Importer(fset, ""), pkgPath, files)
 }
 
 func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) (*Package, error) {
@@ -171,9 +160,6 @@ func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath string, files []
 	}
 	tpkg, _ := conf.Check(pkgPath, fset, parsed, info) // errors collected via conf.Error
 	u.Types, u.Info = tpkg, info
-	if len(parsed) > 0 {
-		u.Name = parsed[0].Name.Name
-	}
 	return u, nil
 }
 

@@ -1,178 +1,60 @@
-// The `go vet -vettool` driver. cmd/go invokes the tool once per
-// compilation unit with a JSON .cfg file naming the sources and the
-// export data of every dependency, plus two handshake flags
-// (-V=full, -flags) it uses for build caching and flag discovery.
-// This mirrors golang.org/x/tools/go/analysis/unitchecker, which
-// documents the protocol; the facts side of that protocol is unused
-// here (the spexlint analyzers are single-unit), but the .vetx output
-// file must still be written or cmd/go fails the run.
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
-	"strings"
 )
 
-// unitConfig is the subset of cmd/go's vet config the driver reads.
-type unitConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// Main is the spexlint entry point. Under the vet protocol (an
-// argument ending in .cfg, or the -V/-flags handshakes) it behaves as
-// a unitchecker; given package patterns it loads them itself and
-// checks everything, tests included. Returns the process exit code:
-// 0 clean, 1 driver failure, 2 findings.
-func Main(analyzers []*Analyzer, args []string) int {
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "-V":
-			printVersion()
-			return 0
-		case a == "-flags":
-			fmt.Println("[]") // no tool-specific flags
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return runUnit(analyzers, args[n-1])
-	}
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: spexlint <packages>  (or via go vet -vettool)")
+// Main is the spexlint entry point: it checks the packages matching
+// the patterns, tests included, from the working directory and prints
+// each finding to stderr as `file:line:col: message (spexlint:name)`.
+// Returns the process exit code: 0 clean, 1 for a driver failure or a
+// unit that fails to type-check, 2 for findings.
+func Main(analyzers []*Analyzer, patterns []string) int {
+	if len(patterns) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: spexlint <packages>")
 		return 1
 	}
-	return runPatterns(analyzers, args)
-}
-
-// printVersion implements the -V=full handshake. cmd/go parses the
-// line as `name version devel ... buildID=<hex>` and folds the ID into
-// its build cache key, so it embeds the executable's own digest —
-// rebuilding spexlint invalidates cached vet results.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("spexlint version devel buildID=%02x\n", h.Sum(nil))
-}
-
-func runUnit(analyzers []*Analyzer, cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-		return 1
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The facts file must exist even though spexlint records no facts:
-	// cmd/go stages it into the build cache for dependent units.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("spexlint: no facts\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	idx := ExportIndex{}
-	for path, file := range cfg.PackageFile {
-		idx[path] = file
-	}
-	// ImportMap aliases source-level import paths to canonical ones
-	// (vendoring, "pkg [pkg.test]" variants). Alias entries join the
-	// index pointing at the canonical export file.
-	for src, canon := range cfg.ImportMap {
-		if src == canon {
-			continue
-		}
-		if f, ok := idx[canon]; ok {
-			idx[src] = f
-		}
-	}
-	fset := token.NewFileSet()
-	unit, err := CheckFiles(fset, idx, cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-		return 1
-	}
-	if len(unit.TypeErrors) > 0 {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0 // the compiler proper owns reporting these
-		}
-		for _, e := range unit.TypeErrors {
-			fmt.Fprintf(os.Stderr, "spexlint: %v\n", e)
-		}
-		return 1
-	}
-	diags, err := RunAnalyzers(fset, unit.Files, unit.Types, unit.Info, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-		return 1
-	}
+	diags, err := Check(".", analyzers, patterns...)
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}
-	if len(diags) > 0 {
+	switch {
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
+		return 1
+	case len(diags) > 0:
 		return 2
 	}
 	return 0
 }
 
-func runPatterns(analyzers []*Analyzer, patterns []string) int {
-	wd, err := os.Getwd()
+// Check loads the packages matching the patterns in dir, their tests
+// included, and runs the analyzers over every unit. A package the
+// compiler rejects fails the load, since `go list -export` builds it
+// first. A unit that go/types rejects is not analyzed: its type errors
+// come back joined in the error, beside the findings of every unit
+// that did check. A load or analyzer failure returns no findings.
+func Check(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
+	units, err := Load(dir, true, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-		return 1
+		return nil, err
 	}
-	units, err := Load(wd, true, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-		return 1
-	}
-	exit := 0
+	var diags []Diagnostic
+	var typeErrs []error
 	for _, u := range units {
 		if len(u.TypeErrors) > 0 {
 			for _, e := range u.TypeErrors {
-				fmt.Fprintf(os.Stderr, "spexlint: %s: %v\n", u.PkgPath, e)
+				typeErrs = append(typeErrs, fmt.Errorf("%s: %w", u.PkgPath, e))
 			}
-			exit = 1
 			continue
 		}
-		diags, err := RunAnalyzers(u.Fset, u.Files, u.Types, u.Info, analyzers)
+		ds, err := RunAnalyzers(u.Fset, u.Files, u.Types, u.Info, analyzers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "spexlint: %v\n", err)
-			return 1
+			return nil, fmt.Errorf("%s: %w", u.PkgPath, err)
 		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-			if exit == 0 {
-				exit = 2
-			}
-		}
+		diags = append(diags, ds...)
 	}
-	return exit
+	return diags, errors.Join(typeErrs...)
 }

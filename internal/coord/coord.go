@@ -306,7 +306,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				continue // torn write: next tick
 			}
-			mHeartbeatLag.Set(time.Since(hb.UpdatedAt).Seconds())
+			if !hb.UpdatedAt.IsZero() { // a worker still starting up has written none
+				mHeartbeatLag.Set(time.Since(hb.UpdatedAt).Seconds())
+			}
 			done := keySet(hb.Done)
 			var remaining []KeyRef
 			for _, k := range st.lease.Keys {

@@ -331,6 +331,74 @@ func TestWorkStealingRebalances(t *testing.T) {
 	}
 }
 
+// TestHeartbeatLagNeedsAHeartbeat: a worker still starting up (an
+// exec worker infers before its first heartbeat) has written no
+// heartbeat, so its lag is unknown, not the saturated Duration. Worker
+// 2 here starts only once worker 1 has drained and stolen from it; the
+// steal still counts every one of its keys as pending, and the gauge
+// keeps the value it had.
+func TestHeartbeatLagNeedsAHeartbeat(t *testing.T) {
+	w := campaignOf(t, ldapd.New())
+	ws := []shard.Workload{w}
+	spawn := inprocSpawner(ws, WorkerOptions{Workers: 1, Inject: inject.DefaultOptions(), Poll: 5 * time.Millisecond}, nil, nil)
+	stolen := make(chan struct{})
+	var late sync.Once
+	lateStart := func(ctx context.Context, spec WorkerSpec) (Handle, error) {
+		first := false
+		if spec.Worker == 2 {
+			late.Do(func() { first = true })
+		}
+		if !first {
+			return spawn(ctx, spec)
+		}
+		wctx, cancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() {
+			select {
+			case <-stolen:
+			case <-wctx.Done():
+				done <- wctx.Err()
+				return
+			case <-time.After(10 * time.Second): // no steal: the assertions say so
+			}
+			h, err := spawn(wctx, spec)
+			if err == nil {
+				err = h.Wait()
+			}
+			done <- err
+		}()
+		return &inprocHandle{cancel: cancel, done: done}, nil
+	}
+
+	before := mHeartbeatLag.Value()
+	var lag float64
+	var steal sync.Once
+	cfg := testConfig(t.TempDir(), ws, lateStart)
+	cfg.OnEvent = func(e Event) {
+		if e.Kind == "steal" && e.From == 2 {
+			steal.Do(func() {
+				lag = mHeartbeatLag.Value()
+				close(stolen)
+			})
+		}
+	}
+	res, err := runLocked(t, context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stolen:
+	default:
+		t.Fatal("worker 1 never stole from the worker that had not started")
+	}
+	if lag != before {
+		t.Errorf("heartbeat lag gauge = %v s after reading a missing heartbeat, want it left at %v", lag, before)
+	}
+	if res.Stats[0].Outcomes != len(w.Ms) {
+		t.Errorf("merged %d outcomes, want %d", res.Stats[0].Outcomes, len(w.Ms))
+	}
+}
+
 // TestCoordinatorCancelMidSteal is the cancellation satellite: SIGINT
 // (modeled as context cancellation) lands exactly when the first steal
 // fires. Afterwards every lease key must be either persisted in its

@@ -1,9 +1,8 @@
 // Package shard turns the single-process campaign engine into a
 // multi-backend system: it partitions the global injection workload
 // across processes or machines and merges the shards' persisted state
-// back into one canonical store (the ROADMAP's "campaign sharding
-// across processes/machines" item, scaling the paper's §3.1 campaign
-// beyond one host).
+// back into one canonical store, scaling the paper's §3.1 campaign
+// beyond one host.
 //
 // The subsystem has two cooperating pieces:
 //
