@@ -12,7 +12,8 @@
 // It loads the packages with their tests through analysis.Load and
 // prints each finding as `file:line:col: message (spexlint:name)` on
 // stderr. Exit 0 is clean, 1 a driver failure or a package that does
-// not type-check, 2 findings; a //spexlint:ignore <analyzer> <reason>
+// not build or type-check (printed beside the other packages'
+// findings), 2 findings; a //spexlint:ignore <analyzer> <reason>
 // directive on or above the flagged line waives one finding with an
 // audit trail.
 package main

@@ -68,8 +68,9 @@ func spexlint(t *testing.T, dir string, args ...string) (string, int) {
 }
 
 // TestCommandContract pins what CI's spexlint step relies on: the exit
-// code says clean (0), broken (1) or findings (2), and each finding is
-// one `file:line:col: message (spexlint:name)` line on stderr.
+// code says clean (0), broken (1) or findings (2), each finding is one
+// `file:line:col: message (spexlint:name)` line on stderr, and a broken
+// package is reported beside the other packages' findings.
 func TestCommandContract(t *testing.T) {
 	const lib = "package p\n\nimport \"context\"\n\n"
 	// A test file may root a context; the command loads it and lets it be.
@@ -105,6 +106,30 @@ func TestCommandContract(t *testing.T) {
 			args:  []string{"./..."},
 			exit:  1,
 			want:  `p/p\.go:3:\d+: cannot use "x"`,
+		},
+		{
+			// A package the compiler rejects hides no other package's
+			// findings.
+			name: "broken package beside a finding",
+			files: map[string]string{
+				"p/p.go": "package p\n\nfunc F() int { return \"x\" }\n",
+				"q/q.go": "package q\n\nimport \"context\"\n\nfunc Root() context.Context {\n\treturn context.Background()\n}\n",
+			},
+			args: []string{"./..."},
+			exit: 1,
+			want: `(?ms)^\S*q/q\.go:6:9: context\.Background\(\) outside package main.* \(spexlint:ctxflow\)$.*p/p\.go:3:\d+: cannot use "x"`,
+		},
+		{
+			// Nor does a test file that does not parse.
+			name: "syntax error beside a finding",
+			files: map[string]string{
+				"p/p.go":      "package p\n",
+				"p/p_test.go": "package p\n\nfunc TestF( {\n",
+				"q/q.go":      "package q\n\nimport \"context\"\n\nfunc Root() context.Context {\n\treturn context.Background()\n}\n",
+			},
+			args: []string{"./..."},
+			exit: 1,
+			want: `(?ms)^\S*q/q\.go:6:9: context\.Background\(\) outside package main.* \(spexlint:ctxflow\)$.*p/p_test\.go:3:\d+: expected '\)'`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,7 +31,9 @@
 //     (report.AnalyzeAllContext, spex.InferAll) produces reports
 //     identical to a sequential run.
 //     testdata/golden pins every table and figure byte for byte, and
-//     report's TestGoldenOutput checks each execution mode against it.
+//     each system's outcome count and store fingerprint
+//     (testdata/golden/stores.txt); report's TestGoldenOutput checks
+//     each execution mode against it.
 //   - Cancellation. Every layer threads a context.Context down to
 //     sim.MonitorStartContext; Ctrl-C in the cmd drivers stops
 //     dispatching immediately, abandons in-flight boots, and reports

@@ -33,8 +33,8 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 		t.Fatalf("analysistest: fixture %s loaded as %d units, want 1", fixture, len(units))
 	}
 	unit := units[0]
-	for _, e := range unit.TypeErrors {
-		t.Errorf("analysistest: fixture does not type-check: %v", e)
+	for _, e := range unit.Errors {
+		t.Errorf("analysistest: fixture does not load: %v", e)
 	}
 	if t.Failed() {
 		t.FailNow()

@@ -48,7 +48,7 @@ func TestHidden(t *testing.T) {
 	}
 	external := false
 	for _, u := range units {
-		for _, e := range u.TypeErrors {
+		for _, e := range u.Errors {
 			t.Errorf("%s: type error: %v", u.PkgPath, e)
 		}
 		external = external || u.PkgPath == "example.com/m/p_test"

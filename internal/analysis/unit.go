@@ -10,7 +10,7 @@ import (
 // the patterns, tests included, from the working directory and prints
 // each finding to stderr as `file:line:col: message (spexlint:name)`.
 // Returns the process exit code: 0 clean, 1 for a driver failure or a
-// unit that fails to type-check, 2 for findings.
+// unit that does not load or type-check, 2 for findings.
 func Main(analyzers []*Analyzer, patterns []string) int {
 	if len(patterns) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: spexlint <packages>")
@@ -31,22 +31,23 @@ func Main(analyzers []*Analyzer, patterns []string) int {
 }
 
 // Check loads the packages matching the patterns in dir, their tests
-// included, and runs the analyzers over every unit. A package the
-// compiler rejects fails the load, since `go list -export` builds it
-// first. A unit that go/types rejects is not analyzed: its type errors
+// included, and runs the analyzers over every unit. A unit that does
+// not load (a package the compiler or go list rejects, a file that
+// does not parse, a unit go/types rejects) is not analyzed: its errors
 // come back joined in the error, beside the findings of every unit
-// that did check. A load or analyzer failure returns no findings.
+// that did check. A failure of go list itself or of an analyzer
+// returns no findings.
 func Check(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
 	units, err := Load(dir, true, patterns...)
 	if err != nil {
 		return nil, err
 	}
 	var diags []Diagnostic
-	var typeErrs []error
+	var unitErrs []error
 	for _, u := range units {
-		if len(u.TypeErrors) > 0 {
-			for _, e := range u.TypeErrors {
-				typeErrs = append(typeErrs, fmt.Errorf("%s: %w", u.PkgPath, e))
+		if len(u.Errors) > 0 {
+			for _, e := range u.Errors {
+				unitErrs = append(unitErrs, fmt.Errorf("%s: %w", u.PkgPath, e))
 			}
 			continue
 		}
@@ -56,5 +57,5 @@ func Check(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic,
 		}
 		diags = append(diags, ds...)
 	}
-	return diags, errors.Join(typeErrs...)
+	return diags, errors.Join(unitErrs...)
 }

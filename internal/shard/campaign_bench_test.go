@@ -2,14 +2,66 @@ package shard_test
 
 import (
 	"context"
+	"os"
 	"testing"
 
+	"spex/internal/campaignstore"
 	"spex/internal/constraint"
 	"spex/internal/inject"
 	"spex/internal/shard"
 	"spex/internal/sim"
 	"spex/internal/spex"
 )
+
+// BenchmarkCampaignAllCold measures one cold campaign-service job in
+// process: each iteration runs one CampaignAll (two workers) over the
+// seven inferred targets into a fresh, empty store, so every
+// misconfiguration boots its target and every system saves. The store
+// is made, locked, released and removed with the timer stopped. exec/op
+// counts the executed misconfigurations per job. Run it with -benchmem.
+func BenchmarkCampaignAllCold(b *testing.B) {
+	ws := allWorkloads(b)
+	root := b.TempDir()
+	opts := shard.Options{Workers: 2, Inject: inject.DefaultOptions()}
+	executed := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp(root, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := campaignstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lk, err := store.Lock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		runs, err := shard.CampaignAll(context.Background(), lk.Set(), ws, opts)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, run := range runs {
+			if run.Report.Replayed != 0 || run.Report.Finished() != len(ws[j].Ms) || !run.Status.Saved || run.Err != nil {
+				b.Fatalf("%s: executed %d of %d, replayed %d, saved %v: %v", run.Sys.Name(),
+					run.Report.Finished()-run.Report.Replayed, len(ws[j].Ms), run.Report.Replayed, run.Status.Saved, run.Err)
+			}
+			executed += run.Report.Finished()
+		}
+		if err := lk.Unlock(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(executed)/float64(b.N), "exec/op")
+}
 
 // BenchmarkCampaignAllWarm measures one warm campaign-service job in
 // process: the seven inferred targets run against a store one campaign

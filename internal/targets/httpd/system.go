@@ -93,6 +93,12 @@ func (i *instance) Stop() { i.env.Net.ReleaseOwner("httpd") }
 // interleave until the parsed values are copied out of the global.
 var bootMu sync.Mutex
 
+// arena backs the corpus's allocBuffer. Nothing reads the buffer: the
+// array exists only so the corpus keeps its negative-length crash and its
+// 1 MiB cap without allocating on every boot. No boot writes it, so
+// concurrent boots share it.
+var arena [1 << 20]byte
+
 func (s *System) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
 	c := loadConfig(env, cfg)
 	st, err := startHTTPD(env, c)

@@ -411,7 +411,7 @@ func allocBuffer(n int64) []byte {
 	if capped > 1<<20 {
 		capped = 1 << 20 // simulate large allocations with a capped arena
 	}
-	return make([]byte, capped)
+	return arena[:capped:capped]
 }
 
 func allocPool(n int64) {

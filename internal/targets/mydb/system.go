@@ -112,6 +112,12 @@ func (i *instance) Stop() {
 // not interleave until the parsed values are copied out of the globals.
 var bootMu sync.Mutex
 
+// arena backs the corpus's allocBuffer. Nothing reads the buffer: the
+// array exists only so the corpus keeps its negative-length crash and its
+// 1 MiB cap without allocating on every boot. No boot writes it, so
+// concurrent boots share it.
+var arena [1 << 20]byte
+
 // Start parses, validates, and boots mydb on the given substrates.
 func (s *System) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
 	c, err := loadConfig(env, cfg)

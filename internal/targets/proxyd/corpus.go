@@ -317,7 +317,7 @@ func allocBuffer(n int64) []byte {
 	if capped > 1<<20 {
 		capped = 1 << 20 // simulate large allocations with a capped arena
 	}
-	return make([]byte, capped)
+	return arena[:capped:capped]
 }
 
 func spawnWorkers(n int64) int64 {

@@ -311,7 +311,7 @@ func allocBuffer(n int64) []byte {
 	if capped > 1<<20 {
 		capped = 1 << 20
 	}
-	return make([]byte, capped)
+	return arena[:capped:capped]
 }
 
 func allocPool(n int64) {

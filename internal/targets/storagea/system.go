@@ -119,6 +119,12 @@ func (i *instance) Stop() { i.env.Net.ReleaseOwner("storagea") }
 // detaches.
 var bootMu sync.Mutex
 
+// arena backs the corpus's allocBuffer. Nothing reads the buffer: the
+// array exists only so the corpus keeps its negative-length clamp and its
+// 1 MiB cap without allocating on every boot. No boot writes it, so
+// concurrent boots share it.
+var arena [1 << 20]byte
+
 func (s *System) Start(env *sim.Env, cfg *conffile.File) (sim.Instance, error) {
 	bootMu.Lock()
 	defer bootMu.Unlock()
