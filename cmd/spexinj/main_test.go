@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
+	"spex/internal/golden"
 )
 
 // binDir holds the spexinj and spexmerge binaries TestMain builds once.
@@ -82,12 +83,46 @@ func withoutLines(report string, drop ...string) string {
 	return strings.Join(kept, "\n")
 }
 
+// pinned returns testdata/golden/stores.txt's outcome count and store
+// fingerprint for the named systems, or for all seven if none is named.
+func pinned(t *testing.T, systems ...string) map[string]golden.Store {
+	t.Helper()
+	want, err := golden.Stores("../../testdata/golden", systems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// checkStore fails unless the store in dir holds exactly the named
+// systems' pinned outcome counts and fingerprints (all seven if none is
+// named), as LoadIndexAll reads them.
+func checkStore(t *testing.T, label, dir string, systems ...string) {
+	t.Helper()
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs, err := store.LoadIndexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]golden.Store, len(idxs))
+	for _, idx := range idxs {
+		got[idx.System] = golden.Store{Outcomes: len(idx.Docs), Fingerprint: idx.Fingerprint}
+	}
+	if want := pinned(t, systems...); !maps.Equal(got, want) {
+		t.Errorf("%s holds %v, testdata/golden/stores.txt pins %v", label, got, want)
+	}
+}
+
 // TestStateReplaysAcrossProcesses: a second spexinj -all -state process
 // over the first one's store replays every outcome of the seven systems
 // at zero fresh cost, says that each snapshot was left as it was and
 // leaves every file in the store with its bytes and mtime, prints the
 // same report apart from its state and cost lines, and its -metrics-out
-// dump records replayed outcomes and no fresh ones.
+// dump records replayed outcomes and no fresh ones. After each run the
+// store holds testdata/golden's outcome counts and fingerprints.
 func TestStateReplaysAcrossProcesses(t *testing.T) {
 	tmp := t.TempDir()
 	state, metrics := filepath.Join(tmp, "state"), filepath.Join(tmp, "metrics.txt")
@@ -95,6 +130,7 @@ func TestStateReplaysAcrossProcesses(t *testing.T) {
 	if n := strings.Count(first, "state: full campaign — no snapshot (first run)"); n != 7 {
 		t.Errorf("the first run is a full first-run campaign for %d systems, want 7:\n%s", n, first)
 	}
+	checkStore(t, "the first run's store", state)
 	files := readFiles(t, state)
 	second := mustRun(t, "spexinj", "-all", "-state", state, "-metrics-out", metrics)
 	replays := fullReplayRE.FindAllStringSubmatch(second, -1)
@@ -109,6 +145,7 @@ func TestStateReplaysAcrossProcesses(t *testing.T) {
 	if after := readFiles(t, state); !maps.EqualFunc(after, files, fileState.equal) {
 		t.Errorf("the second run changed the store's files")
 	}
+	checkStore(t, "the second run's store", state)
 	if a, b := withoutLines(first, "state:", "simulated cost"), withoutLines(second, "state:", "simulated cost"); a != b {
 		t.Errorf("the replayed report differs from the first run's:\n%s\n---\n%s", a, b)
 	}
@@ -168,8 +205,9 @@ func readFiles(t *testing.T, dir string) map[string]fileState {
 }
 
 // TestShardMergeMatchesUnshardedRun: two -shard processes merged by
-// spexmerge give a store that replays in full and reports exactly what
-// an unsharded store's replay reports.
+// spexmerge give a store that holds proxyd's pinned outcome count and
+// fingerprint, replays in full and reports exactly what an unsharded
+// store's replay reports.
 func TestShardMergeMatchesUnshardedRun(t *testing.T) {
 	tmp := t.TempDir()
 	dir := func(name string) string { return filepath.Join(tmp, name) }
@@ -178,6 +216,7 @@ func TestShardMergeMatchesUnshardedRun(t *testing.T) {
 	mustRun(t, "spexinj", "-system", "proxyd", "-shard", "1/2", "-state", dir("shard1"))
 	mustRun(t, "spexinj", "-system", "proxyd", "-shard", "2/2", "-state", dir("shard2"))
 	mustRun(t, "spexmerge", "-out", dir("merged"), dir("shard1"), dir("shard2"))
+	checkStore(t, "the merged store", dir("merged"), "proxyd")
 	merged := mustRun(t, "spexinj", "-system", "proxyd", "-state", dir("merged"))
 	if !replaysInFull(merged) {
 		t.Errorf("the merged store does not replay in full:\n%s", merged)
@@ -191,8 +230,9 @@ func TestShardMergeMatchesUnshardedRun(t *testing.T) {
 // separate processes — spexinj -coordinate launching spexinj -lease
 // workers — with worker 1 ten times slower per simulated cost unit. The
 // fast worker must steal from it, the merged store's fingerprint must
-// equal an unsharded run's, and the coordinated root must replay in
-// full at zero fresh cost.
+// equal an unsharded run's, the coordinated root must hold proxyd's
+// pinned outcome count and fingerprint, and it must replay in full at
+// zero fresh cost.
 func TestCoordinatorMatchesUnshardedRun(t *testing.T) {
 	tmp := t.TempDir()
 	unsharded, canon, coordinated := filepath.Join(tmp, "us"), filepath.Join(tmp, "us-canon"), filepath.Join(tmp, "coordst")
@@ -214,6 +254,7 @@ func TestCoordinatorMatchesUnshardedRun(t *testing.T) {
 	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("coordinated %q, unsharded %q", got, want)
 	}
+	checkStore(t, "the coordinated root", coordinated, "proxyd")
 
 	replay := mustRun(t, "spexinj", "-system", "proxyd", "-state", coordinated)
 	if !replaysInFull(replay) {

@@ -94,8 +94,10 @@
 // The simulated targets model the real systems' package-global config
 // variables, so each target serializes its boot phase under a package
 // mutex and detaches the parsed configuration into the instance before
-// the (fully parallel) functional-test phase. Campaign wall-clock cost
-// is dominated by per-misconfiguration boots in the paper's setting;
+// the (fully parallel) functional-test phase. A Runner
+// (inject.NewRunner) parses its target's template once, and each trial
+// clones that parse before injecting its values. Campaign wall-clock
+// cost is dominated by per-misconfiguration boots in the paper's setting;
 // inject.Options.SimCostDelay optionally realizes simulated cost units
 // as wall time so the scheduler's overlap is measurable
 // (BenchmarkCampaignParallel).

@@ -14,6 +14,8 @@ package conffile
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -62,14 +64,14 @@ type Line struct {
 type File struct {
 	Syntax Syntax
 	Lines  []Line
-	index  map[string][]int // key -> line indices (first wins on Get)
+	index  map[string]int // key -> position in Lines of its first directive
 }
 
 // Parse parses src into an AR using the given syntax. Unparseable directive
 // lines are preserved as comments so serialization is lossless; Parse never
 // fails on well-formed template files shipped with the targets.
 func Parse(src string, syntax Syntax) (*File, error) {
-	f := &File{Syntax: syntax, index: make(map[string][]int)}
+	f := &File{Syntax: syntax, index: make(map[string]int)}
 	lines := strings.Split(src, "\n")
 	// A trailing newline yields one empty trailing element; drop it so
 	// String() round-trips.
@@ -92,9 +94,10 @@ func Parse(src string, syntax Syntax) (*File, error) {
 				f.Lines = append(f.Lines, Line{Kind: LineComment, Raw: raw, Num: num})
 				continue
 			}
-			idx := len(f.Lines)
+			if _, ok := f.index[key]; !ok {
+				f.index[key] = len(f.Lines)
+			}
 			f.Lines = append(f.Lines, Line{Kind: LineDirective, Key: key, Value: val, Num: num})
-			f.index[key] = append(f.index[key], idx)
 		}
 	}
 	return f, nil
@@ -120,40 +123,31 @@ func splitDirective(s string, syntax Syntax) (key, val string, ok bool) {
 
 // Get returns the value of the first directive with the given key.
 func (f *File) Get(key string) (string, bool) {
-	idxs, ok := f.index[key]
-	if !ok || len(idxs) == 0 {
+	i, ok := f.index[key]
+	if !ok {
 		return "", false
 	}
-	return f.Lines[idxs[0]].Value, true
+	return f.Lines[i].Value, true
 }
 
 // Set replaces the value of key, or appends a new directive if absent.
 func (f *File) Set(key, value string) {
-	if idxs, ok := f.index[key]; ok && len(idxs) > 0 {
-		f.Lines[idxs[0]].Value = value
+	if i, ok := f.index[key]; ok {
+		f.Lines[i].Value = value
 		return
 	}
 	idx := len(f.Lines)
 	f.Lines = append(f.Lines, Line{Kind: LineDirective, Key: key, Value: value, Num: idx + 1})
-	f.index[key] = append(f.index[key], idx)
-}
-
-func (f *File) reindex() {
-	f.index = make(map[string][]int)
-	for i, ln := range f.Lines {
-		if ln.Kind == LineDirective {
-			f.index[ln.Key] = append(f.index[ln.Key], i)
-		}
-	}
+	f.index[key] = idx
 }
 
 // LineOf returns the template line number of the first directive for key.
 func (f *File) LineOf(key string) (int, bool) {
-	idxs, ok := f.index[key]
-	if !ok || len(idxs) == 0 {
+	i, ok := f.index[key]
+	if !ok {
 		return 0, false
 	}
-	return f.Lines[idxs[0]].Num, true
+	return f.Lines[i].Num, true
 }
 
 // Keys returns all directive keys in file order (first occurrence).
@@ -171,7 +165,7 @@ func (f *File) Keys() []string {
 
 // Map returns directive key/value pairs (first occurrence wins).
 func (f *File) Map() map[string]string {
-	m := make(map[string]string)
+	m := make(map[string]string, len(f.index))
 	for _, ln := range f.Lines {
 		if ln.Kind == LineDirective {
 			if _, ok := m[ln.Key]; !ok {
@@ -185,10 +179,7 @@ func (f *File) Map() map[string]string {
 // Clone returns a deep copy of the AR, suitable for mutation by the
 // injector while keeping the template intact.
 func (f *File) Clone() *File {
-	nf := &File{Syntax: f.Syntax, Lines: make([]Line, len(f.Lines))}
-	copy(nf.Lines, f.Lines)
-	nf.reindex()
-	return nf
+	return &File{Syntax: f.Syntax, Lines: slices.Clone(f.Lines), index: maps.Clone(f.index)}
 }
 
 // String serializes the AR back to configuration-file text.

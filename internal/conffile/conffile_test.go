@@ -98,6 +98,51 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestDuplicateKeysAddressFirstDirective: Get, Set and LineOf address a
+// repeated key's first directive, on a parsed file and on its clone, and
+// a clone's Set of an absent key leaves the original as it was.
+func TestDuplicateKeysAddressFirstDirective(t *testing.T) {
+	const src = "a = 1\n# c\nb = 2\na = 3\n"
+	parse := func() *File {
+		f, err := Parse(src, SyntaxEquals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for name, f := range map[string]*File{"parsed": parse(), "clone": parse().Clone()} {
+		if v, ok := f.Get("a"); !ok || v != "1" {
+			t.Errorf("%s: Get(a) = %q,%v, want the first directive's 1", name, v, ok)
+		}
+		if n, ok := f.LineOf("a"); !ok || n != 1 {
+			t.Errorf("%s: LineOf(a) = %d,%v, want 1", name, n, ok)
+		}
+		f.Set("a", "9")
+		if got, want := f.String(), "a = 9\n# c\nb = 2\na = 3\n"; got != want {
+			t.Errorf("%s: after Set(a, 9):\n%s\nwant\n%s", name, got, want)
+		}
+		if v, _ := f.Get("a"); v != "9" {
+			t.Errorf("%s: Get(a) = %q after Set(a, 9)", name, v)
+		}
+	}
+
+	f := parse()
+	c := f.Clone()
+	c.Set("z", "4")
+	if v, ok := c.Get("z"); !ok || v != "4" {
+		t.Errorf("clone: Get(z) = %q,%v after Set(z, 4)", v, ok)
+	}
+	if v, ok := f.Get("z"); ok {
+		t.Errorf("the clone's Set(z, 4) reached the original: Get(z) = %q", v)
+	}
+	if keys := f.Keys(); strings.Join(keys, ",") != "a,b" {
+		t.Errorf("original Keys() = %v after the clone's Set, want [a b]", keys)
+	}
+	if got := f.String(); got != src {
+		t.Errorf("original renders\n%s\nafter the clone's Set, want\n%s", got, src)
+	}
+}
+
 func TestLineOf(t *testing.T) {
 	f, _ := Parse("# c\na = 1\nb = 2\n", SyntaxEquals)
 	if n, ok := f.LineOf("b"); !ok || n != 3 {

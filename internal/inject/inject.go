@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -224,18 +225,31 @@ func DefaultOptions() Options {
 }
 
 // Runner executes individual misconfigurations of one system — the unit
-// of work the schedulers dispatch. RunContext wraps one runner in a
-// worker pool; the global cross-target scheduler (internal/shard)
-// interleaves many runners' tasks on a single pool.
+// of work the schedulers dispatch. It holds what every trial reads: the
+// system's template configuration, parsed once, and its functional
+// tests in run order. A trial only reads them and mutates its own clone
+// of the template, so a Runner is safe for concurrent use: RunContext
+// wraps one runner in a worker pool, and the global cross-target
+// scheduler (internal/shard) interleaves many runners' tasks on a
+// single pool.
 type Runner struct {
-	sys      sim.System
-	tmplText string
-	opts     Options
+	sys  sim.System
+	tmpl *conffile.File
+	// tmplErr is the template's parse error, which every trial returns.
+	tmplErr error
+	tests   []sim.FuncTest
+	opts    Options
 }
 
-// NewRunner prepares a runner for the system.
+// NewRunner prepares a runner for the system: it parses the template
+// and orders the tests (shortest first under Options.SortTests).
 func NewRunner(sys sim.System, opts Options) *Runner {
-	return &Runner{sys: sys, tmplText: sys.DefaultConfig(), opts: opts}
+	tmpl, err := conffile.Parse(sys.DefaultConfig(), sys.Syntax())
+	tests := slices.Clone(sys.Tests())
+	if opts.SortTests {
+		sort.SliceStable(tests, func(i, j int) bool { return tests[i].Weight < tests[j].Weight })
+	}
+	return &Runner{sys: sys, tmpl: tmpl, tmplErr: err, tests: tests, opts: opts}
 }
 
 // Trial is one misconfiguration's verdict with the evidence behind it.
@@ -251,14 +265,6 @@ type Trial struct {
 	// effective value differs from the injected one once every test
 	// passed; Effective is that value.
 	Changed, Effective string
-}
-
-// Trial boots the misconfiguration on fresh virtual substrates, runs the
-// functional tests and classifies the reaction: the one place a boot
-// becomes a verdict. A returned error is a harness-level failure (the
-// misconfiguration could not be tested), never a system reaction.
-func (r *Runner) Trial(ctx context.Context, m confgen.Misconf) (Trial, error) {
-	return runOne(ctx, r.sys, r.tmplText, m, r.opts)
 }
 
 // Test is Trial's outcome as a campaign records it: the log dump is
@@ -354,18 +360,21 @@ func RunContext(ctx context.Context, sys sim.System, ms []confgen.Misconf, opts 
 	return rep, nil
 }
 
-func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misconf, opts Options) (Trial, error) {
+// Trial boots the misconfiguration on fresh virtual substrates, runs the
+// functional tests and classifies the reaction: the one place a boot
+// becomes a verdict. A returned error is a harness-level failure (the
+// misconfiguration could not be tested), never a system reaction.
+func (r *Runner) Trial(ctx context.Context, m confgen.Misconf) (Trial, error) {
 	var t Trial
 	out := &t.Outcome
 	out.Misconf = m
 	if m.Violates != nil {
 		out.Loc = m.Violates.Loc
 	}
-	tmpl, err := conffile.Parse(tmplText, sys.Syntax())
-	if err != nil {
-		return t, err
+	if r.tmplErr != nil {
+		return t, r.tmplErr
 	}
-	cfg := tmpl.Clone()
+	cfg := r.tmpl.Clone()
 	// Apply the injected values in sorted order so the rendered config —
 	// and with it every downstream log line — is deterministic even for
 	// multi-parameter misconfigurations.
@@ -379,12 +388,12 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	}
 
 	env := sim.NewEnv()
-	sys.SetupEnv(env)
+	r.sys.SetupEnv(env)
 	if err := applyEnv(env, m.Env); err != nil {
 		return t, err
 	}
 
-	t.Start = sim.MonitorStartContext(ctx, sys, env, cfg)
+	t.Start = sim.MonitorStartContext(ctx, r.sys, env, cfg)
 	if k := t.Start.Kind; k == sim.StartCancelled || k == sim.StartTimeout {
 		return t, t.Start.Err
 	}
@@ -413,11 +422,7 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 	inst := t.Start.Instance
 	defer inst.Stop()
 
-	tests := append([]sim.FuncTest(nil), sys.Tests()...)
-	if opts.SortTests {
-		sort.SliceStable(tests, func(i, j int) bool { return tests[i].Weight < tests[j].Weight })
-	}
-	for _, ft := range tests {
+	for _, ft := range r.tests {
 		out.SimCost += ft.Weight
 		if err := sim.RunTest(ft, env, inst); err != nil {
 			pin = env.Log.Pinpoints(m.Param, injected, line)
@@ -429,7 +434,7 @@ func runOne(ctx context.Context, sys sim.System, tmplText string, m confgen.Misc
 				out.Reaction = ReactionFuncFailure
 			}
 			out.LogDump = env.Log.Dump()
-			if opts.StopOnFirstFailure {
+			if r.opts.StopOnFirstFailure {
 				return t, nil
 			}
 		}

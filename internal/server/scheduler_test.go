@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -185,6 +186,7 @@ func TestSharedSystemJobsSerialize(t *testing.T) {
 // eval while the big one (proxyd, 154) is still injecting — instead of
 // holding every system at a stage barrier, and it must do so on the
 // job's one pool: with workers: 1, no two misconfigurations run at once.
+// Both summaries carry testdata/golden's outcome count and fingerprint.
 func TestStagedJobPipelinesPerSystem(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := daemon(t, server.Config{StateDir: dir})
@@ -235,10 +237,8 @@ func TestStagedJobPipelinesPerSystem(t *testing.T) {
 	}
 	t.Logf("ldapd eval done at frame %d, proxyd inject done at frame %d", pos["ldapd/eval/done"], pos["proxyd/inject/done"])
 
-	for _, sum := range final.Systems {
-		if sum.Fingerprint == "" || sum.Outcomes == 0 {
-			t.Errorf("staged summary incomplete: %+v", sum)
-		}
+	if got, want := summarized(final), pinned(t, "ldapd", "proxyd"); !maps.Equal(got, want) {
+		t.Errorf("the staged job summarizes %v, testdata/golden/stores.txt pins %v", got, want)
 	}
 
 	// The workers bound: the job's trace holds one span per executed

@@ -21,6 +21,7 @@ import (
 	"spex/internal/campaignstore"
 	"spex/internal/constraint"
 	"spex/internal/dash"
+	"spex/internal/golden"
 	"spex/internal/inject"
 	"spex/internal/obs"
 	"spex/internal/report"
@@ -38,6 +39,27 @@ func daemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) 
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { s.Close() })
 	return s, ts
+}
+
+// pinned returns testdata/golden/stores.txt's outcome count and store
+// fingerprint for the named systems, or for all seven if none is named.
+func pinned(t *testing.T, systems ...string) map[string]golden.Store {
+	t.Helper()
+	want, err := golden.Stores("../../testdata/golden", systems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// summarized returns each of a job's system summaries as its outcome
+// count and fingerprint.
+func summarized(job server.Job) map[string]golden.Store {
+	out := make(map[string]golden.Store, len(job.Systems))
+	for _, sum := range job.Systems {
+		out[sum.System] = golden.Store{Outcomes: sum.Outcomes, Fingerprint: sum.Fingerprint}
+	}
+	return out
 }
 
 func postJob(t *testing.T, base string, spec string) server.Job {
@@ -237,8 +259,10 @@ func (c *collector) waitFor(t *testing.T, what string, pred func(dash.Event) boo
 
 // TestDaemonEndToEnd is the acceptance run, once per golden daemon
 // mode, each on a fresh state directory: submit an all-systems job over
-// HTTP and byte-diff all twelve served tables against testdata/golden —
-// exactly what `spexeval -table N` prints. The plain job also checks
+// HTTP, check each system summary's outcome count and fingerprint
+// against testdata/golden/stores.txt, and byte-diff all twelve served
+// tables against testdata/golden — exactly what `spexeval -table N`
+// prints. The plain job also checks
 // the SSE stream, ETags, the JSON form, outcome serving, and that a
 // second job replays the store at zero fresh cost.
 func TestDaemonEndToEnd(t *testing.T) {
@@ -270,10 +294,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 			if len(final.Systems) != 7 {
 				t.Fatalf("job summarizes %d systems, want 7", len(final.Systems))
 			}
-			for _, sum := range final.Systems {
-				if sum.Outcomes == 0 || sum.Fingerprint == "" {
-					t.Errorf("%s summary incomplete: %+v", sum.System, sum)
-				}
+			if got, want := summarized(final), pinned(t); !maps.Equal(got, want) {
+				t.Errorf("the job summarizes %v, testdata/golden/stores.txt pins %v", got, want)
 			}
 			for n := 1; n <= report.MaxTable; n++ {
 				golden, err := os.ReadFile(fmt.Sprintf("../../testdata/golden/table%02d.txt", n))

@@ -242,7 +242,6 @@ type SystemRun struct {
 // the context error.
 func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workload, opts Options) ([]SystemRun, error) {
 	runs := make([]SystemRun, len(ws))
-	runners := make([]*inject.Runner, len(ws))
 	results := make([][]engine.Result[inject.Outcome], len(ws))
 	// keys[i][j] is ws[i].Ms[j]'s replay identity (inject.CacheKey):
 	// the replay lookups, the progress events and the save all use it.
@@ -254,15 +253,17 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 	stored := make([]map[string]inject.Outcome, len(ws))
 	stamps := make([]map[string]time.Time, len(ws))
 	replayed := make([][]bool, len(ws))
-	// fresh[i] lists the indices into ws[i].Ms that must execute.
+	// fresh[i] lists the indices into ws[i].Ms that must execute, and
+	// runners[i] executes them; the prepare builds it only when fresh[i]
+	// is not empty, so a warm workload parses no template.
 	fresh := make([][]int, len(ws))
+	runners := make([]*inject.Runner, len(ws))
 	// spans[i] is workload i's system span, from its prepare through
 	// its save, under the span ctx carries (nil without one).
 	spans := make([]*obs.Span, len(ws))
 	total := 0
 	for i := range ws {
 		runs[i].Sys = ws[i].Sys
-		runners[i] = inject.NewRunner(ws[i].Sys, opts.Inject)
 		results[i] = make([]engine.Result[inject.Outcome], len(ws[i].Ms))
 		replayed[i] = make([]bool, len(ws[i].Ms))
 		total += len(ws[i].Ms)
@@ -396,6 +397,9 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 				continue
 			}
 			fresh[i] = append(fresh[i], j)
+		}
+		if len(fresh[i]) > 0 {
+			runners[i] = inject.NewRunner(w.Sys, opts.Inject)
 		}
 		spans[i].SetAttr("replayed", strconv.Itoa(len(js)))
 		switch {
