@@ -9,13 +9,14 @@
 //
 //	spexlint ./...
 //
-// It loads the packages with their tests through analysis.Load and
-// prints each finding as `file:line:col: message (spexlint:name)` on
-// stderr. Exit 0 is clean, 1 a driver failure or a package that does
-// not build or type-check (printed beside the other packages'
-// findings), 2 findings; a //spexlint:ignore <analyzer> <reason>
-// directive on or above the flagged line waives one finding with an
-// audit trail.
+// It loads the packages through analysis.Load, from one `go list`
+// listing that gives each package with tests as cmd/go compiles it
+// for `go test`, and prints each finding as `file:line:col: message
+// (spexlint:name)` on stderr. Exit 0 is clean, 1 a driver failure or a
+// package that does not build or type-check (printed beside the other
+// packages' findings), 2 findings; a //spexlint:ignore <analyzer>
+// <reason> directive on or above the flagged line waives one finding
+// with an audit trail.
 package main
 
 import (

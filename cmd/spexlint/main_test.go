@@ -129,7 +129,19 @@ func TestCommandContract(t *testing.T) {
 			},
 			args: []string{"./..."},
 			exit: 1,
-			want: `(?ms)^\S*q/q\.go:6:9: context\.Background\(\) outside package main.* \(spexlint:ctxflow\)$.*p/p_test\.go:3:\d+: expected '\)'`,
+			want: `(?ms)^\S*q/q\.go:6:9: context\.Background\(\) outside package main.* \(spexlint:ctxflow\)$.*p/p_test\.go:3:13: syntax error: unexpected \{`,
+		},
+		{
+			// A package that imports a broken one reports that import,
+			// and the broken package its own error.
+			name: "importer of a broken package",
+			files: map[string]string{
+				"p/p.go": "package p\n\nfunc F() int { return \"x\" }\n",
+				"q/q.go": "package q\n\nimport (\n\t\"context\"\n\n\t\"example.com/m/p\"\n)\n\nvar _ = p.F\n\nfunc Root() context.Context {\n\treturn context.Background()\n}\n",
+			},
+			args: []string{"./..."},
+			exit: 1,
+			want: `(?s)p/p\.go:3:\d+: cannot use "x".*q/q\.go:6:2: could not import example\.com/m/p`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

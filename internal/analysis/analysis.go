@@ -3,7 +3,11 @@
 // standard library's go/ast, go/types and go/importer: the repo vendors
 // no dependencies, so the checker suite (cmd/spexlint) carries its own
 // driver. Every unit reaches the analyzers through Load (load.go),
-// which type-checks packages via `go list -export`:
+// which takes the units and their dependencies' export data from one
+// `go list -deps -export -test` listing and type-checks each unit from
+// source. A package with _test.go files is checked as cmd/go's test
+// variant of it, the sources plus the tests; an external _test
+// package is its own unit:
 //
 //   - Check (unit.go) loads package patterns with their tests and runs
 //     the suite; the `spexlint ./...` command (Main) and the repo-wide

@@ -25,7 +25,7 @@ import (
 // `// want "regexp"` on its line, and every want must be matched.
 func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	t.Helper()
-	units, err := analysis.Load(".", false, "./testdata/src/"+fixture)
+	units, err := analysis.Load(".", "./testdata/src/"+fixture)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}

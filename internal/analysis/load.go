@@ -1,12 +1,15 @@
-// The package loader, the only way a unit reaches the analyzers:
-// `go list -e -deps -export -json -test` resolves every dependency to
-// compiled export data, then each requested package unit is parsed and
-// type-checked from source with go/importer reading those export
-// files. This is what the x/tools go/packages loader does in
-// LoadAllSyntax mode, cut down to the one configuration spexlint
-// needs — no cgo special cases, no overlays, no module graph mutation.
-// A package that fails to load or build becomes a unit that carries
-// the failure, so it hides no other package's findings.
+// The package loader, the only way a unit reaches the analyzers: one
+// `go list -e -deps -export -test -json` listing resolves every
+// dependency to compiled export data and describes every unit, then
+// each unit is parsed and type-checked from source with go/importer
+// reading those export files. This is what the x/tools go/packages
+// loader does in LoadAllSyntax mode, cut down to the one configuration
+// spexlint needs — no cgo special cases, no overlays, no module graph
+// mutation. The units are the listing's own: a package with _test.go
+// files is its test variant "p [p.test]", which cmd/go compiles from
+// the sources plus the tests, and an external test is "p_test
+// [p.test]". A package that fails to load or build becomes a unit that
+// carries the failure, so it hides no other package's findings.
 package analysis
 
 import (
@@ -44,14 +47,15 @@ type Package struct {
 
 // listedPkg is the subset of `go list -json` output the loader reads.
 type listedPkg struct {
-	ImportPath   string
-	Dir          string
-	Export       string
-	GoFiles      []string
-	CgoFiles     []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Error        *listError
+	ImportPath  string
+	ForTest     string
+	DepOnly     bool
+	Dir         string
+	Export      string
+	GoFiles     []string
+	CgoFiles    []string
+	TestGoFiles []string
+	Error       *listError
 }
 
 // listError is go list's report of a package it could not load or
@@ -76,33 +80,11 @@ func (e *listError) Error() string {
 }
 
 // exportIndex maps canonical import paths to compiled export-data
-// files, the importer's lookup table.
+// files, the importer's lookup table. It keeps the bracketed test
+// variants ("dep [pkg.test]") under their listed names, beside the
+// plain export the rest of the graph links against. A package go list
+// could not build has no export data.
 type exportIndex map[string]string
-
-// loadExportIndex builds the export index for the patterns' full
-// dependency closure, including test dependencies. The index keeps the
-// bracketed test variants ("dep [pkg.test]") under their listed names,
-// beside the plain export the rest of the graph links against. It also
-// returns the error of each package go list could not build, by import
-// path; such a package has no export data.
-func loadExportIndex(dir string, patterns ...string) (exportIndex, map[string]*listError, error) {
-	args := append([]string{"list", "-e", "-deps", "-export", "-json=ImportPath,Export,Error", "-test"}, patterns...)
-	pkgs, err := goList(dir, args)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := exportIndex{}
-	errs := map[string]*listError{}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			idx[p.ImportPath] = p.Export
-		}
-		if p.Error != nil {
-			errs[p.ImportPath] = p.Error
-		}
-	}
-	return idx, errs, nil
-}
 
 // importerFor returns a types.Importer resolving through the index. A
 // non-empty forTest names the package whose external test is being
@@ -124,59 +106,62 @@ func (idx exportIndex) importerFor(fset *token.FileSet, forTest string) types.Im
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// Load type-checks the packages matching the patterns (module-local
-// syntax, export-data dependencies). dir is a directory inside the
-// module, where `go list` runs and relative patterns resolve; a
-// pattern may name a testdata directory outright, which `./...` never
-// matches. withTests folds each package's _test.go files into its unit
-// and adds external _test packages as their own units. A package go
-// list reports an error for is one unit that carries the error, and is
-// not type-checked.
-func Load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
-	idx, buildErrs, err := loadExportIndex(dir, patterns...)
+// Load type-checks the packages matching the patterns, their tests
+// included (module-local syntax, export-data dependencies). dir is a
+// directory inside the module, where `go list` runs and relative
+// patterns resolve; a pattern may name a testdata directory outright,
+// which `./...` never matches. The units are the listing's entries the
+// patterns named, except a package with _test.go files, whose test
+// variant stands in for it, and test mains, whose files cmd/go
+// generates. An entry go list reports an error for is one unit that
+// carries the error, and is not type-checked.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	args := append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,Error"}, patterns...)
-	pkgs, err := goList(dir, args)
-	if err != nil {
-		return nil, err
+	idx := exportIndex{}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			idx[p.ImportPath] = p.Export
+		}
 	}
 	fset := token.NewFileSet()
 	imp := idx.importerFor(fset, "")
 	var out []*Package
 	for _, p := range pkgs {
-		if p.Error == nil {
-			p.Error = buildErrs[p.ImportPath]
-		}
-		if p.Error != nil {
-			out = append(out, &Package{PkgPath: p.ImportPath, Errors: []error{p.Error}})
+		// A test variant checks under its package's path: "p [p.test]"
+		// as p, "p_test [p.test]" as p_test.
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		switch {
+		case p.DepOnly, p.ForTest == "" && len(p.TestGoFiles) > 0:
+			continue // a dependency, or a package its test variant stands in for
+		case p.ForTest == "" && strings.HasSuffix(path, ".test"):
+			continue // a test main
+		case p.Error != nil:
+			out = append(out, &Package{PkgPath: path, Errors: []error{p.Error}})
 			continue
+		case len(p.CgoFiles) > 0:
+			return nil, fmt.Errorf("analysis: %s uses cgo, which this loader does not support", path)
+		case len(p.GoFiles) == 0:
+			continue // only external tests, which are their own unit
 		}
-		if len(p.CgoFiles) > 0 {
-			return nil, fmt.Errorf("analysis: %s uses cgo, which this loader does not support", p.ImportPath)
+		unitImp := imp
+		if p.ForTest != "" && path != p.ForTest {
+			unitImp = idx.importerFor(fset, p.ForTest)
 		}
-		files := absFiles(p.Dir, p.GoFiles)
-		if withTests {
-			files = append(files, absFiles(p.Dir, p.TestGoFiles)...)
-		}
-		if len(files) > 0 {
-			out = append(out, checkUnit(fset, imp, p.ImportPath, files))
-		}
-		if withTests && len(p.XTestGoFiles) > 0 {
-			ximp := idx.importerFor(fset, p.ImportPath)
-			out = append(out, checkUnit(fset, ximp, p.ImportPath+"_test", absFiles(p.Dir, p.XTestGoFiles)))
-		}
+		out = append(out, checkUnit(fset, unitImp, path, p.Dir, p.GoFiles))
 	}
 	return out, nil
 }
 
-// checkUnit parses and type-checks one unit. A file that does not
-// parse is the unit's error, and the unit is not type-checked.
-func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath string, files []string) *Package {
+// checkUnit parses and type-checks one unit, the named files in dir. A
+// file that does not parse is the unit's error, and the unit is not
+// type-checked.
+func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) *Package {
 	u := &Package{PkgPath: pkgPath, Fset: fset}
 	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
+		af, err := parser.ParseFile(fset, filepath.Join(dir, f), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			u.Errors = append(u.Errors, err)
 			continue
@@ -202,21 +187,15 @@ func checkUnit(fset *token.FileSet, imp types.Importer, pkgPath string, files []
 	return u
 }
 
-func absFiles(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(dir, n)
-	}
-	return out
-}
-
-func goList(dir string, args []string) ([]listedPkg, error) {
+// goList runs the loader's one listing in dir.
+func goList(dir string, patterns []string) ([]listedPkg, error) {
+	args := append([]string{"list", "-e", "-deps", "-export", "-test", "-json=ImportPath,ForTest,DepOnly,Dir,Export,GoFiles,CgoFiles,TestGoFiles,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("analysis: go %s: %v\n%s", strings.Join(args[:2], " "), err, stderr.String())
+		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
 	}
 	dec := json.NewDecoder(&stdout)
 	var pkgs []listedPkg

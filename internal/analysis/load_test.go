@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,7 +44,7 @@ func TestHidden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	units, err := Load(dir, true, "./...")
+	units, err := Load(dir, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,5 +57,41 @@ func TestHidden(t *testing.T) {
 	}
 	if !external {
 		t.Errorf("loaded %d units, none of them p's external test", len(units))
+	}
+}
+
+// TestLoadTakesTestUnitsFromTheListing: the units are go list's own
+// test variants. outcomeindex has in-package tests, so its one unit is
+// its test variant with the _test.go files folded in; targets has only
+// external tests, so it stays plain. Each external test is a unit, and
+// no test main or second plain outcomeindex is.
+func TestLoadTakesTestUnitsFromTheListing(t *testing.T) {
+	units, err := Load(".", "spex/internal/outcomeindex", "spex/internal/targets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]int{} // unit -> its _test.go files
+	for _, u := range units {
+		for _, e := range u.Errors {
+			t.Errorf("%s: %v", u.PkgPath, e)
+		}
+		if _, dup := tests[u.PkgPath]; dup {
+			t.Errorf("%s loaded twice", u.PkgPath)
+		}
+		tests[u.PkgPath] = 0
+		for _, f := range u.Files {
+			if strings.HasSuffix(u.Fset.File(f.Pos()).Name(), "_test.go") {
+				tests[u.PkgPath]++
+			}
+		}
+	}
+	want := map[string]int{
+		"spex/internal/outcomeindex":      3,
+		"spex/internal/outcomeindex_test": 1,
+		"spex/internal/targets":           0,
+		"spex/internal/targets_test":      2,
+	}
+	if !maps.Equal(tests, want) {
+		t.Errorf("units and their _test.go file counts = %v, want %v", tests, want)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"os"
 )
 
-// Main is the spexlint entry point: it checks the packages matching
-// the patterns, tests included, from the working directory and prints
-// each finding to stderr as `file:line:col: message (spexlint:name)`.
+// Main is the spexlint entry point: it runs Check on the packages
+// matching the patterns from the working directory and prints each
+// finding to stderr as `file:line:col: message (spexlint:name)`.
 // Returns the process exit code: 0 clean, 1 for a driver failure or a
 // unit that does not load or type-check, 2 for findings.
 func Main(analyzers []*Analyzer, patterns []string) int {
@@ -31,14 +31,13 @@ func Main(analyzers []*Analyzer, patterns []string) int {
 }
 
 // Check loads the packages matching the patterns in dir, their tests
-// included, and runs the analyzers over every unit. A unit that does
-// not load (a package the compiler or go list rejects, a file that
-// does not parse, a unit go/types rejects) is not analyzed: its errors
-// come back joined in the error, beside the findings of every unit
-// that did check. A failure of go list itself or of an analyzer
+// included (Load), and runs the analyzers over every unit. A unit that
+// go list, the compiler or go/types rejects is not analyzed: its
+// errors come back joined in the error, beside the findings of every
+// unit that did check. A failure of go list itself or of an analyzer
 // returns no findings.
 func Check(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	units, err := Load(dir, true, patterns...)
+	units, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -202,22 +201,4 @@ func (f *File) String() string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// Diff returns the keys whose values differ between two ARs, sorted.
-func Diff(a, b *File) []string {
-	am, bm := a.Map(), b.Map()
-	var out []string
-	for k, av := range am {
-		if bv, ok := bm[k]; !ok || bv != av {
-			out = append(out, k)
-		}
-	}
-	for k := range bm {
-		if _, ok := am[k]; !ok {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

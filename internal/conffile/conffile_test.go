@@ -2,6 +2,7 @@ package conffile
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -69,8 +70,8 @@ func TestRoundTripPreservesComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := Diff(f, f2); len(d) != 0 {
-		t.Errorf("round-trip diff: %v", d)
+	if !reflect.DeepEqual(f.Map(), f2.Map()) {
+		t.Errorf("round trip changed the directives: %v, want %v", f2.Map(), f.Map())
 	}
 }
 
@@ -150,17 +151,6 @@ func TestLineOf(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	a, _ := Parse("x = 1\ny = 2\n", SyntaxEquals)
-	b := a.Clone()
-	b.Set("y", "3")
-	b.Set("z", "4")
-	d := Diff(a, b)
-	if len(d) != 2 || d[0] != "y" || d[1] != "z" {
-		t.Errorf("Diff = %v, want [y z]", d)
-	}
-}
-
 // Property: for generated key/value maps, building a file via Set and
 // re-parsing its serialization preserves every pair, in both syntaxes.
 func TestPropertySetParseRoundTrip(t *testing.T) {
@@ -198,14 +188,14 @@ func TestPropertySetParseRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Diff(f, f.Clone()) is always empty.
+// Property: f.Clone() always holds f's directives.
 func TestPropertyCloneDiffEmpty(t *testing.T) {
 	f := func(keys [6]uint8) bool {
 		file, _ := Parse("", SyntaxEquals)
 		for i, k := range keys {
 			file.Set(fmt.Sprintf("k%d", k), fmt.Sprintf("%d", i))
 		}
-		return len(Diff(file, file.Clone())) == 0
+		return reflect.DeepEqual(file.Map(), file.Clone().Map())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -262,6 +262,34 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}()
 		return nil
 	}
+	// exited books a worker's exit. Once no worker runs, no heartbeat is
+	// stale.
+	exited := func(i int) {
+		states[i].running = false
+		running--
+		mWorkersRunning.Add(-1)
+		if running == 0 {
+			mHeartbeatLag.Set(0)
+		}
+	}
+	// publishLag sets the heartbeat-lag gauge to the age of the stalest
+	// heartbeat among the running workers, so a stuck worker shows while
+	// the others are busy and when no steal reads heartbeats. A worker
+	// still starting up has written none and is left out.
+	publishLag := func() {
+		lag := 0.0
+		for j, st := range states {
+			if !st.running {
+				continue
+			}
+			hb, err := ReadHeartbeat(HeartbeatPath(LeasePath(coordDir, j+1)))
+			if err != nil || hb.UpdatedAt.IsZero() {
+				continue // a torn write, or no heartbeat yet
+			}
+			lag = max(lag, time.Since(hb.UpdatedAt).Seconds())
+		}
+		mHeartbeatLag.Set(lag)
+	}
 	// abort is the one shutdown path: interrupt every running worker
 	// (each saves its finished outcomes on the way down), wait for all
 	// exit messages so no spawn goroutine is left blocked on exitCh,
@@ -273,10 +301,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		for running > 0 {
-			m := <-exitCh
-			states[m.worker].running = false
-			running--
-			mWorkersRunning.Add(-1)
+			exited((<-exitCh).worker)
 		}
 		return nil, err
 	}
@@ -305,9 +330,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			hb, err := ReadHeartbeat(HeartbeatPath(LeasePath(coordDir, j+1)))
 			if err != nil {
 				continue // torn write: next tick
-			}
-			if !hb.UpdatedAt.IsZero() { // a worker still starting up has written none
-				mHeartbeatLag.Set(time.Since(hb.UpdatedAt).Seconds())
 			}
 			done := keySet(hb.Done)
 			var remaining []KeyRef
@@ -412,9 +434,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return abort(ctx.Err())
 		case m := <-exitCh:
 			st := states[m.worker]
-			st.running = false
-			running--
-			mWorkersRunning.Add(-1)
+			exited(m.worker)
 			if m.err != nil {
 				emit(Event{Kind: "exit", Worker: m.worker + 1, Error: m.err.Error()})
 				if ctx.Err() != nil {
@@ -442,6 +462,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				return abort(err)
 			}
 		case <-ticker.C:
+			publishLag()
 			// Idle workers that exited before earlier laggards built up
 			// enough backlog get another look every tick.
 			for i, st := range states {

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -336,7 +337,7 @@ func TestWorkStealingRebalances(t *testing.T) {
 // heartbeat, so its lag is unknown, not the saturated Duration. Worker
 // 2 here starts only once worker 1 has drained and stolen from it; the
 // steal still counts every one of its keys as pending, and the gauge
-// keeps the value it had.
+// reads no lag older than the run.
 func TestHeartbeatLagNeedsAHeartbeat(t *testing.T) {
 	w := campaignOf(t, ldapd.New())
 	ws := []shard.Workload{w}
@@ -370,14 +371,15 @@ func TestHeartbeatLagNeedsAHeartbeat(t *testing.T) {
 		return &inprocHandle{cancel: cancel, done: done}, nil
 	}
 
-	before := mHeartbeatLag.Value()
-	var lag float64
+	start := time.Now()
+	var lag, elapsed float64
 	var steal sync.Once
 	cfg := testConfig(t.TempDir(), ws, lateStart)
 	cfg.OnEvent = func(e Event) {
 		if e.Kind == "steal" && e.From == 2 {
 			steal.Do(func() {
 				lag = mHeartbeatLag.Value()
+				elapsed = time.Since(start).Seconds()
 				close(stolen)
 			})
 		}
@@ -391,11 +393,91 @@ func TestHeartbeatLagNeedsAHeartbeat(t *testing.T) {
 	default:
 		t.Fatal("worker 1 never stole from the worker that had not started")
 	}
-	if lag != before {
-		t.Errorf("heartbeat lag gauge = %v s after reading a missing heartbeat, want it left at %v", lag, before)
+	if lag > elapsed {
+		t.Errorf("heartbeat lag gauge = %v s at the steal, %v s into the run: it read the missing heartbeat", lag, elapsed)
 	}
 	if res.Stats[0].Outcomes != len(w.Ms) {
 		t.Errorf("merged %d outcomes, want %d", res.Stats[0].Outcomes, len(w.Ms))
+	}
+}
+
+// TestHeartbeatLagShowsAStuckWorker: the coordinator reads every
+// running worker's heartbeat on each poll, so the gauge shows a worker
+// that stopped heartbeating while no worker is idle and no steal reads
+// heartbeats (StealMin -1). Worker 1 writes one heartbeat and hangs;
+// worker 2 hangs before writing any, so it is left out rather than
+// read as infinitely late. Once Run returns no worker runs, and the
+// gauge is 0.
+func TestHeartbeatLagShowsAStuckWorker(t *testing.T) {
+	ws := []shard.Workload{campaignOf(t, ldapd.New())}
+	hang := func(ctx context.Context, spec WorkerSpec) (Handle, error) {
+		if spec.Worker == 1 {
+			hb := &Heartbeat{Worker: 1, UpdatedAt: time.Now().UTC()}
+			if err := campaignstore.WriteJSON(HeartbeatPath(spec.LeasePath), hb); err != nil {
+				return nil, err
+			}
+		}
+		wctx, cancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() {
+			<-wctx.Done() // until Run interrupts it
+			done <- wctx.Err()
+		}()
+		return &inprocHandle{cancel: cancel, done: done}, nil
+	}
+	cfg := testConfig(t.TempDir(), ws, hang)
+	cfg.StealMin = -1
+	cfg.Poll = 5 * time.Millisecond
+	root, err := campaignstore.Open(cfg.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := root.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := lk.Unlock(); err != nil {
+			t.Error(err)
+		}
+	}()
+	cfg.Locks = lk.Set(ws[0].Sys.Name())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, cfg)
+		errc <- err
+	}()
+	want := (4 * cfg.Poll).Seconds()
+	poll := time.NewTicker(cfg.Poll)
+	defer poll.Stop()
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+wait:
+	for lag := 0.0; lag <= want; {
+		select {
+		case err := <-errc:
+			t.Fatalf("Run returned while every worker hung: %v", err)
+		case <-deadline.C:
+			t.Errorf("heartbeat lag gauge = %v s after 5 s of a hung worker, want more than %v s", lag, want)
+			break wait
+		case <-poll.C:
+		}
+		lag = mHeartbeatLag.Value()
+		if elapsed := time.Since(start).Seconds(); lag > elapsed {
+			t.Errorf("heartbeat lag gauge = %v s, %v s into the run: older than any heartbeat the run wrote", lag, elapsed)
+			break
+		}
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if lag := mHeartbeatLag.Value(); lag != 0 {
+		t.Errorf("heartbeat lag gauge = %v s after Run returned, want 0", lag)
 	}
 }
 

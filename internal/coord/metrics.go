@@ -1,6 +1,6 @@
 // Coordinator metrics: spawn/steal/retry activity, worker liveness,
-// and the heartbeat lag the steal policy acts on all feed the obs
-// registry.
+// and the age of the stalest running worker's heartbeat all feed the
+// obs registry.
 package coord
 
 import "spex/internal/obs"
@@ -20,5 +20,5 @@ var (
 	mStolenKeys     = obs.Default().Counter(metricStolenKeys, "keys moved off laggard leases by steals")
 	mRetries        = obs.Default().Counter(metricRetries, "failed workers respawned on their unchanged lease")
 	mWorkersRunning = obs.Default().Gauge(metricWorkersRunning, "coordinated workers currently running")
-	mHeartbeatLag   = obs.Default().Gauge(metricHeartbeatLag, "age in seconds of the most recently read worker heartbeat")
+	mHeartbeatLag   = obs.Default().Gauge(metricHeartbeatLag, "age in seconds of the stalest heartbeat among running coordinated workers, read every poll; 0 while none runs")
 )

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"spex/internal/campaignstore"
-	"spex/internal/confgen"
 	"spex/internal/inject"
 	"spex/internal/shard"
 )
@@ -170,12 +169,12 @@ func RunWorker(ctx context.Context, leasePath, stateDir string, ws []shard.Workl
 	gopts := shard.Options{
 		Workers: opts.Workers,
 		Inject:  opts.Inject,
-		Gate: func(system string, m confgen.Misconf) error {
-			if owned.Load().keys[shard.GlobalKey(system, inject.CacheKey(m))] {
+		Gate: func(system, key string) error {
+			if owned.Load().keys[shard.GlobalKey(system, key)] {
 				return nil
 			}
 			mu.Lock()
-			hb.Yielded = append(hb.Yielded, KeyRef{System: system, Key: inject.CacheKey(m)})
+			hb.Yielded = append(hb.Yielded, KeyRef{System: system, Key: key})
 			flush(false)
 			mu.Unlock()
 			return inject.ErrYielded

@@ -21,7 +21,6 @@
 package outcomeindex
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -77,17 +76,12 @@ func (d *Doc) LocString() string {
 type Aggregates struct {
 	// Outcomes counts every doc, errored ones included.
 	Outcomes int
-	// Errors counts harness failures (excluded from ByReaction).
-	Errors int
 	// ByReaction tallies err-free docs per reaction name — the same
 	// numbers as inject.Report.CountByReaction.
 	ByReaction map[string]int
 	// Vulnerabilities counts err-free docs whose reaction is a
 	// vulnerability.
 	Vulnerabilities int
-	// UniqueLocations counts distinct file:line locations behind the
-	// vulnerabilities (Table 5b).
-	UniqueLocations int
 }
 
 // System is one system's index: docs, posting lists, and aggregates,
@@ -180,7 +174,6 @@ func (b *Builder) Finish() *System {
 		ByReaction:     map[string][]int{},
 		Agg:            Aggregates{ByReaction: map[string]int{}},
 	}
-	locs := map[string]bool{}
 	for i := range sys.Docs {
 		d := &sys.Docs[i]
 		sys.Agg.Outcomes++
@@ -189,7 +182,6 @@ func (b *Builder) Finish() *System {
 			sys.ByKind[d.Kind] = append(sys.ByKind[d.Kind], i)
 		}
 		if d.Err != "" {
-			sys.Agg.Errors++
 			continue
 		}
 		name := d.ReactionName()
@@ -198,10 +190,8 @@ func (b *Builder) Finish() *System {
 		if d.Vulnerability() {
 			sys.Vulnerable = append(sys.Vulnerable, i)
 			sys.Agg.Vulnerabilities++
-			locs[fmt.Sprintf("%s:%d", d.File, d.Line)] = true
 		}
 	}
-	sys.Agg.UniqueLocations = len(locs)
 	return sys
 }
 

@@ -5,7 +5,6 @@ package outcomeindex_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"reflect"
 	"sort"
@@ -114,19 +113,15 @@ func FuzzReadIndexFile(f *testing.F) {
 // holds a loaded index's aggregates to.
 func docAggregates(docs []outcomeindex.Doc) outcomeindex.Aggregates {
 	agg := outcomeindex.Aggregates{Outcomes: len(docs), ByReaction: map[string]int{}}
-	locs := map[string]bool{}
 	for i := range docs {
 		d := &docs[i]
 		if d.Err != "" {
-			agg.Errors++
 			continue
 		}
 		agg.ByReaction[d.ReactionName()]++
 		if d.Vulnerability() {
 			agg.Vulnerabilities++
-			locs[fmt.Sprintf("%s:%d", d.File, d.Line)] = true
 		}
 	}
-	agg.UniqueLocations = len(locs)
 	return agg
 }

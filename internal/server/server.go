@@ -433,14 +433,6 @@ func (s *Server) namespaceFor(name string, create bool) (*namespace, error) {
 	return ns, nil
 }
 
-// Store exposes the default namespace's store for read-only use
-// (tests, status).
-func (s *Server) Store() *campaignstore.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.namespaces[DefaultNamespace].store
-}
-
 // closeNamespaces releases every namespace's writer lock.
 func (s *Server) closeNamespaces() error {
 	var first error

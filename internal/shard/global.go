@@ -161,14 +161,15 @@ type Options struct {
 	// mutex.
 	OnProgress func(Progress)
 	// Gate, if set, is consulted immediately before a misconfiguration
-	// executes (replays bypass it — a replay costs nothing and is
-	// already recorded). A non-nil error abandons the task with that
-	// error recorded on its outcome, exactly like a harness failure,
-	// and the outcome is never saved. The coordinator's worker harness
+	// executes, with its system and its replay key (inject.CacheKey);
+	// replays bypass it — a replay costs nothing and is already
+	// recorded. A non-nil error abandons the task with that error
+	// recorded on its outcome, exactly like a harness failure, and the
+	// outcome is never saved. The coordinator's worker harness
 	// (internal/coord) gates on lease ownership, which is how a
 	// work-stealing rebalance stops the victim from executing keys that
 	// were just reassigned.
-	Gate func(system string, m confgen.Misconf) error
+	Gate func(system, key string) error
 }
 
 // SystemRun is one workload's result in a global campaign.
@@ -444,7 +445,7 @@ func CampaignAll(ctx context.Context, locks *campaignstore.LockSet, ws []Workloa
 		var out inject.Outcome
 		var err error
 		if opts.Gate != nil {
-			err = opts.Gate(w.Sys.Name(), w.Ms[j])
+			err = opts.Gate(w.Sys.Name(), keys[i][j])
 		}
 		if err == nil {
 			out, err = runners[i].Test(mctx, w.Ms[j])

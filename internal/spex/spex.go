@@ -413,13 +413,6 @@ func mergeIntervals(in []constraint.Interval) []constraint.Interval {
 		}
 		out = append(out, iv)
 	}
-	if len(out) > 0 {
-		last := &out[len(out)-1]
-		if !last.HasMax {
-			// keep open end
-			_ = last
-		}
-	}
 	return out
 }
 
