@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -431,12 +430,11 @@ func readSystemName(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || !bytes.Equal(magic, snapMagic) {
+	s := &crcStream{r: bufio.NewReader(f)}
+	if magic, err := s.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
 		return "", fmt.Errorf("campaignstore: %s is not a snapshot", path)
 	}
-	head, err := readFrame(br)
+	head, err := s.frame()
 	if err != nil {
 		return "", fmt.Errorf("campaignstore: corrupt header in %s: %v", path, err)
 	}

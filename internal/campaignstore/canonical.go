@@ -21,12 +21,16 @@ import (
 // Store.Prepare decodes against them (codec.go): a header whose last
 // member is the canonical constraint set decodes only the members
 // before it, and a record whose payload opens with its key's canonical
-// misconfiguration decodes only the members after it. Only the bytes
-// select that path, and it returns what the plain decoder would: build
-// indexes only encodings that decode back to the value they were
-// encoded from. Saves never use them: a run whose load matched all of
-// them and changed nothing does not save (shard.CampaignAll), so every
-// save marshals.
+// misconfiguration takes the workload's key string and misconfiguration
+// and decodes only the members after it, with decodeTail's strict parse
+// (tail.go) or, for bytes json.Marshal would not have written,
+// json.Unmarshal. Only the bytes select that path, and it returns what
+// the plain decoder would: build indexes only encodings that decode
+// back to the value they were encoded from. The frames it reads alias
+// the loaded file's private buffer, which decodeHeader and the
+// json.Unmarshal fallback of decodeOutcome patch and restore. Saves
+// never use them: a run whose load matched all of them and changed
+// nothing does not save (shard.CampaignAll), so every save marshals.
 type Canonical struct {
 	set  *constraint.Set
 	ms   []confgen.Misconf
@@ -38,13 +42,11 @@ type Canonical struct {
 	// would not yield set's constraints.
 	setJSON []byte
 	setFP   string
-	byKey   map[string]canonMisconf
-}
-
-// canonMisconf holds the json.Marshal bytes of ms[i].
-type canonMisconf struct {
-	json []byte
-	i    int
+	// byKey maps the replay key of every misconfiguration whose encoding
+	// decodes back to it to its index i, and msJSON[i] is that encoding,
+	// json.Marshal(ms[i]).
+	byKey  map[string]int
+	msJSON [][]byte
 }
 
 // NewCanonical records the workload whose canonical encodings c stands
@@ -64,10 +66,11 @@ func (c *Canonical) build() {
 		if b, err := json.Marshal(c.set); err == nil && lossless(b) && uniqueIDs(c.set) {
 			c.setJSON = b
 		}
-		c.byKey = make(map[string]canonMisconf, len(c.ms))
+		c.byKey = make(map[string]int, len(c.ms))
+		c.msJSON = make([][]byte, len(c.ms))
 		for i, m := range c.ms {
 			if b, err := json.Marshal(m); err == nil && lossless(b) {
-				c.byKey[c.keys[i]] = canonMisconf{json: b, i: i}
+				c.byKey[c.keys[i]], c.msJSON[i] = i, b
 			}
 		}
 	})
@@ -134,55 +137,70 @@ func (c *Canonical) decodeHeader(head []byte, hdr *snapshotHeader) bool {
 	return true
 }
 
+// key returns the record key kb names and, for a key c holds, the index
+// of its misconfiguration, else -1. A held key's string is c's own, so
+// matching it allocates nothing.
+func (c *Canonical) key(kb []byte) (string, int) {
+	if c != nil {
+		c.build()
+		if i, ok := c.byKey[string(kb)]; ok {
+			return c.keys[i], i
+		}
+	}
+	return string(kb), -1
+}
+
 // misconfPrefix opens every outcome payload: Misconf is inject.Outcome's
 // first field, and payloads are compact json.Marshal output.
 var misconfPrefix = []byte(`{"Misconf":`)
 
 // outcomeTail receives the members after an outcome payload's
-// misconfiguration. Its Misconf field shadows the embedded Outcome's, so
-// any later key the plain decoder would read into Outcome.Misconf
-// (encoding/json matches keys case-insensitively) lands here and sends
-// the record to the full decode.
+// misconfiguration when decodeTail cannot read them. Its Misconf field
+// shadows the embedded Outcome's, so any later key the plain decoder
+// would read into Outcome.Misconf (encoding/json matches keys
+// case-insensitively) lands here and sends the record to the full
+// decode.
 type outcomeTail struct {
 	inject.Outcome
 	Misconf json.RawMessage
 }
 
-// decodeOutcome decodes a record payload that opens with key's canonical
-// misconfiguration, reading only the members after it, and takes the
-// workload's misconfiguration. It reports false, with out untouched, for
-// any payload it cannot show the plain decoder reads the same way.
-func (c *Canonical) decodeOutcome(key string, payload []byte, out *inject.Outcome) bool {
-	if c == nil || !bytes.HasPrefix(payload, misconfPrefix) {
+// decodeOutcome decodes a record payload that opens with ms[i]'s
+// canonical encoding (i from key; -1 matches nothing), reading only the
+// members after it, and takes the workload's misconfiguration. Those
+// members go through decodeTail, or through json.Unmarshal when it
+// refuses them. It reports false, with out untouched, for any payload it
+// cannot show the plain decoder reads the same way.
+func (c *Canonical) decodeOutcome(i int, payload []byte, out *inject.Outcome) bool {
+	if i < 0 || !bytes.HasPrefix(payload, misconfPrefix) {
 		return false
 	}
-	c.build()
-	cm, ok := c.byKey[key]
-	if !ok {
+	m := &c.ms[i]
+	end := len(misconfPrefix) + len(c.msJSON[i])
+	if len(payload) <= end || payload[end] != ',' || !bytes.Equal(payload[len(misconfPrefix):end], c.msJSON[i]) {
 		return false
 	}
-	end := len(misconfPrefix) + len(cm.json)
-	if len(payload) <= end || payload[end] != ',' {
-		return false
+	var loc constraint.SourceLoc
+	if m.Violates != nil {
+		loc = m.Violates.Loc
 	}
-	// The plain decoder needs another member after the comma; "{" + "}"
-	// alone would be a valid tail of an invalid payload.
-	if rest := bytes.TrimLeft(payload[end+1:], " \t\r\n"); len(rest) == 0 || rest[0] != '"' {
-		return false
+	if !decodeTail(payload[end+1:], loc, out) {
+		// The plain decoder needs another member after the comma; "{" +
+		// "}" alone would be a valid tail of an invalid payload.
+		if rest := bytes.TrimLeft(payload[end+1:], " \t\r\n"); len(rest) == 0 || rest[0] != '"' {
+			return false
+		}
+		// Decode "{" + the remaining members by putting the brace where
+		// the comma was; json.Unmarshal keeps no reference to its input.
+		var t outcomeTail
+		payload[end] = '{'
+		err := json.Unmarshal(payload[end:], &t)
+		payload[end] = ','
+		if err != nil || t.Misconf != nil {
+			return false
+		}
+		*out = t.Outcome
 	}
-	if !bytes.Equal(payload[len(misconfPrefix):end], cm.json) {
-		return false
-	}
-	// Decode "{" + the remaining members by putting the brace where the
-	// comma was; json.Unmarshal keeps no reference to its input.
-	var t outcomeTail
-	payload[end] = '{'
-	err := json.Unmarshal(payload[end:], &t)
-	payload[end] = ','
-	if err != nil || t.Misconf != nil {
-		return false
-	}
-	*out = t.Outcome
-	out.Misconf = c.ms[cm.i]
+	out.Misconf = *m
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"spex/internal/constraint"
@@ -72,8 +73,9 @@ func container(head []byte, key string, payload []byte) []byte {
 
 // sameDecode decodes data plainly and against c and fails unless both
 // accept or reject it alike and agree on the snapshot fingerprint, the
-// constraint set and the json.Marshal of every outcome. It returns what
-// of the canonical decode took the full decode.
+// constraint set and every outcome, compared both as values
+// (reflect.DeepEqual) and as json.Marshal bytes. It returns what of the
+// canonical decode took the full decode.
 func sameDecode(t *testing.T, data []byte, c *Canonical) (fullHeader bool, fullRecords int) {
 	t.Helper()
 	plain, _, perr := decodeBinarySnapshot(data, "fuzz", nil)
@@ -105,6 +107,9 @@ func sameDecode(t *testing.T, data []byte, c *Canonical) (fullHeader bool, fullR
 	for k, o := range plain.Outcomes {
 		if a, b := mustMarshal(t, o), mustMarshal(t, fast.Outcomes[k]); !bytes.Equal(a, b) {
 			t.Fatalf("outcome %q differs:\nplain     %s\ncanonical %s", k, a, b)
+		}
+		if !reflect.DeepEqual(o, fast.Outcomes[k]) {
+			t.Fatalf("outcome %q differs:\nplain     %+v\ncanonical %+v", k, o, fast.Outcomes[k])
 		}
 	}
 	return d.fullHeader, d.fullRecords
@@ -161,7 +166,7 @@ func TestCanonicalBuildsOnFirstDecode(t *testing.T) {
 // spaceAfterSpan is payload i with whitespace after the comma that
 // follows its misconfiguration.
 func spaceAfterSpan(fx canonFixture, i int) []byte {
-	end := len(misconfPrefix) + len(fx.c.byKey[fx.keys[i]].json)
+	end := len(misconfPrefix) + len(fx.c.msJSON[i])
 	p := fx.payloads[i]
 	return append(append(append([]byte(nil), p[:end+1]...), " \n\t"...), p[end+1:]...)
 }
@@ -221,7 +226,7 @@ func FuzzCanonicalDecode(f *testing.F) {
 	f.Add(fx.head, uint8(1), append(append([]byte(nil), second...), `,"MISCONF":null}`...))
 	// Whitespace or a brace right after the span's comma.
 	f.Add(fx.head, uint8(2), spaceAfterSpan(fx, 2))
-	end := len(misconfPrefix) + len(fx.c.byKey[fx.keys[2]].json)
+	end := len(misconfPrefix) + len(fx.c.msJSON[2])
 	f.Add(fx.head, uint8(2), append(append([]byte(nil), fx.payloads[2][:end+1]...), '}'))
 	f.Add(fx.head, uint8(2), append(append([]byte(nil), fx.payloads[2][:end+1]...), " }"...))
 	// A header whose constraint bytes differ only in a Loc, one with no
@@ -234,4 +239,52 @@ func FuzzCanonicalDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, head []byte, key uint8, payload []byte) {
 		sameDecode(t, container(head, fx.keys[int(key)%len(fx.keys)], payload), fx.c)
 	})
+}
+
+// TestWarmPrepareAllocsPerRecord bounds what a warm Prepare allocates
+// per record. The store holds what the workload's own campaign saved, so
+// every record matches its Canonical: the key is the workload's string,
+// the frames are slices of the file's bytes and the tail takes the
+// strict parse, which reuses the misconfiguration's location strings.
+// What is left per record is the outcome's failed test and log, and its
+// share of the file, the maps and their growth.
+func TestWarmPrepareAllocsPerRecord(t *testing.T) {
+	const n, perRecord = 300, 3
+	p := basicC("p")
+	p.Loc = constraint.SourceLoc{File: "cfg.c", Line: 10, Func: "parse"}
+	set, ms, opts := mkSet(p), misconfs(p, n), inject.DefaultOptions()
+	keys := make([]string, n)
+	outcomes := make(map[string]inject.Outcome, n)
+	for i, m := range ms {
+		keys[i] = inject.CacheKey(m)
+		o := inject.Outcome{Misconf: m, Reaction: inject.Reaction(i % 7), SimCost: i, Loc: p.Loc}
+		if o.Reaction.Vulnerability() {
+			o.FailedTest, o.LogDump = "ping", "ERR request failed\nWARN retrying\n"
+		}
+		outcomes[keys[i]] = o
+	}
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Unlock()
+	if err := lock.Set().Save(New("storefake", set, opts, outcomes)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCanonical(set, ms, keys)
+	prepare := func() {
+		st, got, _ := store.Prepare("storefake", set, ms, keys, opts, nil, c)
+		if !st.Replayed || st.FullHeader || st.FullDecodes != 0 || len(got) != n {
+			t.Fatalf("warm Prepare: %+v, %d outcomes; want a replay of %d records, none decoded in full", st, len(got), n)
+		}
+	}
+	prepare() // builds c's encodings
+	if allocs := testing.AllocsPerRun(10, prepare); allocs > perRecord*n {
+		t.Errorf("a warm Prepare of %d records makes %.0f allocations, %.1f per record; want at most %d",
+			n, allocs, allocs/n, perRecord)
+	}
 }

@@ -29,16 +29,26 @@
 // misconfigurations: a header that ends with the canonical set bytes
 // decodes only the members before them and takes the workload's set and
 // fingerprint, and a payload that opens with {"Misconf": and then
-// exactly its key's canonical misconfiguration bytes decodes only the
-// members after them and takes the workload's misconfiguration.
-// Anything else, and every decode without a Canonical (Load,
-// SnapshotIter), takes the full json.Unmarshal. Both paths accept the
-// same bytes and yield the same fingerprint and outcome encodings
-// (FuzzCanonicalDecode).
+// exactly its key's canonical misconfiguration bytes takes the
+// workload's misconfiguration and key string and reads the members after
+// them with a strict parser (decodeTail, tail.go) that accepts only the
+// bytes json.Marshal writes there and uses no reflection; a tail it
+// refuses goes through json.Unmarshal. Anything else, and every decode
+// without a Canonical (Load, LoadIndex, SnapshotIter), takes the full
+// json.Unmarshal. Both paths accept the same bytes and yield the same
+// fingerprint and outcomes (FuzzCanonicalDecode).
 //
-// Every length prefix is untrusted input: frames are read without
-// preallocating the claimed length (readFrameBody), so a corrupt prefix
-// costs what the file actually holds, not up to maxFrameLen.
+// Load reads the whole file and decodes it in place: its key, payload
+// and header frames are sub-slices of read's private buffer, not
+// copies, and the CRC is folded over each frame once. decodeHeader and
+// decodeOutcome may patch a byte of a frame and restore it; no decoded
+// value keeps a reference to the buffer. SnapshotIter reads its file
+// through a buffer, a fresh slice per frame.
+//
+// Every length prefix is untrusted input: a frame is a slice of the
+// bytes actually read, or is read without preallocating the claimed
+// length (readFrameBody), so a corrupt prefix costs what the file
+// actually holds, not up to maxFrameLen.
 package campaignstore
 
 import (
@@ -77,22 +87,10 @@ type frameReader interface {
 	io.ByteReader
 }
 
-// readFrame reads one uvarint-length-prefixed frame.
-func readFrame(r frameReader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, errors.New("truncated length prefix")
-	}
-	return readFrameBody(r, n)
-}
-
 // readFrameBody reads a frame of n bytes. The buffer grows with the
 // bytes that actually arrive, so a corrupt length prefix over a short
 // file allocates at most frameChunk, never the claimed length.
 func readFrameBody(r io.Reader, n uint64) ([]byte, error) {
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("frame length %d exceeds limit", n)
-	}
 	b := make([]byte, 0, min(n, frameChunk))
 	for uint64(len(b)) < n {
 		if len(b) == cap(b) {
@@ -153,14 +151,37 @@ func (f *Fingerprinter) Sum() string {
 }
 
 // snapshotHeader is the container's header blob — Snapshot minus the
-// outcome records.
+// outcome records. The encoder leaves Constraints empty, so json.Marshal
+// omits it, and appends the set's own json.Marshal bytes as the last
+// member: the set is marshalled once, not compacted a second time as a
+// RawMessage.
 type snapshotHeader struct {
 	Schema         string          `json:"schema"`
 	System         string          `json:"system"`
 	SavedAt        time.Time       `json:"saved_at"`
 	Options        string          `json:"options"`
 	SetFingerprint string          `json:"set_fingerprint"`
-	Constraints    json.RawMessage `json:"constraints"`
+	Constraints    json.RawMessage `json:"constraints,omitempty"`
+}
+
+// encodeHeader is the header blob of hdr: its members in snapshotHeader's
+// order, the constraint set last.
+func encodeHeader(hdr *Snapshot) ([]byte, error) {
+	rawSet, err := json.Marshal(hdr.Constraints)
+	if err != nil {
+		return nil, err
+	}
+	meta, err := json.Marshal(snapshotHeader{
+		Schema:         hdr.Schema,
+		System:         hdr.System,
+		SavedAt:        hdr.SavedAt,
+		Options:        hdr.Options,
+		SetFingerprint: hdr.SetFingerprint,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(meta[:len(meta)-1], constraintsMember, rawSet, []byte("}")), nil
 }
 
 // crcWriter folds everything written into a running CRC.
@@ -192,18 +213,7 @@ type SnapshotEncoder struct {
 // newSnapshotEncoder writes the magic and header. hdr carries the
 // snapshot's metadata; its Outcomes/Stamps are ignored.
 func newSnapshotEncoder(w io.Writer, hdr *Snapshot) (*SnapshotEncoder, error) {
-	rawSet, err := json.Marshal(hdr.Constraints)
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	head, err := json.Marshal(snapshotHeader{
-		Schema:         hdr.Schema,
-		System:         hdr.System,
-		SavedAt:        hdr.SavedAt,
-		Options:        hdr.Options,
-		SetFingerprint: hdr.SetFingerprint,
-		Constraints:    rawSet,
-	})
+	head, err := encodeHeader(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
@@ -297,28 +307,67 @@ func (e *SnapshotEncoder) Finish() (string, error) {
 	return e.fp.Sum(), nil
 }
 
-// crcStream folds the bytes the decoder *consumes* into a running CRC.
-// The fold must sit above any bufio layer, not below it: bufio
-// prefetches past the decoder's logical position, and a fold on the raw
-// reader would swallow the trailer (and anything after it) ahead of
-// time.
+// crcStream hands the decoder the container's bytes and folds the bytes
+// it *consumes* into a running CRC, each frame once. It reads either
+// data, a whole file in memory (Load), whose frames it hands out as
+// sub-slices of data, or r, a buffered file (SnapshotIter), whose frames
+// it reads into fresh slices. The fold must sit above any bufio layer,
+// not below it: bufio prefetches past the decoder's logical position,
+// and a fold on the raw reader would swallow the trailer (and anything
+// after it) ahead of time.
 type crcStream struct {
-	r   frameReader
-	crc uint32
+	r    frameReader // nil: read data
+	data []byte      // the unread bytes
+	crc  uint32
 }
 
+// ReadByte reads the next byte, for the varints. It allocates nothing.
 func (c *crcStream) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, []byte{b})
+	var b byte
+	switch {
+	case c.r != nil:
+		var err error
+		if b, err = c.r.ReadByte(); err != nil {
+			return 0, err
+		}
+	case len(c.data) > 0:
+		b, c.data = c.data[0], c.data[1:]
+	default:
+		return 0, io.EOF
 	}
-	return b, err
+	// crc32.Update of one byte, without a slice for it to escape in.
+	x := ^c.crc
+	c.crc = ^(crc32.IEEETable[byte(x)^b] ^ x>>8)
+	return b, nil
 }
 
-func (c *crcStream) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
+// next reads a frame of n bytes.
+func (c *crcStream) next(n uint64) ([]byte, error) {
+	var b []byte
+	switch {
+	case n > maxFrameLen:
+		return nil, fmt.Errorf("frame length %d exceeds limit", n)
+	case c.r != nil:
+		var err error
+		if b, err = readFrameBody(c.r, n); err != nil {
+			return nil, err
+		}
+	case n > uint64(len(c.data)):
+		return nil, errors.New("truncated frame")
+	default:
+		b, c.data = c.data[:n:n], c.data[n:]
+	}
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	return b, nil
+}
+
+// frame reads one uvarint-length-prefixed frame.
+func (c *crcStream) frame() ([]byte, error) {
+	n, err := binary.ReadUvarint(c)
+	if err != nil {
+		return nil, errors.New("truncated length prefix")
+	}
+	return c.next(n)
 }
 
 // SnapshotDecoder streams a binary snapshot: NewSnapshotDecoder
@@ -349,25 +398,23 @@ func (d *SnapshotDecoder) corruptf(format string, args ...any) error {
 
 // NewSnapshotDecoder reads and validates the container header. label
 // names the source in errors. The reader must be positioned at the
-// magic.
+// magic. A reader that cannot read byte by byte (a file) is buffered.
 func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
-	return newSnapshotDecoder(r, label, nil)
-}
-
-// newSnapshotDecoder is NewSnapshotDecoder matching against c (nil: the
-// plain decode). A reader that cannot read byte by byte (a file) is
-// buffered; one that can (the bytes.Reader behind Load) is read as is.
-func newSnapshotDecoder(r io.Reader, label string, c *Canonical) (*SnapshotDecoder, error) {
 	fr, ok := r.(frameReader)
 	if !ok {
 		fr = bufio.NewReaderSize(r, 1<<16)
 	}
-	d := &SnapshotDecoder{s: &crcStream{r: fr}, label: label, canon: c}
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(d.s, magic); err != nil || !bytes.Equal(magic, snapMagic) {
+	return newSnapshotDecoder(&crcStream{r: fr}, label, nil)
+}
+
+// newSnapshotDecoder is NewSnapshotDecoder reading s and matching
+// against c (nil: the plain decode).
+func newSnapshotDecoder(s *crcStream, label string, c *Canonical) (*SnapshotDecoder, error) {
+	d := &SnapshotDecoder{s: s, label: label, canon: c}
+	if magic, err := s.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, d.corruptf("bad magic")
 	}
-	head, err := readFrame(d.s)
+	head, err := s.frame()
 	if err != nil {
 		return nil, d.corruptf("header: %v", err)
 	}
@@ -436,21 +483,21 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("record count %d, trailer says %d", d.count, want)
 		}
 		sum := d.s.crc // CRC of everything consumed before the trailer CRC
-		var tail [4]byte
-		if _, rerr := io.ReadFull(d.s.r, tail[:]); rerr != nil {
+		tail, rerr := d.s.next(4)
+		if rerr != nil {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated CRC trailer")
 		}
-		if got := binary.LittleEndian.Uint32(tail[:]); got != sum {
+		if got := binary.LittleEndian.Uint32(tail); got != sum {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("CRC mismatch")
 		}
 		d.done = true
 		return "", time.Time{}, nil, inject.Outcome{}, io.EOF
 	}
-	kb, rerr := readFrameBody(d.s, n)
+	kb, rerr := d.s.next(n)
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("key: %v", rerr)
 	}
-	key = string(kb)
+	key, i := d.canon.key(kb)
 	if d.last != "" && key <= d.last {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("keys out of order (%q after %q)", key, d.last)
 	}
@@ -460,15 +507,18 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated stamp")
 	}
 	stamp = time.Unix(0, nano).UTC()
-	outJSON, rerr = readFrame(d.s)
+	outJSON, rerr = d.s.frame()
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
 	}
-	if !d.canon.decodeOutcome(key, outJSON, &out) {
+	if !d.canon.decodeOutcome(i, outJSON, &out) {
+		// full escapes to json.Unmarshal, so only this path allocates it.
+		var full inject.Outcome
 		d.fullRecords++
-		if rerr := json.Unmarshal(outJSON, &out); rerr != nil {
+		if rerr := json.Unmarshal(outJSON, &full); rerr != nil {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
 		}
+		out = full
 	}
 	d.count++
 	return key, stamp, outJSON, out, nil
@@ -481,7 +531,7 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 // truncated or corrupt file yields an error and a nil snapshot, never a
 // partial replay.
 func decodeBinarySnapshot(data []byte, label string, c *Canonical) (*Snapshot, *SnapshotDecoder, error) {
-	d, err := newSnapshotDecoder(bytes.NewReader(data), label, c)
+	d, err := newSnapshotDecoder(&crcStream{data: data}, label, c)
 	if err != nil {
 		return nil, nil, err
 	}

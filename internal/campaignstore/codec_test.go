@@ -2,14 +2,19 @@ package campaignstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"spex/internal/constraint"
 	"spex/internal/inject"
+	"spex/internal/spex"
+	"spex/internal/targets"
 )
 
 // fixtureOutcomes builds a deterministic outcome map large enough to
@@ -193,4 +198,38 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("fingerprint changed across the round trip: %s != %s", got, want)
 		}
 	})
+}
+
+// TestHeaderMarshalsSetOnce: the header encodeHeader writes, the set's
+// json.Marshal bytes appended as the last member, equals json.Marshal of
+// the whole header with the set as a RawMessage, the encoding every
+// snapshot on disk was written with, for each of the seven targets'
+// inferred sets, a set whose strings json.Marshal escapes, and no set.
+func TestHeaderMarshalsSetOnce(t *testing.T) {
+	rs, err := spex.InferAll(context.Background(), targets.All(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := basicC("a<b>&c \"d\"")
+	escaped.Loc = constraint.SourceLoc{File: "x\\y.c", Func: "<init>"}
+	sets := []*constraint.Set{mkSet(escaped), nil}
+	for _, r := range rs {
+		sets = append(sets, r.Set)
+	}
+	for _, set := range sets {
+		hdr := &Snapshot{Schema: SchemaFingerprint(), System: "storefake", SavedAt: time.Unix(1700000000, 5).UTC(),
+			Options: OptionsID(inject.DefaultOptions()), Constraints: set}
+		if set != nil {
+			hdr.System, hdr.SetFingerprint = set.System, set.Fingerprint()
+		}
+		got, err := encodeHeader(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustMarshal(t, snapshotHeader{Schema: hdr.Schema, System: hdr.System, SavedAt: hdr.SavedAt,
+			Options: hdr.Options, SetFingerprint: hdr.SetFingerprint, Constraints: mustMarshal(t, set)})
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: header\n%s\nwant\n%s", hdr.System, got, want)
+		}
+	}
 }

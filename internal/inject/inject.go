@@ -144,18 +144,31 @@ func (r *Report) CountByReaction() map[Reaction]int {
 	return out
 }
 
+// vulnerable reports whether an outcome is a vulnerability: it ran
+// without a harness error and its reaction is one.
+func vulnerable(o *Outcome) bool { return o.Err == "" && o.Reaction.Vulnerability() }
+
 // Vulnerabilities returns the outcomes that are vulnerabilities.
 func (r *Report) Vulnerabilities() []Outcome {
 	var out []Outcome
-	for _, o := range r.Outcomes {
-		if o.Err != "" {
-			continue
-		}
-		if o.Reaction.Vulnerability() {
-			out = append(out, o)
+	for i := range r.Outcomes {
+		if vulnerable(&r.Outcomes[i]) {
+			out = append(out, r.Outcomes[i])
 		}
 	}
 	return out
+}
+
+// NumVulnerabilities is len(Vulnerabilities()), counted without copying
+// an outcome.
+func (r *Report) NumVulnerabilities() int {
+	n := 0
+	for i := range r.Outcomes {
+		if vulnerable(&r.Outcomes[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 // Finished counts the outcomes that ran (or replayed) to completion —
@@ -189,13 +202,15 @@ func (r *Report) Errors() []Outcome {
 // UniqueLocations counts distinct source-code locations behind the
 // vulnerabilities (Table 5b): one patch may fix several vulnerabilities.
 func (r *Report) UniqueLocations() int {
-	seen := map[string]bool{}
-	for _, o := range r.Outcomes {
-		if o.Err != "" || !o.Reaction.Vulnerability() {
-			continue
+	type fileLine struct {
+		file string
+		line int
+	}
+	seen := map[fileLine]bool{}
+	for i := range r.Outcomes {
+		if o := &r.Outcomes[i]; vulnerable(o) {
+			seen[fileLine{o.Loc.File, o.Loc.Line}] = true
 		}
-		key := fmt.Sprintf("%s:%d", o.Loc.File, o.Loc.Line)
-		seen[key] = true
 	}
 	return len(seen)
 }

@@ -257,6 +257,9 @@ func TestUniqueLocations(t *testing.T) {
 	if got := len(rep.Vulnerabilities()); got != 3 {
 		t.Errorf("vulnerabilities = %d, want 3", got)
 	}
+	if got := rep.NumVulnerabilities(); got != 3 {
+		t.Errorf("NumVulnerabilities = %d, want 3", got)
+	}
 }
 
 func TestEnvActionsApplied(t *testing.T) {

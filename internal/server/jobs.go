@@ -165,7 +165,7 @@ func summarize(system string, rep *inject.Report) SystemSummary {
 	return SystemSummary{
 		System:          system,
 		Outcomes:        len(rep.Outcomes),
-		Vulnerabilities: len(rep.Vulnerabilities()),
+		Vulnerabilities: rep.NumVulnerabilities(),
 		UniqueLocations: rep.UniqueLocations(),
 		Replayed:        rep.Replayed,
 		Executed:        rep.Finished() - rep.Replayed,
