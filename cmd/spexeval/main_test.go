@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -64,7 +65,7 @@ func golden(t *testing.T, name string) string {
 // TestShardedStoreRendersGolden runs the distributed table pipeline as
 // separate processes: two `spexinj -all -shard i/2` stores folded by
 // spexmerge. Rendered from the merged store, by a -state replay and by
-// an -index read (which names every snapshot from its header, as any
+// an -index read (which builds every index from its snapshot, as any
 // fresh process does), each table and figure is byte-identical to its
 // golden file, and a run without -table or -figure prints all of them
 // in order, table 10 left out (table 9 renders it).
@@ -98,5 +99,22 @@ func TestShardedStoreRendersGolden(t *testing.T) {
 			t.Errorf("spexeval %s does not print every golden file but table10.txt, in order:\n%s",
 				strings.Join(mode, " "), got)
 		}
+	}
+}
+
+// TestIndexOfMissingStateWritesNothing: -index reads a store without
+// writing to it, so over a state directory that does not exist it exits
+// 1 with the incomplete-state error and leaves no directory behind.
+func TestIndexOfMissingStateWritesNothing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	cmd := exec.Command(filepath.Join(binDir, "spexeval"), "-index", "-state", missing, "-table", "5")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), "campaign state incomplete") {
+		t.Errorf("spexeval -index -state <missing> exited %d (%v), want 1 with the incomplete-state error:\n%s", code, err, stderr.String())
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("spexeval -index -state <missing> left %s behind: %v", missing, err)
 	}
 }

@@ -526,15 +526,10 @@ func printMergedReports(stateDir string, max int) error {
 	if err != nil {
 		return err
 	}
-	paths, err := store.Snapshots()
+	systems, err := store.List()
 	if err != nil {
 		return err
 	}
-	systems := make([]string, 0, len(paths))
-	for system := range paths {
-		systems = append(systems, system)
-	}
-	sort.Strings(systems)
 	for _, system := range systems {
 		snap, err := store.Load(system)
 		if err != nil {

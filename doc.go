@@ -370,16 +370,20 @@
 // through Load, so an index never outlives the snapshot's fail-safe
 // checks (a schema-stale snapshot is ErrStale for LoadIndex as for
 // Load). No index file is written, so a fresh process's first read
-// decodes each snapshot once. A held index also names its snapshot
-// file, so a warm cross-system read (/v1/tables, /v1/query,
-// /v1/systems, /v1/status) costs one directory read and one stat per
-// system; only a file the store holds no current index for — one a
-// fresh process has not read, or a foreign writer replaced — has its
-// header read for its system name. Cache invalidation needs no
-// coupling to the job lifecycle: a save's atomic rename is the
-// invalidation. FuzzReadIndexFile holds the index LoadIndex reads from
-// any snapshot file to queries that never panic and aggregates equal
-// to a direct tally of its docs.
+// decodes each snapshot once: one pass of the decoder feeds each
+// record's stored payload to the fingerprint and its outcome to the
+// index builder, the two sinks the streaming writer feeds on a save.
+// Each snapshot file, <system>.campaign.snap, names its system (a name
+// that is empty or holds '/', '\' or ':' cannot be saved and reads as
+// no snapshot), and every read checks that the header names the same
+// one, so a cross-system read (/v1/tables, /v1/query, /v1/systems,
+// /v1/status) costs one directory read and one stat per system when
+// the store holds every index, and reads no file to name one when it
+// does not. Cache invalidation needs no coupling to the job lifecycle:
+// a save's atomic rename is the invalidation. FuzzReadIndexFile holds
+// the index LoadIndex reads from any snapshot file to Load's verdict, to
+// a Builder fed Load's outcomes, to queries that never panic and to
+// aggregates equal to a direct tally of its docs.
 // `spexeval -index -state <dir>` renders all tables and figures from
 // the indexes — read-only: no writer lock, nothing written, each
 // snapshot decoded once to build its index — byte-identical to a

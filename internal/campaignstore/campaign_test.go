@@ -734,10 +734,11 @@ func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set)
 	if hdr.SetFingerprint != set.Fingerprint() {
 		t.Errorf("%s: header set fingerprint %s, want %s", stage, hdr.SetFingerprint, set.Fingerprint())
 	}
-	d, err := campaignstore.NewSnapshotDecoder(bytes.NewReader(data), stage)
+	d, err := campaignstore.OpenSnapshotIter(path, stage)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	for {
 		key, _, payload, out, err := d.Next()
 		if errors.Is(err, io.EOF) {
@@ -819,6 +820,70 @@ func TestResavesMatchPlainSaves(t *testing.T) {
 			if want, err := os.ReadFile(plain.Path(name)); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("%s: the saved file differs from a save of its loaded snapshot (%v)", name, err)
 			}
+		}
+	}
+}
+
+// TestColdIndexesMatchSavedIndexes: after a cold CampaignAll over the
+// seven targets, each index a freshly opened store's LoadIndexAll builds
+// in one pass over the snapshot equals the one the saving store's writer
+// built and holds: docs, posting lists, aggregates, fingerprint and
+// header fields. Each fingerprint is Snapshot.Fingerprint of the loaded
+// snapshot.
+func TestColdIndexesMatchSavedIndexes(t *testing.T) {
+	systems := targets.All()
+	rs, err := spex.InferAll(context.Background(), systems, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _, err := shard.BuildWorkloads(systems, rs, shard.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lk.Unlock()
+	runs, err := shard.CampaignAll(context.Background(), lk.Set(), ws, shard.Options{Workers: 2, Inject: inject.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if r.Err != nil || !r.Status.Saved {
+			t.Fatalf("%s: saved %v: %v", r.Sys.Name(), r.Status.Saved, r.Err)
+		}
+	}
+	held, err := store.LoadIndexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := campaignstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := fresh.LoadIndexAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) != len(ws) || len(rebuilt) != len(ws) {
+		t.Fatalf("the saving store holds %d indexes and a fresh store builds %d, want %d", len(held), len(rebuilt), len(ws))
+	}
+	for i, want := range held {
+		if !reflect.DeepEqual(rebuilt[i], want) {
+			t.Errorf("%s: a fresh store builds an index other than the saved one", want.System)
+		}
+		snap, err := fresh.Load(want.System)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := snap.Fingerprint(); err != nil || fp != rebuilt[i].Fingerprint {
+			t.Errorf("%s: index fingerprint %s, Snapshot.Fingerprint %s (%v)", want.System, rebuilt[i].Fingerprint, fp, err)
 		}
 	}
 }

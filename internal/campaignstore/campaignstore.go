@@ -23,8 +23,6 @@
 package campaignstore
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -41,7 +39,6 @@ import (
 	"spex/internal/confgen"
 	"spex/internal/constraint"
 	"spex/internal/inject"
-	"spex/internal/outcomeindex"
 )
 
 // SchemaVersion is the snapshot layout version. Bump it on any change
@@ -179,15 +176,14 @@ func New(system string, set *constraint.Set, opts inject.Options, outcomes map[s
 }
 
 // Store is a state directory holding one snapshot file per system,
-// plus, in memory only, the outcome index of each snapshot the store
-// has written or read (LoadIndex); a Store opened later on the same
-// directory rebuilds each from its snapshot on its first read.
-// A held index is served only while its snapshot file keeps the name,
-// size and mtime it was derived from (current), so a save by another
-// Store or process on the same directory invalidates it like the
-// store's own. While current it also names its file for List and
-// LoadIndexAll, so a warm store answers them without reading a
-// snapshot header.
+// <system>.campaign.snap, plus, in memory only, the outcome index of
+// each snapshot the store has written or read (LoadIndex); a Store
+// opened later on the same directory rebuilds each from its snapshot on
+// its first read. A held index is served only while its snapshot file
+// keeps the name, size and mtime it was derived from (current), so a
+// save by another Store or process on the same directory invalidates it
+// like the store's own. Every file is named by its file name, so List
+// and LoadIndexAll read no snapshot to name one.
 type Store struct {
 	dir string
 
@@ -197,15 +193,14 @@ type Store struct {
 	idx map[string]*heldIndex
 }
 
-// Open prepares a store rooted at dir, creating the directory if
-// needed. A Store is safe for concurrent use across systems — each
-// system reads and writes only its own file.
+// Open returns the store rooted at dir. It creates nothing: a store
+// whose directory does not exist lists no systems, and Lock, the one
+// way to the write capability, creates the directory. A Store is safe
+// for concurrent use across systems — each system reads and writes only
+// its own file.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("campaignstore: empty state directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
 	return &Store{dir: dir, idx: make(map[string]*heldIndex)}, nil
 }
@@ -216,22 +211,23 @@ func Open(dir string) (*Store, error) {
 // campaigns in full again.
 const snapSuffix = ".campaign.snap"
 
-// safeName flattens a system name into a file-name-safe base.
-func safeName(system string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case '/', '\\', ':':
-			return '_'
-		}
-		return r
-	}, system)
+// Path returns the named system's snapshot file, <system>.campaign.snap
+// in the store's directory. A name that is empty or holds '/', '\' or
+// ':' (validName) names no snapshot: a save of it fails and a read of it
+// is ErrNotExist, so no name reaches outside the directory or shares
+// another system's file.
+func (s *Store) Path(system string) string {
+	return filepath.Join(s.dir, system+snapSuffix)
 }
 
-// Path returns the snapshot file for the named system.
-func (s *Store) Path(system string) string {
-	// System names are short identifiers; flatten anything that would
-	// escape the state directory.
-	return filepath.Join(s.dir, safeName(system)+snapSuffix)
+// validName reports whether system names a snapshot file of its own.
+func validName(system string) bool {
+	return system != "" && !strings.ContainsAny(system, `/\:`)
+}
+
+// notExist is ErrNotExist for the system.
+func notExist(system string) error {
+	return fmt.Errorf("%w for %s", ErrNotExist, system)
 }
 
 // Load reads and validates the system's snapshot. It returns ErrNotExist
@@ -248,32 +244,9 @@ func (s *Store) Load(system string) (*Snapshot, error) {
 // it records in st, if set, how much of the snapshot took the full
 // decode.
 func (s *Store) load(system string, c *Canonical, st *Status) (*Snapshot, error) {
-	start := time.Now()
-	snap, err := s.read(system, c, st)
-	switch {
-	case err == nil:
-		mLoads.Inc()
-		mLoadSeconds.Observe(time.Since(start).Seconds())
-	case !errors.Is(err, ErrNotExist):
-		mLoadErrors.Inc()
-	}
-	return snap, err
-}
-
-func (s *Store) read(system string, c *Canonical, st *Status) (*Snapshot, error) {
-	data, err := os.ReadFile(s.Path(system))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	snap, d, err := decodeBinarySnapshot(data, system, c)
+	snap, d, err := read(s, system, c, (*SnapshotDecoder).snapshot)
 	if err != nil {
 		return nil, err
-	}
-	if snap.System != system {
-		return nil, fmt.Errorf("campaignstore: snapshot names system %q, want %q", snap.System, system)
 	}
 	if st != nil {
 		st.FullHeader, st.FullDecodes = d.fullHeader, d.fullRecords
@@ -281,15 +254,59 @@ func (s *Store) read(system string, c *Canonical, st *Status) (*Snapshot, error)
 	return snap, nil
 }
 
-// snapshotFiles lists the store's snapshot file names.
+// read is every read of a snapshot: Load, Prepare and LoadIndex's
+// rebuild. It reads the system's file, decodes and validates its header
+// against c (nil: the plain decode), checks that the header names the
+// system, and hands the decoder to records, which reads every record and
+// the trailer. Its errors are Load's, and it observes every read in
+// spex_store_load_*.
+func read[T any](s *Store, system string, c *Canonical, records func(*SnapshotDecoder) (T, error)) (v T, d *SnapshotDecoder, err error) {
+	start := time.Now()
+	defer func() {
+		switch {
+		case err == nil:
+			mLoads.Inc()
+			mLoadSeconds.Observe(time.Since(start).Seconds())
+		case !errors.Is(err, ErrNotExist):
+			mLoadErrors.Inc()
+		}
+	}()
+	if !validName(system) {
+		return v, nil, notExist(system)
+	}
+	data, err := os.ReadFile(s.Path(system))
+	if errors.Is(err, os.ErrNotExist) {
+		return v, nil, notExist(system)
+	}
+	if err != nil {
+		return v, nil, fmt.Errorf("campaignstore: %w", err)
+	}
+	if d, err = newSnapshotDecoder(&crcStream{data: data}, system, c); err != nil {
+		return v, nil, err
+	}
+	if d.hdr.System != system {
+		return v, nil, fmt.Errorf("campaignstore: snapshot names system %q, want %q", d.hdr.System, system)
+	}
+	if v, err = records(d); err != nil {
+		return v, nil, err
+	}
+	return v, d, nil
+}
+
+// snapshotFiles lists the store's snapshot file names: every
+// <system>.campaign.snap whose system is a valid name. A store whose
+// directory does not exist has none.
 func (s *Store) snapshotFiles() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix) {
+		if system, ok := strings.CutSuffix(e.Name(), snapSuffix); ok && !e.IsDir() && validName(system) {
 			names = append(names, e.Name())
 		}
 	}
@@ -368,87 +385,23 @@ func WriteJSON(path string, v any) error {
 }
 
 // List returns the name of every system with a snapshot in the store,
-// sorted. File names are flattened (Path), so each file is named by the
-// index the store holds for it while that index is current, else by its
-// header; files whose header does not parse are skipped — Load will
-// report them properly when asked.
+// sorted: each <system>.campaign.snap file names its system, whatever
+// its header holds. Load and LoadIndex report a file whose header does
+// not parse or names another system.
 func (s *Store) List() ([]string, error) {
-	files, err := s.walk()
-	if err != nil {
-		return nil, err
-	}
-	var systems []string
-	for _, f := range files {
-		systems = append(systems, f.system)
-	}
-	sort.Strings(systems)
-	return systems, nil
-}
-
-// snapshotFile is one snapshot file of the store, named.
-type snapshotFile struct {
-	system string
-	// held is the store's current index for the file, which named it;
-	// nil when its header did.
-	held *outcomeindex.System
-}
-
-// walk names every snapshot file in the store with one directory read
-// and one stat per file: by the index the store holds for the file
-// while it is current (one this store saved or read), else by the
-// file's header (readSystemName) — a file whose index this store has
-// not read yet, or one another writer replaced since. A file whose
-// header does not parse is skipped.
-func (s *Store) walk() ([]snapshotFile, error) {
 	names, err := s.snapshotFiles()
 	if err != nil {
 		return nil, err
 	}
-	files := make([]snapshotFile, 0, len(names))
-	for _, name := range names {
-		path := filepath.Join(s.dir, name)
-		if fi, err := os.Stat(path); err == nil {
-			if sys := s.held(fi); sys != nil {
-				files = append(files, snapshotFile{system: sys.System, held: sys})
-				continue
-			}
-		}
-		system, err := readSystemName(path)
-		if err != nil || system == "" {
-			continue
-		}
-		files = append(files, snapshotFile{system: system})
+	for i, name := range names {
+		names[i] = strings.TrimSuffix(name, snapSuffix)
 	}
-	return files, nil
-}
-
-// readSystemName extracts the system name from a snapshot file's
-// header frame without touching the outcome records.
-func readSystemName(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	s := &crcStream{r: bufio.NewReader(f)}
-	if magic, err := s.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
-		return "", fmt.Errorf("campaignstore: %s is not a snapshot", path)
-	}
-	head, err := s.frame()
-	if err != nil {
-		return "", fmt.Errorf("campaignstore: corrupt header in %s: %v", path, err)
-	}
-	var hdr struct {
-		System string `json:"system"`
-	}
-	if err := json.Unmarshal(head, &hdr); err != nil {
-		return "", err
-	}
-	return hdr.System, nil
+	sort.Strings(names)
+	return names, nil
 }
 
 // lockName is the store's writer-lock file. It does not end in
-// .campaign.snap, so List/Snapshots never mistake it for a snapshot.
+// .campaign.snap, so List never mistakes it for a snapshot.
 const lockName = ".spex.lock"
 
 // LockPath returns the writer-lock file guarding a state directory —
@@ -519,8 +472,12 @@ type Lock struct {
 //
 // The coordinator's lease layer (internal/coord) reuses this lock: the
 // coordinator locks the campaign root and every shard worker locks its
-// own shard directory.
+// own shard directory. Lock creates the state directory if it does not
+// exist yet; nothing else that only reads a store creates it.
 func (s *Store) Lock() (*Lock, error) {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("campaignstore: %w", err)
+	}
 	path := LockPath(s.dir)
 	host, _ := os.Hostname()
 	data, err := json.Marshal(lockInfo{PID: os.Getpid(), Host: host, AcquiredAt: time.Now().UTC()})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -242,8 +243,9 @@ func TestFingerprintIgnoresSavedAt(t *testing.T) {
 	}
 }
 
-// TestListReturnsSavedSystems: List names every system with a snapshot,
-// sorted, skipping files that do not parse.
+// TestListReturnsSavedSystems: List names every snapshot file by its
+// file name, sorted, one whose bytes do not parse included; Load and
+// LoadIndexAll report that file as corrupt.
 func TestListReturnsSavedSystems(t *testing.T) {
 	dir := t.TempDir()
 	store, err := Open(dir)
@@ -263,9 +265,84 @@ func TestListReturnsSavedSystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"alpha", "zeta"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	want := []string{"alpha", "broken", "zeta"}
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("List = %v, want %v", got, want)
+	}
+	if _, err := store.Load("broken"); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("Load(broken) = %v, want a corrupt-snapshot error", err)
+	}
+	if idxs, err := store.LoadIndexAll(); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("LoadIndexAll = %d indexes, %v; want a corrupt-snapshot error", len(idxs), err)
+	}
+}
+
+// TestUnsafeNamesHaveNoSnapshot: a system name that is empty or holds
+// '/', '\' or ':' names no snapshot file. Its save fails and writes
+// nothing, and Load and LoadIndex of it are ErrNotExist, also beside the
+// file older builds flattened a/b into (a_b.campaign.snap).
+func TestUnsafeNamesHaveNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	saveSystem(t, store, "a_b", 3)
+	lock, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Unlock()
+	for _, name := range []string{"a/b", `a\b`, "a:b", ""} {
+		snap := New(name, mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, 2))
+		if err := lock.Set().Save(snap); err == nil {
+			t.Errorf("Save(%q) succeeded", name)
+		}
+		if _, err := store.Load(name); !errors.Is(err, ErrNotExist) {
+			t.Errorf("Load(%q) = %v, want ErrNotExist", name, err)
+		}
+		if _, err := store.LoadIndex(name); !errors.Is(err, ErrNotExist) {
+			t.Errorf("LoadIndex(%q) = %v, want ErrNotExist", name, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if want := []string{lockName, "a_b" + snapSuffix}; !reflect.DeepEqual(files, want) {
+		t.Errorf("the store holds %v, want %v", files, want)
+	}
+	if idx, err := store.LoadIndex("a_b"); err != nil || len(idx.Docs) != 3 {
+		t.Errorf("LoadIndex(a_b) = %v; want its own 3 outcomes", err)
+	}
+}
+
+// TestOpenCreatesNothing: a store opened on a missing directory creates
+// nothing, lists no systems and loads no index; Lock, the way to the
+// write capability, creates the directory.
+func TestOpenCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	store := openStore(t, dir)
+	if systems, err := store.List(); err != nil || len(systems) != 0 {
+		t.Errorf("List = %v, %v; want no systems", systems, err)
+	}
+	if idxs, err := store.LoadIndexAll(); err != nil || len(idxs) != 0 {
+		t.Errorf("LoadIndexAll = %d indexes, %v; want none", len(idxs), err)
+	}
+	if _, err := store.Load("storefake"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("Load = %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("reading the store made %s: %v", dir, err)
+	}
+	lock, err := store.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Unlock()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Errorf("Lock left no directory at %s: %v", dir, err)
 	}
 }
 
@@ -453,7 +530,7 @@ func TestLockSetScope(t *testing.T) {
 }
 
 // TestLockFileInvisibleToStore: the lock file must never be mistaken
-// for a snapshot by List or Snapshots.
+// for a snapshot by List.
 func TestLockFileInvisibleToStore(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -466,9 +543,6 @@ func TestLockFileInvisibleToStore(t *testing.T) {
 	defer lock.Unlock()
 	if systems, err := store.List(); err != nil || len(systems) != 0 {
 		t.Errorf("List = %v, %v with only a lock file present", systems, err)
-	}
-	if snaps, err := store.Snapshots(); err != nil || len(snaps) != 0 {
-		t.Errorf("Snapshots = %d snaps, %v with only a lock file present", len(snaps), err)
 	}
 }
 

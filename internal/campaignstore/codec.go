@@ -17,10 +17,15 @@
 // frame is what buys streaming (read or write one outcome at a time,
 // skip without parsing), and the payload bytes are exactly what
 // Snapshot.Fingerprint hashes, so a streaming writer folds the
-// fingerprint for free as records pass through. The ascending key order
-// is load-bearing twice: it makes the fingerprint computable in one
-// pass, and it lets shard.Merge fold k shard files with a k-way merge
-// that holds one record per shard in memory.
+// fingerprint for free as records pass through, and LoadIndex folds it
+// from the stored bytes as they are read. The ascending key order is
+// load-bearing twice: it makes the fingerprint computable in one pass,
+// and it lets shard.Merge fold k shard files with a k-way merge that
+// holds one record per shard in memory.
+//
+// The file is <system>.campaign.snap, and the header's system must be
+// the file's: every read checks it (Store.Load, Store.LoadIndex,
+// shard.Merge), so a file names its system without being read.
 //
 // The encoder keeps one invariant: a record's payload is
 // json.Marshal(outcome), and the header's constraints member, written
@@ -34,7 +39,7 @@
 // them with a strict parser (decodeTail, tail.go) that accepts only the
 // bytes json.Marshal writes there and uses no reflection; a tail it
 // refuses goes through json.Unmarshal. Anything else, and every decode
-// without a Canonical (Load, LoadIndex, SnapshotIter), takes the full
+// without a Canonical (Load, LoadIndex, OpenSnapshotIter), takes the full
 // json.Unmarshal. Both paths accept the same bytes and yield the same
 // fingerprint and outcomes (FuzzCanonicalDecode).
 //
@@ -42,8 +47,8 @@
 // and header frames are sub-slices of read's private buffer, not
 // copies, and the CRC is folded over each frame once. decodeHeader and
 // decodeOutcome may patch a byte of a frame and restore it; no decoded
-// value keeps a reference to the buffer. SnapshotIter reads its file
-// through a buffer, a fresh slice per frame.
+// value keeps a reference to the buffer. A decoder OpenSnapshotIter
+// opens reads its file through a buffer, a fresh slice per frame.
 //
 // Every length prefix is untrusted input: a frame is a slice of the
 // bytes actually read, or is read without preallocating the claimed
@@ -80,12 +85,6 @@ const maxFrameLen = 1 << 30
 // frameChunk is the most a frame read allocates before any of its bytes
 // have arrived; larger frames grow as they are read.
 const frameChunk = 1 << 20
-
-// frameReader is the source a length-prefixed frame is read from.
-type frameReader interface {
-	io.Reader
-	io.ByteReader
-}
 
 // readFrameBody reads a frame of n bytes. The buffer grows with the
 // bytes that actually arrive, so a corrupt length prefix over a short
@@ -309,15 +308,15 @@ func (e *SnapshotEncoder) Finish() (string, error) {
 
 // crcStream hands the decoder the container's bytes and folds the bytes
 // it *consumes* into a running CRC, each frame once. It reads either
-// data, a whole file in memory (Load), whose frames it hands out as
-// sub-slices of data, or r, a buffered file (SnapshotIter), whose frames
-// it reads into fresh slices. The fold must sit above any bufio layer,
-// not below it: bufio prefetches past the decoder's logical position,
-// and a fold on the raw reader would swallow the trailer (and anything
-// after it) ahead of time.
+// data, a whole file in memory (Load, LoadIndex), whose frames it hands
+// out as sub-slices of data, or r, a buffered file (OpenSnapshotIter),
+// whose frames it reads into fresh slices. The fold must sit above any
+// bufio layer, not below it: bufio prefetches past the decoder's
+// logical position, and a fold on the raw reader would swallow the
+// trailer (and anything after it) ahead of time.
 type crcStream struct {
-	r    frameReader // nil: read data
-	data []byte      // the unread bytes
+	r    *bufio.Reader // nil: read data
+	data []byte        // the unread bytes
 	crc  uint32
 }
 
@@ -370,14 +369,15 @@ func (c *crcStream) frame() ([]byte, error) {
 	return c.next(n)
 }
 
-// SnapshotDecoder streams a binary snapshot: NewSnapshotDecoder
-// validates the header (magic, schema staleness, constraint
-// fingerprint), then Next yields one record at a time in ascending key
-// order; after the last record the trailer's count and CRC are
-// verified, so a truncated or bit-flipped file surfaces as an error
-// before the caller trusts the stream was complete.
+// SnapshotDecoder streams a binary snapshot: opening it validates the
+// header (magic, schema staleness, constraint fingerprint), then Next
+// yields one record at a time in ascending key order; after the last
+// record the trailer's count and CRC are verified, so a truncated or
+// bit-flipped file surfaces as an error before the caller trusts the
+// stream was complete.
 type SnapshotDecoder struct {
 	s     *crcStream
+	f     *os.File // the file OpenSnapshotIter opened; nil over bytes
 	hdr   *Snapshot
 	label string
 	count int
@@ -396,19 +396,9 @@ func (d *SnapshotDecoder) corruptf(format string, args ...any) error {
 	return fmt.Errorf("campaignstore: corrupt snapshot for %s: %s", d.label, fmt.Sprintf(format, args...))
 }
 
-// NewSnapshotDecoder reads and validates the container header. label
-// names the source in errors. The reader must be positioned at the
-// magic. A reader that cannot read byte by byte (a file) is buffered.
-func NewSnapshotDecoder(r io.Reader, label string) (*SnapshotDecoder, error) {
-	fr, ok := r.(frameReader)
-	if !ok {
-		fr = bufio.NewReaderSize(r, 1<<16)
-	}
-	return newSnapshotDecoder(&crcStream{r: fr}, label, nil)
-}
-
-// newSnapshotDecoder is NewSnapshotDecoder reading s and matching
-// against c (nil: the plain decode).
+// newSnapshotDecoder reads and validates the container header from s,
+// matching it against c (nil: the plain decode). label names the source
+// in errors.
 func newSnapshotDecoder(s *crcStream, label string, c *Canonical) (*SnapshotDecoder, error) {
 	d := &SnapshotDecoder{s: s, label: label, canon: c}
 	if magic, err := s.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
@@ -524,69 +514,45 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 	return key, stamp, outJSON, out, nil
 }
 
-// decodeBinarySnapshot materializes a whole binary snapshot — the Load
-// path — matching it against c (nil: the plain decode); the returned
-// decoder reports how much took the full decode. Every record is decoded
-// and the trailer verified before the snapshot is returned, so a
-// truncated or corrupt file yields an error and a nil snapshot, never a
-// partial replay.
-func decodeBinarySnapshot(data []byte, label string, c *Canonical) (*Snapshot, *SnapshotDecoder, error) {
-	d, err := newSnapshotDecoder(&crcStream{data: data}, label, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := d.Header()
+// snapshot reads d's records into its header's Outcomes and Stamps — the
+// Load path. Every record is decoded and the trailer verified before the
+// snapshot is returned, so a truncated or corrupt file yields an error
+// and a nil snapshot, never a partial replay.
+func (d *SnapshotDecoder) snapshot() (*Snapshot, error) {
+	snap := d.hdr
 	snap.Outcomes = make(map[string]inject.Outcome)
 	snap.Stamps = make(map[string]time.Time)
 	for {
 		key, stamp, _, out, err := d.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			return snap, nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		snap.Outcomes[key] = out
 		snap.Stamps[key] = stamp
 	}
-	return snap, d, nil
 }
 
-// SnapshotIter streams one snapshot file's records in ascending key
-// order, one record in memory at a time — the shard merge's per-source
-// cursor.
-type SnapshotIter struct {
-	d *SnapshotDecoder
-	f *os.File
-}
-
-// OpenSnapshotIter opens the snapshot file at path for streaming reads.
+// OpenSnapshotIter opens the snapshot file at path for streaming reads,
+// one record in memory at a time — the shard merge's per-source cursor.
 // Header validation (magic, schema staleness, constraint fingerprint)
 // happens here, before any record is consumed; label names the source
-// in errors.
-func OpenSnapshotIter(path, label string) (*SnapshotIter, error) {
+// in errors. The decoder owns the file until Close.
+func OpenSnapshotIter(path, label string) (*SnapshotDecoder, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaignstore: %w", err)
 	}
-	d, err := NewSnapshotDecoder(f, label)
+	d, err := newSnapshotDecoder(&crcStream{r: bufio.NewReaderSize(f, 1<<16)}, label, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &SnapshotIter{d: d, f: f}, nil
+	d.f = f
+	return d, nil
 }
 
-// Header returns the source snapshot's metadata (Outcomes/Stamps nil —
-// the records only exist in the stream).
-func (it *SnapshotIter) Header() *Snapshot { return it.d.Header() }
-
-// Next returns the next record, or io.EOF once the trailer verified the
-// stream complete.
-func (it *SnapshotIter) Next() (key string, stamp time.Time, out inject.Outcome, err error) {
-	key, stamp, _, out, err = it.d.Next()
-	return key, stamp, out, err
-}
-
-// Close releases the underlying file.
-func (it *SnapshotIter) Close() error { return it.f.Close() }
+// Close releases the file OpenSnapshotIter opened.
+func (d *SnapshotDecoder) Close() error { return d.f.Close() }

@@ -145,8 +145,8 @@ func BenchmarkLoadIndexAll(b *testing.B) {
 
 // BenchmarkLoadIndexAllCold measures LoadIndexAll on the same seven
 // snapshots by a freshly opened Store each time: a new process's first
-// read (spexeval -index, a restarted daemon), which names every file
-// from its header and builds every index from its snapshot.
+// read (spexeval -index, a restarted daemon), which builds every index
+// in one pass over its snapshot.
 func BenchmarkLoadIndexAllCold(b *testing.B) {
 	store, n := sevenTargetStore(b)
 	b.ReportAllocs()

@@ -34,6 +34,21 @@ func fixtureOutcomes(t testing.TB, n int) map[string]inject.Outcome {
 	return out
 }
 
+// decodeBinarySnapshot decodes a whole binary snapshot held in data as
+// Load decodes a file's bytes, matching it against c (nil: the plain
+// decode); the returned decoder reports how much took the full decode.
+func decodeBinarySnapshot(data []byte, label string, c *Canonical) (*Snapshot, *SnapshotDecoder, error) {
+	d, err := newSnapshotDecoder(&crcStream{data: data}, label, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := d.snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, d, nil
+}
+
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -130,8 +145,9 @@ func corruptPrefixFile() []byte {
 }
 
 // TestCorruptLengthPrefixDoesNotAllocate: a length prefix is untrusted
-// input. Loading and listing a tiny file whose prefix claims 1 GiB must
-// fail without allocating anything near the claimed length.
+// input. Loading and indexing a tiny file whose prefix claims 1 GiB must
+// fail without allocating anything near the claimed length; List names
+// the file without reading it.
 func TestCorruptLengthPrefixDoesNotAllocate(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -147,16 +163,19 @@ func TestCorruptLengthPrefixDoesNotAllocate(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, loadErr := store.Load("storefake")
-	systems, listErr := store.List()
+	_, indexErr := store.LoadIndexAll()
 	runtime.ReadMemStats(&after)
 	if loadErr == nil || !strings.Contains(loadErr.Error(), "corrupt") {
 		t.Errorf("Load = %v, want a corrupt-snapshot error", loadErr)
 	}
-	if listErr != nil || len(systems) != 0 {
-		t.Errorf("List = %v, %v, want no systems", systems, listErr)
+	if indexErr == nil || !strings.Contains(indexErr.Error(), "corrupt") {
+		t.Errorf("LoadIndexAll = %v, want a corrupt-snapshot error", indexErr)
 	}
 	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 64<<20 {
-		t.Errorf("Load+List allocated %d MiB for a 15-byte file", delta>>20)
+		t.Errorf("Load+LoadIndexAll allocated %d MiB for a 15-byte file", delta>>20)
+	}
+	if systems, err := store.List(); err != nil || len(systems) != 1 || systems[0] != "storefake" {
+		t.Errorf("List = %v, %v, want [storefake]", systems, err)
 	}
 }
 

@@ -5,18 +5,19 @@
 // the encoder) and the system's outcome index. Close keeps the index in
 // the store's memory, pinned to the snapshot file's name, size and
 // mtime; nothing else is written. LoadIndex validates that identity
-// with one stat call and otherwise rebuilds the index from the snapshot
-// through Load, so an index is never served past the snapshot's own
-// fail-safe checks. A held index also names its file for List and
-// LoadIndexAll, so a warm store reads no snapshot header.
+// with one stat call and otherwise rebuilds the index in one decoder
+// pass that feeds the same two sinks, through the read Load makes, so an
+// index is never served past the snapshot's own fail-safe checks.
 package campaignstore
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"spex/internal/inject"
@@ -49,6 +50,9 @@ func (ls *LockSet) NewStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
 }
 
 func (s *Store) newStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
+	if !validName(hdr.System) {
+		return nil, fmt.Errorf("campaignstore: system name %q names no snapshot file", hdr.System)
+	}
 	final := s.Path(hdr.System)
 	tmp, err := os.CreateTemp(s.dir, filepath.Base(final)+".tmp-*")
 	if err != nil {
@@ -60,18 +64,18 @@ func (s *Store) newStreamWriter(hdr *Snapshot) (*StreamWriter, error) {
 		os.Remove(tmp.Name())
 		return nil, err
 	}
-	return &StreamWriter{
-		store: s,
-		hdr:   hdr,
-		tmp:   tmp,
-		enc:   enc,
-		idx: outcomeindex.NewBuilder(outcomeindex.Meta{
-			System:         hdr.System,
-			SavedAt:        hdr.SavedAt,
-			Options:        hdr.Options,
-			SetFingerprint: hdr.SetFingerprint,
-		}),
-	}, nil
+	return &StreamWriter{store: s, hdr: hdr, tmp: tmp, enc: enc, idx: newIndexBuilder(hdr)}, nil
+}
+
+// newIndexBuilder starts the outcome index of the snapshot hdr heads;
+// its fingerprint is set once the last record has been folded.
+func newIndexBuilder(hdr *Snapshot) *outcomeindex.Builder {
+	return outcomeindex.NewBuilder(outcomeindex.Meta{
+		System:         hdr.System,
+		SavedAt:        hdr.SavedAt,
+		Options:        hdr.Options,
+		SetFingerprint: hdr.SetFingerprint,
+	})
 }
 
 // Add appends one outcome record (keys strictly ascending).
@@ -143,44 +147,6 @@ func (w *StreamWriter) Close() (string, error) {
 	return fp, nil
 }
 
-// Snapshots returns the store's snapshot files keyed by system name,
-// without decoding any outcome records. Unlike List it is strict: an
-// unreadable or misfiled snapshot header is an error, because a merge
-// must never silently skip a shard's data.
-func (s *Store) Snapshots() (map[string]string, error) {
-	names, err := s.snapshotFiles()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(names))
-	for _, name := range names {
-		path := filepath.Join(s.dir, name)
-		system, err := readSystemName(path)
-		if err != nil || system == "" {
-			return nil, fmt.Errorf("campaignstore: corrupt snapshot for %s", name)
-		}
-		if base := safeName(system); name != base+snapSuffix {
-			return nil, fmt.Errorf("campaignstore: %s names system %q, which belongs in %s",
-				name, system, base+snapSuffix)
-		}
-		out[system] = path
-	}
-	return out, nil
-}
-
-// snapshotInfo stats the system's snapshot file: the identity every
-// index is checked against (current).
-func (s *Store) snapshotInfo(system string) (os.FileInfo, error) {
-	fi, err := os.Stat(s.Path(system))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w for %s", ErrNotExist, system)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	return fi, nil
-}
-
 // heldIndex is an outcome index pinned to the identity of the snapshot
 // file it was derived from: the file's base name, size and mtime.
 type heldIndex struct {
@@ -221,61 +187,83 @@ func (s *Store) held(fi os.FileInfo) *outcomeindex.System {
 // LoadIndex returns the system's outcome index. It stats the snapshot
 // once and returns the index the store holds while it is current: one
 // the store saved (StreamWriter.Close) or read before. Otherwise it
-// rebuilds the index from the snapshot through Load and holds it.
-// Errors are Load's — ErrNotExist when the system has no snapshot,
-// ErrStale for another schema, and any other validation failure —
-// because an index must never outlive the fail-safe checks of the data
-// it summarizes.
+// rebuilds the index in one pass over the snapshot (SnapshotDecoder.index)
+// and holds it. The pass is the read Load makes, so the errors are Load's
+// — ErrNotExist when the system has no snapshot, ErrStale for another
+// schema, and any other validation failure — because an index must never
+// outlive the fail-safe checks of the data it summarizes.
 func (s *Store) LoadIndex(system string) (*outcomeindex.System, error) {
-	fi, err := s.snapshotInfo(system)
-	if err != nil {
-		return nil, err
+	if !validName(system) {
+		return nil, notExist(system)
 	}
-	// Two systems can flatten to one file name (Path), so an index
-	// serves only the system it names.
-	if sys := s.held(fi); sys != nil && sys.System == system {
+	return s.loadIndex(system, s.Path(system))
+}
+
+// loadIndex is LoadIndex of the system whose snapshot file is path.
+func (s *Store) loadIndex(system, path string) (*outcomeindex.System, error) {
+	fi, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, notExist(system)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaignstore: %w", err)
+	}
+	if sys := s.held(fi); sys != nil {
 		mIndexHits.Inc()
 		return sys, nil
 	}
-	snap, err := s.Load(system)
+	sys, _, err := read(s, system, nil, (*SnapshotDecoder).index)
 	if err != nil {
 		return nil, err
 	}
-	fp, err := snap.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	sys := outcomeindex.Build(outcomeindex.Meta{
-		System:         snap.System,
-		Fingerprint:    fp,
-		SavedAt:        snap.SavedAt,
-		Options:        snap.Options,
-		SetFingerprint: snap.SetFingerprint,
-	}, snap.Outcomes)
 	mIndexRebuilds.Inc()
 	s.hold(fi.Name(), fi, sys)
 	return sys, nil
 }
 
+// index reads d's records and builds their outcome index in one pass:
+// each record's payload goes to a Fingerprinter and its outcome to an
+// outcomeindex.Builder, the two sinks a StreamWriter feeds as it saves.
+// The payload is the bytes a save wrote, json.Marshal of the outcome, so
+// the fingerprint is the one Snapshot.Fingerprint computes for every file
+// a save writes.
+func (d *SnapshotDecoder) index() (*outcomeindex.System, error) {
+	fp := NewFingerprinter(d.hdr.Schema, d.hdr.System, d.hdr.Options, d.hdr.SetFingerprint)
+	b := newIndexBuilder(d.hdr)
+	for {
+		key, _, payload, out, err := d.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := fp.Add(key, payload); err != nil {
+			return nil, err
+		}
+		b.Add(key, out)
+	}
+	b.SetFingerprint(fp.Sum())
+	return b.Finish(), nil
+}
+
 // LoadIndexAll returns every system's index, sorted by system name. It
-// reads the directory once and stats each snapshot file once: a file
-// the store holds a current index for is served from memory (one index
-// cache hit each), and only the others are named from their headers
-// and loaded through LoadIndex. Files whose header does not parse are
-// skipped, as in List; any other LoadIndex error is returned.
+// reads the directory once and stats each snapshot file once; each file
+// names its system (List), and a file the store holds a current index
+// for is served from memory (one index cache hit each). Any LoadIndex
+// error is returned, a snapshot whose header does not parse included,
+// except that a file deleted since the directory read is skipped.
 func (s *Store) LoadIndexAll() ([]*outcomeindex.System, error) {
-	files, err := s.walk()
+	names, err := s.snapshotFiles()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*outcomeindex.System, 0, len(files))
-	for _, f := range files {
-		if f.held != nil {
-			mIndexHits.Inc()
-			out = append(out, f.held)
+	out := make([]*outcomeindex.System, 0, len(names))
+	for _, name := range names {
+		sys, err := s.loadIndex(strings.TrimSuffix(name, snapSuffix), filepath.Join(s.dir, name))
+		if errors.Is(err, ErrNotExist) {
 			continue
 		}
-		sys, err := s.LoadIndex(f.system)
 		if err != nil {
 			return nil, err
 		}

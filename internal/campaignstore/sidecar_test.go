@@ -20,7 +20,7 @@ import (
 // and one that an older build left beside a snapshot is neither read
 // nor deleted. Garbage, or a well-formed file that records the
 // snapshot's current name, size and mtime but forges its docs and
-// tallies, changes no List, Snapshots, LoadIndex or merge result.
+// tallies, changes no List, LoadIndex or merge result.
 func TestLoadIndexSidecar(t *testing.T) {
 	set := mkSet(basicC("p"), basicC("q"))
 	opts := inject.DefaultOptions()
@@ -66,7 +66,6 @@ func TestLoadIndexSidecar(t *testing.T) {
 	// read is what a freshly opened store reads from dir.
 	type reads struct {
 		list  []string
-		snaps map[string]string
 		index *outcomeindex.System
 	}
 	read := func(dir string) reads {
@@ -79,16 +78,13 @@ func TestLoadIndexSidecar(t *testing.T) {
 		if r.list, err = store.List(); err != nil {
 			t.Fatal(err)
 		}
-		if r.snaps, err = store.Snapshots(); err != nil {
-			t.Fatal(err)
-		}
 		if r.index, err = store.LoadIndex("storefake"); err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
 	show := func(r reads) string {
-		return fmt.Sprintf("%v %v index %s with %d docs", r.list, r.snaps, r.index.Fingerprint, len(r.index.Docs))
+		return fmt.Sprintf("%v index %s with %d docs", r.list, r.index.Fingerprint, len(r.index.Docs))
 	}
 	// merge folds d1 and d2 into a new store and returns the merged
 	// snapshot's fingerprint and index docs, which leave out its save time.

@@ -485,9 +485,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var dirs []string
 	for i := 1; i <= cfg.Workers; i++ {
 		dir := ShardDir(cfg.StateDir, i)
-		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-			continue // Open would create the directory as a side effect
-		}
 		store, err := campaignstore.Open(dir)
 		if err != nil {
 			continue
@@ -529,9 +526,6 @@ func endWorker(span *obs.Span, err error) {
 // store contributes nothing (the steal policy just sees more pending
 // keys, which only costs a rare duplicate execution, already safe).
 func persistedKeys(dir string) map[string]bool {
-	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-		return nil // Open would create the directory as a side effect
-	}
 	store, err := campaignstore.Open(dir)
 	if err != nil {
 		return nil

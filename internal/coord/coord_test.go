@@ -548,9 +548,9 @@ func TestCoordinatorCancelMidSteal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths, _ := store.Snapshots()
+		systems, _ := store.List()
 		own := make(map[string]bool)
-		for system := range paths {
+		for _, system := range systems {
 			snap, err := store.Load(system)
 			if err != nil {
 				t.Fatal(err)

@@ -1,5 +1,9 @@
 package outcomeindex
 
-// Fixture is the in-package outcome fixture, for the external test
-// package that fuzzes the index read from a snapshot.
-var Fixture = fixture
+// Fixture and BuildIndex are the in-package outcome fixture and index
+// reference, for the external test package that fuzzes the index read
+// from a snapshot.
+var (
+	Fixture    = fixture
+	BuildIndex = buildIndex
+)

@@ -120,9 +120,9 @@ type Meta struct {
 }
 
 // Builder accumulates docs one outcome at a time — the streaming hook
-// campaignstore's snapshot writer feeds during Save and merge, so the
-// index is rebuilt incrementally on every save instead of by a second
-// pass over the store.
+// campaignstore feeds as a snapshot is written (Save and merge) or read
+// (LoadIndex), so an index is built in the pass that moves the records,
+// not by a second pass over the store.
 type Builder struct {
 	meta Meta
 	docs []Doc
@@ -131,8 +131,9 @@ type Builder struct {
 // NewBuilder starts an index build for one system.
 func NewBuilder(meta Meta) *Builder { return &Builder{meta: meta} }
 
-// Add indexes one outcome. Callers add outcomes in ascending key order
-// (the snapshot record order); Finish sorts defensively either way.
+// Add indexes one outcome. Callers add outcomes in strictly ascending
+// key order, the snapshot record order, which both of campaignstore's
+// producers enforce (the encoder and the decoder reject any other).
 func (b *Builder) Add(key string, o inject.Outcome) {
 	d := Doc{
 		Key:         key,
@@ -161,7 +162,6 @@ func (b *Builder) SetFingerprint(fp string) { b.meta.Fingerprint = fp }
 
 // Finish assembles the posting lists and aggregates.
 func (b *Builder) Finish() *System {
-	sort.Slice(b.docs, func(i, j int) bool { return b.docs[i].Key < b.docs[j].Key })
 	sys := &System{
 		System:         b.meta.System,
 		Fingerprint:    b.meta.Fingerprint,
@@ -193,21 +193,6 @@ func (b *Builder) Finish() *System {
 		}
 	}
 	return sys
-}
-
-// Build indexes a full outcome map in one call — the rebuild path for
-// a snapshot the store holds no index for.
-func Build(meta Meta, outcomes map[string]inject.Outcome) *System {
-	b := NewBuilder(meta)
-	keys := make([]string, 0, len(outcomes))
-	for k := range outcomes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.Add(k, outcomes[k])
-	}
-	return b.Finish()
 }
 
 // Has reports whether the index holds an outcome for key. It only reads

@@ -3,6 +3,7 @@ package outcomeindex
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"spex/internal/confgen"
@@ -42,8 +43,23 @@ func fixture(system string, n int) map[string]inject.Outcome {
 	return out
 }
 
+// buildIndex feeds the outcomes to a Builder in key order, as
+// campaignstore does.
+func buildIndex(meta Meta, outcomes map[string]inject.Outcome) *System {
+	keys := make([]string, 0, len(outcomes))
+	for k := range outcomes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b := NewBuilder(meta)
+	for _, k := range keys {
+		b.Add(k, outcomes[k])
+	}
+	return b.Finish()
+}
+
 func build(system string, n int) *System {
-	return Build(Meta{System: system, Fingerprint: "fp-" + system, Options: "opts", SetFingerprint: "set"}, fixture(system, n))
+	return buildIndex(Meta{System: system, Fingerprint: "fp-" + system, Options: "opts", SetFingerprint: "set"}, fixture(system, n))
 }
 
 // TestAggregatesMatchReport: the precomputed tallies must equal what
@@ -51,7 +67,7 @@ func build(system string, n int) *System {
 // the table numbers.
 func TestAggregatesMatchReport(t *testing.T) {
 	outcomes := fixture("alpha", 29)
-	sys := Build(Meta{System: "alpha"}, outcomes)
+	sys := buildIndex(Meta{System: "alpha"}, outcomes)
 
 	rep := &inject.Report{System: "alpha"}
 	for _, o := range outcomes {

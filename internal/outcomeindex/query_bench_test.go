@@ -21,7 +21,7 @@ func BenchmarkIndexQuery(b *testing.B) {
 	for s := 0; s < 7; s++ {
 		name := fmt.Sprintf("sys%d", s)
 		outcomes := fixture(name, perSystem)
-		systems = append(systems, Build(Meta{System: name}, outcomes))
+		systems = append(systems, buildIndex(Meta{System: name}, outcomes))
 		data, err := json.Marshal(outcomes)
 		if err != nil {
 			b.Fatal(err)
@@ -47,7 +47,7 @@ func BenchmarkIndexQuery(b *testing.B) {
 				if err := json.Unmarshal(data, &outcomes); err != nil {
 					b.Fatal(err)
 				}
-				scanned = append(scanned, Build(Meta{System: fmt.Sprintf("sys%d", s)}, outcomes))
+				scanned = append(scanned, buildIndex(Meta{System: fmt.Sprintf("sys%d", s)}, outcomes))
 			}
 			if groups := Run(scanned, q); len(groups) == 0 {
 				b.Fatal("query found nothing")

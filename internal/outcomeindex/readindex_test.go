@@ -17,36 +17,46 @@ import (
 	"spex/internal/outcomeindex"
 )
 
-// snapshotFile saves the outcomes as the system's snapshot and returns
-// the file's bytes.
-func snapshotFile(f *testing.F, system string, outcomes map[string]inject.Outcome) []byte {
-	f.Helper()
-	store, err := campaignstore.Open(f.TempDir())
+// saved saves snap in a fresh store and returns the file's bytes.
+func saved(t testing.TB, snap *campaignstore.Snapshot) []byte {
+	t.Helper()
+	store, err := campaignstore.Open(t.TempDir())
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	lk, err := store.Lock()
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	err = lk.Set().Save(campaignstore.New(system, constraint.NewSet(system), inject.DefaultOptions(), outcomes))
+	err = lk.Set().Save(snap)
 	if uerr := lk.Unlock(); uerr != nil {
-		f.Fatal(uerr)
+		t.Fatal(uerr)
 	}
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(store.Path(system))
+	data, err := os.ReadFile(store.Path(snap.System))
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	return data
 }
 
+// snapshotFile saves the outcomes as the system's snapshot and returns
+// the file's bytes.
+func snapshotFile(f *testing.F, system string, outcomes map[string]inject.Outcome) []byte {
+	f.Helper()
+	return saved(f, campaignstore.New(system, constraint.NewSet(system), inject.DefaultOptions(), outcomes))
+}
+
 // FuzzReadIndexFile: an outcome index is read from untrusted disk
 // input, its system's snapshot file. A fresh store's LoadIndex over any
-// file must return an error or an index whose queries never panic and
-// whose aggregates are exactly what its docs add up to.
+// file must succeed exactly when Load does, and then return an index
+// whose queries never panic, whose aggregates are exactly what its docs
+// add up to, and which equals a Builder fed Load's outcomes in key order
+// under Load's header. Its fingerprint hashes the stored payloads, so it
+// must equal Snapshot.Fingerprint wherever a save of the loaded snapshot
+// writes the input's bytes again.
 func FuzzReadIndexFile(f *testing.F) {
 	valid := snapshotFile(f, "alpha", outcomeindex.Fixture("alpha", 12))
 	f.Add(valid)
@@ -86,8 +96,27 @@ func FuzzReadIndexFile(f *testing.F) {
 			t.Fatal(err)
 		}
 		sys, err := store.LoadIndex("alpha")
+		snap, loadErr := store.Load("alpha")
+		if (err == nil) != (loadErr == nil) {
+			t.Fatalf("LoadIndex = %v, but Load = %v", err, loadErr)
+		}
 		if err != nil {
 			return
+		}
+		want := outcomeindex.BuildIndex(outcomeindex.Meta{
+			System:         snap.System,
+			Fingerprint:    sys.Fingerprint,
+			SavedAt:        snap.SavedAt,
+			Options:        snap.Options,
+			SetFingerprint: snap.SetFingerprint,
+		}, snap.Outcomes)
+		if !reflect.DeepEqual(sys, want) {
+			t.Fatalf("LoadIndex built %+v, a Builder fed Load's outcomes %+v", sys, want)
+		}
+		if fp, err := snap.Fingerprint(); err != nil {
+			t.Fatal(err)
+		} else if fp != sys.Fingerprint && bytes.Equal(saved(t, snap), data) {
+			t.Fatalf("LoadIndex fingerprint %s, Snapshot.Fingerprint %s of a snapshot a save writes", sys.Fingerprint, fp)
 		}
 		queries := []outcomeindex.Query{{}, {All: true}, {MinSystems: 2}}
 		for i := range sys.Docs {

@@ -113,7 +113,11 @@
 // writing — and a foreign writer's atomic rename changes the identity,
 // so invalidation needs no coupling to the job lifecycle; a snapshot
 // the store holds no index for (after a restart, or a foreign save) is
-// decoded once, on the first read. Reads need
+// decoded once, on the first read, in one pass that builds the index
+// and its fingerprint as a save does. Each snapshot file,
+// <system>.campaign.snap, names its system, so a cross-system read
+// lists the directory once and stats each file, and a name that is
+// empty or holds '/', '\' or ':' names no snapshot (404). Reads need
 // no lock at all, even while a job is writing. Every read
 // endpoint carries an ETag derived from the snapshot fingerprint(s) it
 // serves (the replay-equivalence hash, not the bytes) and honors

@@ -211,10 +211,10 @@ type MergeStat struct {
 type source struct{ dir, path string }
 
 // mergeCursor is one shard file's read position in the k-way merge:
-// the streaming iterator plus its current record.
+// the streaming decoder plus its current record.
 type mergeCursor struct {
 	dir  string
-	it   *campaignstore.SnapshotIter
+	it   *campaignstore.SnapshotDecoder
 	key  string
 	st   time.Time
 	out  inject.Outcome
@@ -223,7 +223,7 @@ type mergeCursor struct {
 
 // advance loads the cursor's next record.
 func (c *mergeCursor) advance() error {
-	key, st, out, err := c.it.Next()
+	key, st, _, out, err := c.it.Next()
 	if errors.Is(err, io.EOF) {
 		c.done = true
 		return nil
@@ -245,8 +245,9 @@ func (c *mergeCursor) advance() error {
 // shard in memory and writes the result through the store's streaming
 // writer, never materializing any shard's full outcome set.
 //
-// Validation is strict — all of a system's shards must carry this
-// build's schema fingerprint (the iterator's header check enforces it),
+// Validation is strict — each source file must name its system in its
+// header as in its file name, all of a system's shards must carry this
+// build's schema fingerprint (the decoder's header check enforces it),
 // the same constraint-set fingerprint, and the same outcome-affecting
 // options identity (campaignstore OptionsID); mixing an optimized shard
 // with a -no-optimizations shard is an error, not a silent blend.
@@ -271,8 +272,8 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 	bySystem := map[string][]source{}
 	var systems []string
 	for _, dir := range srcDirs {
-		// Sources must already exist — Open would create a typo'd path
-		// as an empty directory before the "no snapshots" error lands.
+		// A typo'd path is named as such, not as a store without
+		// snapshots.
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 			return nil, fmt.Errorf("shard: %s is not a shard state directory", dir)
 		}
@@ -280,14 +281,14 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 		if err != nil {
 			return nil, err
 		}
-		paths, err := store.Snapshots()
+		names, err := store.List()
 		if err != nil {
 			return nil, fmt.Errorf("shard: %s: %w", dir, err)
 		}
-		if len(paths) == 0 {
+		if len(names) == 0 {
 			return nil, fmt.Errorf("shard: %s holds no campaign snapshots", dir)
 		}
-		for system, path := range paths {
+		for _, system := range names {
 			// Shard directories outlive their campaign: a system outside
 			// dst's scope is an earlier campaign's, not this merge's.
 			if !dst.Covers(system) {
@@ -296,7 +297,7 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 			if len(bySystem[system]) == 0 {
 				systems = append(systems, system)
 			}
-			bySystem[system] = append(bySystem[system], source{dir: dir, path: path})
+			bySystem[system] = append(bySystem[system], source{dir: dir, path: store.Path(system)})
 		}
 	}
 	sort.Strings(systems)
@@ -328,6 +329,9 @@ func mergeSystem(dst *campaignstore.LockSet, system string, srcs []source) (Merg
 		}
 		c := &mergeCursor{dir: src.dir, it: it}
 		cursors = append(cursors, c)
+		if got := it.Header().System; got != system {
+			return MergeStat{}, fmt.Errorf("shard: %s: %s names system %q, not its file's %q", src.dir, src.path, got, system)
+		}
 		if err := c.advance(); err != nil {
 			return MergeStat{}, err
 		}

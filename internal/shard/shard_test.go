@@ -767,8 +767,8 @@ func TestMergeRejectsMisfiledSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = mergeInto(t, t.TempDir(), []string{dir})
-	if err == nil || !strings.Contains(err.Error(), "belongs in") {
-		t.Errorf("Merge with a misfiled snapshot = %v, want a belongs-in error", err)
+	if err == nil || !strings.Contains(err.Error(), `names system "synth", not its file's "renamed"`) {
+		t.Errorf("Merge with a misfiled snapshot = %v, want a names-system error", err)
 	}
 }
 
