@@ -329,25 +329,26 @@
 //
 // # Binary snapshot format and the outcome index
 //
-// The snapshot container (internal/campaignstore's codec) is built for
-// a million-outcome read path: after the magic "SPEXSNP1" and a
-// uvarint-framed JSON header blob (schema fingerprint, system, save
-// time, options identity, constraint set + fingerprint) come the
-// outcome records — uvarint key length, key, varint freshness stamp
-// (UnixNano), uvarint payload length, compact per-outcome JSON — in
-// strictly ascending key order, then a zero terminator, a uvarint
-// record count, and a CRC-32 trailer over everything before it. Record
-// payloads stay JSON on purpose: they are exactly the bytes
-// Snapshot.Fingerprint hashes, so a streaming writer folds the
-// replay-equivalence fingerprint for free as records pass through. The
-// ascending key order is what makes
-// spexmerge a bounded-memory k-way streaming merge: internal/shard
-// opens one record iterator per shard, folds the minimum key's
+// The snapshot container (internal/campaignstore's codec): after the
+// magic "SPEXSNP1" and a uvarint-framed JSON header blob (schema
+// fingerprint, system, save time, options identity, constraint set +
+// fingerprint) come the outcome records — uvarint key length, key,
+// varint freshness stamp (UnixNano), uvarint payload length, compact
+// per-outcome JSON — in strictly ascending key order, then a zero
+// terminator, a uvarint record count, and a CRC-32 trailer over
+// everything before it. Record payloads stay JSON on purpose: they are
+// exactly the bytes Snapshot.Fingerprint hashes, so a streaming writer
+// folds the replay-equivalence fingerprint for free as records pass
+// through. Every read reads the whole file and decodes its frames in
+// place, and checks that the header names the file's system. The
+// ascending key order is what makes spexmerge a k-way merge:
+// internal/shard opens each shard's file through its store
+// (Store.OpenSnapshot, the read Load makes), folds the minimum key's
 // freshest copy (stamp, then lexicographically greatest shard
-// directory) into a streaming writer, and never materializes a shard's
-// outcome map. Loading is fail-safe — a truncated file, a flipped bit
-// (CRC), a corrupt length prefix (frames are read without preallocating
-// the claimed length), a stale schema fingerprint, or mismatched
+// directory) into a streaming writer, and never builds a shard's
+// outcome map; it holds each shard file's bytes while it merges.
+// Loading is fail-safe — a truncated file, a flipped bit (CRC), a
+// corrupt length prefix, a stale schema fingerprint, or mismatched
 // options falls back to a full campaign, and FuzzDecodeSnapshot holds
 // the decoder to "error or round-trip, never panic". The container is
 // the only snapshot format: a file in any other format is not a
@@ -356,9 +357,9 @@
 // Each snapshot has an outcome index (internal/outcomeindex): a
 // compact per-outcome projection (the fields the HTTP API and the
 // tables consume — no log dumps, no env actions) plus posting lists
-// keyed by parameter, constraint kind, reaction, and vulnerability
-// source location, plus precomputed per-system aggregates (reaction
-// tallies, vulnerability and unique-location counts — the Table 3/5
+// keyed by parameter, constraint kind and reaction and a list of the
+// vulnerabilities, plus precomputed per-system aggregates (outcome
+// count, reaction tallies and vulnerability count — the Table 3/5
 // numbers). The index is built incrementally on every save by the same
 // streaming writer that folds the fingerprint, and it is derived data
 // that lives only in memory: campaignstore.Store holds each index under
@@ -374,9 +375,9 @@
 // record's stored payload to the fingerprint and its outcome to the
 // index builder, the two sinks the streaming writer feeds on a save.
 // Each snapshot file, <system>.campaign.snap, names its system (a name
-// that is empty or holds '/', '\' or ':' cannot be saved and reads as
-// no snapshot), and every read checks that the header names the same
-// one, so a cross-system read (/v1/tables, /v1/query, /v1/systems,
+// that is empty or holds '/', '\', ':' or a NUL byte cannot be saved
+// and reads as no snapshot), and every read checks that the header
+// names the same one, so a cross-system read (/v1/tables, /v1/query, /v1/systems,
 // /v1/status) costs one directory read and one stat per system when
 // the store holds every index, and reads no file to name one when it
 // does not. Cache invalidation needs no coupling to the job lifecycle:

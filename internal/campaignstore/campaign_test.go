@@ -11,9 +11,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -473,9 +476,11 @@ func TestCampaignReexecutesStoredHarnessError(t *testing.T) {
 // TestCampaignSavesUnlessUnchanged: a run over a stored snapshot still
 // saves when that snapshot is not what a save would write — keys that
 // left the campaign (pruned), a record or a header that does not match
-// the workload's encodings (decoded in full), a missing outcome
-// (executed) — and the rerun after that save finds it unchanged. The
-// saved snapshot is the one a cold campaign of the workload writes.
+// the workload's encodings or a record whose bytes json.Marshal would
+// not write (decoded in full), a missing outcome (executed) — and the
+// rerun after that save finds it unchanged. The saved snapshot is the
+// one a cold campaign of the workload writes, and a fresh store's index
+// carries its fingerprint.
 func TestCampaignSavesUnlessUnchanged(t *testing.T) {
 	c, q := basicC("p"), rangeC("q", 1)
 	set := mkSet(c, q)
@@ -485,25 +490,31 @@ func TestCampaignSavesUnlessUnchanged(t *testing.T) {
 		name string
 		// edit changes the stored snapshot or the workload to rerun.
 		edit func(snap *campaignstore.Snapshot, w *shard.Workload)
+		// file, if set, rewrites the saved snapshot file's bytes.
+		file func(t *testing.T, data []byte, snap *campaignstore.Snapshot) []byte
 		want campaignstore.Status
 	}{
 		{"keys that left the campaign", func(_ *campaignstore.Snapshot, w *shard.Workload) {
 			// As Plan.Apply leaves a shard: the full campaign's encodings.
 			w.Ms, w.Keys = w.Ms[:4], w.Keys[:4]
-		}, campaignstore.Status{Replayed: true, Pruned: 2, Saved: true}},
+		}, nil, campaignstore.Status{Replayed: true, Pruned: 2, Saved: true}},
 		{"a record's misconfiguration", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
 			o := snap.Outcomes[key]
 			o.Misconf.Description = "edited"
 			snap.Outcomes[key] = o
-		}, campaignstore.Status{Replayed: true, FullDecodes: 1, Saved: true}},
+		}, nil, campaignstore.Status{Replayed: true, FullDecodes: 1, Saved: true}},
+		{"a space after a record's misconfiguration", func(*campaignstore.Snapshot, *shard.Workload) {},
+			func(t *testing.T, data []byte, snap *campaignstore.Snapshot) []byte {
+				return respace(t, data, snap.Outcomes[key])
+			}, campaignstore.Status{Replayed: true, FullDecodes: 1, Saved: true}},
 		{"a constraint's location", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
 			moved := *q
 			moved.Loc.Line = 42
 			snap.Constraints = mkSet(c, &moved)
-		}, campaignstore.Status{Replayed: true, FullHeader: true, Saved: true}},
+		}, nil, campaignstore.Status{Replayed: true, FullHeader: true, Saved: true}},
 		{"a missing outcome", func(snap *campaignstore.Snapshot, _ *shard.Workload) {
 			delete(snap.Outcomes, key)
-		}, campaignstore.Status{Replayed: true, Saved: true}},
+		}, nil, campaignstore.Status{Replayed: true, Saved: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := openStore(t)
@@ -525,6 +536,15 @@ func TestCampaignSavesUnlessUnchanged(t *testing.T) {
 			}
 			if err := lk.Unlock(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.file != nil {
+				data, err := os.ReadFile(store.Path("storefake"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(store.Path("storefake"), tc.file(t, data, snap), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for run, want := range []campaignstore.Status{tc.want, {Replayed: true, Unchanged: true}} {
 				_, st, err := campaignOf(t, context.Background(), store, w, defaults())
@@ -556,8 +576,40 @@ func TestCampaignSavesUnlessUnchanged(t *testing.T) {
 			if fps[0] != fps[1] || !bytes.Equal(sets[0], sets[1]) {
 				t.Errorf("the saved snapshot differs from a cold campaign's: fingerprint %s vs %s, set\n%s\n%s", fps[0], fps[1], sets[0], sets[1])
 			}
+			fresh, err := campaignstore.Open(filepath.Dir(store.Path("storefake")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := fresh.LoadIndex("storefake")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx.Fingerprint != fps[0] {
+				t.Errorf("a fresh store's index fingerprint is %s, Snapshot.Fingerprint %s", idx.Fingerprint, fps[0])
+			}
 		})
 	}
+}
+
+// respace is data, a saved snapshot file, with a space after the comma
+// that follows o's misconfiguration in o's record, and that record's
+// length prefix and the file's CRC rewritten to match: a valid file
+// holding bytes json.Marshal never writes.
+func respace(t *testing.T, data []byte, o inject.Outcome) []byte {
+	t.Helper()
+	payload, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(payload, []byte(`,"Reaction":`)) + 1
+	spaced := slices.Concat(payload[:i], []byte(" "), payload[i:])
+	framed := func(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))), b...) }
+	out := bytes.Replace(data, framed(payload), framed(spaced), 1)
+	if len(out) != len(data)+1 {
+		t.Fatalf("the file does not hold the record's payload once")
+	}
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
 }
 
 // TestCampaignReplayRefreshesMovedLocation: a revision that moves a
@@ -664,7 +716,7 @@ func TestSavedSnapshotsKeepPlainEncodings(t *testing.T) {
 		if _, _, err := campaignOf(t, context.Background(), store, w, defaults()); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		assertPlainEncodings(t, stage, store.Path(sys.Name()), w.Set)
+		assertPlainEncodings(t, stage, store, sys.Name(), w.Set)
 	}
 	check("cold", w)
 	check("warm", w)
@@ -687,7 +739,7 @@ func TestSavedSnapshotsKeepPlainEncodings(t *testing.T) {
 	if _, _, err := campaignOf(t, ctx, store, w, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled: %v, want context.Canceled", err)
 	}
-	assertPlainEncodings(t, "cancelled", store.Path(sys.Name()), w.Set)
+	assertPlainEncodings(t, "cancelled", store, sys.Name(), w.Set)
 	check("resumed", w)
 	refresh := shard.Plan{Shard: 1, Of: 2}.Apply([]shard.Workload{w})[0]
 	if len(refresh.Ms) == len(w.Ms) || len(refresh.Keep) != len(w.Ms) {
@@ -703,12 +755,12 @@ func TestSavedSnapshotsKeepPlainEncodings(t *testing.T) {
 	}
 }
 
-// assertPlainEncodings reads a snapshot file's raw header and records and
-// fails unless they hold exactly the json.Marshal bytes of the set, with
-// its fingerprint, and of each decoded outcome.
-func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set) {
+// assertPlainEncodings reads the system's snapshot file's raw header and
+// records and fails unless they hold exactly the json.Marshal bytes of
+// the set, with its fingerprint, and of each decoded outcome.
+func assertPlainEncodings(t *testing.T, stage string, store *campaignstore.Store, system string, set *constraint.Set) {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(store.Path(system))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,11 +786,10 @@ func assertPlainEncodings(t *testing.T, stage, path string, set *constraint.Set)
 	if hdr.SetFingerprint != set.Fingerprint() {
 		t.Errorf("%s: header set fingerprint %s, want %s", stage, hdr.SetFingerprint, set.Fingerprint())
 	}
-	d, err := campaignstore.OpenSnapshotIter(path, stage)
+	d, err := store.OpenSnapshot(system)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", stage, err)
 	}
-	defer d.Close()
 	for {
 		key, _, payload, out, err := d.Next()
 		if errors.Is(err, io.EOF) {

@@ -212,17 +212,17 @@ func Open(dir string) (*Store, error) {
 const snapSuffix = ".campaign.snap"
 
 // Path returns the named system's snapshot file, <system>.campaign.snap
-// in the store's directory. A name that is empty or holds '/', '\' or
-// ':' (validName) names no snapshot: a save of it fails and a read of it
-// is ErrNotExist, so no name reaches outside the directory or shares
-// another system's file.
+// in the store's directory. A name that is empty or holds '/', '\', ':'
+// or a NUL byte (validName) names no snapshot: a save of it fails and a
+// read of it is ErrNotExist, so no name reaches outside the directory,
+// shares another system's file or is refused by the file system.
 func (s *Store) Path(system string) string {
 	return filepath.Join(s.dir, system+snapSuffix)
 }
 
 // validName reports whether system names a snapshot file of its own.
 func validName(system string) bool {
-	return system != "" && !strings.ContainsAny(system, `/\:`)
+	return system != "" && !strings.ContainsAny(system, "/\\:\x00")
 }
 
 // notExist is ErrNotExist for the system.
@@ -254,12 +254,10 @@ func (s *Store) load(system string, c *Canonical, st *Status) (*Snapshot, error)
 	return snap, nil
 }
 
-// read is every read of a snapshot: Load, Prepare and LoadIndex's
-// rebuild. It reads the system's file, decodes and validates its header
-// against c (nil: the plain decode), checks that the header names the
-// system, and hands the decoder to records, which reads every record and
-// the trailer. Its errors are Load's, and it observes every read in
-// spex_store_load_*.
+// read is Load, Prepare and LoadIndex's rebuild: it opens the system's
+// snapshot (open) and hands the decoder to records, which reads every
+// record and the trailer. Its errors are Load's, and it observes every
+// read in spex_store_load_*.
 func read[T any](s *Store, system string, c *Canonical, records func(*SnapshotDecoder) (T, error)) (v T, d *SnapshotDecoder, err error) {
 	start := time.Now()
 	defer func() {
@@ -271,26 +269,47 @@ func read[T any](s *Store, system string, c *Canonical, records func(*SnapshotDe
 			mLoadErrors.Inc()
 		}
 	}()
-	if !validName(system) {
-		return v, nil, notExist(system)
-	}
-	data, err := os.ReadFile(s.Path(system))
-	if errors.Is(err, os.ErrNotExist) {
-		return v, nil, notExist(system)
-	}
-	if err != nil {
-		return v, nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	if d, err = newSnapshotDecoder(&crcStream{data: data}, system, c); err != nil {
+	if d, err = s.open(system, c); err != nil {
 		return v, nil, err
-	}
-	if d.hdr.System != system {
-		return v, nil, fmt.Errorf("campaignstore: snapshot names system %q, want %q", d.hdr.System, system)
 	}
 	if v, err = records(d); err != nil {
 		return v, nil, err
 	}
 	return v, d, nil
+}
+
+// OpenSnapshot reads the system's snapshot file whole and returns a
+// decoder over its records once the header has passed Load's checks:
+// magic, schema, constraint fingerprint, and that it names the system.
+// Its errors are Load's; the decoder's Next reports a bad record and
+// verifies the trailer. It is the read shard.Merge makes of each source
+// store, and it is not observed in spex_store_load_*.
+func (s *Store) OpenSnapshot(system string) (*SnapshotDecoder, error) {
+	return s.open(system, nil)
+}
+
+// open is every read of a snapshot file: it reads the system's file
+// whole, decodes and validates its header against c (nil: the plain
+// decode) and checks that the header names the system.
+func (s *Store) open(system string, c *Canonical) (*SnapshotDecoder, error) {
+	if !validName(system) {
+		return nil, notExist(system)
+	}
+	data, err := os.ReadFile(s.Path(system))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, notExist(system)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaignstore: %w", err)
+	}
+	d, err := newSnapshotDecoder(data, system, c)
+	if err != nil {
+		return nil, err
+	}
+	if d.hdr.System != system {
+		return nil, fmt.Errorf("campaignstore: snapshot names system %q, want %q", d.hdr.System, system)
+	}
+	return d, nil
 }
 
 // snapshotFiles lists the store's snapshot file names: every
@@ -732,7 +751,8 @@ type Status struct {
 // c, the workload's Canonical (nil for none), makes the load cheap
 // without changing its result: a header whose constraint bytes are c's
 // takes c's set and fingerprint, and a record payload that opens with
-// its key's canonical misconfiguration decodes only the fields after it
+// its key's canonical misconfiguration and goes on with the fields
+// json.Marshal writes after it (decodeTail) decodes only those fields
 // and takes the workload's misconfiguration, which inject.Assemble puts
 // on every replay anyway. Every other header or record is decoded in
 // full, and Status.FullHeader and Status.FullDecodes count those. The

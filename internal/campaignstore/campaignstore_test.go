@@ -278,9 +278,9 @@ func TestListReturnsSavedSystems(t *testing.T) {
 }
 
 // TestUnsafeNamesHaveNoSnapshot: a system name that is empty or holds
-// '/', '\' or ':' names no snapshot file. Its save fails and writes
-// nothing, and Load and LoadIndex of it are ErrNotExist, also beside the
-// file older builds flattened a/b into (a_b.campaign.snap).
+// '/', '\', ':' or a NUL byte names no snapshot file. Its save fails and
+// writes nothing, and Load and LoadIndex of it are ErrNotExist, also
+// beside the file older builds flattened a/b into (a_b.campaign.snap).
 func TestUnsafeNamesHaveNoSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	store := openStore(t, dir)
@@ -290,7 +290,7 @@ func TestUnsafeNamesHaveNoSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lock.Unlock()
-	for _, name := range []string{"a/b", `a\b`, "a:b", ""} {
+	for _, name := range []string{"a/b", `a\b`, "a:b", "", "a\x00b"} {
 		snap := New(name, mkSet(basicC("p")), inject.DefaultOptions(), fixtureOutcomes(t, 2))
 		if err := lock.Set().Save(snap); err == nil {
 			t.Errorf("Save(%q) succeeded", name)

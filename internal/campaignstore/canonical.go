@@ -23,14 +23,15 @@ import (
 // before it, and a record whose payload opens with its key's canonical
 // misconfiguration takes the workload's key string and misconfiguration
 // and decodes only the members after it, with decodeTail's strict parse
-// (tail.go) or, for bytes json.Marshal would not have written,
-// json.Unmarshal. Only the bytes select that path, and it returns what
-// the plain decoder would: build indexes only encodings that decode
-// back to the value they were encoded from. The frames it reads alias
-// the loaded file's private buffer, which decodeHeader and the
-// json.Unmarshal fallback of decodeOutcome patch and restore. Saves
-// never use them: a run whose load matched all of them and changed
-// nothing does not save (shard.CampaignAll), so every save marshals.
+// (tail.go). A record whose tail that parse refuses takes the full
+// decode, which Status.FullDecodes counts, so the run saves the file
+// again with the bytes json.Marshal writes. Only the bytes select the
+// fast path, and it returns what the plain decoder would: build indexes
+// only encodings that decode back to the value they were encoded from.
+// The frames it reads alias the loaded file's private buffer, which
+// decodeHeader patches and restores. Saves never use them: a run whose
+// load matched all of them and changed nothing does not save
+// (shard.CampaignAll), so every save marshals.
 type Canonical struct {
 	set  *constraint.Set
 	ms   []confgen.Misconf
@@ -154,23 +155,12 @@ func (c *Canonical) key(kb []byte) (string, int) {
 // first field, and payloads are compact json.Marshal output.
 var misconfPrefix = []byte(`{"Misconf":`)
 
-// outcomeTail receives the members after an outcome payload's
-// misconfiguration when decodeTail cannot read them. Its Misconf field
-// shadows the embedded Outcome's, so any later key the plain decoder
-// would read into Outcome.Misconf (encoding/json matches keys
-// case-insensitively) lands here and sends the record to the full
-// decode.
-type outcomeTail struct {
-	inject.Outcome
-	Misconf json.RawMessage
-}
-
 // decodeOutcome decodes a record payload that opens with ms[i]'s
 // canonical encoding (i from key; -1 matches nothing), reading only the
-// members after it, and takes the workload's misconfiguration. Those
-// members go through decodeTail, or through json.Unmarshal when it
-// refuses them. It reports false, with out untouched, for any payload it
-// cannot show the plain decoder reads the same way.
+// members after it with decodeTail, and takes the workload's
+// misconfiguration. It reports false, with out untouched, for any
+// payload it cannot show the plain decoder reads the same way, a tail
+// decodeTail refuses included.
 func (c *Canonical) decodeOutcome(i int, payload []byte, out *inject.Outcome) bool {
 	if i < 0 || !bytes.HasPrefix(payload, misconfPrefix) {
 		return false
@@ -185,21 +175,7 @@ func (c *Canonical) decodeOutcome(i int, payload []byte, out *inject.Outcome) bo
 		loc = m.Violates.Loc
 	}
 	if !decodeTail(payload[end+1:], loc, out) {
-		// The plain decoder needs another member after the comma; "{" +
-		// "}" alone would be a valid tail of an invalid payload.
-		if rest := bytes.TrimLeft(payload[end+1:], " \t\r\n"); len(rest) == 0 || rest[0] != '"' {
-			return false
-		}
-		// Decode "{" + the remaining members by putting the brace where
-		// the comma was; json.Unmarshal keeps no reference to its input.
-		var t outcomeTail
-		payload[end] = '{'
-		err := json.Unmarshal(payload[end:], &t)
-		payload[end] = ','
-		if err != nil || t.Misconf != nil {
-			return false
-		}
-		*out = t.Outcome
+		return false
 	}
 	out.Misconf = *m
 	return true

@@ -1,6 +1,6 @@
 // Binary snapshot container: the one storage format behind Save. It is
-// a stream of length-prefixed records, so both ends of the pipeline
-// handle one outcome at a time instead of the whole snapshot:
+// a sequence of length-prefixed records, so a writer emits one outcome
+// at a time and a reader finds each record without parsing its JSON:
 //
 //	magic "SPEXSNP1"
 //	uvarint len | header JSON   (schema, system, saved_at, options,
@@ -14,18 +14,17 @@
 //	uint32  CRC-32 (IEEE, little-endian) of every preceding byte
 //
 // Records carry the outcome as compact JSON behind a binary frame: the
-// frame is what buys streaming (read or write one outcome at a time,
-// skip without parsing), and the payload bytes are exactly what
-// Snapshot.Fingerprint hashes, so a streaming writer folds the
-// fingerprint for free as records pass through, and LoadIndex folds it
-// from the stored bytes as they are read. The ascending key order is
-// load-bearing twice: it makes the fingerprint computable in one pass,
-// and it lets shard.Merge fold k shard files with a k-way merge that
-// holds one record per shard in memory.
+// payload bytes are exactly what Snapshot.Fingerprint hashes, so a
+// streaming writer folds the fingerprint for free as records pass
+// through, and LoadIndex folds it from the stored bytes as they are
+// read. The ascending key order is load-bearing twice: it makes the
+// fingerprint computable in one pass, and it lets shard.Merge fold k
+// shard files with a k-way merge that writes each merged record once.
 //
 // The file is <system>.campaign.snap, and the header's system must be
-// the file's: every read checks it (Store.Load, Store.LoadIndex,
-// shard.Merge), so a file names its system without being read.
+// the file's: every read checks it (Store.open, behind Load, Prepare,
+// LoadIndex and OpenSnapshot), so a file names its system without
+// being read.
 //
 // The encoder keeps one invariant: a record's payload is
 // json.Marshal(outcome), and the header's constraints member, written
@@ -36,24 +35,21 @@
 // fingerprint, and a payload that opens with {"Misconf": and then
 // exactly its key's canonical misconfiguration bytes takes the
 // workload's misconfiguration and key string and reads the members after
-// them with a strict parser (decodeTail, tail.go) that accepts only the
-// bytes json.Marshal writes there and uses no reflection; a tail it
-// refuses goes through json.Unmarshal. Anything else, and every decode
-// without a Canonical (Load, LoadIndex, OpenSnapshotIter), takes the full
-// json.Unmarshal. Both paths accept the same bytes and yield the same
-// fingerprint and outcomes (FuzzCanonicalDecode).
+// them with a strict parser (decodeTail, tail.go) that uses no
+// reflection. Every other header or record, a tail decodeTail refuses
+// included, and every decode without a Canonical (Load, LoadIndex,
+// OpenSnapshot), takes the full json.Unmarshal. Both paths accept the
+// same bytes and yield the same fingerprint and outcomes
+// (FuzzCanonicalDecode).
 //
-// Load reads the whole file and decodes it in place: its key, payload
-// and header frames are sub-slices of read's private buffer, not
-// copies, and the CRC is folded over each frame once. decodeHeader and
-// decodeOutcome may patch a byte of a frame and restore it; no decoded
-// value keeps a reference to the buffer. A decoder OpenSnapshotIter
-// opens reads its file through a buffer, a fresh slice per frame.
-//
-// Every length prefix is untrusted input: a frame is a slice of the
-// bytes actually read, or is read without preallocating the claimed
-// length (readFrameBody), so a corrupt prefix costs what the file
-// actually holds, not up to maxFrameLen.
+// Every read reads the whole file and decodes it in place: its key,
+// payload and header frames are sub-slices of the file's bytes, not
+// copies, and the CRC is one pass over the bytes before the trailer,
+// made at the terminator. decodeHeader may patch a byte of the header
+// frame and restore it; no decoded value keeps a reference to the
+// bytes. Every length prefix is untrusted input: a frame longer than
+// what is left of the file is a truncated frame, so a corrupt prefix
+// allocates nothing.
 package campaignstore
 
 import (
@@ -68,7 +64,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 	"strconv"
 	"time"
@@ -81,28 +76,6 @@ var snapMagic = []byte("SPEXSNP1")
 
 // maxFrameLen bounds any single length prefix.
 const maxFrameLen = 1 << 30
-
-// frameChunk is the most a frame read allocates before any of its bytes
-// have arrived; larger frames grow as they are read.
-const frameChunk = 1 << 20
-
-// readFrameBody reads a frame of n bytes. The buffer grows with the
-// bytes that actually arrive, so a corrupt length prefix over a short
-// file allocates at most frameChunk, never the claimed length.
-func readFrameBody(r io.Reader, n uint64) ([]byte, error) {
-	b := make([]byte, 0, min(n, frameChunk))
-	for uint64(len(b)) < n {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, int(min(n, 2*uint64(len(b))))-len(b))
-		}
-		m, err := io.ReadFull(r, b[len(b):min(uint64(cap(b)), n)])
-		b = b[:len(b)+m]
-		if err != nil {
-			return nil, errors.New("truncated frame")
-		}
-	}
-	return b, nil
-}
 
 // Fingerprinter folds Snapshot.Fingerprint incrementally: the same hash
 // as the in-memory method, computed record by record in ascending key
@@ -306,78 +279,53 @@ func (e *SnapshotEncoder) Finish() (string, error) {
 	return e.fp.Sum(), nil
 }
 
-// crcStream hands the decoder the container's bytes and folds the bytes
-// it *consumes* into a running CRC, each frame once. It reads either
-// data, a whole file in memory (Load, LoadIndex), whose frames it hands
-// out as sub-slices of data, or r, a buffered file (OpenSnapshotIter),
-// whose frames it reads into fresh slices. The fold must sit above any
-// bufio layer, not below it: bufio prefetches past the decoder's
-// logical position, and a fold on the raw reader would swallow the
-// trailer (and anything after it) ahead of time.
-type crcStream struct {
-	r    *bufio.Reader // nil: read data
-	data []byte        // the unread bytes
-	crc  uint32
+// frames hands the decoder the file's bytes: data is the whole file,
+// off how much of it has been consumed, and every frame is a sub-slice
+// of data.
+type frames struct {
+	data []byte
+	off  int
 }
 
-// ReadByte reads the next byte, for the varints. It allocates nothing.
-func (c *crcStream) ReadByte() (byte, error) {
-	var b byte
-	switch {
-	case c.r != nil:
-		var err error
-		if b, err = c.r.ReadByte(); err != nil {
-			return 0, err
-		}
-	case len(c.data) > 0:
-		b, c.data = c.data[0], c.data[1:]
-	default:
+// ReadByte reads the next byte, for the varints.
+func (f *frames) ReadByte() (byte, error) {
+	if f.off == len(f.data) {
 		return 0, io.EOF
 	}
-	// crc32.Update of one byte, without a slice for it to escape in.
-	x := ^c.crc
-	c.crc = ^(crc32.IEEETable[byte(x)^b] ^ x>>8)
-	return b, nil
+	f.off++
+	return f.data[f.off-1], nil
 }
 
 // next reads a frame of n bytes.
-func (c *crcStream) next(n uint64) ([]byte, error) {
-	var b []byte
+func (f *frames) next(n uint64) ([]byte, error) {
 	switch {
 	case n > maxFrameLen:
 		return nil, fmt.Errorf("frame length %d exceeds limit", n)
-	case c.r != nil:
-		var err error
-		if b, err = readFrameBody(c.r, n); err != nil {
-			return nil, err
-		}
-	case n > uint64(len(c.data)):
+	case n > uint64(len(f.data)-f.off):
 		return nil, errors.New("truncated frame")
-	default:
-		b, c.data = c.data[:n:n], c.data[n:]
 	}
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
+	b := f.data[f.off : f.off+int(n) : f.off+int(n)]
+	f.off += int(n)
 	return b, nil
 }
 
 // frame reads one uvarint-length-prefixed frame.
-func (c *crcStream) frame() ([]byte, error) {
-	n, err := binary.ReadUvarint(c)
+func (f *frames) frame() ([]byte, error) {
+	n, err := binary.ReadUvarint(f)
 	if err != nil {
 		return nil, errors.New("truncated length prefix")
 	}
-	return c.next(n)
+	return f.next(n)
 }
 
-// SnapshotDecoder streams a binary snapshot: opening it validates the
-// header (magic, schema staleness, constraint fingerprint), then Next
-// yields one record at a time in ascending key order; after the last
-// record the trailer's count and CRC are verified, so a truncated or
-// bit-flipped file surfaces as an error before the caller trusts the
-// stream was complete.
+// SnapshotDecoder decodes a binary snapshot file read whole: opening it
+// validates the header (magic, schema staleness, constraint
+// fingerprint), then Next yields one record at a time in ascending key
+// order; after the last record the trailer's count and CRC are
+// verified, so a truncated or bit-flipped file surfaces as an error
+// before the caller trusts that it read every record.
 type SnapshotDecoder struct {
-	s     *crcStream
-	f     *os.File // the file OpenSnapshotIter opened; nil over bytes
+	in    frames
 	hdr   *Snapshot
 	label string
 	count int
@@ -396,15 +344,15 @@ func (d *SnapshotDecoder) corruptf(format string, args ...any) error {
 	return fmt.Errorf("campaignstore: corrupt snapshot for %s: %s", d.label, fmt.Sprintf(format, args...))
 }
 
-// newSnapshotDecoder reads and validates the container header from s,
-// matching it against c (nil: the plain decode). label names the source
-// in errors.
-func newSnapshotDecoder(s *crcStream, label string, c *Canonical) (*SnapshotDecoder, error) {
-	d := &SnapshotDecoder{s: s, label: label, canon: c}
-	if magic, err := s.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
+// newSnapshotDecoder reads and validates the container header of data,
+// a whole snapshot file, matching it against c (nil: the plain decode).
+// label names the source in errors.
+func newSnapshotDecoder(data []byte, label string, c *Canonical) (*SnapshotDecoder, error) {
+	d := &SnapshotDecoder{in: frames{data: data}, label: label, canon: c}
+	if magic, err := d.in.next(uint64(len(snapMagic))); err != nil || !bytes.Equal(magic, snapMagic) {
 		return nil, d.corruptf("bad magic")
 	}
-	head, err := s.frame()
+	head, err := d.in.frame()
 	if err != nil {
 		return nil, d.corruptf("header: %v", err)
 	}
@@ -459,21 +407,21 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 	if d.done {
 		return "", time.Time{}, nil, inject.Outcome{}, io.EOF
 	}
-	n, rerr := binary.ReadUvarint(d.s)
+	n, rerr := binary.ReadUvarint(&d.in)
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated record")
 	}
 	if n == 0 {
 		// Terminator: verify count, then CRC.
-		want, rerr := binary.ReadUvarint(d.s)
+		want, rerr := binary.ReadUvarint(&d.in)
 		if rerr != nil {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated trailer")
 		}
 		if int(want) != d.count {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("record count %d, trailer says %d", d.count, want)
 		}
-		sum := d.s.crc // CRC of everything consumed before the trailer CRC
-		tail, rerr := d.s.next(4)
+		sum := crc32.ChecksumIEEE(d.in.data[:d.in.off]) // everything before the trailer CRC
+		tail, rerr := d.in.next(4)
 		if rerr != nil {
 			return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated CRC trailer")
 		}
@@ -483,7 +431,7 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		d.done = true
 		return "", time.Time{}, nil, inject.Outcome{}, io.EOF
 	}
-	kb, rerr := d.s.next(n)
+	kb, rerr := d.in.next(n)
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("key: %v", rerr)
 	}
@@ -492,12 +440,12 @@ func (d *SnapshotDecoder) Next() (key string, stamp time.Time, outJSON []byte, o
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("keys out of order (%q after %q)", key, d.last)
 	}
 	d.last = key
-	nano, rerr := binary.ReadVarint(d.s)
+	nano, rerr := binary.ReadVarint(&d.in)
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("truncated stamp")
 	}
 	stamp = time.Unix(0, nano).UTC()
-	outJSON, rerr = d.s.frame()
+	outJSON, rerr = d.in.frame()
 	if rerr != nil {
 		return "", time.Time{}, nil, inject.Outcome{}, d.corruptf("outcome %q: %v", key, rerr)
 	}
@@ -534,25 +482,3 @@ func (d *SnapshotDecoder) snapshot() (*Snapshot, error) {
 		snap.Stamps[key] = stamp
 	}
 }
-
-// OpenSnapshotIter opens the snapshot file at path for streaming reads,
-// one record in memory at a time — the shard merge's per-source cursor.
-// Header validation (magic, schema staleness, constraint fingerprint)
-// happens here, before any record is consumed; label names the source
-// in errors. The decoder owns the file until Close.
-func OpenSnapshotIter(path, label string) (*SnapshotDecoder, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("campaignstore: %w", err)
-	}
-	d, err := newSnapshotDecoder(&crcStream{r: bufio.NewReaderSize(f, 1<<16)}, label, nil)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	d.f = f
-	return d, nil
-}
-
-// Close releases the file OpenSnapshotIter opened.
-func (d *SnapshotDecoder) Close() error { return d.f.Close() }

@@ -38,7 +38,7 @@ func fixtureOutcomes(t testing.TB, n int) map[string]inject.Outcome {
 // Load decodes a file's bytes, matching it against c (nil: the plain
 // decode); the returned decoder reports how much took the full decode.
 func decodeBinarySnapshot(data []byte, label string, c *Canonical) (*Snapshot, *SnapshotDecoder, error) {
-	d, err := newSnapshotDecoder(&crcStream{data: data}, label, c)
+	d, err := newSnapshotDecoder(data, label, c)
 	if err != nil {
 		return nil, nil, err
 	}

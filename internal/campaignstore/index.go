@@ -28,8 +28,8 @@ import (
 // ascending key order, then Close to atomically publish the snapshot
 // and its fingerprint and to hold its outcome index. The writer holds one
 // outcome in memory at a time (plus the index's compact per-outcome
-// projection), which is what lets the shard merge fold arbitrarily
-// large shard stores without materializing them.
+// projection), so the shard merge writes its result without building
+// an outcome map.
 type StreamWriter struct {
 	store *Store
 	hdr   *Snapshot

@@ -16,16 +16,19 @@ import (
 //	"Loc":{"File":…,"Line":…,"Func":…},"SimCost":…,"Err":…,
 //	"Skipped":…,"Yielded":…}
 //
-// into out's other fields, without reflection. It accepts only what
-// json.Marshal writes there: each member's exact key, in field order,
-// with no whitespace; integers -?(0|[1-9][0-9]*) of at most 18 digits;
-// true and false; strings of valid UTF-8 without control bytes whose
-// only escapes are \" \\ \/ \b \f \n \r \t and a \u of a non-surrogate;
-// nothing after the closing brace. For anything else (an exponent, a
+// into out's other fields, without reflection. It accepts each member's
+// exact key, in field order, with no whitespace; integers
+// -?(0|[1-9][0-9]*) of at most 18 digits; true and false; strings of
+// valid UTF-8 without control bytes whose only escapes are \" \\ \/ \b
+// \f \n \r \t and a \u of four hex digits, of either case, naming a
+// non-surrogate; nothing after the closing brace. That is what
+// json.Marshal writes there, but for an integer of 19 digits, and some
+// bytes it never writes: -0, \/, upper-case hex and a \u of a rune
+// json.Marshal writes as itself. For anything else (an exponent, a
 // leading zero, null, another or a repeated key, a lone surrogate,
 // invalid UTF-8, whitespace) it reports false with out untouched, and
-// the caller decodes with json.Unmarshal. What it accepts,
-// json.Unmarshal reads the same way.
+// the caller takes the full decode. What it accepts, json.Unmarshal
+// reads the same way.
 //
 // loc is the misconfiguration's constraint location, which an outcome's
 // Loc repeats: a File or Func equal to loc's is loc's own string, so it

@@ -8,10 +8,10 @@
 //
 // The shape is keyword → posting list: every outcome becomes one
 // compact Doc (the projection the API and the tables actually consume —
-// no log dumps, no env actions, no constraint payloads), and posting
-// lists map each parameter, constraint kind, reaction, and source
-// location to the positions of its docs. Per-system aggregates
-// (reaction tallies, vulnerability and unique-location counts) are
+// no log dumps, no env actions, no constraint payloads), posting lists
+// map each parameter, constraint kind and reaction to the positions of
+// its docs, and one list holds the vulnerabilities'. Per-system
+// aggregates (outcome count, reaction tallies, vulnerability count) are
 // precomputed when the index is built, so serving table 3/5 is a map
 // lookup, not a scan.
 //

@@ -794,6 +794,12 @@ func TestReadPathPagingEtagQuery(t *testing.T) {
 			t.Errorf("%s: %d, want 400", bad, resp.StatusCode)
 		}
 	}
+	// A system without a snapshot is 404, a name holding NUL included.
+	for _, name := range []string{"nope", "a%00b"} {
+		if _, resp := get(ts.URL + "/v1/systems/" + name + "/outcomes"); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("outcomes of %s: %d, want 404", name, resp.StatusCode)
+		}
+	}
 
 	// Conditional revalidation on every read endpoint. (/v1/tables
 	// needs all seven systems' snapshots — its ETag round trip runs in

@@ -17,9 +17,10 @@ import (
 // BenchmarkMergeThroughput folds four shard stores (10k outcomes each,
 // disjoint keys plus a 5% duplicated overlap) into a fresh destination
 // per iteration — the spexmerge hot path. Reported metrics: outcomes/s
-// of merged output and the process's peak RSS, which must stay bounded
-// because the k-way merge streams record-by-record instead of
-// materializing four shard maps.
+// of merged output and the process's peak RSS. The merge reads each
+// shard file whole and decodes one record per shard at a time, so its
+// memory grows with the shard files' bytes, not with four shard
+// outcome maps.
 func BenchmarkMergeThroughput(b *testing.B) {
 	const shards = 4
 	const perShard = 10000

@@ -207,11 +207,14 @@ type MergeStat struct {
 	Fingerprint string
 }
 
-// source is one shard directory's snapshot file for a system.
-type source struct{ dir, path string }
+// source is one shard directory's store.
+type source struct {
+	dir   string
+	store *campaignstore.Store
+}
 
 // mergeCursor is one shard file's read position in the k-way merge:
-// the streaming decoder plus its current record.
+// the decoder over the file's bytes plus its current record.
 type mergeCursor struct {
 	dir  string
 	it   *campaignstore.SnapshotDecoder
@@ -239,18 +242,22 @@ func (c *mergeCursor) advance() error {
 // addressed by its write capability (dst), minted from the store's held
 // writer lock; callers acquire it with campaignstore.Store.Lock before
 // merging, exactly like any other writer. For every system dst covers
-// with a snapshot in any source directory, the shards' records fold into a single snapshot via a k-way streaming
-// merge — every source file's records arrive in ascending key order
-// (the binary container's invariant), so the merge holds one record per
-// shard in memory and writes the result through the store's streaming
-// writer, never materializing any shard's full outcome set.
+// with a snapshot in any source directory, the shards' records fold
+// into a single snapshot via a k-way merge: each source file is read
+// whole through its store (Store.OpenSnapshot, the read Load makes),
+// its records arrive in ascending key order (the binary container's
+// invariant), and the merge decodes one record per shard at a time and
+// writes the result through the store's streaming writer, never
+// building any shard's outcome map.
 //
-// Validation is strict — each source file must name its system in its
-// header as in its file name, all of a system's shards must carry this
-// build's schema fingerprint (the decoder's header check enforces it),
-// the same constraint-set fingerprint, and the same outcome-affecting
-// options identity (campaignstore OptionsID); mixing an optimized shard
-// with a -no-optimizations shard is an error, not a silent blend.
+// Validation is strict — each source file must pass Load's checks
+// (its header names the system of its file name and carries this
+// build's schema fingerprint; every record and the trailer decode), all
+// of a system's shards must carry the same constraint-set fingerprint
+// and the same outcome-affecting options identity (campaignstore
+// OptionsID); mixing an optimized shard with a -no-optimizations shard
+// is an error, not a silent blend. A system whose merge fails keeps
+// its earlier snapshot in the destination, and no temporary file.
 // Duplicate outcome keys resolve freshest-wins by each outcome's own
 // stamp (Snapshot.Stamps — when it was last executed or re-validated,
 // NOT when its snapshot happened to be saved, so a shard that merely
@@ -297,7 +304,7 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 			if len(bySystem[system]) == 0 {
 				systems = append(systems, system)
 			}
-			bySystem[system] = append(bySystem[system], source{dir: dir, path: store.Path(system)})
+			bySystem[system] = append(bySystem[system], source{dir: dir, store: store})
 		}
 	}
 	sort.Strings(systems)
@@ -313,25 +320,17 @@ func Merge(dst *campaignstore.LockSet, srcDirs []string) ([]MergeStat, error) {
 	return stats, nil
 }
 
-// mergeSystem streams one system's shard files into the destination
+// mergeSystem folds one system's shard files into the destination
 // store.
 func mergeSystem(dst *campaignstore.LockSet, system string, srcs []source) (MergeStat, error) {
 	cursors := make([]*mergeCursor, 0, len(srcs))
-	defer func() {
-		for _, c := range cursors {
-			c.it.Close()
-		}
-	}()
 	for _, src := range srcs {
-		it, err := campaignstore.OpenSnapshotIter(src.path, system)
+		it, err := src.store.OpenSnapshot(system)
 		if err != nil {
 			return MergeStat{}, fmt.Errorf("shard: %s: %w", src.dir, err)
 		}
 		c := &mergeCursor{dir: src.dir, it: it}
 		cursors = append(cursors, c)
-		if got := it.Header().System; got != system {
-			return MergeStat{}, fmt.Errorf("shard: %s: %s names system %q, not its file's %q", src.dir, src.path, got, system)
-		}
 		if err := c.advance(); err != nil {
 			return MergeStat{}, err
 		}

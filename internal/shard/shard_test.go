@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -767,8 +771,64 @@ func TestMergeRejectsMisfiledSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = mergeInto(t, t.TempDir(), []string{dir})
-	if err == nil || !strings.Contains(err.Error(), `names system "synth", not its file's "renamed"`) {
+	if err == nil || !strings.Contains(err.Error(), `names system "synth", want "renamed"`) {
 		t.Errorf("Merge with a misfiled snapshot = %v, want a names-system error", err)
+	}
+}
+
+// TestMergeRefusesCorruptShard: a shard file with a flipped record byte
+// or cut short mid-record fails the merge with the store's
+// corrupt-snapshot error naming the shard's directory, and the
+// destination keeps its earlier snapshot byte for byte, with no
+// temporary file beside it.
+func TestMergeRefusesCorruptShard(t *testing.T) {
+	set := synthSet("p")
+	outcomes := map[string]inject.Outcome{}
+	for i := 0; i < 8; i++ {
+		m := synthMisconf(fmt.Sprintf("m%d", i), set.Constraints[0])
+		outcomes[inject.CacheKey(m)] = inject.Outcome{Misconf: m, Reaction: inject.ReactionGood, LogDump: "ok\n"}
+	}
+	good, dst := t.TempDir(), t.TempDir()
+	saveSnapshot(t, good, set, inject.DefaultOptions(), outcomes, time.Now().UTC())
+	if _, err := mergeInto(t, dst, []string{good}); err != nil {
+		t.Fatal(err)
+	}
+	merged := filepath.Join(dst, "synth.campaign.snap")
+	before, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(good, "synth.campaign.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The middle of the records: past the magic and the header frame.
+	n, k := binary.Uvarint(data[len("SPEXSNP1"):])
+	records := len("SPEXSNP1") + k + int(n)
+	mid := records + (len(data)-records)/2
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"a flipped record byte", slices.Concat(data[:mid], []byte{data[mid] ^ 0xff}, data[mid+1:])},
+		{"cut short mid-record", data[:mid]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := t.TempDir()
+			if err := os.WriteFile(filepath.Join(bad, "synth.campaign.snap"), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := mergeInto(t, dst, []string{good, bad})
+			if want := "shard: " + bad + ": campaignstore: corrupt snapshot for synth: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("Merge = %v, want an error starting %q", err, want)
+			}
+			if after, err := os.ReadFile(merged); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("the failed merge changed the destination's snapshot (%v)", err)
+			}
+			if tmps, err := filepath.Glob(filepath.Join(dst, "*.tmp-*")); err != nil || len(tmps) != 0 {
+				t.Errorf("the failed merge left %v (%v)", tmps, err)
+			}
+		})
 	}
 }
 
